@@ -1,11 +1,14 @@
 // Tests for the attention substrate: the online-softmax merge identity
 // (the mathematical core of both the chunked KV cache and context
-// exchange), streamed forward/backward equivalence and finite-difference
-// gradient checks.
+// exchange), streamed forward/backward equivalence, bit-exactness against
+// the kernels' scalar loops and finite-difference gradient checks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/numerics/attention.hpp"
 #include "src/util/rng.hpp"
@@ -180,7 +183,195 @@ INSTANTIATE_TEST_SUITE_P(Sweep, StreamedTest,
                                            StreamCase{4, 4, 4},
                                            StreamCase{2, 3, 5},
                                            StreamCase{8, 8, 2},
-                                           StreamCase{16, 2, 8}));
+                                           StreamCase{16, 2, 8},
+                                           StreamCase{24, 3, 100}));
+
+// ---- Bit-exact oracle -------------------------------------------------------
+//
+// The kernels' scalar loops as they stood before the score and dP dot
+// products were blocked across keys: one serial double dot per (query, key),
+// query rows grouped 8 at a time for the dk/dv partial slabs, the slabs
+// folded in ascending group order. The kernels must reproduce these bits
+// exactly, whatever the blocking.
+
+constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+constexpr std::int64_t kOracleQueryGrain = 8;
+
+AttnPartial oracle_attn_partial(const Tensor& q, const Tensor& k,
+                                const Tensor& v, std::int64_t q_offset,
+                                std::int64_t k_offset, float scale) {
+  const std::int64_t s = q.rows(), kv = k.rows(), d = v.cols();
+  AttnPartial part;
+  part.out = Tensor(s, d);
+  part.m.assign(static_cast<std::size_t>(s), kNegInf);
+  part.l.assign(static_cast<std::size_t>(s), 0.0f);
+  std::vector<float> scores(static_cast<std::size_t>(kv));
+  for (std::int64_t i = 0; i < s; ++i) {
+    const std::int64_t visible =
+        std::clamp<std::int64_t>(q_offset + i - k_offset + 1, 0, kv);
+    if (visible == 0) continue;
+    float m = kNegInf;
+    for (std::int64_t j = 0; j < visible; ++j) {
+      double dot = 0.0;
+      for (std::int64_t c = 0; c < q.cols(); ++c) {
+        dot += static_cast<double>(q.at(i, c)) * k.at(j, c);
+      }
+      const float sc = static_cast<float>(dot) * scale;
+      scores[static_cast<std::size_t>(j)] = sc;
+      m = std::max(m, sc);
+    }
+    double l = 0.0;
+    for (std::int64_t j = 0; j < visible; ++j) {
+      const float w = std::exp(scores[static_cast<std::size_t>(j)] - m);
+      l += w;
+      for (std::int64_t c = 0; c < d; ++c) {
+        part.out.at(i, c) += w * v.at(j, c);
+      }
+    }
+    const float inv_l = 1.0f / static_cast<float>(l);
+    for (std::int64_t c = 0; c < d; ++c) part.out.at(i, c) *= inv_l;
+    part.m[static_cast<std::size_t>(i)] = m;
+    part.l[static_cast<std::size_t>(i)] = static_cast<float>(l);
+  }
+  return part;
+}
+
+void oracle_attn_streamed_bwd(const Tensor& q,
+                              const std::vector<KvChunk>& chunks,
+                              std::int64_t q_offset, float scale,
+                              const AttnPartial& fwd, const Tensor& dout,
+                              Tensor& dq, std::vector<Tensor>& dk_chunks,
+                              std::vector<Tensor>& dv_chunks) {
+  const std::int64_t s = q.rows(), d = fwd.out.cols();
+  dq = Tensor(q.rows(), q.cols());
+  std::vector<float> D(static_cast<std::size_t>(s));
+  for (std::int64_t i = 0; i < s; ++i) {
+    double sum = 0.0;
+    for (std::int64_t c = 0; c < d; ++c) {
+      sum += static_cast<double>(dout.at(i, c)) * fwd.out.at(i, c);
+    }
+    D[static_cast<std::size_t>(i)] = static_cast<float>(sum);
+  }
+  for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+    const KvChunk& chunk = chunks[ci];
+    Tensor& dk = dk_chunks[ci];
+    Tensor& dv = dv_chunks[ci];
+    const std::int64_t kv = chunk.k.rows();
+    const std::int64_t kc = chunk.k.cols(), vc = chunk.v.cols();
+    for (std::int64_t i0 = 0; i0 < s; i0 += kOracleQueryGrain) {
+      const std::int64_t i1 = std::min(s, i0 + kOracleQueryGrain);
+      std::vector<float> dkp(static_cast<std::size_t>(kv * kc), 0.0f);
+      std::vector<float> dvp(static_cast<std::size_t>(kv * vc), 0.0f);
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const std::size_t si = static_cast<std::size_t>(i);
+        if (fwd.l[si] == 0.0f) continue;
+        const std::int64_t visible =
+            std::clamp<std::int64_t>(q_offset + i - chunk.pos + 1, 0, kv);
+        const float inv_l = 1.0f / fwd.l[si];
+        for (std::int64_t j = 0; j < visible; ++j) {
+          double dot = 0.0;
+          for (std::int64_t c = 0; c < q.cols(); ++c) {
+            dot += static_cast<double>(q.at(i, c)) * chunk.k.at(j, c);
+          }
+          const float pj =
+              std::exp(static_cast<float>(dot) * scale - fwd.m[si]) * inv_l;
+          double dpj = 0.0;
+          for (std::int64_t c = 0; c < d; ++c) {
+            dpj += static_cast<double>(dout.at(i, c)) * chunk.v.at(j, c);
+          }
+          const float ds = pj * (static_cast<float>(dpj) - D[si]) * scale;
+          for (std::int64_t c = 0; c < q.cols(); ++c) {
+            dq.at(i, c) += ds * chunk.k.at(j, c);
+            dkp[static_cast<std::size_t>(j * kc + c)] += ds * q.at(i, c);
+          }
+          for (std::int64_t c = 0; c < d; ++c) {
+            dvp[static_cast<std::size_t>(j * vc + c)] += pj * dout.at(i, c);
+          }
+        }
+      }
+      for (std::int64_t e = 0; e < kv * kc; ++e) {
+        dk.data()[e] += dkp[static_cast<std::size_t>(e)];
+      }
+      for (std::int64_t e = 0; e < kv * vc; ++e) {
+        dv.data()[e] += dvp[static_cast<std::size_t>(e)];
+      }
+    }
+  }
+}
+
+struct OracleCase {
+  const char* name;
+  std::int64_t head_dim;
+  std::int64_t q_len;
+  std::int64_t q_offset;
+  std::int64_t k_start;  // global position of the first chunk's first key
+  std::vector<std::int64_t> chunk_lens;
+};
+
+// Visible-key counts that are not multiples of any key block, chunks longer
+// than a key tile, every head_dim the transformer blocks use, rows with no
+// visible key, and chunks at nonzero offsets.
+std::vector<OracleCase> oracle_cases() {
+  return {
+      {"diagonal, 100 keys, head_dim 4", 4, 100, 0, 0, {100}},
+      {"last slice of 1024 keys, head_dim 8", 8, 64, 960, 0, {1024}},
+      {"three chunks, last fully masked, head_dim 16", 16, 40, 90, 0,
+       {37, 100, 13}},
+      {"first rows fully masked, head_dim 8", 8, 20, 0, 5, {9, 70}},
+      {"short chunks, head_dim 16", 16, 12, 13, 0, {4, 4, 4, 4, 9}},
+  };
+}
+
+TEST(AttentionOracleTest, PartialMatchesScalarLoopsBitForBit) {
+  for (const OracleCase& c : oracle_cases()) {
+    SCOPED_TRACE(c.name);
+    Rng rng(static_cast<std::uint64_t>(c.q_len * 31 + c.head_dim));
+    const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+    std::int64_t pos = c.k_start;
+    for (std::int64_t len : c.chunk_lens) {
+      const Tensor k = Tensor::randn(len, c.head_dim, rng, 1.0f);
+      const Tensor v = Tensor::randn(len, c.head_dim, rng, 1.0f);
+      const AttnPartial got = attn_partial(q, k, v, c.q_offset, pos, kScale);
+      const AttnPartial want =
+          oracle_attn_partial(q, k, v, c.q_offset, pos, kScale);
+      EXPECT_EQ(got.out.max_abs_diff(want.out), 0.0f) << "chunk at " << pos;
+      EXPECT_EQ(got.m, want.m) << "chunk at " << pos;
+      EXPECT_EQ(got.l, want.l) << "chunk at " << pos;
+      pos += len;
+    }
+  }
+}
+
+TEST(AttentionOracleTest, StreamedBackwardMatchesScalarLoopsBitForBit) {
+  for (const OracleCase& c : oracle_cases()) {
+    SCOPED_TRACE(c.name);
+    Rng rng(static_cast<std::uint64_t>(c.q_len * 37 + c.head_dim));
+    const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+    const Tensor dout = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+    std::vector<KvChunk> chunks;
+    std::vector<Tensor> dk, dv, dk_want, dv_want;
+    std::int64_t pos = c.k_start;
+    for (std::int64_t len : c.chunk_lens) {
+      chunks.push_back({Tensor::randn(len, c.head_dim, rng, 1.0f),
+                        Tensor::randn(len, c.head_dim, rng, 1.0f), pos});
+      dk.emplace_back(len, c.head_dim);
+      dv.emplace_back(len, c.head_dim);
+      pos += len;
+    }
+    dk_want = dk;
+    dv_want = dv;
+    const AttnPartial fwd = attn_streamed(q, chunks, c.q_offset, kScale);
+    Tensor dq, dq_want;
+    attn_streamed_bwd(q, chunks, c.q_offset, kScale, fwd, dout, dq, dk, dv);
+    oracle_attn_streamed_bwd(q, chunks, c.q_offset, kScale, fwd, dout,
+                             dq_want, dk_want, dv_want);
+    EXPECT_EQ(dq.max_abs_diff(dq_want), 0.0f);
+    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+      EXPECT_EQ(dk[ci].max_abs_diff(dk_want[ci]), 0.0f) << "chunk " << ci;
+      EXPECT_EQ(dv[ci].max_abs_diff(dv_want[ci]), 0.0f) << "chunk " << ci;
+    }
+  }
+}
 
 TEST(AttentionGradCheckTest, FiniteDifferences) {
   Rng rng(31);

@@ -102,6 +102,22 @@ class MatmulTest : public ::testing::Test {
     }
     return c;
   }
+
+  // The accumulation policy all three variants promise (tensor.hpp): fp32
+  // partial sums in ascending-k order, starting from zero.
+  static Tensor naive_fp32(const Tensor& a, const Tensor& b) {
+    Tensor c(a.rows(), b.cols());
+    for (std::int64_t i = 0; i < a.rows(); ++i) {
+      for (std::int64_t j = 0; j < b.cols(); ++j) {
+        float sum = 0.0f;
+        for (std::int64_t k = 0; k < a.cols(); ++k) {
+          sum += a.at(i, k) * b.at(k, j);
+        }
+        c.at(i, j) = sum;
+      }
+    }
+    return c;
+  }
 };
 
 TEST_F(MatmulTest, MatchesNaive) {
@@ -120,6 +136,19 @@ TEST_F(MatmulTest, TnMatchesNaive) {
   const Tensor a = Tensor::randn(6, 4, rng_, 1.0f);
   const Tensor b = Tensor::randn(6, 8, rng_, 1.0f);
   EXPECT_LT(matmul_tn(a, b).max_abs_diff(naive(a.transposed(), b)), 1e-5f);
+}
+
+// Bit for bit, not within a tolerance: the parity tests across backends and
+// pool widths rely on every variant rounding exactly like this. k = 300
+// crosses matmul's 128-wide k-panels, m = 37 crosses the 16-row chunks, and
+// n = 23 is odd.
+TEST_F(MatmulTest, AllVariantsMatchAscendingKFp32Exactly) {
+  const Tensor a = Tensor::randn(37, 300, rng_, 1.0f);
+  const Tensor b = Tensor::randn(300, 23, rng_, 1.0f);
+  const Tensor expect = naive_fp32(a, b);
+  EXPECT_EQ(matmul(a, b).max_abs_diff(expect), 0.0f);
+  EXPECT_EQ(matmul_nt(a, b.transposed()).max_abs_diff(expect), 0.0f);
+  EXPECT_EQ(matmul_tn(a.transposed(), b).max_abs_diff(expect), 0.0f);
 }
 
 TEST_F(MatmulTest, ShapeMismatchThrows) {

@@ -18,7 +18,41 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 // dk/dv reductions keep per-chunk partials folded in chunk order.
 constexpr std::int64_t kQueryGrain = 8;
 
+// Keys per stack tile of score / dP values, and keys whose dot products run
+// side by side within a tile.
+constexpr std::int64_t kKeyTile = 64;
+constexpr std::int64_t kKeyBlock = 8;
+
 util::ThreadPool& pool() { return util::ThreadPool::global(); }
+
+/// out[r] = x · rows[r] for r in [0, count), where `rows` is row-major with
+/// `n` columns. Each dot is a double sum in ascending column order — the
+/// bits of one serial loop per row — but kKeyBlock rows accumulate at once,
+/// so their independent add chains overlap instead of each waiting out the
+/// add latency of the one before.
+void dot_rows(const float* x, const float* rows, std::int64_t n,
+              std::int64_t count, double* out) {
+  std::int64_t r = 0;
+  for (; r + kKeyBlock <= count; r += kKeyBlock) {
+    const float* block = rows + r * n;
+    double acc[kKeyBlock] = {};
+    for (std::int64_t c = 0; c < n; ++c) {
+      const double xc = x[c];
+      for (std::int64_t b = 0; b < kKeyBlock; ++b) {
+        acc[b] += xc * block[b * n + c];
+      }
+    }
+    for (std::int64_t b = 0; b < kKeyBlock; ++b) out[r + b] = acc[b];
+  }
+  for (; r < count; ++r) {
+    const float* row = rows + r * n;
+    double dot = 0.0;
+    for (std::int64_t c = 0; c < n; ++c) {
+      dot += static_cast<double>(x[c]) * row[c];
+    }
+    out[r] = dot;
+  }
+}
 }
 
 AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
@@ -41,16 +75,18 @@ AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
       const std::int64_t visible =
           std::clamp<std::int64_t>(q_offset + i - k_offset + 1, 0, kv);
       if (visible == 0) continue;
-      // Row scores and max.
+      // Row scores and max, the max folded in ascending key order.
       float m = kNegInf;
-      for (std::int64_t j = 0; j < visible; ++j) {
-        double dot = 0.0;
-        for (std::int64_t c = 0; c < q.cols(); ++c) {
-          dot += static_cast<double>(q.at(i, c)) * k.at(j, c);
+      for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
+        const std::int64_t nt = std::min(kKeyTile, visible - t0);
+        double dots[kKeyTile];
+        dot_rows(q.data() + i * q.cols(), k.data() + t0 * k.cols(), k.cols(),
+                 nt, dots);
+        for (std::int64_t t = 0; t < nt; ++t) {
+          const float sc = static_cast<float>(dots[t]) * scale;
+          scores[t0 + t] = sc;
+          m = std::max(m, sc);
         }
-        const float sc = static_cast<float>(dot) * scale;
-        scores[j] = sc;
-        m = std::max(m, sc);
       }
       double l = 0.0;
       for (std::int64_t j = 0; j < visible; ++j) {
@@ -220,6 +256,7 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
                "chunk gradient shape mismatch");
     const std::int64_t kv = chunk.k.rows();
     const std::int64_t kc = chunk.k.cols(), vc = chunk.v.cols();
+    SLIM_CHECK(kc == q.cols() && vc == d, "chunk head-dim mismatch");
     // dq rows are disjoint across query chunks; dk/dv reduce over query
     // rows, so each query chunk accumulates into its own partial slab and
     // the slabs fold in ascending chunk order below — the thread-count
@@ -242,25 +279,28 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
         const std::int64_t visible =
             std::clamp<std::int64_t>(q_offset + i - chunk.pos + 1, 0, kv);
         const float inv_l = 1.0f / fwd.l[si];
-        for (std::int64_t j = 0; j < visible; ++j) {
-          double dot = 0.0;
-          for (std::int64_t c = 0; c < q.cols(); ++c) {
-            dot += static_cast<double>(q.at(i, c)) * chunk.k.at(j, c);
-          }
-          const float pj =
-              std::exp(static_cast<float>(dot) * scale - fwd.m[si]) * inv_l;
-          double dpj = 0.0;
-          for (std::int64_t c = 0; c < d; ++c) {
-            dpj += static_cast<double>(dout.at(i, c)) * chunk.v.at(j, c);
-          }
-          const float ds =
-              pj * (static_cast<float>(dpj) - D[i]) * scale;
-          for (std::int64_t c = 0; c < q.cols(); ++c) {
-            dq.at(i, c) += ds * chunk.k.at(j, c);
-            dkp[j * kc + c] += ds * q.at(i, c);
-          }
-          for (std::int64_t c = 0; c < d; ++c) {
-            dvp[j * vc + c] += pj * dout.at(i, c);
+        const float* qi = q.data() + i * kc;
+        const float* douti = dout.data() + i * dout.cols();
+        float* dqi = dq.data() + i * kc;
+        for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
+          const std::int64_t nt = std::min(kKeyTile, visible - t0);
+          double dots[kKeyTile], dps[kKeyTile];
+          dot_rows(qi, chunk.k.data() + t0 * kc, kc, nt, dots);
+          dot_rows(douti, chunk.v.data() + t0 * vc, vc, nt, dps);
+          for (std::int64_t t = 0; t < nt; ++t) {
+            const std::int64_t j = t0 + t;
+            const float pj =
+                std::exp(static_cast<float>(dots[t]) * scale - fwd.m[si]) *
+                inv_l;
+            const float ds = pj * (static_cast<float>(dps[t]) - D[i]) * scale;
+            const float* kj = chunk.k.data() + j * kc;
+            float* dkj = dkp + j * kc;
+            for (std::int64_t c = 0; c < kc; ++c) {
+              dqi[c] += ds * kj[c];
+              dkj[c] += ds * qi[c];
+            }
+            float* dvj = dvp + j * vc;
+            for (std::int64_t c = 0; c < vc; ++c) dvj[c] += pj * douti[c];
           }
         }
       }

@@ -205,9 +205,9 @@ float Tensor::l2norm() const {
 
 // Accumulation policy (shared by all three matmul variants): fp32 partial
 // sums in ascending-k order, the same convention as fp32 GEMM on the
-// hardware the substrate stands in for. matmul_nt used to accumulate in
-// double, which made forward and backward projections round differently;
-// a single policy keeps the two paths' rounding symmetric. There is no
+// hardware the substrate stands in for, so forward and backward projections
+// round symmetrically. Loops vectorize across output columns, never across
+// k, which keeps every element's sum in that order. There is no
 // zero-operand fast path: 0 * NaN must stay NaN (IEEE propagation) and
 // kernel timing must not depend on the data.
 
@@ -236,22 +236,10 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   SLIM_CHECK(a.cols() == b.cols(), "matmul_nt shape mismatch");
-  // Every output element is written exactly once — uninit is safe.
-  Tensor c = Tensor::uninit(a.rows(), b.rows());
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  pool().parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = a.data() + i * k;
-      float* crow = c.data() + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const float* brow = b.data() + j * k;
-        float sum = 0.0f;
-        for (std::int64_t kk = 0; kk < k; ++kk) sum += arow[kk] * brow[kk];
-        crow[j] = sum;
-      }
-    }
-  });
-  return c;
+  // A per-output dot over k is one serial add chain the compiler may not
+  // reorder; matmul's saxpy form vectorizes across output columns instead,
+  // with the same ascending-k sum per element.
+  return matmul(a, b.transposed());
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {

@@ -32,7 +32,7 @@ class Tensor {
   Tensor(std::int64_t rows, std::int64_t cols) : Tensor(rows, cols, true) {}
 
   /// UNINITIALIZED storage: only for outputs every element of which is
-  /// overwritten before being read (slice copies, transposes, matmul_nt,
+  /// overwritten before being read (slice copies, transposes,
   /// rmsnorm/swiglu outputs, vcat). Never for accumulator outputs.
   static Tensor uninit(std::int64_t rows, std::int64_t cols) {
     return Tensor(rows, cols, false);
@@ -120,14 +120,16 @@ class Tensor {
   bool owned_ = false;  // heap-backed (delete[] on destroy) vs arena/null
 };
 
-// All three matmul variants share one accumulation policy: fp32 partial
-// sums in ascending-k order (no double-precision detours, no zero-operand
-// fast paths), so forward and backward projections round symmetrically and
-// NaN/Inf propagate per IEEE.
+// All three matmul variants share one accumulation policy: every output
+// element is an fp32 sum starting from zero in ascending-k order (no
+// double-precision detours, no zero-operand fast paths), so forward and
+// backward projections round symmetrically, NaN/Inf propagate per IEEE, and
+// the variants agree bit for bit on the same product (asserted exactly in
+// tests/test_numerics_tensor.cpp). matmul_nt is matmul on B^T.
 
 /// C = A * B           (m x k) * (k x n)
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// C = A * B^T         (m x k) * (n x k)^T
+/// C = A * B^T         (m x k) * (n x k)^T; computed as matmul(a, b^T).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 /// C = A^T * B         (k x m)^T * (k x n)
 Tensor matmul_tn(const Tensor& a, const Tensor& b);

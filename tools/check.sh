@@ -9,19 +9,22 @@
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
 # runs the ctest label subsets most likely to surface that bug class:
 #
-#   address    faults, mem, ir, dist, telemetry  (lifetime/overflow in the
-#                                   fault machinery, arena tracking, the
-#                                   schedule IR, the multi-process socket
-#                                   runtime and the flight-recorder/telemetry
-#                                   ring + wire paths)
-#   undefined  faults, mem, ir, dist, telemetry  (integer/shift UB in the
-#                                   same layers)
-#   thread     threads, dist, telemetry  (the threaded runtime tests; the
-#                                   dist supervisor forks single-threaded
-#                                   workers from the pool-owning parent —
-#                                   exactly the fork/lock interaction TSan
-#                                   should watch — and the telemetry
-#                                   overhead gate runs both substrates)
+#   address    faults, mem, ir, dist, telemetry, elastic, numerics
+#                                  (lifetime/overflow in the fault machinery,
+#                                   arena tracking, the schedule IR, the
+#                                   multi-process socket runtime, the
+#                                   flight-recorder/telemetry ring + wire
+#                                   paths, variable-length slice layouts and
+#                                   the numerics kernels' raw-pointer loops)
+#   undefined  faults, mem, ir, dist, telemetry, elastic, numerics
+#                                  (integer/shift UB in the same layers)
+#   thread     threads, dist, telemetry, elastic
+#                                  (the threaded runtime tests; the dist
+#                                   supervisor forks single-threaded workers
+#                                   from the pool-owning parent — exactly the
+#                                   fork/lock interaction TSan should watch —
+#                                   and the telemetry overhead gate runs both
+#                                   substrates)
 #
 # clang-tidy, when installed, runs over src/ir and src/analysis with the
 # plain tree's compile database; when absent the pass is skipped with a
@@ -57,7 +60,7 @@ if [[ "$FAST" -eq 0 ]]; then
     if [[ "$san" == "thread" ]]; then
       labels="threads|dist|telemetry|elastic"
     else
-      labels="faults|mem|ir|dist|telemetry|elastic"
+      labels="faults|mem|ir|dist|telemetry|elastic|numerics"
     fi
     echo "== ${san} sanitizer tests (-L '${labels}') =="
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \

@@ -188,11 +188,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, StreamedTest,
 
 // ---- Bit-exact oracle -------------------------------------------------------
 //
-// The kernels' scalar loops as they stood before the score and dP dot
-// products were blocked across keys: one serial double dot per (query, key),
-// query rows grouped 8 at a time for the dk/dv partial slabs, the slabs
-// folded in ascending group order. The kernels must reproduce these bits
-// exactly, whatever the blocking.
+// The kernels' loops in plain scalar form: one serial double dot per
+// (query, key), query rows grouped 8 at a time for the dk/dv partial slabs,
+// the slabs folded in ascending group order. The kernels must reproduce
+// these bits exactly, however they block the work.
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 constexpr std::int64_t kOracleQueryGrain = 8;

@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "src/core/slice.hpp"
 #include "src/dist/stage_worker.hpp"
 #include "src/dist/wire.hpp"
 #include "src/obs/clock.hpp"
@@ -52,7 +53,6 @@ struct WorkerHandle {
   bool signaled = false;
   int exit_code = 0;
   int term_signal = 0;
-  int commits = 0;  // Commit frames received this attempt
   bool have_done = false;
   WireStageDone done_info;
   std::string error_detail;
@@ -90,18 +90,7 @@ WorkerFaults resolve_faults(const fault::FaultPlan* plan, int stage,
                             bool inject) {
   WorkerFaults faults;
   if (!inject || plan == nullptr) return faults;
-  for (const fault::StageCrash& crash : plan->stage_crashes) {
-    if (crash.stage == stage) faults.crash_after = crash.after_messages;
-  }
-  for (const fault::StageHang& hang : plan->stage_hangs) {
-    if (hang.stage == stage) faults.hang_after = hang.after_messages;
-  }
-  for (const fault::MessageDelay& delay : plan->delays) {
-    if (delay.stage == -1 || delay.stage == stage) {
-      faults.delay_every = delay.every;
-      faults.delay_seconds = delay.seconds;
-    }
-  }
+  faults.stage = fault::stage_rules(*plan, stage);
   for (const fault::LinkFault& link : plan->links) {
     if (link.src == -1 || link.src == stage) {
       faults.link_extra_latency += link.extra_latency;
@@ -152,33 +141,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
   const int n_slices = options.n_slices;
   const int m = static_cast<int>(tokens.size());
   const int p = model_.stages;
-  SLIM_CHECK(m >= 1 && targets.size() == tokens.size(), "bad microbatches");
-  SLIM_CHECK(n_slices >= 1, "need at least one slice");
-  // Per-microbatch slice boundaries: explicit from the caller, or derived
-  // token-uniform (remainder to the first slices) — seq % n_slices != 0 and
-  // ragged microbatch lengths are both legal, every token is trained on.
-  std::vector<core::SliceLayout> layouts = options.layouts;
-  if (layouts.empty()) {
-    for (int mb = 0; mb < m; ++mb) {
-      layouts.push_back(core::SliceLayout::uniform(
-          static_cast<std::int64_t>(tokens[static_cast<std::size_t>(mb)].size()),
-          n_slices));
-    }
-  }
-  SLIM_CHECK(static_cast<int>(layouts.size()) == m,
-             "need one slice layout per microbatch");
-  for (int mb = 0; mb < m; ++mb) {
-    const core::SliceLayout& layout = layouts[static_cast<std::size_t>(mb)];
-    SLIM_CHECK(layout.slices() == n_slices,
-               "layout slice count mismatches n_slices");
-    SLIM_CHECK(layout.seq() ==
-                   static_cast<std::int64_t>(
-                       tokens[static_cast<std::size_t>(mb)].size()),
-               "slice layout does not cover its microbatch");
-    SLIM_CHECK(tokens[static_cast<std::size_t>(mb)].size() ==
-                   targets[static_cast<std::size_t>(mb)].size(),
-               "targets size mismatch");
-  }
+  const std::vector<core::SliceLayout> layouts =
+      rt::resolve_layouts(tokens, targets, n_slices, options.layouts);
   const fault::FaultPlan* plan = options.faults;
   if (plan != nullptr) {
     const std::vector<fault::PlanIssue> issues = fault::validate(*plan, p);
@@ -202,42 +166,15 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
   };
 
   Result result;
-  result.grads.embedding = num::Tensor(model_.vocab, model_.dims.hidden);
-  for (int i = 0; i < model_.layers_total; ++i) {
-    result.grads.layers.push_back(num::LayerGrads::zeros(model_.dims));
-  }
-  result.grads.final_norm = num::Tensor(1, model_.dims.hidden);
   result.stats.peak_live_slices.assign(static_cast<std::size_t>(p), 0);
   result.stats.messages.assign(static_cast<std::size_t>(p), 0);
-
-  std::vector<num::Tensor> head_shard_grad;
-  for (int s = 0; s < p; ++s) {
-    head_shard_grad.emplace_back(model_.vocab, model_.dims.hidden);
-  }
-  double total_loss = 0.0;
   rt::CommitLedger ledger(model_, m, /*vocab_parallel=*/false);
-  std::vector<bool> merged(static_cast<std::size_t>(m), false);
   fault::FaultReport iteration_report;
 
-  // Per-stage accumulators across attempts (a respawned stage's metrics
-  // keep folding into the same slot, like the threaded backend's probes).
-  std::vector<double> busy(static_cast<std::size_t>(p), 0.0);
-  std::vector<double> comm(static_cast<std::size_t>(p), 0.0);
-  std::vector<double> blocked(static_cast<std::size_t>(p), 0.0);
-  std::vector<std::int64_t> p2p_msgs(static_cast<std::size_t>(p), 0);
-  std::vector<double> p2p_bytes(static_cast<std::size_t>(p), 0.0);
-  std::vector<int> peak_queue(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::int64_t>> arena_peaks(
-      static_cast<std::size_t>(p));
-  std::vector<std::int64_t> arena_totals(static_cast<std::size_t>(p), 0);
-  std::vector<std::int64_t> frames_sent(static_cast<std::size_t>(p), 0);
-  std::vector<std::int64_t> frames_recv(static_cast<std::size_t>(p), 0);
-  std::vector<double> bytes_recv(static_cast<std::size_t>(p), 0.0);
-  std::vector<std::int64_t> crc_rejects(static_cast<std::size_t>(p), 0);
-  std::vector<std::int64_t> send_retries(static_cast<std::size_t>(p), 0);
-  std::vector<double> clock_offset(static_cast<std::size_t>(p), 0.0);
-  std::vector<double> clock_uncertainty(static_cast<std::size_t>(p), 0.0);
-  std::vector<std::int64_t> clock_samples(static_cast<std::size_t>(p), 0);
+  // Per-stage metrics accumulate across attempts (a respawned stage keeps
+  // folding into the same row, like the threaded backend's probes).
+  std::vector<obs::StageMetrics>& stage_metrics = result.stats.metrics.stages;
+  stage_metrics.resize(static_cast<std::size_t>(p));
   double wall_seconds = 0.0;
 
   // Live telemetry state: each attempt refreshes last_snapshot on the
@@ -337,13 +274,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       w.stage = s;
       w.fork_offset = rec != nullptr ? rec->now() : 0.0;
       WorkerConfig cfg;
-      cfg.model = &model_;
+      cfg.inputs = {&model_, &tokens, &targets, &layouts, n_slices, false};
       cfg.stage = s;
-      cfg.n_slices = n_slices;
-      cfg.layouts = layouts;
       cfg.mbs = mbs;
-      cfg.tokens = &tokens;
-      cfg.targets = &targets;
       cfg.prev_fd = s > 0 ? boundaries[static_cast<std::size_t>(s - 1)].b.get()
                           : -1;
       cfg.next_fd =
@@ -351,12 +284,21 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       cfg.control_fd = controls[static_cast<std::size_t>(s)].b.get();
       cfg.heartbeat_interval = options.heartbeat_interval;
       cfg.starvation_timeout = options.starvation_timeout;
-      cfg.measure_memory = options.measure_memory;
       cfg.trace = rec != nullptr;
       cfg.attempt = attempt_index;
       cfg.flight = options.flight;
       cfg.flight_capacity = options.flight_capacity;
       cfg.faults = resolve_faults(plan, s, inject);
+      const bool kill_here = kill_armed && kill.stage == s;
+      if (kill_here && (kill.phase == KillSpec::Phase::MidCommit ||
+                        kill.phase == KillSpec::Phase::PostCommit)) {
+        // The worker raises SIGKILL itself right after sending its first
+        // (MidCommit) or last (PostCommit) Commit frame — an exact
+        // protocol point, like stage_crash.
+        cfg.faults.kill_after_commits =
+            kill.phase == KillSpec::Phase::MidCommit ? 1 : mk;
+        --kills_left;
+      }
 
       // fork() while holding the kernel pool's lock: the child inherits
       // the pool in a known state, reinitializes it, runs the stage
@@ -394,8 +336,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
                               "stage " + std::to_string(s) + " worker");
       }
 
-      if (kill_armed && kill.phase == KillSpec::Phase::PreForward &&
-          kill.stage == s) {
+      if (kill_here && kill.phase == KillSpec::Phase::PreForward) {
         // Real SIGKILL before the stage completes any forward: the worker
         // was just forked and the rest of the pipeline is not even up.
         ::kill(pid, SIGKILL);
@@ -424,9 +365,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
                    "committed mbs"});
       const auto now = Clock::now();
       for (const WorkerHandle& w : workers) {
-        const int cap = n_slices + 2 * (p - 1 - w.stage);
-        std::string state =
-            worker_state_name(static_cast<WorkerState>(w.status.state));
+        const int cap = core::slimpipe_warmup_units(p, w.stage, n_slices, 1);
+        std::string state = rt::stage_state_name(
+            static_cast<rt::StageState>(w.status.state));
         if (w.exited && !w.done) state = describe_exit(w);
         const auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
             now - w.last_heard);
@@ -491,16 +432,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           case FrameKind::Commit: {
             Reader r(frame.payload);
             ledger.slot(w.stage, frame.mb) = read_commit(r);
-            ++w.commits;
-            if (kills_left > 0 && kill.stage == w.stage && !w.exited) {
-              if ((kill.phase == KillSpec::Phase::MidCommit &&
-                   w.commits == 1) ||
-                  (kill.phase == KillSpec::Phase::PostCommit &&
-                   w.commits == mk)) {
-                ::kill(w.pid, SIGKILL);
-                --kills_left;
-              }
-            }
             break;
           }
           case FrameKind::Event:
@@ -565,9 +496,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       snap.phase = phase;
       snap.attempt = attempt_index;
       snap.microbatches = m;
-      for (const bool merged_one : merged) {
-        snap.merged_microbatches += merged_one ? 1 : 0;
-      }
+      snap.merged_microbatches = ledger.merged();
       const auto now = Clock::now();
       for (const WorkerHandle& w : workers) {
         obs::StageLive live;
@@ -576,7 +505,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         live.state =
             w.exited && !w.done
                 ? describe_exit(w)
-                : worker_state_name(static_cast<WorkerState>(w.status.state));
+                : rt::stage_state_name(
+                      static_cast<rt::StageState>(w.status.state));
         live.beat_age_seconds =
             std::chrono::duration<double>(now - w.last_heard).count();
         live.messages = w.status.messages;
@@ -585,7 +515,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         live.done_b = w.status.done_b;
         live.want_b = mk * n_slices;
         live.live = w.status.live;
-        live.live_cap = n_slices + 2 * (p - 1 - w.stage);
+        live.live_cap = core::slimpipe_warmup_units(p, w.stage, n_slices, 1);
         live.queue = w.status.queue;
         live.deferred = w.status.deferred;
         live.committed = w.status.committed;
@@ -599,8 +529,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         live.crc_rejects =
             w.status.prev.crc_rejects + w.status.next.crc_rejects;
         live.retries = w.status.prev.retries + w.status.next.retries;
-        live.arena_peak_bytes = static_cast<double>(
-            arena_totals[static_cast<std::size_t>(w.stage)]);
+        live.arena_peak_bytes = stage_metrics[static_cast<std::size_t>(w.stage)]
+                                    .measured_peak_total;
         if (w.aligner.aligned()) {
           live.clock_offset_seconds = w.aligner.offset();
           live.clock_uncertainty_seconds = w.aligner.uncertainty();
@@ -749,56 +679,57 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       // Wire counters come from the last status snapshot (the Done frame's
       // when the worker finished, the final heartbeat's when it died), so a
       // crashed attempt's traffic still counts.
-      frames_sent[s] += w.status.prev.frames_out + w.status.next.frames_out;
-      frames_recv[s] += w.status.prev.frames_in + w.status.next.frames_in;
-      bytes_recv[s] += static_cast<double>(w.status.prev.bytes_in +
+      obs::StageMetrics& sm = stage_metrics[s];
+      sm.frames_sent += w.status.prev.frames_out + w.status.next.frames_out;
+      sm.frames_recv += w.status.prev.frames_in + w.status.next.frames_in;
+      sm.bytes_recv += static_cast<double>(w.status.prev.bytes_in +
                                            w.status.next.bytes_in);
-      crc_rejects[s] += w.status.prev.crc_rejects + w.status.next.crc_rejects;
-      send_retries[s] += w.status.prev.retries + w.status.next.retries;
+      sm.crc_rejects +=
+          w.status.prev.crc_rejects + w.status.next.crc_rejects;
+      sm.send_retries += w.status.prev.retries + w.status.next.retries;
       if (w.aligner.aligned()) {
-        clock_offset[s] = w.aligner.offset();
-        clock_uncertainty[s] = w.aligner.uncertainty();
+        sm.clock_offset_seconds = w.aligner.offset();
+        sm.clock_uncertainty_seconds = w.aligner.uncertainty();
       }
-      clock_samples[s] += static_cast<std::int64_t>(w.aligner.samples());
+      sm.clock_samples += static_cast<std::int64_t>(w.aligner.samples());
       if (!w.have_done) continue;
       const WireStageDone& info = w.done_info;
-      busy[s] += info.busy_seconds;
-      comm[s] += info.comm_seconds;
-      blocked[s] += info.blocked_recv_seconds;
-      p2p_msgs[s] += info.p2p_messages;
-      p2p_bytes[s] += info.p2p_bytes;
-      peak_queue[s] = std::max(peak_queue[s], info.peak_queue);
+      sm.compute_seconds += info.busy_seconds;
+      sm.comm_seconds += info.comm_seconds;
+      sm.blocked_recv_seconds += info.blocked_recv_seconds;
+      sm.p2p_messages += info.p2p_messages;
+      sm.p2p_bytes += info.p2p_bytes;
+      sm.peak_queue_depth = std::max(sm.peak_queue_depth, info.peak_queue);
       result.stats.peak_live_slices[s] =
           std::max(result.stats.peak_live_slices[s], info.peak_live);
-      if (arena_peaks[s].size() < info.arena_peak_bytes.size()) {
-        arena_peaks[s].resize(info.arena_peak_bytes.size(), 0);
-      }
+      sm.measured_peak_bytes.resize(info.arena_peak_bytes.size(), 0.0);
       for (std::size_t c = 0; c < info.arena_peak_bytes.size(); ++c) {
-        arena_peaks[s][c] = std::max(arena_peaks[s][c],
-                                     info.arena_peak_bytes[c]);
+        sm.measured_peak_bytes[c] =
+            std::max(sm.measured_peak_bytes[c],
+                     static_cast<double>(info.arena_peak_bytes[c]));
       }
-      arena_totals[s] = std::max(arena_totals[s], info.arena_peak_total);
+      sm.measured_peak_total = std::max(
+          sm.measured_peak_total, static_cast<double>(info.arena_peak_total));
       for (const fault::FaultEvent& event : info.events) {
         iteration_report.events.push_back(event);
       }
       if (rec != nullptr) {
-        // Re-base worker-local trace records onto the run clock: the
-        // ping/pong offset estimate when available (error bound rtt/2),
-        // else the cruder fork-time offset.
-        auto to_run_clock = [&w](double worker_ts) {
-          const double run_ts = w.aligner.aligned()
-                                    ? w.aligner.to_local(worker_ts)
-                                    : w.fork_offset + worker_ts;
-          // The estimate's error is bounded by rtt/2, which on a loaded box
-          // can push a worker's earliest events before its fork — clamp to
-          // the one provable lower bound (every worker event postdates the
-          // fork the supervisor timed itself).
-          return std::max(run_ts, w.fork_offset);
-        };
+        // Re-base worker-local trace records onto the run clock with one
+        // shift per worker: the ping/pong offset estimate when available
+        // (error bound rtt/2), else the cruder fork-time offset, never
+        // placing a record before the fork (obs::rebase_shift).
+        double earliest = std::numeric_limits<double>::infinity();
         for (const WireSpan& span : info.spans) {
-          rec->span(w.stage, span.name, span.category,
-                    to_run_clock(span.start), to_run_clock(span.end), span.mb,
-                    span.slice, span.stage);
+          earliest = std::min(earliest, span.start);
+        }
+        for (const WireFlow& flow : info.flows) {
+          earliest = std::min(earliest, flow.ts);
+        }
+        const double shift =
+            obs::rebase_shift(w.aligner, w.fork_offset, earliest);
+        for (const WireSpan& span : info.spans) {
+          rec->span(w.stage, span.name, span.category, span.start + shift,
+                    span.end + shift, span.mb, span.slice, span.stage);
         }
         for (const WireInstant& inst : info.instants) {
           rec->instant(w.stage, inst.name, inst.category, inst.detail);
@@ -806,8 +737,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         // Cross-process flow arrows: sender and receiver derived the same
         // wire_flow_id independently, so the two endpoints pair up here.
         for (const WireFlow& flow : info.flows) {
-          rec->flow_point(flow.id, w.stage, to_run_clock(flow.ts),
-                          flow.begin != 0, flow.backward != 0 ? "bwd" : "fwd");
+          rec->flow_point(flow.id, w.stage, flow.ts + shift, flow.begin != 0,
+                          flow.backward != 0 ? "bwd" : "fwd");
         }
       }
     }
@@ -829,12 +760,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
 
     // Merge every microbatch that newly retired on all stages, ascending —
     // the same deterministic order as the threaded backend.
-    for (int mb = 0; mb < m; ++mb) {
-      if (!merged[static_cast<std::size_t>(mb)] && ledger.fully_committed(mb)) {
-        ledger.merge_microbatch(mb, result.grads, head_shard_grad, total_loss);
-        merged[static_cast<std::size_t>(mb)] = true;
-      }
-    }
+    ledger.merge_committed();
 
     if (!outcome.failed) break;
 
@@ -894,18 +820,13 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     attempt_mbs = replay;
   }
 
-  result.grads.embedding.add_(
-      head_shard_grad[static_cast<std::size_t>(model_.head_stage())]);
-  result.loss = total_loss / static_cast<double>(m);
+  ledger.finish(result.loss, result.grads);
 
   if (telemetry_on) {
     // Recount merges: the last in-attempt snapshot predates the final merge.
     last_snapshot.phase = "done";
     last_snapshot.ts = run_now();
-    last_snapshot.merged_microbatches = 0;
-    for (const bool merged_one : merged) {
-      last_snapshot.merged_microbatches += merged_one ? 1 : 0;
-    }
+    last_snapshot.merged_microbatches = ledger.merged();
     publish_snapshot(last_snapshot);
   }
 
@@ -913,33 +834,11 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
   result.stats.metrics.scheme = "slimpipe";
   result.stats.metrics.makespan = wall_seconds;
   for (int s = 0; s < p; ++s) {
-    const std::size_t i = static_cast<std::size_t>(s);
-    obs::StageMetrics stage_metrics;
-    stage_metrics.device = s;
-    stage_metrics.compute_seconds = busy[i];
-    stage_metrics.comm_seconds = comm[i];
-    stage_metrics.idle_seconds = std::max(0.0, wall_seconds - busy[i]);
-    stage_metrics.bubble_fraction =
-        wall_seconds > 0.0 ? stage_metrics.idle_seconds / wall_seconds : 0.0;
-    stage_metrics.blocked_recv_seconds = blocked[i];
-    stage_metrics.peak_live_slices = result.stats.peak_live_slices[i];
-    stage_metrics.p2p_messages = p2p_msgs[i];
-    stage_metrics.p2p_bytes = p2p_bytes[i];
-    stage_metrics.frames_sent = frames_sent[i];
-    stage_metrics.frames_recv = frames_recv[i];
-    stage_metrics.bytes_recv = bytes_recv[i];
-    stage_metrics.crc_rejects = crc_rejects[i];
-    stage_metrics.send_retries = send_retries[i];
-    stage_metrics.clock_offset_seconds = clock_offset[i];
-    stage_metrics.clock_uncertainty_seconds = clock_uncertainty[i];
-    stage_metrics.clock_samples = clock_samples[i];
-    stage_metrics.peak_queue_depth = peak_queue[i];
-    for (const std::int64_t peak : arena_peaks[i]) {
-      stage_metrics.measured_peak_bytes.push_back(static_cast<double>(peak));
-    }
-    stage_metrics.measured_peak_total = static_cast<double>(arena_totals[i]);
-    result.stats.metrics.stages.push_back(stage_metrics);
+    stage_metrics[static_cast<std::size_t>(s)].device = s;
+    stage_metrics[static_cast<std::size_t>(s)].peak_live_slices =
+        result.stats.peak_live_slices[static_cast<std::size_t>(s)];
   }
+  result.stats.metrics.set_idle_from_makespan();
   if (options.report != nullptr) {
     options.report->events.insert(options.report->events.end(),
                                   iteration_report.events.begin(),

@@ -38,16 +38,18 @@
 
 namespace slim::dist {
 
-/// Supervisor-side SIGKILL test hook: kills the worker of `stage` with a
-/// real SIGKILL at a chosen protocol phase. The crash-torture tests sweep
-/// this over every (stage, phase) pair.
+/// Crash-torture hook: a real SIGKILL of the worker of `stage` at a chosen
+/// protocol phase. The supervisor kills at PreForward; the commit phases
+/// are armed in the worker, which raises SIGKILL right after sending the
+/// Commit frame. The crash-torture tests sweep this over every
+/// (stage, phase) pair.
 struct KillSpec {
   int stage = -1;  // -1: disabled
   enum class Phase {
     None,
     PreForward,  // immediately after fork, before any forward completes
-    MidCommit,   // on the stage's first Commit frame
-    PostCommit,  // on the stage's last Commit frame (all work retired)
+    MidCommit,   // right after the stage's first Commit frame
+    PostCommit,  // right after its last Commit frame (all work retired)
   };
   Phase phase = Phase::None;
   /// Re-kill the respawned worker on every attempt — drives the respawn
@@ -98,8 +100,6 @@ struct ProcessOptions {
   /// Optional tracing sink. Worker-local spans/instants ship in the Done
   /// frame and are re-based onto this recorder (track = stage).
   obs::Recorder* recorder = nullptr;
-  /// Report per-stage arena peaks through the Done frame.
-  bool measure_memory = true;
   /// Crash-torture hook (see KillSpec).
   KillSpec kill;
   /// Worker flight recorder (obs/flight_recorder.hpp): breadcrumb ring

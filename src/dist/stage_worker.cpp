@@ -4,32 +4,19 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "src/dist/wire.hpp"
-#include "src/numerics/cross_entropy.hpp"
-#include "src/numerics/norm_act.hpp"
 #include "src/obs/clock.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/trace.hpp"
+#include "src/runtime/pipeline_runtime.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::dist {
-
-const char* worker_state_name(WorkerState state) {
-  switch (state) {
-    case WorkerState::Running: return "running";
-    case WorkerState::Waiting: return "waiting";
-    case WorkerState::Done: return "done";
-    case WorkerState::Starved: return "starved";
-    case WorkerState::Hung: return "hung";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -51,7 +38,6 @@ struct WorkerContext {
   std::int64_t p2p_messages = 0;
   double p2p_bytes = 0.0;
   int peak_queue = 0;
-  int peak_live = 0;
   std::vector<fault::FaultEvent> events;
   std::vector<WireSpan> spans;
   std::vector<WireInstant> instants;
@@ -162,22 +148,13 @@ struct WorkerContext {
   }
 };
 
-/// A queued message. `counted` marks messages that already passed the
-/// arrival hooks (fault triggers, message counter) — a deferred forward
-/// re-admitted later must not count twice, matching the threaded runtime
-/// where counting happens at channel receive.
-struct Item {
-  Frame frame;
-  bool counted = false;
-};
-
 void park_forever(WorkerContext& ctx) {
   // Injected hang: the stage silently stops making progress. Heartbeats
   // stop with it — that is exactly the signal the supervisor's
   // missed-heartbeat deadline exists to catch. Parked until SIGKILLed.
   // The breadcrumb escapes in a last flush so the postmortem tail ends at
   // the hang, not just before it.
-  ctx.status.state = static_cast<int>(WorkerState::Hung);
+  ctx.status.state = static_cast<int>(rt::StageState::Hung);
   ctx.record(obs::FlightKind::Fault, -1, -1, ctx.status.messages, "hang");
   ctx.flush_flight();
   for (;;) {
@@ -271,90 +248,27 @@ bool send_data(WorkerContext& ctx, int fd, const Frame& frame) {
 }
 
 int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
-  const rt::PipelineModel& model = *cfg.model;
   const int stage = cfg.stage;
-  const int p = model.stages;
-  SLIM_CHECK(model.chunks_per_stage == 1,
-             "multi-process runtime supports chunks_per_stage == 1 only");
-  const int n_slices = cfg.n_slices;
-  const int mk = static_cast<int>(cfg.mbs.size());
-  const int m_total = static_cast<int>(cfg.tokens->size());
-  const bool is_last = stage == p - 1;
-  SLIM_CHECK(static_cast<int>(cfg.layouts.size()) == m_total,
-             "worker needs one slice layout per microbatch");
-  auto pos_of = [&cfg](int mb, int slice) {
-    return cfg.layouts[static_cast<std::size_t>(mb)].begin(slice);
-  };
-  auto len_of = [&cfg](int mb, int slice) {
-    return cfg.layouts[static_cast<std::size_t>(mb)].len(slice);
-  };
-  // Slice (mb, s) contributes len / (seq_mb * m) of the iteration loss.
-  // Must stay the identical float expression the threaded runtime uses —
-  // the backend-equivalence tests compare gradients bit for bit.
-  auto slice_weight_of = [&cfg, m_total](int mb, int slice) {
-    const core::SliceLayout& layout =
-        cfg.layouts[static_cast<std::size_t>(mb)];
-    return static_cast<float>(layout.len(slice)) /
-           (static_cast<float>(layout.seq()) * static_cast<float>(m_total));
-  };
-
-  std::vector<int> rank_of(static_cast<std::size_t>(m_total), -1);
-  for (int r = 0; r < mk; ++r) {
-    rank_of[static_cast<std::size_t>(cfg.mbs[static_cast<std::size_t>(r)])] =
-        r;
-  }
-
-  // The worker's parameter snapshot: layers built from the fork-inherited
-  // weights, arena-tracked so the supervisor can reconcile measured peaks.
+  // The worker's parameter snapshot: a stage machine built from the
+  // fork-inherited weights, arena-tracked so the supervisor can reconcile
+  // measured peaks.
   num::ArenaStats arena_stats;
-  std::vector<num::Layer> layers;
-  const auto [clo, chi] = model.stage_layers[static_cast<std::size_t>(stage)];
-  for (int i = clo; i < chi; ++i) {
-    layers.emplace_back(model.dims,
-                        model.layer_weights[static_cast<std::size_t>(i)]);
-    if (cfg.measure_memory) layers.back().set_arena_stats(&arena_stats);
-  }
+  rt::StageMachine machine(cfg.inputs, stage, cfg.mbs, &arena_stats);
 
-  // Local staging slots, one per attempt microbatch; shipped to the
-  // supervisor in a Commit frame at retirement (at-most-once: the frame is
-  // the commit point, partial slots never leave the process).
-  std::vector<rt::StageCommit> staged;
-  for (int r = 0; r < mk; ++r) {
-    staged.push_back(rt::make_stage_commit(model, stage, false));
-  }
-
-  auto slice_targets_of = [&](int mb, int slice) {
-    const std::int64_t pos = pos_of(mb, slice);
-    const auto& t = (*cfg.targets)[static_cast<std::size_t>(mb)];
-    return std::vector<std::int64_t>(t.begin() + pos,
-                                     t.begin() + pos + len_of(mb, slice));
+  auto publish = [&] {
+    ctx.status.messages = machine.messages();
+    ctx.status.last_mb = machine.last_mb();
+    ctx.status.done_f = machine.forwards_done();
+    ctx.status.done_b = machine.backwards_done();
+    ctx.status.live = machine.live();
+    ctx.status.queue = machine.queued();
+    ctx.status.deferred = machine.deferred();
+    ctx.status.committed = machine.committed();
+    ctx.peak_queue = std::max(ctx.peak_queue, machine.queued());
   };
 
-  std::vector<num::Tensor> head_grad(
-      is_last ? static_cast<std::size_t>(mk * n_slices) : 0);
-  auto idx = [&](int mb, int slice) {
-    return static_cast<std::size_t>(
-        rank_of[static_cast<std::size_t>(mb)] * n_slices + slice);
-  };
-
-  std::deque<Item> inbox;
-  std::deque<Item> deferred;
-  if (stage == 0) {
-    // Stage 0 feeds itself: every forward slice in slice-stream order.
-    for (const int mb : cfg.mbs) {
-      for (int s = 0; s < n_slices; ++s) {
-        Frame ticket;
-        ticket.kind = FrameKind::Forward;
-        ticket.stage = 0;
-        ticket.mb = mb;
-        ticket.slice = s;
-        inbox.push_back({std::move(ticket), false});
-      }
-    }
-  }
-
-  // Drains whatever the neighbor sockets have ready right now into the
-  // local inbox (keeps senders unblocked — AF_UNIX buffers are finite).
+  // Delivers whatever the neighbor sockets have ready right now to the
+  // machine (keeps senders unblocked — AF_UNIX buffers are finite).
   auto drain_sockets = [&]() {
     for (int which = 0; which < 2; ++which) {
       const int fd = which == 0 ? cfg.prev_fd : cfg.next_fd;
@@ -369,6 +283,11 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
           link.frames_in += 1;
           link.bytes_in += static_cast<std::int64_t>(frame.payload.size());
           const bool backward = frame.kind == FrameKind::Backward;
+          if (!backward && frame.kind != FrameKind::Forward) {
+            throw WorkerError("stage " + std::to_string(stage) +
+                              ": unexpected data frame kind " +
+                              std::string(frame_kind_name(frame.kind)));
+          }
           ctx.record(obs::FlightKind::Recv, frame.mb, frame.slice,
                      static_cast<std::int64_t>(frame.payload.size()),
                      backward ? "bwd" : "fwd");
@@ -381,7 +300,11 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
                  ctx.now(), /*begin=*/0,
                  static_cast<std::uint8_t>(backward ? 1 : 0)});
           }
-          inbox.push_back({std::move(frame), false});
+          Reader reader(frame.payload);
+          machine.deliver({backward ? rt::Message::Kind::Backward
+                                    : rt::Message::Kind::Forward,
+                           frame.mb, frame.slice, frame.stage,
+                           reader.tensor()});
           continue;
         }
         // Eof: the neighbor exited (cleanly or was killed between frames).
@@ -404,312 +327,153 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
     }
   };
 
-  const int want_f = mk * n_slices;
-  const int want_b = mk * n_slices;
-  int done_f = 0, done_b = 0;
-  int live = 0;
-  int mb_min = 0;
-  std::vector<int> b_done(static_cast<std::size_t>(mk), 0);
-  std::int64_t messages = 0;
-  // SlimPipe's warm-up window (Eq. 1), v = 1 on this backend.
-  const int live_cap = n_slices + 2 * (p - 1 - stage);
-
-  auto publish = [&] {
-    ctx.status.messages = messages;
-    ctx.status.done_f = done_f;
-    ctx.status.done_b = done_b;
-    ctx.status.live = live;
-    ctx.status.queue = static_cast<int>(inbox.size());
-    ctx.status.deferred = static_cast<int>(deferred.size());
-    ctx.peak_queue = std::max(ctx.peak_queue, static_cast<int>(inbox.size()));
+  // Runtime fault hooks fire on every picked message, like the threaded
+  // backend's.
+  const fault::StageRules& rules = cfg.faults.stage;
+  auto on_pick = [&](const rt::Message& msg) {
+    publish();
+    const std::int64_t count = machine.messages();
+    if (count == rules.hang_after) park_forever(ctx);
+    if (count == rules.crash_after) {
+      // A real crash: the process dies instantly, mid-protocol. No frame,
+      // no cleanup — detection is the supervisor's problem. The breadcrumb
+      // below never escapes (that's the point: only what was already
+      // flushed survives into the postmortem tail).
+      ctx.record(obs::FlightKind::Fault, msg.mb, msg.slice, count, "crash");
+      ::raise(SIGKILL);
+    }
+    if (rules.delay_every > 0 && count % rules.delay_every == 0 &&
+        rules.delay_seconds > 0.0) {
+      if (ctx.events.empty() ||
+          ctx.events.back().kind != fault::FaultEvent::Kind::Delay) {
+        const std::string detail =
+            "sleeping " + std::to_string(rules.delay_seconds) + " s every " +
+            std::to_string(rules.delay_every) + " messages";
+        ctx.events.push_back({fault::FaultEvent::Kind::Delay, stage,
+                              ctx.now(), count, detail});
+        ctx.instant("delay", obs::kCatFault, detail);
+      }
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(rules.delay_seconds));
+    }
   };
 
   ctx.heartbeat_now();  // Hello already announced the transport; first beat
 
-  while (done_f < want_f || done_b < want_b) {
-    // Oldest unretired microbatch: its forwards are always admitted, so
-    // the live-window throttle can never deadlock.
-    while (mb_min < mk &&
-           b_done[static_cast<std::size_t>(mb_min)] == n_slices) {
-      ++mb_min;
-    }
-    const int admitted_mb =
-        mb_min < mk ? cfg.mbs[static_cast<std::size_t>(mb_min)] : -1;
-
-    Frame msg;
-    bool have = false;
-    if (!deferred.empty() &&
-        (live < live_cap || deferred.front().frame.mb == admitted_mb)) {
-      msg = std::move(deferred.front().frame);
-      deferred.pop_front();
-      have = true;
-    }
-    auto wait_start = obs::MonoClock::now();
-    bool waiting = false;
-    while (!have) {
-      drain_sockets();
-      if (inbox.empty()) {
-        // Nothing local and nothing on the wire: block (in heartbeat-sized
-        // slices so the supervisor keeps hearing from us) until traffic
-        // arrives or the starvation watchdog fires.
-        if (!waiting) {
-          waiting = true;
-          wait_start = obs::MonoClock::now();
-          ctx.status.state = static_cast<int>(WorkerState::Waiting);
-        }
-        ctx.maybe_heartbeat();
-        const auto waited = obs::MonoClock::now() - wait_start;
-        if (waited >= cfg.starvation_timeout) {
-          ctx.status.state = static_cast<int>(WorkerState::Starved);
-          const std::string detail =
-              "starved: f=" + std::to_string(done_f) + "/" +
-              std::to_string(want_f) + " b=" + std::to_string(done_b) + "/" +
-              std::to_string(want_b) + " live=" + std::to_string(live) +
-              " cap=" + std::to_string(live_cap);
-          ctx.instant("watchdog", obs::kCatFault, detail);
-          ctx.events.push_back({fault::FaultEvent::Kind::Watchdog, stage,
-                                ctx.now(), messages, detail});
-          throw WorkerError("pipeline stage " + std::to_string(stage) +
-                            " starved for " +
-                            std::to_string(cfg.starvation_timeout.count()) +
-                            " ms (" + detail + ")");
-        }
-        const double recv_start = ctx.now();
-        const auto block_start = obs::MonoClock::now();
-        std::vector<int> fds = {ctx.prev_dead ? -1 : cfg.prev_fd,
-                                ctx.next_dead ? -1 : cfg.next_fd};
-        const int slice_ms = static_cast<int>(std::min<std::int64_t>(
-            cfg.heartbeat_interval.count(),
-            std::max<std::int64_t>(1, cfg.starvation_timeout.count())));
-        poll_readable_many(fds, slice_ms);
-        ctx.blocked_recv_seconds +=
-            std::chrono::duration<double>(obs::MonoClock::now() -
-                                          block_start)
-                .count();
-        ctx.span(recv_start, "recv", obs::kCatComm);
-        continue;
+  std::vector<rt::Outgoing> sends;
+  bool waiting = false;
+  auto wait_start = obs::MonoClock::now();
+  while (!machine.finished()) {
+    drain_sockets();
+    rt::Message msg;
+    if (!machine.pick(msg, on_pick)) {
+      // Nothing local and nothing on the wire: block (in heartbeat-sized
+      // slices so the supervisor keeps hearing from us) until traffic
+      // arrives or the starvation watchdog fires.
+      if (!waiting) {
+        waiting = true;
+        wait_start = obs::MonoClock::now();
+        ctx.status.state = static_cast<int>(rt::StageState::Waiting);
       }
-      ctx.status.state = static_cast<int>(WorkerState::Running);
-      Item item = std::move(inbox.front());
-      inbox.pop_front();
-      if (!item.counted) {
-        ++messages;
-        ctx.status.last_mb = item.frame.mb;
-        item.counted = true;
-        // Runtime fault hooks fire on arrival, like the threaded backend.
-        if (cfg.faults.hang_after > 0 && messages == cfg.faults.hang_after) {
-          park_forever(ctx);
-        }
-        if (cfg.faults.crash_after > 0 &&
-            messages == cfg.faults.crash_after) {
-          // A real crash: the process dies instantly, mid-protocol. No
-          // frame, no cleanup — detection is the supervisor's problem. The
-          // breadcrumb below never escapes (that's the point: only what was
-          // already flushed survives into the postmortem tail).
-          ctx.record(obs::FlightKind::Fault, item.frame.mb, item.frame.slice,
-                     messages, "crash");
-          ::raise(SIGKILL);
-        }
-        if (cfg.faults.delay_every > 0 &&
-            messages % cfg.faults.delay_every == 0 &&
-            cfg.faults.delay_seconds > 0.0) {
-          if (ctx.events.empty() ||
-              ctx.events.back().kind != fault::FaultEvent::Kind::Delay) {
-            const std::string detail =
-                "sleeping " + std::to_string(cfg.faults.delay_seconds) +
-                " s every " + std::to_string(cfg.faults.delay_every) +
-                " messages";
-            ctx.events.push_back({fault::FaultEvent::Kind::Delay, stage,
-                                  ctx.now(), messages, detail});
-            ctx.instant("delay", obs::kCatFault, detail);
-          }
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(cfg.faults.delay_seconds));
-        }
-        // Eq. 1's warm-up window: park forwards of younger microbatches
-        // while the window is full.
-        if (item.frame.kind == FrameKind::Forward &&
-            item.frame.mb != admitted_mb && live >= live_cap) {
-          deferred.push_back(std::move(item));
-          publish();
-          continue;
-        }
+      ctx.maybe_heartbeat();
+      if (obs::MonoClock::now() - wait_start >= cfg.starvation_timeout) {
+        ctx.status.state = static_cast<int>(rt::StageState::Starved);
+        const std::string detail = "starved: " + machine.progress();
+        ctx.instant("watchdog", obs::kCatFault, detail);
+        ctx.events.push_back({fault::FaultEvent::Kind::Watchdog, stage,
+                              ctx.now(), machine.messages(), detail});
+        throw WorkerError("pipeline stage " + std::to_string(stage) +
+                          " starved for " +
+                          std::to_string(cfg.starvation_timeout.count()) +
+                          " ms (" + detail + ")");
       }
-      msg = std::move(item.frame);
-      have = true;
+      const double recv_start = ctx.now();
+      const auto block_start = obs::MonoClock::now();
+      std::vector<int> fds = {ctx.prev_dead ? -1 : cfg.prev_fd,
+                              ctx.next_dead ? -1 : cfg.next_fd};
+      const int slice_ms = static_cast<int>(std::min<std::int64_t>(
+          cfg.heartbeat_interval.count(),
+          std::max<std::int64_t>(1, cfg.starvation_timeout.count())));
+      poll_readable_many(fds, slice_ms);
+      ctx.blocked_recv_seconds +=
+          std::chrono::duration<double>(obs::MonoClock::now() - block_start)
+              .count();
+      ctx.span(recv_start, "recv", obs::kCatComm);
+      continue;
     }
+    waiting = false;
+    ctx.status.state = static_cast<int>(rt::StageState::Running);
 
     const double span_start = ctx.now();
     const auto busy_start = obs::MonoClock::now();
-    const int rank = rank_of[static_cast<std::size_t>(msg.mb)];
-    SLIM_CHECK(rank >= 0, "message for a microbatch outside the attempt");
-    rt::StageCommit& mb_staged = staged[static_cast<std::size_t>(rank)];
-    const bool is_fwd_msg = msg.kind == FrameKind::Forward;
-    ctx.record(obs::FlightKind::SpanBegin, msg.mb, msg.slice, 0,
-               is_fwd_msg ? "fwd" : "bwd");
-
-    switch (msg.kind) {
-      case FrameKind::Forward: {
-        ++done_f;
-        ++live;
-        ctx.peak_live = std::max(ctx.peak_live, live);
-        const std::int64_t pos = pos_of(msg.mb, msg.slice);
-        const std::int64_t slice_len = len_of(msg.mb, msg.slice);
-        num::Tensor x;
-        if (stage == 0) {
-          x = num::Tensor(slice_len, model.dims.hidden);
-          const auto& ids = (*cfg.tokens)[static_cast<std::size_t>(msg.mb)];
-          for (std::int64_t r = 0; r < slice_len; ++r) {
-            const std::int64_t id = ids[static_cast<std::size_t>(pos + r)];
-            for (std::int64_t c = 0; c < model.dims.hidden; ++c) {
-              x.at(r, c) = model.embedding.at(id, c);
-            }
-          }
-        } else {
-          Reader reader(msg.payload);
-          x = reader.tensor();
-        }
-        for (num::Layer& layer : layers) {
-          x = layer.forward_slice(x, pos, msg.mb);
-        }
-        if (!is_last) {
-          Frame out;
-          out.kind = FrameKind::Forward;
-          out.stage = stage + 1;
-          out.mb = msg.mb;
-          out.slice = msg.slice;
-          Writer writer;
-          writer.tensor(x);
-          out.payload = writer.take();
-          if (!ctx.next_dead && !send_data(ctx, cfg.next_fd, out)) {
-            ctx.next_dead = true;
-          }
-          break;
-        }
-        const float slice_weight = slice_weight_of(msg.mb, msg.slice);
-        const num::Tensor hidden = num::rmsnorm(x, model.final_norm);
-        const num::Tensor logits = num::matmul_nt(hidden, model.embedding);
-        num::CeResult ce =
-            num::cross_entropy(logits, slice_targets_of(msg.mb, msg.slice));
-        mb_staged.loss +=
-            ce.loss * slice_weight * static_cast<double>(m_total);
-        for (std::int64_t i = 0; i < ce.dlogits.size(); ++i) {
-          ce.dlogits.data()[i] *= slice_weight;
-        }
-        mb_staged.head_shard.add_(num::matmul_tn(ce.dlogits, hidden));
-        const num::Tensor dhidden = num::matmul(ce.dlogits, model.embedding);
-        head_grad[idx(msg.mb, msg.slice)] = num::rmsnorm_bwd(
-            x, model.final_norm, dhidden, mb_staged.final_norm);
-        if (msg.slice == n_slices - 1) {
-          Frame cont;
-          cont.kind = FrameKind::Backward;
-          cont.stage = stage;
-          cont.mb = msg.mb;
-          cont.slice = msg.slice;
-          inbox.push_front({std::move(cont), false});
-        }
-        break;
+    const char* kind = rt::message_kind_name(msg.kind);
+    const int mb = msg.mb, slice = msg.slice;
+    ctx.record(obs::FlightKind::SpanBegin, mb, slice, 0, kind);
+    const int retired = machine.run(std::move(msg), sends);
+    for (rt::Outgoing& out : sends) {
+      // The sockets link neighbours only.
+      const bool downstream = out.dst == stage + 1;
+      SLIM_CHECK(downstream || out.dst == stage - 1,
+                 "process workers exchange messages with neighbours only");
+      Frame frame;
+      frame.kind = out.msg.kind == rt::Message::Kind::Forward
+                       ? FrameKind::Forward
+                       : FrameKind::Backward;
+      frame.stage = out.msg.stage;
+      frame.mb = out.msg.mb;
+      frame.slice = out.msg.slice;
+      Writer writer;
+      writer.tensor(out.msg.payload);
+      frame.payload = writer.take();
+      bool& dead = downstream ? ctx.next_dead : ctx.prev_dead;
+      if (!dead &&
+          !send_data(ctx, downstream ? cfg.next_fd : cfg.prev_fd, frame)) {
+        dead = true;
       }
-      case FrameKind::Backward: {
-        ++done_b;
-        --live;
-        ++b_done[static_cast<std::size_t>(rank)];
-        num::Tensor dx;
-        if (is_last) {
-          dx = std::move(head_grad[idx(msg.mb, msg.slice)]);
-        } else {
-          Reader reader(msg.payload);
-          dx = reader.tensor();
-        }
-        for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
-          const std::size_t local = static_cast<std::size_t>(
-              layers.rend() - it - 1);
-          dx = it->backward_slice(dx, mb_staged.layers[local], msg.mb);
-        }
-        if (stage > 0) {
-          Frame out;
-          out.kind = FrameKind::Backward;
-          out.stage = stage - 1;
-          out.mb = msg.mb;
-          out.slice = msg.slice;
-          Writer writer;
-          writer.tensor(dx);
-          out.payload = writer.take();
-          if (!ctx.prev_dead && !send_data(ctx, cfg.prev_fd, out)) {
-            ctx.prev_dead = true;
-          }
-        } else {
-          const auto& ids = (*cfg.tokens)[static_cast<std::size_t>(msg.mb)];
-          const std::int64_t pos = pos_of(msg.mb, msg.slice);
-          const std::int64_t slice_len = len_of(msg.mb, msg.slice);
-          for (std::int64_t r = 0; r < slice_len; ++r) {
-            const std::int64_t id = ids[static_cast<std::size_t>(pos + r)];
-            for (std::int64_t c = 0; c < model.dims.hidden; ++c) {
-              mb_staged.embed_in.at(id, c) += dx.at(r, c);
-            }
-          }
-        }
-        if (b_done[static_cast<std::size_t>(rank)] == n_slices) {
-          // Microbatch retired on this stage: the staged gradients are
-          // final. The Commit frame IS the commit point — sent exactly
-          // once, and a SIGKILL before or during the send leaves the
-          // supervisor's slot incomplete (replayed), never half-applied.
-          mb_staged.complete = true;
-          ++ctx.status.committed;
-          ctx.record(obs::FlightKind::Commit, msg.mb, -1,
-                     ctx.status.committed, "commit");
-          // Flush BEFORE the Commit frame: the control socket is FIFO, so
-          // whoever sees the commit already holds the breadcrumbs that led
-          // to it — the postmortem tail of a worker killed at mid-commit is
-          // deterministic, not heartbeat-cadence lottery.
-          ctx.flush_flight();
-          Frame commit;
-          commit.kind = FrameKind::Commit;
-          commit.stage = stage;
-          commit.mb = msg.mb;
-          Writer writer;
-          write_commit(writer, mb_staged);
-          commit.payload = writer.take();
-          ctx.send_control(commit);
-          ctx.instant("commit mb" + std::to_string(msg.mb), obs::kCatCommit);
-        }
-        if (is_last && msg.slice > 0) {
-          Frame cont;
-          cont.kind = FrameKind::Backward;
-          cont.stage = stage;
-          cont.mb = msg.mb;
-          cont.slice = msg.slice - 1;
-          inbox.push_front({std::move(cont), false});
-        }
-        break;
+    }
+    sends.clear();
+    if (retired >= 0) {
+      // Microbatch retired on this stage: the staged gradients are final.
+      // The Commit frame IS the commit point — sent exactly once, and a
+      // SIGKILL before or during the send leaves the supervisor's slot
+      // incomplete (replayed), never half-applied.
+      publish();
+      ctx.record(obs::FlightKind::Commit, retired, -1, machine.committed(),
+                 "commit");
+      // Flush BEFORE the Commit frame: the control socket is FIFO, so
+      // whoever sees the commit already holds the breadcrumbs that led to
+      // it — the postmortem tail of a worker killed at mid-commit is
+      // deterministic, not heartbeat-cadence lottery.
+      ctx.flush_flight();
+      Frame commit;
+      commit.kind = FrameKind::Commit;
+      commit.stage = stage;
+      commit.mb = retired;
+      Writer writer;
+      write_commit(writer, machine.commit(retired));
+      commit.payload = writer.take();
+      ctx.send_control(commit);
+      ctx.instant("commit mb" + std::to_string(retired), obs::kCatCommit);
+      // KillSpec MidCommit/PostCommit: die at this exact protocol point.
+      if (machine.committed() == cfg.faults.kill_after_commits) {
+        ::raise(SIGKILL);
       }
-      default:
-        throw WorkerError("stage " + std::to_string(stage) +
-                          ": unexpected data frame kind " +
-                          std::string(frame_kind_name(msg.kind)));
     }
 
     ctx.busy_seconds +=
         std::chrono::duration<double>(obs::MonoClock::now() - busy_start)
             .count();
-    ctx.record(obs::FlightKind::SpanEnd, msg.mb, msg.slice, 0,
-               is_fwd_msg ? "fwd" : "bwd");
+    ctx.record(obs::FlightKind::SpanEnd, mb, slice, 0, kind);
     ctx.span(span_start,
-             std::string(msg.kind == FrameKind::Forward ? "fwd" : "bwd") +
-                 " mb" + std::to_string(msg.mb) + " s" +
-                 std::to_string(msg.slice) + " st" + std::to_string(stage),
-             obs::kCatCompute, msg.mb, msg.slice, stage);
+             std::string(kind) + " mb" + std::to_string(mb) + " s" +
+                 std::to_string(slice) + " st" + std::to_string(stage),
+             obs::kCatCompute, mb, slice, stage);
     publish();
     ctx.maybe_heartbeat();
   }
 
-  for (const num::Layer& layer : layers) {
-    SLIM_CHECK(layer.live_slices() == 0 && layer.cache_chunks() == 0,
-               "stage leaked slices/chunks");
-  }
-
   // All work retired: final status + metrics + trace in one Done frame.
-  ctx.status.state = static_cast<int>(WorkerState::Done);
+  ctx.status.state = static_cast<int>(rt::StageState::Done);
   publish();
   WireStageDone done;
   done.status = ctx.status;
@@ -719,13 +483,11 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
   done.p2p_messages = ctx.p2p_messages;
   done.p2p_bytes = ctx.p2p_bytes;
   done.peak_queue = ctx.peak_queue;
-  done.peak_live = ctx.peak_live;
-  if (cfg.measure_memory) {
-    for (int c = 0; c < mem::kNumCategories; ++c) {
-      done.arena_peak_bytes.push_back(arena_stats.peak_bytes(c));
-    }
-    done.arena_peak_total = arena_stats.total_peak_bytes();
+  done.peak_live = machine.peak_live();
+  for (int c = 0; c < mem::kNumCategories; ++c) {
+    done.arena_peak_bytes.push_back(arena_stats.peak_bytes(c));
   }
+  done.arena_peak_total = arena_stats.total_peak_bytes();
   done.events = ctx.events;
   done.spans = ctx.spans;
   done.instants = ctx.instants;

@@ -169,6 +169,23 @@ std::vector<PlanIssue> validate(const FaultPlan& plan, int world_size) {
   return issues;
 }
 
+StageRules stage_rules(const FaultPlan& plan, int stage) {
+  StageRules rules;
+  for (const StageCrash& crash : plan.stage_crashes) {
+    if (crash.stage == stage) rules.crash_after = crash.after_messages;
+  }
+  for (const StageHang& hang : plan.stage_hangs) {
+    if (hang.stage == stage) rules.hang_after = hang.after_messages;
+  }
+  for (const MessageDelay& delay : plan.delays) {
+    if (delay.stage == -1 || delay.stage == stage) {
+      rules.delay_every = delay.every;
+      rules.delay_seconds = delay.seconds;
+    }
+  }
+  return rules;
+}
+
 bool has_rule(const std::vector<PlanIssue>& issues,
               const std::string& rule_id) {
   for (const PlanIssue& issue : issues) {

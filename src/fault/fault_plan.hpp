@@ -154,6 +154,19 @@ std::vector<PlanIssue> validate(const FaultPlan& plan, int world_size = -1);
 bool has_rule(const std::vector<PlanIssue>& issues, const std::string& rule_id);
 std::string render(const std::vector<PlanIssue>& issues);
 
+/// The runtime rules of a plan that act on one pipeline stage, as both
+/// runtimes apply them to the messages the stage picks: crash or hang once
+/// `after` messages were picked (-1: never), sleep `delay_seconds` after
+/// every `delay_every`-th message (0: never). Later rules win.
+struct StageRules {
+  std::int64_t crash_after = -1;
+  std::int64_t hang_after = -1;
+  std::int64_t delay_every = 0;
+  double delay_seconds = 0.0;
+};
+
+StageRules stage_rules(const FaultPlan& plan, int stage);
+
 // ---------------------------------------------------------------------------
 // Text round-trip: one fault per line, "kind key=value ...". '#' comments
 // and blank lines ignored. parse_plan throws (SLIM_CHECK) on structurally

@@ -33,4 +33,10 @@ double ClockAligner::best_rtt() const {
   return it->rtt;
 }
 
+double rebase_shift(const ClockAligner& aligner, double fork_offset,
+                    double earliest) {
+  const double shift = aligner.aligned() ? -aligner.offset() : fork_offset;
+  return std::max(shift, fork_offset - earliest);
+}
+
 }  // namespace slim::obs

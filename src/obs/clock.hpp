@@ -87,4 +87,14 @@ class ClockAligner {
   std::size_t accepted_ = 0;
 };
 
+/// The one shift that maps a worker's records onto the run clock
+/// (run_ts = worker_ts + shift): the aligner's estimate, or `fork_offset`
+/// (the fork's run-clock time) before the first pong, raised so that the
+/// earliest record (`earliest`, worker clock) does not land before the
+/// fork — the one provable lower bound, which the estimate's rtt/2 error
+/// can cross on a loaded box. One shift for every record of a worker keeps
+/// span durations exact.
+double rebase_shift(const ClockAligner& aligner, double fork_offset,
+                    double earliest);
+
 }  // namespace slim::obs

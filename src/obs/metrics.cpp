@@ -22,6 +22,13 @@ int RunMetrics::max_peak_live_slices() const {
   return peak;
 }
 
+void RunMetrics::set_idle_from_makespan() {
+  for (StageMetrics& s : stages) {
+    s.idle_seconds = std::max(0.0, makespan - s.compute_seconds);
+    s.bubble_fraction = makespan > 0.0 ? s.idle_seconds / makespan : 0.0;
+  }
+}
+
 std::int64_t RunMetrics::total_p2p_messages() const {
   std::int64_t total = 0;
   for (const StageMetrics& s : stages) total += s.p2p_messages;

@@ -44,18 +44,6 @@ class Channel {
     cv_.notify_one();
   }
 
-  /// Prepends a message: used for stage-local continuations (LIFO backward
-  /// triggers) that must run before newly arriving work.
-  void send_front(T message) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return;
-      queue_.push_front(std::move(message));
-      peak_depth_ = std::max(peak_depth_, queue_.size());
-    }
-    cv_.notify_one();
-  }
-
   /// Poisons the channel: queued messages still drain, further sends are
   /// dropped, and receives return Closed once the queue is empty.
   void close() {

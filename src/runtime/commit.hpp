@@ -4,22 +4,22 @@
 // threaded and multi-process pipeline backends.
 //
 // Every (stage, microbatch) pair stages its gradient contributions into a
-// private StageCommit while the microbatch is in flight; the slot becomes
-// `complete` exactly when the microbatch retires on that stage (all of its
-// backward slices finished). A microbatch's work enters the iteration
-// result only once it retired on EVERY stage — a crash mid-iteration
-// therefore discards precisely the partial work, and replaying the
-// uncommitted microbatches on respawned workers reproduces the fault-free
-// gradients bit for bit (per-microbatch contributions are deterministic
-// and the merge runs in a fixed stage-major order on one thread).
+// private StageCommit while the microbatch is in flight (owned by the
+// stage's rt::StageMachine); the slot becomes `complete` exactly when the
+// microbatch retires on that stage (all of its backward slices finished).
+// A microbatch's work enters the iteration result only once it retired on
+// EVERY stage — a crash mid-iteration therefore discards precisely the
+// partial work, and replaying the uncommitted microbatches on respawned
+// workers reproduces the fault-free gradients bit for bit (per-microbatch
+// contributions are deterministic and the merge runs in a fixed
+// stage-major order on one thread).
 //
-// In the threaded backend the slots live in shared memory and workers
-// write them directly; in the multi-process backend each worker stages
-// locally and ships the finished slot to the supervisor in a Commit frame
-// at the retirement point — at-most-once semantics fall out of the frame
-// being sent only at retirement and the supervisor overwriting the slot
-// wholesale (a torn frame from a killed worker is detected by its CRC and
-// discarded, leaving the slot incomplete, i.e. scheduled for replay).
+// At retirement the threaded backend moves the machine's slot into the
+// ledger; a multi-process worker ships it to the supervisor in a Commit
+// frame — at-most-once semantics fall out of the frame being sent only at
+// retirement and the supervisor overwriting the slot wholesale (a torn
+// frame from a killed worker is detected by its CRC and discarded, leaving
+// the slot incomplete, i.e. scheduled for replay).
 
 #include <cstdint>
 #include <vector>
@@ -41,26 +41,24 @@ struct StageCommit {
   bool complete = false;
 };
 
-/// Freshly zeroed staging buffers for one (stage, microbatch) slot — used
-/// by the ledger and by multi-process stage workers staging locally.
+/// Freshly zeroed staging buffers for one (stage, microbatch) slot.
 StageCommit make_stage_commit(const PipelineModel& model, int stage,
                               bool vocab_parallel);
 
 /// All (stage, microbatch) commit slots of one iteration plus the
-/// deterministic merge. Slot writers are exclusive per (stage, mb):
-/// threaded workers write their stage's slots in place; the multi-process
-/// supervisor deserializes received Commit frames into them. The merge and
-/// the committed/uncommitted queries run single-threaded after workers
-/// quiesced (join / waitpid is the synchronization point).
+/// iteration's gradient accumulators. Slot writers are exclusive per
+/// (stage, mb): threaded workers move their stage's retired slots in; the
+/// multi-process supervisor deserializes received Commit frames into them.
+/// The merge and the committed/uncommitted queries run single-threaded
+/// after workers quiesced (join / waitpid is the synchronization point).
 class CommitLedger {
  public:
-  CommitLedger() = default;
   CommitLedger(const PipelineModel& model, int microbatches,
                bool vocab_parallel);
 
-  /// (Re)initializes the slot to zeroed, incomplete staging buffers —
-  /// called for every participating (stage, mb) at the start of an attempt
-  /// (including the replay attempt, which discards prior partial work).
+  /// Empties the slot (incomplete, no buffers) — called for every
+  /// participating (stage, mb) at the start of an attempt, so a replay
+  /// discards the failed attempt's partial work.
   void prepare(int stage, int mb);
 
   StageCommit& slot(int stage, int mb);
@@ -72,27 +70,29 @@ class CommitLedger {
   /// Ascending microbatch ids not yet fully committed.
   std::vector<int> uncommitted() const;
 
-  /// Merges one fully retired microbatch into the iteration accumulators
-  /// in the fixed stage-major order both backends share: for each stage
-  /// ascending — owned layer grads, embed_in, head_shard (into the
-  /// caller's per-stage shard accumulator), final_norm, loss.
-  void merge_microbatch(int mb, num::TinyModel::Grads& grads,
-                        std::vector<num::Tensor>& head_shard_grad,
-                        double& loss_sum) const;
+  /// Merges every microbatch that newly retired on every stage, ascending,
+  /// each in the fixed stage-major order both backends share: for each
+  /// stage ascending — owned layer grads, embed_in, head_shard (into that
+  /// stage's shard accumulator), final_norm, loss.
+  void merge_committed();
 
-  const std::vector<std::vector<int>>& owned() const { return owned_; }
-  int stages() const { return stages_; }
-  int microbatches() const { return microbatches_; }
-  std::int64_t shard_width() const { return shard_width_; }
+  /// Microbatches merged so far.
+  int merged() const;
+
+  /// The iteration result: head shards folded into the embedding gradient
+  /// and the loss averaged over microbatches.
+  void finish(double& loss, num::TinyModel::Grads& grads);
 
  private:
   const PipelineModel* model_ = nullptr;
-  int stages_ = 0;
   int microbatches_ = 0;
   bool vocab_parallel_ = false;
-  std::int64_t shard_width_ = 0;
   std::vector<std::vector<int>> owned_;
   std::vector<StageCommit> slots_;  // stage-major: [stage * m + mb]
+  std::vector<bool> merged_;
+  num::TinyModel::Grads grads_;
+  std::vector<num::Tensor> head_shards_;  // per stage (empty: no head rows)
+  double loss_sum_ = 0.0;
 };
 
 }  // namespace slim::rt

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <numeric>
 #include <thread>
 
-#include "src/numerics/cross_entropy.hpp"
-#include "src/numerics/norm_act.hpp"
+#include "src/runtime/stage_machine.hpp"
 #include "src/util/env.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/table.hpp"
@@ -21,55 +18,16 @@ namespace slim::rt {
 
 namespace {
 
-struct Message {
-  enum class Kind {
-    Forward,
-    Backward,
-    VocabWork,    // broadcast hidden states -> every shard   (last -> all)
-    VocabStats,   // per-token (max, sumexp, target) scalars  (shard -> last)
-    VocabGlobal,  // synchronized (max, sumexp) scalars       (last -> all)
-    VocabDx,      // partial d(hidden) of one shard           (shard -> last)
-  } kind = Kind::Forward;
-  int mb = 0;
-  int slice = 0;
-  int shard = 0;        // sender shard for VocabStats / VocabDx
-  int stage = 0;        // global stage index (interleaving routes by it)
-  num::Tensor payload;  // activation / gradient / packed scalars
-  /// Trace flow id opened by the sender; the receiver closes it so the
-  /// exported trace draws a send->recv arrow. -1 when tracing is off or
-  /// the message is stage-local.
+/// A message in flight between stage threads, with the sender's trace flow
+/// id (-1 when tracing is off or the message is stage-local; the receiver
+/// closes it, drawing the send->recv arrow) and whether it crossed threads
+/// (counted in the receiver's frames_recv/bytes_recv probe without
+/// stage-local loopback, comparable with the dist substrate's per-link
+/// wire stats).
+struct Envelope {
+  Message msg;
   std::int64_t flow = -1;
-  /// Set by send_to for cross-thread sends, so the receiver can count the
-  /// message in its frames_recv/bytes_recv probe without counting
-  /// stage-local loopback (keeps the counters comparable with the dist
-  /// substrate's per-link wire stats).
   bool cross = false;
-};
-
-const char* message_kind_name(Message::Kind kind) {
-  switch (kind) {
-    case Message::Kind::Forward: return "fwd";
-    case Message::Kind::Backward: return "bwd";
-    case Message::Kind::VocabWork: return "vocab_work";
-    case Message::Kind::VocabStats: return "vocab_stats";
-    case Message::Kind::VocabGlobal: return "vocab_global";
-    case Message::Kind::VocabDx: return "vocab_dx";
-  }
-  return "?";
-}
-
-/// Always-on per-stage observability counters. Each attempt's worker thread
-/// is the sole writer of its stage's probe while running; the parent reads
-/// after join (the join is the synchronization point), so plain fields
-/// suffice — no atomics on the hot path.
-struct StageProbe {
-  double busy_seconds = 0.0;         // processing messages
-  double blocked_recv_seconds = 0.0; // waiting inside receive
-  std::int64_t p2p_messages = 0;     // cross-thread sends from this stage
-  double p2p_bytes = 0.0;            // payload volume of those sends
-  std::int64_t frames_recv = 0;      // cross-thread receives by this stage
-  double bytes_recv = 0.0;           // payload volume of those receives
-  std::size_t peak_queue = 0;        // inbox high-water mark
 };
 
 /// Thrown when a FaultPlan stage crash fires; the recovery path catches it
@@ -79,36 +37,13 @@ struct InjectedCrash : std::runtime_error {
       : std::runtime_error("injected crash at stage " +
                            std::to_string(stage_) + " after message " +
                            std::to_string(at_message_)),
-        stage(stage_),
-        at_message(at_message_) {}
+        stage(stage_) {}
   int stage;
-  std::int64_t at_message;
 };
 
 /// Internal unwind signal for workers poisoned during shutdown; never
 /// escapes run_iteration.
 struct WorkerAborted {};
-
-enum class StageState : int {
-  Running = 0,
-  Waiting,  // blocked in receive
-  Done,
-  Crashed,
-  Hung,
-  Aborted,  // unwound by channel poisoning
-};
-
-const char* state_name(StageState state) {
-  switch (state) {
-    case StageState::Running: return "running";
-    case StageState::Waiting: return "waiting";
-    case StageState::Done: return "done";
-    case StageState::Crashed: return "crashed";
-    case StageState::Hung: return "hung";
-    case StageState::Aborted: return "aborted";
-  }
-  return "?";
-}
 
 /// Cross-thread progress snapshot of one stage, published after every
 /// message so the watchdog can assemble the blocked-on table.
@@ -118,10 +53,9 @@ struct StageStatus {
   std::atomic<int> done_f{0};
   std::atomic<int> done_b{0};
   std::atomic<int> live{0};
-  std::atomic<int> peak_live{0};
   std::atomic<int> deferred{0};
   std::atomic<int> committed{0};
-  /// Microbatch id of the last message this stage received (-1 before the
+  /// Microbatch id of the last message this stage picked (-1 before the
   /// first) — pins down where in the schedule a blocked stage stopped.
   std::atomic<int> last_mb{-1};
 };
@@ -132,12 +66,24 @@ struct Control {
   std::atomic<bool> shutdown{false};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-  int first_error_stage = -1;
   std::mutex hang_mutex;
   std::condition_variable hang_cv;
 };
 
 }  // namespace
+
+const char* stage_state_name(StageState state) {
+  switch (state) {
+    case StageState::Running: return "running";
+    case StageState::Waiting: return "waiting";
+    case StageState::Done: return "done";
+    case StageState::Starved: return "starved";
+    case StageState::Hung: return "hung";
+    case StageState::Crashed: return "crashed";
+    case StageState::Aborted: return "aborted";
+  }
+  return "?";
+}
 
 ThreadedPipeline::ThreadedPipeline(num::BlockDims dims, std::int64_t vocab,
                                    int layers_total, int stages, Rng& rng,
@@ -160,45 +106,13 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
     const std::vector<std::vector<std::int64_t>>& targets,
     const RunOptions& options) {
   const int n_slices = options.n_slices;
-  const bool vocab_parallel = options.vocab_parallel;
   const int m = static_cast<int>(tokens.size());
-  SLIM_CHECK(m >= 1 && targets.size() == tokens.size(), "bad microbatches");
-  SLIM_CHECK(n_slices >= 1, "n_slices must be >= 1");
-  // Per-microbatch slice boundaries. The default derives a token-uniform
-  // layout per microbatch (remainder to the first slices), so uneven
-  // seq % n_slices and variable-length microbatches both train on every
-  // token instead of silently truncating.
-  std::vector<core::SliceLayout> layouts = options.layouts;
-  if (layouts.empty()) {
-    layouts.reserve(static_cast<std::size_t>(m));
-    for (int mb = 0; mb < m; ++mb) {
-      layouts.push_back(core::SliceLayout::uniform(
-          static_cast<std::int64_t>(tokens[static_cast<std::size_t>(mb)].size()),
-          n_slices));
-    }
-  }
-  SLIM_CHECK(static_cast<int>(layouts.size()) == m,
-             "one slice layout per microbatch required");
-  for (int mb = 0; mb < m; ++mb) {
-    const auto& layout = layouts[static_cast<std::size_t>(mb)];
-    SLIM_CHECK(layout.slices() == n_slices &&
-                   layout.seq() == static_cast<std::int64_t>(
-                                       tokens[static_cast<std::size_t>(mb)].size()),
-               "slice layout does not match its microbatch");
-    SLIM_CHECK(tokens[static_cast<std::size_t>(mb)].size() ==
-                   targets[static_cast<std::size_t>(mb)].size(),
-               "tokens/targets length mismatch");
-  }
-  auto len_of = [&layouts](int mb, int slice) {
-    return layouts[static_cast<std::size_t>(mb)].len(slice);
-  };
-  auto pos_of = [&layouts](int mb, int slice) {
-    return layouts[static_cast<std::size_t>(mb)].begin(slice);
-  };
+  const std::vector<core::SliceLayout> layouts =
+      resolve_layouts(tokens, targets, n_slices, options.layouts);
+  const StageInputs inputs{&model_,  &tokens,  &targets,
+                           &layouts, n_slices, options.vocab_parallel};
   const int p = stages();
-  SLIM_CHECK(!vocab_parallel || model_.vocab % p == 0,
-             "vocabulary must split evenly across stages");
-  const std::int64_t shard_width = vocab_parallel ? model_.vocab / p : model_.vocab;
+  const int v = model_.chunks_per_stage;
   const fault::FaultPlan* plan = options.faults;
   if (plan != nullptr) {
     const std::vector<fault::PlanIssue> issues = validate(*plan, p);
@@ -207,17 +121,16 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
   }
 
   Result result;
-  result.grads.embedding = num::Tensor(model_.vocab, model_.dims.hidden);
-  for (int i = 0; i < model_.layers_total; ++i) {
-    result.grads.layers.push_back(num::LayerGrads::zeros(model_.dims));
-  }
-  result.grads.final_norm = num::Tensor(1, model_.dims.hidden);
   result.stats.peak_live_slices.assign(static_cast<std::size_t>(p), 0);
   result.stats.messages.assign(static_cast<std::size_t>(p), 0);
 
   // Observability: cheap always-on probes plus the optional span recorder.
+  // Each attempt's worker thread is the sole writer of its stage's metrics
+  // row while running; the parent reads after join (the join is the
+  // synchronization point), so plain fields suffice.
   obs::Recorder* const rec = options.recorder;
-  std::vector<StageProbe> probes(static_cast<std::size_t>(p));
+  std::vector<obs::StageMetrics>& probes = result.stats.metrics.stages;
+  probes.resize(static_cast<std::size_t>(p));
   double wall_seconds = 0.0;  // summed over attempts
   // Per-stage arena statistics sinks: the measured side of the
   // measured-vs-analytical footprint reconciliation. Shared across attempts
@@ -225,81 +138,36 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
   // reporting into the same sink). unique_ptr because ArenaStats holds
   // atomics and cannot move.
   std::vector<std::unique_ptr<num::ArenaStats>> arena_stats;
-  if (options.measure_memory) {
-    for (int s = 0; s < p; ++s) {
-      arena_stats.push_back(std::make_unique<num::ArenaStats>());
-    }
-  }
-  if (rec != nullptr) {
-    for (int s = 0; s < p; ++s) {
-      rec->set_track_name(s, "stage " + std::to_string(s));
-    }
-  }
-
-  const int v = model_.chunks_per_stage;
-  const int total_stages = p * v;
-  const int head_thread = model_.head_stage();
-
-  // Global layer ids owned by each stage thread, chunk-major — the index
-  // space of the per-microbatch staged gradients.
-  const std::vector<std::vector<int>> owned_layers = model_.owned_layers();
-
-  // Cross-attempt accumulators. Output-head gradients stay per stage shard
-  // until the final merge (one row-shard per stage under vocabulary
-  // parallelism, the full head on the head thread otherwise).
-  std::vector<num::Tensor> head_shard_grad;
   for (int s = 0; s < p; ++s) {
-    head_shard_grad.emplace_back(vocab_parallel ? shard_width : model_.vocab,
-                                 model_.dims.hidden);
+    arena_stats.push_back(std::make_unique<num::ArenaStats>());
+    if (rec != nullptr) rec->set_track_name(s, "stage " + std::to_string(s));
   }
-  double total_loss = 0.0;
-  // Slice (mb, s) contributes len / (seq_mb * m) of the iteration loss.
-  // The dist backend evaluates the identical float expression so the two
-  // substrates stay bit-identical.
-  auto slice_weight_of = [&layouts, m](int mb, int slice) {
-    const auto& layout = layouts[static_cast<std::size_t>(mb)];
-    return static_cast<float>(layout.len(slice)) /
-           (static_cast<float>(layout.seq()) * static_cast<float>(m));
-  };
   fault::FaultReport iteration_report;
 
   // All (stage, microbatch) staged contributions of the iteration — the
   // shared commit protocol (src/runtime/commit.hpp). A slot is merged into
   // the result only when its microbatch fully retired; a crash
   // mid-iteration discards exactly the partial work.
-  CommitLedger ledger(model_, m, vocab_parallel);
-
-  struct AttemptOutcome {
-    bool crashed = false;
-    int crashed_stage = -1;
-    std::vector<bool> committed;  // by rank within the attempt's mb list
-  };
+  CommitLedger ledger(model_, m, options.vocab_parallel);
 
   // ---- one pipeline attempt over a subset of the microbatches ----
   // `mbs` is ascending; `inject` arms the plan's runtime faults (the replay
   // attempt after a crash runs with them disarmed — the respawned stage).
-  auto run_attempt = [&](const std::vector<int>& mbs,
-                         bool inject) -> AttemptOutcome {
+  // Returns the stage whose injected crash ended the attempt, or -1.
+  auto run_attempt = [&](const std::vector<int>& mbs, bool inject) -> int {
     const int mk = static_cast<int>(mbs.size());
-    SLIM_CHECK(mk >= 1, "attempt without microbatches");
-    std::vector<int> rank_of(static_cast<std::size_t>(m), -1);
-    for (int r = 0; r < mk; ++r) {
-      rank_of[static_cast<std::size_t>(mbs[static_cast<std::size_t>(r)])] = r;
-    }
-
-    std::vector<Channel<Message>> inbox(static_cast<std::size_t>(p));
-    // Seed stage 0 with every forward slice in slice-stream order.
-    for (const int mb : mbs) {
-      for (int s = 0; s < n_slices; ++s) {
-        inbox[0].send({Message::Kind::Forward, mb, s, 0, 0, {}});
-      }
-    }
-
-    // Fresh zeroed staging slots for every participating (stage, mb) pair —
-    // on the replay attempt this discards the crashed attempt's partials.
+    // Fresh machines and empty slots for every participating stage — on
+    // the replay attempt this discards the crashed attempt's partials. The
+    // machines are built here, on the parent thread, before any worker
+    // starts: their layers and staging buffers then come from the main heap
+    // arena rather than per-thread arenas that keep freed memory.
+    std::deque<StageMachine> machines;  // deque: built in place, never moved
     for (int s = 0; s < p; ++s) {
       for (const int mb : mbs) ledger.prepare(s, mb);
+      machines.emplace_back(inputs, s, mbs,
+                            arena_stats[static_cast<std::size_t>(s)].get());
     }
+    std::vector<Channel<Envelope>> inbox(static_cast<std::size_t>(p));
     std::vector<StageStatus> statuses(static_cast<std::size_t>(p));
     std::vector<std::vector<fault::FaultEvent>> stage_events(
         static_cast<std::size_t>(p));
@@ -310,31 +178,27 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
         std::lock_guard<std::mutex> lock(ctrl.hang_mutex);
         ctrl.shutdown.store(true);
       }
-      for (Channel<Message>& channel : inbox) channel.close();
+      for (Channel<Envelope>& channel : inbox) channel.close();
       ctrl.hang_cv.notify_all();
     };
-
-    const int want_f_per_stage = mk * n_slices * v;
-    const int want_b_per_stage = mk * n_slices * v;
 
     // The watchdog's deadlock report: a snapshot of every stage's progress
     // and blocked-on state, assembled lock-free from the published atomics.
     auto blocked_table = [&]() -> std::string {
       Table table({"stage", "state", "messages", "fwd", "bwd", "live", "cap",
                    "deferred", "queue", "last mb", "committed mbs"});
+      const std::string due = std::to_string(mk * n_slices * v);
       for (int s = 0; s < p; ++s) {
         const StageStatus& st = statuses[static_cast<std::size_t>(s)];
-        const int cap = n_slices * v + 2 * (p - 1 - s);
         const int last_mb = st.last_mb.load();
         table.add_row(
             {std::to_string(s),
-             state_name(static_cast<StageState>(st.state.load())),
+             stage_state_name(static_cast<StageState>(st.state.load())),
              std::to_string(st.messages.load()),
-             std::to_string(st.done_f.load()) + "/" +
-                 std::to_string(want_f_per_stage),
-             std::to_string(st.done_b.load()) + "/" +
-                 std::to_string(want_b_per_stage),
-             std::to_string(st.live.load()), std::to_string(cap),
+             std::to_string(st.done_f.load()) + "/" + due,
+             std::to_string(st.done_b.load()) + "/" + due,
+             std::to_string(st.live.load()),
+             std::to_string(machines[static_cast<std::size_t>(s)].live_cap()),
              std::to_string(st.deferred.load()),
              std::to_string(inbox[static_cast<std::size_t>(s)].size()),
              last_mb < 0 ? std::string("-") : std::to_string(last_mb),
@@ -352,148 +216,76 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
                                  ? options.kernel_threads
                                  : std::max(1, pool_width / std::max(1, p));
       util::ScopedKernelThreads kernel_guard(kernel_cap);
+      StageMachine& machine = machines[static_cast<std::size_t>(stage)];
       StageStatus& status = statuses[static_cast<std::size_t>(stage)];
-      StageProbe& probe = probes[static_cast<std::size_t>(stage)];
+      obs::StageMetrics& probe = probes[static_cast<std::size_t>(stage)];
       std::vector<fault::FaultEvent>& events =
           stage_events[static_cast<std::size_t>(stage)];
-
-      // Routes a message to another stage thread: counts the cross-stage
-      // traffic and opens a trace flow that the receiver closes (the
-      // send->recv arrows in the exported trace).
-      auto send_to = [&](int dst, Message out) {
-        if (dst != stage) {
-          ++probe.p2p_messages;
-          probe.p2p_bytes += static_cast<double>(out.payload.size()) * 4.0;
-          out.cross = true;
-          if (rec != nullptr) {
-            out.flow = rec->begin_flow(stage, message_kind_name(out.kind));
-          }
-        }
-        inbox[static_cast<std::size_t>(dst)].send(std::move(out));
+      auto fault_event = [&](fault::FaultEvent::Kind kind, const char* name,
+                             const std::string& detail) {
+        if (rec != nullptr) rec->instant(stage, name, obs::kCatFault, detail);
+        return fault::FaultEvent{kind, stage, rec != nullptr ? rec->now() : 0.0,
+                                 machine.messages(), detail};
       };
-
-      // This thread owns global stages stage, p+stage, 2p+stage, ...
-      std::vector<std::vector<num::Layer>> chunk_layers(
-          static_cast<std::size_t>(v));
-      std::vector<int> local_of_global(
-          static_cast<std::size_t>(model_.layers_total), -1);
-      {
-        int local = 0;
-        for (int chunk = 0; chunk < v; ++chunk) {
-          const int global_stage = chunk * p + stage;
-          const auto [clo, chi] =
-              model_.stage_layers[static_cast<std::size_t>(global_stage)];
-          for (int i = clo; i < chi; ++i) {
-            chunk_layers[static_cast<std::size_t>(chunk)].emplace_back(
-                model_.dims, model_.layer_weights[static_cast<std::size_t>(i)]);
-            if (!arena_stats.empty()) {
-              chunk_layers[static_cast<std::size_t>(chunk)]
-                  .back()
-                  .set_arena_stats(
-                      arena_stats[static_cast<std::size_t>(stage)].get());
-            }
-            local_of_global[static_cast<std::size_t>(i)] = local++;
-          }
-        }
-      }
-      const bool is_last = stage == head_thread;
-      const std::int64_t shard_lo =
-          vocab_parallel ? stage * shard_width : 0;
-      const num::Tensor head_shard =
-          vocab_parallel
-              ? model_.embedding.slice_rows(shard_lo, shard_lo + shard_width)
-              : model_.embedding;
-
-      // Last-stage per-(rank, slice) state.
-      auto idx = [&](int mb, int slice) {
-        return static_cast<std::size_t>(
-            rank_of[static_cast<std::size_t>(mb)] * n_slices + slice);
+      auto publish = [&] {
+        status.messages.store(machine.messages());
+        status.last_mb.store(machine.last_mb());
+        status.done_f.store(machine.forwards_done());
+        status.done_b.store(machine.backwards_done());
+        status.live.store(machine.live());
+        status.deferred.store(machine.deferred());
+        status.committed.store(machine.committed());
       };
-      const std::size_t slots = static_cast<std::size_t>(mk * n_slices);
-      std::vector<num::Tensor> head_grad(slots);
-      std::vector<bool> head_ready(head_grad.size(), false);
-      std::vector<num::Tensor> final_input(is_last ? head_grad.size() : 0);
-      std::vector<num::Tensor> dx_sum(is_last ? head_grad.size() : 0);
-      std::vector<int> stats_seen(is_last ? head_grad.size() : 0, 0);
-      std::vector<int> dx_seen(is_last ? head_grad.size() : 0, 0);
-      std::vector<num::CeShardStats> stats_acc(
-          is_last ? head_grad.size() : 0);
-      // Shard-side stash of hidden states between the two vocabulary phases.
-      std::vector<num::Tensor> shard_hidden(
-          vocab_parallel ? head_grad.size() : 0);
-
-      // Work targets (loop until every expected action completed).
-      const int want_f = want_f_per_stage;
-      const int want_b = want_b_per_stage;
-      const int want_vocab_work = vocab_parallel ? mk * n_slices : 0;
-      const int want_vocab_global = vocab_parallel ? mk * n_slices : 0;
-      int done_f = 0, done_b = 0, done_vw = 0, done_vg = 0;
-
-      auto slice_targets_of = [&](int mb, int slice) {
-        const std::int64_t pos = pos_of(mb, slice);
-        return std::vector<std::int64_t>(
-            targets[static_cast<std::size_t>(mb)].begin() + pos,
-            targets[static_cast<std::size_t>(mb)].begin() + pos +
-                len_of(mb, slice));
-      };
-
       // Runtime fault hooks, armed only on the injecting attempt.
-      std::int64_t crash_at = -1, hang_at = -1;
-      std::int64_t delay_every = 0;
-      double delay_seconds = 0.0;
-      if (inject && plan != nullptr) {
-        for (const fault::StageCrash& crash : plan->stage_crashes) {
-          if (crash.stage == stage) crash_at = crash.after_messages;
-        }
-        for (const fault::StageHang& hang : plan->stage_hangs) {
-          if (hang.stage == stage) hang_at = hang.after_messages;
-        }
-        for (const fault::MessageDelay& delay : plan->delays) {
-          if (delay.stage == -1 || delay.stage == stage) {
-            delay_every = delay.every;
-            delay_seconds = delay.seconds;
-          }
-        }
-      }
+      const fault::StageRules rules = inject && plan != nullptr
+                                          ? fault::stage_rules(*plan, stage)
+                                          : fault::StageRules{};
       bool delay_logged = false;
+      auto on_pick = [&](const Message&) {
+        publish();
+        const std::int64_t count = machine.messages();
+        if (count == rules.hang_after) {
+          // The stage silently stops making progress; peers starve and
+          // the watchdog reports it. Park until the shutdown broadcast.
+          status.state.store(static_cast<int>(StageState::Hung));
+          events.push_back(fault_event(fault::FaultEvent::Kind::Hang, "hang",
+                                       "stage stopped draining its inbox"));
+          std::unique_lock<std::mutex> lock(ctrl.hang_mutex);
+          ctrl.hang_cv.wait(lock, [&] { return ctrl.shutdown.load(); });
+          throw WorkerAborted{};
+        }
+        if (count == rules.crash_after) {
+          events.push_back(
+              fault_event(fault::FaultEvent::Kind::Crash, "crash",
+                          "stage worker crashed between messages"));
+          throw InjectedCrash(stage, count);
+        }
+        if (rules.delay_every > 0 && count % rules.delay_every == 0 &&
+            rules.delay_seconds > 0.0) {
+          if (!delay_logged) {
+            events.push_back(fault_event(
+                fault::FaultEvent::Kind::Delay, "delay",
+                "sleeping " + std::to_string(rules.delay_seconds) +
+                    " s every " + std::to_string(rules.delay_every) +
+                    " messages"));
+            delay_logged = true;
+          }
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(rules.delay_seconds));
+        }
+      };
 
-      int live = 0, peak_live = 0;
-      int mb_min = 0;  // index into mbs (oldest unretired microbatch)
-      std::vector<int> b_done(static_cast<std::size_t>(mk), 0);
-      std::int64_t messages = 0;
-      // SlimPipe's warm-up window (Eq. 1): stage r holds at most
-      // n + 2(p-1-r) live slices; excess forwards wait here until a backward
-      // frees a slot. This is what gives the runtime its bounded footprint.
-      const int live_cap = n_slices * v + 2 * (p - 1 - stage);
-      std::deque<Message> deferred;
-      while (done_f < want_f || done_b < want_b || done_vw < want_vocab_work ||
-             done_vg < want_vocab_global) {
+      std::vector<Outgoing> sends;
+      while (!machine.finished()) {
         if (ctrl.shutdown.load(std::memory_order_relaxed)) {
           throw WorkerAborted{};
         }
-        // Oldest microbatch not yet fully retired on this thread: its
-        // forwards are always admitted (they are upstream of the backwards
-        // that drain the window), so the throttle can never deadlock.
-        while (mb_min < mk && b_done[static_cast<std::size_t>(mb_min)] ==
-                                  n_slices * v) {
-          ++mb_min;
-        }
-        const int admitted_mb =
-            mb_min < mk ? mbs[static_cast<std::size_t>(mb_min)] : -1;
         Message msg;
-        bool have = false;
-        if (!deferred.empty() &&
-            (live < live_cap || deferred.front().mb == admitted_mb)) {
-          msg = std::move(deferred.front());
-          deferred.pop_front();
-          status.deferred.store(static_cast<int>(deferred.size()));
-          have = true;
-        }
-        while (!have) {
+        if (!machine.pick(msg, on_pick)) {
           status.state.store(static_cast<int>(StageState::Waiting));
           const double recv_start = rec != nullptr ? rec->now() : 0.0;
           const auto wait_start = std::chrono::steady_clock::now();
-          Message received;
+          Envelope received;
           const RecvStatus recv =
               inbox[static_cast<std::size_t>(stage)].receive_status_for(
                   options.starvation_timeout, received);
@@ -509,352 +301,62 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
           if (recv == RecvStatus::Timeout) {
             // Watchdog: this stage starved. Snapshot every stage's
             // blocked-on state and fail the iteration with the table.
-            const std::string starved_detail =
-                "starved: f=" + std::to_string(done_f) + "/" +
-                std::to_string(want_f) + " b=" + std::to_string(done_b) + "/" +
-                std::to_string(want_b) + " live=" + std::to_string(live) +
-                " cap=" + std::to_string(live_cap);
-            if (rec != nullptr) {
-              rec->instant(stage, "watchdog", obs::kCatFault, starved_detail);
-            }
+            const std::string starved_detail = "starved: " + machine.progress();
             fault::FaultReport report;
-            report.events.push_back(
-                {fault::FaultEvent::Kind::Watchdog, stage,
-                 rec != nullptr ? rec->now() : 0.0, messages, starved_detail});
+            report.events.push_back(fault_event(
+                fault::FaultEvent::Kind::Watchdog, "watchdog", starved_detail));
             report.blocked_table = blocked_table();
-            throw PipelineError(
-                "pipeline stage " + std::to_string(stage) +
-                    " starved for " +
-                    std::to_string(options.starvation_timeout.count()) +
-                    " ms; blocked-on state:\n" + report.blocked_table,
-                std::move(report));
+            // The message is built before `report` moves into the error
+            // (argument evaluation order is unspecified).
+            const std::string what =
+                "pipeline stage " + std::to_string(stage) + " starved for " +
+                std::to_string(options.starvation_timeout.count()) +
+                " ms; blocked-on state:\n" + report.blocked_table;
+            throw PipelineError(what, std::move(report));
           }
-          ++messages;
-          status.messages.store(messages);
-          status.last_mb.store(received.mb);
           if (received.cross) {
             ++probe.frames_recv;
             probe.bytes_recv +=
-                static_cast<double>(received.payload.size()) * 4.0;
+                static_cast<double>(received.msg.payload.size()) * 4.0;
           }
-          if (hang_at > 0 && messages == hang_at) {
-            // The stage silently stops making progress; peers starve and
-            // the watchdog reports it. Park until the shutdown broadcast.
-            status.state.store(static_cast<int>(StageState::Hung));
-            if (rec != nullptr) {
-              rec->instant(stage, "hang", obs::kCatFault,
-                           "stage stopped draining its inbox");
-            }
-            events.push_back({fault::FaultEvent::Kind::Hang, stage,
-                              rec != nullptr ? rec->now() : 0.0,
-                              messages, "stage stopped draining its inbox"});
-            std::unique_lock<std::mutex> lock(ctrl.hang_mutex);
-            ctrl.hang_cv.wait(lock, [&] { return ctrl.shutdown.load(); });
-            throw WorkerAborted{};
+          if (rec != nullptr && received.flow >= 0) {
+            rec->end_flow(received.flow, stage, rec->now());
           }
-          if (crash_at > 0 && messages == crash_at) {
-            if (rec != nullptr) {
-              rec->instant(stage, "crash", obs::kCatFault,
-                           "stage worker crashed between messages");
-            }
-            events.push_back({fault::FaultEvent::Kind::Crash, stage,
-                              rec != nullptr ? rec->now() : 0.0,
-                              messages,
-                              "stage worker crashed between messages"});
-            throw InjectedCrash(stage, messages);
-          }
-          if (delay_every > 0 && messages % delay_every == 0 &&
-              delay_seconds > 0.0) {
-            if (!delay_logged) {
-              const std::string delay_detail =
-                  "sleeping " + std::to_string(delay_seconds) + " s every " +
-                  std::to_string(delay_every) + " messages";
-              if (rec != nullptr) {
-                rec->instant(stage, "delay", obs::kCatFault, delay_detail);
-              }
-              events.push_back({fault::FaultEvent::Kind::Delay, stage,
-                                rec != nullptr ? rec->now() : 0.0,
-                                messages, delay_detail});
-              delay_logged = true;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(delay_seconds));
-          }
-          // Eq. 1's warm-up window: park forwards of *younger* microbatches
-          // while the window is full.
-          if (received.kind == Message::Kind::Forward &&
-              received.mb != admitted_mb && live >= live_cap) {
-            deferred.push_back(std::move(received));
-            status.deferred.store(static_cast<int>(deferred.size()));
-            continue;
-          }
-          msg = std::move(received);
-          have = true;
+          machine.deliver(std::move(received.msg));
+          continue;
         }
-        if (rec != nullptr && msg.flow >= 0) {
-          rec->end_flow(msg.flow, stage, rec->now());
-          msg.flow = -1;
-        }
-        const Message::Kind processed_kind = msg.kind;
-        const int processed_mb = msg.mb;
-        const int processed_slice = msg.slice;
-        const int processed_stage = msg.stage;
+        const Message::Kind kind = msg.kind;
+        const int mb = msg.mb, slice = msg.slice, at_stage = msg.stage;
         const double span_start = rec != nullptr ? rec->now() : 0.0;
         const auto busy_start = std::chrono::steady_clock::now();
-        const int rank = rank_of[static_cast<std::size_t>(msg.mb)];
-        SLIM_CHECK(rank >= 0, "message for a microbatch outside the attempt");
-        StageCommit& mb_staged = ledger.slot(stage, msg.mb);
-        switch (msg.kind) {
-          case Message::Kind::Forward: {
-            ++done_f;
-            status.done_f.store(done_f);
-            ++live;
-            status.live.store(live);
-            peak_live = std::max(peak_live, live);
-            status.peak_live.store(peak_live);
-            const std::int64_t pos = pos_of(msg.mb, msg.slice);
-            const std::int64_t slice_len = len_of(msg.mb, msg.slice);
-            num::Tensor x;
-            if (msg.stage == 0) {
-              x = num::Tensor(slice_len, model_.dims.hidden);
-              const auto& ids = tokens[static_cast<std::size_t>(msg.mb)];
-              for (std::int64_t r = 0; r < slice_len; ++r) {
-                const std::int64_t id = ids[static_cast<std::size_t>(pos + r)];
-                for (std::int64_t c = 0; c < model_.dims.hidden; ++c) {
-                  x.at(r, c) = model_.embedding.at(id, c);
-                }
-              }
-            } else {
-              x = std::move(msg.payload);
+        const int retired = machine.run(std::move(msg), sends);
+        // Routes each message to its stage thread: counts the cross-stage
+        // traffic and opens a trace flow that the receiver closes (the
+        // send->recv arrows in the exported trace).
+        for (Outgoing& out : sends) {
+          Envelope envelope{std::move(out.msg)};
+          if (out.dst != stage) {
+            ++probe.p2p_messages;
+            probe.p2p_bytes +=
+                static_cast<double>(envelope.msg.payload.size()) * 4.0;
+            envelope.cross = true;
+            if (rec != nullptr) {
+              envelope.flow =
+                  rec->begin_flow(stage, message_kind_name(envelope.msg.kind));
             }
-            for (num::Layer& layer :
-                 chunk_layers[static_cast<std::size_t>(msg.stage / p)]) {
-              x = layer.forward_slice(x, pos, msg.mb);
-            }
-            if (msg.stage + 1 < total_stages) {
-              send_to((msg.stage + 1) % p,
-                      {Message::Kind::Forward, msg.mb, msg.slice, 0,
-                       msg.stage + 1, std::move(x)});
-              break;
-            }
-            const num::Tensor hidden = num::rmsnorm(x, model_.final_norm);
-            if (vocab_parallel) {
-              // Phase 1: broadcast the hidden states to every shard.
-              final_input[idx(msg.mb, msg.slice)] = std::move(x);
-              for (int s = 0; s < p; ++s) {
-                send_to(s, {Message::Kind::VocabWork, msg.mb, msg.slice, 0, 0,
-                            hidden});
-              }
-            } else {
-              const float slice_weight = slice_weight_of(msg.mb, msg.slice);
-              const num::Tensor logits = num::matmul_nt(hidden, model_.embedding);
-              num::CeResult ce = num::cross_entropy(
-                  logits, slice_targets_of(msg.mb, msg.slice));
-              mb_staged.loss +=
-                  ce.loss * slice_weight * static_cast<double>(m);
-              for (std::int64_t i = 0; i < ce.dlogits.size(); ++i) {
-                ce.dlogits.data()[i] *= slice_weight;
-              }
-              mb_staged.head_shard.add_(num::matmul_tn(ce.dlogits, hidden));
-              const num::Tensor dhidden = num::matmul(ce.dlogits, model_.embedding);
-              head_grad[idx(msg.mb, msg.slice)] = num::rmsnorm_bwd(
-                  x, model_.final_norm, dhidden, mb_staged.final_norm);
-              head_ready[idx(msg.mb, msg.slice)] = true;
-              if (msg.slice == n_slices - 1) {
-                inbox[static_cast<std::size_t>(stage)].send_front(
-                    {Message::Kind::Backward, msg.mb, msg.slice, 0,
-                     total_stages - 1, {}});
-              }
-            }
-            break;
           }
-          case Message::Kind::Backward: {
-            const bool head_edge = msg.stage == total_stages - 1;
-            if (head_edge && !head_ready[idx(msg.mb, msg.slice)]) {
-              // The vocabulary rounds for this slice have not finished yet;
-              // revisit after processing more messages.
-              inbox[static_cast<std::size_t>(stage)].send(std::move(msg));
-              std::this_thread::yield();
-              break;
-            }
-            ++done_b;
-            status.done_b.store(done_b);
-            --live;
-            status.live.store(live);
-            ++b_done[static_cast<std::size_t>(rank)];
-            num::Tensor dx = head_edge
-                                 ? std::move(head_grad[idx(msg.mb, msg.slice)])
-                                 : std::move(msg.payload);
-            auto& layers =
-                chunk_layers[static_cast<std::size_t>(msg.stage / p)];
-            const int clo =
-                model_.stage_layers[static_cast<std::size_t>(msg.stage)].first;
-            for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
-              const std::size_t global = static_cast<std::size_t>(
-                  clo + static_cast<int>(layers.rend() - it) - 1);
-              const int local = local_of_global[global];
-              dx = it->backward_slice(
-                  dx, mb_staged.layers[static_cast<std::size_t>(local)],
-                  msg.mb);
-            }
-            if (msg.stage > 0) {
-              send_to((msg.stage - 1 + p) % p,
-                      {Message::Kind::Backward, msg.mb, msg.slice, 0,
-                       msg.stage - 1, std::move(dx)});
-            } else {
-              const auto& ids = tokens[static_cast<std::size_t>(msg.mb)];
-              const std::int64_t pos = pos_of(msg.mb, msg.slice);
-              const std::int64_t slice_len = len_of(msg.mb, msg.slice);
-              for (std::int64_t r = 0; r < slice_len; ++r) {
-                const std::int64_t id = ids[static_cast<std::size_t>(pos + r)];
-                for (std::int64_t c = 0; c < model_.dims.hidden; ++c) {
-                  mb_staged.embed_in.at(id, c) += dx.at(r, c);
-                }
-              }
-            }
-            if (b_done[static_cast<std::size_t>(rank)] == n_slices * v) {
-              // Microbatch retired on this stage: its staged gradients are
-              // final and survive a later crash (commit point).
-              mb_staged.complete = true;
-              status.committed.fetch_add(1);
-              if (rec != nullptr) {
-                rec->instant(stage, "commit mb" + std::to_string(msg.mb),
-                             obs::kCatCommit);
-              }
-            }
-            if (head_edge && msg.slice > 0) {
-              inbox[static_cast<std::size_t>(stage)].send_front(
-                  {Message::Kind::Backward, msg.mb, msg.slice - 1, 0,
-                   total_stages - 1, {}});
-            }
-            break;
-          }
-          case Message::Kind::VocabWork: {
-            ++done_vw;
-            // Shard pass 1: local logits -> per-token scalar statistics.
-            const std::int64_t slice_len = len_of(msg.mb, msg.slice);
-            const num::Tensor& hidden = msg.payload;
-            const num::Tensor logits = num::matmul_nt(hidden, head_shard);
-            const num::CeShardStats st = num::ce_shard_stats(
-                logits, shard_lo, slice_targets_of(msg.mb, msg.slice));
-            num::Tensor packed(3, slice_len);
-            for (std::int64_t i = 0; i < slice_len; ++i) {
-              packed.at(0, i) = st.max_logit[static_cast<std::size_t>(i)];
-              packed.at(1, i) = st.sum_exp[static_cast<std::size_t>(i)];
-              packed.at(2, i) = st.target_logit[static_cast<std::size_t>(i)];
-            }
-            shard_hidden[idx(msg.mb, msg.slice)] = hidden;
-            send_to(head_thread, {Message::Kind::VocabStats, msg.mb,
-                                  msg.slice, stage, 0, std::move(packed)});
-            break;
-          }
-          case Message::Kind::VocabStats: {
-            // Last stage: synchronize the scalars across shards.
-            const std::int64_t slice_len = len_of(msg.mb, msg.slice);
-            const std::size_t i = idx(msg.mb, msg.slice);
-            num::CeShardStats& acc = stats_acc[i];
-            if (stats_seen[i] == 0) {
-              acc.max_logit.assign(static_cast<std::size_t>(slice_len),
-                                   -std::numeric_limits<float>::infinity());
-              acc.sum_exp.assign(static_cast<std::size_t>(slice_len), 0.0f);
-              acc.target_logit.assign(
-                  static_cast<std::size_t>(slice_len),
-                  -std::numeric_limits<float>::infinity());
-            }
-            // Numerically: combine as running (max, rescaled sum).
-            for (std::int64_t t = 0; t < slice_len; ++t) {
-              const std::size_t ti = static_cast<std::size_t>(t);
-              const float sm = msg.payload.at(0, t);
-              const float ss = msg.payload.at(1, t);
-              const float stl = msg.payload.at(2, t);
-              const float gmax = std::max(acc.max_logit[ti], sm);
-              float gsum = 0.0f;
-              if (acc.sum_exp[ti] > 0.0f) {
-                gsum += acc.sum_exp[ti] * std::exp(acc.max_logit[ti] - gmax);
-              }
-              if (ss > 0.0f) gsum += ss * std::exp(sm - gmax);
-              acc.max_logit[ti] = gmax;
-              acc.sum_exp[ti] = gsum;
-              acc.target_logit[ti] = std::max(acc.target_logit[ti], stl);
-            }
-            if (++stats_seen[i] == p) {
-              // Loss from the synchronized scalars; broadcast them back.
-              double loss = 0.0;
-              num::Tensor global(2, slice_len);
-              for (std::int64_t t = 0; t < slice_len; ++t) {
-                const std::size_t ti = static_cast<std::size_t>(t);
-                loss += std::log(acc.sum_exp[ti]) + acc.max_logit[ti] -
-                        acc.target_logit[ti];
-                global.at(0, t) = acc.max_logit[ti];
-                global.at(1, t) = acc.sum_exp[ti];
-              }
-              mb_staged.loss += loss / static_cast<double>(slice_len) *
-                                slice_weight_of(msg.mb, msg.slice) *
-                                static_cast<double>(m);
-              for (int s = 0; s < p; ++s) {
-                send_to(s, {Message::Kind::VocabGlobal, msg.mb, msg.slice, 0,
-                            0, global});
-              }
-            }
-            break;
-          }
-          case Message::Kind::VocabGlobal: {
-            ++done_vg;
-            // Shard pass 2: gradient of the shard's logits from the global
-            // statistics; return the partial d(hidden).
-            const std::int64_t slice_len = len_of(msg.mb, msg.slice);
-            const float slice_weight = slice_weight_of(msg.mb, msg.slice);
-            const std::size_t i = idx(msg.mb, msg.slice);
-            const num::Tensor hidden = std::move(shard_hidden[i]);
-            const num::Tensor logits = num::matmul_nt(hidden, head_shard);
-            const auto slice_targets = slice_targets_of(msg.mb, msg.slice);
-            num::Tensor dlogits(slice_len, shard_width);
-            for (std::int64_t t = 0; t < slice_len; ++t) {
-              const float gmax = msg.payload.at(0, t);
-              const float gsum = msg.payload.at(1, t);
-              const std::int64_t y =
-                  slice_targets[static_cast<std::size_t>(t)] - shard_lo;
-              for (std::int64_t ccol = 0; ccol < shard_width; ++ccol) {
-                const float prob =
-                    std::exp(logits.at(t, ccol) - gmax) / gsum;
-                // Mean over the slice's tokens, then the slice's share of
-                // the iteration mean — matching the monolithic head exactly.
-                dlogits.at(t, ccol) = (prob - (ccol == y ? 1.0f : 0.0f)) *
-                                      (slice_weight /
-                                       static_cast<float>(slice_len));
-              }
-            }
-            mb_staged.head_shard.add_(num::matmul_tn(dlogits, hidden));
-            num::Tensor dx_part = num::matmul(dlogits, head_shard);
-            send_to(head_thread, {Message::Kind::VocabDx, msg.mb, msg.slice,
-                                  stage, 0, std::move(dx_part)});
-            break;
-          }
-          case Message::Kind::VocabDx: {
-            // Last stage: reduce the shards' partial d(hidden).
-            const std::size_t i = idx(msg.mb, msg.slice);
-            if (dx_seen[i] == 0) {
-              dx_sum[i] = std::move(msg.payload);
-            } else {
-              dx_sum[i].add_(msg.payload);
-            }
-            if (++dx_seen[i] == p) {
-              head_grad[i] = num::rmsnorm_bwd(final_input[i], model_.final_norm,
-                                              dx_sum[i],
-                                              mb_staged.final_norm);
-              head_ready[i] = true;
-              final_input[i] = {};
-              dx_sum[i] = {};
-              if (msg.slice == n_slices - 1) {
-                inbox[static_cast<std::size_t>(stage)].send_front(
-                    {Message::Kind::Backward, msg.mb, msg.slice, 0,
-                     total_stages - 1, {}});
-              }
-            }
-            break;
+          inbox[static_cast<std::size_t>(out.dst)].send(std::move(envelope));
+        }
+        sends.clear();
+        if (retired >= 0) {
+          ledger.slot(stage, retired) = machine.take_commit(retired);
+          if (rec != nullptr) {
+            rec->instant(stage, "commit mb" + std::to_string(retired),
+                         obs::kCatCommit);
           }
         }
-        probe.busy_seconds +=
+        publish();
+        probe.compute_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           busy_start)
                 .count();
@@ -862,18 +364,11 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
           // Every processed message is compute work (vocab rounds included:
           // they run the shard GEMMs); waiting shows up as "recv" spans.
           rec->span(stage,
-                    std::string(message_kind_name(processed_kind)) + " mb" +
-                        std::to_string(processed_mb) + " s" +
-                        std::to_string(processed_slice) + " st" +
-                        std::to_string(processed_stage),
-                    obs::kCatCompute, span_start, rec->now(), processed_mb,
-                    processed_slice, processed_stage);
-        }
-      }
-      for (const auto& chunk : chunk_layers) {
-        for (const num::Layer& layer : chunk) {
-          SLIM_CHECK(layer.live_slices() == 0 && layer.cache_chunks() == 0,
-                     "stage leaked slices/chunks");
+                    std::string(message_kind_name(kind)) + " mb" +
+                        std::to_string(mb) + " s" + std::to_string(slice) +
+                        " st" + std::to_string(at_stage),
+                    obs::kCatCompute, span_start, rec->now(), mb, slice,
+                    at_stage);
         }
       }
     };
@@ -893,10 +388,7 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
         status.state.store(static_cast<int>(StageState::Crashed));
         {
           std::lock_guard<std::mutex> lock(ctrl.error_mutex);
-          if (!ctrl.first_error) {
-            ctrl.first_error = std::current_exception();
-            ctrl.first_error_stage = stage;
-          }
+          if (!ctrl.first_error) ctrl.first_error = std::current_exception();
         }
         request_shutdown();
       }
@@ -913,64 +405,36 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
 
     // Fold the attempt's stats and fault events into the iteration totals.
     for (int s = 0; s < p; ++s) {
-      const StageStatus& st = statuses[static_cast<std::size_t>(s)];
-      result.stats.messages[static_cast<std::size_t>(s)] += st.messages.load();
-      result.stats.peak_live_slices[static_cast<std::size_t>(s)] = std::max(
-          result.stats.peak_live_slices[static_cast<std::size_t>(s)],
-          st.peak_live.load());
-      probes[static_cast<std::size_t>(s)].peak_queue =
-          std::max(probes[static_cast<std::size_t>(s)].peak_queue,
-                   inbox[static_cast<std::size_t>(s)].peak_depth());
-      for (fault::FaultEvent& event : stage_events[static_cast<std::size_t>(s)]) {
+      const std::size_t i = static_cast<std::size_t>(s);
+      result.stats.messages[i] += machines[i].messages();
+      result.stats.peak_live_slices[i] =
+          std::max(result.stats.peak_live_slices[i], machines[i].peak_live());
+      probes[i].peak_queue_depth =
+          std::max(probes[i].peak_queue_depth,
+                   static_cast<int>(inbox[i].peak_depth()));
+      for (fault::FaultEvent& event : stage_events[i]) {
         iteration_report.events.push_back(std::move(event));
       }
     }
-
-    // Merge one rank's staged contributions in deterministic (stage-major)
-    // order; called only for fully retired microbatches.
-    auto merge_rank = [&](int rank) {
-      ledger.merge_microbatch(mbs[static_cast<std::size_t>(rank)],
-                              result.grads, head_shard_grad, total_loss);
-    };
-
-    AttemptOutcome outcome;
-    outcome.committed.assign(static_cast<std::size_t>(mk), false);
 
     std::exception_ptr error;
     {
       std::lock_guard<std::mutex> lock(ctrl.error_mutex);
       error = ctrl.first_error;
     }
-    if (!error) {
-      for (int rank = 0; rank < mk; ++rank) {
-        merge_rank(rank);
-        outcome.committed[static_cast<std::size_t>(rank)] = true;
-      }
-      return outcome;
-    }
-
+    if (!error) return -1;
     try {
       std::rethrow_exception(error);
     } catch (const InjectedCrash& crash) {
-      if (options.recover) {
-        // Checkpoint-replay recovery: keep the microbatches that retired on
-        // every stage before the crash, discard all partial work.
-        outcome.crashed = true;
-        outcome.crashed_stage = crash.stage;
-        for (int rank = 0; rank < mk; ++rank) {
-          if (ledger.fully_committed(mbs[static_cast<std::size_t>(rank)])) {
-            merge_rank(rank);
-            outcome.committed[static_cast<std::size_t>(rank)] = true;
-          }
-        }
-        return outcome;
-      }
+      // Checkpoint-replay recovery keeps the microbatches that retired on
+      // every stage before the crash and discards all partial work.
+      if (options.recover) return crash.stage;
       fault::FaultReport report = iteration_report;
       report.blocked_table = blocked_table();
-      throw PipelineError(std::string(crash.what()) +
-                              " (recovery disabled); blocked-on state:\n" +
-                              report.blocked_table,
-                          std::move(report));
+      const std::string what = std::string(crash.what()) +
+                               " (recovery disabled); blocked-on state:\n" +
+                               report.blocked_table;
+      throw PipelineError(what, std::move(report));
     } catch (const PipelineError& pipeline_error) {
       // Watchdog (or nested) structured failure: extend it with the
       // attempt's injected events so the caller sees the full picture.
@@ -984,102 +448,67 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
       // into the structured form instead of terminating.
       fault::FaultReport report = iteration_report;
       report.blocked_table = blocked_table();
-      throw PipelineError(std::string("pipeline worker failed: ") +
-                              exception.what() + "\nblocked-on state:\n" +
-                              report.blocked_table,
-                          std::move(report));
+      const std::string what = std::string("pipeline worker failed: ") +
+                               exception.what() + "\nblocked-on state:\n" +
+                               report.blocked_table;
+      throw PipelineError(what, std::move(report));
     }
   };
 
   // ---- attempt 1: all microbatches, faults armed ----
   std::vector<int> all_mbs(static_cast<std::size_t>(m));
   std::iota(all_mbs.begin(), all_mbs.end(), 0);
-  const bool inject = plan != nullptr && !plan->empty();
-  AttemptOutcome first = run_attempt(all_mbs, inject);
-
-  if (first.crashed) {
+  const int crashed = run_attempt(all_mbs, plan != nullptr && !plan->empty());
+  ledger.merge_committed();
+  if (crashed >= 0) {
     // ---- respawn + replay: the crashed stage restarts from the parameter
     // snapshot (weights are immutable within the iteration) and the
     // pipeline replays every microbatch that had not fully retired. ----
-    std::vector<int> replay;
-    for (int mb = 0; mb < m; ++mb) {
-      if (!first.committed[static_cast<std::size_t>(mb)]) {
-        replay.push_back(mb);
-      }
-    }
+    const std::vector<int> replay = ledger.uncommitted();
     SLIM_CHECK(!replay.empty(),
                "crash after full retirement should not reach recovery");
-    std::string detail = "stage " + std::to_string(first.crashed_stage) +
+    std::string detail = "stage " + std::to_string(crashed) +
                          " respawned; replaying microbatches";
     for (const int mb : replay) detail += " " + std::to_string(mb);
     if (rec != nullptr) {
-      rec->instant(first.crashed_stage, "recovery", obs::kCatFault, detail);
+      rec->instant(crashed, "recovery", obs::kCatFault, detail);
     }
-    iteration_report.events.push_back({fault::FaultEvent::Kind::Recovery,
-                                       first.crashed_stage,
-                                       rec != nullptr ? rec->now() : 0.0,
-                                       static_cast<std::int64_t>(replay.size()),
-                                       detail});
+    iteration_report.events.push_back(
+        {fault::FaultEvent::Kind::Recovery, crashed,
+         rec != nullptr ? rec->now() : 0.0,
+         static_cast<std::int64_t>(replay.size()), detail});
     iteration_report.replayed_microbatches = replay;
     result.stats.replayed_microbatches = replay;
     run_attempt(replay, /*inject=*/false);
+    ledger.merge_committed();
   }
+  ledger.finish(result.loss, result.grads);
 
-  if (vocab_parallel) {
-    for (int s = 0; s < p; ++s) {
-      result.grads.embedding.assign_rows(
-          s * shard_width, [&] {
-            num::Tensor merged =
-                result.grads.embedding.slice_rows(s * shard_width,
-                                                  (s + 1) * shard_width);
-            merged.add_(head_shard_grad[static_cast<std::size_t>(s)]);
-            return merged;
-          }());
-    }
-  } else {
-    result.grads.embedding.add_(
-        head_shard_grad[static_cast<std::size_t>(head_thread)]);
-  }
-  // Assemble the per-stage metrics in the shared obs shape. Timing fields
+  // Complete the per-stage metrics in the shared obs shape. Timing fields
   // are wall-clock (this substrate's clock); the discrete schedule-shape
   // fields (peak live slices, message counts) are what the consistency
   // tests compare against the simulator.
-  result.stats.metrics.substrate = "runtime";
-  result.stats.metrics.scheme = v > 1 ? "slimpipe-interleaved" : "slimpipe";
-  result.stats.metrics.makespan = wall_seconds;
+  obs::RunMetrics& metrics = result.stats.metrics;
+  metrics.substrate = "runtime";
+  metrics.scheme = v > 1 ? "slimpipe-interleaved" : "slimpipe";
+  metrics.makespan = wall_seconds;
   for (int s = 0; s < p; ++s) {
-    const StageProbe& probe = probes[static_cast<std::size_t>(s)];
-    obs::StageMetrics stage_metrics;
+    obs::StageMetrics& stage_metrics = probes[static_cast<std::size_t>(s)];
     stage_metrics.device = s;
-    stage_metrics.compute_seconds = probe.busy_seconds;
-    stage_metrics.idle_seconds =
-        std::max(0.0, wall_seconds - probe.busy_seconds);
-    stage_metrics.bubble_fraction =
-        wall_seconds > 0.0 ? stage_metrics.idle_seconds / wall_seconds : 0.0;
-    stage_metrics.blocked_recv_seconds = probe.blocked_recv_seconds;
     stage_metrics.peak_live_slices =
         result.stats.peak_live_slices[static_cast<std::size_t>(s)];
-    stage_metrics.p2p_messages = probe.p2p_messages;
-    stage_metrics.p2p_bytes = probe.p2p_bytes;
     // Same counter names as the dist substrate's wire stats: a cross-thread
     // message is this substrate's "frame".
-    stage_metrics.frames_sent = probe.p2p_messages;
-    stage_metrics.frames_recv = probe.frames_recv;
-    stage_metrics.bytes_recv = probe.bytes_recv;
-    stage_metrics.peak_queue_depth = static_cast<int>(probe.peak_queue);
-    if (!arena_stats.empty()) {
-      const num::ArenaStats& measured =
-          *arena_stats[static_cast<std::size_t>(s)];
-      for (int c = 0; c < mem::kNumCategories; ++c) {
-        stage_metrics.measured_peak_bytes.push_back(
-            static_cast<double>(measured.peak_bytes(c)));
-      }
-      stage_metrics.measured_peak_total =
-          static_cast<double>(measured.total_peak_bytes());
+    stage_metrics.frames_sent = stage_metrics.p2p_messages;
+    const num::ArenaStats& measured = *arena_stats[static_cast<std::size_t>(s)];
+    for (int c = 0; c < mem::kNumCategories; ++c) {
+      stage_metrics.measured_peak_bytes.push_back(
+          static_cast<double>(measured.peak_bytes(c)));
     }
-    result.stats.metrics.stages.push_back(stage_metrics);
+    stage_metrics.measured_peak_total =
+        static_cast<double>(measured.total_peak_bytes());
   }
-  result.loss = total_loss / static_cast<double>(m);
+  metrics.set_idle_from_makespan();
   if (options.report != nullptr) {
     options.report->events.insert(options.report->events.end(),
                                   iteration_report.events.begin(),

@@ -3,24 +3,20 @@
 // A working, multi-threaded SlimPipe runtime at miniature scale.
 //
 // Each pipeline stage is a worker thread owning a contiguous block of real
-// transformer layers (src/numerics). Sequences are uniformly sliced;
-// activation slices flow downstream through message channels, gradient
-// slices flow back upstream. Stage-local rules implement the SlimPipe
-// schedule (§4.1.2):
+// transformer layers (src/numerics). Activation slices flow downstream
+// through message channels, gradient slices flow back upstream. The
+// threads are thin drivers: every stage decision — the Eq. 1 live-slice
+// window, oldest-microbatch admission, LIFO backward continuations, the
+// per-message numerics and commit at retirement (§4.1.2) — is made by the
+// stage's rt::StageMachine (stage_machine.hpp), which the multi-process
+// backend (src/dist) drives over sockets instead. A driver delivers
+// arrivals, routes the machine's sends over Channels, applies fault
+// hooks, moves retired slots into the CommitLedger and records probes and
+// trace spans.
 //
-//  * forwards execute in slice-stream order as they arrive, appending one
-//    KV chunk per slice;
-//  * the last stage buffers per-slice losses; once a microbatch's final
-//    slice has been forwarded its backward chain starts, strictly LIFO in
-//    slices — local backward continuations are queued *ahead* of incoming
-//    forwards, which yields the one-forward-one-backward interleaving
-//    without any global coordinator;
-//  * each backward pops exactly the KV chunk its forward pushed (the
-//    steady-state memory invariant), which the Layer class asserts.
-//
-// The runtime's gradients are compared bit-for-bit (up to float
-// accumulation order) with single-threaded monolithic execution in the
-// tests — a functional proof of the whole scheme, concurrency included.
+// The runtime's gradients match single-threaded monolithic execution up to
+// float accumulation order, and the multi-process backend's bit for bit —
+// a functional proof of the whole scheme, concurrency included.
 
 #include <chrono>
 #include <cstdint>
@@ -115,14 +111,21 @@ struct RunOptions {
   /// value is used as-is. Results are bit-identical either way — the cap
   /// only affects how many workers help, never chunk boundaries.
   int kernel_threads = 0;
-  /// Route each stage's retained slice tensors (activations, KV chunks,
-  /// KV-gradient accumulators) through per-microbatch arenas and report the
-  /// measured per-category high-water marks in
-  /// PipelineStats::metrics.stages[*].measured_peak_bytes. Placement never
-  /// changes the math (results stay bit-identical); disable only to shave
-  /// the retained-copy overhead off perf runs.
-  bool measure_memory = true;
 };
+
+/// Lifecycle of one stage worker, thread or process: the state column of
+/// the blocked-on tables (process workers also carry it in heartbeats).
+enum class StageState : int {
+  Running = 0,
+  Waiting,  // blocked in receive
+  Done,
+  Starved,  // a process worker's starvation watchdog fired
+  Hung,     // injected hang: parked
+  Crashed,  // a worker thread threw
+  Aborted,  // a worker thread unwound by channel poisoning
+};
+
+const char* stage_state_name(StageState state);
 
 /// Tied-embedding transformer split across `stages` worker threads.
 class ThreadedPipeline {

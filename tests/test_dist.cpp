@@ -130,7 +130,7 @@ TEST(WireTest, StatusRoundTrip) {
   status.deferred = 1;
   status.committed = 4;
   status.last_mb = 9;
-  status.state = static_cast<int>(WorkerState::Waiting);
+  status.state = static_cast<int>(rt::StageState::Waiting);
   status.injected_delay_seconds = 0.125;
   status.prev = {11, 12, 1300, 1400, 2, 3};
   status.next = {21, 22, 2300, 2400, 0, 1};
@@ -148,7 +148,7 @@ TEST(WireTest, StatusRoundTrip) {
   EXPECT_EQ(back.deferred, 1);
   EXPECT_EQ(back.committed, 4);
   EXPECT_EQ(back.last_mb, 9);
-  EXPECT_EQ(back.state, static_cast<int>(WorkerState::Waiting));
+  EXPECT_EQ(back.state, static_cast<int>(rt::StageState::Waiting));
   EXPECT_EQ(back.injected_delay_seconds, 0.125);
   EXPECT_EQ(back.prev.frames_out, 11);
   EXPECT_EQ(back.prev.frames_in, 12);

@@ -23,14 +23,6 @@ TEST(ChannelTest, FifoOrder) {
   EXPECT_EQ(ch.receive(), 3);
 }
 
-TEST(ChannelTest, SendFrontPreempts) {
-  Channel<int> ch;
-  ch.send(1);
-  ch.send_front(0);
-  EXPECT_EQ(ch.receive(), 0);
-  EXPECT_EQ(ch.receive(), 1);
-}
-
 TEST(ChannelTest, TryReceiveEmpty) {
   Channel<int> ch;
   EXPECT_FALSE(ch.try_receive().has_value());

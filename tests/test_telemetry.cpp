@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -107,6 +108,37 @@ TEST(ClockAlignerTest, NegativeRttRejected) {
   EXPECT_EQ(aligner.uncertainty(), 0.0);
   // Unaligned to_local is the identity.
   EXPECT_EQ(aligner.to_local(42.0), 42.0);
+}
+
+TEST(ClockAlignerTest, RebaseKeepsDurationsWhenErrorExceedsFirstOffset) {
+  // The worker forked at run time 2.0 and recorded its first span 1 ms
+  // into its life. A loaded, asymmetric path (39 ms out, 1 ms back) leaves
+  // the estimate 19 ms off — more than the first event's 1 ms offset — so
+  // the estimate alone would place that span before the fork.
+  const double fork = 2.0;  // worker clock = run clock - fork
+  ClockAligner aligner;
+  aligner.add(round_trip(fork + 0.010, -fork, 0.039, 0.001));
+  ASSERT_GT(std::abs(aligner.offset() + fork), 0.001);
+  const double first_start = 0.001, first_end = 0.011;
+  ASSERT_LT(aligner.to_local(first_start), fork);
+
+  // One shift for every record: nothing lands before the fork, and every
+  // duration survives exactly.
+  const double shift = rebase_shift(aligner, fork, first_start);
+  EXPECT_DOUBLE_EQ(first_start + shift, fork);
+  EXPECT_NEAR((first_end + shift) - (first_start + shift),
+              first_end - first_start, 1e-12);
+  // Clamping each timestamp on its own would have shortened the span.
+  EXPECT_LT(std::max(aligner.to_local(first_end), fork) -
+                std::max(aligner.to_local(first_start), fork),
+            first_end - first_start);
+
+  // Without a pong the fork offset is the shift; an estimate that keeps
+  // records after the fork is used unchanged.
+  EXPECT_EQ(rebase_shift(ClockAligner(), fork, first_start), fork);
+  ClockAligner good;
+  good.add(round_trip(fork + 0.010, -fork, 0.001, 0.001));
+  EXPECT_DOUBLE_EQ(rebase_shift(good, fork, first_start), -good.offset());
 }
 
 // ---------------------------------------------------------------------------

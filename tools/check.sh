@@ -3,7 +3,11 @@
 #
 #   tools/check.sh              # plain + address/undefined/thread sanitizers
 #   tools/check.sh --fast       # plain build + full test suite only
+#   tools/check.sh stress       # plain build, full suite 20 times in a row
 #   JOBS=8 tools/check.sh       # override build/test parallelism
+#
+# The stress mode (ctest --repeat until-fail:20) is the flakiness gate:
+# tier-1 must stay green on every run, idle or next to a CPU hog.
 #
 # Each sanitizer preset (-DSLIMPIPE_SANITIZE=address|undefined|thread, see
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
@@ -18,12 +22,15 @@
 #                                   the numerics kernels' raw-pointer loops)
 #   undefined  faults, mem, ir, dist, telemetry, elastic, numerics
 #                                  (integer/shift UB in the same layers)
-#   thread     threads, dist, telemetry, elastic
-#                                  (the threaded runtime tests; the dist
-#                                   supervisor forks single-threaded workers
-#                                   from the pool-owning parent — exactly the
-#                                   fork/lock interaction TSan should watch —
-#                                   and the telemetry overhead gate runs both
+#   thread     faults, threads, dist, telemetry, elastic
+#                                  (faults: the threaded runtime's own
+#                                   tests, test_runtime and test_fault, plus
+#                                   the stage machine; threads: the kernel
+#                                   pool; dist: the supervisor forks
+#                                   single-threaded workers from the
+#                                   pool-owning parent — exactly the
+#                                   fork/lock interaction TSan should watch;
+#                                   telemetry: the overhead gate runs both
 #                                   substrates)
 #
 # clang-tidy, when installed, runs over src/ir and src/analysis with the
@@ -35,10 +42,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 FAST=0
+STRESS=0
 if [[ "${1:-}" == "--fast" ]]; then
   FAST=1
+elif [[ "${1:-}" == "stress" ]]; then
+  STRESS=1
 elif [[ -n "${1:-}" ]]; then
-  echo "usage: tools/check.sh [--fast]" >&2
+  echo "usage: tools/check.sh [--fast | stress]" >&2
   exit 2
 fi
 
@@ -49,6 +59,15 @@ build_tree() {
   cmake --build "$dir" -j "$JOBS"
 }
 
+if [[ "$STRESS" -eq 1 ]]; then
+  echo "== plain build + full test suite, 20 runs in a row =="
+  build_tree build
+  ctest --test-dir build --output-on-failure -j "$JOBS" \
+    --repeat until-fail:20
+  echo "check.sh: stress passed"
+  exit 0
+fi
+
 echo "== plain build + full test suite =="
 build_tree build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -58,7 +77,7 @@ if [[ "$FAST" -eq 0 ]]; then
     echo "== ${san} sanitizer build =="
     build_tree "build-${san}" -DSLIMPIPE_SANITIZE="${san}"
     if [[ "$san" == "thread" ]]; then
-      labels="threads|dist|telemetry|elastic"
+      labels="faults|threads|dist|telemetry|elastic"
     else
       labels="faults|mem|ir|dist|telemetry|elastic|numerics"
     fi

@@ -1,9 +1,10 @@
 #pragma once
 
-// Structured results of the static analysis passes (schedule_check,
-// graph_check). Each finding names the rule that fired, where it fired and
-// why; callers decide whether errors are fatal (sched::compile aborts on
-// them, slimpipe_lint reports them and sets the exit code).
+// Structured results of the static analysis passes: the schedule verifier
+// (verify.hpp, reached from check_schedule) and the graph check. Each
+// finding names the rule that fired, where it fired and why; callers decide
+// whether errors are fatal (sched::compile aborts on them, slimpipe_lint
+// reports them and sets the exit code).
 
 #include <string>
 #include <vector>
@@ -16,7 +17,7 @@ const char* severity_name(Severity severity);
 
 struct Finding {
   Severity severity = Severity::Error;
-  std::string rule_id;   // stable identifier, e.g. "sched-backward-order"
+  std::string rule_id;   // stable identifier, e.g. "verify-deadlock"
   std::string location;  // "dev 2 pass 17" / "op 134 (dev 1 mb 3 ...)"
   std::string message;   // what invariant broke and how
 };

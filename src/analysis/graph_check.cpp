@@ -1,12 +1,8 @@
 #include "src/analysis/graph_check.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
-#include <unordered_map>
-
-#include "src/memory/tracker.hpp"
 
 namespace slim::analysis {
 
@@ -14,8 +10,6 @@ namespace {
 
 using sim::Op;
 using sim::OpClass;
-using sim::OpGraph;
-using sim::OpId;
 
 std::string op_location(const Op& op) {
   std::ostringstream out;
@@ -27,378 +21,11 @@ std::string op_location(const Op& op) {
   return out.str();
 }
 
-std::string category_label(int category) {
-  if (category >= 0 && category < mem::kNumCategories) {
-    return mem::category_name(category);
-  }
-  return "category " + std::to_string(category);
-}
+}  // namespace
 
-bool is_transfer_class(OpClass cls) {
-  return cls == OpClass::Send || cls == OpClass::ExchangeSend;
-}
-
-struct GraphIndex {
-  std::vector<std::size_t> pos_in_resource;  // insertion index on the resource
-  std::vector<std::vector<OpId>> consumers;  // ops depending on each op
-  std::vector<bool> on_compute_resource;     // resource holds compute ops
-};
-
-/// graph-dep-range; returns false when edges are too broken to analyse.
-bool check_deps(const OpGraph& graph, const GraphLintOptions& options,
-                std::vector<Finding>& findings) {
-  const auto& ops = graph.ops();
-  const OpId n = static_cast<OpId>(ops.size());
-  std::size_t reported = 0;
-  for (const Op& op : ops) {
-    for (const OpId dep : op.deps) {
-      if (dep >= 0 && dep < n && dep != op.id) continue;
-      if (reported++ < options.max_findings_per_rule) {
-        std::ostringstream msg;
-        msg << "dependency id " << dep << " is "
-            << (dep == op.id ? "a self-dependency" : "out of range");
-        findings.push_back({Severity::Error, "graph-dep-range",
-                            op_location(op), msg.str()});
-      }
-    }
-  }
-  return reported == 0;
-}
-
-void check_resource_order(const OpGraph& graph,
-                          const GraphLintOptions& options,
-                          std::vector<Finding>& findings) {
-  const auto& ops = graph.ops();
-  std::vector<int> seen(ops.size(), 0);
-  std::size_t reported = 0;
-  auto report = [&](const std::string& location, const std::string& message) {
-    if (reported++ < options.max_findings_per_rule) {
-      findings.push_back(
-          {Severity::Error, "graph-resource-order", location, message});
-    }
-  };
-  const auto& programs = graph.programs();
-  for (std::size_t r = 0; r < programs.size(); ++r) {
-    OpId prev = sim::kInvalidOp;
-    for (const OpId id : programs[r]) {
-      if (id < 0 || static_cast<std::size_t>(id) >= ops.size()) {
-        report("resource " + std::to_string(r),
-               "program lists op id " + std::to_string(id) +
-                   " which does not exist");
-        continue;
-      }
-      const Op& op = graph.op(id);
-      ++seen[static_cast<std::size_t>(id)];
-      if (op.resource != static_cast<sim::ResId>(r)) {
-        report(op_location(op),
-               "listed in the program of resource " + std::to_string(r) +
-                   " but assigned to resource " + std::to_string(op.resource));
-      }
-      if (prev != sim::kInvalidOp && id <= prev) {
-        report(op_location(op),
-               "program of resource " + std::to_string(r) +
-                   " is not in insertion order (op " + std::to_string(prev) +
-                   " precedes it)");
-      }
-      prev = id;
-    }
-  }
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    if (seen[i] != 1) {
-      report(op_location(graph.op(static_cast<OpId>(i))),
-             "appears " + std::to_string(seen[i]) +
-                 " times across resource programs (expected once)");
-    }
-  }
-}
-
-GraphIndex build_index(const OpGraph& graph) {
-  GraphIndex index;
-  const auto& ops = graph.ops();
-  index.pos_in_resource.assign(ops.size(), 0);
-  index.consumers.assign(ops.size(), {});
-  const auto& programs = graph.programs();
-  index.on_compute_resource.assign(programs.size(), false);
-  for (const auto& program : programs) {
-    for (std::size_t i = 0; i < program.size(); ++i) {
-      index.pos_in_resource[static_cast<std::size_t>(program[i])] = i;
-    }
-  }
-  for (const Op& op : ops) {
-    if (sim::is_compute_class(op.cls)) {
-      index.on_compute_resource[static_cast<std::size_t>(op.resource)] = true;
-    }
-    for (const OpId dep : op.deps) {
-      index.consumers[static_cast<std::size_t>(dep)].push_back(op.id);
-    }
-  }
-  return index;
-}
-
-/// Kahn's algorithm over explicit deps + program-order edges. Returns the
-/// topological order; on a cycle, appends a graph-acyclic finding naming the
-/// cycle path and returns the partial order.
-std::vector<OpId> check_acyclic(const OpGraph& graph,
-                                std::vector<Finding>& findings) {
-  const auto& ops = graph.ops();
-  const std::size_t n = ops.size();
-  std::vector<std::int32_t> indeg(n, 0);
-  std::vector<std::vector<OpId>> dependents(n);
-  for (const Op& op : ops) {
-    for (const OpId dep : op.deps) {
-      dependents[static_cast<std::size_t>(dep)].push_back(op.id);
-      ++indeg[static_cast<std::size_t>(op.id)];
-    }
-  }
-  for (const auto& program : graph.programs()) {
-    for (std::size_t i = 1; i < program.size(); ++i) {
-      dependents[static_cast<std::size_t>(program[i - 1])].push_back(
-          program[i]);
-      ++indeg[static_cast<std::size_t>(program[i])];
-    }
-  }
-
-  std::vector<OpId> order;
-  order.reserve(n);
-  std::vector<OpId> ready;
-  for (const Op& op : ops) {
-    if (indeg[static_cast<std::size_t>(op.id)] == 0) ready.push_back(op.id);
-  }
-  while (!ready.empty()) {
-    const OpId id = ready.back();
-    ready.pop_back();
-    order.push_back(id);
-    for (const OpId next : dependents[static_cast<std::size_t>(id)]) {
-      if (--indeg[static_cast<std::size_t>(next)] == 0) ready.push_back(next);
-    }
-  }
-  if (order.size() == n) return order;
-
-  // Cycle extraction: from any blocked op, repeatedly step to a blocked
-  // predecessor (one must exist) until an op repeats.
-  std::vector<OpId> program_pred(n, sim::kInvalidOp);
-  for (const auto& program : graph.programs()) {
-    for (std::size_t i = 1; i < program.size(); ++i) {
-      program_pred[static_cast<std::size_t>(program[i])] = program[i - 1];
-    }
-  }
-  OpId start = sim::kInvalidOp;
-  for (const Op& op : ops) {
-    if (indeg[static_cast<std::size_t>(op.id)] > 0) {
-      start = op.id;
-      break;
-    }
-  }
-  std::unordered_map<OpId, std::size_t> visited;
-  std::vector<OpId> path;
-  OpId cur = start;
-  while (visited.find(cur) == visited.end()) {
-    visited.emplace(cur, path.size());
-    path.push_back(cur);
-    OpId next = sim::kInvalidOp;
-    const OpId pp = program_pred[static_cast<std::size_t>(cur)];
-    if (pp != sim::kInvalidOp && indeg[static_cast<std::size_t>(pp)] > 0) {
-      next = pp;
-    } else {
-      for (const OpId dep : graph.op(cur).deps) {
-        if (indeg[static_cast<std::size_t>(dep)] > 0) {
-          next = dep;
-          break;
-        }
-      }
-    }
-    if (next == sim::kInvalidOp) break;  // defensive: should not happen
-    cur = next;
-  }
-  std::ostringstream msg;
-  msg << (n - order.size()) << " ops are unreachable; cycle:";
-  const auto it = visited.find(cur);
-  if (it != visited.end()) {
-    // path[it->second..] form the cycle, discovered in predecessor order.
-    for (std::size_t i = path.size(); i-- > it->second;) {
-      msg << " " << op_location(graph.op(path[i])) << " ->";
-    }
-    msg << " " << op_location(graph.op(cur));
-  } else {
-    msg << " (not reconstructed)";
-  }
-  findings.push_back({Severity::Error, "graph-acyclic",
-                      op_location(graph.op(start)), msg.str()});
-  return order;
-}
-
-void check_channels(const OpGraph& graph, const GraphIndex& index,
-                    const GraphLintOptions& options,
-                    std::vector<Finding>& findings) {
-  std::size_t unmatched = 0, fifo = 0, posting = 0;
-  const auto& programs = graph.programs();
-  for (const auto& program : programs) {
-    // A channel resource is one carrying P2P transfer ops.
-    bool is_channel = false;
-    for (const OpId id : program) {
-      if (is_transfer_class(graph.op(id).cls)) {
-        is_channel = true;
-        break;
-      }
-    }
-    if (!is_channel) continue;
-
-    std::size_t last_consumer_pos = 0;
-    bool have_consumer = false;
-    std::size_t last_producer_pos = 0;
-    bool have_producer = false;
-    for (const OpId id : program) {
-      const Op& op = graph.op(id);
-      if (!is_transfer_class(op.cls)) continue;
-
-      // Receiver side: every transfer must be awaited by some op, and the
-      // consumption order on the receiving device must match FIFO delivery.
-      const auto& consumers = index.consumers[static_cast<std::size_t>(id)];
-      if (consumers.empty()) {
-        if (unmatched++ < options.max_findings_per_rule) {
-          findings.push_back({Severity::Error, "graph-unmatched-send",
-                              op_location(op),
-                              "transfer has no consumer: no op ever waits "
-                              "for this payload"});
-        }
-        continue;
-      }
-      std::size_t consumer_pos = 0;
-      bool found = false;
-      for (const OpId consumer : consumers) {
-        const Op& c = graph.op(consumer);
-        if (!index.on_compute_resource[static_cast<std::size_t>(c.resource)]) {
-          continue;
-        }
-        const std::size_t pos =
-            index.pos_in_resource[static_cast<std::size_t>(consumer)];
-        if (!found || pos < consumer_pos) consumer_pos = pos;
-        found = true;
-      }
-      if (found) {
-        if (have_consumer && consumer_pos < last_consumer_pos) {
-          if (fifo++ < options.max_findings_per_rule) {
-            std::ostringstream msg;
-            msg << "receiver consumes this transfer at program position "
-                << consumer_pos << ", before the previous transfer on the "
-                << "same channel (position " << last_consumer_pos
-                << "): out-of-FIFO receive would deadlock a rendezvous "
-                << "transport";
-            findings.push_back({Severity::Error, "graph-channel-fifo",
-                                op_location(op), msg.str()});
-          }
-        } else {
-          last_consumer_pos = consumer_pos;
-          have_consumer = true;
-        }
-      }
-
-      // Sender side: payload production should follow channel posting order.
-      std::size_t producer_pos = 0;
-      bool produced = false;
-      for (const OpId dep : op.deps) {
-        const Op& d = graph.op(dep);
-        if (d.device != op.device || !sim::is_compute_class(d.cls)) continue;
-        const std::size_t pos =
-            index.pos_in_resource[static_cast<std::size_t>(dep)];
-        if (!produced || pos > producer_pos) producer_pos = pos;
-        produced = true;
-      }
-      if (produced) {
-        if (have_producer && producer_pos < last_producer_pos) {
-          if (posting++ < options.max_findings_per_rule) {
-            std::ostringstream msg;
-            msg << "payload is produced at sender position " << producer_pos
-                << ", earlier than the previous transfer's producer "
-                << "(position " << last_producer_pos
-                << "): posting order inverts production order";
-            findings.push_back({Severity::Warning, "graph-channel-fifo",
-                                op_location(op), msg.str()});
-          }
-        } else {
-          last_producer_pos = producer_pos;
-          have_producer = true;
-        }
-      }
-    }
-  }
-}
-
-void check_memory(const OpGraph& graph, const std::vector<OpId>& topo_order,
-                  const GraphLintOptions& options,
-                  std::vector<Finding>& findings) {
-  int num_devices = 0, num_categories = 0;
-  for (const Op& op : graph.ops()) {
-    for (const sim::MemDelta& delta : op.mem) {
-      num_devices = std::max(num_devices, delta.device + 1);
-      num_categories = std::max(num_categories, delta.category + 1);
-      if (delta.device < 0 || delta.category < 0) {
-        findings.push_back({Severity::Error, "graph-mem-balance",
-                            op_location(op),
-                            "memory delta with negative device or category"});
-        return;
-      }
-    }
-  }
-  if (num_devices == 0) return;  // no ledger at all: nothing to check
-
-  const std::size_t slots = static_cast<std::size_t>(num_devices) *
-                            static_cast<std::size_t>(num_categories);
-  std::vector<double> balance(slots, 0.0);
-  std::vector<double> magnitude(slots, 0.0);
-  std::vector<bool> dipped(slots, false);
-  std::size_t negative_reports = 0;
-  // Replay in a dependency-consistent order: in a correct graph every free
-  // is ordered after its allocation, so no valid order may dip negative.
-  for (const OpId id : topo_order) {
-    const Op& op = graph.op(id);
-    for (const sim::MemDelta& delta : op.mem) {
-      const std::size_t slot =
-          static_cast<std::size_t>(delta.device) *
-              static_cast<std::size_t>(num_categories) +
-          static_cast<std::size_t>(delta.category);
-      balance[slot] += delta.bytes;
-      magnitude[slot] += std::abs(delta.bytes);
-      if (!dipped[slot] &&
-          balance[slot] < -options.balance_tolerance_bytes) {
-        dipped[slot] = true;
-        if (negative_reports++ < options.max_findings_per_rule) {
-          std::ostringstream msg;
-          msg << category_label(delta.category) << " balance on device "
-              << delta.device << " drops to " << balance[slot]
-              << " bytes: a free is not ordered after its allocation";
-          findings.push_back({Severity::Error, "graph-mem-negative",
-                              op_location(op), msg.str()});
-        }
-      }
-    }
-  }
-  std::size_t balance_reports = 0;
-  for (int dev = 0; dev < num_devices; ++dev) {
-    for (int cat = 0; cat < num_categories; ++cat) {
-      const std::size_t slot = static_cast<std::size_t>(dev) *
-                                   static_cast<std::size_t>(num_categories) +
-                               static_cast<std::size_t>(cat);
-      // Scale-aware slack: exact cancellation is not guaranteed when a
-      // slice's bytes are freed in split fractions (ZB-V).
-      const double tolerance = options.balance_tolerance_bytes +
-                               1e-9 * magnitude[slot];
-      if (std::abs(balance[slot]) <= tolerance) continue;
-      if (balance_reports++ < options.max_findings_per_rule) {
-        std::ostringstream msg;
-        msg << category_label(cat) << " on device " << dev << " ends the "
-            << "iteration at " << balance[slot]
-            << " bytes instead of zero: the ledger leaks "
-            << (balance[slot] > 0 ? "allocations" : "frees");
-        findings.push_back({Severity::Error, "graph-mem-balance",
-                            "dev " + std::to_string(dev), msg.str()});
-      }
-    }
-  }
-}
-
-void check_vocab_ops(const OpGraph& graph, const sched::PipelineSpec& spec,
-                     std::vector<Finding>& findings) {
+std::vector<Finding> check_graph(const sim::OpGraph& graph,
+                                 const sched::PipelineSpec& spec) {
+  std::vector<Finding> findings;
   const sched::StageLayout layout = spec.stage_layout();
   const int last_device = layout.device_of(layout.num_stages() - 1);
   std::int64_t vocab_fwd = 0, vocab_bwd = 0;
@@ -414,7 +41,7 @@ void check_vocab_ops(const OpGraph& graph, const sched::PipelineSpec& spec,
           {Severity::Error, "graph-vocab-ops", op_location(op),
            "explicit vocabulary op in a vocab-parallel schedule (the "
            "sharded output layer folds into every device's passes)"});
-      return;
+      return findings;
     }
     if (op.device != last_device && !placement_reported) {
       placement_reported = true;
@@ -437,36 +64,7 @@ void check_vocab_ops(const OpGraph& graph, const sched::PipelineSpec& spec,
           {Severity::Error, "graph-vocab-ops", "graph", msg.str()});
     }
   }
-}
-
-std::vector<Finding> run_checks(const OpGraph& graph,
-                                const sched::PipelineSpec* spec,
-                                const GraphLintOptions& options) {
-  std::vector<Finding> findings;
-  if (!check_deps(graph, options, findings)) return findings;
-  check_resource_order(graph, options, findings);
-
-  const std::vector<OpId> topo_order = check_acyclic(graph, findings);
-  const GraphIndex index = build_index(graph);
-  check_channels(graph, index, options, findings);
-  if (topo_order.size() == graph.ops().size()) {
-    check_memory(graph, topo_order, options, findings);
-  }
-  if (spec != nullptr) check_vocab_ops(graph, *spec, findings);
   return findings;
-}
-
-}  // namespace
-
-std::vector<Finding> check_graph(const OpGraph& graph,
-                                 const GraphLintOptions& options) {
-  return run_checks(graph, nullptr, options);
-}
-
-std::vector<Finding> check_graph(const OpGraph& graph,
-                                 const sched::PipelineSpec& spec,
-                                 const GraphLintOptions& options) {
-  return run_checks(graph, &spec, options);
 }
 
 }  // namespace slim::analysis

@@ -1,32 +1,14 @@
 #pragma once
 
-// Analysis pass 2 — graph lint.
+// Graph check on a built sim::OpGraph. Every schedule rule lives in the
+// verifier (verify.hpp), which runs on the table before any graph exists;
+// this pass keeps the one rule about ops the table does not have:
 //
-// Runs on a built sim::OpGraph and verifies the invariants the executor and
-// the memory tracker otherwise only discover dynamically:
-//
-//   graph-dep-range       dependency op ids out of range / self-deps
-//   graph-resource-order  op/program table inconsistency (an op missing from
-//                         its resource's program, listed twice, or recorded
-//                         out of insertion order)
-//   graph-acyclic         dependency + program-order cycle; the finding
-//                         reports the cycle path, not just its existence
-//   graph-unmatched-send  a P2P transfer no op ever waits on (the payload
-//                         would never be received)
-//   graph-channel-fifo    per directed channel, receivers must consume
-//                         transfers in FIFO delivery order (error: the static
-//                         form of the runtime's receive_for deadlock probe);
-//                         senders should produce them in posting order
-//                         (warning: an inversion only adds latency)
-//   graph-mem-balance     per (device, category), the summed MemDelta bytes
-//                         of an iteration must return to zero
-//   graph-mem-negative    no dependency-consistent replay order may drive a
-//                         (device, category) balance below zero
 //   graph-vocab-ops       explicit VocabForward/VocabBackward ops appear iff
 //                         the spec does NOT use vocabulary parallelism (the
 //                         parallel form folds them into every device's
-//                         forward/backward), and only on the last stage's
-//                         device (spec overload only)
+//                         forward/backward), m * n of each, and only on the
+//                         last stage's device
 
 #include <vector>
 
@@ -36,22 +18,7 @@
 
 namespace slim::analysis {
 
-struct GraphLintOptions {
-  /// Absolute slack, in bytes, for the per-(device, category) conservation
-  /// rule (covers float cancellation of ZB-V's split frees).
-  double balance_tolerance_bytes = 16.0;
-  /// Cap on reported findings per rule, to keep a badly broken graph's
-  /// report readable.
-  std::size_t max_findings_per_rule = 8;
-};
-
-/// Structural rules only (no spec required).
 std::vector<Finding> check_graph(const sim::OpGraph& graph,
-                                 const GraphLintOptions& options = {});
-
-/// Structural rules plus the spec-dependent vocabulary-op rule.
-std::vector<Finding> check_graph(const sim::OpGraph& graph,
-                                 const sched::PipelineSpec& spec,
-                                 const GraphLintOptions& options = {});
+                                 const sched::PipelineSpec& spec);
 
 }  // namespace slim::analysis

@@ -1,241 +1,27 @@
 #include "src/analysis/schedule_check.hpp"
 
-#include <cstdint>
-#include <sstream>
 #include <string>
 
-#include "src/model/activation.hpp"
+#include "src/analysis/verify.hpp"
+#include "src/ir/schedule_ir.hpp"
 
 namespace slim::analysis {
 
-namespace {
-
-using sched::DeviceProgram;
-using sched::Pass;
-using sched::PassType;
-using sched::PipelineSpec;
-using sched::StageLayout;
-
-const char* pass_name(PassType type) {
-  switch (type) {
-    case PassType::Forward: return "F";
-    case PassType::Backward: return "B";
-    case PassType::BackwardInput: return "BI";
-    case PassType::BackwardWeight: return "BW";
-  }
-  return "?";
-}
-
-std::string pass_location(int dev, std::size_t pos, const Pass& pass) {
-  std::ostringstream out;
-  out << "dev " << dev << " pass " << pos << " (" << pass_name(pass.type)
-      << " mb " << pass.microbatch << " slice " << pass.slice << " chunk "
-      << pass.chunk << ")";
-  return out.str();
-}
-
-std::string unit_name(const Pass& pass) {
-  std::ostringstream out;
-  out << "(mb " << pass.microbatch << ", slice " << pass.slice << ", chunk "
-      << pass.chunk << ")";
-  return out.str();
-}
-
-/// Per-(mb, slice, chunk) bookkeeping on one device.
-struct UnitState {
-  int forwards = 0;
-  int backwards = 0;          // full Backward count
-  int backward_inputs = 0;
-  int backward_weights = 0;
-  std::size_t forward_pos = 0;         // first occurrence
-  std::size_t backward_input_pos = 0;  // first occurrence (BI only)
-};
-
-void check_layout(const PipelineSpec& spec, std::vector<Finding>& findings) {
-  const StageLayout layout = spec.stage_layout();
-  const int num_stages = layout.num_stages();
-  std::vector<int> stage_of_slot(static_cast<std::size_t>(num_stages), -1);
-  for (int stage = 0; stage < num_stages; ++stage) {
-    const int dev = layout.device_of(stage);
-    const int chunk = layout.chunk_of(stage);
-    std::ostringstream loc;
-    loc << "stage " << stage;
-    if (dev < 0 || dev >= spec.p || chunk < 0 || chunk >= spec.v) {
-      std::ostringstream msg;
-      msg << "device_of/chunk_of maps stage " << stage << " to (dev " << dev
-          << ", chunk " << chunk << ") outside [0," << spec.p << ")x[0,"
-          << spec.v << ")";
-      findings.push_back(
-          {Severity::Error, "sched-layout-roundtrip", loc.str(), msg.str()});
-      continue;
-    }
-    const int back = layout.stage_of(dev, chunk);
-    if (back != stage) {
-      std::ostringstream msg;
-      msg << "stage_of(device_of(s), chunk_of(s)) = " << back
-          << " does not round-trip to " << stage;
-      findings.push_back(
-          {Severity::Error, "sched-layout-roundtrip", loc.str(), msg.str()});
-      continue;
-    }
-    const std::size_t slot = static_cast<std::size_t>(dev * spec.v + chunk);
-    if (stage_of_slot[slot] >= 0) {
-      std::ostringstream msg;
-      msg << "stages " << stage_of_slot[slot] << " and " << stage
-          << " both map to (dev " << dev << ", chunk " << chunk
-          << "): layout is not injective";
-      findings.push_back(
-          {Severity::Error, "sched-layout-roundtrip", loc.str(), msg.str()});
-    } else {
-      stage_of_slot[slot] = stage;
-    }
-  }
-}
-
-void check_device(const PipelineSpec& spec, int dev,
-                  const DeviceProgram& program, double wkeep,
-                  const ScheduleLintOptions& options,
-                  std::vector<Finding>& findings) {
-  const int m = spec.m;
-  const int n = spec.n;
-  const int v = spec.v;
-  const std::size_t units = static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(n) *
-                            static_cast<std::size_t>(v);
-  std::vector<UnitState> state(units);
-  auto unit_index = [&](const Pass& pass) {
-    return (static_cast<std::size_t>(pass.microbatch) *
-                static_cast<std::size_t>(n) +
-            static_cast<std::size_t>(pass.slice)) *
-               static_cast<std::size_t>(v) +
-           static_cast<std::size_t>(pass.chunk);
-  };
-
-  // Walk the program once: range checks, occurrence counts, order checks
-  // and the in-flight activation ledger.
-  double inflight = 0.0;
-  bool bound_reported = false;
-  for (std::size_t pos = 0; pos < program.size(); ++pos) {
-    const Pass& pass = program[pos];
-    if (pass.microbatch < 0 || pass.microbatch >= m || pass.slice < 0 ||
-        pass.slice >= n || pass.chunk < 0 || pass.chunk >= v) {
-      std::ostringstream msg;
-      msg << "pass indices outside m=" << m << " n=" << n << " v=" << v;
-      findings.push_back({Severity::Error, "sched-pass-range",
-                          pass_location(dev, pos, pass), msg.str()});
-      continue;  // cannot attribute this pass to a unit
-    }
-    UnitState& unit = state[unit_index(pass)];
-    switch (pass.type) {
-      case PassType::Forward:
-        if (unit.forwards == 0) unit.forward_pos = pos;
-        ++unit.forwards;
-        inflight += 1.0;
-        break;
-      case PassType::Backward:
-        ++unit.backwards;
-        if (unit.forwards == 0) {
-          findings.push_back({Severity::Error, "sched-backward-order",
-                              pass_location(dev, pos, pass),
-                              "backward scheduled before its forward"});
-        }
-        inflight -= 1.0;
-        break;
-      case PassType::BackwardInput:
-        if (unit.backward_inputs == 0) unit.backward_input_pos = pos;
-        ++unit.backward_inputs;
-        if (unit.forwards == 0) {
-          findings.push_back({Severity::Error, "sched-backward-order",
-                              pass_location(dev, pos, pass),
-                              "input-gradient backward scheduled before its "
-                              "forward"});
-        }
-        inflight -= 1.0 - wkeep;
-        break;
-      case PassType::BackwardWeight:
-        ++unit.backward_weights;
-        if (unit.backward_inputs == 0) {
-          findings.push_back({Severity::Error, "sched-backward-order",
-                              pass_location(dev, pos, pass),
-                              "weight-gradient backward scheduled before the "
-                              "unit's input-gradient backward (ZB-V splits "
-                              "B into I then W)"});
-        }
-        inflight -= wkeep;
-        break;
-    }
-    if (options.max_inflight_units > 0.0 && !bound_reported &&
-        inflight >
-            options.max_inflight_units + options.inflight_tolerance) {
-      std::ostringstream msg;
-      msg << "live activation units reach " << inflight
-          << ", above the declared bound of " << options.max_inflight_units;
-      findings.push_back({Severity::Error, "sched-inflight-bound",
-                          pass_location(dev, pos, pass), msg.str()});
-      bound_reported = true;  // one report per device, not per pass
-    }
-  }
-
-  // Multiplicity: every unit needs exactly one forward and exactly one
-  // retiring backward — a full Backward xor a BackwardInput+BackwardWeight
-  // pair, never a mix.
-  for (std::size_t u = 0; u < units; ++u) {
-    const UnitState& unit = state[u];
-    Pass probe;
-    probe.microbatch = static_cast<std::int32_t>(u / static_cast<std::size_t>(n * v));
-    probe.slice = static_cast<std::int32_t>((u / static_cast<std::size_t>(v)) %
-                                            static_cast<std::size_t>(n));
-    probe.chunk = static_cast<std::int32_t>(u % static_cast<std::size_t>(v));
-    std::ostringstream loc;
-    loc << "dev " << dev << " unit " << unit_name(probe);
-    if (unit.forwards != 1) {
-      std::ostringstream msg;
-      msg << "forward appears " << unit.forwards << " times (expected 1)";
-      findings.push_back({Severity::Error, "sched-forward-multiplicity",
-                          loc.str(), msg.str()});
-    }
-    const bool full = unit.backwards == 1 && unit.backward_inputs == 0 &&
-                      unit.backward_weights == 0;
-    const bool split = unit.backwards == 0 && unit.backward_inputs == 1 &&
-                       unit.backward_weights == 1;
-    if (!full && !split) {
-      std::ostringstream msg;
-      msg << "backward coverage is B=" << unit.backwards
-          << " BI=" << unit.backward_inputs << " BW=" << unit.backward_weights
-          << " (expected B=1 or BI=1+BW=1)";
-      findings.push_back({Severity::Error, "sched-backward-multiplicity",
-                          loc.str(), msg.str()});
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<Finding> check_schedule(
-    const PipelineSpec& spec, const std::vector<DeviceProgram>& programs,
+    const sched::PipelineSpec& spec,
+    const std::vector<sched::DeviceProgram>& programs,
     const ScheduleLintOptions& options) {
-  std::vector<Finding> findings;
-
   const std::string err = spec.validate();
-  if (!err.empty()) {
-    findings.push_back({Severity::Error, "sched-spec", "spec", err});
-  }
-  check_layout(spec, findings);
-
+  if (!err.empty()) return {{Severity::Error, "sched-spec", "spec", err}};
   if (static_cast<int>(programs.size()) != spec.p) {
-    std::ostringstream msg;
-    msg << programs.size() << " device programs for p = " << spec.p;
-    findings.push_back(
-        {Severity::Error, "sched-forward-multiplicity", "programs",
-         msg.str()});
-    return findings;
+    return {{Severity::Error, "ir-structure", "programs",
+             std::to_string(programs.size()) + " device programs for p = " +
+                 std::to_string(spec.p)}};
   }
-  const double wkeep = model::wgrad_kept_fraction(spec.cfg, spec.policy);
-  for (int dev = 0; dev < spec.p; ++dev) {
-    check_device(spec, dev, programs[static_cast<std::size_t>(dev)], wkeep,
-                 options, findings);
-  }
-  return findings;
+  sched::PipelineSpec capped = spec;
+  capped.max_inflight_units = options.max_inflight_units;
+  return verify_ir(ir::lower(capped, programs, "check_schedule"), capped)
+      .findings;
 }
 
 }  // namespace slim::analysis

@@ -1,29 +1,15 @@
 #pragma once
 
-// Analysis pass 1 — schedule lint.
+// Schedule check: the verifier's entry point for per-device programs.
 //
-// Verifies per-device program invariants of a pipeline schedule *before*
-// graph building, turning what would otherwise surface as a simulator
-// deadlock or a wrong memory ledger into a named, located finding:
+// Validates the spec, then lowers the programs to the tabular IR and runs
+// the schedule verifier (verify.hpp) once, so every rule that judges a
+// schedule lives in one place:
 //
-//   sched-spec                  PipelineSpec::validate() failure
-//   sched-pass-range            pass (microbatch, slice, chunk) out of range
-//   sched-forward-multiplicity  each (mb, slice, chunk) forward exactly once
-//                               per device
-//   sched-backward-multiplicity each unit retired by exactly one Backward or
-//                               exactly one BackwardInput+BackwardWeight pair
-//   sched-backward-order        backward before its forward, or weight-grad
-//                               before input-grad (ZB-V split ordering)
-//   sched-inflight-bound        live activation units exceed the scheme's
-//                               declared cap (Table 2 / Eq. 1 bounds)
-//   sched-layout-roundtrip      StageLayout device_of/chunk_of/stage_of
-//                               inconsistency (non-injective or out of range)
-//
-// The in-flight ledger mirrors the builder's memory deltas: a forward holds
-// one unit; Backward releases it; BackwardInput releases (1 - wkeep) and
-// BackwardWeight the remaining wkeep, with wkeep from the checkpoint policy
-// (model::wgrad_kept_fraction) — so the ZB-V greedy's fractional cap is
-// checked exactly.
+//   sched-spec     PipelineSpec::validate() failure (the verifier does not
+//                  run on an invalid spec)
+//   ir-structure   the program count differs from p; otherwise every rule
+//                  of verify_ir, sched-inflight-bound included
 
 #include <vector>
 
@@ -34,13 +20,10 @@ namespace slim::analysis {
 
 struct ScheduleLintOptions {
   /// Declared per-device cap on simultaneously-live activation units (one
-  /// unit = one (microbatch, slice, chunk) forward). <= 0 disables the
-  /// sched-inflight-bound rule — used by sched::compile, which does not know
-  /// which scheme produced the programs.
+  /// unit = one (microbatch, slice, chunk) forward), checked by the
+  /// sched-inflight-bound rule. <= 0 disables the rule, whatever cap the
+  /// spec itself carries.
   double max_inflight_units = 0.0;
-  /// Absolute slack added to the cap before flagging (the ZB-V greedy
-  /// compares against its cap with the same epsilon).
-  double inflight_tolerance = 1e-6;
 };
 
 std::vector<Finding> check_schedule(

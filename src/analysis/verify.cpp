@@ -1,6 +1,7 @@
 #include "src/analysis/verify.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -20,6 +21,12 @@ using ir::Row;
 using ir::ScheduleIR;
 using sched::PassType;
 using sched::StageLayout;
+
+/// Absolute slack on the in-flight cap; the ZB-V greedy compares its
+/// fractional ledger against the cap with the same epsilon.
+constexpr double kInflightSlack = 1e-6;
+
+constexpr std::size_t kNoRow = SIZE_MAX;
 
 std::string row_location(const Row& row) {
   std::ostringstream out;
@@ -211,6 +218,30 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     }
   }
 
+  // Per (stage, mb, slice) unit: how often each pass kind occurs and the
+  // first row of each kind (the builder's op index keeps the first
+  // occurrence too). Feeds the same-device data edges and verify-progress.
+  struct Unit {
+    std::array<int, 4> count{};  // indexed by slot(PassType)
+    std::array<std::size_t, 4> first{kNoRow, kNoRow, kNoRow, kNoRow};
+  };
+  auto slot = [](PassType kind) { return static_cast<std::size_t>(kind); };
+  const std::size_t per_stage =
+      static_cast<std::size_t>(spec.m) * static_cast<std::size_t>(spec.n);
+  std::vector<Unit> units(static_cast<std::size_t>(num_stages) * per_stage);
+  auto unit_of = [&](int stage, std::int32_t mb,
+                     std::int32_t slice) -> Unit& {
+    return units[static_cast<std::size_t>(stage) * per_stage +
+                 static_cast<std::size_t>(mb) *
+                     static_cast<std::size_t>(spec.n) +
+                 static_cast<std::size_t>(slice)];
+  };
+  for (std::size_t idx = 0; idx < rows.size(); ++idx) {
+    const Row& row = rows[idx];
+    Unit& unit = unit_of(row.stage, row.microbatch, row.slice);
+    if (unit.count[slot(row.kind)]++ == 0) unit.first[slot(row.kind)] = idx;
+  }
+
   // ---- verify-causality: endpoints, matching, FIFO ----
   // Channel key: (src, dst, lane); lane 0 carries forward activations,
   // lane 1 backward gradients — mirroring the builder's comm lanes.
@@ -326,11 +357,16 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   }
 
   // ---- verify-deadlock: wait-for graph cycle detection ----
+  // Edges: program order, matched send -> recv pairs, and the data edges
+  // sched::compile adds between two passes of one device. Transfers ride
+  // pairwise FIFO channels, so no other edge of the built graph can close a
+  // cycle: this graph is acyclic exactly when the op graph is.
   {
     const std::size_t n = rows.size();
     std::vector<std::vector<std::size_t>> succ(n);
     std::vector<std::int32_t> indeg(n, 0);
     auto add_edge = [&](std::size_t from, std::size_t to) {
+      if (from == kNoRow) return;  // producer missing: verify-progress
       succ[from].push_back(to);
       ++indeg[to];
     };
@@ -340,6 +376,41 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       }
     }
     for (const auto& [send, recv] : matched) add_edge(send, recv);
+    auto first = [&](PassType kind, const Row& row, int stage) {
+      return unit_of(stage, row.microbatch, row.slice).first[slot(kind)];
+    };
+    for (std::size_t idx = 0; idx < n; ++idx) {
+      const Row& row = rows[idx];
+      // A stage boundary that stays on this device (V-shape stages p-1, p).
+      auto local = [&](int stage) {
+        return stage >= 0 && stage < num_stages &&
+               layout.device_of(stage) == row.device;
+      };
+      switch (row.kind) {
+        case PassType::Forward:
+          if (local(row.stage - 1)) {
+            add_edge(first(PassType::Forward, row, row.stage - 1), idx);
+          }
+          break;
+        case PassType::Backward:
+        case PassType::BackwardInput:
+          add_edge(first(PassType::Forward, row, row.stage), idx);
+          if (local(row.stage + 1)) {
+            // The gradient comes from a full B or a BI, whichever retires
+            // the unit at the next stage.
+            std::size_t producer =
+                first(PassType::Backward, row, row.stage + 1);
+            if (producer == kNoRow) {
+              producer = first(PassType::BackwardInput, row, row.stage + 1);
+            }
+            add_edge(producer, idx);
+          }
+          break;
+        case PassType::BackwardWeight:
+          add_edge(first(PassType::BackwardInput, row, row.stage), idx);
+          break;
+      }
+    }
 
     std::vector<std::size_t> ready;
     std::size_t done = 0;
@@ -414,63 +485,65 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   }
 
   // ---- verify-progress: every unit completable at every stage ----
-  {
-    struct UnitState {
-      int forwards = 0, backwards = 0, inputs = 0, weights = 0;
-    };
-    const std::size_t per_stage = static_cast<std::size_t>(spec.m) *
-                                  static_cast<std::size_t>(spec.n);
-    std::vector<UnitState> state(static_cast<std::size_t>(num_stages) *
-                                 per_stage);
-    for (const Row& row : rows) {
-      if (row.stage < 0 || row.stage >= num_stages) continue;
-      UnitState& unit =
-          state[static_cast<std::size_t>(row.stage) * per_stage +
-                static_cast<std::size_t>(row.microbatch) *
-                    static_cast<std::size_t>(spec.n) +
-                static_cast<std::size_t>(row.slice)];
-      switch (row.kind) {
-        case PassType::Forward: ++unit.forwards; break;
-        case PassType::Backward: ++unit.backwards; break;
-        case PassType::BackwardInput: ++unit.inputs; break;
-        case PassType::BackwardWeight: ++unit.weights; break;
+  for (int stage = 0; stage < num_stages; ++stage) {
+    for (std::int32_t mb = 0; mb < spec.m; ++mb) {
+      for (std::int32_t slice = 0; slice < spec.n; ++slice) {
+        const std::array<int, 4>& c = unit_of(stage, mb, slice).count;
+        const int forwards = c[slot(PassType::Forward)];
+        const int backwards = c[slot(PassType::Backward)];
+        const int inputs = c[slot(PassType::BackwardInput)];
+        const int weights = c[slot(PassType::BackwardWeight)];
+        const bool retired =
+            (backwards == 1 && inputs == 0 && weights == 0) ||
+            (backwards == 0 && inputs == 1 && weights == 1);
+        if (forwards == 1 && retired) continue;
+        const std::string loc = "stage " + std::to_string(stage) + " (dev " +
+                                std::to_string(layout.device_of(stage)) +
+                                ") unit " + unit_text(mb, slice);
+        std::ostringstream msg;
+        if (forwards == 0 && backwards + inputs + weights == 0) {
+          msg << "unit is never scheduled at this stage: the microbatch "
+              << "cannot complete";
+        } else if (forwards == 0) {
+          msg << "orphaned backward: unit is retired (B=" << backwards
+              << " BI=" << inputs << " BW=" << weights
+              << ") but never forwarded";
+        } else if (backwards + inputs + weights == 0) {
+          msg << "orphaned forward: unit is forwarded but never retired "
+              << "by a backward";
+        } else {
+          msg << "unit coverage is F=" << forwards << " B=" << backwards
+              << " BI=" << inputs << " BW=" << weights
+              << " (expected F=1 and B=1 or BI=1+BW=1)";
+        }
+        report("verify-progress", loc, msg.str());
       }
     }
-    for (int stage = 0; stage < num_stages; ++stage) {
-      for (std::int32_t mb = 0; mb < spec.m; ++mb) {
-        for (std::int32_t slice = 0; slice < spec.n; ++slice) {
-          const UnitState& unit =
-              state[static_cast<std::size_t>(stage) * per_stage +
-                    static_cast<std::size_t>(mb) *
-                        static_cast<std::size_t>(spec.n) +
-                    static_cast<std::size_t>(slice)];
-          const bool retired =
-              (unit.backwards == 1 && unit.inputs == 0 && unit.weights == 0) ||
-              (unit.backwards == 0 && unit.inputs == 1 && unit.weights == 1);
-          if (unit.forwards == 1 && retired) continue;
-          const std::string loc = "stage " + std::to_string(stage) + " (dev " +
-                                  std::to_string(layout.device_of(stage)) +
-                                  ") unit " + unit_text(mb, slice);
-          std::ostringstream msg;
-          if (unit.forwards == 0 &&
-              unit.backwards + unit.inputs + unit.weights == 0) {
-            msg << "unit is never scheduled at this stage: the microbatch "
-                << "cannot complete";
-          } else if (unit.forwards == 0) {
-            msg << "orphaned backward: unit is retired (B=" << unit.backwards
-                << " BI=" << unit.inputs << " BW=" << unit.weights
-                << ") but never forwarded";
-          } else if (unit.backwards + unit.inputs + unit.weights == 0) {
-            msg << "orphaned forward: unit is forwarded but never retired "
-                << "by a backward";
-          } else {
-            msg << "unit coverage is F=" << unit.forwards
-                << " B=" << unit.backwards << " BI=" << unit.inputs
-                << " BW=" << unit.weights
-                << " (expected F=1 and B=1 or BI=1+BW=1)";
-          }
-          report("verify-progress", loc, msg.str());
+  }
+
+  const double wkeep = model::wgrad_kept_fraction(spec.cfg, spec.policy);
+
+  // ---- sched-inflight-bound: live activation units vs the declared cap ----
+  // The unit ledger mirrors the builder's frees: F holds one unit, B
+  // releases it, BI releases (1 - wkeep) and BW the remaining wkeep, so the
+  // ZB-V greedy's fractional cap is checked exactly.
+  if (spec.max_inflight_units > 0.0) {
+    for (const auto& positions : device_pos) {
+      double live = 0.0;
+      for (const std::size_t idx : positions) {
+        const Row& row = rows[idx];
+        switch (row.kind) {
+          case PassType::Forward: live += 1.0; break;
+          case PassType::Backward: live -= 1.0; break;
+          case PassType::BackwardInput: live -= 1.0 - wkeep; break;
+          case PassType::BackwardWeight: live -= wkeep; break;
         }
+        if (live <= spec.max_inflight_units + kInflightSlack) continue;
+        std::ostringstream msg;
+        msg << "live activation units reach " << live
+            << ", above the declared bound of " << spec.max_inflight_units;
+        report("sched-inflight-bound", row_location(row), msg.str());
+        break;  // one report per device, not per pass
       }
     }
   }
@@ -494,8 +567,6 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
                   : 0.0;
     const int kv_category =
         spec.retain_kv ? mem::kKvCache : mem::kActivation;
-    const double wkeep =
-        model::wgrad_kept_fraction(spec.cfg, spec.policy);
 
     MemoryCertificate& cert = result.certificate;
     cert.kv_category = kv_category;
@@ -524,7 +595,6 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       double dev_act = 0.0, dev_kv = 0.0;
       for (const std::size_t idx : device_pos[static_cast<std::size_t>(dev)]) {
         const Row& row = rows[idx];
-        if (row.stage < 0 || row.stage >= num_stages) continue;
         const std::size_t stage = static_cast<std::size_t>(row.stage);
         const double tokens = static_cast<double>(
             slice_layouts[static_cast<std::size_t>(row.microbatch)].len(

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <unordered_map>
 
-#include "src/analysis/graph_check.hpp"
-#include "src/analysis/schedule_check.hpp"
 #include "src/analysis/verify.hpp"
 #include "src/fault/fault_sim.hpp"
 #include "src/ir/schedule_ir.hpp"
@@ -99,24 +97,16 @@ BuildOutput compile(const PipelineSpec& spec,
   SLIM_CHECK(static_cast<int>(programs.size()) == spec.p,
              "one program per pipeline device required");
 
-  // ---- static analysis, phase 1: schedule lint + IR verification ----
+  // ---- static verification ----
   // Runs *before* any graph is built, so a rejected schedule costs nothing
   // and external (imported) schedules are certified by the same path. The
   // spec carries the scheme's declared in-flight cap (core::plan_scheme
   // fills it in); 0 leaves the sched-inflight-bound rule off.
   if (compile_lint_enabled()) {
-    analysis::ScheduleLintOptions sched_opts;
-    sched_opts.max_inflight_units = spec.max_inflight_units;
-    std::vector<analysis::Finding> findings =
-        analysis::check_schedule(spec, programs, sched_opts);
     const analysis::VerifyResult verdict =
         analysis::verify_ir(ir::lower(spec, programs, "compile"), spec);
-    findings.insert(findings.end(), verdict.findings.begin(),
-                    verdict.findings.end());
-    if (analysis::has_errors(findings)) {
-      SLIM_CHECK(false, "static analysis rejected the schedule:\n" +
-                            analysis::render(findings));
-    }
+    SLIM_CHECK(verdict.ok(), "static analysis rejected the schedule:\n" +
+                                 analysis::render(verdict.findings));
   }
 
   const StageLayout layout = spec.stage_layout();
@@ -468,9 +458,11 @@ BuildOutput compile(const PipelineSpec& spec,
           SLIM_CHECK(fwd != sim::kInvalidOp, "backward without forward");
           graph.op(op).deps.push_back(fwd);
           if (stage < num_stages - 1) {
-            sim::OpId producer =
-                find(pass.type, pass.microbatch, pass.slice, stage + 1);
-            if (producer == sim::kInvalidOp && pass.type == PassType::Backward) {
+            // The next stage retires the unit with a full B or with a BI,
+            // independently of this pass's kind.
+            sim::OpId producer = find(PassType::Backward, pass.microbatch,
+                                      pass.slice, stage + 1);
+            if (producer == sim::kInvalidOp) {
               producer = find(PassType::BackwardInput, pass.microbatch,
                               pass.slice, stage + 1);
             }
@@ -553,19 +545,6 @@ BuildOutput compile(const PipelineSpec& spec,
     output.baseline.push_back(
         {dev, mem::kOptimizer,
          params * 12.0 / static_cast<double>(std::max<std::int64_t>(1, spec.d))});
-  }
-
-  // ---- static analysis, phase 2: graph lint ----
-  // The pre-build rules ran above; this pass checks properties only the
-  // built graph exposes (dependency cycles, transfer pairing, balances).
-  if (compile_lint_enabled()) {
-    const std::vector<analysis::Finding> findings =
-        analysis::check_graph(graph, spec);
-    if (analysis::has_errors(findings)) {
-      SLIM_CHECK(false,
-                 "static analysis rejected the schedule:\n" +
-                     analysis::render(findings));
-    }
   }
   return output;
 }

@@ -56,16 +56,16 @@ struct BuildOutput {
 
 /// Compiles programs into an op graph (one compute stream per pipeline
 /// device, channels between adjacent ranks). With the compile-time lint
-/// enabled (the default), the static analysis passes (src/analysis) verify
-/// the schedule and the built graph and any Error finding aborts with the
-/// rendered report.
+/// enabled (the default), the schedule verifier (analysis::verify_ir) runs
+/// once on the lowered table before any op is built, and any Error finding
+/// aborts with the rendered report.
 BuildOutput compile(const PipelineSpec& spec,
                     const std::vector<DeviceProgram>& programs,
                     const ExchangeOracle* exchange);
 
-/// Process-global toggle for the static analysis passes inside compile().
-/// On by default (every test exercises them); benches turn it off so the
-/// large grid sweeps do not pay the extra linear pass per compilation.
+/// Process-global toggle for the schedule verifier inside compile(). On by
+/// default (every test exercises it); benches turn it off so the large grid
+/// sweeps do not pay the extra linear pass per compilation.
 void set_compile_lint(bool enabled);
 bool compile_lint_enabled();
 

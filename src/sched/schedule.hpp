@@ -98,8 +98,8 @@ struct PipelineSpec {
 
   /// Declared cap on simultaneously-live activation units (slices) per
   /// device. 0 = undeclared; when positive, sched::compile enforces it via
-  /// the sched-inflight-bound lint rule. core::plan_scheme fills in each
-  /// scheme's analytical cap.
+  /// the verifier's sched-inflight-bound rule. core::plan_scheme fills in
+  /// each scheme's analytical cap.
   double max_inflight_units = 0.0;
 
   /// Base layers per stage (uneven splits give the remainder to the first

@@ -79,20 +79,10 @@ OpId OpGraph::add_compute(int device, double duration, OpClass cls,
   return ops_.back().id;
 }
 
-ResId OpGraph::nic_resource(int src, int lane) {
-  SLIM_CHECK(lane >= 0 && lane < 8, "lane out of range");
-  const std::int64_t w = topology_.world_size();
-  // Distinct keyspace beyond the pairwise channels.
-  const std::int64_t key =
-      w + static_cast<std::int64_t>(w) * w * 8 +
-      static_cast<std::int64_t>(src) * 8 + lane;
-  return intern_resource(key);
-}
-
 ResId OpGraph::pcie_resource(int device) {
   const std::int64_t w = topology_.world_size();
-  const std::int64_t key =
-      w + static_cast<std::int64_t>(w) * w * 8 + w * 8 + device;
+  // Distinct keyspace beyond the pairwise channels.
+  const std::int64_t key = w + w * w * 8 + device;
   return intern_resource(key);
 }
 

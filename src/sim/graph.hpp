@@ -101,14 +101,13 @@ class OpGraph {
   /// Adds a P2P transfer of `bytes` from `src` to `dst`; duration is derived
   /// from the topology. Returns the op to depend on for arrival.
   ///
-  /// Intra-node transfers occupy the dedicated (src, dst) NVLink channel;
-  /// cross-node transfers serialize on the sender's NIC (per lane): a
-  /// device exchanging with several remote peers shares its 400 Gbps port.
+  /// Every transfer, intra- or cross-node, occupies the pairwise
+  /// (src, dst, lane) channel, FIFO in insertion order. NIC-port sharing
+  /// between a device's remote peers is not modelled (DESIGN.md §5, "Known
+  /// modeling limits"); the pairwise channels are what keep the built
+  /// graph's cycles exactly those of the schedule's wait-for graph.
   OpId add_transfer(int src, int dst, double bytes, OpClass cls,
                     std::vector<OpId> deps, int lane = 0);
-
-  /// Resource of device `src`'s NIC transmit queue for a traffic lane.
-  ResId nic_resource(int src, int lane = 0);
 
   /// Resource of `device`'s PCIe link (host offload traffic).
   ResId pcie_resource(int device);

@@ -1,8 +1,10 @@
-// Static analysis passes (src/analysis): the schedule lint, the graph lint
-// and their wiring into sched::compile.
+// Static analysis (src/analysis): check_schedule, the per-device-program
+// entry point of the schedule verifier, the graph check, and their wiring
+// into sched::compile. The verifier's table-level fixtures live in
+// test_ir.cpp.
 //
-// Strategy: every rule gets one deliberately corrupted fixture asserting the
-// exact rule_id, plus a clean sweep over all seed schemes proving the rules
+// Strategy: every corrupted program fixture asserts the exact rule_id that
+// catches it, plus a clean sweep over all seed schemes proving the rules
 // have no false positives on correct schedules.
 
 #include <gtest/gtest.h>
@@ -18,10 +20,8 @@
 #include "src/analysis/schedule_check.hpp"
 #include "src/core/context_exchange.hpp"
 #include "src/core/runner.hpp"
-#include "src/memory/tracker.hpp"
 #include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
-#include "src/sim/graph.hpp"
 
 namespace {
 
@@ -53,8 +53,8 @@ struct LintGuard {
   ~LintGuard() { sched::set_compile_lint(saved); }
 };
 
-/// Compiles a plan with the in-compile lint disabled so rule violations
-/// come back from check_graph instead of aborting compile().
+/// Compiles a plan with the in-compile verifier disabled, so a graph the
+/// check rejects comes back as findings instead of aborting compile().
 sched::BuildOutput compile_unlinted(const core::SchedulePlan& plan) {
   LintGuard guard;
   sched::set_compile_lint(false);
@@ -73,7 +73,8 @@ std::vector<Finding> lint_schedule(const core::SchedulePlan& plan) {
 
 // ---------------------------------------------------------------------------
 // Clean sweep: all schemes over the acceptance grid produce zero findings
-// from both passes (and the scheme's declared in-flight bound holds).
+// from the verifier and the graph check (and the scheme's declared
+// in-flight bound holds).
 
 TEST(AnalysisSweep, AllSchemesCleanAcrossGrid) {
   for (const core::Scheme scheme : core::all_schemes()) {
@@ -105,9 +106,11 @@ TEST(AnalysisSweep, AllSchemesCleanAcrossGrid) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1 fixtures: one corrupted schedule per rule.
+// Corrupted programs: each fixture asserts the verifier rule that catches
+// it.
 
 TEST(ScheduleCheck, DroppedBackwardFiresBackwardMultiplicity) {
+  // The unit keeps its forward but is never retired: verify-progress.
   core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
   auto& program = plan.programs[0];
@@ -117,19 +120,20 @@ TEST(ScheduleCheck, DroppedBackwardFiresBackwardMultiplicity) {
   ASSERT_NE(it, program.end());
   program.erase(it);
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-multiplicity"))
+  EXPECT_TRUE(has_rule(findings, "verify-progress"))
       << analysis::render(findings);
   EXPECT_TRUE(analysis::has_errors(findings));
 }
 
 TEST(ScheduleCheck, DuplicatedForwardFiresForwardMultiplicity) {
+  // F=2 for one unit: verify-progress.
   core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
   auto& program = plan.programs[1];
   ASSERT_EQ(program.front().type, PassType::Forward);
   program.push_back(program.front());
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-forward-multiplicity"))
+  EXPECT_TRUE(has_rule(findings, "verify-progress"))
       << analysis::render(findings);
 }
 
@@ -137,7 +141,8 @@ TEST(ScheduleCheck, ZbvWeightBeforeInputFiresBackwardOrder) {
   core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::ZBV, base_spec(4, 1, 8));
   // Swap the first BackwardInput with its unit's BackwardWeight: the W half
-  // then runs before the I half, which ZB-V's split ordering forbids.
+  // then runs before the I half it waits on, a BI -> BW edge against
+  // program order: verify-deadlock.
   auto& program = plan.programs[0];
   const auto input = std::find_if(
       program.begin(), program.end(),
@@ -152,7 +157,7 @@ TEST(ScheduleCheck, ZbvWeightBeforeInputFiresBackwardOrder) {
   ASSERT_NE(weight, program.end());
   std::iter_swap(input, weight);
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-order"))
+  EXPECT_TRUE(has_rule(findings, "verify-deadlock"))
       << analysis::render(findings);
 }
 
@@ -160,14 +165,15 @@ TEST(ScheduleCheck, BackwardBeforeForwardFiresBackwardOrder) {
   core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
   // The last stage runs strict 1F1B: F0 B0 F1 B1 ... — swapping the first
-  // two passes schedules B0 before its forward.
+  // two passes schedules B0 before the forward it waits on (an F -> B edge
+  // against program order): verify-deadlock.
   auto& program = plan.programs[1];
   ASSERT_GE(program.size(), 2u);
   ASSERT_EQ(program[0].type, PassType::Forward);
   ASSERT_EQ(program[1].type, PassType::Backward);
   std::swap(program[0], program[1]);
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-order"))
+  EXPECT_TRUE(has_rule(findings, "verify-deadlock"))
       << analysis::render(findings);
 }
 
@@ -207,7 +213,7 @@ TEST(ScheduleCheck, OutOfRangeChunkFiresPassRange) {
       core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
   plan.programs[0][0].chunk = 5;  // v == 1: only chunk 0 exists
   const auto findings = lint_schedule(plan);
-  EXPECT_TRUE(has_rule(findings, "sched-pass-range"))
+  EXPECT_TRUE(has_rule(findings, "ir-structure"))
       << analysis::render(findings);
 }
 
@@ -219,15 +225,14 @@ TEST(ScheduleCheck, InvalidSpecFiresSpecRule) {
 }
 
 TEST(ScheduleCheck, BrokenLayoutFiresRoundtrip) {
-  // Sequential layout with v = 2 maps stages >= p outside the device range:
-  // the round-trip rule localizes the inconsistency (alongside sched-spec).
+  // Sequential layout with v = 2 would map stages >= p outside the device
+  // range; sched-spec rejects the input before any layout lookup.
+  // StageLayoutTest (test_sched) checks the round trip of every layout.
   sched::PipelineSpec spec = base_spec(2, 1, 4);
   spec.v = 2;
   spec.layout = sched::StageLayoutKind::Sequential;
   const auto findings = analysis::check_schedule(spec, {{}, {}});
-  EXPECT_TRUE(has_rule(findings, "sched-layout-roundtrip"))
-      << analysis::render(findings);
-  EXPECT_TRUE(has_rule(findings, "sched-spec"));
+  EXPECT_TRUE(has_rule(findings, "sched-spec")) << analysis::render(findings);
 }
 
 TEST(ScheduleCheck, WrongProgramCountReported) {
@@ -236,99 +241,12 @@ TEST(ScheduleCheck, WrongProgramCountReported) {
   std::vector<sched::DeviceProgram> short_programs(plan.programs.begin(),
                                                    plan.programs.end() - 1);
   const auto findings = analysis::check_schedule(plan.spec, short_programs);
-  EXPECT_TRUE(analysis::has_errors(findings));
+  EXPECT_TRUE(has_rule(findings, "ir-structure"))
+      << analysis::render(findings);
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2 fixtures: hand-built graphs and mutated compile output.
-
-TEST(GraphCheck, UnmatchedSendReported) {
-  sim::OpGraph graph(sim::make_cluster(2));
-  const auto f0 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f0});  // never consumed
-  const auto findings = analysis::check_graph(graph);
-  EXPECT_TRUE(has_rule(findings, "graph-unmatched-send"))
-      << analysis::render(findings);
-}
-
-TEST(GraphCheck, OutOfFifoReceiveReported) {
-  sim::OpGraph graph(sim::make_cluster(2));
-  const auto f0 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  const auto f1 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  const auto t0 = graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f0});
-  const auto t1 = graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f1});
-  // The receiver consumes the second posted transfer first: a rendezvous
-  // transport would deadlock here.
-  graph.add_compute(1, 1.0, sim::OpClass::Forward, {t1});
-  graph.add_compute(1, 1.0, sim::OpClass::Forward, {t0});
-  const auto findings = analysis::check_graph(graph);
-  EXPECT_TRUE(has_rule(findings, "graph-channel-fifo"))
-      << analysis::render(findings);
-  EXPECT_TRUE(analysis::has_errors(findings));
-}
-
-TEST(GraphCheck, FifoReceiveIsClean) {
-  sim::OpGraph graph(sim::make_cluster(2));
-  const auto f0 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  const auto f1 = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  const auto t0 = graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f0});
-  const auto t1 = graph.add_transfer(0, 1, 1e6, sim::OpClass::Send, {f1});
-  graph.add_compute(1, 1.0, sim::OpClass::Forward, {t0});
-  graph.add_compute(1, 1.0, sim::OpClass::Forward, {t1});
-  const auto findings = analysis::check_graph(graph);
-  EXPECT_TRUE(findings.empty()) << analysis::render(findings);
-}
-
-TEST(GraphCheck, DependencyCycleReportsPath) {
-  sim::OpGraph graph(sim::make_cluster(2));
-  const auto a = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  const auto b = graph.add_compute(1, 1.0, sim::OpClass::Forward, {a});
-  graph.op(a).deps.push_back(b);  // a -> b -> a
-  const auto findings = analysis::check_graph(graph);
-  ASSERT_TRUE(has_rule(findings, "graph-acyclic"))
-      << analysis::render(findings);
-  for (const Finding& finding : findings) {
-    if (finding.rule_id == "graph-acyclic") {
-      EXPECT_NE(finding.message.find("cycle:"), std::string::npos);
-      EXPECT_NE(finding.message.find("op 0"), std::string::npos);
-      EXPECT_NE(finding.message.find("op 1"), std::string::npos);
-    }
-  }
-}
-
-TEST(GraphCheck, SelfDependencyReported) {
-  sim::OpGraph graph(sim::make_cluster(1));
-  const auto a = graph.add_compute(0, 1.0, sim::OpClass::Forward, {});
-  graph.op(a).deps.push_back(a);
-  const auto findings = analysis::check_graph(graph);
-  EXPECT_TRUE(has_rule(findings, "graph-dep-range"))
-      << analysis::render(findings);
-}
-
-TEST(GraphCheck, LeakedMemDeltaFiresBalance) {
-  const core::SchedulePlan plan =
-      core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
-  const auto built = compile_unlinted(plan);
-  EXPECT_TRUE(analysis::check_graph(*built.graph, plan.spec).empty());
-  // Leak one activation allocation that no op ever frees.
-  built.graph->add_mem(0, {0, mem::kActivation, 4096.0, false});
-  const auto findings = analysis::check_graph(*built.graph, plan.spec);
-  EXPECT_TRUE(has_rule(findings, "graph-mem-balance"))
-      << analysis::render(findings);
-}
-
-TEST(GraphCheck, UnbackedFreeFiresNegative) {
-  const core::SchedulePlan plan =
-      core::plan_scheme(core::Scheme::OneF1B, base_spec(2, 1, 4));
-  const auto built = compile_unlinted(plan);
-  // A free with no preceding allocation must drive the replayed balance
-  // negative no matter the replay order.
-  built.graph->add_mem(0, {0, mem::kKvCache, -4096.0, false});
-  const auto findings = analysis::check_graph(*built.graph, plan.spec);
-  EXPECT_TRUE(has_rule(findings, "graph-mem-negative"))
-      << analysis::render(findings);
-  EXPECT_TRUE(has_rule(findings, "graph-mem-balance"));
-}
+// Graph check: the one rule about ops the table does not have.
 
 TEST(GraphCheck, VocabFlagMismatchReported) {
   // Build a SlimPipe graph WITHOUT vocabulary parallelism (explicit vocab
@@ -361,7 +279,7 @@ TEST(GraphCheck, VocabFlagMismatchReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Wiring: compile() aborts on corrupted programs when the lint is on and
+// Wiring: compile() aborts on corrupted programs when the verifier is on and
 // accepts them when it is off.
 
 TEST(CompileLint, RejectsCorruptedProgram) {
@@ -431,18 +349,18 @@ TEST(Findings, RenderSummaryAndQueries) {
   std::vector<Finding> findings;
   EXPECT_EQ(analysis::summary(findings), "clean");
   EXPECT_FALSE(analysis::has_errors(findings));
-  findings.push_back({Severity::Warning, "graph-channel-fifo", "op 3",
+  findings.push_back({Severity::Warning, "verify-causality", "op 3",
                       "posting order inverted"});
-  findings.push_back({Severity::Error, "sched-backward-order", "dev 0 pass 2",
+  findings.push_back({Severity::Error, "verify-deadlock", "dev 0 row 2",
                       "backward before forward"});
   EXPECT_TRUE(analysis::has_errors(findings));
   EXPECT_EQ(analysis::count(findings, Severity::Error), 1u);
   EXPECT_EQ(analysis::count(findings, Severity::Warning), 1u);
-  EXPECT_TRUE(has_rule(findings, "sched-backward-order"));
+  EXPECT_TRUE(has_rule(findings, "verify-deadlock"));
   EXPECT_FALSE(has_rule(findings, "sched-inflight-bound"));
   const std::string table = analysis::render(findings);
-  EXPECT_NE(table.find("sched-backward-order"), std::string::npos);
-  EXPECT_NE(table.find("dev 0 pass 2"), std::string::npos);
+  EXPECT_NE(table.find("verify-deadlock"), std::string::npos);
+  EXPECT_NE(table.find("dev 0 row 2"), std::string::npos);
   EXPECT_EQ(analysis::summary(findings), "2 findings (1 errors, 1 warnings)");
 }
 

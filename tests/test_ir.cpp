@@ -3,19 +3,23 @@
 //
 // Strategy mirrors test_analysis: a clean differential sweep over every
 // scheme proving lowering -> export -> import -> verify -> simulate is
-// finding-free and identical to the direct path, one deliberately corrupted
-// fixture per verify rule asserting the exact rule_id, a golden text file
-// pinning the on-disk format, and a reconciliation of the static memory
-// certificate against the simulator's replayed footprint.
+// finding-free and identical to the direct path, deliberately corrupted
+// fixtures per verify rule asserting the exact rule_id, a seeded mutation
+// sweep proving verify-deadlock agrees with the simulator, a builder
+// conformance sweep, a golden text file pinning the on-disk format, and a
+// reconciliation of the static memory certificate against the simulator's
+// replayed footprint.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/analysis/findings.hpp"
@@ -26,6 +30,8 @@
 #include "src/memory/reconcile.hpp"
 #include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
+#include "src/sim/executor.hpp"
+#include "src/util/rng.hpp"
 
 namespace {
 
@@ -90,6 +96,24 @@ ScheduleIR lower_plan(const core::SchedulePlan& plan, core::Scheme scheme) {
 
 core::SchedulePlan onef1b_plan(int p, int m) {
   return core::plan_scheme(core::Scheme::OneF1B, base_spec(p, 1, m));
+}
+
+/// True when compile (with its verifier off) or sim::execute throws, as the
+/// executor does on a dependency cycle.
+bool simulator_rejects(const sched::PipelineSpec& spec,
+                       const std::vector<sched::DeviceProgram>& programs,
+                       const sched::ExchangeOracle* exchange) {
+  const bool lint = sched::compile_lint_enabled();
+  sched::set_compile_lint(false);
+  bool rejected = false;
+  try {
+    const sched::BuildOutput built = sched::compile(spec, programs, exchange);
+    sim::execute(*built.graph);
+  } catch (const std::exception&) {
+    rejected = true;
+  }
+  sched::set_compile_lint(lint);
+  return rejected;
 }
 
 /// Renumbers each device's rows to contiguous order after a surgical edit,
@@ -213,9 +237,9 @@ TEST(IrGolden, GoldenFileRoundTripsAndMatchesLowering) {
 
 TEST(VerifyDeadlock, ReorderedBackwardYieldsWitnessCycle) {
   core::SchedulePlan plan = onef1b_plan(2, 2);
-  // Device 0 demands B0 before it has forwarded anything: its B0 waits on
-  // device 1's backward, which waits on device 1's forward, which waits on
-  // device 0's F0 — stuck behind B0. A genuine 4-row cycle.
+  // Device 0 demands B0 before it has forwarded anything. B0 waits on its
+  // own F0 (the F -> B edge), stuck behind it: the minimal witness is that
+  // 2-row cycle on device 0. A longer one also runs through device 1.
   sched::DeviceProgram& program = plan.programs[0];
   ASSERT_EQ(program.size(), 4u);
   ASSERT_EQ(program[2].type, PassType::Backward);
@@ -231,9 +255,121 @@ TEST(VerifyDeadlock, ReorderedBackwardYieldsWitnessCycle) {
     if (finding.rule_id != "verify-deadlock") continue;
     EXPECT_NE(finding.message.find("witness cycle"), std::string::npos)
         << finding.message;
-    EXPECT_NE(finding.message.find("length 4"), std::string::npos)
+    EXPECT_NE(finding.message.find("length 2"), std::string::npos)
         << finding.message;
   }
+}
+
+TEST(VerifyDeadlock, CrossDeviceCycleYieldsWitness) {
+  // Device 0 runs F0 B0 F1 B1, device 1 runs F0 F1 B0 B1. Device 0's B0
+  // waits for device 1's B0, queued behind device 1's F1, which waits for
+  // device 0's F1, queued behind B0. Every edge inside one device follows
+  // program order, so the only cycle needs both send/recv pairs.
+  core::SchedulePlan plan = onef1b_plan(2, 2);
+  const Pass f0{PassType::Forward, 0, 0, 0}, f1{PassType::Forward, 1, 0, 0};
+  const Pass b0{PassType::Backward, 0, 0, 0}, b1{PassType::Backward, 1, 0, 0};
+  plan.programs = {{f0, b0, f1, b1}, {f0, f1, b0, b1}};
+
+  const analysis::VerifyResult verdict = analysis::verify_ir(
+      lower_plan(plan, core::Scheme::OneF1B), plan.spec);
+  ASSERT_TRUE(has_rule(verdict.findings, "verify-deadlock"))
+      << analysis::render(verdict.findings);
+  for (const analysis::Finding& finding : verdict.findings) {
+    if (finding.rule_id != "verify-deadlock") continue;
+    EXPECT_NE(finding.message.find("length 4"), std::string::npos)
+        << finding.message;
+    EXPECT_NE(finding.message.find("dev 0"), std::string::npos);
+    EXPECT_NE(finding.message.find("dev 1"), std::string::npos);
+  }
+  EXPECT_TRUE(simulator_rejects(plan.spec, plan.programs, nullptr));
+}
+
+TEST(VerifyDeadlock, VShapeStageOrderYieldsWitnessCycle) {
+  // ZB-V at p = 2 keeps stages 1 and 2 on device 1, so F(mb 0, stage 2)
+  // consumes F(mb 0, stage 1)'s output without any transfer. Running it
+  // first closes a cycle inside one device that no send/recv pair shows.
+  core::SchedulePlan plan =
+      core::plan_scheme(core::Scheme::ZBV, base_spec(2, 1, 4));
+  const sched::StageLayout layout = plan.spec.stage_layout();
+  sched::DeviceProgram& program = plan.programs[1];
+  auto forward_at = [&](int stage) {
+    return std::find_if(program.begin(), program.end(), [&](const Pass& pass) {
+      return pass.type == PassType::Forward && pass.microbatch == 0 &&
+             layout.stage_of(1, pass.chunk) == stage;
+    });
+  };
+  const auto stage1 = forward_at(1);
+  const auto stage2 = forward_at(2);
+  ASSERT_NE(stage1, program.end());
+  ASSERT_NE(stage2, program.end());
+  ASSERT_LT(stage1, stage2);
+  std::iter_swap(stage1, stage2);
+
+  const analysis::VerifyResult verdict = analysis::verify_ir(
+      lower_plan(plan, core::Scheme::ZBV), plan.spec);
+  ASSERT_TRUE(has_rule(verdict.findings, "verify-deadlock"))
+      << analysis::render(verdict.findings);
+  EXPECT_FALSE(has_rule(verdict.findings, "verify-causality"))
+      << analysis::render(verdict.findings);
+  EXPECT_TRUE(simulator_rejects(plan.spec, plan.programs, nullptr));
+}
+
+// Seeded mutation sweep: random single swaps inside one device program
+// either keep a schedule live or deadlock it, and verify-deadlock must fire
+// exactly when the built graph cannot execute. This equivalence is what
+// lets the verifier stand in for a cycle check on the built graph.
+TEST(VerifyDeadlock, SingleSwapVerdictMatchesSimulator) {
+  Rng rng(14);
+  int cases = 0, deadlocks = 0;
+  for (const core::Scheme scheme : core::all_schemes()) {
+    for (const int p : {2, 4}) {
+      for (const int v : {1, 2}) {
+        for (int n : {1, 4}) {
+          if (scheme == core::Scheme::TeraPipe && n > 1 && n % p != 0) {
+            n = ((n + p - 1) / p) * p;
+          }
+          sched::PipelineSpec spec = base_spec(p, n, p);
+          spec.v = v;
+          spec.context_exchange = true;
+          spec.vocab_parallel = scheme == core::Scheme::SlimPipe;
+          const core::SchedulePlan plan = core::plan_scheme(scheme, spec);
+          std::unique_ptr<core::ExchangePlanner> planner;
+          if (plan.spec.context_exchange && plan.spec.p > 1) {
+            planner = std::make_unique<core::ExchangePlanner>(plan.spec);
+          }
+          for (int k = 0; k < 20; ++k) {
+            std::vector<sched::DeviceProgram> programs = plan.programs;
+            const std::size_t dev =
+                rng.next_below(static_cast<std::uint64_t>(p));
+            sched::DeviceProgram& program = programs[dev];
+            const std::size_t i = rng.next_below(program.size());
+            std::size_t j = rng.next_below(program.size() - 1);
+            if (j >= i) ++j;
+            std::swap(program[i], program[j]);
+
+            const bool flagged = has_rule(
+                analysis::verify_ir(ir::lower(plan.spec, programs, "swap"),
+                                    plan.spec)
+                    .findings,
+                "verify-deadlock");
+            const bool rejected =
+                simulator_rejects(plan.spec, programs, planner.get());
+            ++cases;
+            deadlocks += rejected ? 1 : 0;
+            EXPECT_EQ(flagged, rejected)
+                << core::scheme_name(scheme) << " p=" << p << " v=" << v
+                << " n=" << n << ": swap of passes " << i << " and " << j
+                << " on device " << dev;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 1280);
+  RecordProperty("deadlocks", deadlocks);
+  // The swaps exercise both verdicts.
+  EXPECT_GT(deadlocks, 0);
+  EXPECT_LT(deadlocks, cases);
 }
 
 TEST(VerifyCausality, DroppedSendLeavesDanglingRecv) {
@@ -257,6 +393,58 @@ TEST(VerifyCausality, DroppedSendLeavesDanglingRecv) {
   }
   EXPECT_TRUE(dangling) << analysis::render(verdict.findings);
   EXPECT_FALSE(has_rule(verdict.findings, "verify-progress"));
+  EXPECT_FALSE(has_rule(verdict.findings, "verify-deadlock"));
+}
+
+TEST(VerifyCausality, UnreceivedSendFlagged) {
+  const core::SchedulePlan plan = onef1b_plan(2, 2);
+  ScheduleIR table = lower_plan(plan, core::Scheme::OneF1B);
+  const auto it = std::find_if(
+      table.rows.begin(), table.rows.end(), [](const Row& row) {
+        return row.device == 1 && row.kind == PassType::Forward &&
+               row.microbatch == 0;
+      });
+  ASSERT_NE(it, table.rows.end());
+  it->recv_from = kNoEndpoint;  // device 0 still ships the activation
+
+  const analysis::VerifyResult verdict = analysis::verify_ir(table, plan.spec);
+  ASSERT_TRUE(has_rule(verdict.findings, "verify-causality"))
+      << analysis::render(verdict.findings);
+  bool unreceived = false;
+  for (const analysis::Finding& finding : verdict.findings) {
+    unreceived = unreceived ||
+                 finding.message.find("never received") != std::string::npos;
+  }
+  EXPECT_TRUE(unreceived) << analysis::render(verdict.findings);
+  EXPECT_FALSE(has_rule(verdict.findings, "verify-progress"));
+  EXPECT_FALSE(has_rule(verdict.findings, "verify-deadlock"));
+}
+
+TEST(VerifyCausality, OutOfFifoReceiveFlagged) {
+  // GPipe at p = 2: device 0 posts the activations of microbatches 0 and 1
+  // in that order, and device 1 takes microbatch 1 first, so an ordered
+  // transport would hand it the wrong payload. The simulator's channels
+  // follow the receiver, so this is a causality error, not a deadlock.
+  core::SchedulePlan plan =
+      core::plan_scheme(core::Scheme::GPipe, base_spec(2, 1, 2));
+  const analysis::VerifyResult clean = analysis::verify_ir(
+      lower_plan(plan, core::Scheme::GPipe), plan.spec);
+  ASSERT_TRUE(clean.ok()) << analysis::render(clean.findings);
+  sched::DeviceProgram& program = plan.programs[1];
+  ASSERT_EQ(program[0].type, PassType::Forward);
+  ASSERT_EQ(program[1].type, PassType::Forward);
+  std::swap(program[0], program[1]);
+
+  const analysis::VerifyResult verdict = analysis::verify_ir(
+      lower_plan(plan, core::Scheme::GPipe), plan.spec);
+  ASSERT_TRUE(has_rule(verdict.findings, "verify-causality"))
+      << analysis::render(verdict.findings);
+  bool out_of_fifo = false;
+  for (const analysis::Finding& finding : verdict.findings) {
+    out_of_fifo = out_of_fifo ||
+                  finding.message.find("out-of-FIFO") != std::string::npos;
+  }
+  EXPECT_TRUE(out_of_fifo) << analysis::render(verdict.findings);
   EXPECT_FALSE(has_rule(verdict.findings, "verify-deadlock"));
 }
 
@@ -334,6 +522,80 @@ TEST(IrStructure, DuplicateOrderFlagged) {
   const analysis::VerifyResult verdict = analysis::verify_ir(table, plan.spec);
   EXPECT_TRUE(has_rule(verdict.findings, "ir-structure"))
       << analysis::render(verdict.findings);
+}
+
+// ---------------------------------------------------------------------------
+// Builder conformance: each device's compute stream in the built graph runs
+// exactly the table's rows, in order, so the verifier judges what the
+// simulator executes.
+
+/// The table kind of a compute op; nullopt for ops the table does not have
+/// (vocabulary, optimizer, transfers).
+std::optional<PassType> table_kind(sim::OpClass cls) {
+  switch (cls) {
+    case sim::OpClass::Forward: return PassType::Forward;
+    case sim::OpClass::Backward: return PassType::Backward;
+    case sim::OpClass::BackwardInput: return PassType::BackwardInput;
+    case sim::OpClass::BackwardWeight: return PassType::BackwardWeight;
+    default: return std::nullopt;
+  }
+}
+
+TEST(BuilderConformance, ComputeStreamsFollowTheTable) {
+  using Entry = std::tuple<PassType, std::int32_t, std::int32_t, std::int32_t>;
+  for (const GridPoint& point : sweep_grid()) {
+    SCOPED_TRACE(point.label);
+    const core::SchedulePlan plan =
+        core::plan_scheme(point.scheme, point.spec);
+    const ScheduleIR table = lower_plan(plan, point.scheme);
+    std::vector<std::vector<Entry>> expected(
+        static_cast<std::size_t>(plan.spec.p));
+    for (const Row& row : table.rows) {
+      expected[static_cast<std::size_t>(row.device)].emplace_back(
+          row.kind, row.microbatch, row.slice, row.stage);
+    }
+
+    const sched::BuildOutput built =
+        sched::compile(plan.spec, plan.programs, nullptr);
+    std::vector<std::vector<Entry>> streams(
+        static_cast<std::size_t>(plan.spec.p));
+    for (const auto& resource : built.graph->programs()) {
+      for (const sim::OpId id : resource) {
+        const sim::Op& op = built.graph->op(id);
+        const std::optional<PassType> kind = table_kind(op.cls);
+        if (!kind) continue;
+        streams[static_cast<std::size_t>(op.device)].emplace_back(
+            *kind, op.microbatch, op.slice, op.stage);
+      }
+    }
+    EXPECT_EQ(streams, expected);
+  }
+}
+
+// A table the verifier certifies must compile: a unit may be retired by a
+// full B at one stage and by a BI + BW pair at the next.
+TEST(CertifiedTable, MixedRetirementCompiles) {
+  core::SchedulePlan plan = onef1b_plan(2, 4);
+  // Stage 0 splits every backward into BI + BW; stage 1 keeps full Bs.
+  sched::DeviceProgram split;
+  for (const Pass& pass : plan.programs[0]) {
+    if (pass.type != PassType::Backward) {
+      split.push_back(pass);
+      continue;
+    }
+    Pass input = pass, weight = pass;
+    input.type = PassType::BackwardInput;
+    weight.type = PassType::BackwardWeight;
+    split.push_back(input);
+    split.push_back(weight);
+  }
+  plan.programs[0] = split;
+
+  const analysis::VerifyResult verdict = analysis::verify_ir(
+      lower_plan(plan, core::Scheme::OneF1B), plan.spec);
+  EXPECT_TRUE(verdict.ok()) << analysis::render(verdict.findings);
+  EXPECT_NO_THROW(
+      sched::run_pipeline(plan.spec, plan.programs, nullptr, "mixed"));
 }
 
 // ---------------------------------------------------------------------------

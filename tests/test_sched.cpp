@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/core/slice.hpp"
 #include "src/model/transformer.hpp"
@@ -61,6 +64,39 @@ TEST(StageLayoutTest, VShape) {
   EXPECT_EQ(layout.device_of(7), 0);
   EXPECT_EQ(layout.stage_of(0, 1), 7);
   EXPECT_EQ(layout.stage_of(3, 1), 4);
+}
+
+// Every layout the spec accepts (sequential: v = 1, V-shape: v = 2,
+// interleaved: any v) maps its p * v stages one to one onto the (device,
+// chunk) slots, and stage_of inverts device_of / chunk_of.
+TEST(StageLayoutTest, RoundTripAndInjectiveForEveryKind) {
+  const std::vector<std::pair<StageLayoutKind, std::vector<int>>> kinds = {
+      {StageLayoutKind::Sequential, {1}},
+      {StageLayoutKind::Interleaved, {1, 2, 3, 4}},
+      {StageLayoutKind::VShape, {2}}};
+  for (const auto& [kind, vs] : kinds) {
+    for (const int v : vs) {
+      for (const int p : {1, 2, 3, 4, 8}) {
+        const StageLayout layout{p, v, kind};
+        SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                     " p=" + std::to_string(p) + " v=" + std::to_string(v));
+        std::set<std::pair<int, int>> slots;
+        for (int stage = 0; stage < layout.num_stages(); ++stage) {
+          const int dev = layout.device_of(stage);
+          const int chunk = layout.chunk_of(stage);
+          ASSERT_GE(dev, 0);
+          ASSERT_LT(dev, p);
+          ASSERT_GE(chunk, 0);
+          ASSERT_LT(chunk, v);
+          EXPECT_EQ(layout.stage_of(dev, chunk), stage);
+          EXPECT_TRUE(slots.insert({dev, chunk}).second)
+              << "stage " << stage << " shares (dev " << dev << ", chunk "
+              << chunk << ") with an earlier stage";
+        }
+        EXPECT_EQ(slots.size(), static_cast<std::size_t>(p * v));
+      }
+    }
+  }
 }
 
 TEST(SpecTest, ValidationErrors) {

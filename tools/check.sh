@@ -15,8 +15,9 @@
 #
 #   address    faults, mem, ir, dist, telemetry, elastic, numerics
 #                                  (lifetime/overflow in the fault machinery,
-#                                   arena tracking, the schedule IR, the
-#                                   multi-process socket runtime, the
+#                                   arena tracking, the schedule IR and its
+#                                   verifier (ir: test_ir + test_analysis),
+#                                   the multi-process socket runtime, the
 #                                   flight-recorder/telemetry ring + wire
 #                                   paths, variable-length slice layouts and
 #                                   the numerics kernels' raw-pointer loops)

@@ -1,12 +1,12 @@
 // slimpipe_lint — static analysis front-end.
 //
 // Lints a scheme/spec combination without running the simulator: generates
-// the scheme's per-device programs, runs the schedule pass (per-pass
-// invariants plus the scheme's declared in-flight activation bound), lowers
-// to the tabular IR and runs the whole-schedule verification engine
-// (causality, deadlock, progress, memory certificate), then builds the op
-// graph and runs the graph pass (acyclicity, channel FIFO matching,
-// memory-ledger conservation). Any Error finding fails the run.
+// the scheme's per-device programs and runs the schedule verifier once
+// (spec validity, then the lowered table's structure, causality, deadlock,
+// progress, the scheme's declared in-flight activation bound and the memory
+// certificate). A certified schedule is then built into an op graph, which
+// must succeed and pass the vocabulary-op check. Any Error finding fails
+// the run.
 //
 //   slimpipe_lint --scheme slimpipe --model 13b --p 4 --n 8 --m 8
 //   slimpipe_lint --scheme all --p 8
@@ -111,9 +111,10 @@ std::vector<core::Scheme> pick_schemes(const std::string& name) {
   std::exit(2);
 }
 
-/// Runs both passes over one scheme/spec combination and returns the
-/// combined findings. Exceptions from plan generation or graph building
-/// (SLIM_CHECK failures) surface as a synthetic `internal-error` finding.
+/// Runs the verifier and the graph check over one scheme/spec combination
+/// and returns the combined findings. Exceptions from plan generation or
+/// graph building (SLIM_CHECK failures) surface as a synthetic
+/// `internal-error` finding.
 std::vector<analysis::Finding> lint_combo(core::Scheme scheme,
                                           sched::PipelineSpec spec) {
   std::vector<analysis::Finding> findings;
@@ -123,18 +124,11 @@ std::vector<analysis::Finding> lint_combo(core::Scheme scheme,
     analysis::ScheduleLintOptions sched_opts;
     sched_opts.max_inflight_units = plan.max_inflight_units;
     findings = analysis::check_schedule(plan.spec, plan.programs, sched_opts);
-
-    const ir::ScheduleIR table =
-        ir::lower(plan.spec, plan.programs, core::scheme_name(scheme));
-    const analysis::VerifyResult verdict =
-        analysis::verify_ir(table, plan.spec);
-    findings.insert(findings.end(), verdict.findings.begin(),
-                    verdict.findings.end());
-    // A schedule the pre-build passes reject cannot be compiled meaningfully.
+    // A schedule the verifier rejects cannot be compiled meaningfully.
     if (analysis::has_errors(findings)) return findings;
 
-    // Build the graph ourselves (lint disabled) so rule violations come
-    // back as findings instead of the compile-time SLIM_CHECK abort.
+    // Build the graph ourselves (the in-compile verifier off, it just ran)
+    // so the graph check's findings come back as findings.
     const bool lint_was_on = sched::compile_lint_enabled();
     sched::set_compile_lint(false);
     std::unique_ptr<core::ExchangePlanner> planner;
@@ -168,16 +162,16 @@ std::string combo_label(core::Scheme scheme, const sched::PipelineSpec& spec) {
   return buf;
 }
 
-/// Verifier-class findings (the IR structure and verify-* rules) get their
-/// own exit code so drivers can tell a rejected schedule from a lint nit.
+/// The ir-structure and verify-* rules (a schedule that cannot run as
+/// written) get their own exit code, so drivers can tell a rejected
+/// schedule from a lint nit such as sched-inflight-bound or sched-spec.
 bool is_verifier_finding(const analysis::Finding& finding) {
   return finding.rule_id == "ir-structure" ||
          finding.rule_id.rfind("verify-", 0) == 0;
 }
 
 /// Certifies an external IR schedule file: import, overlay the header onto
-/// the workload spec, run the schedule lint and the verification engine.
-/// Returns the exit status (0/1/3).
+/// the workload spec, run the verifier. Returns the exit status (0/1/3).
 int lint_ir_file(const std::string& path, const sched::PipelineSpec& base,
                  bool verbose) {
   std::ifstream in(path);
@@ -199,13 +193,8 @@ int lint_ir_file(const std::string& path, const sched::PipelineSpec& base,
       return 3;
     }
 
-    analysis::ScheduleLintOptions sched_opts;
-    sched_opts.max_inflight_units = spec.max_inflight_units;
-    findings =
-        analysis::check_schedule(spec, ir::to_programs(table), sched_opts);
     const analysis::VerifyResult verdict = analysis::verify_ir(table, spec);
-    findings.insert(findings.end(), verdict.findings.begin(),
-                    verdict.findings.end());
+    findings = verdict.findings;
     if (findings.empty()) {
       std::printf("%s: %s certified clean (%zu rows)\n", path.c_str(),
                   table.scheme.c_str(), table.rows.size());

@@ -98,8 +98,8 @@ static void BM_FaultDegradation(benchmark::State& state) {
   for (auto _ : state) {
     for (const auto scheme : kSchemes) {
       for (const auto& scenario : scens) {
-        benchmark::DoNotOptimize(core::run_scheme_faulted(
-            scheme, spec_for(scheme), scenario.plan));
+        benchmark::DoNotOptimize(core::run_scheme(
+            scheme, spec_for(scheme), false, nullptr, &scenario.plan));
       }
     }
   }
@@ -123,8 +123,8 @@ int main(int argc, char** argv) {
     table.add_row({core::scheme_name(scheme), "fault-free",
                    format_time(baseline.iteration_time), "--", "--", "x1.00"});
     for (const auto& scenario : scenarios()) {
-      const auto r =
-          core::run_scheme_faulted(scheme, spec_for(scheme), scenario.plan);
+      const auto r = core::run_scheme(scheme, spec_for(scheme), false,
+                                      nullptr, &scenario.plan);
       table.add_row(
           {core::scheme_name(scheme), scenario.name,
            format_time(r.iteration_time),

@@ -1,7 +1,7 @@
 // Schedule visualizer: renders the paper's timeline figures as ASCII art —
 // the default 1F1B schedule vs SlimPipe (Figure 4), the interleaved form
 // (Figure 5), and the imbalance bubbles healed by context exchange
-// (Figure 7). Optionally dumps a Chrome trace.
+// (Figure 7). Optionally dumps the Figure 5 run as a Chrome trace.
 //
 // Usage:
 //   ./build/examples/schedule_visualizer [--trace out.json]
@@ -11,12 +11,8 @@
 #include <fstream>
 
 #include "src/core/runner.hpp"
-#include "src/core/slimpipe.hpp"
 #include "src/model/transformer.hpp"
 #include "src/obs/trace.hpp"
-#include "src/sched/builder.hpp"
-#include "src/sched/schemes.hpp"
-#include "src/sim/trace.hpp"
 #include "src/util/units.hpp"
 
 using namespace slim;
@@ -69,13 +65,15 @@ int main(int argc, char** argv) {
        core::run_scheme(core::Scheme::SlimPipe, slim4, true));
 
   // Figure 5: the interleaving form, 2 stages per device, 2 microbatches.
+  // This run is also the one --trace exports.
   auto slim5 = base();
   slim5.n = 8;
   slim5.v = 2;
   slim5.vocab_parallel = true;
   slim5.context_exchange = true;
+  obs::Trace trace;
   show("interleaved SlimPipe, v=2 (Figure 5)",
-       core::run_scheme(core::Scheme::SlimPipe, slim5, true));
+       core::run_scheme(core::Scheme::SlimPipe, slim5, true, &trace));
 
   // Figure 7: imbalance bubbles without context exchange.
   auto imbalanced = base();
@@ -90,15 +88,8 @@ int main(int argc, char** argv) {
        core::run_scheme(core::Scheme::SlimPipe, imbalanced, true));
 
   if (trace_path != nullptr) {
-    // Re-build the Figure 5 schedule and export a Chrome trace.
-    auto spec = slim5;
-    spec.layout = sched::StageLayoutKind::Interleaved;
-    spec.retain_kv = true;
-    const auto programs = core::slimpipe_programs(spec);
-    auto built = sched::compile(spec, programs, nullptr);
-    const auto exec = sim::execute(*built.graph);
     std::ofstream out(trace_path);
-    out << obs::chrome_trace_json(obs::trace_from_sim(*built.graph, exec));
+    out << obs::chrome_trace_json(trace);
     std::printf("Chrome trace written to %s (open chrome://tracing)\n",
                 trace_path);
   }

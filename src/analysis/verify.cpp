@@ -84,28 +84,6 @@ bool is_boundary_kind(PassType kind, bool* forward) {
   return false;  // BackwardWeight exchanges nothing
 }
 
-/// Expected endpoints of a row from the stage boundary it crosses; mirrors
-/// ir::lower so a scheme-lowered table verifies trivially while a corrupted
-/// or hand-written one is checked against the layout.
-void expected_endpoints(const StageLayout& layout, const Row& row,
-                        int* recv_from, int* send_to) {
-  *recv_from = kNoEndpoint;
-  *send_to = kNoEndpoint;
-  bool forward = false;
-  if (!is_boundary_kind(row.kind, &forward)) return;
-  const int num_stages = layout.num_stages();
-  const int up = forward ? row.stage - 1 : row.stage + 1;    // input side
-  const int down = forward ? row.stage + 1 : row.stage - 1;  // output side
-  if (up >= 0 && up < num_stages) {
-    const int peer = layout.device_of(up);
-    if (peer != row.device) *recv_from = peer;
-  }
-  if (down >= 0 && down < num_stages) {
-    const int peer = layout.device_of(down);
-    if (peer != row.device) *send_to = peer;
-  }
-}
-
 }  // namespace
 
 std::vector<mem::MeasuredPeak> MemoryCertificate::measured_peaks() const {
@@ -252,8 +230,12 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
   std::map<std::tuple<int, int, int>, Channel> channels;
   for (std::size_t idx = 0; idx < rows.size(); ++idx) {
     const Row& row = rows[idx];
-    int want_recv = kNoEndpoint, want_send = kNoEndpoint;
-    expected_endpoints(layout, row, &want_recv, &want_send);
+    // ir::lower fills endpoints with the same rule, so a scheme-lowered
+    // table verifies trivially while a corrupted or hand-written one is
+    // checked against the layout.
+    const Row want = ir::with_endpoints(layout, row);
+    const int want_recv = want.recv_from;
+    const int want_send = want.send_to;
     if (row.recv_from != want_recv) {
       std::ostringstream msg;
       msg << "row declares recv from "

@@ -32,56 +32,31 @@ std::vector<Scheme> all_schemes() {
           Scheme::VMin, Scheme::SlimPipe};
 }
 
-namespace {
-
-/// Display names match the legacy scheme runners exactly (metrics and the
-/// comparison tables key on them); only 1F1B decorates scheme_name().
-const char* display_name(Scheme scheme) {
-  return scheme == Scheme::OneF1B ? "1F1B (PipeDream-Flush)"
-                                  : scheme_name(scheme);
-}
-
-}  // namespace
-
 sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
-                                 bool want_timeline) {
-  // Interleaving with a single chunk is plain 1F1B (the same delegation the
-  // scheme runner performs) — resolve it before the display name is chosen.
+                                 bool want_timeline, obs::Trace* trace,
+                                 const fault::FaultPlan* faults,
+                                 fault::FaultReport* report) {
+  // Interleaving with a single chunk is plain 1F1B (plan_scheme delegates
+  // the same way) — resolve it before the label is chosen.
   if (scheme == Scheme::Interleaved1F1B && spec.v == 1) {
     scheme = Scheme::OneF1B;
   }
-  // Routing through plan_scheme (rather than the legacy run_* runners)
-  // stamps the scheme's declared in-flight cap on the spec, so compile()
-  // enforces the sched-inflight-bound rule on every simulated run.
+  // plan_scheme stamps the scheme's declared in-flight cap on the spec, so
+  // compile() enforces the sched-inflight-bound rule on every simulated run.
   SchedulePlan plan = plan_scheme(scheme, std::move(spec));
   std::unique_ptr<ExchangePlanner> planner;
   if (plan.spec.context_exchange && plan.spec.p > 1) {
     planner = std::make_unique<ExchangePlanner>(plan.spec);
   }
   return sched::run_pipeline(plan.spec, plan.programs, planner.get(),
-                             display_name(scheme), want_timeline);
-}
-
-sched::ScheduleResult run_scheme_faulted(Scheme scheme,
-                                         sched::PipelineSpec spec,
-                                         const fault::FaultPlan& faults,
-                                         fault::FaultReport* report,
-                                         bool want_timeline) {
-  // plan_scheme applies the same spec normalization as the run_* runners,
-  // so the faulted run executes exactly the schedule run_scheme would.
-  SchedulePlan plan = plan_scheme(scheme, std::move(spec));
-  std::unique_ptr<ExchangePlanner> planner;
-  if (plan.spec.context_exchange && plan.spec.p > 1) {
-    planner = std::make_unique<ExchangePlanner>(plan.spec);
-  }
-  return sched::run_pipeline_faulted(plan.spec, plan.programs, planner.get(),
-                                     scheme_name(scheme), faults, report,
-                                     want_timeline);
+                             scheme_name(scheme), want_timeline, trace,
+                             faults, report);
 }
 
 SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
-  // Normalizations mirror the run_* runners exactly, so linting a plan
-  // covers the same schedule the simulator would execute.
+  // The one spec normalization per scheme: run_scheme simulates exactly
+  // the plan returned here, so linting a plan covers the same schedule the
+  // simulator executes.
   SchedulePlan plan;
   switch (scheme) {
     case Scheme::GPipe:

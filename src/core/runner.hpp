@@ -1,12 +1,15 @@
 #pragma once
 
 // Public façade: run any pipeline scheme on a spec and compare schemes.
-// This is the main entry point a downstream user of the library calls.
+// run_scheme is the one scheme-level way to simulate an iteration (traced,
+// fault-injected or plain); plan_scheme is the one place a scheme's
+// spec normalization lives, and run_scheme routes through it.
 
 #include <string>
 #include <vector>
 
 #include "src/fault/fault_plan.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sched/schedule.hpp"
 
 namespace slim::core {
@@ -27,23 +30,22 @@ std::vector<Scheme> all_schemes();
 
 /// Runs one simulated training iteration under the given scheme.
 /// Scheme-specific knobs on the spec (layout, retain_kv, ...) are
-/// normalized by the scheme's runner; schedule-relevant ones (p, v, n, m,
-/// policy, vocab_parallel, context_exchange) are honored where the scheme
-/// supports them.
+/// normalized by plan_scheme; schedule-relevant ones (p, v, n, m, policy,
+/// vocab_parallel, context_exchange) are honored where the scheme supports
+/// them. Interleaved1F1B at v = 1 runs (and is labelled) as 1F1B; the
+/// result's scheme is scheme_name of the scheme that ran.
+///
+/// `trace`, `faults` and `report` pass through to sched::run_pipeline: a
+/// trace receives the executed timeline, a fault plan degrades op durations
+/// before execution (stragglers, links) and adds checkpoint-restart
+/// recovery cost afterwards (crashes) — iteration_time is then the degraded
+/// total and the fault_* fields break out the overheads — and a report
+/// collects the structured fault events.
 sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
-                                 bool want_timeline = false);
-
-/// Runs one simulated iteration under the given scheme with a fault plan
-/// applied: straggler/link faults degrade op durations before execution,
-/// device crashes add checkpoint-restart recovery cost afterwards. The
-/// result's iteration_time is the degraded total and the fault_* fields
-/// break out the overheads; `report`, when set, collects the structured
-/// fault events.
-sched::ScheduleResult run_scheme_faulted(Scheme scheme,
-                                         sched::PipelineSpec spec,
-                                         const fault::FaultPlan& faults,
-                                         fault::FaultReport* report = nullptr,
-                                         bool want_timeline = false);
+                                 bool want_timeline = false,
+                                 obs::Trace* trace = nullptr,
+                                 const fault::FaultPlan* faults = nullptr,
+                                 fault::FaultReport* report = nullptr);
 
 /// A scheme's schedule without running the simulator: the normalized spec,
 /// the generated per-device programs and the scheme's declared cap on
@@ -55,8 +57,9 @@ struct SchedulePlan {
   double max_inflight_units = 0.0;
 };
 
-/// Normalizes the spec exactly like the scheme's runner and generates its
-/// programs. Throws (SLIM_CHECK) on specs the scheme cannot schedule.
+/// Normalizes the spec for the scheme (the only place that does) and
+/// generates its programs. Throws (SLIM_CHECK) on specs the scheme cannot
+/// schedule.
 SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec);
 
 }  // namespace slim::core

@@ -1,9 +1,7 @@
 #include "src/core/slimpipe.hpp"
 
-#include <memory>
-
-#include "src/core/context_exchange.hpp"
 #include "src/core/slice.hpp"
+#include "src/sched/builder.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::core {
@@ -55,24 +53,6 @@ std::vector<sched::DeviceProgram> slimpipe_programs(
         sched::one_f_one_b_program(fwd, bwd, warmup);
   }
   return programs;
-}
-
-sched::ScheduleResult run_slimpipe(sched::PipelineSpec spec,
-                                   bool want_timeline) {
-  spec.layout = spec.v == 1 ? sched::StageLayoutKind::Sequential
-                            : sched::StageLayoutKind::Interleaved;
-  spec.retain_kv = true;
-  spec.cp_mode = model::CpMode::Commutated;
-  if (spec.n < spec.p) spec.n = spec.p;
-  // Exchange needs a sliced pipeline with at least two devices.
-  if (spec.n <= 1 || spec.p <= 1) spec.context_exchange = false;
-
-  std::unique_ptr<ExchangePlanner> planner;
-  if (spec.context_exchange && spec.p > 1) {
-    planner = std::make_unique<ExchangePlanner>(spec);
-  }
-  return sched::run_pipeline(spec, slimpipe_programs(spec), planner.get(),
-                             "SlimPipe", want_timeline);
 }
 
 }  // namespace slim::core

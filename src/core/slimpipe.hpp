@@ -3,10 +3,13 @@
 // SlimPipe (paper §4): fine-grained pipeline parallelism with uniform
 // sequence slicing, slice-level 1F1B scheduling, LIFO backward order, KV
 // chunk reuse, attention context exchange and vocabulary parallelism.
+//
+// This file holds the schedule (pure ordering). The spec normalization
+// (layout, KV retention, commutated CP, n >= p) lives in core::plan_scheme;
+// run it with core::run_scheme(Scheme::SlimPipe, spec).
 
 #include <vector>
 
-#include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
 
 namespace slim::core {
@@ -15,10 +18,5 @@ namespace slim::core {
 /// forms; v == 1 gives Figure 4's schedule, v > 1 Figure 5's).
 std::vector<sched::DeviceProgram> slimpipe_programs(
     const sched::PipelineSpec& spec);
-
-/// Normalizes the spec (layout, KV retention) and simulates one iteration.
-/// Context exchange and vocabulary parallelism follow the spec's flags.
-sched::ScheduleResult run_slimpipe(sched::PipelineSpec spec,
-                                   bool want_timeline = false);
 
 }  // namespace slim::core

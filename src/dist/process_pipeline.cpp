@@ -31,6 +31,9 @@ namespace {
 // Every supervisor timestamp is on the run's monotonic clock (obs/clock.hpp).
 using Clock = obs::MonoClock;
 
+/// Flight-recorder events kept per worker for its postmortem.
+constexpr std::size_t kFlightTail = 32;
+
 /// Supervisor-side view of one worker process.
 struct WorkerHandle {
   int stage = -1;
@@ -287,7 +290,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       cfg.trace = rec != nullptr;
       cfg.attempt = attempt_index;
       cfg.flight = options.flight;
-      cfg.flight_capacity = options.flight_capacity;
       cfg.faults = resolve_faults(plan, s, inject);
       const bool kill_here = kill_armed && kill.stage == s;
       if (kill_here && (kill.phase == KillSpec::Phase::MidCommit ||
@@ -437,16 +439,14 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           case FrameKind::Event:
             break;  // reserved; events currently ride in Done/Error frames
           case FrameKind::Telemetry: {
-            // Flight-recorder flush: keep the last flight_tail events as the
-            // worker's recoverable breadcrumb trail.
+            // Flight-recorder flush: keep the last kFlightTail events as
+            // the worker's recoverable breadcrumb trail.
             Reader r(frame.payload);
             WireFlightFlush flush = read_flight_flush(r);
             w.flight_dropped += flush.dropped;
-            const std::size_t keep =
-                static_cast<std::size_t>(std::max(1, options.flight_tail));
             for (const obs::FlightEvent& event : flush.events) {
               w.flight.push_back(event);
-              if (w.flight.size() > keep) w.flight.pop_front();
+              if (w.flight.size() > kFlightTail) w.flight.pop_front();
             }
             break;
           }

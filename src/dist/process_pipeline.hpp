@@ -103,12 +103,10 @@ struct ProcessOptions {
   /// Crash-torture hook (see KillSpec).
   KillSpec kill;
   /// Worker flight recorder (obs/flight_recorder.hpp): breadcrumb ring
-  /// flushed over the control socket; the last flight_tail recovered events
-  /// of a dead worker are appended to the postmortem. Off only for overhead
+  /// flushed over the control socket; the last 32 recovered events of a
+  /// dead worker are appended to the postmortem. Off only for overhead
   /// measurement (bench_obs_overhead).
   bool flight = true;
-  int flight_capacity = 256;
-  int flight_tail = 32;
   /// Clock-alignment ping cadence (supervisor -> worker round trips; an
   /// NTP-style offset estimate re-bases worker trace times onto the run
   /// clock — see obs/clock.hpp).

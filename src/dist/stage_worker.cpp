@@ -511,8 +511,6 @@ int run_stage_worker(const WorkerConfig& config) {
   ctx.cfg = &config;
   ctx.start = obs::MonoClock::now();
   ctx.last_beat = ctx.start;
-  ctx.flight = obs::FlightRecorder(
-      static_cast<std::size_t>(std::max(1, config.flight_capacity)));
   ctx.drops_fired.assign(config.faults.drops.size(), 0);
   try {
     Frame hello;

@@ -68,11 +68,11 @@ struct WorkerConfig {
   std::chrono::milliseconds heartbeat_interval{25};
   std::chrono::milliseconds starvation_timeout{30000};
   bool trace = false;  // collect spans/instants/flows into the Done frame
-  /// Flight recorder (obs/flight_recorder.hpp): always-on breadcrumb ring,
-  /// flushed to the supervisor as Telemetry frames on the heartbeat cadence
-  /// and before every Commit. Off only for overhead measurement.
+  /// Flight recorder (obs/flight_recorder.hpp): always-on breadcrumb ring
+  /// of FlightRecorder::kDefaultCapacity events, flushed to the supervisor
+  /// as Telemetry frames on the heartbeat cadence and before every Commit.
+  /// Off only for overhead measurement.
   bool flight = true;
-  int flight_capacity = 256;
   WorkerFaults faults;
 };
 

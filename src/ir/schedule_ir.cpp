@@ -145,6 +145,28 @@ void ScheduleIR::canonicalize() {
                    });
 }
 
+Row with_endpoints(const sched::StageLayout& layout, Row row) {
+  row.recv_from = kNoEndpoint;
+  row.send_to = kNoEndpoint;
+  const bool forward = row.kind == PassType::Forward;
+  if (!forward && row.kind != PassType::Backward &&
+      row.kind != PassType::BackwardInput) {
+    return row;  // BackwardWeight exchanges nothing
+  }
+  const int num_stages = layout.num_stages();
+  const int up = forward ? row.stage - 1 : row.stage + 1;    // input side
+  const int down = forward ? row.stage + 1 : row.stage - 1;  // output side
+  if (up >= 0 && up < num_stages) {
+    const int peer = layout.device_of(up);
+    if (peer != row.device) row.recv_from = peer;
+  }
+  if (down >= 0 && down < num_stages) {
+    const int peer = layout.device_of(down);
+    if (peer != row.device) row.send_to = peer;
+  }
+  return row;
+}
+
 ScheduleIR lower(const sched::PipelineSpec& spec,
                  const std::vector<sched::DeviceProgram>& programs,
                  const std::string& scheme_name) {
@@ -165,7 +187,6 @@ ScheduleIR lower(const sched::PipelineSpec& spec,
   ir.max_inflight_units = spec.max_inflight_units;
 
   const StageLayout layout = spec.stage_layout();
-  const int num_stages = layout.num_stages();
   for (int dev = 0; dev < spec.p; ++dev) {
     const sched::DeviceProgram& program =
         programs[static_cast<std::size_t>(dev)];
@@ -182,32 +203,8 @@ ScheduleIR lower(const sched::PipelineSpec& spec,
       // verifier will flag it) with the chunk clamped for stage lookup.
       const int chunk =
           std::clamp(static_cast<int>(pass.chunk), 0, spec.v - 1);
-      const int stage = layout.stage_of(dev, chunk);
-      row.stage = stage;
-      // Explicit endpoints from the stage boundary this pass crosses.
-      const bool fwd = pass.type == PassType::Forward;
-      const bool bwd = pass.type == PassType::Backward ||
-                       pass.type == PassType::BackwardInput;
-      if (fwd) {
-        if (stage > 0) {
-          const int peer = layout.device_of(stage - 1);
-          if (peer != dev) row.recv_from = peer;
-        }
-        if (stage < num_stages - 1) {
-          const int peer = layout.device_of(stage + 1);
-          if (peer != dev) row.send_to = peer;
-        }
-      } else if (bwd) {
-        if (stage < num_stages - 1) {
-          const int peer = layout.device_of(stage + 1);
-          if (peer != dev) row.recv_from = peer;
-        }
-        if (stage > 0) {
-          const int peer = layout.device_of(stage - 1);
-          if (peer != dev) row.send_to = peer;
-        }
-      }
-      ir.rows.push_back(row);
+      row.stage = layout.stage_of(dev, chunk);
+      ir.rows.push_back(with_endpoints(layout, row));
     }
   }
   ir.canonicalize();

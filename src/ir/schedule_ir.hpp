@@ -13,8 +13,8 @@
 // graph is built — so slimpipe_sim can accept external schedules without
 // recompiling.
 //
-// The header carries the schedule-structural knobs a scheme runner would
-// normalize on the spec (layout, KV retention, checkpoint policy, ...), so
+// The header carries the schedule-structural knobs core::plan_scheme
+// normalizes on the spec (layout, KV retention, checkpoint policy, ...), so
 // importing an exported table reproduces the direct run byte-identically.
 // Workload knobs (model, GPU, sharding, sequence length) stay outside the
 // IR: they come from the spec the table is applied to.
@@ -74,11 +74,17 @@ struct ScheduleIR {
   void canonicalize();
 };
 
-/// Lowers a scheme's per-device programs to the tabular IR. Endpoints are
-/// derived from the spec's stage layout: a forward at stage s receives from
-/// the device holding stage s-1 and sends to the device holding stage s+1
-/// (when those stages live on another device); backwards run the boundary
-/// in reverse; weight-gradient halves exchange nothing.
+/// The endpoint rule: returns `row` with recv_from/send_to set to the
+/// endpoints its stage boundary implies under `layout`. A forward at stage
+/// s receives from the device holding stage s-1 and sends to the device
+/// holding stage s+1 (when those stages exist and live on another device
+/// than row.device); backwards run the boundary in reverse; weight-gradient
+/// halves exchange nothing. ir::lower fills every row with it, and the
+/// verifier checks a table's declared endpoints against it.
+Row with_endpoints(const sched::StageLayout& layout, Row row);
+
+/// Lowers a scheme's per-device programs to the tabular IR, endpoints from
+/// the spec's stage layout (with_endpoints).
 ScheduleIR lower(const sched::PipelineSpec& spec,
                  const std::vector<sched::DeviceProgram>& programs,
                  const std::string& scheme_name);

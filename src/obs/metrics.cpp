@@ -148,37 +148,6 @@ RunMetrics metrics_from_sim(const sim::OpGraph& graph,
   return metrics;
 }
 
-RunMetrics metrics_from_trace(const Trace& trace, int num_devices) {
-  RunMetrics metrics;
-  metrics.substrate = "runtime";
-  metrics.stages.resize(static_cast<std::size_t>(num_devices));
-  for (int d = 0; d < num_devices; ++d) {
-    metrics.stages[static_cast<std::size_t>(d)].device = d;
-  }
-
-  double makespan = 0.0;
-  for (const TraceSpan& span : trace.spans) {
-    makespan = std::max(makespan, span.end);
-    const int device =
-        span.track >= kAuxTrackBase ? -1 : span.track;
-    if (device < 0 || device >= num_devices) continue;
-    StageMetrics& stage = metrics.stages[static_cast<std::size_t>(device)];
-    const double dur = std::max(0.0, span.end - span.start);
-    if (span.cat == kCatComm) {
-      stage.comm_seconds += dur;
-    } else if (span.cat == kCatCompute || span.cat == kCatCommit) {
-      stage.compute_seconds += dur;
-    }
-  }
-  metrics.makespan = makespan;
-  for (StageMetrics& stage : metrics.stages) {
-    stage.idle_seconds = std::max(0.0, makespan - stage.compute_seconds);
-    stage.bubble_fraction =
-        makespan > 0.0 ? stage.idle_seconds / makespan : 0.0;
-  }
-  return metrics;
-}
-
 JsonValue run_metrics_to_json(const RunMetrics& metrics) {
   JsonValue root = JsonValue::make_object();
   root.set("substrate", JsonValue::make_string(metrics.substrate));

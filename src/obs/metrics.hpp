@@ -1,17 +1,16 @@
 #pragma once
 
 // Metrics registry: one per-stage/per-device record shape (StageMetrics)
-// computable from BOTH execution substrates — from an executed simulator
-// OpGraph (metrics_from_sim) and from a runtime Trace plus live probes
-// (metrics_from_trace). sched::ScheduleResult and rt::PipelineStats both
-// carry a RunMetrics so the same analysis/report code consumes either.
+// filled by BOTH execution substrates — from an executed simulator OpGraph
+// (metrics_from_sim) and, in the threaded and multi-process runtimes, from
+// the probes each stage owns. sched::ScheduleResult and rt::PipelineStats
+// both carry a RunMetrics so the same analysis/report code consumes either.
 
 #include <string>
 #include <vector>
 
 #include "src/memory/tracker.hpp"
 #include "src/obs/json.hpp"
-#include "src/obs/trace.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/graph.hpp"
 
@@ -86,12 +85,6 @@ struct RunMetrics {
 RunMetrics metrics_from_sim(const sim::OpGraph& graph,
                             const sim::ExecResult& result, int num_devices,
                             const mem::MemoryReport* memory = nullptr);
-
-/// Computes per-device metrics from a recorded Trace (runtime substrate):
-/// span cats map to compute/comm buckets; makespan is the last span end.
-/// Probe-only fields (queue depth, blocked time, message counts) must be
-/// filled by the caller from its live probes.
-RunMetrics metrics_from_trace(const Trace& trace, int num_devices);
 
 JsonValue run_metrics_to_json(const RunMetrics& metrics);
 bool run_metrics_from_json(const JsonValue& value, RunMetrics* out);

@@ -245,9 +245,4 @@ std::string chrome_trace_json(const Trace& trace) {
   return out.str();
 }
 
-std::string chrome_trace_json(const sim::OpGraph& graph,
-                              const sim::ExecResult& result) {
-  return chrome_trace_json(trace_from_sim(graph, result));
-}
-
 }  // namespace slim::obs

@@ -170,9 +170,4 @@ void append_fault_events(Trace& trace,
 /// render as separate process groups in Perfetto.
 std::string chrome_trace_json(const Trace& trace);
 
-/// Convenience: trace_from_sim + chrome_trace_json (the successor of the
-/// old sim::chrome_trace_json).
-std::string chrome_trace_json(const sim::OpGraph& graph,
-                              const sim::ExecResult& result);
-
 }  // namespace slim::obs

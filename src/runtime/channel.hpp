@@ -71,16 +71,6 @@ class Channel {
     return message;
   }
 
-  /// Blocks up to `timeout`; returns nullopt on expiry *or* poisoning
-  /// (legacy probe interface; receive_status_for distinguishes the two).
-  template <typename Rep, typename Period>
-  std::optional<T> receive_for(std::chrono::duration<Rep, Period> timeout) {
-    T message;
-    return receive_status_for(timeout, message) == RecvStatus::Ok
-               ? std::optional<T>(std::move(message))
-               : std::nullopt;
-  }
-
   /// Blocks up to `timeout`; fills `out` and returns Ok, or reports why no
   /// message arrived (Timeout = starvation probe expired, Closed = channel
   /// poisoned and drained).

@@ -598,47 +598,39 @@ ScheduleResult run_pipeline(const PipelineSpec& spec,
                             const std::vector<DeviceProgram>& programs,
                             const ExchangeOracle* exchange,
                             const std::string& scheme_name,
-                            bool want_timeline, obs::Trace* trace) {
-  BuildOutput built = compile(spec, programs, exchange);
-  const sim::ExecResult exec = sim::execute(*built.graph);
-  if (trace != nullptr) *trace = obs::trace_from_sim(*built.graph, exec);
-  return assemble_result(spec, built, exec, scheme_name, want_timeline);
-}
-
-ScheduleResult run_pipeline_faulted(const PipelineSpec& spec,
-                                    const std::vector<DeviceProgram>& programs,
-                                    const ExchangeOracle* exchange,
-                                    const std::string& scheme_name,
-                                    const fault::FaultPlan& faults,
-                                    fault::FaultReport* report,
-                                    bool want_timeline, obs::Trace* trace) {
-  {
+                            bool want_timeline, obs::Trace* trace,
+                            const fault::FaultPlan* faults,
+                            fault::FaultReport* report) {
+  if (faults != nullptr) {
     const std::vector<fault::PlanIssue> issues =
-        fault::validate(faults, spec.p);
+        fault::validate(*faults, spec.p);
     SLIM_CHECK(issues.empty(),
                "invalid fault plan:\n" + fault::render(issues));
   }
   // The trace wants the structured fault events even when the caller did
   // not ask for a report.
   fault::FaultReport local_report;
-  if (trace != nullptr && report == nullptr) report = &local_report;
+  if (report == nullptr) report = &local_report;
   BuildOutput built = compile(spec, programs, exchange);
   const double injected =
-      fault::apply_to_graph(*built.graph, faults, report);
+      faults != nullptr ? fault::apply_to_graph(*built.graph, *faults, report)
+                        : 0.0;
   const sim::ExecResult exec = sim::execute(*built.graph);
-  if (trace != nullptr) *trace = obs::trace_from_sim(*built.graph, exec);
   ScheduleResult result =
       assemble_result(spec, built, exec, scheme_name, want_timeline);
-  const double recovery =
-      fault::recovery_overhead(*built.graph, exec, faults, report);
-  if (trace != nullptr && report != nullptr) {
-    obs::append_fault_events(*trace, report->events);
+  if (faults != nullptr) {
+    const double recovery =
+        fault::recovery_overhead(*built.graph, exec, *faults, report);
+    result.fault_injected_seconds = injected;
+    result.fault_recovery_seconds = recovery;
+    result.iteration_time += recovery;
+    // MFU degrades with the effective iteration time.
+    result.mfu *= exec.makespan / result.iteration_time;
   }
-  result.fault_injected_seconds = injected;
-  result.fault_recovery_seconds = recovery;
-  result.iteration_time += recovery;
-  // MFU degrades with the effective iteration time.
-  result.mfu *= exec.makespan / result.iteration_time;
+  if (trace != nullptr) {
+    *trace = obs::trace_from_sim(*built.graph, exec);
+    if (faults != nullptr) obs::append_fault_events(*trace, report->events);
+  }
   return result;
 }
 

@@ -6,7 +6,9 @@
 // model, inter-stage activation/gradient transfers, vocabulary output ops,
 // activation memory deltas (including the split frees of ZB-V), offload
 // exposure, the optimizer tail, and model-state baselines. Scheme-specific
-// code only produces DeviceProgram orderings.
+// code only produces DeviceProgram orderings. run_pipeline is the one
+// program-level way to simulate an iteration — plain, traced or with a
+// fault plan; core::run_scheme is the scheme-level one on top of it.
 
 #include <memory>
 #include <optional>
@@ -70,31 +72,28 @@ void set_compile_lint(bool enabled);
 bool compile_lint_enabled();
 
 /// Compiles, executes, replays memory and assembles the full result
-/// (including per-stage obs::RunMetrics). When `trace` is non-null it is
-/// filled with the executed timeline (obs::trace_from_sim) for export via
-/// obs::chrome_trace_json.
+/// (including per-stage obs::RunMetrics). This is the one program-level way
+/// to simulate an iteration; core::run_scheme feeds it a scheme's
+/// normalized spec and programs.
+///
+/// `trace`, when set, is filled with the executed timeline
+/// (obs::trace_from_sim) for export via obs::chrome_trace_json. `faults`,
+/// when set, is validated (an invalid plan fails a SLIM_CHECK) and applied
+/// to the compiled graph (straggler and link degradation) before executing;
+/// the checkpoint-restart recovery cost of any device crashes is then
+/// added, so iteration_time reports the degraded total and the fault_*
+/// fields break out the two overheads. `report`, when set, collects the
+/// structured fault events, and a trace additionally carries them as
+/// instant markers on the affected devices' tracks. A null plan runs the
+/// fault-free path.
 ScheduleResult run_pipeline(const PipelineSpec& spec,
                             const std::vector<DeviceProgram>& programs,
                             const ExchangeOracle* exchange,
                             const std::string& scheme_name,
                             bool want_timeline = false,
-                            obs::Trace* trace = nullptr);
-
-/// Fault-injecting form: applies the plan to the compiled graph (straggler
-/// and link degradation) before executing, then adds the checkpoint-restart
-/// recovery cost of any device crashes. iteration_time reports the degraded
-/// total; the fault_* fields break out the two overheads. `report`, when
-/// set, collects the structured fault events.
-/// `trace`, when set, additionally carries the injected fault events as
-/// instant markers on the affected devices' tracks.
-ScheduleResult run_pipeline_faulted(const PipelineSpec& spec,
-                                    const std::vector<DeviceProgram>& programs,
-                                    const ExchangeOracle* exchange,
-                                    const std::string& scheme_name,
-                                    const fault::FaultPlan& faults,
-                                    fault::FaultReport* report = nullptr,
-                                    bool want_timeline = false,
-                                    obs::Trace* trace = nullptr);
+                            obs::Trace* trace = nullptr,
+                            const fault::FaultPlan* faults = nullptr,
+                            fault::FaultReport* report = nullptr);
 
 /// Shared warmup/steady/cooldown assembly: `fwd` and `bwd` are the
 /// device-local unit orders; the first `warmup` forwards run before the

@@ -20,16 +20,6 @@ std::vector<DeviceProgram> gpipe_programs(const PipelineSpec& spec) {
   return programs;
 }
 
-ScheduleResult run_gpipe(PipelineSpec spec, bool want_timeline) {
-  spec.v = 1;
-  spec.n = 1;
-  spec.layout = StageLayoutKind::Sequential;
-  spec.retain_kv = false;
-  spec.context_exchange = false;
-  return run_pipeline(spec, gpipe_programs(spec), nullptr, "GPipe",
-                      want_timeline);
-}
-
 std::vector<DeviceProgram> terapipe_programs(const PipelineSpec& spec) {
   SLIM_CHECK(spec.v == 1, "TeraPipe uses a single stage per device");
   std::vector<DeviceProgram> programs(static_cast<std::size_t>(spec.p));
@@ -49,15 +39,6 @@ std::vector<DeviceProgram> terapipe_programs(const PipelineSpec& spec) {
     }
   }
   return programs;
-}
-
-ScheduleResult run_terapipe(PipelineSpec spec, bool want_timeline) {
-  spec.v = 1;
-  spec.layout = StageLayoutKind::Sequential;
-  spec.retain_kv = true;  // token-level scheduling needs the KV of earlier slices
-  spec.context_exchange = false;
-  return run_pipeline(spec, terapipe_programs(spec), nullptr, "TeraPipe",
-                      want_timeline);
 }
 
 }  // namespace slim::sched

@@ -1,5 +1,6 @@
 #include "src/sched/schemes.hpp"
 
+#include "src/sched/builder.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::sched {
@@ -20,16 +21,6 @@ std::vector<DeviceProgram> onef1b_programs(const PipelineSpec& spec) {
         one_f_one_b_program(fwd, bwd, warmup);
   }
   return programs;
-}
-
-ScheduleResult run_onef1b(PipelineSpec spec, bool want_timeline) {
-  spec.v = 1;
-  spec.n = 1;
-  spec.layout = StageLayoutKind::Sequential;
-  spec.retain_kv = false;
-  spec.context_exchange = false;
-  return run_pipeline(spec, onef1b_programs(spec), nullptr,
-                      "1F1B (PipeDream-Flush)", want_timeline);
 }
 
 std::vector<DeviceProgram> interleaved_programs(const PipelineSpec& spec) {
@@ -61,17 +52,6 @@ std::vector<DeviceProgram> interleaved_programs(const PipelineSpec& spec) {
         one_f_one_b_program(fwd, bwd, warmup);
   }
   return programs;
-}
-
-ScheduleResult run_interleaved(PipelineSpec spec, bool want_timeline) {
-  spec.n = 1;
-  spec.layout =
-      spec.v == 1 ? StageLayoutKind::Sequential : StageLayoutKind::Interleaved;
-  spec.retain_kv = false;
-  spec.context_exchange = false;
-  if (spec.v == 1) return run_onef1b(spec, want_timeline);
-  return run_pipeline(spec, interleaved_programs(spec), nullptr,
-                      "Interleaved 1F1B", want_timeline);
 }
 
 }  // namespace slim::sched

@@ -7,12 +7,12 @@
 //   Interleaved 1F1B — Megatron-LM's multi-chunk variant
 //   ZB-V / V-Half    — zero-bubble schedules with split backward
 //
-// Each scheme has a program generator (pure ordering) and a runner that
-// normalizes the spec's scheme-determined knobs and simulates an iteration.
+// Each scheme has a program generator here (pure ordering). The spec
+// normalization lives in one place, core::plan_scheme, and
+// core::run_scheme is the one way to simulate a scheme.
 
 #include <vector>
 
-#include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
 
 namespace slim::sched {
@@ -26,14 +26,5 @@ std::vector<DeviceProgram> interleaved_programs(const PipelineSpec& spec);
 /// stage-activation units (2p for ZB-V, p/2 + 2 for V-Half).
 std::vector<DeviceProgram> zbv_programs(const PipelineSpec& spec,
                                         double memory_cap_units);
-
-/// Runners: normalize spec knobs for the scheme, then simulate.
-ScheduleResult run_gpipe(PipelineSpec spec, bool want_timeline = false);
-ScheduleResult run_terapipe(PipelineSpec spec, bool want_timeline = false);
-ScheduleResult run_onef1b(PipelineSpec spec, bool want_timeline = false);
-ScheduleResult run_interleaved(PipelineSpec spec, bool want_timeline = false);
-ScheduleResult run_zbv(PipelineSpec spec, bool want_timeline = false);
-ScheduleResult run_vhalf(PipelineSpec spec, bool want_timeline = false);
-ScheduleResult run_vmin(PipelineSpec spec, bool want_timeline = false);
 
 }  // namespace slim::sched

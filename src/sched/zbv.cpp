@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "src/model/flops.hpp"
+#include "src/sched/builder.hpp"
 #include "src/sched/schemes.hpp"
 #include "src/util/logging.hpp"
 
@@ -232,42 +233,6 @@ std::vector<DeviceProgram> zbv_programs(const PipelineSpec& spec,
   programs.reserve(static_cast<std::size_t>(p));
   for (DeviceState& st : devs) programs.push_back(std::move(st.program));
   return programs;
-}
-
-namespace {
-ScheduleResult run_zb_family(PipelineSpec spec, double cap_units,
-                             const char* name, bool want_timeline) {
-  spec.v = 2;
-  spec.n = 1;
-  spec.layout = StageLayoutKind::VShape;
-  spec.retain_kv = false;
-  spec.context_exchange = false;
-  // The paper notes ZB-V's built-in full checkpointing "does not work
-  // properly"; both V-shaped schemes run without checkpointing (6.6).
-  spec.policy = model::CheckpointPolicy::None;
-  return run_pipeline(spec, zbv_programs(spec, cap_units), nullptr, name,
-                      want_timeline);
-}
-}  // namespace
-
-ScheduleResult run_zbv(PipelineSpec spec, bool want_timeline) {
-  // Peak bounded by 1F1B's: p microbatch activations = 2p stage units.
-  const double cap = 2.0 * static_cast<double>(spec.p);
-  return run_zb_family(std::move(spec), cap, "ZB-V", want_timeline);
-}
-
-ScheduleResult run_vhalf(PipelineSpec spec, bool want_timeline) {
-  // Table 2: (1/2 + 1/p) Ma = p + 2 stage units.
-  const double cap = static_cast<double>(spec.p) + 2.0;
-  return run_zb_family(std::move(spec), cap, "V-Half", want_timeline);
-}
-
-ScheduleResult run_vmin(PipelineSpec spec, bool want_timeline) {
-  // V-Min targets 1/3 of 1F1B's activation peak (2p/3 stage units); a
-  // two-unit floor keeps the V's up-leg schedulable.
-  const double cap =
-      std::max(4.0, 2.0 * static_cast<double>(spec.p) / 3.0 + 2.0);
-  return run_zb_family(std::move(spec), cap, "V-Min", want_timeline);
 }
 
 }  // namespace slim::sched

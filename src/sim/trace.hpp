@@ -23,8 +23,9 @@ std::string ascii_timeline(const OpGraph& graph, const ExecResult& result,
                            const AsciiTraceOptions& options = {});
 
 // Chrome trace export moved to the unified observability layer: see
-// obs::chrome_trace_json(graph, result) in src/obs/trace.hpp, which adds
-// proper JSON string escaping, per-channel communication tracks, flow
-// events linking sends to receives, and fault/recovery instant markers.
+// obs::chrome_trace_json(obs::trace_from_sim(graph, result)) in
+// src/obs/trace.hpp, which adds proper JSON string escaping, per-channel
+// communication tracks, flow events linking sends to receives, and
+// fault/recovery instant markers.
 
 }  // namespace slim::sim

@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/core/runner.hpp"
 #include "src/fault/fault_plan.hpp"
 #include "src/fault/fault_sim.hpp"
+#include "src/obs/trace.hpp"
 #include "src/runtime/channel.hpp"
 #include "src/runtime/pipeline_runtime.hpp"
 #include "src/sim/executor.hpp"
@@ -290,7 +295,7 @@ TEST(FaultSimTest, ReportRendersEventsAndTotals) {
   EXPECT_NE(report.render().find("straggler"), std::string::npos);
 }
 
-// ---- scheme-level degradation (core::run_scheme_faulted) ----
+// ---- scheme-level degradation (core::run_scheme with a fault plan) ----
 
 sched::PipelineSpec tiny_spec() {
   sched::PipelineSpec spec;
@@ -309,8 +314,8 @@ TEST(SchemeFaultTest, StragglerDegradesIterationTime) {
   FaultPlan plan;
   plan.stragglers.push_back({2, OpFilter::Any, 1.5, 0.0, 0, -1});
   FaultReport report;
-  const auto degraded = core::run_scheme_faulted(core::Scheme::SlimPipe,
-                                                 tiny_spec(), plan, &report);
+  const auto degraded = core::run_scheme(core::Scheme::SlimPipe, tiny_spec(),
+                                         false, nullptr, &plan, &report);
   EXPECT_GT(degraded.iteration_time, baseline.iteration_time);
   EXPECT_GT(degraded.fault_injected_seconds, 0.0);
   EXPECT_DOUBLE_EQ(degraded.fault_recovery_seconds, 0.0);
@@ -322,27 +327,60 @@ TEST(SchemeFaultTest, CrashAddsRecoveryCost) {
   const auto baseline = core::run_scheme(core::Scheme::OneF1B, tiny_spec());
   FaultPlan plan;
   plan.crashes.push_back({1, 3, 4.0});
-  const auto degraded =
-      core::run_scheme_faulted(core::Scheme::OneF1B, tiny_spec(), plan);
+  const auto degraded = core::run_scheme(core::Scheme::OneF1B, tiny_spec(),
+                                         false, nullptr, &plan);
   EXPECT_NEAR(degraded.iteration_time,
               baseline.iteration_time + degraded.fault_recovery_seconds,
               1e-9);
   EXPECT_GT(degraded.fault_recovery_seconds, 4.0);
 }
 
+// One scheme, one run, one label: the plain run, the run with an empty
+// fault plan and the traced run agree on every scheme, each is labelled
+// with scheme_name of the scheme that ran (Interleaved 1F1B at v = 1 runs
+// as 1F1B), and the trace ends where the printed iteration does.
 TEST(SchemeFaultTest, EmptyPlanChangesNothing) {
-  const auto baseline = core::run_scheme(core::Scheme::SlimPipe, tiny_spec());
-  const auto faulted = core::run_scheme_faulted(core::Scheme::SlimPipe,
-                                                tiny_spec(), FaultPlan{});
-  EXPECT_DOUBLE_EQ(faulted.iteration_time, baseline.iteration_time);
-  EXPECT_DOUBLE_EQ(faulted.fault_injected_seconds, 0.0);
+  std::vector<std::pair<core::Scheme, sched::PipelineSpec>> cases;
+  for (const core::Scheme scheme : core::all_schemes()) {
+    sched::PipelineSpec spec = tiny_spec();
+    if (scheme == core::Scheme::Interleaved1F1B) spec.v = 2;
+    cases.emplace_back(scheme, spec);
+  }
+  cases.emplace_back(core::Scheme::Interleaved1F1B, tiny_spec());  // v = 1
+  for (const auto& [scheme, spec] : cases) {
+    SCOPED_TRACE(std::string(core::scheme_name(scheme)) +
+                 " v=" + std::to_string(spec.v));
+    const core::Scheme resolved =
+        scheme == core::Scheme::Interleaved1F1B && spec.v == 1
+            ? core::Scheme::OneF1B
+            : scheme;
+    const FaultPlan empty;
+    obs::Trace trace;
+    const auto plain = core::run_scheme(scheme, spec);
+    const auto faulted =
+        core::run_scheme(scheme, spec, false, nullptr, &empty);
+    const auto traced = core::run_scheme(scheme, spec, false, &trace);
+    EXPECT_EQ(plain.scheme, core::scheme_name(resolved));
+    for (const sched::ScheduleResult* r : {&faulted, &traced}) {
+      EXPECT_DOUBLE_EQ(r->iteration_time, plain.iteration_time);
+      EXPECT_DOUBLE_EQ(r->peak_memory, plain.peak_memory);
+      EXPECT_EQ(r->scheme, plain.scheme);
+    }
+    EXPECT_DOUBLE_EQ(faulted.fault_injected_seconds, 0.0);
+    ASSERT_FALSE(trace.spans.empty());
+    double last_end = 0.0;
+    for (const obs::TraceSpan& span : trace.spans) {
+      last_end = std::max(last_end, span.end);
+    }
+    EXPECT_DOUBLE_EQ(last_end, traced.iteration_time);
+  }
 }
 
 TEST(SchemeFaultTest, InvalidPlanRejected) {
   FaultPlan plan;
   plan.crashes.push_back({99, 0, 1.0});  // outside p=4
-  EXPECT_THROW(core::run_scheme_faulted(core::Scheme::SlimPipe, tiny_spec(),
-                                        plan),
+  EXPECT_THROW(core::run_scheme(core::Scheme::SlimPipe, tiny_spec(), false,
+                                nullptr, &plan),
                std::logic_error);
 }
 

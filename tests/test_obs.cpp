@@ -175,13 +175,6 @@ TEST(MetricsFromSimTest, BreakdownOnHandBuiltGraph) {
     EXPECT_LE(stage.bubble_fraction, 1.0);
     EXPECT_NEAR(stage.compute_seconds + stage.idle_seconds, m.makespan, 1e-9);
   }
-
-  // The trace-side computation agrees on the compute bucket.
-  const RunMetrics t = metrics_from_trace(trace_from_sim(g, r), 2);
-  ASSERT_EQ(t.stages.size(), 2u);
-  EXPECT_DOUBLE_EQ(t.stages[0].compute_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(t.stages[1].compute_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(t.makespan, m.makespan);
 }
 
 TEST(MetricsJsonTest, RoundTrip) {
@@ -404,14 +397,11 @@ TEST(ConsistencyTest, SimAndRuntimeAgreeOnScheduleShape) {
     }
   }
 
-  // The runtime's recorded trace is itself a valid source of metrics and a
-  // valid Chrome export with paired flow arrows.
+  // The runtime's recorded trace is a valid Chrome export with paired flow
+  // arrows.
   const Trace trace = recorder.take();
   EXPECT_FALSE(trace.spans.empty());
   EXPECT_FALSE(trace.flows.empty());
-  const RunMetrics from_trace = metrics_from_trace(trace, 2);
-  ASSERT_EQ(from_trace.stages.size(), 2u);
-  EXPECT_GT(from_trace.stages[0].compute_seconds, 0.0);
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(JsonValue::parse(chrome_trace_json(trace), &doc, &error))

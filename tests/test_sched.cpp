@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/runner.hpp"
 #include "src/core/slice.hpp"
 #include "src/model/transformer.hpp"
 #include "src/sched/builder.hpp"
@@ -188,7 +189,7 @@ TEST_P(BubbleFormulaTest, OneF1BMatchesClosedForm) {
   // Shrink the vocabulary so the last-stage output GEMM does not add the
   // Figure 9 imbalance on top of the warm-up bubble being measured.
   spec.cfg.vocab = 4000;
-  const auto r = run_onef1b(spec);
+  const auto r = core::run_scheme(core::Scheme::OneF1B, spec);
   const double expect = static_cast<double>(c.p - 1) /
                         static_cast<double>(c.m + c.p - 1);
   EXPECT_NEAR(r.bubble_fraction, expect, 0.08)
@@ -199,9 +200,9 @@ TEST_P(BubbleFormulaTest, InterleavingShrinksBubble) {
   const BubbleCase c = GetParam();
   if (c.m % c.p != 0 || c.v < 2) return;
   PipelineSpec base = small_spec(c.p, c.m);
-  const auto flat = run_onef1b(base);
+  const auto flat = core::run_scheme(core::Scheme::OneF1B, base);
   PipelineSpec inter = small_spec(c.p, c.m, c.v);
-  const auto leaved = run_interleaved(inter);
+  const auto leaved = core::run_scheme(core::Scheme::Interleaved1F1B, inter);
   EXPECT_LT(leaved.bubble_fraction, flat.bubble_fraction + 1e-9);
 }
 
@@ -250,9 +251,9 @@ TEST_P(ActivationFractionTest, OneF1BFirstDevice) {
 TEST_P(ActivationFractionTest, GPipeGrowsWithMicrobatches) {
   const MemCase c = GetParam();
   PipelineSpec spec = small_spec(c.p, c.m);
-  const auto r1 = run_gpipe(spec);
+  const auto r1 = core::run_scheme(core::Scheme::GPipe, spec);
   PipelineSpec spec2 = small_spec(c.p, 2 * c.m);
-  const auto r2 = run_gpipe(spec2);
+  const auto r2 = core::run_scheme(core::Scheme::GPipe, spec2);
   EXPECT_GT(r2.first_device_memory, r1.first_device_memory);
 }
 
@@ -265,18 +266,18 @@ TEST(TeraPipeTest, AccumulatesEverything) {
   PipelineSpec spec = small_spec(4, 4);
   spec.n = 8;
   spec.retain_kv = true;
-  const auto tera = run_terapipe(spec);
+  const auto tera = core::run_scheme(core::Scheme::TeraPipe, spec);
   PipelineSpec flat = small_spec(4, 4);
-  const auto f1b = run_onef1b(flat);
+  const auto f1b = core::run_scheme(core::Scheme::OneF1B, flat);
   // TeraPipe holds all m microbatches; 1F1B only p (= m here would tie,
   // so use m > p).
   PipelineSpec spec2 = small_spec(4, 8);
   spec2.n = 8;
-  const auto tera2 = run_terapipe(spec2);
+  const auto tera2 = core::run_scheme(core::Scheme::TeraPipe, spec2);
   EXPECT_GT(tera2.first_device_memory, f1b.first_device_memory * 1.5);
   // But its warm-up bubble is much smaller than GPipe's.
   PipelineSpec gspec = small_spec(4, 4);
-  const auto gp = run_gpipe(gspec);
+  const auto gp = core::run_scheme(core::Scheme::GPipe, gspec);
   EXPECT_LT(tera.bubble_fraction, gp.bubble_fraction);
 }
 
@@ -312,10 +313,10 @@ TEST(VocabImbalanceTest, LastStageGemmCreatesBubbles) {
   // bubbles under 1F1B where every microbatch pays the serialized GEMM.
   PipelineSpec spec = small_spec(4, 8);
   spec.seq = 64 * 1024;
-  const auto plain = run_onef1b(spec);
+  const auto plain = core::run_scheme(core::Scheme::OneF1B, spec);
   PipelineSpec vp = spec;
   vp.vocab_parallel = true;
-  const auto distributed = run_onef1b(vp);
+  const auto distributed = core::run_scheme(core::Scheme::OneF1B, vp);
   EXPECT_LT(distributed.iteration_time, plain.iteration_time);
 }
 

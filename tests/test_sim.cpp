@@ -173,7 +173,7 @@ TEST(TraceTest, ChromeTraceIsJsonArray) {
   OpGraph g(make_cluster(1));
   g.add_compute(0, 1.0, OpClass::Forward, {});
   const ExecResult r = execute(g);
-  const std::string json = obs::chrome_trace_json(g, r);
+  const std::string json = obs::chrome_trace_json(obs::trace_from_sim(g, r));
   // The exporter's output must parse as a JSON array of event objects with
   // at least one complete ("X") event.
   obs::JsonValue doc;

@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "src/core/runner.hpp"
 #include "src/core/slice.hpp"
 #include "src/core/slimpipe.hpp"
 #include "src/model/transformer.hpp"
@@ -123,7 +124,7 @@ TEST_P(SlimPipeSimTest, ExecutesWithoutDeadlock) {
   PipelineSpec spec = slim_spec(c.p, c.m, c.n, c.v);
   spec.context_exchange = true;
   spec.vocab_parallel = true;
-  EXPECT_NO_THROW(run_slimpipe(spec));
+  EXPECT_NO_THROW(run_scheme(Scheme::SlimPipe, spec));
 }
 
 // Eq. 1: accumulated activation (+KV) on the first device matches
@@ -161,8 +162,8 @@ TEST_P(SlimPipeSimTest, MoreSlicesFewerBubbles) {
   PipelineSpec coarse = slim_spec(c.p, c.m, c.p, c.v, seq);
   PipelineSpec fine = slim_spec(c.p, c.m, c.n, c.v, seq);
   coarse.context_exchange = fine.context_exchange = true;
-  const auto rc = run_slimpipe(coarse);
-  const auto rf = run_slimpipe(fine);
+  const auto rc = run_scheme(Scheme::SlimPipe, coarse);
+  const auto rf = run_scheme(Scheme::SlimPipe, fine);
   EXPECT_LT(rf.bubble_fraction, rc.bubble_fraction + 0.02);
 }
 
@@ -182,12 +183,12 @@ TEST(SlimPipeMemoryTest, BeatsOneF1BAndScalesWithP) {
     PipelineSpec spec = slim_spec(p, 4, 4 * p, 1, 128 * 1024);
     spec.vocab_parallel = true;
     spec.context_exchange = true;
-    const auto slim = run_slimpipe(spec);
+    const auto slim = run_scheme(Scheme::SlimPipe, spec);
     PipelineSpec flat;
     flat = spec;
     flat.v = 1;
     flat.n = 1;
-    const auto f1b = sched::run_onef1b(flat);
+    const auto f1b = run_scheme(Scheme::OneF1B, flat);
     EXPECT_LT(slim.first_device_memory, f1b.first_device_memory);
     EXPECT_LT(slim.first_device_memory, prev_slim);
     prev_slim = slim.first_device_memory;
@@ -198,7 +199,7 @@ TEST(SlimPipeMemoryTest, FirstDeviceHoldsSlightlyMoreThanLast) {
   // §6.2: the first/last device gap is 2(p-1) M_a / (n v p).
   PipelineSpec spec = slim_spec(4, 4, 16, 1, 128 * 1024);
   spec.vocab_parallel = true;
-  const auto r = run_slimpipe(spec);
+  const auto r = run_scheme(Scheme::SlimPipe, spec);
   EXPECT_GE(r.first_device_memory, r.last_device_memory);
 }
 
@@ -208,10 +209,10 @@ TEST(SlimPipeBubbleTest, TwoMicrobatchesStillEfficient) {
   PipelineSpec spec = slim_spec(8, 2, 32, 1, 128 * 1024);
   spec.context_exchange = true;
   spec.vocab_parallel = true;
-  const auto slim = run_slimpipe(spec);
+  const auto slim = run_scheme(Scheme::SlimPipe, spec);
   PipelineSpec flat = spec;
   flat.n = 1;
-  const auto f1b = sched::run_onef1b(flat);
+  const auto f1b = run_scheme(Scheme::OneF1B, flat);
   EXPECT_LT(slim.bubble_fraction, 0.5 * f1b.bubble_fraction);
   // Interleaved 1F1B would need m % p == 0 with m >= p: 2 < 8 fails.
   PipelineSpec inter = flat;

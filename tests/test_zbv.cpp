@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "src/core/runner.hpp"
 #include "src/model/transformer.hpp"
 #include "src/sched/builder.hpp"
 #include "src/sched/schemes.hpp"
@@ -92,8 +93,8 @@ TEST_P(ZbvProgramTest, ExecutesWithoutDeadlock) {
   const ZbCase c = GetParam();
   if (40 % (c.p * 2) != 0) GTEST_SKIP() << "layers not divisible";
   PipelineSpec spec = zb_spec(c.p, c.m);
-  EXPECT_NO_THROW(run_zbv(spec));
-  EXPECT_NO_THROW(run_vhalf(spec));
+  EXPECT_NO_THROW(core::run_scheme(core::Scheme::ZBV, spec));
+  EXPECT_NO_THROW(core::run_scheme(core::Scheme::VHalf, spec));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ZbvProgramTest,
@@ -104,19 +105,19 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ZbvProgramTest,
 
 TEST(ZbvMemoryTest, VHalfUsesLessThanZbv) {
   PipelineSpec spec = zb_spec(4, 8);
-  const auto zbv = run_zbv(spec);
-  const auto vhalf = run_vhalf(spec);
+  const auto zbv = core::run_scheme(core::Scheme::ZBV, spec);
+  const auto vhalf = core::run_scheme(core::Scheme::VHalf, spec);
   EXPECT_LT(vhalf.first_device_memory, zbv.first_device_memory);
 }
 
 TEST(ZbvMemoryTest, ZbvMatchesOneF1BPeak) {
   // ZB-V is designed to keep 1F1B's peak activation memory.
   PipelineSpec spec = zb_spec(4, 8);
-  const auto zbv = run_zbv(spec);
+  const auto zbv = core::run_scheme(core::Scheme::ZBV, spec);
   PipelineSpec flat = spec;
   flat.v = 1;
   flat.layout = StageLayoutKind::Sequential;
-  const auto f1b = run_onef1b(flat);
+  const auto f1b = core::run_scheme(core::Scheme::OneF1B, flat);
   EXPECT_NEAR(zbv.peak_memory, f1b.peak_memory, 0.25 * f1b.peak_memory);
 }
 
@@ -124,11 +125,11 @@ TEST(ZbvBubbleTest, BeatsOneF1BAtShortContext) {
   // ZB-V's selling point: near-zero bubbles when T_f ~ T_b ~ T_w, which
   // holds best at short context where attention is small.
   PipelineSpec spec = zb_spec(4, 8, 8 * 1024);
-  const auto zbv = run_zbv(spec);
+  const auto zbv = core::run_scheme(core::Scheme::ZBV, spec);
   PipelineSpec flat = spec;
   flat.v = 1;
   flat.layout = StageLayoutKind::Sequential;
-  const auto f1b = run_onef1b(flat);
+  const auto f1b = core::run_scheme(core::Scheme::OneF1B, flat);
   EXPECT_LT(zbv.bubble_fraction, f1b.bubble_fraction);
 }
 
@@ -138,15 +139,15 @@ TEST(ZbvBubbleTest, ImbalanceGrowsWithContext) {
   // bubble advantage of ZB-V over 1F1B shrinks or reverses.
   PipelineSpec short_spec = zb_spec(4, 8, 8 * 1024);
   PipelineSpec long_spec = zb_spec(4, 8, 256 * 1024);
-  const auto zb_short = run_zbv(short_spec);
-  const auto zb_long = run_zbv(long_spec);
+  const auto zb_short = core::run_scheme(core::Scheme::ZBV, short_spec);
+  const auto zb_long = core::run_scheme(core::Scheme::ZBV, long_spec);
   EXPECT_GT(zb_long.bubble_fraction, zb_short.bubble_fraction - 0.02);
 }
 
 TEST(ZbvMemoryTest, OomAtLongContext) {
   // Figure 14: without working checkpointing ZB-V runs out of memory early.
   PipelineSpec spec = zb_spec(4, 4, 128 * 1024);
-  const auto r = run_zbv(spec);
+  const auto r = core::run_scheme(core::Scheme::ZBV, spec);
   EXPECT_TRUE(r.oom);
 }
 

@@ -13,15 +13,20 @@
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
 # runs the ctest label subsets most likely to surface that bug class:
 #
-#   address    faults, mem, ir, dist, telemetry, elastic, numerics
+#   address    faults, mem, ir, sched, dist, telemetry, elastic, numerics
 #                                  (lifetime/overflow in the fault machinery,
 #                                   arena tracking, the schedule IR and its
 #                                   verifier (ir: test_ir + test_analysis),
+#                                   the scheme generators, graph builder,
+#                                   simulator and planner (sched: test_sched,
+#                                   test_zbv, test_slimpipe, test_exchange,
+#                                   test_integration, test_extensions,
+#                                   test_fuzz, test_parallel, test_pareto),
 #                                   the multi-process socket runtime, the
 #                                   flight-recorder/telemetry ring + wire
 #                                   paths, variable-length slice layouts and
 #                                   the numerics kernels' raw-pointer loops)
-#   undefined  faults, mem, ir, dist, telemetry, elastic, numerics
+#   undefined  faults, mem, ir, sched, dist, telemetry, elastic, numerics
 #                                  (integer/shift UB in the same layers)
 #   thread     faults, threads, dist, telemetry, elastic
 #                                  (faults: the threaded runtime's own
@@ -80,7 +85,7 @@ if [[ "$FAST" -eq 0 ]]; then
     if [[ "$san" == "thread" ]]; then
       labels="faults|threads|dist|telemetry|elastic"
     else
-      labels="faults|mem|ir|dist|telemetry|elastic|numerics"
+      labels="faults|mem|ir|sched|dist|telemetry|elastic|numerics"
     fi
     echo "== ${san} sanitizer tests (-L '${labels}') =="
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \

@@ -143,15 +143,14 @@ void print_result(const sched::ScheduleResult& r) {
 bool write_json_report(const std::string& path,
                        const sched::ScheduleResult& r,
                        const std::string& model_name,
-                       const std::string& scheme_label,
                        const std::string& setup) {
   obs::BenchReport report;
   report.name = "slimpipe_sim";
-  report.artifact = "slimpipe_sim " + scheme_label + " / " + model_name;
+  report.artifact = "slimpipe_sim " + r.scheme + " / " + model_name;
   report.setup = setup;
   report.expectation = "single simulated iteration";
   report.add_series("result", result_table(r));
-  report.runs.push_back(sched::to_run_record(r, scheme_label));
+  report.runs.push_back(sched::to_run_record(r, r.scheme));
   return obs::write_report(report, path);
 }
 
@@ -252,7 +251,6 @@ int main(int argc, char** argv) {
     sched::ScheduleResult r;
     fault::FaultReport report;
     fault::FaultPlan plan;
-    const bool want_timeline = timeline;
     if (!faults_path.empty()) {
       std::ifstream in(faults_path);
       if (!in) {
@@ -266,6 +264,7 @@ int main(int argc, char** argv) {
     }
     obs::Trace trace;
     obs::Trace* trace_out = trace_path.empty() ? nullptr : &trace;
+    const fault::FaultPlan* plan_in = faults_path.empty() ? nullptr : &plan;
     if (!schedule_path.empty()) {
       // External schedule: import, certify with the static verifier, then
       // run the table's programs through the same pipeline as the schemes.
@@ -293,44 +292,17 @@ int main(int argc, char** argv) {
                      analysis::render(verdict.findings).c_str());
         return 3;
       }
-      const std::vector<sched::DeviceProgram> programs =
-          ir::to_programs(table);
       std::unique_ptr<core::ExchangePlanner> planner;
       if (spec.context_exchange && spec.p > 1) {
         planner = std::make_unique<core::ExchangePlanner>(spec);
       }
-      const std::string name =
-          table.scheme.empty() ? std::string("external") : table.scheme;
-      if (!faults_path.empty()) {
-        r = sched::run_pipeline_faulted(spec, programs, planner.get(), name,
-                                        plan, &report, want_timeline,
-                                        trace_out);
-      } else {
-        r = sched::run_pipeline(spec, programs, planner.get(), name,
-                                want_timeline, trace_out);
-      }
-    } else if (!trace_path.empty()) {
-      // Tracing runs through plan_scheme + run_pipeline directly: the plan
-      // mirrors the scheme runner's normalization exactly, and run_pipeline
-      // fills the obs::Trace alongside the result — one run, any scheme.
-      core::SchedulePlan sp = core::plan_scheme(scheme, spec);
-      std::unique_ptr<core::ExchangePlanner> planner;
-      if (sp.spec.context_exchange && sp.spec.p > 1) {
-        planner = std::make_unique<core::ExchangePlanner>(sp.spec);
-      }
-      if (!faults_path.empty()) {
-        r = sched::run_pipeline_faulted(sp.spec, sp.programs, planner.get(),
-                                        core::scheme_name(scheme), plan,
-                                        &report, want_timeline, &trace);
-      } else {
-        r = sched::run_pipeline(sp.spec, sp.programs, planner.get(),
-                                core::scheme_name(scheme), want_timeline,
-                                &trace);
-      }
-    } else if (!faults_path.empty()) {
-      r = core::run_scheme_faulted(scheme, spec, plan, &report, want_timeline);
+      r = sched::run_pipeline(
+          spec, ir::to_programs(table), planner.get(),
+          table.scheme.empty() ? std::string("external") : table.scheme,
+          timeline, trace_out, plan_in, &report);
     } else {
-      r = core::run_scheme(scheme, spec, want_timeline);
+      r = core::run_scheme(scheme, spec, timeline, trace_out, plan_in,
+                           &report);
     }
     print_result(r);
     if (!faults_path.empty()) std::printf("\n%s", report.render().c_str());
@@ -347,9 +319,7 @@ int main(int argc, char** argv) {
                                 " n=" + std::to_string(spec.n) +
                                 " m=" + std::to_string(m) +
                                 " seq=" + std::to_string(seq);
-      const std::string scheme_label =
-          schedule_path.empty() ? core::scheme_name(scheme) : r.scheme;
-      if (!write_json_report(json_path, r, model_name, scheme_label, setup)) {
+      if (!write_json_report(json_path, r, model_name, setup)) {
         std::fprintf(stderr, "cannot write report '%s'\n", json_path.c_str());
         return 1;
       }

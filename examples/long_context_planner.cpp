@@ -19,30 +19,19 @@
 
 using namespace slim;
 
-namespace {
-
-model::TransformerConfig pick_model(const std::string& name) {
-  if (name == "7b") return model::llama7b();
-  if (name == "13b") return model::llama13b();
-  if (name == "70b") return model::llama70b();
-  if (name == "149b") return model::llama149b();
-  if (name == "8x7b") return model::mixtral8x7b();
-  if (name == "8x22b") return model::mixtral8x22b();
-  std::fprintf(stderr, "unknown model '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::string model_name = argc > 1 ? argv[1] : "70b";
   const int gpus = argc > 2 ? std::atoi(argv[2]) : 128;
-  const auto cfg = pick_model(model_name);
+  const auto cfg = model::model_by_name(model_name);
+  if (!cfg) {
+    std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
+    return 1;
+  }
   const auto gpu = model::hopper80();
   const std::int64_t tokens = 4 * 1024 * 1024;
 
   std::printf("Planning %s on %d Hopper GPUs, 4M tokens/iteration\n\n",
-              cfg.name.c_str(), gpus);
+              cfg->name.c_str(), gpus);
 
   parallel::SearchOptions opts;
   opts.simulate_top_k = 5;
@@ -51,7 +40,7 @@ int main(int argc, char** argv) {
   Table table({"context", "status", "MFU", "iteration", "peak mem",
                "best configuration"});
   for (std::int64_t seq = 64 * 1024; seq <= 2048 * 1024; seq *= 2) {
-    const auto r = parallel::grid_search(cfg, gpu, gpus, seq, tokens,
+    const auto r = parallel::grid_search(*cfg, gpu, gpus, seq, tokens,
                                          core::Scheme::SlimPipe, opts);
     if (r.status == parallel::SearchStatus::Ok) {
       table.add_row({format_context(seq), "ok", format_percent(r.result.mfu),
@@ -67,13 +56,13 @@ int main(int argc, char** argv) {
 
   // Rematerialization Pareto frontier (Yuan et al. [48]) for the 256K
   // layout: how checkpointing and offloading trade memory for time.
-  const auto probe = parallel::grid_search(cfg, gpu, gpus, 256 * 1024, tokens,
+  const auto probe = parallel::grid_search(*cfg, gpu, gpus, 256 * 1024, tokens,
                                            core::Scheme::SlimPipe, opts);
   if (probe.status == parallel::SearchStatus::Ok) {
     std::printf("Checkpoint/offload Pareto points at 256K for [%s]:\n",
                 probe.best.describe().c_str());
     for (const auto& point : parallel::checkpoint_pareto(
-             probe.best, cfg, gpu, 256 * 1024, tokens)) {
+             probe.best, *cfg, gpu, 256 * 1024, tokens)) {
       std::printf("  %s %s\n", point.on_frontier ? "*" : " ",
                   point.describe().c_str());
     }

@@ -32,6 +32,18 @@ std::vector<Scheme> all_schemes() {
           Scheme::VMin, Scheme::SlimPipe};
 }
 
+std::optional<Scheme> scheme_by_name(const std::string& name) {
+  if (name == "gpipe") return Scheme::GPipe;
+  if (name == "terapipe") return Scheme::TeraPipe;
+  if (name == "1f1b") return Scheme::OneF1B;
+  if (name == "interleaved") return Scheme::Interleaved1F1B;
+  if (name == "zbv") return Scheme::ZBV;
+  if (name == "vhalf") return Scheme::VHalf;
+  if (name == "vmin") return Scheme::VMin;
+  if (name == "slimpipe") return Scheme::SlimPipe;
+  return std::nullopt;
+}
+
 sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
                                  bool want_timeline, obs::Trace* trace,
                                  const fault::FaultPlan* faults,
@@ -56,7 +68,9 @@ sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
 SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
   // The one spec normalization per scheme: run_scheme simulates exactly
   // the plan returned here, so linting a plan covers the same schedule the
-  // simulator executes.
+  // simulator executes. The generators divide by p, v, m and n.
+  SLIM_CHECK(spec.p >= 1 && spec.v >= 1 && spec.m >= 1 && spec.n >= 1,
+             "p, v, m and n must be >= 1");
   SchedulePlan plan;
   switch (scheme) {
     case Scheme::GPipe:

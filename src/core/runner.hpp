@@ -5,6 +5,7 @@
 // fault-injected or plain); plan_scheme is the one place a scheme's
 // spec normalization lives, and run_scheme routes through it.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,8 @@ enum class Scheme : int {
 
 const char* scheme_name(Scheme scheme);
 std::vector<Scheme> all_schemes();
+/// gpipe | terapipe | 1f1b | interleaved | zbv | vhalf | vmin | slimpipe.
+std::optional<Scheme> scheme_by_name(const std::string& name);
 
 /// Runs one simulated training iteration under the given scheme.
 /// Scheme-specific knobs on the spec (layout, retain_kv, ...) are
@@ -59,7 +62,7 @@ struct SchedulePlan {
 
 /// Normalizes the spec for the scheme (the only place that does) and
 /// generates its programs. Throws (SLIM_CHECK) on specs the scheme cannot
-/// schedule.
+/// schedule, and on p, v, m or n below 1.
 SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec);
 
 }  // namespace slim::core

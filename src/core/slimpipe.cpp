@@ -1,19 +1,22 @@
 #include "src/core/slimpipe.hpp"
 
+#include <algorithm>
+
 #include "src/core/slice.hpp"
 #include "src/sched/builder.hpp"
-#include "src/util/logging.hpp"
 
 namespace slim::core {
 
 std::vector<sched::DeviceProgram> slimpipe_programs(
     const sched::PipelineSpec& spec) {
-  SLIM_CHECK(spec.n % spec.p == 0, "SlimPipe requires n to be a multiple of p");
   const int p = spec.p;
   const int n = spec.n;
   const int m = spec.m;
   const int v = spec.v;
-  const int groups_per_mb = n / p;
+  // Slice-stream groups of p slices; when p does not divide n, a
+  // microbatch's last group holds the remaining n mod p slices.
+  const int groups_per_mb = (n + p - 1) / p;
+  auto group_size = [&](int g) { return std::min(p, n - g * p); };
 
   std::vector<sched::DeviceProgram> programs(static_cast<std::size_t>(p));
   for (int dev = 0; dev < p; ++dev) {
@@ -23,14 +26,13 @@ std::vector<sched::DeviceProgram> slimpipe_programs(
 
     // Forward: slice-stream positions in groups of p; within a group all v
     // chunks run before the stream advances (generalizes Megatron's
-    // interleaving with slices in place of microbatches; n % p == 0 keeps
-    // groups inside a single microbatch).
+    // interleaving with slices in place of microbatches; groups never span
+    // two microbatches).
     for (int mb = 0; mb < m; ++mb) {
       for (int g = 0; g < groups_per_mb; ++g) {
         for (int chunk = 0; chunk < v; ++chunk) {
-          for (int i = 0; i < p; ++i) {
-            const int slice = g * p + i;
-            fwd.push_back({sched::PassType::Forward, mb, slice, chunk});
+          for (int i = 0; i < group_size(g); ++i) {
+            fwd.push_back({sched::PassType::Forward, mb, g * p + i, chunk});
           }
         }
       }
@@ -40,9 +42,8 @@ std::vector<sched::DeviceProgram> slimpipe_programs(
     for (int mb = 0; mb < m; ++mb) {
       for (int g = groups_per_mb - 1; g >= 0; --g) {
         for (int chunk = v - 1; chunk >= 0; --chunk) {
-          for (int i = p - 1; i >= 0; --i) {
-            const int slice = g * p + i;
-            bwd.push_back({sched::PassType::Backward, mb, slice, chunk});
+          for (int i = group_size(g) - 1; i >= 0; --i) {
+            bwd.push_back({sched::PassType::Backward, mb, g * p + i, chunk});
           }
         }
       }

@@ -15,7 +15,9 @@
 namespace slim::core {
 
 /// Per-device pass programs for SlimPipe (both the plain and interleaved
-/// forms; v == 1 gives Figure 4's schedule, v > 1 Figure 5's).
+/// forms; v == 1 gives Figure 4's schedule, v > 1 Figure 5's) from p, v, n
+/// and m, for any n: when p does not divide n, a microbatch's last slice
+/// group holds n mod p slices. Both training runtimes run these rows too.
 std::vector<sched::DeviceProgram> slimpipe_programs(
     const sched::PipelineSpec& spec);
 

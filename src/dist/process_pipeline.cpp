@@ -363,8 +363,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
 
     auto postmortem = [&]() -> std::string {
       Table table({"stage", "state", "beat age ms", "messages", "fwd", "bwd",
-                   "live", "cap", "deferred", "queue", "last mb",
-                   "committed mbs"});
+                   "live", "cap", "queue", "last mb", "committed mbs"});
       const auto now = Clock::now();
       for (const WorkerHandle& w : workers) {
         const int cap = core::slimpipe_warmup_units(p, w.stage, n_slices, 1);
@@ -381,7 +380,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
              std::to_string(w.status.done_b) + "/" +
                  std::to_string(mk * n_slices),
              std::to_string(w.status.live), std::to_string(cap),
-             std::to_string(w.status.deferred), std::to_string(w.status.queue),
+             std::to_string(w.status.queue),
              w.status.last_mb < 0 ? std::string("-")
                                   : std::to_string(w.status.last_mb),
              std::to_string(w.status.committed) + "/" + std::to_string(mk)});
@@ -517,7 +516,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         live.live = w.status.live;
         live.live_cap = core::slimpipe_warmup_units(p, w.stage, n_slices, 1);
         live.queue = w.status.queue;
-        live.deferred = w.status.deferred;
         live.committed = w.status.committed;
         live.committed_total = mk;
         live.frames_out = w.status.prev.frames_out + w.status.next.frames_out;

@@ -262,7 +262,6 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
     ctx.status.done_b = machine.backwards_done();
     ctx.status.live = machine.live();
     ctx.status.queue = machine.queued();
-    ctx.status.deferred = machine.deferred();
     ctx.status.committed = machine.committed();
     ctx.peak_queue = std::max(ctx.peak_queue, machine.queued());
   };

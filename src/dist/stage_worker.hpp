@@ -12,12 +12,12 @@
 // _exit so inherited atexit handlers and stdio buffers never run twice.
 //
 // The stage discipline is rt::StageMachine (src/runtime/stage_machine.hpp),
-// the same machine the threaded runtime drives: this worker only moves its
-// messages over the two data sockets, applies the fault hooks, and writes
-// a Commit frame when the machine retires a microbatch. Per-microbatch
-// staged gradients are deterministic regardless of how traffic from the
-// two neighbors interleaves, which is what makes the recovered gradients
-// bit-identical to the threaded backend's.
+// the same machine the threaded runtime drives, running this stage's rows
+// of the SlimPipe table: this worker only moves its messages over the two
+// data sockets, applies the fault hooks, and writes a Commit frame when
+// the machine retires a microbatch. The table fixes the order whatever the
+// two neighbors' traffic does, which is what makes the recovered
+// gradients bit-identical to the threaded backend's.
 
 #include <chrono>
 #include <cstdint>

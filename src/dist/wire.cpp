@@ -249,7 +249,6 @@ void write_status(Writer& w, const WireStatus& status) {
   w.i32(status.done_b);
   w.i32(status.live);
   w.i32(status.queue);
-  w.i32(status.deferred);
   w.i32(status.committed);
   w.i32(status.last_mb);
   w.i32(status.state);
@@ -266,7 +265,6 @@ WireStatus read_status(Reader& r) {
   status.done_b = r.i32();
   status.live = r.i32();
   status.queue = r.i32();
-  status.deferred = r.i32();
   status.committed = r.i32();
   status.last_mb = r.i32();
   status.state = r.i32();

@@ -123,7 +123,6 @@ struct WireStatus {
   std::int32_t done_b = 0;
   std::int32_t live = 0;
   std::int32_t queue = 0;     // worker inbox depth
-  std::int32_t deferred = 0;  // live-window parked forwards
   std::int32_t committed = 0;
   std::int32_t last_mb = -1;  // last received microbatch id
   std::int32_t state = 0;     // worker-local StageState as int

@@ -33,20 +33,11 @@ StageLayoutKind parse_layout(const std::string& token, int line) {
 }
 
 model::CheckpointPolicy parse_policy(const std::string& token, int line) {
-  if (token == "none") return model::CheckpointPolicy::None;
-  if (token == "selective") return model::CheckpointPolicy::Selective;
-  if (token == "full") return model::CheckpointPolicy::Full;
+  const std::optional<model::CheckpointPolicy> policy =
+      model::policy_by_name(token);
+  if (policy) return *policy;
   throw std::runtime_error("schedule IR line " + std::to_string(line) +
                            ": unknown checkpoint policy '" + token + "'");
-}
-
-const char* policy_name(model::CheckpointPolicy policy) {
-  switch (policy) {
-    case model::CheckpointPolicy::None: return "none";
-    case model::CheckpointPolicy::Selective: return "selective";
-    case model::CheckpointPolicy::Full: return "full";
-  }
-  return "?";
 }
 
 model::CpMode parse_cp_mode(const std::string& token, int line) {
@@ -268,7 +259,7 @@ std::string export_text(const ScheduleIR& ir) {
   out << "retain-kv " << (sorted.retain_kv ? 1 : 0) << "\n";
   out << "vocab-parallel " << (sorted.vocab_parallel ? 1 : 0) << "\n";
   out << "context-exchange " << (sorted.context_exchange ? 1 : 0) << "\n";
-  out << "policy " << policy_name(sorted.policy) << "\n";
+  out << "policy " << model::to_string(sorted.policy) << "\n";
   out << "cp-mode " << cp_mode_name(sorted.cp_mode) << "\n";
   out << "max-inflight " << inflight_text(sorted.max_inflight_units) << "\n";
   out << "columns device order kind mb slice chunk stage recv send\n";

@@ -20,6 +20,13 @@ const char* to_string(CheckpointPolicy policy) {
   return "?";
 }
 
+std::optional<CheckpointPolicy> policy_by_name(const std::string& name) {
+  if (name == "none") return CheckpointPolicy::None;
+  if (name == "selective") return CheckpointPolicy::Selective;
+  if (name == "full") return CheckpointPolicy::Full;
+  return std::nullopt;
+}
+
 double act_bytes_per_token_layer_no_kv(const TransformerConfig& cfg,
                                        const Shard& shard,
                                        CheckpointPolicy policy) {

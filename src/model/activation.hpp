@@ -13,6 +13,8 @@
 //   1048576 * 8192 * 80 * 2 / 8 = 160 GiB.
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "src/model/transformer.hpp"
 
@@ -25,6 +27,8 @@ enum class CheckpointPolicy : std::uint8_t {
 };
 
 const char* to_string(CheckpointPolicy policy);
+/// Inverse of to_string ("none" | "selective" | "full"), or nullopt.
+std::optional<CheckpointPolicy> policy_by_name(const std::string& name);
 
 /// Sequence/tensor sharding applied to activations. `t` includes sequence
 /// parallelism (the paper always pairs TP with SP), `c` is context

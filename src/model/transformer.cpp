@@ -58,13 +58,14 @@ std::vector<TransformerConfig> model_zoo() {
   return {llama13b(), llama70b(), llama149b(), mixtral8x7b(), mixtral8x22b()};
 }
 
-TransformerConfig model_by_name(const std::string& name) {
-  for (const TransformerConfig& cfg : model_zoo()) {
-    if (cfg.name == name) return cfg;
-  }
-  if (name == "Llama 7B") return llama7b();
-  SLIM_CHECK(false, "unknown model: " + name);
-  return {};
+std::optional<TransformerConfig> model_by_name(const std::string& name) {
+  if (name == "7b") return llama7b();
+  if (name == "13b") return llama13b();
+  if (name == "70b") return llama70b();
+  if (name == "149b") return llama149b();
+  if (name == "8x7b") return mixtral8x7b();
+  if (name == "8x22b") return mixtral8x22b();
+  return std::nullopt;
 }
 
 }  // namespace slim::model

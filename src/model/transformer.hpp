@@ -5,6 +5,7 @@
 // Figure 2). All models use a 128,000-entry vocabulary and tied embeddings.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,7 @@ TransformerConfig mixtral8x22b();
 /// All zoo models in the order used by the paper's evaluation.
 std::vector<TransformerConfig> model_zoo();
 
-/// Looks up a zoo model by name; throws if unknown.
-TransformerConfig model_by_name(const std::string& name);
+/// The zoo model named 7b | 13b | 70b | 149b | 8x7b | 8x22b, or nullopt.
+std::optional<TransformerConfig> model_by_name(const std::string& name);
 
 }  // namespace slim::model

@@ -117,6 +117,10 @@ void Arena::release_to(const Mark& m) {
 
 void Arena::release_all() { release_to(Mark{}); }
 
+void Arena::trim() {
+  if (!blocks_.empty()) blocks_.resize(current_ + 1);
+}
+
 std::int64_t Arena::reserved_bytes() const {
   std::int64_t total = 0;
   for (const Block& b : blocks_) {

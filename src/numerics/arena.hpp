@@ -109,6 +109,9 @@ class Arena {
   void release_to(const Mark& m);
   /// Releases everything (watermark zero); blocks are kept for reuse.
   void release_all();
+  /// Frees the (empty) blocks past the current one, for an arena whose
+  /// scopes retire for good (a microbatch's slices) rather than recur.
+  void trim();
 
   std::int64_t live_bytes() const { return live_bytes_; }
   /// Live (not yet released) allocations, mirroring live_bytes().

@@ -192,9 +192,11 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   // this slice's own backward (the LIFO discipline of §4.1.2). Bindings are
   // kept NARROW — only around the retained-tensor copies, never around
   // kernel calls, so kernel temporaries stay off the arena and measured
-  // peaks track retained state only.
+  // peaks track retained state only. Blocks hold one slice's footprint, and
+  // backward_slice trims each retired slice's: reserved tracks live bytes.
   if (arena_stats_ != nullptr && st.arena == nullptr) {
-    st.arena = std::make_unique<Arena>(arena_stats_);
+    st.arena = std::make_unique<Arena>(
+        arena_stats_, static_cast<std::size_t>(slice_footprint(s).total()));
   }
   Arena* arena = st.arena.get();
   if (arena != nullptr) st.marks.push_back(arena->mark());
@@ -436,6 +438,7 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
     // arena-backed from this slice is referenced past this point (`own` is
     // non-owning and already fully consumed above).
     st.arena->release_to(st.marks.back());
+    st.arena->trim();
     st.marks.pop_back();
   }
   if (st.acts.empty()) {

@@ -23,7 +23,6 @@ JsonValue stage_to_json(const StageLive& s) {
   v.set("live", JsonValue::make_number(s.live));
   v.set("live_cap", JsonValue::make_number(s.live_cap));
   v.set("queue", JsonValue::make_number(s.queue));
-  v.set("deferred", JsonValue::make_number(s.deferred));
   v.set("committed", JsonValue::make_number(s.committed));
   v.set("committed_total", JsonValue::make_number(s.committed_total));
   v.set("frames_out",
@@ -59,7 +58,6 @@ StageLive stage_from_json(const JsonValue& v) {
   s.live = static_cast<std::int32_t>(v.number_or("live", 0.0));
   s.live_cap = static_cast<std::int32_t>(v.number_or("live_cap", 0.0));
   s.queue = static_cast<std::int32_t>(v.number_or("queue", 0.0));
-  s.deferred = static_cast<std::int32_t>(v.number_or("deferred", 0.0));
   s.committed = static_cast<std::int32_t>(v.number_or("committed", 0.0));
   s.committed_total =
       static_cast<std::int32_t>(v.number_or("committed_total", 0.0));
@@ -119,9 +117,6 @@ constexpr Series kStageSeries[] = {
      "gauge", [](const StageLive& s) { return static_cast<double>(s.live); }},
     {"slimpipe_stage_queue_depth", "Inbox queue depth.", "gauge",
      [](const StageLive& s) { return static_cast<double>(s.queue); }},
-    {"slimpipe_stage_deferred", "Frames deferred by the live-window cap.",
-     "gauge",
-     [](const StageLive& s) { return static_cast<double>(s.deferred); }},
     {"slimpipe_stage_frames_out_total", "Wire frames sent on data links.",
      "counter",
      [](const StageLive& s) { return static_cast<double>(s.frames_out); }},

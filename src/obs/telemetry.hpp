@@ -34,7 +34,7 @@ struct StageLive {
   std::int32_t done_f = 0, want_f = 0;  // forward slices done / total
   std::int32_t done_b = 0, want_b = 0;  // backward slices done / total
   std::int32_t live = 0, live_cap = 0;  // live slices vs Eq.1 cap
-  std::int32_t queue = 0, deferred = 0; // inbox depth / deferred window
+  std::int32_t queue = 0;               // inbox depth
   std::int32_t committed = 0, committed_total = 0;  // microbatches
 
   // Per-channel wire counters, summed over the worker's links.

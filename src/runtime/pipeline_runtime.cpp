@@ -53,7 +53,6 @@ struct StageStatus {
   std::atomic<int> done_f{0};
   std::atomic<int> done_b{0};
   std::atomic<int> live{0};
-  std::atomic<int> deferred{0};
   std::atomic<int> committed{0};
   /// Microbatch id of the last message this stage picked (-1 before the
   /// first) — pins down where in the schedule a blocked stage stopped.
@@ -186,7 +185,7 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
     // and blocked-on state, assembled lock-free from the published atomics.
     auto blocked_table = [&]() -> std::string {
       Table table({"stage", "state", "messages", "fwd", "bwd", "live", "cap",
-                   "deferred", "queue", "last mb", "committed mbs"});
+                   "queue", "last mb", "committed mbs"});
       const std::string due = std::to_string(mk * n_slices * v);
       for (int s = 0; s < p; ++s) {
         const StageStatus& st = statuses[static_cast<std::size_t>(s)];
@@ -199,7 +198,6 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
              std::to_string(st.done_b.load()) + "/" + due,
              std::to_string(st.live.load()),
              std::to_string(machines[static_cast<std::size_t>(s)].live_cap()),
-             std::to_string(st.deferred.load()),
              std::to_string(inbox[static_cast<std::size_t>(s)].size()),
              last_mb < 0 ? std::string("-") : std::to_string(last_mb),
              std::to_string(st.committed.load()) + "/" + std::to_string(mk)});
@@ -233,7 +231,6 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
         status.done_f.store(machine.forwards_done());
         status.done_b.store(machine.backwards_done());
         status.live.store(machine.live());
-        status.deferred.store(machine.deferred());
         status.committed.store(machine.committed());
       };
       // Runtime fault hooks, armed only on the injecting attempt.

@@ -5,14 +5,13 @@
 // Each pipeline stage is a worker thread owning a contiguous block of real
 // transformer layers (src/numerics). Activation slices flow downstream
 // through message channels, gradient slices flow back upstream. The
-// threads are thin drivers: every stage decision — the Eq. 1 live-slice
-// window, oldest-microbatch admission, LIFO backward continuations, the
-// per-message numerics and commit at retirement (§4.1.2) — is made by the
-// stage's rt::StageMachine (stage_machine.hpp), which the multi-process
-// backend (src/dist) drives over sockets instead. A driver delivers
-// arrivals, routes the machine's sends over Channels, applies fault
-// hooks, moves retired slots into the CommitLedger and records probes and
-// trace spans.
+// threads are thin drivers: each stage's rt::StageMachine
+// (stage_machine.hpp) runs its device's rows of the simulator's SlimPipe
+// table in order, with the per-message numerics and commit at retirement
+// (§4.1.2), and the multi-process backend (src/dist) drives the same
+// machine over sockets instead. A driver delivers arrivals, routes the
+// machine's sends over Channels, applies fault hooks, moves retired slots
+// into the CommitLedger and records probes and trace spans.
 //
 // The runtime's gradients match single-threaded monolithic execution up to
 // float accumulation order, and the multi-process backend's bit for bit —

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/core/slice.hpp"
+#include "src/core/slimpipe.hpp"
 #include "src/numerics/norm_act.hpp"
 #include "src/util/logging.hpp"
 
@@ -107,53 +108,60 @@ StageMachine::StageMachine(const StageInputs& inputs, int stage,
   vocab_due_ = in_.vocab_parallel ? mk * n : 0;
   live_cap_ = core::slimpipe_warmup_units(p_, stage_, n, v);
   b_done_.assign(static_cast<std::size_t>(mk), 0);
-  if (stage_ == 0) {
-    for (const int mb : mbs_) {
-      for (int s = 0; s < n; ++s) {
-        arrivals_.push_back({Message::Kind::Forward, mb, s, 0, {}});
-      }
-    }
-  }
+  sched::PipelineSpec table;
+  table.p = p_;
+  table.v = v;
+  table.n = n;
+  table.m = mk;
+  rows_ = core::slimpipe_programs(table)[static_cast<std::size_t>(stage_)];
 }
 
 void StageMachine::deliver(Message msg) {
-  arrivals_.push_back(std::move(msg));
-}
-
-int StageMachine::admitted_mb() {
-  const int per_mb = in_.n_slices * model_.chunks_per_stage;
-  while (mb_min_ < mbs_.size() && b_done_[mb_min_] == per_mb) ++mb_min_;
-  return mb_min_ < mbs_.size() ? mbs_[mb_min_] : -1;
+  const Message::Kind kind = msg.kind;
+  (kind == Message::Kind::Forward    ? forwards_
+   : kind == Message::Kind::Backward ? backwards_
+                                     : vocab_)
+      .push_back(std::move(msg));
 }
 
 bool StageMachine::pick(Message& out,
                         const std::function<void(const Message&)>& on_pick) {
-  for (;;) {
-    if (!deferred_.empty() &&
-        (live_ < live_cap_ || deferred_.front().mb == admitted_mb())) {
-      out = std::move(deferred_.front());
-      deferred_.pop_front();
-      return true;
-    }
-    if (!continuations_.empty()) {
-      out = std::move(continuations_.back());
-      continuations_.pop_back();
-    } else if (!arrivals_.empty()) {
-      out = std::move(arrivals_.front());
-      arrivals_.pop_front();
+  if (!vocab_.empty()) {
+    out = std::move(vocab_.front());
+    vocab_.pop_front();
+  } else {
+    if (next_row_ == rows_.size()) return false;
+    const sched::Pass& row = rows_[next_row_];
+    const bool fwd = row.type == sched::PassType::Forward;
+    const Message::Kind kind =
+        fwd ? Message::Kind::Forward : Message::Kind::Backward;
+    const int mb = mbs_[static_cast<std::size_t>(row.microbatch)];
+    const int at_stage = row.chunk * p_ + stage_;
+    if (fwd ? at_stage == 0 : at_stage == total_stages_ - 1) {
+      // Stage 0 embeds its own tokens; the head edge starts from the
+      // slice's head gradient, which vocabulary rounds complete later.
+      if (!fwd && head_grad_[slot(mb, row.slice)].empty()) return false;
+      out = {kind, mb, row.slice, at_stage, {}};
     } else {
-      return false;
+      std::deque<Message>& fifo = fwd ? forwards_ : backwards_;
+      if (fifo.empty()) return false;
+      const Message& front = fifo.front();
+      SLIM_CHECK(front.mb == mb && front.slice == row.slice &&
+                     front.stage == at_stage,
+                 "stage " + std::to_string(stage_) +
+                     ": arrival out of table order: row " +
+                     std::to_string(next_row_) + " wants " +
+                     message_kind_name(kind) + " mb" + std::to_string(mb) +
+                     " s" + std::to_string(row.slice));
+      out = std::move(fifo.front());
+      fifo.pop_front();
     }
-    ++messages_;
-    last_mb_ = out.mb;
-    if (on_pick) on_pick(out);
-    // Eq. 1's window: park forwards of *younger* microbatches while full.
-    if (out.kind != Message::Kind::Forward || out.mb == admitted_mb() ||
-        live_ < live_cap_) {
-      return true;
-    }
-    deferred_.push_back(std::move(out));
+    ++next_row_;
   }
+  ++messages_;
+  last_mb_ = out.mb;
+  if (on_pick) on_pick(out);
+  return true;
 }
 
 bool StageMachine::finished() const {
@@ -293,26 +301,15 @@ void StageMachine::forward(Message& msg, StageCommit& staged,
   const num::Tensor dhidden = num::matmul(ce.dlogits, model_.embedding);
   head_grad_[i] =
       num::rmsnorm_bwd(x, model_.final_norm, dhidden, staged.final_norm);
-  if (msg.slice == in_.n_slices - 1) {
-    continuations_.push_back({Message::Kind::Backward, msg.mb, msg.slice,
-                              total_stages_ - 1, {}});
-  }
 }
 
 int StageMachine::backward(Message& msg, StageCommit& staged,
                            std::vector<Outgoing>& sends) {
   const bool head_edge = msg.stage == total_stages_ - 1;
-  num::Tensor dx;
-  if (head_edge) {
-    // The head runs a microbatch's vocabulary rounds in slice order, every
-    // shard answers in arrival order and transports are FIFO per sender,
-    // so a slice's head gradient exists before its backward runs.
-    num::Tensor& grad = head_grad_[slot(msg.mb, msg.slice)];
-    SLIM_CHECK(!grad.empty(), "head-edge backward before its head gradient");
-    dx = std::move(grad);
-  } else {
-    dx = std::move(msg.payload);
-  }
+  // pick() only hands out a head-edge backward once its gradient exists.
+  num::Tensor dx = head_edge
+                       ? std::move(head_grad_[slot(msg.mb, msg.slice)])
+                       : std::move(msg.payload);
   ++done_b_;
   --live_;
   const std::size_t r = rank(msg.mb);
@@ -340,10 +337,6 @@ int StageMachine::backward(Message& msg, StageCommit& staged,
         staged.embed_in.at(id, c) += dx.at(row, c);
       }
     }
-  }
-  if (head_edge && msg.slice > 0) {
-    continuations_.push_back({Message::Kind::Backward, msg.mb, msg.slice - 1,
-                              total_stages_ - 1, {}});
   }
   if (b_done_[r] < in_.n_slices * model_.chunks_per_stage) return -1;
   // Retired on this stage: the staged gradients are final (commit point).
@@ -462,10 +455,6 @@ void StageMachine::vocab_dx(Message& msg, StageCommit& staged) {
                                      dx_sum_[i], staged.final_norm);
     final_input_[i] = {};
     dx_sum_[i] = {};
-    if (msg.slice == in_.n_slices - 1) {
-      continuations_.push_back({Message::Kind::Backward, msg.mb,
-                                msg.slice, total_stages_ - 1, {}});
-    }
   }
 }
 

@@ -8,29 +8,26 @@
 // sockets (src/dist/stage_worker.cpp), the unit tests over plain queues —
 // and the machine decides everything else:
 //
-//  * pick order: an admissible deferred forward first, then local
-//    continuations (LIFO), then arrivals (FIFO);
-//  * the Eq. 1 live-slice window: stage r holds at most n*v + 2(p-1-r) live
-//    slices. Forwards of younger microbatches wait in a deferred queue
-//    while it is full; the oldest unretired microbatch is always admitted
-//    (its forwards are upstream of the backwards that drain the window), so
-//    the throttle cannot deadlock;
+//  * order: its device's rows of the SlimPipe table (core::slimpipe_programs,
+//    the rows the simulator executes), in table order. A row is ready when
+//    its input is present: a stage-0 forward embeds its own tokens, a
+//    head-edge backward needs the slice's head gradient, any other row
+//    needs the front of its kind's arrival FIFO. Each kind has one sending
+//    device and the verifier certifies FIFO receives, so any other front
+//    is an error ("arrival out of table order"). Vocabulary messages (§4.3)
+//    wait on no row and run first. The live-slice peak is the table's:
+//    Eq. 1's min(n*v + 2(p-1-r), m*n*v);
 //  * the numerics of every message kind: slice forwards appending one KV
 //    chunk, slice backwards popping exactly that chunk, the loss head and
-//    the four vocabulary-parallel rounds (§4.3);
-//  * LIFO backward continuations: once a microbatch's last slice has its
-//    head gradient, its backward chain starts newest slice first, ahead of
-//    queued arrivals — the one-forward-one-backward interleaving without a
-//    global coordinator;
+//    the four vocabulary-parallel rounds;
 //  * per-microbatch staged gradients, complete exactly when the
 //    microbatch's last backward slice ran on this stage (retirement).
 //
-// Every continuation or arrival is counted once when picked, before the
-// window may defer it; the drivers' fault hooks key on that count, and a
-// re-admitted deferred forward is not counted again. Each microbatch owns
-// its accumulators and its slice order is fixed by the schedule, so the
-// staged gradients do not depend on how the transport interleaves
-// neighbours — which is what makes both runtimes bit-identical.
+// Every row and every vocabulary message is counted once when picked and
+// shown to the driver's `on_pick` (the fault hooks key on that count).
+// Each microbatch owns its accumulators and its slice order is fixed by the
+// table, so the staged gradients do not depend on how the transport
+// interleaves neighbours — which is what makes both runtimes bit-identical.
 
 #include <cstdint>
 #include <deque>
@@ -43,6 +40,7 @@
 #include "src/numerics/cross_entropy.hpp"
 #include "src/runtime/commit.hpp"
 #include "src/runtime/pipeline_model.hpp"
+#include "src/sched/schedule.hpp"
 
 namespace slim::rt {
 
@@ -94,19 +92,20 @@ class StageMachine {
  public:
   /// Stage `stage` of an attempt over `mbs` (ascending iteration microbatch
   /// ids): its layers are built from the model's weights with arenas
-  /// reporting into `arena`, its staging slots are zeroed, and stage 0
-  /// queues its own forward tickets in slice-stream order.
+  /// reporting into `arena`, its staging slots are zeroed, and its rows are
+  /// device `stage`'s program of the attempt's SlimPipe table (m =
+  /// mbs.size(); row microbatch k is mbs[k]).
   StageMachine(const StageInputs& inputs, int stage, std::vector<int> mbs,
                num::ArenaStats* arena);
 
-  /// Queues a message from the transport (FIFO).
+  /// Queues a message from the transport on its kind's FIFO.
   void deliver(Message msg);
 
-  /// Takes the next message to run, in pick order. Every continuation or
-  /// arrival taken is counted and shown to `on_pick` (the driver's fault
-  /// hooks) before the Eq. 1 window may defer it; a deferred forward is not
-  /// counted again when re-admitted. Returns false when nothing can run
-  /// until the driver delivers more.
+  /// Takes the next message to run: a queued vocabulary message first, else
+  /// the next table row once its input is present. What it takes is
+  /// counted and shown to `on_pick` (the driver's fault hooks). Returns
+  /// false when nothing can run until the driver delivers more; throws
+  /// when a row's FIFO front is another row's message.
   bool pick(Message& out, const std::function<void(const Message&)>& on_pick);
 
   /// Runs a picked message, appending what it sends to `sends`. Returns the
@@ -131,9 +130,9 @@ class StageMachine {
   int live() const { return live_; }
   int peak_live() const { return peak_live_; }
   int live_cap() const { return live_cap_; }
-  int deferred() const { return static_cast<int>(deferred_.size()); }
   int queued() const {
-    return static_cast<int>(arrivals_.size() + continuations_.size());
+    return static_cast<int>(forwards_.size() + backwards_.size() +
+                            vocab_.size());
   }
   int committed() const { return committed_; }
   /// "f=3/8 b=1/8 live=2 cap=4": the line starvation reports carry.
@@ -145,7 +144,6 @@ class StageMachine {
   }
   std::size_t rank(int mb) const;
   std::size_t slot(int mb, int slice) const;
-  int admitted_mb();
   float slice_weight(int mb, int slice) const;
   std::vector<std::int64_t> slice_targets(int mb, int slice) const;
   void forward(Message& msg, StageCommit& staged,
@@ -186,15 +184,14 @@ class StageMachine {
   std::vector<num::CeShardStats> stats_acc_;
   std::vector<num::Tensor> shard_hidden_;  // shard: between the two rounds
 
-  std::deque<Message> arrivals_;
-  std::vector<Message> continuations_;  // LIFO
-  std::deque<Message> deferred_;
+  sched::DeviceProgram rows_;  // this device's table rows, in order
+  std::size_t next_row_ = 0;
+  std::deque<Message> forwards_, backwards_, vocab_;  // arrival FIFOs
 
   int slices_due_ = 0;  // forward (= backward) slices this stage runs
   int vocab_due_ = 0;  // VocabWork (= VocabGlobal) rounds this stage runs
   int done_f_ = 0, done_b_ = 0, done_vw_ = 0, done_vg_ = 0;
   int live_ = 0, peak_live_ = 0, live_cap_ = 0;
-  std::size_t mb_min_ = 0;  // rank of the oldest unretired microbatch
   std::vector<int> b_done_;  // per rank
   std::int64_t messages_ = 0;
   int last_mb_ = -1;

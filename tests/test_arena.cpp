@@ -79,6 +79,30 @@ TEST(ArenaTest, GrowsPastBlockAndReleasesAcrossBlocks) {
   EXPECT_GE(arena.reserved_bytes(), 4096);
 }
 
+TEST(ArenaTest, TrimDropsBlocksPastTheCurrentOne) {
+  Arena arena(nullptr, /*block_bytes=*/256);
+  arena.trim();  // nothing reserved: a no-op
+  EXPECT_EQ(arena.reserved_bytes(), 0);
+  float* kept = arena.allocate_floats(50, mem::kActivation);  // block 0
+  kept[49] = 7.0f;
+  const Arena::Mark mark = arena.mark();
+  arena.allocate(200, mem::kActivation);  // block 1
+  arena.allocate(200, mem::kActivation);  // block 2
+  EXPECT_EQ(arena.reserved_bytes(), 3 * 256);
+  arena.release_to(mark);
+  EXPECT_EQ(arena.reserved_bytes(), 3 * 256);  // release keeps the blocks
+  arena.trim();
+  EXPECT_EQ(arena.reserved_bytes(), 256);  // the current block stays
+  EXPECT_EQ(arena.live_bytes(), 256);
+  EXPECT_EQ(kept[49], 7.0f);
+  arena.allocate(200, mem::kActivation);  // grows again past the trim
+  EXPECT_EQ(arena.reserved_bytes(), 2 * 256);
+  arena.release_all();
+  arena.trim();
+  EXPECT_EQ(arena.reserved_bytes(), 256);
+  EXPECT_EQ(arena.live_bytes(), 0);
+}
+
 TEST(ArenaTest, StatsTrackPerCategoryLiveAndPeak) {
   ArenaStats stats;
   Arena arena(&stats);

@@ -127,7 +127,6 @@ TEST(WireTest, StatusRoundTrip) {
   status.done_b = 6;
   status.live = 3;
   status.queue = 2;
-  status.deferred = 1;
   status.committed = 4;
   status.last_mb = 9;
   status.state = static_cast<int>(rt::StageState::Waiting);
@@ -145,7 +144,6 @@ TEST(WireTest, StatusRoundTrip) {
   EXPECT_EQ(back.done_b, 6);
   EXPECT_EQ(back.live, 3);
   EXPECT_EQ(back.queue, 2);
-  EXPECT_EQ(back.deferred, 1);
   EXPECT_EQ(back.committed, 4);
   EXPECT_EQ(back.last_mb, 9);
   EXPECT_EQ(back.state, static_cast<int>(rt::StageState::Waiting));

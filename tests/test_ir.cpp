@@ -26,6 +26,7 @@
 #include "src/analysis/verify.hpp"
 #include "src/core/context_exchange.hpp"
 #include "src/core/runner.hpp"
+#include "src/core/slimpipe.hpp"
 #include "src/ir/schedule_ir.hpp"
 #include "src/memory/reconcile.hpp"
 #include "src/sched/builder.hpp"
@@ -610,6 +611,55 @@ TEST(CertifiedTable, MixedRetirementCompiles) {
   EXPECT_TRUE(verdict.ok()) << analysis::render(verdict.findings);
   EXPECT_NO_THROW(
       sched::run_pipeline(plan.spec, plan.programs, nullptr, "mixed"));
+}
+
+// The training runtimes (rt::StageMachine) run core::slimpipe_programs for
+// each attempt, with p not always dividing n and n sometimes below p. Every
+// (p, v, n, m) a runtime test, demo, bench or perfbench workload runs —
+// replay attempts' smaller m included — is a table the verifier certifies
+// clean (its FIFO-receive rule is the runtime's arrival-order contract),
+// and each device's live-slice peak is Eq. 1's min(n*v + 2(p-1-r), m*n*v).
+TEST(RuntimeTables, EveryRuntimeShapeVerifiesClean) {
+  struct Shape {
+    int p, v, n, m;
+  };
+  const std::vector<Shape> shapes = {
+      {1, 1, 2, 1},  {1, 1, 4, 1},  {1, 1, 8, 2},  {2, 1, 1, 2},
+      {2, 1, 2, 1},  {2, 1, 2, 2},  {2, 1, 2, 3},  {2, 1, 2, 4},
+      {2, 1, 3, 2},  {2, 1, 3, 3},  {2, 1, 4, 1},  {2, 1, 4, 2},
+      {2, 1, 6, 1},  {2, 1, 6, 2},  {2, 1, 8, 2},  {2, 2, 3, 3},
+      {2, 2, 4, 1},  {2, 2, 4, 2},  {2, 3, 6, 2},  {2, 4, 8, 1},
+      {3, 1, 2, 2},  {3, 1, 2, 3},  {3, 1, 2, 4},  {3, 1, 3, 1},
+      {3, 1, 3, 3},  {3, 1, 4, 2},  {3, 1, 4, 3},  {3, 1, 6, 2},
+      {3, 1, 8, 2},  {3, 1, 64, 8}, {3, 2, 6, 1},  {4, 1, 2, 3},
+      {4, 1, 4, 2},  {4, 1, 4, 3},  {4, 1, 8, 2},  {4, 1, 8, 3},
+      {4, 1, 12, 1}, {4, 2, 4, 2},  {4, 2, 8, 2},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE("p=" + std::to_string(shape.p) + " v=" +
+                 std::to_string(shape.v) + " n=" + std::to_string(shape.n) +
+                 " m=" + std::to_string(shape.m));
+    sched::PipelineSpec spec = base_spec(shape.p, shape.n, shape.m);
+    spec.v = shape.v;
+    spec.layout = shape.v == 1 ? sched::StageLayoutKind::Sequential
+                               : sched::StageLayoutKind::Interleaved;
+    spec.retain_kv = true;
+    const std::vector<sched::DeviceProgram> programs =
+        core::slimpipe_programs(spec);
+    const analysis::VerifyResult verdict = analysis::verify_ir(
+        ir::lower(spec, programs, "SlimPipe"), spec);
+    EXPECT_TRUE(verdict.ok()) << analysis::render(verdict.findings);
+    for (int dev = 0; dev < shape.p; ++dev) {
+      int live = 0, peak = 0;
+      for (const Pass& pass : programs[static_cast<std::size_t>(dev)]) {
+        live += pass.type == PassType::Forward ? 1 : -1;
+        peak = std::max(peak, live);
+      }
+      EXPECT_EQ(peak, std::min(shape.n * shape.v + 2 * (shape.p - 1 - dev),
+                               shape.m * shape.n * shape.v))
+          << "device " << dev;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

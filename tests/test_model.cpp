@@ -42,9 +42,10 @@ TEST(TransformerTest, MoeActiveExperts) {
 }
 
 TEST(TransformerTest, ZooLookup) {
-  EXPECT_EQ(model_by_name("Llama 70B").hidden, 8192);
-  EXPECT_EQ(model_by_name("Llama 7B").layers, 32);
-  EXPECT_THROW(model_by_name("GPT-5"), std::logic_error);
+  EXPECT_EQ(model_by_name("70b")->hidden, 8192);
+  EXPECT_EQ(model_by_name("7b")->layers, 32);
+  EXPECT_EQ(model_by_name("8x22b")->name, mixtral8x22b().name);
+  EXPECT_FALSE(model_by_name("GPT-5").has_value());
   EXPECT_EQ(model_zoo().size(), 5u);
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/core/runner.hpp"
+#include "src/core/slimpipe.hpp"
 #include "src/model/transformer.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
@@ -328,8 +329,9 @@ TEST(RecorderTest, ThreadSafeAcrossWriters) {
 
 // Both substrates execute the same schedule shape: SlimPipe, p=2 stages,
 // v=1, n=2 slices, m=2 microbatches, no vocab parallelism, no context
-// exchange. The discrete schedule invariants — peak simultaneously-live
-// slices per stage and cross-stage message counts — must agree exactly.
+// exchange. The discrete schedule invariants — each stage's executed
+// order, peak simultaneously-live slices per stage and cross-stage message
+// counts — must agree exactly.
 // Timing CANNOT agree (the simulator runs a cost model over H100-scale
 // shapes; the runtime measures wall time of a toy model on test hardware),
 // so for timing we only assert each substrate's internal consistency.
@@ -383,8 +385,8 @@ TEST(ConsistencyTest, SimAndRuntimeAgreeOnScheduleShape) {
     EXPECT_EQ(rt_metrics.stages[s].p2p_messages,
               sim_metrics.stages[s].p2p_messages)
         << "stage " << s;
-    // Eq. 1: peak live slices never exceed n*v + 2(p-1-r).
-    EXPECT_LE(rt_metrics.stages[s].peak_live_slices, 2 + 2 * (1 - s));
+    // Eq. 1: the table peaks at n*v + 2(p-1-r) live slices.
+    EXPECT_EQ(rt_metrics.stages[s].peak_live_slices, 2 + 2 * (1 - s));
   }
 
   // Timing: internally consistent on both substrates.
@@ -402,6 +404,30 @@ TEST(ConsistencyTest, SimAndRuntimeAgreeOnScheduleShape) {
   const Trace trace = recorder.take();
   EXPECT_FALSE(trace.spans.empty());
   EXPECT_FALSE(trace.flows.empty());
+
+  // Schedule order: each runtime stage executed exactly its device's rows
+  // of the simulator's table, in table order — (kind, microbatch, slice,
+  // stage) read off the recorder's compute spans.
+  const std::vector<sched::DeviceProgram> table = core::slimpipe_programs(spec);
+  for (int s = 0; s < 2; ++s) {
+    std::vector<std::string> want, ran;
+    for (const sched::Pass& pass : table[static_cast<std::size_t>(s)]) {
+      want.push_back(
+          std::string(pass.type == sched::PassType::Forward ? "fwd" : "bwd") +
+          " " + std::to_string(pass.microbatch) + "." +
+          std::to_string(pass.slice) + "@" +
+          std::to_string(pass.chunk * 2 + s));
+    }
+    for (const TraceSpan& span : trace.spans) {
+      if (span.track != s || span.cat != kCatCompute) continue;
+      ran.push_back(span.name.substr(0, span.name.find(' ')) + " " +
+                    std::to_string(span.microbatch) + "." +
+                    std::to_string(span.slice) + "@" +
+                    std::to_string(span.stage));
+    }
+    EXPECT_EQ(ran, want) << "stage " << s;
+  }
+
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(JsonValue::parse(chrome_trace_json(trace), &doc, &error))

@@ -114,6 +114,21 @@ TEST(SpecTest, ValidationErrors) {
   EXPECT_FALSE(spec.validate().empty());
 }
 
+TEST(SpecTest, PlanRejectsNonPositiveShapeBeforeGenerating) {
+  // ZB-V's generator divides by p: plan_scheme must refuse p = 0 (and any
+  // v, m or n below 1) with a structured error before it runs.
+  PipelineSpec spec = small_spec(4, 4);
+  spec.p = 0;
+  EXPECT_THROW(core::plan_scheme(core::Scheme::ZBV, spec), std::logic_error);
+  for (int PipelineSpec::*field :
+       {&PipelineSpec::v, &PipelineSpec::m, &PipelineSpec::n}) {
+    spec = small_spec(4, 4);
+    spec.*field = 0;
+    EXPECT_THROW(core::plan_scheme(core::Scheme::SlimPipe, spec),
+                 std::logic_error);
+  }
+}
+
 TEST(GPipeTest, ProgramShape) {
   const PipelineSpec spec = small_spec(4, 3);
   const auto programs = gpipe_programs(spec);

@@ -1,13 +1,16 @@
-// Tests for rt::StageMachine driven without threads: scripted message
-// orders pin the pick order, the Eq. 1 window and the counting contract;
-// seeded random interleavings step every stage's machine on one thread —
-// orders real threads rarely produce — and must reproduce the threaded
-// runtime's gradients bit for bit.
+// Tests for rt::StageMachine driven without threads: scripted deliveries
+// pin the table order, the vocabulary rounds' priority, the out-of-order
+// error and the counting contract; seeded random interleavings step every
+// stage's machine on one thread — orders real threads rarely produce — and
+// must reproduce the threaded runtime's gradients bit for bit and the
+// table's live-slice peaks exactly.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,7 +36,8 @@ Batch random_batch(Rng& rng, int m, int seq) {
 
 /// One stage machine plus the model and batch it reads.
 struct Rig {
-  Rig(int stages, int m, int n, int seq) : n_slices(n) {
+  Rig(int stages, int m, int n, int seq, bool vocab = false)
+      : n_slices(n), vocab_parallel(vocab) {
     Rng rng(77);
     model = PipelineModel::build(kDims, kVocab, stages + 1, stages, rng);
     tokens = random_batch(rng, m, seq);
@@ -44,11 +48,13 @@ struct Rig {
   StageMachine machine(int stage) {
     std::vector<int> mbs(tokens.size());
     std::iota(mbs.begin(), mbs.end(), 0);
-    return StageMachine({&model, &tokens, &targets, &layouts, n_slices, false},
-                        stage, mbs, &arena);
+    return StageMachine(
+        {&model, &tokens, &targets, &layouts, n_slices, vocab_parallel}, stage,
+        mbs, &arena);
   }
 
-  /// A forward (or backward) activation slice as a neighbour sends it.
+  /// A (slice length x hidden) payload as a neighbour sends it: a forward
+  /// or backward activation slice, or the head's VocabWork hidden states.
   Message slice(Message::Kind kind, int mb, int s, int at_stage) {
     Rng rng(static_cast<std::uint64_t>(1000 + mb * 10 + s));
     return {kind, mb, s, at_stage,
@@ -57,6 +63,7 @@ struct Rig {
   }
 
   int n_slices;
+  bool vocab_parallel;
   PipelineModel model;
   Batch tokens, targets;
   std::vector<core::SliceLayout> layouts;
@@ -87,57 +94,28 @@ std::vector<std::string> run_ready(StageMachine& machine,
   return ran;
 }
 
-TEST(StageMachineTest, FullWindowDefersYoungerForwardButAdmitsOldest) {
-  // Stage 1 of 3 with n = 2 holds at most n + 2(p-1-r) = 4 live slices.
-  Rig rig(3, 4, 2, 8);
-  StageMachine machine = rig.machine(1);
-  ASSERT_EQ(machine.live_cap(), 4);
-  for (const auto& [mb, s] : std::vector<std::pair<int, int>>{
-           {1, 0}, {1, 1}, {2, 0}, {2, 1}, {3, 0}, {0, 0}}) {
-    machine.deliver(rig.slice(Message::Kind::Forward, mb, s, 1));
-  }
+TEST(StageMachineTest, EarlyArrivalWaitsForItsRow) {
+  // Stage 0 of 2 with n = 2 warms up with n + 2(p-1-r) = 4 forwards: a
+  // backward that arrives before any of them still runs in its row.
+  Rig rig(2, 2, 2, 8);
+  StageMachine machine = rig.machine(0);
+  machine.deliver(rig.slice(Message::Kind::Backward, 0, 1, 0));
   std::vector<std::string> hooked;
   std::vector<Outgoing> sent;
-  const std::vector<std::string> ran = run_ready(machine, hooked, &sent);
-  // Younger microbatches fill the window; mb 3 then waits while the oldest
-  // unretired microbatch (mb 0) is admitted past the cap.
-  EXPECT_EQ(ran, (std::vector<std::string>{"fwd 1.0", "fwd 1.1", "fwd 2.0",
-                                           "fwd 2.1", "fwd 0.0"}));
-  EXPECT_EQ(machine.deferred(), 1);
-  EXPECT_EQ(machine.live(), 5);
-  // Every arrival was counted and shown to the hooks, the deferred one too.
-  EXPECT_EQ(machine.messages(), 6);
-  EXPECT_EQ(hooked.size(), 6u);
-  ASSERT_EQ(sent.size(), 5u);
-  for (const Outgoing& out : sent) EXPECT_EQ(out.dst, 2);
-}
-
-TEST(StageMachineTest, DeferredForwardIsNotCountedAgain) {
-  // Stage 0 of 2 with n = 2: cap 4, so two of mb 2's forwards wait.
-  Rig rig(2, 3, 2, 8);
-  StageMachine machine = rig.machine(0);
-  std::vector<std::string> hooked;
-  EXPECT_EQ(run_ready(machine, hooked),
+  EXPECT_EQ(run_ready(machine, hooked, &sent),
             (std::vector<std::string>{"fwd 0.0", "fwd 0.1", "fwd 1.0",
-                                      "fwd 1.1"}));
-  EXPECT_EQ(machine.deferred(), 2);
-  EXPECT_EQ(machine.messages(), 6);
-  EXPECT_EQ(hooked.back(), "fwd 2.1");
-
-  // A backward frees one slot: it is counted, then the oldest deferred
-  // forward runs without being counted or hooked a second time.
-  machine.deliver(rig.slice(Message::Kind::Backward, 0, 1, 0));
-  EXPECT_EQ(run_ready(machine, hooked),
-            (std::vector<std::string>{"bwd 0.1", "fwd 2.0"}));
-  EXPECT_EQ(machine.messages(), 7);
-  EXPECT_EQ(hooked.size(), 7u);
-  EXPECT_EQ(machine.deferred(), 1);
-  EXPECT_EQ(machine.live(), 4);
+                                      "fwd 1.1", "bwd 0.1"}));
+  // The next row, bwd 0.0, waits for its gradient.
+  EXPECT_EQ(machine.live(), 3);
+  EXPECT_EQ(machine.peak_live(), 4);
+  ASSERT_EQ(sent.size(), 4u);
+  for (const Outgoing& out : sent) EXPECT_EQ(out.dst, 1);
 }
 
-TEST(StageMachineTest, ContinuationsRunAheadOfArrivalsNewestSliceFirst) {
-  // The head stage (stage 1 of 2) starts mb 0's backward chain once its
-  // last slice's head gradient exists, ahead of mb 1's queued forward.
+TEST(StageMachineTest, HeadAlternatesBackwardAndForwardAfterWarmup) {
+  // The head (stage 1 of 2, n = 3) warms up with 3 forwards, then runs one
+  // backward and one forward, newest slice first: mb 1's first forward
+  // runs between mb 0's backwards, not after them.
   Rig rig(2, 2, 3, 9);
   StageMachine machine = rig.machine(1);
   for (int s = 0; s < 3; ++s) {
@@ -148,16 +126,90 @@ TEST(StageMachineTest, ContinuationsRunAheadOfArrivalsNewestSliceFirst) {
   std::vector<Outgoing> sent;
   EXPECT_EQ(run_ready(machine, hooked, &sent),
             (std::vector<std::string>{"fwd 0.0", "fwd 0.1", "fwd 0.2",
-                                      "bwd 0.2", "bwd 0.1", "bwd 0.0",
-                                      "fwd 1.0"}));
-  // Continuations are counted like arrivals.
-  EXPECT_EQ(machine.messages(), 7);
-  EXPECT_EQ(machine.committed(), 1);
-  ASSERT_EQ(sent.size(), 3u);
+                                      "bwd 0.2", "fwd 1.0", "bwd 0.1"}));
+  EXPECT_EQ(machine.peak_live(), 3);
+  ASSERT_EQ(sent.size(), 2u);
   for (const Outgoing& out : sent) {
     EXPECT_EQ(out.dst, 0);
     EXPECT_EQ(out.msg.kind, Message::Kind::Backward);
   }
+}
+
+TEST(StageMachineTest, VocabularyRoundRunsAheadOfABlockedRow) {
+  // Shard stage 0 of 2 (m = 1, n = 2) runs its two forwards, then its next
+  // row, bwd 0.1, waits for a gradient. A vocabulary round that arrives
+  // meanwhile runs at once, and it runs ahead of a row whose input arrived
+  // before it.
+  Rig rig(2, 1, 2, 8, /*vocab_parallel=*/true);
+  StageMachine machine = rig.machine(0);
+  std::vector<std::string> hooked;
+  std::vector<Outgoing> sent;
+  EXPECT_EQ(run_ready(machine, hooked, &sent),
+            (std::vector<std::string>{"fwd 0.0", "fwd 0.1"}));
+  machine.deliver(rig.slice(Message::Kind::VocabWork, 0, 0, 0));
+  EXPECT_EQ(run_ready(machine, hooked, &sent),
+            (std::vector<std::string>{"vocab_work 0.0"}));
+  ASSERT_EQ(sent.size(), 3u);
+  EXPECT_EQ(sent.back().dst, 1);
+  EXPECT_EQ(sent.back().msg.kind, Message::Kind::VocabStats);
+  machine.deliver(rig.slice(Message::Kind::Backward, 0, 1, 0));
+  machine.deliver(rig.slice(Message::Kind::VocabWork, 0, 1, 0));
+  EXPECT_EQ(run_ready(machine, hooked, &sent),
+            (std::vector<std::string>{"vocab_work 0.1", "bwd 0.1"}));
+}
+
+TEST(StageMachineTest, ArrivalAgainstTableOrderFails) {
+  // The head's first row is fwd 0.0; its sender (stage 0) sends in table
+  // order, so slice 1 at the FIFO front is a broken transport, not a
+  // message to hold back.
+  Rig rig(2, 1, 2, 8);
+  StageMachine machine = rig.machine(1);
+  machine.deliver(rig.slice(Message::Kind::Forward, 0, 1, 1));
+  Message msg;
+  try {
+    machine.pick(msg, nullptr);
+    FAIL() << "an out-of-order arrival was picked";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("arrival out of table order"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(machine.messages(), 0);
+}
+
+TEST(StageMachineTest, EveryRowAndVocabularyMessageIsCountedOnce) {
+  // Shard stage 0 of 2 (m = 2, n = 2) with every input delivered up front,
+  // in the order its senders send them: all vocabulary rounds run first,
+  // then the 8 rows; each is counted once and shown to on_pick once.
+  const int m = 2, n = 2;
+  Rig rig(2, m, n, 8, /*vocab_parallel=*/true);
+  StageMachine machine = rig.machine(0);
+  for (int mb = 0; mb < m; ++mb) {
+    for (int s = 0; s < n; ++s) {
+      machine.deliver(rig.slice(Message::Kind::VocabWork, mb, s, 0));
+      num::Tensor global(2, rig.layouts[static_cast<std::size_t>(mb)].len(s));
+      for (std::int64_t t = 0; t < global.cols(); ++t) {
+        global.at(0, t) = 0.0f;  // global max logit
+        global.at(1, t) = 1.0f;  // global sum of exp
+      }
+      machine.deliver({Message::Kind::VocabGlobal, mb, s, 0, global});
+    }
+  }
+  for (const auto& [mb, s] :
+       std::vector<std::pair<int, int>>{{0, 1}, {0, 0}, {1, 1}, {1, 0}}) {
+    machine.deliver(rig.slice(Message::Kind::Backward, mb, s, 0));
+  }
+  std::vector<std::string> hooked;
+  const std::vector<std::string> ran = run_ready(machine, hooked);
+  EXPECT_TRUE(machine.finished());
+  EXPECT_TRUE(machine.drained());
+  EXPECT_EQ(machine.committed(), m);
+  ASSERT_EQ(ran.size(), static_cast<std::size_t>(4 * m * n));
+  EXPECT_EQ(ran.front(), "vocab_work 0.0");
+  EXPECT_EQ(ran[static_cast<std::size_t>(2 * m * n)], "fwd 0.0");
+  EXPECT_EQ(ran.back(), "bwd 1.0");
+  EXPECT_EQ(hooked, ran);
+  EXPECT_EQ(machine.messages(), static_cast<std::int64_t>(ran.size()));
 }
 
 struct InterleavingCase {
@@ -173,7 +225,8 @@ class StageMachineInterleavingTest
 // either delivers one in-flight message (FIFO per sender, senders picked
 // at random) or runs the stage's next pick. Whatever the order, the
 // gradients and message counts equal ThreadedPipeline's bit for bit, every
-// stage stays within its live-slice bound and every layer drains.
+// stage peaks at exactly its table's live-slice count and every layer
+// drains.
 TEST_P(StageMachineInterleavingTest, MatchesThreadedPipelineBitForBit) {
   const InterleavingCase c = GetParam();
   const int p = c.stages, n = 3, m = 3;
@@ -247,13 +300,9 @@ TEST_P(StageMachineInterleavingTest, MatchesThreadedPipelineBitForBit) {
     for (int s = 0; s < p; ++s) {
       const StageMachine& machine = machines[static_cast<std::size_t>(s)];
       EXPECT_TRUE(machine.drained()) << "stage " << s;
-      // Eq. 1 bounds the non-interleaved window. Interleaved, the oldest
-      // microbatch's later-chunk forwards return to a window that younger
-      // microbatches' first-chunk forwards already filled, and its
-      // always-admitted forwards may exceed the cap by one microbatch's
-      // n*v slices (the threaded runtime peaks the same way).
-      const int eq1 = n * c.chunks + 2 * (p - 1 - s);
-      EXPECT_LE(machine.peak_live(), c.chunks == 1 ? eq1 : eq1 + n * c.chunks)
+      // The table's peak is Eq. 1's window, interleaved or not.
+      EXPECT_EQ(machine.peak_live(),
+                std::min(n * c.chunks + 2 * (p - 1 - s), m * n * c.chunks))
           << "stage " << s << " seed " << seed;
       EXPECT_EQ(machine.messages(),
                 threaded.stats.messages[static_cast<std::size_t>(s)])

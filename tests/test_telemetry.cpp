@@ -359,7 +359,6 @@ LiveSnapshot sample_snapshot() {
   s0.live = 2;
   s0.live_cap = 4;
   s0.queue = 1;
-  s0.deferred = 0;
   s0.committed = 1;
   s0.committed_total = 4;
   s0.frames_out = 12;

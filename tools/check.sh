@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
 # Repo-wide check driver: sanitizer builds, labeled test subsets, clang-tidy.
 #
-#   tools/check.sh              # plain + address/undefined/thread sanitizers
+#   tools/check.sh              # plain + perfbench smoke + sanitizers
 #   tools/check.sh --fast       # plain build + full test suite only
-#   tools/check.sh stress       # plain build, full suite 20 times in a row
+#   tools/check.sh stress       # plain build, full suite 20 times in a row,
+#                               # then the perfbench smoke test
 #   JOBS=8 tools/check.sh       # override build/test parallelism
 #
 # The stress mode (ctest --repeat until-fail:20) is the flakiness gate:
 # tier-1 must stay green on every run, idle or next to a CPU hog.
+#
+# The perfbench smoke test builds the benchmark (~45 s cold) and runs every
+# workload at tiny shapes, checking Eq. 1's exact peak on both runtimes.
 #
 # Each sanitizer preset (-DSLIMPIPE_SANITIZE=address|undefined|thread, see
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
@@ -70,6 +74,8 @@ if [[ "$STRESS" -eq 1 ]]; then
   build_tree build
   ctest --test-dir build --output-on-failure -j "$JOBS" \
     --repeat until-fail:20
+  echo "== perfbench smoke test =="
+  python3 perfbench/smoke_test.py
   echo "check.sh: stress passed"
   exit 0
 fi
@@ -79,6 +85,8 @@ build_tree build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 if [[ "$FAST" -eq 0 ]]; then
+  echo "== perfbench smoke test =="
+  python3 perfbench/smoke_test.py
   for san in address undefined thread; do
     echo "== ${san} sanitizer build =="
     build_tree "build-${san}" -DSLIMPIPE_SANITIZE="${san}"

@@ -36,6 +36,7 @@
 #include "src/sched/builder.hpp"
 #include "src/util/table.hpp"
 #include "src/util/units.hpp"
+#include "tools/cli_flags.hpp"
 
 using namespace slim;
 
@@ -76,39 +77,6 @@ exit status
   0 = clean, 1 = lint findings, 2 = usage error,
   3 = verifier errors (ir-structure / verify-* rules, or unreadable IR)
 )");
-}
-
-model::TransformerConfig pick_model(const std::string& name) {
-  if (name == "7b") return model::llama7b();
-  if (name == "13b") return model::llama13b();
-  if (name == "70b") return model::llama70b();
-  if (name == "149b") return model::llama149b();
-  if (name == "8x7b") return model::mixtral8x7b();
-  if (name == "8x22b") return model::mixtral8x22b();
-  std::fprintf(stderr, "unknown model '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-model::CheckpointPolicy pick_policy(const std::string& name) {
-  if (name == "none") return model::CheckpointPolicy::None;
-  if (name == "selective") return model::CheckpointPolicy::Selective;
-  if (name == "full") return model::CheckpointPolicy::Full;
-  std::fprintf(stderr, "unknown checkpoint policy '%s'\n", name.c_str());
-  std::exit(2);
-}
-
-std::vector<core::Scheme> pick_schemes(const std::string& name) {
-  if (name == "all") return core::all_schemes();
-  if (name == "gpipe") return {core::Scheme::GPipe};
-  if (name == "terapipe") return {core::Scheme::TeraPipe};
-  if (name == "1f1b") return {core::Scheme::OneF1B};
-  if (name == "interleaved") return {core::Scheme::Interleaved1F1B};
-  if (name == "zbv") return {core::Scheme::ZBV};
-  if (name == "vhalf") return {core::Scheme::VHalf};
-  if (name == "vmin") return {core::Scheme::VMin};
-  if (name == "slimpipe") return {core::Scheme::SlimPipe};
-  std::fprintf(stderr, "unknown scheme '%s'\n", name.c_str());
-  std::exit(2);
 }
 
 /// Runs the verifier and the graph check over one scheme/spec combination
@@ -224,41 +192,22 @@ int lint_ir_file(const std::string& path, const sched::PipelineSpec& base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string model_name = "13b", scheme_name = "all", ckpt = "none";
-  std::string ir_path, emit_ir_path;
-  std::int64_t seq = 131072, t = 8, c = 1, e = 1, d = 1;
-  int p = 4, v = 1, n = 0, m = 4;
-  double offload = 0.0;
-  bool sweep = false, verbose = false, exchange = true, vocab_parallel = true;
+  cli::SpecFlags flags(/*usage_status=*/2);
+  std::string scheme_name = "all", ir_path, emit_ir_path;
+  bool sweep = false, verbose = false;
 
   for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(2);
-      }
+      if (i + 1 >= argc) flags.fail("missing value for " + arg);
       return argv[++i];
     };
-    const std::string arg = argv[i];
-    if (arg == "--model") model_name = next();
-    else if (arg == "--scheme") scheme_name = next();
-    else if (arg == "--seq") seq = std::atoll(next());
-    else if (arg == "--t") t = std::atoll(next());
-    else if (arg == "--c") c = std::atoll(next());
-    else if (arg == "--e") e = std::atoll(next());
-    else if (arg == "--d") d = std::atoll(next());
-    else if (arg == "--p") p = std::atoi(next());
-    else if (arg == "--v") v = std::atoi(next());
-    else if (arg == "--n") n = std::atoi(next());
-    else if (arg == "--m") m = std::atoi(next());
-    else if (arg == "--ckpt") ckpt = next();
-    else if (arg == "--offload") offload = std::atof(next());
+    if (flags.parse(arg, next)) continue;
+    if (arg == "--scheme") scheme_name = next();
     else if (arg == "--sweep") sweep = true;
     else if (arg == "--ir") ir_path = next();
     else if (arg == "--emit-ir") emit_ir_path = next();
     else if (arg == "--verbose") verbose = true;
-    else if (arg == "--no-exchange") exchange = false;
-    else if (arg == "--no-vocab-par") vocab_parallel = false;
     else if (arg == "--help" || arg == "-h") { usage(); return 0; }
     else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
@@ -267,31 +216,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto cfg = pick_model(model_name);
-  const auto schemes = pick_schemes(scheme_name);
-  const auto gpu = model::hopper80();
-
-  sched::PipelineSpec base;
-  base.cfg = cfg;
-  base.gpu = gpu;
-  base.shard = {t, c, e, 8};
-  base.policy = pick_policy(ckpt);
-  base.d = d;
-  base.seq = seq;
-  base.offload.ratio = offload;
-  base.offload.pcie_bandwidth = gpu.pcie_bandwidth;
-  base.context_exchange = exchange;
+  sched::PipelineSpec base = flags.resolve();
+  const std::vector<core::Scheme> schemes =
+      scheme_name == "all"
+          ? core::all_schemes()
+          : std::vector<core::Scheme>{
+                flags.known(core::scheme_by_name(scheme_name), "scheme",
+                            scheme_name)};
 
   if (!ir_path.empty()) {
     if (sweep || !emit_ir_path.empty()) {
       std::fprintf(stderr, "--ir cannot be combined with --sweep/--emit-ir\n");
       return 2;
     }
-    base.p = p;
-    base.v = v;
-    base.n = n > 0 ? n : 1;
-    base.m = m;
-    base.vocab_parallel = vocab_parallel;
+    if (base.n == 0) base.n = 1;
     return lint_ir_file(ir_path, base, verbose);
   }
 
@@ -307,7 +245,6 @@ int main(int argc, char** argv) {
           for (const int sm : {sp, 2 * sp}) {
             sched::PipelineSpec spec = base;
             spec.p = sp;
-            spec.v = v;
             spec.n = sn;
             spec.m = sm;
             if (scheme == core::Scheme::TeraPipe && sn > 1 && sn % sp != 0) {
@@ -315,8 +252,7 @@ int main(int argc, char** argv) {
               // (unlike SlimPipe) does not normalize n, so round it up.
               spec.n = ((sn + sp - 1) / sp) * sp;
             }
-            spec.vocab_parallel =
-                vocab_parallel && scheme == core::Scheme::SlimPipe;
+            spec.vocab_parallel &= scheme == core::Scheme::SlimPipe;
             combos.push_back({scheme, std::move(spec)});
           }
         }
@@ -325,11 +261,8 @@ int main(int argc, char** argv) {
   } else {
     for (const core::Scheme scheme : schemes) {
       sched::PipelineSpec spec = base;
-      spec.p = p;
-      spec.v = v;
-      spec.n = n > 0 ? n : (scheme == core::Scheme::SlimPipe ? p : 1);
-      spec.m = m;
-      spec.vocab_parallel = vocab_parallel && scheme == core::Scheme::SlimPipe;
+      if (spec.n == 0) spec.n = scheme == core::Scheme::SlimPipe ? spec.p : 1;
+      spec.vocab_parallel &= scheme == core::Scheme::SlimPipe;
       combos.push_back({scheme, std::move(spec)});
     }
   }

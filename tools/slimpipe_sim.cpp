@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <climits>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -33,6 +34,7 @@
 #include "src/sched/builder.hpp"
 #include "src/util/table.hpp"
 #include "src/util/units.hpp"
+#include "tools/cli_flags.hpp"
 
 using namespace slim;
 
@@ -77,38 +79,6 @@ modes
                      the static verifier certifies it clean (exit 3 when it
                      is rejected)
 )");
-}
-
-model::TransformerConfig pick_model(const std::string& name) {
-  if (name == "7b") return model::llama7b();
-  if (name == "13b") return model::llama13b();
-  if (name == "70b") return model::llama70b();
-  if (name == "149b") return model::llama149b();
-  if (name == "8x7b") return model::mixtral8x7b();
-  if (name == "8x22b") return model::mixtral8x22b();
-  std::fprintf(stderr, "unknown model '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-core::Scheme pick_scheme(const std::string& name) {
-  if (name == "gpipe") return core::Scheme::GPipe;
-  if (name == "terapipe") return core::Scheme::TeraPipe;
-  if (name == "1f1b") return core::Scheme::OneF1B;
-  if (name == "interleaved") return core::Scheme::Interleaved1F1B;
-  if (name == "zbv") return core::Scheme::ZBV;
-  if (name == "vhalf") return core::Scheme::VHalf;
-  if (name == "vmin") return core::Scheme::VMin;
-  if (name == "slimpipe") return core::Scheme::SlimPipe;
-  std::fprintf(stderr, "unknown scheme '%s'\n", name.c_str());
-  std::exit(1);
-}
-
-model::CheckpointPolicy pick_policy(const std::string& name) {
-  if (name == "none") return model::CheckpointPolicy::None;
-  if (name == "selective") return model::CheckpointPolicy::Selective;
-  if (name == "full") return model::CheckpointPolicy::Full;
-  std::fprintf(stderr, "unknown checkpoint policy '%s'\n", name.c_str());
-  std::exit(1);
 }
 
 Table result_table(const sched::ScheduleResult& r) {
@@ -157,47 +127,30 @@ bool write_json_report(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string model_name = "13b", scheme_name = "slimpipe", ckpt = "none";
+  cli::SpecFlags flags(/*usage_status=*/1);
+  std::string scheme_name = "slimpipe";
   std::string trace_path, faults_path, json_path, schedule_path;
-  std::int64_t seq = 131072, tokens = 0, t = 8, c = 1, e = 1, d = 1;
-  int p = 4, v = 1, n = 0, m = 4, gpus = 0;
-  double offload = 0.0;
-  bool search = false, timeline = false, exchange = true, adaptive = false,
-       vocab_parallel = true;
+  std::int64_t tokens = 0;
+  int gpus = 0;
+  bool search = false, timeline = false, adaptive = false;
 
   for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        std::exit(1);
-      }
+      if (i + 1 >= argc) flags.fail("missing value for " + arg);
       return argv[++i];
     };
-    const std::string arg = argv[i];
-    if (arg == "--model") model_name = next();
-    else if (arg == "--scheme") scheme_name = next();
-    else if (arg == "--seq") seq = std::atoll(next());
-    else if (arg == "--tokens") tokens = std::atoll(next());
-    else if (arg == "--t") t = std::atoll(next());
-    else if (arg == "--c") c = std::atoll(next());
-    else if (arg == "--e") e = std::atoll(next());
-    else if (arg == "--d") d = std::atoll(next());
-    else if (arg == "--p") p = std::atoi(next());
-    else if (arg == "--v") v = std::atoi(next());
-    else if (arg == "--n") n = std::atoi(next());
-    else if (arg == "--m") m = std::atoi(next());
-    else if (arg == "--gpus") gpus = std::atoi(next());
-    else if (arg == "--ckpt") ckpt = next();
-    else if (arg == "--offload") offload = std::atof(next());
+    if (flags.parse(arg, next)) continue;
+    if (arg == "--scheme") scheme_name = next();
+    else if (arg == "--tokens") tokens = flags.integer(arg, next(), 0);
+    else if (arg == "--gpus") gpus = flags.integer(arg, next(), 0, INT_MAX);
     else if (arg == "--search") search = true;
     else if (arg == "--timeline") timeline = true;
     else if (arg == "--trace") trace_path = next();
     else if (arg == "--json") json_path = next();
     else if (arg == "--faults") faults_path = next();
     else if (arg == "--schedule") schedule_path = next();
-    else if (arg == "--no-exchange") exchange = false;
     else if (arg == "--adaptive") adaptive = true;
-    else if (arg == "--no-vocab-par") vocab_parallel = false;
     else if (arg == "--help" || arg == "-h") { usage(); return 0; }
     else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
@@ -206,9 +159,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto cfg = pick_model(model_name);
-  const auto scheme = pick_scheme(scheme_name);
-  const auto gpu = model::hopper80();
+  sched::PipelineSpec spec = flags.resolve();
+  const auto scheme =
+      flags.known(core::scheme_by_name(scheme_name), "scheme", scheme_name);
 
   if (search) {
     if (gpus <= 0 || tokens <= 0) {
@@ -217,9 +170,11 @@ int main(int argc, char** argv) {
     }
     parallel::SearchOptions opts;
     opts.simulate_top_k = 6;
-    if (offload > 0.0) opts.offload_ratios = {0.0, offload};
-    const auto r =
-        parallel::grid_search(cfg, gpu, gpus, seq, tokens, scheme, opts);
+    if (spec.offload.ratio > 0.0) {
+      opts.offload_ratios = {0.0, spec.offload.ratio};
+    }
+    const auto r = parallel::grid_search(spec.cfg, spec.gpu, gpus, spec.seq,
+                                         tokens, scheme, opts);
     if (r.status != parallel::SearchStatus::Ok) {
       std::printf("search: %s (%s)\n", parallel::to_string(r.status),
                   r.note.c_str());
@@ -230,21 +185,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  sched::PipelineSpec spec;
-  spec.cfg = cfg;
-  spec.gpu = gpu;
-  spec.shard = {t, c, e, 8};
-  spec.policy = pick_policy(ckpt);
-  spec.p = p;
-  spec.v = v;
-  spec.n = n > 0 ? n : (scheme == core::Scheme::SlimPipe ? p : 1);
-  spec.m = m;
-  spec.d = d;
-  spec.seq = seq;
-  spec.offload.ratio = offload;
-  spec.offload.pcie_bandwidth = gpu.pcie_bandwidth;
-  spec.vocab_parallel = vocab_parallel && scheme == core::Scheme::SlimPipe;
-  spec.context_exchange = exchange;
+  if (spec.n == 0) spec.n = scheme == core::Scheme::SlimPipe ? spec.p : 1;
+  spec.vocab_parallel &= scheme == core::Scheme::SlimPipe;
   spec.adaptive_exchange = adaptive;
 
   try {
@@ -313,13 +255,14 @@ int main(int argc, char** argv) {
       std::printf("\nChrome trace written to %s\n", trace_path.c_str());
     }
     if (!json_path.empty()) {
-      const std::string setup = model_name + " t=" + std::to_string(t) +
-                                " p=" + std::to_string(p) +
-                                " v=" + std::to_string(v) +
+      const std::string setup = flags.model_name +
+                                " t=" + std::to_string(spec.shard.t) +
+                                " p=" + std::to_string(spec.p) +
+                                " v=" + std::to_string(spec.v) +
                                 " n=" + std::to_string(spec.n) +
-                                " m=" + std::to_string(m) +
-                                " seq=" + std::to_string(seq);
-      if (!write_json_report(json_path, r, model_name, setup)) {
+                                " m=" + std::to_string(spec.m) +
+                                " seq=" + std::to_string(spec.seq);
+      if (!write_json_report(json_path, r, flags.model_name, setup)) {
         std::fprintf(stderr, "cannot write report '%s'\n", json_path.c_str());
         return 1;
       }

@@ -118,7 +118,7 @@ TEST(PipelineRuntimeTest, StatsShapeAndMemoryInvariant) {
               std::min(n + 2 * (stages - 1 - s), m * n))
         << "stage " << s;
   }
-  // Stage 0 exchanges the most messages (seeded forwards + gradients).
+  // Stage 0 counts one message per table row: m*n forwards, m*n backwards.
   EXPECT_EQ(r.stats.messages[0], 2 * m * n);
 }
 

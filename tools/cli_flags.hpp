@@ -71,7 +71,7 @@ class SpecFlags {
       return integer(flag, value(), lo, hi);
     };
     if (flag == "--model") model_name = value();
-    else if (flag == "--ckpt") ckpt_ = value();
+    else if (flag == "--ckpt") ckpt = value();
     else if (flag == "--seq") spec.seq = number(1, kInt64Max);
     else if (flag == "--t") spec.shard.t = number(1, kInt64Max);
     else if (flag == "--c") spec.shard.c = number(1, kInt64Max);
@@ -92,12 +92,11 @@ class SpecFlags {
   sched::PipelineSpec resolve() const {
     sched::PipelineSpec out = spec;
     out.cfg = known(model::model_by_name(model_name), "model", model_name);
-    out.policy =
-        known(model::policy_by_name(ckpt_), "checkpoint policy", ckpt_);
+    out.policy = known(model::policy_by_name(ckpt), "checkpoint policy", ckpt);
     return out;
   }
 
-  std::string model_name = "13b";
+  std::string model_name = "13b", ckpt = "none";
   sched::PipelineSpec spec;
 
  private:
@@ -112,7 +111,6 @@ class SpecFlags {
   }
 
   int status_;
-  std::string ckpt_ = "none";
 };
 
 }  // namespace slim::cli

@@ -1,6 +1,6 @@
 // Observability overhead gate: the ALWAYS-ON observability — the worker
-// flight recorder, its Telemetry flushes, wire counters and clock pings —
-// must cost < 3% of step time. That is the cost every production run pays;
+// flight recorder, its Telemetry flushes and the wire counters — must cost
+// < 3% of step time. That is the cost every production run pays;
 // the bench exits non-zero above the budget, so the telemetry ctest label
 // turns an observability regression into a red test, not a slow dashboard.
 //

@@ -41,11 +41,6 @@ struct WorkerHandle {
   Fd control;  // parent end of the control socketpair
   WireStatus status;
   Clock::time_point last_heard;
-  Clock::time_point last_ping;
-  double fork_offset = 0.0;  // recorder time at fork (trace re-basing)
-  /// Ping/pong offset estimator: maps this worker's event timestamps onto
-  /// the run clock. Until the first pong lands, fork_offset is the fallback.
-  obs::ClockAligner aligner;
   /// Last-K flight-recorder events recovered from Telemetry flushes — the
   /// postmortem breadcrumb trail of a worker that dies without a Done frame.
   std::deque<obs::FlightEvent> flight;
@@ -159,13 +154,12 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     rec->set_process_name(static_cast<std::int64_t>(::getpid()), "supervisor");
   }
   // The run clock: the recorder's epoch when tracing, else this iteration's
-  // start. Pings carry it as t1 and pongs return to it as t4.
-  const Clock::time_point run_epoch = Clock::now();
+  // start. Workers inherit it through fork, so every time they report is
+  // already on it.
+  const Clock::time_point run_epoch =
+      rec != nullptr ? rec->epoch() : Clock::now();
   auto run_now = [&]() -> double {
-    return rec != nullptr
-               ? rec->now()
-               : std::chrono::duration<double>(Clock::now() - run_epoch)
-                     .count();
+    return std::chrono::duration<double>(Clock::now() - run_epoch).count();
   };
 
   Result result;
@@ -250,7 +244,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
                 std::to_string(attempt) + "), retrying";
             iteration_report.events.push_back(
                 {fault::FaultEvent::Kind::ConnectRetry, rule_stage,
-                 rec != nullptr ? rec->now() : 0.0, attempt, detail});
+                 run_now(), attempt, detail});
             if (rec != nullptr) {
               rec->instant(std::max(0, rule_stage), "connect retry",
                            obs::kCatFault, detail);
@@ -275,7 +269,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     for (int s = 0; s < p; ++s) {
       WorkerHandle& w = workers[static_cast<std::size_t>(s)];
       w.stage = s;
-      w.fork_offset = rec != nullptr ? rec->now() : 0.0;
       WorkerConfig cfg;
       cfg.inputs = {&model_, &tokens, &targets, &layouts, n_slices, false};
       cfg.stage = s;
@@ -285,6 +278,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       cfg.next_fd =
           s + 1 < p ? boundaries[static_cast<std::size_t>(s)].a.get() : -1;
       cfg.control_fd = controls[static_cast<std::size_t>(s)].b.get();
+      cfg.epoch = run_epoch;
       cfg.heartbeat_interval = options.heartbeat_interval;
       cfg.starvation_timeout = options.starvation_timeout;
       cfg.trace = rec != nullptr;
@@ -328,9 +322,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       });
       w.pid = pid;
       w.last_heard = Clock::now();
-      // Backdated so the first supervision-loop pass pings immediately —
-      // clock alignment is useful from the first heartbeat on.
-      w.last_ping = Clock::now() - options.ping_interval;
       w.control = std::move(controls[static_cast<std::size_t>(s)].a);
       if (rec != nullptr) {
         rec->set_track_pid(s, static_cast<std::int64_t>(pid));
@@ -414,8 +405,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           w.control_eof = true;
           if (io != IoStatus::Eof) {
             iteration_report.events.push_back(
-                {fault::FaultEvent::Kind::Crash, w.stage,
-                 rec != nullptr ? rec->now() : 0.0, w.status.messages,
+                {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
+                 w.status.messages,
                  std::string("control frame ") + io_status_name(io) +
                      "; half-written tail discarded"});
           }
@@ -435,8 +426,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             ledger.slot(w.stage, frame.mb) = read_commit(r);
             break;
           }
-          case FrameKind::Event:
-            break;  // reserved; events currently ride in Done/Error frames
           case FrameKind::Telemetry: {
             // Flight-recorder flush: keep the last kFlightTail events as
             // the worker's recoverable breadcrumb trail.
@@ -447,18 +436,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
               w.flight.push_back(event);
               if (w.flight.size() > kFlightTail) w.flight.pop_front();
             }
-            break;
-          }
-          case FrameKind::Pong: {
-            // NTP 4-timestamp clock sample: t1 (ours, echoed), t2/t3
-            // (worker clock), t4 = now on the run clock.
-            Reader r(frame.payload);
-            obs::ClockSample sample;
-            sample.t1 = r.f64();
-            sample.t2 = r.f64();
-            sample.t3 = r.f64();
-            sample.t4 = run_now();
-            w.aligner.add(sample);
             break;
           }
           case FrameKind::Error: {
@@ -529,10 +506,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         live.retries = w.status.prev.retries + w.status.next.retries;
         live.arena_peak_bytes = stage_metrics[static_cast<std::size_t>(w.stage)]
                                     .measured_peak_total;
-        if (w.aligner.aligned()) {
-          live.clock_offset_seconds = w.aligner.offset();
-          live.clock_uncertainty_seconds = w.aligner.uncertainty();
-        }
         live.flight_events = w.status.flight_recorded;
         live.respawns = respawns[static_cast<std::size_t>(w.stage)];
         snap.stages.push_back(live);
@@ -554,23 +527,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       }
       poll_readable_many(fds, 10);
       for (WorkerHandle& w : workers) read_worker(w);
-
-      // Clock-alignment pings. A dead peer just makes send_frame fail
-      // (MSG_NOSIGNAL) — its EOF is picked up by the read path.
-      for (WorkerHandle& w : workers) {
-        if (w.exited || w.done || w.control_eof || !w.control.valid()) {
-          continue;
-        }
-        if (Clock::now() - w.last_ping < options.ping_interval) continue;
-        Frame ping;
-        ping.kind = FrameKind::Ping;
-        ping.stage = w.stage;
-        Writer writer;
-        writer.f64(run_now());
-        ping.payload = writer.take();
-        send_frame(w.control.get(), ping);
-        w.last_ping = Clock::now();
-      }
 
       if (telemetry_on && Clock::now() >= next_telemetry) {
         last_snapshot =
@@ -597,8 +553,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           if (!w.done) {
             if (w.signaled) {
               iteration_report.events.push_back(
-                  {fault::FaultEvent::Kind::Crash, w.stage,
-                   rec != nullptr ? rec->now() : 0.0, w.status.messages,
+                  {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
+                   w.status.messages,
                    "stage " + std::to_string(w.stage) + " " +
                        describe_exit(w)});
               if (rec != nullptr) {
@@ -631,8 +587,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
               std::to_string(options.heartbeat_timeout.count()) +
               " ms); killed";
           iteration_report.events.push_back(
-              {fault::FaultEvent::Kind::Watchdog, w.stage,
-               rec != nullptr ? rec->now() : 0.0, w.status.messages, detail});
+              {fault::FaultEvent::Kind::Watchdog, w.stage, run_now(),
+               w.status.messages, detail});
           if (rec != nullptr) {
             rec->instant(w.stage, "watchdog", obs::kCatFault, detail);
           }
@@ -685,11 +641,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       sm.crc_rejects +=
           w.status.prev.crc_rejects + w.status.next.crc_rejects;
       sm.send_retries += w.status.prev.retries + w.status.next.retries;
-      if (w.aligner.aligned()) {
-        sm.clock_offset_seconds = w.aligner.offset();
-        sm.clock_uncertainty_seconds = w.aligner.uncertainty();
-      }
-      sm.clock_samples += static_cast<std::int64_t>(w.aligner.samples());
       if (!w.have_done) continue;
       const WireStageDone& info = w.done_info;
       sm.compute_seconds += info.busy_seconds;
@@ -712,30 +663,19 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         iteration_report.events.push_back(event);
       }
       if (rec != nullptr) {
-        // Re-base worker-local trace records onto the run clock with one
-        // shift per worker: the ping/pong offset estimate when available
-        // (error bound rtt/2), else the cruder fork-time offset, never
-        // placing a record before the fork (obs::rebase_shift).
-        double earliest = std::numeric_limits<double>::infinity();
+        // The worker stamped its records on the run clock already.
         for (const WireSpan& span : info.spans) {
-          earliest = std::min(earliest, span.start);
-        }
-        for (const WireFlow& flow : info.flows) {
-          earliest = std::min(earliest, flow.ts);
-        }
-        const double shift =
-            obs::rebase_shift(w.aligner, w.fork_offset, earliest);
-        for (const WireSpan& span : info.spans) {
-          rec->span(w.stage, span.name, span.category, span.start + shift,
-                    span.end + shift, span.mb, span.slice, span.stage);
+          rec->span(w.stage, span.name, span.category, span.start, span.end,
+                    span.mb, span.slice, span.stage);
         }
         for (const WireInstant& inst : info.instants) {
-          rec->instant(w.stage, inst.name, inst.category, inst.detail);
+          rec->instant_at(w.stage, inst.time, inst.name, inst.category,
+                          inst.detail);
         }
         // Cross-process flow arrows: sender and receiver derived the same
         // wire_flow_id independently, so the two endpoints pair up here.
         for (const WireFlow& flow : info.flows) {
-          rec->flow_point(flow.id, w.stage, flow.ts + shift, flow.begin != 0,
+          rec->flow_point(flow.id, w.stage, flow.ts, flow.begin != 0,
                           flow.backward != 0 ? "bwd" : "fwd");
         }
       }
@@ -803,8 +743,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
                          " ms backoff; replaying microbatches";
     for (const int mb : replay) detail += " " + std::to_string(mb);
     iteration_report.events.push_back(
-        {fault::FaultEvent::Kind::Recovery, outcome.culprit,
-         rec != nullptr ? rec->now() : 0.0,
+        {fault::FaultEvent::Kind::Recovery, outcome.culprit, run_now(),
          static_cast<std::int64_t>(replay.size()), detail});
     if (rec != nullptr) {
       rec->instant(std::max(0, outcome.culprit), "recovery", obs::kCatFault,

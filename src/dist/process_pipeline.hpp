@@ -97,8 +97,9 @@ struct ProcessOptions {
   bool recover = true;
   /// Filled with observed fault events + replayed microbatches when set.
   fault::FaultReport* report = nullptr;
-  /// Optional tracing sink. Worker-local spans/instants ship in the Done
-  /// frame and are re-based onto this recorder (track = stage).
+  /// Optional tracing sink. Workers inherit its epoch, stamp their spans,
+  /// instants and flow points on the run clock, and ship them in the Done
+  /// frame; the supervisor records them as is (track = stage).
   obs::Recorder* recorder = nullptr;
   /// Crash-torture hook (see KillSpec).
   KillSpec kill;
@@ -107,10 +108,6 @@ struct ProcessOptions {
   /// dead worker are appended to the postmortem. Off only for overhead
   /// measurement (bench_obs_overhead).
   bool flight = true;
-  /// Clock-alignment ping cadence (supervisor -> worker round trips; an
-  /// NTP-style offset estimate re-bases worker trace times onto the run
-  /// clock — see obs/clock.hpp).
-  std::chrono::milliseconds ping_interval{50};
   /// Live telemetry: when telemetry_json_path is set the supervisor writes
   /// an atomic obs::LiveSnapshot JSON there every telemetry_interval (and a
   /// Prometheus text exposition to telemetry_prom_path when that is set),

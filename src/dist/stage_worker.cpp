@@ -30,7 +30,6 @@ struct WorkerError : std::runtime_error {
 /// serialization sees one coherent snapshot.
 struct WorkerContext {
   const WorkerConfig* cfg = nullptr;
-  obs::MonoClock::time_point start;  // the worker's clock epoch
   WireStatus status;
   double busy_seconds = 0.0;
   double comm_seconds = 0.0;
@@ -50,8 +49,9 @@ struct WorkerContext {
   std::int64_t data_sends = 0;  // SocketDrop / SocketDelay rule counter
   std::vector<int> drops_fired;  // per SocketDrop rule
 
+  /// Seconds on the run clock (the epoch is inherited through fork).
   double now() const {
-    return std::chrono::duration<double>(obs::MonoClock::now() - start)
+    return std::chrono::duration<double>(obs::MonoClock::now() - cfg->epoch)
         .count();
   }
 
@@ -99,34 +99,6 @@ struct WorkerContext {
     send_control(frame);
   }
 
-  /// Answers any supervisor->worker control traffic waiting on the socket.
-  /// Today that is only clock-alignment Pings: reply immediately so the
-  /// round trip stays tight (theta's error bound is rtt/2).
-  void drain_control() {
-    if (control_dead || cfg->control_fd < 0) return;
-    while (poll_readable(cfg->control_fd, 0)) {
-      Frame frame;
-      const IoStatus io = recv_frame(cfg->control_fd, &frame);
-      if (io == IoStatus::Eof) {
-        control_dead = true;
-        return;
-      }
-      if (io != IoStatus::Ok || frame.kind != FrameKind::Ping) continue;
-      Reader reader(frame.payload);
-      const double t1 = reader.f64();
-      const double t2 = now();
-      Frame pong;
-      pong.kind = FrameKind::Pong;
-      pong.stage = cfg->stage;
-      Writer w;
-      w.f64(t1);
-      w.f64(t2);
-      w.f64(now());  // t3
-      pong.payload = w.take();
-      send_control(pong);
-    }
-  }
-
   void heartbeat_now() {
     status.flight_recorded = static_cast<std::int64_t>(flight.recorded());
     Frame beat;
@@ -141,7 +113,6 @@ struct WorkerContext {
   }
 
   void maybe_heartbeat() {
-    drain_control();
     if (obs::MonoClock::now() - last_beat >= cfg->heartbeat_interval) {
       heartbeat_now();
     }
@@ -508,8 +479,7 @@ int run_stage_worker_impl(const WorkerConfig& cfg, WorkerContext& ctx) {
 int run_stage_worker(const WorkerConfig& config) {
   WorkerContext ctx;
   ctx.cfg = &config;
-  ctx.start = obs::MonoClock::now();
-  ctx.last_beat = ctx.start;
+  ctx.last_beat = obs::MonoClock::now();
   ctx.drops_fired.assign(config.faults.drops.size(), 0);
   try {
     Frame hello;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/fault/fault_plan.hpp"
+#include "src/obs/clock.hpp"
 #include "src/runtime/stage_machine.hpp"
 
 namespace slim::dist {
@@ -65,6 +66,10 @@ struct WorkerConfig {
   int prev_fd = -1;     // upstream data socket (-1 on stage 0)
   int next_fd = -1;     // downstream data socket (-1 on the last stage)
   int control_fd = -1;  // heartbeats/commits/events/done to the supervisor
+  /// The run epoch (obs/clock.hpp), inherited through fork: every time the
+  /// worker records — spans, instants, flow points, flight-recorder events,
+  /// fault events — is seconds since it, on the supervisor's clock.
+  obs::MonoClock::time_point epoch;
   std::chrono::milliseconds heartbeat_interval{25};
   std::chrono::milliseconds starvation_timeout{30000};
   bool trace = false;  // collect spans/instants/flows into the Done frame

@@ -47,12 +47,9 @@ const char* frame_kind_name(FrameKind kind) {
     case FrameKind::Backward: return "bwd";
     case FrameKind::Heartbeat: return "heartbeat";
     case FrameKind::Commit: return "commit";
-    case FrameKind::Event: return "event";
     case FrameKind::Error: return "error";
     case FrameKind::Done: return "done";
     case FrameKind::Telemetry: return "telemetry";
-    case FrameKind::Ping: return "ping";
-    case FrameKind::Pong: return "pong";
   }
   return "?";
 }

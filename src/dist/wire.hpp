@@ -38,12 +38,9 @@ enum class FrameKind : std::uint8_t {
   Backward = 3,   // gradient slice, stage s -> s-1
   Heartbeat = 4,  // worker -> supervisor: progress snapshot
   Commit = 5,     // worker -> supervisor: retired microbatch's staged grads
-  Event = 6,      // worker -> supervisor: fault events observed so far
   Error = 7,      // worker -> supervisor: structured failure, then exit(2)
   Done = 8,       // worker -> supervisor: all work finished + metrics
   Telemetry = 9,  // worker -> supervisor: flight-recorder flush
-  Ping = 10,      // supervisor -> worker: clock probe (payload: f64 t1)
-  Pong = 11,      // worker -> supervisor: clock reply (f64 t1, t2, t3)
 };
 
 const char* frame_kind_name(FrameKind kind);
@@ -156,7 +153,7 @@ WireFlightFlush read_flight_flush(Reader& r);
 std::int64_t wire_flow_id(int attempt, bool backward, int src_stage, int mb,
                           int slice);
 
-/// One flow-arrow endpoint recorded by a worker (times on the worker clock).
+/// One flow-arrow endpoint recorded by a worker (times on the run clock).
 struct WireFlow {
   std::int64_t id = -1;
   double ts = 0.0;
@@ -168,8 +165,8 @@ struct WireFlow {
 void write_commit(Writer& w, const rt::StageCommit& commit);
 rt::StageCommit read_commit(Reader& r);
 
-/// Worker-local trace records, re-based onto the supervisor's recorder
-/// after the Done frame arrives (times are relative to the worker's start).
+/// Worker trace records, stamped on the run clock (the worker inherits the
+/// run epoch) and recorded verbatim once the Done frame arrives.
 struct WireSpan {
   double start = 0.0;
   double end = 0.0;

@@ -73,7 +73,10 @@ void* Arena::allocate(std::size_t bytes, int category) {
   if (current_ == blocks_.size()) {
     Block block;
     block.capacity = std::max(need, block_bytes_);
-    block.data = std::make_unique<unsigned char[]>(block.capacity);
+    // Not zero-filled: a Tensor zeroes its own floats unless it is uninit
+    // (and then written before it is read), so zeroing a whole 1 MiB+
+    // block would only slow a stage's first forward.
+    block.data = std::make_unique_for_overwrite<unsigned char[]>(block.capacity);
     blocks_.push_back(std::move(block));
   }
   Block& block = blocks_[current_];

@@ -34,8 +34,8 @@ enum class FlightKind : std::uint8_t {
 
 const char* flight_kind_name(FlightKind kind);
 
-/// One breadcrumb. `ts` is seconds on the OWNER's monotonic run clock
-/// (see obs/clock.hpp) — the supervisor re-bases it via ClockAligner.
+/// One breadcrumb. `ts` is seconds on the run clock (see obs/clock.hpp): a
+/// stage worker inherits the run epoch, so the supervisor reads it as is.
 struct FlightEvent {
   static constexpr std::size_t kLabelSize = 24;
 

@@ -181,12 +181,6 @@ JsonValue run_metrics_to_json(const RunMetrics& metrics) {
               JsonValue::make_number(static_cast<double>(s.crc_rejects)));
     stage.set("send_retries",
               JsonValue::make_number(static_cast<double>(s.send_retries)));
-    stage.set("clock_offset_seconds",
-              JsonValue::make_number(s.clock_offset_seconds));
-    stage.set("clock_uncertainty_seconds",
-              JsonValue::make_number(s.clock_uncertainty_seconds));
-    stage.set("clock_samples",
-              JsonValue::make_number(static_cast<double>(s.clock_samples)));
     if (!s.measured_peak_bytes.empty()) {
       JsonValue measured = JsonValue::make_array();
       for (const double b : s.measured_peak_bytes) {
@@ -237,11 +231,6 @@ bool run_metrics_from_json(const JsonValue& value, RunMetrics* out) {
           static_cast<std::int64_t>(item.number_or("crc_rejects", 0.0));
       s.send_retries =
           static_cast<std::int64_t>(item.number_or("send_retries", 0.0));
-      s.clock_offset_seconds = item.number_or("clock_offset_seconds", 0.0);
-      s.clock_uncertainty_seconds =
-          item.number_or("clock_uncertainty_seconds", 0.0);
-      s.clock_samples =
-          static_cast<std::int64_t>(item.number_or("clock_samples", 0.0));
       const JsonValue* measured = item.find("measured_peak_bytes");
       if (measured != nullptr && measured->is_array()) {
         for (const JsonValue& b : measured->array()) {

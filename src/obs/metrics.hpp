@@ -46,14 +46,6 @@ struct StageMetrics {
   std::int64_t crc_rejects = 0;       // corrupt frames discarded (dist only)
   std::int64_t send_retries = 0;      // injected-drop retransmits (dist only)
 
-  // Cross-process clock alignment (dist only; see obs/clock.hpp). Offset is
-  // the worker-clock minus run-clock estimate of the minimum-rtt ping/pong
-  // sample; uncertainty is that sample's rtt/2; samples counts accepted
-  // round trips.
-  double clock_offset_seconds = 0.0;
-  double clock_uncertainty_seconds = 0.0;
-  std::int64_t clock_samples = 0;
-
   // Runtime-measured arena high-water marks, one slot per mem::Category
   // (empty when arenas were not enabled). measured_peak_total is the true
   // concurrent high-water across all of the stage's arenas, not the sum of

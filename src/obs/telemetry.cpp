@@ -34,10 +34,6 @@ JsonValue stage_to_json(const StageLive& s) {
         JsonValue::make_number(static_cast<double>(s.crc_rejects)));
   v.set("retries", JsonValue::make_number(static_cast<double>(s.retries)));
   v.set("arena_peak_bytes", JsonValue::make_number(s.arena_peak_bytes));
-  v.set("clock_offset_seconds",
-        JsonValue::make_number(s.clock_offset_seconds));
-  v.set("clock_uncertainty_seconds",
-        JsonValue::make_number(s.clock_uncertainty_seconds));
   v.set("flight_events",
         JsonValue::make_number(static_cast<double>(s.flight_events)));
   v.set("respawns", JsonValue::make_number(static_cast<double>(s.respawns)));
@@ -68,9 +64,6 @@ StageLive stage_from_json(const JsonValue& v) {
   s.crc_rejects = static_cast<std::int64_t>(v.number_or("crc_rejects", 0.0));
   s.retries = static_cast<std::int64_t>(v.number_or("retries", 0.0));
   s.arena_peak_bytes = v.number_or("arena_peak_bytes", 0.0);
-  s.clock_offset_seconds = v.number_or("clock_offset_seconds", 0.0);
-  s.clock_uncertainty_seconds =
-      v.number_or("clock_uncertainty_seconds", 0.0);
   s.flight_events =
       static_cast<std::int64_t>(v.number_or("flight_events", 0.0));
   s.respawns = static_cast<std::int64_t>(v.number_or("respawns", 0.0));
@@ -136,9 +129,6 @@ constexpr Series kStageSeries[] = {
     {"slimpipe_stage_arena_peak_bytes",
      "Concurrent arena memory high-water, bytes.", "gauge",
      [](const StageLive& s) { return s.arena_peak_bytes; }},
-    {"slimpipe_stage_clock_offset_seconds",
-     "Estimated worker-clock offset vs the run clock.", "gauge",
-     [](const StageLive& s) { return s.clock_offset_seconds; }},
     {"slimpipe_stage_flight_events_total",
      "Flight-recorder events recorded by the worker.", "counter",
      [](const StageLive& s) { return static_cast<double>(s.flight_events); }},
@@ -229,8 +219,7 @@ std::string render_top(const LiveSnapshot& snap) {
       << "  attempt " << snap.attempt << "  merged "
       << snap.merged_microbatches << "/" << snap.microbatches << " mb\n";
   Table table({"stage", "pid", "state", "beat ms", "fwd", "bwd", "commit",
-               "live", "queue", "out", "in", "crc", "retry", "arena",
-               "clk us"});
+               "live", "queue", "out", "in", "crc", "retry", "arena"});
   for (const StageLive& s : snap.stages) {
     table.add_row(
         {fmt(static_cast<std::int64_t>(s.stage)),
@@ -247,8 +236,7 @@ std::string render_top(const LiveSnapshot& snap) {
          fmt(static_cast<std::int64_t>(s.queue)),
          human_bytes(s.bytes_out), human_bytes(s.bytes_in),
          fmt(s.crc_rejects), fmt(s.retries),
-         human_bytes(s.arena_peak_bytes),
-         fmt(s.clock_offset_seconds * 1e6, 1)});
+         human_bytes(s.arena_peak_bytes)});
   }
   out << table.to_string();
   return out.str();

@@ -4,8 +4,8 @@
 //
 // The supervisor folds every worker's heartbeat counters (per-channel
 // bytes/frames/CRC rejects/retries, queue depths, committed-microbatch
-// progress, arena peaks, clock alignment) into a LiveSnapshot and publishes
-// it two ways on a fixed cadence:
+// progress, arena peaks) into a LiveSnapshot and publishes it two ways on a
+// fixed cadence:
 //
 //   * a JSON snapshot file (atomic rename) that `slimpipe_top` tails for a
 //     live terminal view, and
@@ -43,10 +43,6 @@ struct StageLive {
   std::int64_t crc_rejects = 0, retries = 0;
 
   double arena_peak_bytes = 0.0;  // concurrent arena high-water
-
-  // Clock alignment (0 until the first ping/pong lands).
-  double clock_offset_seconds = 0.0;
-  double clock_uncertainty_seconds = 0.0;
 
   std::int64_t flight_events = 0;  // flight-recorder events recorded so far
   std::int64_t respawns = 0;       // times this stage was respawned

@@ -56,7 +56,11 @@ void Recorder::span(int track, std::string name, std::string cat, double start,
 
 void Recorder::instant(int track, std::string name, std::string cat,
                        std::string detail) {
-  const double ts = now();
+  instant_at(track, now(), std::move(name), std::move(cat), std::move(detail));
+}
+
+void Recorder::instant_at(int track, double ts, std::string name,
+                          std::string cat, std::string detail) {
   std::lock_guard<std::mutex> lock(mutex_);
   trace_.instants.push_back(
       {track, ts, std::move(name), std::move(cat), std::move(detail)});

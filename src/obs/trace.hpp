@@ -101,18 +101,19 @@ struct Trace {
   }
 };
 
-/// Thread-safe event recorder for the threaded runtime. All mutations take
-/// one mutex; callers gate every call on a plain pointer check so a disabled
+/// Thread-safe event recorder for both runtimes. All mutations take one
+/// mutex; callers gate every call on a plain pointer check so a disabled
 /// trace costs nothing. Timestamps are seconds since construction on the
-/// MonoClock (see obs/clock.hpp — this epoch is THE run epoch; worker-process
-/// timestamps are re-based onto it via ClockAligner), matching the
-/// simulator's zero-based timeline.
+/// MonoClock (see obs/clock.hpp — this epoch is THE run epoch, which forked
+/// stage workers inherit), matching the simulator's zero-based timeline.
 class Recorder {
  public:
   Recorder();
 
   /// Seconds elapsed since the recorder was constructed.
   double now() const;
+  /// The run epoch: the recorder's construction time.
+  MonoClock::time_point epoch() const { return epoch_; }
 
   void set_track_name(int track, std::string name);
   void set_track_pid(int track, std::int64_t pid);
@@ -120,8 +121,12 @@ class Recorder {
   void span(int track, std::string name, std::string cat, double start,
             double end, std::int32_t microbatch = -1, std::int32_t slice = -1,
             std::int32_t stage = -1);
+  /// An instant at now(); instant_at takes a caller-stamped time (e.g. a
+  /// stage worker's record, already on the run clock).
   void instant(int track, std::string name, std::string cat,
                std::string detail = {});
+  void instant_at(int track, double ts, std::string name, std::string cat,
+                  std::string detail = {});
   void counter(int track, std::string name, double value);
 
   /// Opens a flow arrow at (track, now); returns the id the receiving side

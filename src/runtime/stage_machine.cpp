@@ -6,6 +6,7 @@
 
 #include "src/core/slice.hpp"
 #include "src/core/slimpipe.hpp"
+#include "src/numerics/cross_entropy.hpp"
 #include "src/numerics/norm_act.hpp"
 #include "src/util/logging.hpp"
 
@@ -97,10 +98,10 @@ StageMachine::StageMachine(const StageInputs& inputs, int stage,
   head_grad_.resize(is_head ? slots : 0);
   if (is_head && in_.vocab_parallel) {
     final_input_.resize(slots);
-    dx_sum_.resize(slots);
+    stats_parts_.assign(slots, std::vector<num::Tensor>(p_));
+    dx_parts_.assign(slots, std::vector<num::Tensor>(p_));
     stats_seen_.assign(slots, 0);
     dx_seen_.assign(slots, 0);
-    stats_acc_.resize(slots);
   }
   if (in_.vocab_parallel) shard_hidden_.resize(slots);
 
@@ -360,51 +361,42 @@ void StageMachine::vocab_work(Message& msg, std::vector<Outgoing>& sends) {
   }
   shard_hidden_[slot(msg.mb, msg.slice)] = std::move(msg.payload);
   sends.push_back({head_thread_,
-                   {Message::Kind::VocabStats, msg.mb, msg.slice, 0,
+                   {Message::Kind::VocabStats, msg.mb, msg.slice, stage_,
                     std::move(packed)}});
 }
 
-void StageMachine::vocab_stats(const Message& msg, StageCommit& staged,
+void StageMachine::vocab_stats(Message& msg, StageCommit& staged,
                                std::vector<Outgoing>& sends) {
-  // Head: synchronize the scalars across shards.
+  // Head: synchronize the scalars across shards once all p arrived.
   const std::int64_t slice_len = msg.payload.cols();
   const std::size_t i = slot(msg.mb, msg.slice);
-  num::CeShardStats& acc = stats_acc_[i];
-  if (stats_seen_[i] == 0) {
-    acc.max_logit.assign(static_cast<std::size_t>(slice_len),
-                         -std::numeric_limits<float>::infinity());
-    acc.sum_exp.assign(static_cast<std::size_t>(slice_len), 0.0f);
-    acc.target_logit.assign(static_cast<std::size_t>(slice_len),
-                            -std::numeric_limits<float>::infinity());
-  }
-  // Combine as running (max, rescaled sum).
-  for (std::int64_t t = 0; t < slice_len; ++t) {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    const float sm = msg.payload.at(0, t);
-    const float ss = msg.payload.at(1, t);
-    const float stl = msg.payload.at(2, t);
-    const float gmax = std::max(acc.max_logit[ti], sm);
-    float gsum = 0.0f;
-    if (acc.sum_exp[ti] > 0.0f) {
-      gsum += acc.sum_exp[ti] * std::exp(acc.max_logit[ti] - gmax);
-    }
-    if (ss > 0.0f) gsum += ss * std::exp(sm - gmax);
-    acc.max_logit[ti] = gmax;
-    acc.sum_exp[ti] = gsum;
-    acc.target_logit[ti] = std::max(acc.target_logit[ti], stl);
-  }
+  std::vector<num::Tensor>& parts = stats_parts_[i];
+  parts[static_cast<std::size_t>(msg.stage)] = std::move(msg.payload);
   if (++stats_seen_[i] < p_) return;
-  // Loss from the synchronized scalars; broadcast them back.
+  // Fold as running (max, rescaled sum) in shard order; the loss comes from
+  // the synchronized scalars, which are broadcast back.
   double loss = 0.0;
   num::Tensor global(2, slice_len);
   for (std::int64_t t = 0; t < slice_len; ++t) {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    loss += std::log(acc.sum_exp[ti]) + acc.max_logit[ti] -
-            acc.target_logit[ti];
-    global.at(0, t) = acc.max_logit[ti];
-    global.at(1, t) = acc.sum_exp[ti];
+    float gmax = -std::numeric_limits<float>::infinity();
+    float gsum = 0.0f;
+    float target = -std::numeric_limits<float>::infinity();
+    for (const num::Tensor& part : parts) {
+      const float sm = part.at(0, t);
+      const float ss = part.at(1, t);
+      const float next_max = std::max(gmax, sm);
+      float next_sum = 0.0f;
+      if (gsum > 0.0f) next_sum += gsum * std::exp(gmax - next_max);
+      if (ss > 0.0f) next_sum += ss * std::exp(sm - next_max);
+      gmax = next_max;
+      gsum = next_sum;
+      target = std::max(target, part.at(2, t));
+    }
+    loss += std::log(gsum) + gmax - target;
+    global.at(0, t) = gmax;
+    global.at(1, t) = gsum;
   }
-  acc = {};
+  parts.assign(parts.size(), {});
   staged.loss += loss / static_cast<double>(slice_len) *
                  slice_weight(msg.mb, msg.slice) * static_cast<double>(m_);
   for (int s = 0; s < p_; ++s) {
@@ -438,24 +430,23 @@ void StageMachine::vocab_global(const Message& msg, StageCommit& staged,
   }
   staged.head_shard.add_(num::matmul_tn(dlogits, hidden));
   sends.push_back({head_thread_,
-                   {Message::Kind::VocabDx, msg.mb, msg.slice, 0,
+                   {Message::Kind::VocabDx, msg.mb, msg.slice, stage_,
                     num::matmul(dlogits, head_shard_)}});
 }
 
 void StageMachine::vocab_dx(Message& msg, StageCommit& staged) {
-  // Head: reduce the shards' partial d(hidden).
+  // Head: reduce the shards' partial d(hidden) in shard order once all p
+  // arrived.
   const std::size_t i = slot(msg.mb, msg.slice);
-  if (dx_seen_[i] == 0) {
-    dx_sum_[i] = std::move(msg.payload);
-  } else {
-    dx_sum_[i].add_(msg.payload);
-  }
-  if (++dx_seen_[i] == p_) {
-    head_grad_[i] = num::rmsnorm_bwd(final_input_[i], model_.final_norm,
-                                     dx_sum_[i], staged.final_norm);
-    final_input_[i] = {};
-    dx_sum_[i] = {};
-  }
+  std::vector<num::Tensor>& parts = dx_parts_[i];
+  parts[static_cast<std::size_t>(msg.stage)] = std::move(msg.payload);
+  if (++dx_seen_[i] < p_) return;
+  num::Tensor dx = std::move(parts[0]);
+  for (int s = 1; s < p_; ++s) dx.add_(parts[static_cast<std::size_t>(s)]);
+  head_grad_[i] = num::rmsnorm_bwd(final_input_[i], model_.final_norm, dx,
+                                   staged.final_norm);
+  final_input_[i] = {};
+  parts.assign(parts.size(), {});
 }
 
 }  // namespace slim::rt

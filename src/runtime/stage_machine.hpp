@@ -37,7 +37,6 @@
 
 #include "src/core/slice_layout.hpp"
 #include "src/numerics/arena.hpp"
-#include "src/numerics/cross_entropy.hpp"
 #include "src/runtime/commit.hpp"
 #include "src/runtime/pipeline_model.hpp"
 #include "src/sched/schedule.hpp"
@@ -76,7 +75,9 @@ struct Message {
   } kind = Kind::Forward;
   int mb = 0;
   int slice = 0;
-  int stage = 0;        // global stage index (interleaving routes by it)
+  /// Global stage index (interleaving routes by it); the sending shard for
+  /// VocabStats and VocabDx.
+  int stage = 0;
   num::Tensor payload;  // activation / gradient / packed scalars
 };
 
@@ -151,7 +152,7 @@ class StageMachine {
   int backward(Message& msg, StageCommit& staged,
                std::vector<Outgoing>& sends);
   void vocab_work(Message& msg, std::vector<Outgoing>& sends);
-  void vocab_stats(const Message& msg, StageCommit& staged,
+  void vocab_stats(Message& msg, StageCommit& staged,
                    std::vector<Outgoing>& sends);
   void vocab_global(const Message& msg, StageCommit& staged,
                     std::vector<Outgoing>& sends);
@@ -179,9 +180,11 @@ class StageMachine {
   // Per-(rank, slice) state.
   std::vector<num::Tensor> head_grad_;    // head: d(final hidden input)
   std::vector<num::Tensor> final_input_;  // head: stashed until VocabDx
-  std::vector<num::Tensor> dx_sum_;       // head: reduced shard d(hidden)
+  // Head: each shard's VocabStats / VocabDx payload, indexed by shard and
+  // folded in shard order once all p arrived, so the reduction does not
+  // depend on arrival order.
+  std::vector<std::vector<num::Tensor>> stats_parts_, dx_parts_;
   std::vector<int> stats_seen_, dx_seen_;
-  std::vector<num::CeShardStats> stats_acc_;
   std::vector<num::Tensor> shard_hidden_;  // shard: between the two rounds
 
   sched::DeviceProgram rows_;  // this device's table rows, in order

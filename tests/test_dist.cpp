@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <numeric>
@@ -809,27 +808,79 @@ TEST(DistObservabilityTest, MergedTraceHasPerProcessPidsAndFlowArrows) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
 }
 
-TEST(DistObservabilityTest, PingPongAlignsWorkerClocks) {
-  const int stages = 2, layers = 3, n = 2, m = 2, seed = 1620;
+TEST(DistObservabilityTest, WorkerRecordsLandOnTheRunClock) {
+  // Workers inherit the recorder's epoch through fork, so everything they
+  // record is on the run clock when it arrives: inside the run's window,
+  // and each commit instant at its own time, inside its stage's compute.
+  const int stages = 3, layers = 4, n = 4, m = 4, seed = 1620;
   const Workload w = make_workload(m, 24, kVocab, 1621);
 
   Rng rng(static_cast<std::uint64_t>(seed));
   ProcessPipeline pipe(kDims, kVocab, layers, stages, rng);
   ProcessOptions options;
   options.n_slices = n;
-  options.ping_interval = std::chrono::milliseconds(5);
-  const auto dist = pipe.run_iteration(w.tokens, w.targets, options);
+  obs::Recorder recorder;
+  options.recorder = &recorder;
+  const double before = recorder.now();
+  pipe.run_iteration(w.tokens, w.targets, options);
+  const double after = recorder.now();
 
-  ASSERT_EQ(dist.stats.metrics.stages.size(),
-            static_cast<std::size_t>(stages));
-  for (const obs::StageMetrics& sm : dist.stats.metrics.stages) {
-    // At least the backdated first ping's pong landed on every worker.
-    EXPECT_GE(sm.clock_samples, 1) << "stage " << sm.device;
-    // A real round trip takes time: the error bound is positive, and the
-    // offset estimate is sane (workers forked seconds, not hours, ago).
-    EXPECT_GT(sm.clock_uncertainty_seconds, 0.0) << "stage " << sm.device;
-    EXPECT_LT(std::abs(sm.clock_offset_seconds), 60.0)
-        << "stage " << sm.device;
+  const obs::Trace trace = recorder.snapshot();
+  ASSERT_FALSE(trace.spans.empty());
+  std::vector<double> first(static_cast<std::size_t>(stages), after);
+  std::vector<double> last(static_cast<std::size_t>(stages), before);
+  for (const obs::TraceSpan& span : trace.spans) {
+    EXPECT_GE(span.start, before) << span.name;
+    EXPECT_LE(span.end, after) << span.name;
+    if (span.cat != obs::kCatCompute) continue;
+    const std::size_t s = static_cast<std::size_t>(span.track);
+    first[s] = std::min(first[s], span.start);
+    last[s] = std::max(last[s], span.end);
+  }
+  ASSERT_FALSE(trace.flows.empty());
+  for (const obs::TraceFlowPoint& flow : trace.flows) {
+    EXPECT_GE(flow.ts, before);
+    EXPECT_LE(flow.ts, after);
+  }
+  int commit_instants = 0;
+  for (const obs::TraceInstant& inst : trace.instants) {
+    if (inst.cat != obs::kCatCommit) continue;
+    ++commit_instants;
+    const std::size_t s = static_cast<std::size_t>(inst.track);
+    EXPECT_GE(inst.ts, first[s]) << inst.name << " on stage " << s;
+    EXPECT_LE(inst.ts, last[s]) << inst.name << " on stage " << s;
+  }
+  EXPECT_EQ(commit_instants, stages * m);
+}
+
+TEST(DistObservabilityTest, WorkerFaultEventsLandOnTheRunClock) {
+  // A worker's fault events carry run-clock times too: with a recorder
+  // that already traced one iteration, the socket-delay events of the next
+  // one lie inside that run's window, not near the worker's own start.
+  const int stages = 2, layers = 3, n = 2, m = 2, seed = 1630;
+  const Workload w = make_workload(m, 24, kVocab, 1631);
+
+  Rng rng(static_cast<std::uint64_t>(seed));
+  ProcessPipeline pipe(kDims, kVocab, layers, stages, rng);
+  ProcessOptions options;
+  options.n_slices = n;
+  obs::Recorder recorder;
+  options.recorder = &recorder;
+  pipe.run_iteration(w.tokens, w.targets, options);
+
+  fault::FaultPlan plan;
+  plan.socket_delays.push_back({0, 1, 0.002});  // every send from stage 0
+  options.faults = &plan;
+  fault::FaultReport report;
+  options.report = &report;
+  const double before = recorder.now();
+  pipe.run_iteration(w.tokens, w.targets, options);
+  const double after = recorder.now();
+
+  ASSERT_TRUE(report.has_kind(fault::FaultEvent::Kind::SocketDelay));
+  for (const fault::FaultEvent& event : report.events) {
+    EXPECT_GE(event.time, before) << event.detail;
+    EXPECT_LE(event.time, after) << event.detail;
   }
 }
 

@@ -212,6 +212,71 @@ TEST(StageMachineTest, EveryRowAndVocabularyMessageIsCountedOnce) {
   EXPECT_EQ(machine.messages(), static_cast<std::int64_t>(ran.size()));
 }
 
+TEST(StageMachineTest, HeadFoldsShardPartialsInShardOrder) {
+  // The head of a 4-shard vocabulary-parallel pipeline (m = n = 1) reduces
+  // the shards' statistics and d(hidden) partials. Float sums are not
+  // associative, so whatever order the partials arrive in, the head must
+  // fold them in one order: the loss and the head's gradients match bit
+  // for bit.
+  const int p = 4;
+  Rig rig(p, 1, 1, 16, /*vocab_parallel=*/true);
+  auto run_head = [&](const std::vector<int>& order) {
+    std::deque<StageMachine> shards;
+    for (int s = 0; s < p; ++s) shards.push_back(rig.machine(s));
+    StageMachine& head = shards.back();
+    // Runs the machine's next pick (a queued vocabulary message comes
+    // first) and returns what it sent to `dst`, one message per shard.
+    std::vector<Outgoing> sends;
+    auto step = [&](StageMachine& machine) {
+      Message msg;
+      EXPECT_TRUE(machine.pick(msg, nullptr));
+      machine.run(std::move(msg), sends);
+    };
+    auto round = [&](Message::Kind kind) {
+      std::vector<Message> out(static_cast<std::size_t>(p));
+      for (int s = 0; s < p; ++s) {
+        StageMachine& shard = shards[static_cast<std::size_t>(s)];
+        step(shard);
+        for (Outgoing& o : sends) {
+          if (o.msg.kind == kind) {
+            out[static_cast<std::size_t>(s)] = std::move(o.msg);
+          }
+        }
+        sends.clear();
+      }
+      return out;
+    };
+    head.deliver(rig.slice(Message::Kind::Forward, 0, 0, p - 1));
+    step(head);  // fwd 0.0 broadcasts the hidden states
+    for (Outgoing& o : sends) {
+      shards[static_cast<std::size_t>(o.dst)].deliver(std::move(o.msg));
+    }
+    sends.clear();
+    const std::vector<Message> stats = round(Message::Kind::VocabStats);
+    for (const int s : order) {
+      head.deliver(stats[static_cast<std::size_t>(s)]);
+      step(head);
+    }
+    for (Outgoing& o : sends) {
+      shards[static_cast<std::size_t>(o.dst)].deliver(std::move(o.msg));
+    }
+    sends.clear();
+    const std::vector<Message> dx = round(Message::Kind::VocabDx);
+    for (const int s : order) {
+      head.deliver(dx[static_cast<std::size_t>(s)]);
+      step(head);
+    }
+    step(head);  // bwd 0.0 retires the microbatch
+    EXPECT_TRUE(head.commit(0).complete);
+    return head.take_commit(0);
+  };
+  const StageCommit in_order = run_head({0, 1, 2, 3});
+  const StageCommit reversed = run_head({3, 2, 1, 0});
+  EXPECT_EQ(in_order.loss, reversed.loss);
+  EXPECT_EQ(in_order.head_shard.max_abs_diff(reversed.head_shard), 0.0f);
+  EXPECT_EQ(in_order.final_norm.max_abs_diff(reversed.final_norm), 0.0f);
+}
+
 struct InterleavingCase {
   int stages;
   int chunks;
@@ -317,12 +382,13 @@ TEST_P(StageMachineInterleavingTest, MatchesThreadedPipelineBitForBit) {
   }
 }
 
-// Vocabulary-parallel cases use two shards: the head's reduction over
-// shard answers is then order-independent (one commutative addition).
+// The head folds the shards' answers in shard order, so four shards are as
+// order-independent as two.
 INSTANTIATE_TEST_SUITE_P(
     Configs, StageMachineInterleavingTest,
     ::testing::Values(InterleavingCase{3, 1, false},
                       InterleavingCase{2, 1, true},
+                      InterleavingCase{4, 1, true},
                       InterleavingCase{2, 2, false},
                       InterleavingCase{2, 2, true}),
     [](const ::testing::TestParamInfo<InterleavingCase>& info) {

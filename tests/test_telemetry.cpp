@@ -1,13 +1,11 @@
-// Tests for the observability tentpole: cross-process clock alignment
-// (obs/clock.hpp), the crash-surviving flight recorder and its wire flush
-// (obs/flight_recorder.hpp, dist/wire.hpp), and live telemetry snapshots —
-// Prometheus exposition golden lines, snapshot JSON round trips and the
-// slimpipe_top terminal rendering (obs/telemetry.hpp).
+// Tests for the multi-process observability layer: the crash-surviving
+// flight recorder and its wire flush (obs/flight_recorder.hpp,
+// dist/wire.hpp), and live telemetry snapshots — Prometheus exposition
+// golden lines, snapshot JSON round trips and the slimpipe_top terminal
+// rendering (obs/telemetry.hpp).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -17,7 +15,6 @@
 
 #include "src/dist/socket.hpp"
 #include "src/dist/wire.hpp"
-#include "src/obs/clock.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
@@ -25,121 +22,6 @@
 
 namespace slim::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Clock alignment: the NTP 4-timestamp estimator.
-
-/// Builds the sample a supervisor would record when the worker clock runs
-/// `offset` seconds ahead of the run clock and the one-way delays are
-/// `d_out` (ping) and `d_back` (pong).
-ClockSample round_trip(double t1, double offset, double d_out, double d_back,
-                       double hold = 0.0) {
-  ClockSample s;
-  s.t1 = t1;
-  s.t2 = t1 + d_out + offset;         // worker clock
-  s.t3 = s.t2 + hold;                 // worker clock
-  s.t4 = (s.t3 - offset) + d_back;    // back on the run clock
-  return s;
-}
-
-TEST(ClockAlignerTest, SymmetricDelaysRecoverOffsetExactly) {
-  const double offset = 3.25;  // worker clock 3.25s ahead of the run clock
-  ClockAligner aligner;
-  aligner.add(round_trip(10.0, offset, 0.002, 0.002, 0.0005));
-  ASSERT_TRUE(aligner.aligned());
-  EXPECT_NEAR(aligner.offset(), offset, 1e-12);
-  // Mapping a worker timestamp back lands on the run clock.
-  EXPECT_NEAR(aligner.to_local(100.0 + offset), 100.0, 1e-12);
-  // rtt excludes the remote hold.
-  EXPECT_NEAR(aligner.best_rtt(), 0.004, 1e-12);
-  EXPECT_NEAR(aligner.uncertainty(), 0.002, 1e-12);
-}
-
-TEST(ClockAlignerTest, AsymmetryErrorStaysWithinHalfRtt) {
-  const double offset = -1.5;  // worker clock behind the run clock
-  ClockAligner aligner;
-  // Badly asymmetric path: 9ms out, 1ms back.
-  aligner.add(round_trip(5.0, offset, 0.009, 0.001));
-  ASSERT_TRUE(aligner.aligned());
-  const double error = aligner.offset() - offset;
-  EXPECT_LE(std::abs(error), aligner.uncertainty() + 1e-12);
-  EXPECT_NEAR(aligner.uncertainty(), 0.005, 1e-12);  // rtt/2 of 10ms
-}
-
-TEST(ClockAlignerTest, MinimumRttSampleWins) {
-  const double offset = 0.75;
-  ClockAligner aligner;
-  // A sloppy asymmetric sample first, then one tight symmetric round trip.
-  aligner.add(round_trip(1.0, offset, 0.020, 0.002));
-  aligner.add(round_trip(2.0, offset, 0.0005, 0.0005));
-  aligner.add(round_trip(3.0, offset, 0.015, 0.001));
-  EXPECT_NEAR(aligner.offset(), offset, 1e-12);  // the tight sample's theta
-  EXPECT_NEAR(aligner.best_rtt(), 0.001, 1e-12);
-  EXPECT_EQ(aligner.samples(), 3u);
-}
-
-TEST(ClockAlignerTest, SlidingWindowTracksDrift) {
-  ClockAligner aligner(/*window=*/4);
-  // An early, very tight sample at the old offset...
-  aligner.add(round_trip(0.0, 1.0, 0.0001, 0.0001));
-  EXPECT_NEAR(aligner.offset(), 1.0, 1e-12);
-  // ...then the worker clock drifts; once the window slides past the old
-  // sample the estimate must follow the new offset even though the old
-  // sample had the tighter rtt.
-  for (int i = 0; i < 4; ++i) {
-    aligner.add(round_trip(10.0 + i, 2.0, 0.001, 0.001));
-  }
-  EXPECT_NEAR(aligner.offset(), 2.0, 1e-12);
-  EXPECT_EQ(aligner.samples(), 5u);
-}
-
-TEST(ClockAlignerTest, NegativeRttRejected) {
-  ClockAligner aligner;
-  ClockSample bad;
-  bad.t1 = 10.0;
-  bad.t2 = 20.0;
-  bad.t3 = 25.0;
-  bad.t4 = 10.001;  // rtt = 0.001 - 5.0 < 0: clock misuse, not physics
-  ASSERT_LT(bad.rtt(), 0.0);
-  aligner.add(bad);
-  EXPECT_FALSE(aligner.aligned());
-  EXPECT_EQ(aligner.samples(), 0u);
-  EXPECT_EQ(aligner.offset(), 0.0);
-  EXPECT_EQ(aligner.uncertainty(), 0.0);
-  // Unaligned to_local is the identity.
-  EXPECT_EQ(aligner.to_local(42.0), 42.0);
-}
-
-TEST(ClockAlignerTest, RebaseKeepsDurationsWhenErrorExceedsFirstOffset) {
-  // The worker forked at run time 2.0 and recorded its first span 1 ms
-  // into its life. A loaded, asymmetric path (39 ms out, 1 ms back) leaves
-  // the estimate 19 ms off — more than the first event's 1 ms offset — so
-  // the estimate alone would place that span before the fork.
-  const double fork = 2.0;  // worker clock = run clock - fork
-  ClockAligner aligner;
-  aligner.add(round_trip(fork + 0.010, -fork, 0.039, 0.001));
-  ASSERT_GT(std::abs(aligner.offset() + fork), 0.001);
-  const double first_start = 0.001, first_end = 0.011;
-  ASSERT_LT(aligner.to_local(first_start), fork);
-
-  // One shift for every record: nothing lands before the fork, and every
-  // duration survives exactly.
-  const double shift = rebase_shift(aligner, fork, first_start);
-  EXPECT_DOUBLE_EQ(first_start + shift, fork);
-  EXPECT_NEAR((first_end + shift) - (first_start + shift),
-              first_end - first_start, 1e-12);
-  // Clamping each timestamp on its own would have shortened the span.
-  EXPECT_LT(std::max(aligner.to_local(first_end), fork) -
-                std::max(aligner.to_local(first_start), fork),
-            first_end - first_start);
-
-  // Without a pong the fork offset is the shift; an estimate that keeps
-  // records after the fork is used unchanged.
-  EXPECT_EQ(rebase_shift(ClockAligner(), fork, first_start), fork);
-  ClockAligner good;
-  good.add(round_trip(fork + 0.010, -fork, 0.001, 0.001));
-  EXPECT_DOUBLE_EQ(rebase_shift(good, fork, first_start), -good.offset());
-}
 
 // ---------------------------------------------------------------------------
 // Flight recorder: ring semantics, flush suffixes, wraparound accounting.
@@ -368,8 +250,6 @@ LiveSnapshot sample_snapshot() {
   s0.crc_rejects = 0;
   s0.retries = 2;
   s0.arena_peak_bytes = 1 << 20;
-  s0.clock_offset_seconds = 0.0015;
-  s0.clock_uncertainty_seconds = 0.0002;
   s0.flight_events = 57;
   s0.respawns = 1;
   snap.stages.push_back(s0);
@@ -398,7 +278,6 @@ TEST(SnapshotJsonTest, RoundTripsThroughDumpAndParse) {
   EXPECT_EQ(back.stages[0].pid, 4242);
   EXPECT_EQ(back.stages[0].frames_out, 12);
   EXPECT_EQ(back.stages[0].bytes_in, 90112.0);
-  EXPECT_EQ(back.stages[0].clock_offset_seconds, 0.0015);
   EXPECT_EQ(back.stages[0].flight_events, 57);
   EXPECT_EQ(back.stages[1].state, "killed by signal 9 (heartbeat deadline)");
   EXPECT_EQ(back.stages[1].respawns, 1);
@@ -443,7 +322,6 @@ TEST(PrometheusTest, GoldenExpositionLines) {
   // Every series is announced: one HELP and one TYPE per name.
   for (const char* name :
        {"slimpipe_stage_beat_age_seconds", "slimpipe_stage_queue_depth",
-        "slimpipe_stage_clock_offset_seconds",
         "slimpipe_stage_arena_peak_bytes"}) {
     EXPECT_NE(text.find(std::string("# HELP ") + name + " "),
               std::string::npos)
@@ -486,7 +364,7 @@ TEST(WriteAtomicTest, WritesAndReplacesWithoutTornReads) {
 }
 
 // ---------------------------------------------------------------------------
-// StageMetrics: the transport/clock fields survive the report JSON.
+// StageMetrics: the transport fields survive the report JSON.
 
 TEST(MetricsJsonTest, TransportAndClockFieldsRoundTrip) {
   RunMetrics metrics;
@@ -500,9 +378,6 @@ TEST(MetricsJsonTest, TransportAndClockFieldsRoundTrip) {
   s.bytes_recv = 73728.0;
   s.crc_rejects = 1;
   s.send_retries = 4;
-  s.clock_offset_seconds = -0.00231;
-  s.clock_uncertainty_seconds = 0.00011;
-  s.clock_samples = 9;
   metrics.stages.push_back(s);
 
   const std::string text = run_metrics_to_json(metrics).dump();
@@ -517,9 +392,6 @@ TEST(MetricsJsonTest, TransportAndClockFieldsRoundTrip) {
   EXPECT_EQ(back.stages[0].bytes_recv, 73728.0);
   EXPECT_EQ(back.stages[0].crc_rejects, 1);
   EXPECT_EQ(back.stages[0].send_retries, 4);
-  EXPECT_EQ(back.stages[0].clock_offset_seconds, -0.00231);
-  EXPECT_EQ(back.stages[0].clock_uncertainty_seconds, 0.00011);
-  EXPECT_EQ(back.stages[0].clock_samples, 9);
 }
 
 }  // namespace

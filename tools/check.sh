@@ -43,6 +43,13 @@
 #                                   telemetry: the overhead gate runs both
 #                                   substrates)
 #
+# After its label run the thread preset repeats the runtime's watchdog-hang
+# test (RuntimeFaultTest.HangTriggersWatchdogWithBlockedTable) and the
+# cross-process observability tests (DistObservabilityTest) ten times each,
+# in parallel: under TSan a slow first forward can trip the watchdog test's
+# 200 ms starvation timeout, and the observability tests pin the one run
+# clock that forked workers share with the supervisor.
+#
 # clang-tidy, when installed, runs over src/ir and src/analysis with the
 # plain tree's compile database; when absent the pass is skipped with a
 # warning (the container may not ship it).
@@ -98,6 +105,12 @@ if [[ "$FAST" -eq 0 ]]; then
     echo "== ${san} sanitizer tests (-L '${labels}') =="
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \
       -L "$labels"
+    if [[ "$san" == "thread" ]]; then
+      repeats="HangTriggersWatchdogWithBlockedTable|DistObservabilityTest"
+      echo "== ${san} sanitizer repeats (-R '${repeats}', 10 runs) =="
+      ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \
+        -R "$repeats" --repeat until-fail:10
+    fi
   done
 fi
 

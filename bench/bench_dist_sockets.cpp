@@ -174,8 +174,8 @@ int main(int argc, char** argv) {
 
   // ---- measured vs analytical exchange volume (fault-free run) ----
   //
-  // The wire counters (WireChannelStats, folded into StageMetrics) measure
-  // what actually crossed each worker's sockets. The analytical prediction
+  // The wire counters (the socket link's share of each worker's
+  // StageMetrics) measure what actually crossed each worker's sockets. The analytical prediction
   // is bench_eq2_exchange_volume's counting argument mapped onto the frame
   // format: every interior boundary carries m*n forward frames down and m*n
   // backward frames up, each one tensor payload of slice_len x hidden fp32

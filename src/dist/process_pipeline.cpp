@@ -14,14 +14,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "src/core/slice.hpp"
 #include "src/dist/stage_worker.hpp"
 #include "src/dist/wire.hpp"
 #include "src/obs/clock.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/telemetry.hpp"
+#include "src/runtime/stage_driver.hpp"
 #include "src/util/logging.hpp"
-#include "src/util/table.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slim::dist {
@@ -51,8 +50,7 @@ struct WorkerHandle {
   bool signaled = false;
   int exit_code = 0;
   int term_signal = 0;
-  bool have_done = false;
-  WireStageDone done_info;
+  WireStageDone done_info;  // the Done frame, once `done`
   std::string error_detail;
 };
 
@@ -80,6 +78,12 @@ std::string describe_exit(const WorkerHandle& w) {
            " (" + ::strsignal(w.term_signal) + ")";
   }
   return "exited with code " + std::to_string(w.exit_code);
+}
+
+/// The state column: how the worker exited if it died, else its own.
+std::string state_of(const WorkerHandle& w) {
+  return w.exited && !w.done ? describe_exit(w)
+                             : rt::stage_state_name(w.status.progress.state);
 }
 
 /// Resolves the fault plan's runtime rules for one stage onto the real
@@ -353,30 +357,13 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     };
 
     auto postmortem = [&]() -> std::string {
-      Table table({"stage", "state", "beat age ms", "messages", "fwd", "bwd",
-                   "live", "cap", "queue", "last mb", "committed mbs"});
-      const auto now = Clock::now();
+      std::vector<rt::StageProgress> rows;
+      std::vector<std::string> states;
       for (const WorkerHandle& w : workers) {
-        const int cap = core::slimpipe_warmup_units(p, w.stage, n_slices, 1);
-        std::string state = rt::stage_state_name(
-            static_cast<rt::StageState>(w.status.state));
-        if (w.exited && !w.done) state = describe_exit(w);
-        const auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
-            now - w.last_heard);
-        table.add_row(
-            {std::to_string(w.stage), state, std::to_string(age.count()),
-             std::to_string(w.status.messages),
-             std::to_string(w.status.done_f) + "/" +
-                 std::to_string(mk * n_slices),
-             std::to_string(w.status.done_b) + "/" +
-                 std::to_string(mk * n_slices),
-             std::to_string(w.status.live), std::to_string(cap),
-             std::to_string(w.status.queue),
-             w.status.last_mb < 0 ? std::string("-")
-                                  : std::to_string(w.status.last_mb),
-             std::to_string(w.status.committed) + "/" + std::to_string(mk)});
+        rows.push_back(w.status.progress);
+        states.push_back(state_of(w));
       }
-      std::string out = table.to_string();
+      std::string out = rt::blocked_on_table(rows, states, run_now());
       // Breadcrumbs of every worker that did not finish cleanly: the last-K
       // flight-recorder events recovered from its Telemetry flushes show
       // what the stage was doing when it died/hung, not just that it did.
@@ -406,7 +393,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           if (io != IoStatus::Eof) {
             iteration_report.events.push_back(
                 {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
-                 w.status.messages,
+                 w.status.progress.messages,
                  std::string("control frame ") + io_status_name(io) +
                      "; half-written tail discarded"});
           }
@@ -440,11 +427,11 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           }
           case FrameKind::Error: {
             Reader r(frame.payload);
-            w.status = read_status(r);
+            WireStageDone last = read_stage_done(r);
+            w.status = last.status;
             w.error_detail = r.str();
-            const std::int32_t n_events = r.i32();
-            for (std::int32_t i = 0; i < n_events; ++i) {
-              iteration_report.events.push_back(read_event(r));
+            for (fault::FaultEvent& event : last.events) {
+              iteration_report.events.push_back(std::move(event));
             }
             fail(w.stage, w.error_detail);
             break;
@@ -452,7 +439,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           case FrameKind::Done: {
             Reader r(frame.payload);
             w.done_info = read_stage_done(r);
-            w.have_done = true;
             w.done = true;
             w.status = w.done_info.status;
             break;
@@ -464,8 +450,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       }
     };
 
-    // Folds the workers' latest heartbeat counters into a LiveSnapshot for
-    // the JSON/Prometheus publishers (and the final done/failed write).
+    // Folds the workers' latest status — heartbeat or Done frame — into a
+    // LiveSnapshot for the JSON/Prometheus publishers (and the final
+    // done/failed write).
     auto build_snapshot = [&](const std::string& phase) {
       obs::LiveSnapshot snap;
       snap.ts = run_now();
@@ -478,34 +465,28 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         obs::StageLive live;
         live.stage = w.stage;
         live.pid = static_cast<std::int64_t>(w.pid);
-        live.state =
-            w.exited && !w.done
-                ? describe_exit(w)
-                : rt::stage_state_name(
-                      static_cast<rt::StageState>(w.status.state));
+        live.state = state_of(w);
         live.beat_age_seconds =
             std::chrono::duration<double>(now - w.last_heard).count();
-        live.messages = w.status.messages;
-        live.done_f = w.status.done_f;
-        live.want_f = mk * n_slices;
-        live.done_b = w.status.done_b;
-        live.want_b = mk * n_slices;
-        live.live = w.status.live;
-        live.live_cap = core::slimpipe_warmup_units(p, w.stage, n_slices, 1);
-        live.queue = w.status.queue;
-        live.committed = w.status.committed;
-        live.committed_total = mk;
-        live.frames_out = w.status.prev.frames_out + w.status.next.frames_out;
-        live.frames_in = w.status.prev.frames_in + w.status.next.frames_in;
-        live.bytes_out = static_cast<double>(w.status.prev.bytes_out +
-                                             w.status.next.bytes_out);
-        live.bytes_in = static_cast<double>(w.status.prev.bytes_in +
-                                            w.status.next.bytes_in);
-        live.crc_rejects =
-            w.status.prev.crc_rejects + w.status.next.crc_rejects;
-        live.retries = w.status.prev.retries + w.status.next.retries;
-        live.arena_peak_bytes = stage_metrics[static_cast<std::size_t>(w.stage)]
-                                    .measured_peak_total;
+        const rt::StageProgress& progress = w.status.progress;
+        live.messages = progress.messages;
+        live.done_f = progress.done_f;
+        live.want_f = progress.due;
+        live.done_b = progress.done_b;
+        live.want_b = progress.due;
+        live.live = progress.live;
+        live.live_cap = progress.cap;
+        live.queue = progress.queue;
+        live.committed = progress.committed;
+        live.committed_total = progress.microbatches;
+        const obs::StageMetrics& sm = w.status.metrics;
+        live.frames_out = sm.frames_sent;
+        live.frames_in = sm.frames_recv;
+        live.bytes_out = sm.p2p_bytes;
+        live.bytes_in = sm.bytes_recv;
+        live.crc_rejects = sm.crc_rejects;
+        live.retries = sm.send_retries;
+        live.arena_peak_bytes = sm.measured_peak_total;
         live.flight_events = w.status.flight_recorded;
         live.respawns = respawns[static_cast<std::size_t>(w.stage)];
         snap.stages.push_back(live);
@@ -554,7 +535,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             if (w.signaled) {
               iteration_report.events.push_back(
                   {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
-                   w.status.messages,
+                   w.status.progress.messages,
                    "stage " + std::to_string(w.stage) + " " +
                        describe_exit(w)});
               if (rec != nullptr) {
@@ -588,7 +569,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
               " ms); killed";
           iteration_report.events.push_back(
               {fault::FaultEvent::Kind::Watchdog, w.stage, run_now(),
-               w.status.messages, detail});
+               w.status.progress.messages, detail});
           if (rec != nullptr) {
             rec->instant(w.stage, "watchdog", obs::kCatFault, detail);
           }
@@ -625,60 +606,20 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     wall_seconds +=
         std::chrono::duration<double>(Clock::now() - attempt_start).count();
 
-    // Fold the attempt's telemetry into the iteration totals.
+    // Fold the attempt's telemetry into the iteration totals. Counters come
+    // from the last status (the Done frame's when the worker finished, the
+    // final heartbeat's when it died), so a crashed attempt's work counts.
     for (WorkerHandle& w : workers) {
       const std::size_t s = static_cast<std::size_t>(w.stage);
-      result.stats.messages[s] += w.status.messages;
+      result.stats.messages[s] += w.status.progress.messages;
       iteration_report.injected_seconds += w.status.injected_delay_seconds;
-      // Wire counters come from the last status snapshot (the Done frame's
-      // when the worker finished, the final heartbeat's when it died), so a
-      // crashed attempt's traffic still counts.
-      obs::StageMetrics& sm = stage_metrics[s];
-      sm.frames_sent += w.status.prev.frames_out + w.status.next.frames_out;
-      sm.frames_recv += w.status.prev.frames_in + w.status.next.frames_in;
-      sm.bytes_recv += static_cast<double>(w.status.prev.bytes_in +
-                                           w.status.next.bytes_in);
-      sm.crc_rejects +=
-          w.status.prev.crc_rejects + w.status.next.crc_rejects;
-      sm.send_retries += w.status.prev.retries + w.status.next.retries;
-      if (!w.have_done) continue;
-      const WireStageDone& info = w.done_info;
-      sm.compute_seconds += info.busy_seconds;
-      sm.comm_seconds += info.comm_seconds;
-      sm.blocked_recv_seconds += info.blocked_recv_seconds;
-      sm.p2p_messages += info.p2p_messages;
-      sm.p2p_bytes += info.p2p_bytes;
-      sm.peak_queue_depth = std::max(sm.peak_queue_depth, info.peak_queue);
-      result.stats.peak_live_slices[s] =
-          std::max(result.stats.peak_live_slices[s], info.peak_live);
-      sm.measured_peak_bytes.resize(info.arena_peak_bytes.size(), 0.0);
-      for (std::size_t c = 0; c < info.arena_peak_bytes.size(); ++c) {
-        sm.measured_peak_bytes[c] =
-            std::max(sm.measured_peak_bytes[c],
-                     static_cast<double>(info.arena_peak_bytes[c]));
-      }
-      sm.measured_peak_total = std::max(
-          sm.measured_peak_total, static_cast<double>(info.arena_peak_total));
-      for (const fault::FaultEvent& event : info.events) {
+      stage_metrics[s].fold(w.status.metrics);
+      if (!w.done) continue;
+      for (const fault::FaultEvent& event : w.done_info.events) {
         iteration_report.events.push_back(event);
       }
-      if (rec != nullptr) {
-        // The worker stamped its records on the run clock already.
-        for (const WireSpan& span : info.spans) {
-          rec->span(w.stage, span.name, span.category, span.start, span.end,
-                    span.mb, span.slice, span.stage);
-        }
-        for (const WireInstant& inst : info.instants) {
-          rec->instant_at(w.stage, inst.time, inst.name, inst.category,
-                          inst.detail);
-        }
-        // Cross-process flow arrows: sender and receiver derived the same
-        // wire_flow_id independently, so the two endpoints pair up here.
-        for (const WireFlow& flow : info.flows) {
-          rec->flow_point(flow.id, w.stage, flow.ts, flow.begin != 0,
-                          flow.backward != 0 ? "bwd" : "fwd");
-        }
-      }
+      // The worker recorded on the run clock already.
+      if (rec != nullptr) rec->append(std::move(w.done_info.trace));
     }
     return outcome;
   };
@@ -771,9 +712,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
   result.stats.metrics.scheme = "slimpipe";
   result.stats.metrics.makespan = wall_seconds;
   for (int s = 0; s < p; ++s) {
-    stage_metrics[static_cast<std::size_t>(s)].device = s;
-    stage_metrics[static_cast<std::size_t>(s)].peak_live_slices =
-        result.stats.peak_live_slices[static_cast<std::size_t>(s)];
+    const std::size_t i = static_cast<std::size_t>(s);
+    stage_metrics[i].device = s;
+    result.stats.peak_live_slices[i] = stage_metrics[i].peak_live_slices;
   }
   result.stats.metrics.set_idle_from_makespan();
   if (options.report != nullptr) {

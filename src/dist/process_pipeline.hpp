@@ -7,8 +7,9 @@
 // and every worker owns a control socket to the supervisor in the parent.
 // The supervisor is a single-threaded poll loop that
 //
-//  * exchanges heartbeats with every worker (each beat carries the stage's
-//    progress snapshot — the source of the postmortem blocked-on table);
+//  * hears heartbeats from every worker (each beat carries the stage's
+//    rt::StageProgress and obs::StageMetrics so far — the source of the
+//    postmortem blocked-on table and the live snapshots);
 //  * detects a SIGKILLed worker (waitpid/EOF), a crashed worker (nonzero
 //    exit or Error frame) or a hung worker (missed-heartbeat deadline —
 //    the supervisor SIGKILLs it) within a configurable timeout;

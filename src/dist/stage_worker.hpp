@@ -11,13 +11,16 @@
 // heartbeats from its main loop, runs its kernels serially, and exits via
 // _exit so inherited atexit handlers and stdio buffers never run twice.
 //
-// The stage discipline is rt::StageMachine (src/runtime/stage_machine.hpp),
-// the same machine the threaded runtime drives, running this stage's rows
-// of the SlimPipe table: this worker only moves its messages over the two
-// data sockets, applies the fault hooks, and writes a Commit frame when
-// the machine retires a microbatch. The table fixes the order whatever the
-// two neighbors' traffic does, which is what makes the recovered
-// gradients bit-identical to the threaded backend's.
+// The stage discipline is rt::StageMachine (src/runtime/stage_machine.hpp)
+// and the loop around it rt::drive_stage (src/runtime/stage_driver.hpp) —
+// the same machine and loop as the threaded runtime's, running this
+// stage's rows of the SlimPipe table. This worker supplies only a socket
+// link: arrivals from and sends to the two data sockets (heartbeating while
+// it waits), a Commit frame when the machine retires a microbatch,
+// heartbeats carrying the driver's progress and metrics, and SIGKILL or a
+// parked process for the plan's crash and hang rules. The table fixes the
+// order whatever the two neighbors' traffic does, which is what makes the
+// recovered gradients bit-identical to the threaded backend's.
 
 #include <chrono>
 #include <cstdint>
@@ -56,8 +59,8 @@ struct WorkerConfig {
   /// — never serialized.
   rt::StageInputs inputs;
   int stage = 0;
-  /// Supervisor respawn attempt index; folded into cross-process flow-arrow
-  /// ids (wire_flow_id) so replayed sends never collide with originals.
+  /// Supervisor respawn attempt index; folded into flow-arrow ids
+  /// (rt::flow_id) so replayed sends never collide with originals.
   int attempt = 0;
   /// Microbatches of this attempt (ascending); slice weights still use the
   /// full iteration's microbatch count, so replayed contributions match
@@ -66,13 +69,13 @@ struct WorkerConfig {
   int prev_fd = -1;     // upstream data socket (-1 on stage 0)
   int next_fd = -1;     // downstream data socket (-1 on the last stage)
   int control_fd = -1;  // heartbeats/commits/events/done to the supervisor
-  /// The run epoch (obs/clock.hpp), inherited through fork: every time the
-  /// worker records — spans, instants, flow points, flight-recorder events,
-  /// fault events — is seconds since it, on the supervisor's clock.
+  /// The run epoch (obs/clock.hpp), inherited through fork: the worker's
+  /// Recorder and every time it reports — spans, instants, flow points,
+  /// flight-recorder events, fault events — are on the supervisor's clock.
   obs::MonoClock::time_point epoch;
   std::chrono::milliseconds heartbeat_interval{25};
   std::chrono::milliseconds starvation_timeout{30000};
-  bool trace = false;  // collect spans/instants/flows into the Done frame
+  bool trace = false;  // record a trace, shipped in the Done frame
   /// Flight recorder (obs/flight_recorder.hpp): always-on breadcrumb ring
   /// of FlightRecorder::kDefaultCapacity events, flushed to the supervisor
   /// as Telemetry frames on the heartbeat cadence and before every Commit.

@@ -218,58 +218,132 @@ num::Tensor Reader::tensor() {
 
 namespace {
 
-void write_channel_stats(Writer& w, const WireChannelStats& c) {
-  w.i64(c.frames_out);
-  w.i64(c.frames_in);
-  w.i64(c.bytes_out);
-  w.i64(c.bytes_in);
-  w.i64(c.crc_rejects);
-  w.i64(c.retries);
+void write_progress(Writer& w, const rt::StageProgress& p) {
+  w.i32(static_cast<std::int32_t>(p.state));
+  w.i64(p.messages);
+  for (const int v : {p.done_f, p.done_b, p.due, p.live, p.cap, p.queue,
+                      p.committed, p.microbatches, p.last_mb}) {
+    w.i32(v);
+  }
+  w.f64(p.at);
 }
 
-WireChannelStats read_channel_stats(Reader& r) {
-  WireChannelStats c;
-  c.frames_out = r.i64();
-  c.frames_in = r.i64();
-  c.bytes_out = r.i64();
-  c.bytes_in = r.i64();
-  c.crc_rejects = r.i64();
-  c.retries = r.i64();
-  return c;
+rt::StageProgress read_progress(Reader& r) {
+  rt::StageProgress p;
+  p.state = static_cast<rt::StageState>(r.i32());
+  p.messages = r.i64();
+  for (int* v : {&p.done_f, &p.done_b, &p.due, &p.live, &p.cap, &p.queue,
+                 &p.committed, &p.microbatches, &p.last_mb}) {
+    *v = r.i32();
+  }
+  p.at = r.f64();
+  return p;
 }
 
-}  // namespace
-
-void write_status(Writer& w, const WireStatus& status) {
-  w.i64(status.messages);
-  w.i32(status.done_f);
-  w.i32(status.done_b);
-  w.i32(status.live);
-  w.i32(status.queue);
-  w.i32(status.committed);
-  w.i32(status.last_mb);
-  w.i32(status.state);
-  w.f64(status.injected_delay_seconds);
-  write_channel_stats(w, status.prev);
-  write_channel_stats(w, status.next);
-  w.i64(status.flight_recorded);
+void write_metrics(Writer& w, const obs::StageMetrics& m) {
+  w.i32(m.device);
+  for (const double v :
+       {m.compute_seconds, m.comm_seconds, m.idle_seconds, m.bubble_fraction,
+        m.p2p_bytes, m.exchange_bytes, m.blocked_recv_seconds,
+        m.peak_memory_bytes, m.bytes_recv, m.measured_peak_total}) {
+    w.f64(v);
+  }
+  for (const std::int64_t v : {m.p2p_messages, m.frames_sent, m.frames_recv,
+                               m.crc_rejects, m.send_retries}) {
+    w.i64(v);
+  }
+  w.i32(m.peak_live_slices);
+  w.i32(m.peak_queue_depth);
+  w.i32(static_cast<std::int32_t>(m.measured_peak_bytes.size()));
+  for (const double v : m.measured_peak_bytes) w.f64(v);
 }
 
-WireStatus read_status(Reader& r) {
-  WireStatus status;
-  status.messages = r.i64();
-  status.done_f = r.i32();
-  status.done_b = r.i32();
-  status.live = r.i32();
-  status.queue = r.i32();
-  status.committed = r.i32();
-  status.last_mb = r.i32();
-  status.state = r.i32();
-  status.injected_delay_seconds = r.f64();
-  status.prev = read_channel_stats(r);
-  status.next = read_channel_stats(r);
-  status.flight_recorded = r.i64();
-  return status;
+obs::StageMetrics read_metrics(Reader& r) {
+  obs::StageMetrics m;
+  m.device = r.i32();
+  for (double* v :
+       {&m.compute_seconds, &m.comm_seconds, &m.idle_seconds,
+        &m.bubble_fraction, &m.p2p_bytes, &m.exchange_bytes,
+        &m.blocked_recv_seconds, &m.peak_memory_bytes, &m.bytes_recv,
+        &m.measured_peak_total}) {
+    *v = r.f64();
+  }
+  for (std::int64_t* v : {&m.p2p_messages, &m.frames_sent, &m.frames_recv,
+                          &m.crc_rejects, &m.send_retries}) {
+    *v = r.i64();
+  }
+  m.peak_live_slices = r.i32();
+  m.peak_queue_depth = r.i32();
+  const std::int32_t n = r.i32();
+  for (std::int32_t i = 0; i < n; ++i) m.measured_peak_bytes.push_back(r.f64());
+  return m;
+}
+
+// The records a worker makes — spans, instants and flow points; it records
+// no counters, and the supervisor names every track and process itself.
+void write_trace(Writer& w, const obs::Trace& t) {
+  w.i32(static_cast<std::int32_t>(t.spans.size()));
+  for (const obs::TraceSpan& s : t.spans) {
+    w.i32(s.track);
+    w.f64(s.start);
+    w.f64(s.end);
+    w.str(s.name);
+    w.str(s.cat);
+    w.i32(s.microbatch);
+    w.i32(s.slice);
+    w.i32(s.stage);
+  }
+  w.i32(static_cast<std::int32_t>(t.instants.size()));
+  for (const obs::TraceInstant& i : t.instants) {
+    w.i32(i.track);
+    w.f64(i.ts);
+    w.str(i.name);
+    w.str(i.cat);
+    w.str(i.detail);
+  }
+  w.i32(static_cast<std::int32_t>(t.flows.size()));
+  for (const obs::TraceFlowPoint& f : t.flows) {
+    w.i64(f.id);
+    w.i32(f.track);
+    w.f64(f.ts);
+    w.u8(f.begin ? 1 : 0);
+    w.str(f.name);
+  }
+}
+
+obs::Trace read_trace(Reader& r) {
+  obs::Trace t;
+  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
+    obs::TraceSpan s;
+    s.track = r.i32();
+    s.start = r.f64();
+    s.end = r.f64();
+    s.name = r.str();
+    s.cat = r.str();
+    s.microbatch = r.i32();
+    s.slice = r.i32();
+    s.stage = r.i32();
+    t.spans.push_back(std::move(s));
+  }
+  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
+    obs::TraceInstant inst;
+    inst.track = r.i32();
+    inst.ts = r.f64();
+    inst.name = r.str();
+    inst.cat = r.str();
+    inst.detail = r.str();
+    t.instants.push_back(std::move(inst));
+  }
+  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
+    obs::TraceFlowPoint f;
+    f.id = r.i64();
+    f.track = r.i32();
+    f.ts = r.f64();
+    f.begin = r.u8() != 0;
+    f.name = r.str();
+    t.flows.push_back(std::move(f));
+  }
+  return t;
 }
 
 void write_event(Writer& w, const fault::FaultEvent& event) {
@@ -288,6 +362,24 @@ fault::FaultEvent read_event(Reader& r) {
   event.index = r.i64();
   event.detail = r.str();
   return event;
+}
+
+}  // namespace
+
+void write_status(Writer& w, const WireStatus& status) {
+  write_progress(w, status.progress);
+  write_metrics(w, status.metrics);
+  w.f64(status.injected_delay_seconds);
+  w.i64(status.flight_recorded);
+}
+
+WireStatus read_status(Reader& r) {
+  WireStatus status;
+  status.progress = read_progress(r);
+  status.metrics = read_metrics(r);
+  status.injected_delay_seconds = r.f64();
+  status.flight_recorded = r.i64();
+  return status;
 }
 
 void write_flight_flush(Writer& w, const WireFlightFlush& flush) {
@@ -322,19 +414,6 @@ WireFlightFlush read_flight_flush(Reader& r) {
     flush.events.push_back(ev);
   }
   return flush;
-}
-
-std::int64_t wire_flow_id(int attempt, bool backward, int src_stage, int mb,
-                          int slice) {
-  // Mixed-radix fold; the radices bound any run this repo can set up.
-  constexpr std::int64_t kStages = 64, kMb = 1 << 20, kSlices = 256;
-  constexpr std::int64_t kBase = std::int64_t{1} << 56;
-  std::int64_t id = attempt;
-  id = id * 2 + (backward ? 1 : 0);
-  id = id * kStages + src_stage;
-  id = id * kMb + mb;
-  id = id * kSlices + slice;
-  return kBase + id;
 }
 
 namespace {
@@ -395,93 +474,18 @@ rt::StageCommit read_commit(Reader& r) {
 
 void write_stage_done(Writer& w, const WireStageDone& done) {
   write_status(w, done.status);
-  w.f64(done.busy_seconds);
-  w.f64(done.comm_seconds);
-  w.f64(done.blocked_recv_seconds);
-  w.i64(done.p2p_messages);
-  w.f64(done.p2p_bytes);
-  w.i32(done.peak_queue);
-  w.i32(done.peak_live);
-  w.i32(static_cast<std::int32_t>(done.arena_peak_bytes.size()));
-  for (const std::int64_t b : done.arena_peak_bytes) w.i64(b);
-  w.i64(done.arena_peak_total);
   w.i32(static_cast<std::int32_t>(done.events.size()));
   for (const fault::FaultEvent& e : done.events) write_event(w, e);
-  w.i32(static_cast<std::int32_t>(done.spans.size()));
-  for (const WireSpan& s : done.spans) {
-    w.f64(s.start);
-    w.f64(s.end);
-    w.str(s.name);
-    w.str(s.category);
-    w.i32(s.mb);
-    w.i32(s.slice);
-    w.i32(s.stage);
-  }
-  w.i32(static_cast<std::int32_t>(done.instants.size()));
-  for (const WireInstant& i : done.instants) {
-    w.f64(i.time);
-    w.str(i.name);
-    w.str(i.category);
-    w.str(i.detail);
-  }
-  w.i32(static_cast<std::int32_t>(done.flows.size()));
-  for (const WireFlow& f : done.flows) {
-    w.i64(f.id);
-    w.f64(f.ts);
-    w.u8(f.begin);
-    w.u8(f.backward);
-  }
+  write_trace(w, done.trace);
 }
 
 WireStageDone read_stage_done(Reader& r) {
   WireStageDone done;
   done.status = read_status(r);
-  done.busy_seconds = r.f64();
-  done.comm_seconds = r.f64();
-  done.blocked_recv_seconds = r.f64();
-  done.p2p_messages = r.i64();
-  done.p2p_bytes = r.f64();
-  done.peak_queue = r.i32();
-  done.peak_live = r.i32();
-  const std::int32_t n_cat = r.i32();
-  for (std::int32_t i = 0; i < n_cat; ++i) {
-    done.arena_peak_bytes.push_back(r.i64());
-  }
-  done.arena_peak_total = r.i64();
-  const std::int32_t n_events = r.i32();
-  for (std::int32_t i = 0; i < n_events; ++i) {
+  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
     done.events.push_back(read_event(r));
   }
-  const std::int32_t n_spans = r.i32();
-  for (std::int32_t i = 0; i < n_spans; ++i) {
-    WireSpan s;
-    s.start = r.f64();
-    s.end = r.f64();
-    s.name = r.str();
-    s.category = r.str();
-    s.mb = r.i32();
-    s.slice = r.i32();
-    s.stage = r.i32();
-    done.spans.push_back(std::move(s));
-  }
-  const std::int32_t n_instants = r.i32();
-  for (std::int32_t i = 0; i < n_instants; ++i) {
-    WireInstant inst;
-    inst.time = r.f64();
-    inst.name = r.str();
-    inst.category = r.str();
-    inst.detail = r.str();
-    done.instants.push_back(std::move(inst));
-  }
-  const std::int32_t n_flows = r.i32();
-  for (std::int32_t i = 0; i < n_flows; ++i) {
-    WireFlow f;
-    f.id = r.i64();
-    f.ts = r.f64();
-    f.begin = r.u8();
-    f.backward = r.u8();
-    done.flows.push_back(f);
-  }
+  done.trace = read_trace(r);
   return done;
 }
 

@@ -18,7 +18,9 @@
 // half of the at-most-once commit protocol. Payloads are built/read with
 // the little-endian Writer/Reader below; tensors travel as raw fp32 bytes
 // (bit-exact — gradient bit-identity across the process boundary depends
-// on it).
+// on it). A worker's progress, metrics and trace travel as the same
+// records the threaded runtime keeps in memory: rt::StageProgress and
+// obs::StageMetrics in every heartbeat, obs::Trace in the Done frame.
 
 #include <cstdint>
 #include <string>
@@ -28,7 +30,10 @@
 #include "src/fault/fault_plan.hpp"
 #include "src/numerics/tensor.hpp"
 #include "src/obs/flight_recorder.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/trace.hpp"
 #include "src/runtime/commit.hpp"
+#include "src/runtime/stage_driver.hpp"
 
 namespace slim::dist {
 
@@ -100,40 +105,18 @@ class Reader {
 // ---------------------------------------------------------------------------
 // Structured payloads shared by stage workers and the supervisor.
 
-/// Per-data-link transport counters (one per neighbor direction). Bytes are
-/// payload bytes (frame headers excluded), matching p2p_bytes elsewhere.
-struct WireChannelStats {
-  std::int64_t frames_out = 0;
-  std::int64_t frames_in = 0;
-  std::int64_t bytes_out = 0;
-  std::int64_t bytes_in = 0;
-  std::int64_t crc_rejects = 0;  // frames discarded by CRC/framing checks
-  std::int64_t retries = 0;      // retransmits after injected drops
-};
-
-/// Heartbeat payload: the per-stage progress snapshot — the multi-process
-/// analogue of the threaded runtime's StageStatus atomics, and the source
-/// of the supervisor's postmortem blocked-on table.
+/// Heartbeat payload: the stage's progress (the source of the supervisor's
+/// postmortem blocked-on table and live snapshots) and this attempt's
+/// metrics so far — wire counters and arena peaks included.
 struct WireStatus {
-  std::int64_t messages = 0;
-  std::int32_t done_f = 0;
-  std::int32_t done_b = 0;
-  std::int32_t live = 0;
-  std::int32_t queue = 0;     // worker inbox depth
-  std::int32_t committed = 0;
-  std::int32_t last_mb = -1;  // last received microbatch id
-  std::int32_t state = 0;     // worker-local StageState as int
+  rt::StageProgress progress;
+  obs::StageMetrics metrics;
   double injected_delay_seconds = 0.0;
-  WireChannelStats prev;  // link toward stage-1 (empty on stage 0)
-  WireChannelStats next;  // link toward stage+1 (empty on the last stage)
   std::int64_t flight_recorded = 0;  // flight-recorder events so far
 };
 
 void write_status(Writer& w, const WireStatus& status);
 WireStatus read_status(Reader& r);
-
-void write_event(Writer& w, const fault::FaultEvent& event);
-fault::FaultEvent read_event(Reader& r);
 
 /// Telemetry payload: one flight-recorder flush (see obs/flight_recorder.hpp).
 /// `dropped` counts ring-overwritten events lost between flushes.
@@ -145,63 +128,18 @@ struct WireFlightFlush {
 void write_flight_flush(Writer& w, const WireFlightFlush& flush);
 WireFlightFlush read_flight_flush(Reader& r);
 
-/// Deterministic cross-process flow-arrow id: the sender of a data frame and
-/// its receiver derive the same id from (attempt, direction, sending stage,
-/// microbatch, slice) without coordinating, so the supervisor can pair the
-/// two endpoints into one Chrome-trace arrow. Ids start at a high base so
-/// they never collide with Recorder::begin_flow's 0-based counter.
-std::int64_t wire_flow_id(int attempt, bool backward, int src_stage, int mb,
-                          int slice);
-
-/// One flow-arrow endpoint recorded by a worker (times on the run clock).
-struct WireFlow {
-  std::int64_t id = -1;
-  double ts = 0.0;
-  std::uint8_t begin = 1;     // 1 = send side, 0 = receive side
-  std::uint8_t backward = 0;  // direction, for the arrow label
-};
-
 /// Commit payload: one retired (stage, microbatch) StageCommit.
 void write_commit(Writer& w, const rt::StageCommit& commit);
 rt::StageCommit read_commit(Reader& r);
 
-/// Worker trace records, stamped on the run clock (the worker inherits the
-/// run epoch) and recorded verbatim once the Done frame arrives.
-struct WireSpan {
-  double start = 0.0;
-  double end = 0.0;
-  std::string name;
-  std::string category;
-  std::int32_t mb = -1;
-  std::int32_t slice = -1;
-  std::int32_t stage = -1;
-};
-
-struct WireInstant {
-  double time = 0.0;
-  std::string name;
-  std::string category;
-  std::string detail;
-};
-
-/// Done payload: the worker's final status, fault events, per-category
-/// arena peaks and trace records — everything observability needs to
-/// survive the process boundary.
+/// Done payload: the worker's final status, its fault events and its trace
+/// (recorded on the inherited run epoch, appended by the supervisor as is).
+/// An Error frame carries the same record, without the trace, then the
+/// error message.
 struct WireStageDone {
   WireStatus status;
-  double busy_seconds = 0.0;
-  double comm_seconds = 0.0;  // data-frame send time incl. injected latency
-  double blocked_recv_seconds = 0.0;
-  std::int64_t p2p_messages = 0;
-  double p2p_bytes = 0.0;
-  std::int32_t peak_queue = 0;
-  std::int32_t peak_live = 0;
-  std::vector<std::int64_t> arena_peak_bytes;  // per mem::Category
-  std::int64_t arena_peak_total = 0;
   std::vector<fault::FaultEvent> events;
-  std::vector<WireSpan> spans;
-  std::vector<WireInstant> instants;
-  std::vector<WireFlow> flows;
+  obs::Trace trace;
 };
 
 void write_stage_done(Writer& w, const WireStageDone& done);

@@ -7,6 +7,32 @@
 
 namespace slim::obs {
 
+void StageMetrics::fold(const StageMetrics& attempt) {
+  compute_seconds += attempt.compute_seconds;
+  comm_seconds += attempt.comm_seconds;
+  blocked_recv_seconds += attempt.blocked_recv_seconds;
+  p2p_messages += attempt.p2p_messages;
+  p2p_bytes += attempt.p2p_bytes;
+  exchange_bytes += attempt.exchange_bytes;
+  frames_sent += attempt.frames_sent;
+  frames_recv += attempt.frames_recv;
+  bytes_recv += attempt.bytes_recv;
+  crc_rejects += attempt.crc_rejects;
+  send_retries += attempt.send_retries;
+  peak_live_slices = std::max(peak_live_slices, attempt.peak_live_slices);
+  peak_queue_depth = std::max(peak_queue_depth, attempt.peak_queue_depth);
+  peak_memory_bytes = std::max(peak_memory_bytes, attempt.peak_memory_bytes);
+  if (measured_peak_bytes.size() < attempt.measured_peak_bytes.size()) {
+    measured_peak_bytes.resize(attempt.measured_peak_bytes.size(), 0.0);
+  }
+  for (std::size_t c = 0; c < attempt.measured_peak_bytes.size(); ++c) {
+    measured_peak_bytes[c] =
+        std::max(measured_peak_bytes[c], attempt.measured_peak_bytes[c]);
+  }
+  measured_peak_total =
+      std::max(measured_peak_total, attempt.measured_peak_total);
+}
+
 double RunMetrics::mean_bubble_fraction() const {
   if (stages.empty()) return 0.0;
   double sum = 0.0;

@@ -2,9 +2,10 @@
 
 // Metrics registry: one per-stage/per-device record shape (StageMetrics)
 // filled by BOTH execution substrates — from an executed simulator OpGraph
-// (metrics_from_sim) and, in the threaded and multi-process runtimes, from
-// the probes each stage owns. sched::ScheduleResult and rt::PipelineStats
-// both carry a RunMetrics so the same analysis/report code consumes either.
+// (metrics_from_sim) and, in the threaded and multi-process runtimes, by
+// rt::drive_stage and its transport link, one record per attempt, folded
+// with StageMetrics::fold. sched::ScheduleResult and rt::PipelineStats both
+// carry a RunMetrics so the same analysis/report code consumes either.
 
 #include <string>
 #include <vector>
@@ -34,7 +35,7 @@ struct StageMetrics {
   double exchange_bytes = 0.0;        // context-exchange share of p2p_bytes
 
   double blocked_recv_seconds = 0.0;  // runtime: time blocked inside recv
-  int peak_queue_depth = 0;           // runtime: inbox high-water mark
+  int peak_queue_depth = 0;           // runtime: arrival-FIFO high-water
   double peak_memory_bytes = 0.0;     // memory high-water (sim replay)
 
   // Transport-level counters (filled by both runtime backends so the two
@@ -52,6 +53,12 @@ struct StageMetrics {
   // per-category peaks.
   std::vector<double> measured_peak_bytes;
   double measured_peak_total = 0.0;
+
+  /// Folds one runtime attempt's record into this one: seconds, counts and
+  /// volumes add up, peaks take the maximum. Idle time and the bubble
+  /// fraction are left alone (RunMetrics::set_idle_from_makespan derives
+  /// them once every attempt is in).
+  void fold(const StageMetrics& attempt);
 };
 
 struct RunMetrics {

@@ -1,5 +1,6 @@
 #include "src/obs/trace.hpp"
 
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -25,7 +26,9 @@ bool is_transfer_class(sim::OpClass cls) {
 
 }  // namespace
 
-Recorder::Recorder() : epoch_(MonoClock::now()) {}
+Recorder::Recorder() : Recorder(MonoClock::now()) {}
+
+Recorder::Recorder(MonoClock::time_point epoch) : epoch_(epoch) {}
 
 double Recorder::now() const {
   return std::chrono::duration<double>(MonoClock::now() - epoch_).count();
@@ -56,11 +59,7 @@ void Recorder::span(int track, std::string name, std::string cat, double start,
 
 void Recorder::instant(int track, std::string name, std::string cat,
                        std::string detail) {
-  instant_at(track, now(), std::move(name), std::move(cat), std::move(detail));
-}
-
-void Recorder::instant_at(int track, double ts, std::string name,
-                          std::string cat, std::string detail) {
+  const double ts = now();
   std::lock_guard<std::mutex> lock(mutex_);
   trace_.instants.push_back(
       {track, ts, std::move(name), std::move(cat), std::move(detail)});
@@ -72,23 +71,22 @@ void Recorder::counter(int track, std::string name, double value) {
   trace_.counters.push_back({track, ts, std::move(name), value});
 }
 
-std::int64_t Recorder::begin_flow(int track, std::string name) {
-  const std::int64_t id = next_flow_.fetch_add(1, std::memory_order_relaxed);
-  const double ts = now();
-  std::lock_guard<std::mutex> lock(mutex_);
-  trace_.flows.push_back({id, track, ts, /*begin=*/true, std::move(name)});
-  return id;
-}
-
-void Recorder::end_flow(std::int64_t id, int track, double ts) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  trace_.flows.push_back({id, track, ts, /*begin=*/false, {}});
-}
-
 void Recorder::flow_point(std::int64_t id, int track, double ts, bool begin,
                           std::string name) {
   std::lock_guard<std::mutex> lock(mutex_);
   trace_.flows.push_back({id, track, ts, begin, std::move(name)});
+}
+
+void Recorder::append(Trace trace) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto move_into = [](auto& to, auto& from) {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  };
+  move_into(trace_.spans, trace.spans);
+  move_into(trace_.instants, trace.instants);
+  move_into(trace_.counters, trace.counters);
+  move_into(trace_.flows, trace.flows);
 }
 
 Trace Recorder::take() {

@@ -6,16 +6,17 @@
 // instants (point markers: faults, commits, recoveries), counter samples
 // (queue depths) and flow points (cross-track send→recv links). The
 // simulator converts an executed OpGraph into a Trace (trace_from_sim); the
-// threaded runtime fills one live through the thread-safe Recorder. One
-// exporter (chrome_trace_json) renders either to Chrome/catapult JSON for
-// chrome://tracing, with flow arrows between devices and fault/recovery
-// markers on the timeline.
+// runtimes fill one live through the thread-safe Recorder — rt::drive_stage
+// records every stage's spans, instants and flow points, a process worker
+// into its own Recorder on the inherited run epoch, whose Trace the
+// supervisor appends. One exporter (chrome_trace_json) renders either to
+// Chrome/catapult JSON for chrome://tracing, with flow arrows between
+// devices and fault/recovery markers on the timeline.
 //
 // Track convention: pipeline device/stage d uses track d; auxiliary
 // resources (communication channels, NICs, PCIe engines) use
 // kAuxTrackBase + resource id so they never collide with compute rows.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -103,16 +104,19 @@ struct Trace {
 
 /// Thread-safe event recorder for both runtimes. All mutations take one
 /// mutex; callers gate every call on a plain pointer check so a disabled
-/// trace costs nothing. Timestamps are seconds since construction on the
-/// MonoClock (see obs/clock.hpp — this epoch is THE run epoch, which forked
+/// trace costs nothing. Timestamps are seconds since the epoch on the
+/// MonoClock (see obs/clock.hpp — the epoch is THE run epoch, which forked
 /// stage workers inherit), matching the simulator's zero-based timeline.
 class Recorder {
  public:
+  /// A recorder whose epoch is its construction time.
   Recorder();
+  /// A recorder on an existing run epoch (a forked stage worker's).
+  explicit Recorder(MonoClock::time_point epoch);
 
-  /// Seconds elapsed since the recorder was constructed.
+  /// Seconds elapsed since the epoch.
   double now() const;
-  /// The run epoch: the recorder's construction time.
+  /// The run epoch.
   MonoClock::time_point epoch() const { return epoch_; }
 
   void set_track_name(int track, std::string name);
@@ -121,25 +125,20 @@ class Recorder {
   void span(int track, std::string name, std::string cat, double start,
             double end, std::int32_t microbatch = -1, std::int32_t slice = -1,
             std::int32_t stage = -1);
-  /// An instant at now(); instant_at takes a caller-stamped time (e.g. a
-  /// stage worker's record, already on the run clock).
+  /// An instant at now().
   void instant(int track, std::string name, std::string cat,
                std::string detail = {});
-  void instant_at(int track, double ts, std::string name, std::string cat,
-                  std::string detail = {});
   void counter(int track, std::string name, double value);
 
-  /// Opens a flow arrow at (track, now); returns the id the receiving side
-  /// passes to end_flow. Ids are unique per recorder.
-  std::int64_t begin_flow(int track, std::string name);
-  void end_flow(std::int64_t id, int track, double ts);
-
-  /// Adds a flow endpoint with a caller-chosen id and timestamp. Used by the
-  /// multi-process supervisor, where both endpoints derive the same id
-  /// deterministically (dist::wire_flow_id) without coordinating — explicit
-  /// ids start at a high base so they never collide with begin_flow's.
+  /// Adds a flow endpoint. The sender and the receiver of a message each
+  /// derive its id (rt::flow_id) without coordinating.
   void flow_point(std::int64_t id, int track, double ts, bool begin,
                   std::string name);
+
+  /// Appends another recorder's records (a process worker's, shipped in
+  /// its Done frame), which are on this recorder's clock already. Track and
+  /// process names stay this recorder's.
+  void append(Trace trace);
 
   /// Moves the accumulated trace out (the recorder keeps running).
   Trace take();
@@ -150,7 +149,6 @@ class Recorder {
  private:
   mutable std::mutex mutex_;
   Trace trace_;
-  std::atomic<std::int64_t> next_flow_{0};
   MonoClock::time_point epoch_;
 };
 

@@ -2,7 +2,8 @@
 
 // Blocking message channel between pipeline-stage threads — the
 // shared-memory analogue of the point-to-point sends a distributed SlimPipe
-// implementation posts between pipeline ranks.
+// implementation posts between pipeline ranks. The threaded runtime's
+// StageLink receives from its stage's channel and sends into its peers'.
 //
 // Channels support poisoning (close()): a closed channel keeps draining the
 // messages already queued, then reports Closed instead of blocking. This is
@@ -16,8 +17,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-
-#include "src/util/logging.hpp"
 
 namespace slim::rt {
 
@@ -39,7 +38,6 @@ class Channel {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_) return;
       queue_.push_back(std::move(message));
-      peak_depth_ = std::max(peak_depth_, queue_.size());
     }
     cv_.notify_one();
   }
@@ -52,23 +50,6 @@ class Channel {
       closed_ = true;
     }
     cv_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  /// Blocks until a message is available. Throws (SLIM_CHECK) if the
-  /// channel is closed and drained — callers that participate in the
-  /// shutdown protocol use receive_status_for instead.
-  T receive() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    SLIM_CHECK(!queue_.empty(), "receive on a closed, drained channel");
-    T message = std::move(queue_.front());
-    queue_.pop_front();
-    return message;
   }
 
   /// Blocks up to `timeout`; fills `out` and returns Ok, or reports why no
@@ -97,23 +78,10 @@ class Channel {
     return message;
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-  }
-
-  /// High-water mark of the queue depth over the channel's lifetime (an
-  /// observability probe: how far ahead the producer ran).
-  std::size_t peak_depth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return peak_depth_;
-  }
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<T> queue_;
-  std::size_t peak_depth_ = 0;
   bool closed_ = false;
 };
 

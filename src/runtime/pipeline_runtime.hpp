@@ -4,14 +4,15 @@
 //
 // Each pipeline stage is a worker thread owning a contiguous block of real
 // transformer layers (src/numerics). Activation slices flow downstream
-// through message channels, gradient slices flow back upstream. The
-// threads are thin drivers: each stage's rt::StageMachine
-// (stage_machine.hpp) runs its device's rows of the simulator's SlimPipe
-// table in order, with the per-message numerics and commit at retirement
-// (§4.1.2), and the multi-process backend (src/dist) drives the same
-// machine over sockets instead. A driver delivers arrivals, routes the
-// machine's sends over Channels, applies fault hooks, moves retired slots
-// into the CommitLedger and records probes and trace spans.
+// through message channels, gradient slices flow back upstream. Each
+// thread runs rt::drive_stage (stage_driver.hpp) over its stage's
+// rt::StageMachine (stage_machine.hpp), which runs its device's rows of the
+// simulator's SlimPipe table in order, with the per-message numerics and
+// commit at retirement (§4.1.2); the multi-process backend (src/dist)
+// drives the same machine with the same loop over sockets. This runtime
+// supplies only a Channel link — arrivals, sends, retired slots into the
+// CommitLedger, progress for the watchdog's blocked-on table — plus the
+// shutdown protocol and the one-replay crash recovery.
 //
 // The runtime's gradients match single-threaded monolithic execution up to
 // float accumulation order, and the multi-process backend's bit for bit —
@@ -29,7 +30,6 @@
 #include "src/numerics/transformer_block.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
-#include "src/runtime/channel.hpp"
 #include "src/runtime/commit.hpp"
 #include "src/runtime/pipeline_model.hpp"
 #include "src/util/rng.hpp"
@@ -52,7 +52,7 @@ struct PipelineStats {
 
   /// Per-stage observability breakdown — the same shape the simulator
   /// attaches to sched::ScheduleResult, filled from cheap always-on probes
-  /// (wall-clock busy/blocked time, cross-stage message counts, channel
+  /// (wall-clock busy/blocked time, cross-stage message counts, arrival
   /// high-water marks). The consistency tests assert the discrete fields
   /// match the simulator for the same schedule.
   obs::RunMetrics metrics;
@@ -111,20 +111,6 @@ struct RunOptions {
   /// only affects how many workers help, never chunk boundaries.
   int kernel_threads = 0;
 };
-
-/// Lifecycle of one stage worker, thread or process: the state column of
-/// the blocked-on tables (process workers also carry it in heartbeats).
-enum class StageState : int {
-  Running = 0,
-  Waiting,  // blocked in receive
-  Done,
-  Starved,  // a process worker's starvation watchdog fired
-  Hung,     // injected hang: parked
-  Crashed,  // a worker thread threw
-  Aborted,  // a worker thread unwound by channel poisoning
-};
-
-const char* stage_state_name(StageState state);
 
 /// Tied-embedding transformer split across `stages` worker threads.
 class ThreadedPipeline {

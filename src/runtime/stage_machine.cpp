@@ -170,13 +170,6 @@ bool StageMachine::finished() const {
          done_vw_ == vocab_due_ && done_vg_ == vocab_due_;
 }
 
-std::string StageMachine::progress() const {
-  const std::string due = std::to_string(slices_due_);
-  return "f=" + std::to_string(done_f_) + "/" + due +
-         " b=" + std::to_string(done_b_) + "/" + due +
-         " live=" + std::to_string(live_) + " cap=" + std::to_string(live_cap_);
-}
-
 bool StageMachine::drained() const {
   for (const auto& chunk : chunk_layers_) {
     for (const num::Layer& layer : chunk) {

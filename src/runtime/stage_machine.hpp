@@ -3,10 +3,10 @@
 // One pipeline stage's SlimPipe discipline (§4.1.2) as a transport-free
 // state machine: no threads, sockets or clocks.
 //
-// A driver moves the machine's messages — the threaded runtime over
-// Channels (pipeline_runtime.cpp), the multi-process runtime over its data
-// sockets (src/dist/stage_worker.cpp), the unit tests over plain queues —
-// and the machine decides everything else:
+// rt::drive_stage (stage_driver.hpp) moves the machine's messages over a
+// transport link — Channels in the threaded runtime, data sockets in a
+// process worker — and the unit tests step it over plain queues; the
+// machine decides everything else:
 //
 //  * order: its device's rows of the SlimPipe table (core::slimpipe_programs,
 //    the rows the simulator executes), in table order. A row is ready when
@@ -24,7 +24,7 @@
 //    microbatch's last backward slice ran on this stage (retirement).
 //
 // Every row and every vocabulary message is counted once when picked and
-// shown to the driver's `on_pick` (the fault hooks key on that count).
+// shown to `on_pick` (the driver's fault hooks key on that count).
 // Each microbatch owns its accumulators and its slice order is fixed by the
 // table, so the staged gradients do not depend on how the transport
 // interleaves neighbours — which is what makes both runtimes bit-identical.
@@ -118,12 +118,12 @@ class StageMachine {
   /// True when no layer holds a live slice or KV chunk.
   bool drained() const;
 
-  /// A retired microbatch's staged gradients: the threaded driver moves
-  /// them into the ledger, the worker ships them in a Commit frame.
+  /// A retired microbatch's staged gradients: the threaded link moves
+  /// them into the ledger, the worker's link ships them in a Commit frame.
   StageCommit take_commit(int mb);
   const StageCommit& commit(int mb) const;
 
-  // Progress, for status tables, heartbeats and metrics.
+  // Progress, for the driver's StageProgress and metrics.
   std::int64_t messages() const { return messages_; }
   int last_mb() const { return last_mb_; }
   int forwards_done() const { return done_f_; }
@@ -136,8 +136,8 @@ class StageMachine {
                             vocab_.size());
   }
   int committed() const { return committed_; }
-  /// "f=3/8 b=1/8 live=2 cap=4": the line starvation reports carry.
-  std::string progress() const;
+  int slices_due() const { return slices_due_; }
+  int microbatches() const { return static_cast<int>(mbs_.size()); }
 
  private:
   const core::SliceLayout& layout_of(int mb) const {

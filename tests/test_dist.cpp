@@ -17,7 +17,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <set>
@@ -28,6 +32,8 @@
 #include "src/dist/socket.hpp"
 #include "src/dist/stage_worker.hpp"
 #include "src/dist/wire.hpp"
+#include "src/obs/json.hpp"
+#include "src/obs/telemetry.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/pipeline_runtime.hpp"
 
@@ -121,44 +127,67 @@ TEST(WireTest, CorruptPayloadDetected) {
 
 TEST(WireTest, StatusRoundTrip) {
   WireStatus status;
-  status.messages = 123;
-  status.done_f = 7;
-  status.done_b = 6;
-  status.live = 3;
-  status.queue = 2;
-  status.committed = 4;
-  status.last_mb = 9;
-  status.state = static_cast<int>(rt::StageState::Waiting);
+  status.progress.state = rt::StageState::Waiting;
+  status.progress.messages = 123;
+  status.progress.done_f = 7;
+  status.progress.done_b = 6;
+  status.progress.due = 8;
+  status.progress.live = 3;
+  status.progress.cap = 5;
+  status.progress.queue = 2;
+  status.progress.committed = 4;
+  status.progress.microbatches = 9;
+  status.progress.last_mb = 9;
+  status.progress.at = 1.25;
+  status.metrics.device = 1;
+  status.metrics.compute_seconds = 0.5;
+  status.metrics.blocked_recv_seconds = 0.25;
+  status.metrics.p2p_messages = 33;
+  status.metrics.p2p_bytes = 2300;
+  status.metrics.frames_sent = 21;
+  status.metrics.frames_recv = 22;
+  status.metrics.bytes_recv = 2400;
+  status.metrics.crc_rejects = 2;
+  status.metrics.send_retries = 3;
+  status.metrics.peak_live_slices = 5;
+  status.metrics.peak_queue_depth = 4;
+  status.metrics.measured_peak_bytes = {1024.0, 0.0, 512.0};
+  status.metrics.measured_peak_total = 1536.0;
   status.injected_delay_seconds = 0.125;
-  status.prev = {11, 12, 1300, 1400, 2, 3};
-  status.next = {21, 22, 2300, 2400, 0, 1};
   status.flight_recorded = 456;
   Writer w;
   write_status(w, status);
   const std::vector<std::uint8_t> bytes = w.take();
   Reader r(bytes);
   const WireStatus back = read_status(r);
-  EXPECT_EQ(back.messages, 123);
-  EXPECT_EQ(back.done_f, 7);
-  EXPECT_EQ(back.done_b, 6);
-  EXPECT_EQ(back.live, 3);
-  EXPECT_EQ(back.queue, 2);
-  EXPECT_EQ(back.committed, 4);
-  EXPECT_EQ(back.last_mb, 9);
-  EXPECT_EQ(back.state, static_cast<int>(rt::StageState::Waiting));
+  EXPECT_EQ(back.progress.state, rt::StageState::Waiting);
+  EXPECT_EQ(back.progress.messages, 123);
+  EXPECT_EQ(back.progress.done_f, 7);
+  EXPECT_EQ(back.progress.done_b, 6);
+  EXPECT_EQ(back.progress.due, 8);
+  EXPECT_EQ(back.progress.live, 3);
+  EXPECT_EQ(back.progress.cap, 5);
+  EXPECT_EQ(back.progress.queue, 2);
+  EXPECT_EQ(back.progress.committed, 4);
+  EXPECT_EQ(back.progress.microbatches, 9);
+  EXPECT_EQ(back.progress.last_mb, 9);
+  EXPECT_EQ(back.progress.at, 1.25);
+  EXPECT_EQ(back.metrics.device, 1);
+  EXPECT_EQ(back.metrics.compute_seconds, 0.5);
+  EXPECT_EQ(back.metrics.blocked_recv_seconds, 0.25);
+  EXPECT_EQ(back.metrics.p2p_messages, 33);
+  EXPECT_EQ(back.metrics.p2p_bytes, 2300);
+  EXPECT_EQ(back.metrics.frames_sent, 21);
+  EXPECT_EQ(back.metrics.frames_recv, 22);
+  EXPECT_EQ(back.metrics.bytes_recv, 2400);
+  EXPECT_EQ(back.metrics.crc_rejects, 2);
+  EXPECT_EQ(back.metrics.send_retries, 3);
+  EXPECT_EQ(back.metrics.peak_live_slices, 5);
+  EXPECT_EQ(back.metrics.peak_queue_depth, 4);
+  EXPECT_EQ(back.metrics.measured_peak_bytes,
+            (std::vector<double>{1024.0, 0.0, 512.0}));
+  EXPECT_EQ(back.metrics.measured_peak_total, 1536.0);
   EXPECT_EQ(back.injected_delay_seconds, 0.125);
-  EXPECT_EQ(back.prev.frames_out, 11);
-  EXPECT_EQ(back.prev.frames_in, 12);
-  EXPECT_EQ(back.prev.bytes_out, 1300);
-  EXPECT_EQ(back.prev.bytes_in, 1400);
-  EXPECT_EQ(back.prev.crc_rejects, 2);
-  EXPECT_EQ(back.prev.retries, 3);
-  EXPECT_EQ(back.next.frames_out, 21);
-  EXPECT_EQ(back.next.frames_in, 22);
-  EXPECT_EQ(back.next.bytes_out, 2300);
-  EXPECT_EQ(back.next.bytes_in, 2400);
-  EXPECT_EQ(back.next.crc_rejects, 0);
-  EXPECT_EQ(back.next.retries, 1);
   EXPECT_EQ(back.flight_recorded, 456);
   EXPECT_TRUE(r.done());
 }
@@ -708,6 +737,44 @@ TEST(DistObservabilityTest, TraceAndArenaPeaksSurviveTheBoundary) {
     EXPECT_GT(sm.measured_peak_total, 0.0) << "stage " << sm.device;
     EXPECT_FALSE(sm.measured_peak_bytes.empty());
     EXPECT_GT(sm.compute_seconds, 0.0);
+  }
+}
+
+TEST(DistObservabilityTest, LiveSnapshotCarriesArenaPeaks) {
+  // Heartbeats and the Done frame carry the worker's arena peaks so far, so
+  // the final live snapshot shows each stage's measured peak.
+  const int stages = 3, layers = 4, n = 2, m = 2, seed = 1510;
+  const Workload w = make_workload(m, 24, kVocab, 1511);
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string path =
+      std::string(tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp") +
+      "/slimpipe_test_live_arena_" + std::to_string(::getpid()) + ".json";
+
+  Rng rng(static_cast<std::uint64_t>(seed));
+  ProcessPipeline pipe(kDims, kVocab, layers, stages, rng);
+  ProcessOptions options;
+  options.n_slices = n;
+  options.telemetry_json_path = path;
+  const auto dist = pipe.run_iteration(w.tokens, w.targets, options);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  obs::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(obs::JsonValue::parse(text, &doc, &error)) << error;
+  obs::LiveSnapshot snap;
+  ASSERT_TRUE(obs::snapshot_from_json(doc, &snap));
+  EXPECT_EQ(snap.phase, "done");
+  ASSERT_EQ(snap.stages.size(), static_cast<std::size_t>(stages));
+  for (const obs::StageLive& live : snap.stages) {
+    const obs::StageMetrics& sm =
+        dist.stats.metrics.stages[static_cast<std::size_t>(live.stage)];
+    EXPECT_GT(live.arena_peak_bytes, 0.0) << "stage " << live.stage;
+    EXPECT_EQ(live.arena_peak_bytes, sm.measured_peak_total)
+        << "stage " << live.stage;
   }
 }
 

@@ -424,8 +424,10 @@ TEST(ChannelCloseTest, SendsAfterCloseAreDropped) {
   Channel<int> ch;
   ch.close();
   ch.send(1);
-  EXPECT_EQ(ch.size(), 0u);
-  EXPECT_TRUE(ch.closed());
+  EXPECT_FALSE(ch.try_receive().has_value());
+  int out = 0;
+  EXPECT_EQ(ch.receive_status_for(std::chrono::milliseconds(1), out),
+            RecvStatus::Closed);
 }
 
 TEST(ChannelCloseTest, TimeoutStillReportedWhenOpen) {
@@ -529,9 +531,41 @@ TEST(RuntimeFaultTest, HangTriggersWatchdogWithBlockedTable) {
     // The deadlock report names the hung stage and carries the per-channel
     // queue depth and last-received microbatch columns.
     EXPECT_NE(e.report().blocked_table.find("hung"), std::string::npos);
+    // The starving stage's row says so.
+    EXPECT_NE(e.report().blocked_table.find("starved"), std::string::npos)
+        << e.report().blocked_table;
     EXPECT_NE(e.report().blocked_table.find("queue"), std::string::npos);
     EXPECT_NE(e.report().blocked_table.find("last mb"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("starved"), std::string::npos);
+  }
+}
+
+TEST(RuntimeFaultTest, FaultEventsCarryRunClockTimesWithoutRecorder) {
+  // Fault events are stamped on the run clock whether or not a recorder
+  // traces the run: every delay, crash and recovery event of an untraced
+  // run lies inside the run's wall time.
+  Fixture f = make_fixture(3, 3, 2);
+  fault::FaultPlan plan;
+  plan.delays.push_back({-1, 3, 0.001});
+  plan.stage_crashes.push_back({1, 6});
+  fault::FaultReport report;
+  RunOptions options;
+  options.n_slices = 4;
+  options.faults = &plan;
+  options.recover = true;
+  options.report = &report;
+
+  const auto start = std::chrono::steady_clock::now();
+  f.pipe.run_iteration(f.tokens, f.targets, options);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_TRUE(report.has_kind(fault::FaultEvent::Kind::Delay));
+  ASSERT_TRUE(report.has_kind(fault::FaultEvent::Kind::Crash));
+  ASSERT_TRUE(report.has_kind(fault::FaultEvent::Kind::Recovery));
+  for (const fault::FaultEvent& event : report.events) {
+    EXPECT_GT(event.time, 0.0) << fault::event_kind_name(event.kind);
+    EXPECT_LE(event.time, wall) << fault::event_kind_name(event.kind);
   }
 }
 

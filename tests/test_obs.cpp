@@ -303,8 +303,10 @@ TEST(RecorderTest, ThreadSafeAcrossWriters) {
         const double now = rec.now();
         rec.span(t, "work", kCatCompute, now, now + 1e-6, i, 0, t);
         rec.instant(t, "mark", kCatCommit);
-        const std::int64_t id = rec.begin_flow(t, "msg");
-        rec.end_flow(id, (t + 1) % kThreads, rec.now());
+        const std::int64_t id = t * kEvents + i;
+        rec.flow_point(id, t, rec.now(), /*begin=*/true, "msg");
+        rec.flow_point(id, (t + 1) % kThreads, rec.now(), /*begin=*/false,
+                       "msg");
       }
     });
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "src/runtime/channel.hpp"
@@ -19,9 +20,9 @@ TEST(ChannelTest, FifoOrder) {
   ch.send(1);
   ch.send(2);
   ch.send(3);
-  EXPECT_EQ(ch.receive(), 1);
-  EXPECT_EQ(ch.receive(), 2);
-  EXPECT_EQ(ch.receive(), 3);
+  EXPECT_EQ(ch.try_receive(), 1);
+  EXPECT_EQ(ch.try_receive(), 2);
+  EXPECT_EQ(ch.try_receive(), 3);
 }
 
 TEST(ChannelTest, TryReceiveEmpty) {
@@ -36,7 +37,10 @@ TEST(ChannelTest, TryReceiveEmpty) {
 TEST(ChannelTest, CrossThreadBlockingReceive) {
   Channel<int> ch;
   std::thread producer([&] { ch.send(42); });
-  EXPECT_EQ(ch.receive(), 42);
+  int out = 0;
+  EXPECT_EQ(ch.receive_status_for(std::chrono::seconds(10), out),
+            RecvStatus::Ok);
+  EXPECT_EQ(out, 42);
   producer.join();
 }
 

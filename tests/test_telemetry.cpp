@@ -19,6 +19,7 @@
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/telemetry.hpp"
+#include "src/runtime/stage_driver.hpp"
 
 namespace slim::obs {
 namespace {
@@ -198,24 +199,32 @@ TEST(FlightWireTest, TruncatedFlushPayloadThrowsNotReadsGarbage) {
 }
 
 TEST(FlightWireTest, FlowIdsDeterministicAndDistinct) {
-  EXPECT_EQ(dist::wire_flow_id(0, false, 1, 2, 3),
-            dist::wire_flow_id(0, false, 1, 2, 3));
+  using rt::Message;
+  const Message msg{Message::Kind::Forward, 2, 3, 1, {}};
+  EXPECT_EQ(rt::flow_id(0, msg, 2), rt::flow_id(0, msg, 2));
   std::set<std::int64_t> ids;
+  const Message::Kind kinds[] = {
+      Message::Kind::Forward,    Message::Kind::Backward,
+      Message::Kind::VocabWork,  Message::Kind::VocabStats,
+      Message::Kind::VocabGlobal, Message::Kind::VocabDx};
   for (int attempt = 0; attempt < 2; ++attempt) {
-    for (int backward = 0; backward < 2; ++backward) {
+    for (const Message::Kind kind : kinds) {
       for (int stage = 0; stage < 4; ++stage) {
-        for (int mb = 0; mb < 4; ++mb) {
-          for (int slice = 0; slice < 4; ++slice) {
-            ids.insert(
-                dist::wire_flow_id(attempt, backward != 0, stage, mb, slice));
+        for (int dst = 0; dst < 4; ++dst) {
+          for (int mb = 0; mb < 4; ++mb) {
+            for (int slice = 0; slice < 4; ++slice) {
+              ids.insert(rt::flow_id(attempt, {kind, mb, slice, stage, {}},
+                                     dst));
+            }
           }
         }
       }
     }
   }
-  EXPECT_EQ(ids.size(), 2u * 2u * 4u * 4u * 4u);
-  // High base: never collides with Recorder::begin_flow's 0-based counter.
-  EXPECT_GE(*ids.begin(), std::int64_t{1} << 56);
+  // Distinct per (attempt, kind, stage, destination, mb, slice): vocabulary
+  // broadcasts to every shard and replayed sends never share an id.
+  EXPECT_EQ(ids.size(), 2u * 6u * 4u * 4u * 4u * 4u);
+  EXPECT_GE(*ids.begin(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@
 #   thread     faults, threads, dist, telemetry, elastic
 #                                  (faults: the threaded runtime's own
 #                                   tests, test_runtime and test_fault, plus
-#                                   the stage machine; threads: the kernel
+#                                   the stage machine and the stage driver
+#                                   (test_stage_driver); threads: the kernel
 #                                   pool; dist: the supervisor forks
 #                                   single-threaded workers from the
 #                                   pool-owning parent — exactly the
@@ -44,11 +45,15 @@
 #                                   substrates)
 #
 # After its label run the thread preset repeats the runtime's watchdog-hang
-# test (RuntimeFaultTest.HangTriggersWatchdogWithBlockedTable) and the
-# cross-process observability tests (DistObservabilityTest) ten times each,
-# in parallel: under TSan a slow first forward can trip the watchdog test's
-# 200 ms starvation timeout, and the observability tests pin the one run
-# clock that forked workers share with the supervisor.
+# test (RuntimeFaultTest.HangTriggersWatchdogWithBlockedTable), the
+# cross-process observability tests (DistObservabilityTest) and the tests
+# where several threads write one obs::Recorder (RecorderTest and the
+# traced threaded run in ConsistencyTest, both in test_obs, label obs) ten
+# times each, in parallel: under TSan a slow first forward can trip the
+# watchdog test's 200 ms starvation timeout, the observability tests pin
+# the one run clock that forked workers share with the supervisor, and
+# rt::drive_stage writes the threaded runtime's recorder from every stage
+# thread.
 #
 # clang-tidy, when installed, runs over src/ir and src/analysis with the
 # plain tree's compile database; when absent the pass is skipped with a
@@ -107,6 +112,7 @@ if [[ "$FAST" -eq 0 ]]; then
       -L "$labels"
     if [[ "$san" == "thread" ]]; then
       repeats="HangTriggersWatchdogWithBlockedTable|DistObservabilityTest"
+      repeats+="|^RecorderTest\.|^ConsistencyTest\."
       echo "== ${san} sanitizer repeats (-R '${repeats}', 10 runs) =="
       ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \
         -R "$repeats" --repeat until-fail:10

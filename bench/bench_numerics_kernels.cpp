@@ -2,7 +2,10 @@
 // (src/util/thread_pool.hpp). For each hot kernel the bench sweeps the
 // pool width in-process (ThreadPool::set_threads), reporting GFLOP/s,
 // speedup over the serial run, and — the engine's contract — whether the
-// output is bit-identical to the 1-thread result at every width.
+// output is bit-identical to the 1-thread result at every width. Next to
+// the sweep it runs each kernel serially on every ISA path the CPU supports
+// (src/numerics/isa.hpp) and requires the same bits on each; either
+// mismatch makes the process exit nonzero.
 //
 // SLIMPIPE_BENCH_SMOKE=1 shrinks the shapes so the sweep finishes in
 // seconds (the `perf`-labelled ctest smoke uses it); the full shapes
@@ -13,12 +16,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <thread>
 #include <vector>
 
 #include "src/numerics/arena.hpp"
 #include "src/numerics/cross_entropy.hpp"
+#include "src/numerics/isa.hpp"
 #include "src/numerics/norm_act.hpp"
 #include "src/numerics/tensor.hpp"
 #include "src/numerics/transformer_block.hpp"
@@ -32,6 +37,7 @@ using num::Tensor;
 namespace {
 
 bool g_all_identical = true;
+bool g_paths_identical = true;
 
 bool smoke_mode() {
   const char* env = std::getenv("SLIMPIPE_BENCH_SMOKE");
@@ -56,14 +62,25 @@ std::vector<int> sweep_widths() {
   return widths;
 }
 
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<std::size_t>(a.size()) * sizeof(float)) ==
+              0);
+}
+
 /// Runs `fn` (which returns the kernel output) at every pool width,
-/// appending one table row per width with GFLOP/s, speedup over the
+/// appending one row per width to `widths` with GFLOP/s, speedup over the
 /// 1-thread time, heap-allocation count, peak workspace bytes, and the
 /// bit-identity verdict against the 1-thread output. Workspace peak is the
 /// high-water mark across every thread's scratch arena during the call;
-/// allocs counts Tensor heap buffers the call churned.
-void sweep_kernel(Table& table, const std::string& kernel, double gflop,
-                  const std::function<Tensor()>& fn) {
+/// allocs counts Tensor heap buffers the call churned. Then runs `fn` on one
+/// thread on every ISA path, appending one row per path to `paths` with
+/// GFLOP/s, the speedup over the baseline path and whether every output bit
+/// matches the baseline path's.
+void sweep_kernel(Table& widths, Table& paths, const std::string& kernel,
+                  double gflop, const std::function<Tensor()>& fn) {
   util::ThreadPool& pool = util::ThreadPool::global();
   const int restore = pool.max_threads();
   double serial_time = 0.0;
@@ -85,10 +102,30 @@ void sweep_kernel(Table& table, const std::string& kernel, double gflop,
     char gflops[32], speedup[32];
     std::snprintf(gflops, sizeof gflops, "%.2f", gflop / time);
     std::snprintf(speedup, sizeof speedup, "%.2fx", serial_time / time);
-    table.add_row({kernel, std::to_string(width), format_time(time), gflops,
-                   speedup, std::to_string(heap_allocs),
-                   format_bytes(static_cast<double>(peak_ws)),
-                   identical ? "yes" : "NO"});
+    widths.add_row({kernel, std::to_string(width), format_time(time), gflops,
+                    speedup, std::to_string(heap_allocs),
+                    format_bytes(static_cast<double>(peak_ws)),
+                    identical ? "yes" : "NO"});
+  }
+
+  pool.set_threads(1);
+  double baseline_time = 0.0;
+  Tensor baseline_out;
+  for (num::detail::Isa isa : num::detail::available_isas()) {
+    num::detail::ScopedIsa path(isa);
+    Tensor out;
+    const double time = seconds_of([&] { out = fn(); });
+    if (isa == num::detail::Isa::kBaseline) {
+      baseline_time = time;
+      baseline_out = out;
+    }
+    const bool identical = same_bits(out, baseline_out);
+    g_paths_identical = g_paths_identical && identical;
+    char gflops[32], speedup[32];
+    std::snprintf(gflops, sizeof gflops, "%.2f", gflop / time);
+    std::snprintf(speedup, sizeof speedup, "%.2fx", baseline_time / time);
+    paths.add_row({kernel, num::detail::isa_name(isa), format_time(time),
+                   gflops, speedup, identical ? "yes" : "NO"});
   }
   pool.set_threads(restore);
 }
@@ -116,6 +153,8 @@ int main(int argc, char** argv) {
   Rng rng(7);
   Table table({"kernel", "threads", "time", "GFLOP/s", "speedup", "allocs",
                "peak ws", "bit-identical"});
+  Table paths({"kernel", "ISA path", "time", "GFLOP/s", "vs baseline",
+               "bit-identical"});
 
   // --- matmul: the roadmap's speedup target is quoted on 1024^3 ---
   {
@@ -123,11 +162,12 @@ int main(int argc, char** argv) {
     const Tensor a = Tensor::randn(n, n, rng);
     const Tensor b = Tensor::randn(n, n, rng);
     const double gflop = 2.0 * static_cast<double>(n) * n * n * 1e-9;
-    sweep_kernel(table, "matmul " + std::to_string(n) + "^3", gflop,
+    const std::string shape = " " + std::to_string(n) + "^3";
+    sweep_kernel(table, paths, "matmul" + shape, gflop,
                  [&] { return num::matmul(a, b); });
-    sweep_kernel(table, "matmul_nt " + std::to_string(n) + "^3", gflop,
+    sweep_kernel(table, paths, "matmul_nt" + shape, gflop,
                  [&] { return num::matmul_nt(a, b); });
-    sweep_kernel(table, "matmul_tn " + std::to_string(n) + "^3", gflop,
+    sweep_kernel(table, paths, "matmul_tn" + shape, gflop,
                  [&] { return num::matmul_tn(a, b); });
   }
 
@@ -138,7 +178,8 @@ int main(int argc, char** argv) {
     Tensor w(1, cols);
     w.fill(1.0f);
     const double gflop = 3.0 * static_cast<double>(rows) * cols * 1e-9;
-    sweep_kernel(table, "rmsnorm", gflop, [&] { return num::rmsnorm(x, w); });
+    sweep_kernel(table, paths, "rmsnorm", gflop,
+                 [&] { return num::rmsnorm(x, w); });
   }
 
   // --- transformer block forward (one slice; the runtime's unit of work) ---
@@ -157,7 +198,7 @@ int main(int argc, char** argv) {
              (2.0 * dims.hidden + 2.0 * dims.kv_hidden() + 3.0 * dims.ffn) +
          4.0 * s * s * dims.hidden) *
         1e-9;
-    sweep_kernel(table, "block fwd", gflop, [&] {
+    sweep_kernel(table, paths, "block fwd", gflop, [&] {
       layer.reset();
       return layer.forward_slice(x, 0, 0);
     });
@@ -173,11 +214,15 @@ int main(int argc, char** argv) {
       targets[t] = static_cast<std::int64_t>(t) % vocab;
     }
     const double gflop = 5.0 * static_cast<double>(tokens) * vocab * 1e-9;
-    sweep_kernel(table, "cross entropy", gflop,
+    sweep_kernel(table, paths, "cross entropy", gflop,
                  [&] { return num::cross_entropy(logits, targets).dlogits; });
   }
 
-  slimbench::print_table("kernel throughput vs pool width", table);
+  slimbench::print_table(std::string("kernel throughput vs pool width (") +
+                             num::detail::isa_name(num::detail::active_isa()) +
+                             " path)",
+                         table);
+  slimbench::print_table("kernel throughput per ISA path (1 thread)", paths);
 
   // --- arena vs heap ownership: block fwd+bwd over two slices ---
   //
@@ -274,6 +319,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: some kernel output was not bit-identical across "
                  "pool widths\n");
+    return 1;
+  }
+  if (!g_paths_identical) {
+    std::fprintf(stderr,
+                 "FAIL: some kernel output was not bit-identical across "
+                 "ISA paths\n");
     return 1;
   }
   if (!reconcile_ok) return 1;

@@ -47,6 +47,7 @@ struct WorkerHandle {
   bool control_eof = false;
   bool done = false;  // Done frame received
   bool exited = false;
+  bool deadline_killed = false;  // SIGKILLed for missed heartbeats
   bool signaled = false;
   int exit_code = 0;
   int term_signal = 0;
@@ -554,10 +555,11 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
 
       // Missed-heartbeat deadline: a live worker silent for too long is
       // hung (injected hang, wedged syscall, livelock) — SIGKILL it and
-      // let the replay machinery take over.
+      // let the replay machinery take over. A killed worker stays silent
+      // until it is reaped; it is judged once.
       const auto now = Clock::now();
       for (WorkerHandle& w : workers) {
-        if (w.exited || w.done || w.pid <= 0) continue;
+        if (w.exited || w.done || w.deadline_killed || w.pid <= 0) continue;
         if (now - w.last_heard > options.heartbeat_timeout) {
           const std::string detail =
               "stage " + std::to_string(w.stage) + " missed heartbeats for " +
@@ -574,6 +576,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             rec->instant(w.stage, "watchdog", obs::kCatFault, detail);
           }
           ::kill(w.pid, SIGKILL);
+          w.deadline_killed = true;
           fail(w.stage, detail);
         }
       }

@@ -1,5 +1,6 @@
 #include "src/dist/wire.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "src/util/logging.hpp"
@@ -55,22 +56,37 @@ const char* frame_kind_name(FrameKind kind) {
 }
 
 std::uint32_t crc32(const void* data, std::size_t n) {
-  static const std::uint32_t* table = [] {
-    static std::uint32_t t[256];
+  // Slicing-by-8: t[0] is the bytewise CRC table, and t[k][b] is t[0][b]
+  // run through k further zero bytes. Eight lookups then fold eight bytes
+  // per step, with the same values as the bytewise loop.
+  using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Tables t = [] {
+    Tables tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+      }
+    }
+    return tables;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

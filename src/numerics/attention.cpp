@@ -6,7 +6,7 @@
 #include <limits>
 
 #include "src/numerics/arena.hpp"
-#include "src/util/thread_pool.hpp"
+#include "src/numerics/isa.hpp"
 
 namespace slim::num {
 
@@ -23,15 +23,16 @@ constexpr std::int64_t kQueryGrain = 8;
 constexpr std::int64_t kKeyTile = 64;
 constexpr std::int64_t kKeyBlock = 8;
 
-util::ThreadPool& pool() { return util::ThreadPool::global(); }
+using detail::parallel_chunks;
 
 /// out[r] = x · rows[r] for r in [0, count), where `rows` is row-major with
 /// `n` columns. Each dot is a double sum in ascending column order — the
 /// bits of one serial loop per row — but kKeyBlock rows accumulate at once,
 /// so their independent add chains overlap instead of each waiting out the
 /// add latency of the one before.
-void dot_rows(const float* x, const float* rows, std::int64_t n,
-              std::int64_t count, double* out) {
+SLIM_CHUNK_BODY void dot_rows(const float* x, const float* rows,
+                              std::int64_t n, std::int64_t count,
+                              double* out) {
   std::int64_t r = 0;
   for (; r + kKeyBlock <= count; r += kKeyBlock) {
     const float* block = rows + r * n;
@@ -53,68 +54,67 @@ void dot_rows(const float* x, const float* rows, std::int64_t n,
     out[r] = dot;
   }
 }
-}
 
-AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
-                         std::int64_t q_offset, std::int64_t k_offset,
-                         float scale) {
-  SLIM_CHECK(q.cols() == k.cols(), "q/k head-dim mismatch");
-  SLIM_CHECK(k.rows() == v.rows(), "k/v length mismatch");
-  const std::int64_t s = q.rows(), kv = k.rows(), d = v.cols();
-  AttnPartial part;
-  part.out = Tensor(s, d);
-  part.m.assign(static_cast<std::size_t>(s), kNegInf);
-  part.l.assign(static_cast<std::size_t>(s), 0.0f);
+// Chunk bodies over query rows (isa.hpp): each compiles once per ISA path.
 
-  pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
-                                             std::int64_t i1) {
-    // Score-row scratch from this worker's reusable workspace: every slot
-    // [0, visible) is written before it is read, so no zeroing is needed.
-    WorkspaceLease<float> scores(kv);
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const std::int64_t visible =
-          std::clamp<std::int64_t>(q_offset + i - k_offset + 1, 0, kv);
-      if (visible == 0) continue;
-      // Row scores and max, the max folded in ascending key order.
-      float m = kNegInf;
-      for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
-        const std::int64_t nt = std::min(kKeyTile, visible - t0);
-        double dots[kKeyTile];
-        dot_rows(q.data() + i * q.cols(), k.data() + t0 * k.cols(), k.cols(),
-                 nt, dots);
-        for (std::int64_t t = 0; t < nt; ++t) {
-          const float sc = static_cast<float>(dots[t]) * scale;
-          scores[t0 + t] = sc;
-          m = std::max(m, sc);
-        }
+struct PartialRows {
+  const Tensor& q;
+  const Tensor& k;
+  const Tensor& v;
+  std::int64_t q_offset, k_offset;
+  float scale;
+  AttnPartial& part;
+};
+
+SLIM_CHUNK_BODY void partial_rows(const PartialRows& g, std::int64_t i0,
+                                  std::int64_t i1) {
+  const Tensor &q = g.q, &k = g.k, &v = g.v;
+  Tensor& out = g.part.out;
+  const std::int64_t kv = k.rows(), d = v.cols();
+  // Score-row scratch from this worker's reusable workspace: every slot
+  // [0, visible) is written before it is read, so no zeroing is needed.
+  WorkspaceLease<float> scores(kv);
+  for (std::int64_t i = i0; i < i1; ++i) {
+    const std::int64_t visible =
+        std::clamp<std::int64_t>(g.q_offset + i - g.k_offset + 1, 0, kv);
+    if (visible == 0) continue;
+    // Row scores and max, the max folded in ascending key order.
+    float m = kNegInf;
+    for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
+      const std::int64_t nt = std::min(kKeyTile, visible - t0);
+      double dots[kKeyTile];
+      dot_rows(q.data() + i * q.cols(), k.data() + t0 * k.cols(), k.cols(),
+               nt, dots);
+      for (std::int64_t t = 0; t < nt; ++t) {
+        const float sc = static_cast<float>(dots[t]) * g.scale;
+        scores[t0 + t] = sc;
+        m = std::max(m, sc);
       }
-      double l = 0.0;
-      for (std::int64_t j = 0; j < visible; ++j) {
-        const float w = std::exp(scores[j] - m);
-        l += w;
-        for (std::int64_t c = 0; c < d; ++c) {
-          part.out.at(i, c) += w * v.at(j, c);
-        }
-      }
-      const float inv_l = 1.0f / static_cast<float>(l);
-      for (std::int64_t c = 0; c < d; ++c) part.out.at(i, c) *= inv_l;
-      part.m[static_cast<std::size_t>(i)] = m;
-      part.l[static_cast<std::size_t>(i)] = static_cast<float>(l);
     }
-  });
-  return part;
+    double l = 0.0;
+    for (std::int64_t j = 0; j < visible; ++j) {
+      const float w = std::exp(scores[j] - m);
+      l += w;
+      for (std::int64_t c = 0; c < d; ++c) out.at(i, c) += w * v.at(j, c);
+    }
+    const float inv_l = 1.0f / static_cast<float>(l);
+    for (std::int64_t c = 0; c < d; ++c) out.at(i, c) *= inv_l;
+    g.part.m[static_cast<std::size_t>(i)] = m;
+    g.part.l[static_cast<std::size_t>(i)] = static_cast<float>(l);
+  }
 }
 
-AttnPartial attn_merge(const AttnPartial& a, const AttnPartial& b) {
-  SLIM_CHECK(a.q_len() == b.q_len() && a.out.cols() == b.out.cols(),
-             "merge shape mismatch");
-  const std::int64_t s = a.q_len(), d = a.out.cols();
-  AttnPartial out;
-  out.out = Tensor(s, d);
-  out.m.assign(static_cast<std::size_t>(s), kNegInf);
-  out.l.assign(static_cast<std::size_t>(s), 0.0f);
-  pool().parallel_for(0, s, kQueryGrain, [&](std::int64_t i0,
-                                             std::int64_t i1) {
+struct MergeRows {
+  const AttnPartial& a;
+  const AttnPartial& b;
+  AttnPartial& out;
+};
+
+SLIM_CHUNK_BODY void merge_rows(const MergeRows& g, std::int64_t i0,
+                                std::int64_t i1) {
+  const AttnPartial &a = g.a, &b = g.b;
+  AttnPartial& out = g.out;
+  const std::int64_t d = a.out.cols();
   for (std::int64_t i = i0; i < i1; ++i) {
     const std::size_t si = static_cast<std::size_t>(i);
     const float la = a.l[si], lb = b.l[si];
@@ -141,7 +141,132 @@ AttnPartial attn_merge(const AttnPartial& a, const AttnPartial& b) {
     out.m[si] = m;
     out.l[si] = l;
   }
-  });
+}
+
+// D_i = dout_i . out_i, one double sum per row in ascending column order.
+struct RowSums {
+  const Tensor& dout;
+  const Tensor& out;
+  float* D;
+};
+
+SLIM_CHUNK_BODY void output_rowsums(const RowSums& g, std::int64_t i0,
+                                    std::int64_t i1) {
+  const std::int64_t d = g.out.cols();
+  for (std::int64_t i = i0; i < i1; ++i) {
+    double sum = 0.0;
+    for (std::int64_t c = 0; c < d; ++c) {
+      sum += static_cast<double>(g.dout.at(i, c)) * g.out.at(i, c);
+    }
+    g.D[i] = static_cast<float>(sum);
+  }
+}
+
+// One KV chunk's backward for query rows [i0, i1): dq rows directly, dk/dv
+// into the query chunk's own partial slab.
+struct BwdRows {
+  const Tensor& q;
+  const KvChunk& chunk;
+  std::int64_t q_offset;
+  float scale;
+  const AttnPartial& fwd;
+  const Tensor& dout;
+  const float* D;
+  Tensor& dq;
+  float* dk_partials;
+  float* dv_partials;
+};
+
+SLIM_CHUNK_BODY void streamed_bwd_rows(const BwdRows& g, std::int64_t i0,
+                                       std::int64_t i1) {
+  const KvChunk& chunk = g.chunk;
+  const std::int64_t kv = chunk.k.rows();
+  const std::int64_t kc = chunk.k.cols(), vc = chunk.v.cols();
+  const std::int64_t qc = i0 / kQueryGrain;
+  float* dkp = g.dk_partials + qc * kv * kc;
+  float* dvp = g.dv_partials + qc * kv * vc;
+  std::memset(dkp, 0, static_cast<std::size_t>(kv * kc) * sizeof(float));
+  std::memset(dvp, 0, static_cast<std::size_t>(kv * vc) * sizeof(float));
+  for (std::int64_t i = i0; i < i1; ++i) {
+    const std::size_t si = static_cast<std::size_t>(i);
+    if (g.fwd.l[si] == 0.0f) continue;
+    const std::int64_t visible =
+        std::clamp<std::int64_t>(g.q_offset + i - chunk.pos + 1, 0, kv);
+    const float inv_l = 1.0f / g.fwd.l[si];
+    const float* qi = g.q.data() + i * kc;
+    const float* douti = g.dout.data() + i * g.dout.cols();
+    float* dqi = g.dq.data() + i * kc;
+    for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
+      const std::int64_t nt = std::min(kKeyTile, visible - t0);
+      double dots[kKeyTile], dps[kKeyTile];
+      dot_rows(qi, chunk.k.data() + t0 * kc, kc, nt, dots);
+      dot_rows(douti, chunk.v.data() + t0 * vc, vc, nt, dps);
+      for (std::int64_t t = 0; t < nt; ++t) {
+        const std::int64_t j = t0 + t;
+        const float pj =
+            std::exp(static_cast<float>(dots[t]) * g.scale - g.fwd.m[si]) *
+            inv_l;
+        const float ds = pj * (static_cast<float>(dps[t]) - g.D[i]) * g.scale;
+        const float* kj = chunk.k.data() + j * kc;
+        float* dkj = dkp + j * kc;
+        for (std::int64_t c = 0; c < kc; ++c) {
+          dqi[c] += ds * kj[c];
+          dkj[c] += ds * qi[c];
+        }
+        float* dvj = dvp + j * vc;
+        for (std::int64_t c = 0; c < vc; ++c) dvj[c] += pj * douti[c];
+      }
+    }
+  }
+}
+
+// Folds the partial slabs of query chunks [qc0, qc1) into dk/dv, in
+// ascending chunk order.
+struct SlabFold {
+  const float* dk_partials;
+  const float* dv_partials;
+  float* dk;
+  float* dv;
+  std::int64_t dk_size, dv_size;
+};
+
+SLIM_CHUNK_BODY void fold_slabs(const SlabFold& g, std::int64_t qc0,
+                                std::int64_t qc1) {
+  for (std::int64_t qc = qc0; qc < qc1; ++qc) {
+    const float* dkp = g.dk_partials + qc * g.dk_size;
+    const float* dvp = g.dv_partials + qc * g.dv_size;
+    for (std::int64_t e = 0; e < g.dk_size; ++e) g.dk[e] += dkp[e];
+    for (std::int64_t e = 0; e < g.dv_size; ++e) g.dv[e] += dvp[e];
+  }
+}
+
+}  // namespace
+
+AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
+                         std::int64_t q_offset, std::int64_t k_offset,
+                         float scale) {
+  SLIM_CHECK(q.cols() == k.cols(), "q/k head-dim mismatch");
+  SLIM_CHECK(k.rows() == v.rows(), "k/v length mismatch");
+  const std::int64_t s = q.rows(), d = v.cols();
+  AttnPartial part;
+  part.out = Tensor(s, d);
+  part.m.assign(static_cast<std::size_t>(s), kNegInf);
+  part.l.assign(static_cast<std::size_t>(s), 0.0f);
+
+  parallel_chunks<partial_rows>(
+      0, s, kQueryGrain, PartialRows{q, k, v, q_offset, k_offset, scale, part});
+  return part;
+}
+
+AttnPartial attn_merge(const AttnPartial& a, const AttnPartial& b) {
+  SLIM_CHECK(a.q_len() == b.q_len() && a.out.cols() == b.out.cols(),
+             "merge shape mismatch");
+  const std::int64_t s = a.q_len(), d = a.out.cols();
+  AttnPartial out;
+  out.out = Tensor(s, d);
+  out.m.assign(static_cast<std::size_t>(s), kNegInf);
+  out.l.assign(static_cast<std::size_t>(s), 0.0f);
+  parallel_chunks<merge_rows>(0, s, kQueryGrain, MergeRows{a, b, out});
   return out;
 }
 
@@ -237,16 +362,8 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
   // a second pass over all chunks. Workspace-leased: every slot is written
   // by the parallel pass before any chunk loop reads it.
   WorkspaceLease<float> D(s);
-  pool().parallel_for(0, s, kQueryGrain,
-                      [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      double sum = 0.0;
-      for (std::int64_t c = 0; c < d; ++c) {
-        sum += static_cast<double>(dout.at(i, c)) * fwd.out.at(i, c);
-      }
-      D[i] = static_cast<float>(sum);
-    }
-  });
+  parallel_chunks<output_rowsums>(0, s, kQueryGrain,
+                                  RowSums{dout, fwd.out, D.data()});
 
   for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
     const KvChunk& chunk = chunks[ci];
@@ -266,51 +383,14 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
     const std::int64_t n_qchunks = util::chunk_count(0, s, kQueryGrain);
     WorkspaceLease<float> dk_partials(n_qchunks * kv * kc);
     WorkspaceLease<float> dv_partials(n_qchunks * kv * vc);
-    pool().parallel_for(0, s, kQueryGrain,
-                        [&](std::int64_t i0, std::int64_t i1) {
-      const std::int64_t qc = i0 / kQueryGrain;
-      float* dkp = dk_partials.data() + qc * kv * kc;
-      float* dvp = dv_partials.data() + qc * kv * vc;
-      std::memset(dkp, 0, static_cast<std::size_t>(kv * kc) * sizeof(float));
-      std::memset(dvp, 0, static_cast<std::size_t>(kv * vc) * sizeof(float));
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const std::size_t si = static_cast<std::size_t>(i);
-        if (fwd.l[si] == 0.0f) continue;
-        const std::int64_t visible =
-            std::clamp<std::int64_t>(q_offset + i - chunk.pos + 1, 0, kv);
-        const float inv_l = 1.0f / fwd.l[si];
-        const float* qi = q.data() + i * kc;
-        const float* douti = dout.data() + i * dout.cols();
-        float* dqi = dq.data() + i * kc;
-        for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
-          const std::int64_t nt = std::min(kKeyTile, visible - t0);
-          double dots[kKeyTile], dps[kKeyTile];
-          dot_rows(qi, chunk.k.data() + t0 * kc, kc, nt, dots);
-          dot_rows(douti, chunk.v.data() + t0 * vc, vc, nt, dps);
-          for (std::int64_t t = 0; t < nt; ++t) {
-            const std::int64_t j = t0 + t;
-            const float pj =
-                std::exp(static_cast<float>(dots[t]) * scale - fwd.m[si]) *
-                inv_l;
-            const float ds = pj * (static_cast<float>(dps[t]) - D[i]) * scale;
-            const float* kj = chunk.k.data() + j * kc;
-            float* dkj = dkp + j * kc;
-            for (std::int64_t c = 0; c < kc; ++c) {
-              dqi[c] += ds * kj[c];
-              dkj[c] += ds * qi[c];
-            }
-            float* dvj = dvp + j * vc;
-            for (std::int64_t c = 0; c < vc; ++c) dvj[c] += pj * douti[c];
-          }
-        }
-      }
-    });
-    for (std::int64_t qc = 0; qc < n_qchunks; ++qc) {
-      const float* dkp = dk_partials.data() + qc * kv * kc;
-      const float* dvp = dv_partials.data() + qc * kv * vc;
-      for (std::int64_t e = 0; e < kv * kc; ++e) dk.data()[e] += dkp[e];
-      for (std::int64_t e = 0; e < kv * vc; ++e) dv.data()[e] += dvp[e];
-    }
+    parallel_chunks<streamed_bwd_rows>(
+        0, s, kQueryGrain,
+        BwdRows{q, chunk, q_offset, scale, fwd, dout, D.data(), dq,
+                dk_partials.data(), dv_partials.data()});
+    detail::run_chunk<fold_slabs>(
+        SlabFold{dk_partials.data(), dv_partials.data(), dk.data(), dv.data(),
+                 kv * kc, kv * vc},
+        0, n_qchunks);
   }
 }
 

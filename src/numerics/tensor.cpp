@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "src/numerics/arena.hpp"
-#include "src/util/thread_pool.hpp"
+#include "src/numerics/isa.hpp"
 
 namespace slim::num {
 
@@ -18,7 +18,87 @@ constexpr std::int64_t kRowGrain = 16;       // output rows per chunk
 constexpr std::int64_t kFlatGrain = 1 << 14; // elements per chunk
 constexpr std::int64_t kKBlock = 128;        // k-panel kept hot in cache
 
-util::ThreadPool& pool() { return util::ThreadPool::global(); }
+using detail::parallel_chunks;
+
+// Chunk bodies (isa.hpp): each compiles once per ISA path.
+
+struct ScaledAdd {
+  float* dst;
+  const float* src;
+  float scale;
+};
+
+SLIM_CHUNK_BODY void scaled_add(const ScaledAdd& g, std::int64_t lo,
+                                std::int64_t hi) {
+  for (std::int64_t i = lo; i < hi; ++i) g.dst[i] += g.scale * g.src[i];
+}
+
+struct Transpose {
+  const float* src;  // rows x cols
+  float* dst;        // cols x rows
+  std::int64_t rows, cols;
+};
+
+SLIM_CHUNK_BODY void transpose_rows(const Transpose& g, std::int64_t r0,
+                                    std::int64_t r1) {
+  for (std::int64_t r = r0; r < r1; ++r) {
+    for (std::int64_t c = 0; c < g.cols; ++c) {
+      g.dst[c * g.rows + r] = g.src[r * g.cols + c];
+    }
+  }
+}
+
+// C += A * B for row-major A (m x k), B (k x n), C (m x n).
+struct Gemm {
+  const float* a;
+  const float* b;
+  float* c;
+  std::int64_t k, n;
+};
+
+SLIM_CHUNK_BODY void matmul_rows(const Gemm& g, std::int64_t i0,
+                                 std::int64_t i1) {
+  // Row-chunked saxpy form, k-panelled so the panel of B stays cached
+  // across the chunk's rows. Per output element the adds still happen in
+  // ascending-k order: identical bits to the unpanelled loop.
+  const std::int64_t k = g.k, n = g.n;
+  for (std::int64_t k0 = 0; k0 < k; k0 += kKBlock) {
+    const std::int64_t k1 = std::min(k, k0 + kKBlock);
+    for (std::int64_t i = i0; i < i1; ++i) {
+      float* crow = g.c + i * n;
+      for (std::int64_t kk = k0; kk < k1; ++kk) {
+        const float av = g.a[i * k + kk];
+        const float* brow = g.b + kk * n;
+        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+    }
+  }
+}
+
+// C += A^T * B for row-major A (k x m), B (k x n), C (m x n).
+struct GemmTn {
+  const float* a;
+  const float* b;
+  float* c;
+  std::int64_t k, m, n;
+};
+
+SLIM_CHUNK_BODY void matmul_tn_rows(const GemmTn& g, std::int64_t i0,
+                                    std::int64_t i1) {
+  // Chunk over output rows (columns of A); within a chunk keep k outer so
+  // each row of B streams once per chunk and is reused for every output
+  // row in it.
+  const std::int64_t m = g.m, n = g.n;
+  for (std::int64_t kk = 0; kk < g.k; ++kk) {
+    const float* arow = g.a + kk * m;
+    const float* brow = g.b + kk * n;
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float av = arow[i];
+      float* crow = g.c + i * n;
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
 
 }  // namespace
 
@@ -150,25 +230,14 @@ void Tensor::add_(const Tensor& other) { add_scaled_(other, 1.0f); }
 void Tensor::add_scaled_(const Tensor& other, float scale) {
   SLIM_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
              "add_ shape mismatch");
-  float* dst = data_;
-  const float* src = other.data_;
-  pool().parallel_for(
-      0, size(), kFlatGrain,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) dst[i] += scale * src[i];
-      });
+  parallel_chunks<scaled_add>(0, size(), kFlatGrain,
+                              ScaledAdd{data_, other.data_, scale});
 }
 
 Tensor Tensor::transposed() const {
   Tensor out = Tensor::uninit(cols_, rows_);
-  pool().parallel_for(0, rows_, kRowGrain,
-                      [&](std::int64_t r0, std::int64_t r1) {
-                        for (std::int64_t r = r0; r < r1; ++r) {
-                          for (std::int64_t c = 0; c < cols_; ++c) {
-                            out.at(c, r) = at(r, c);
-                          }
-                        }
-                      });
+  parallel_chunks<transpose_rows>(0, rows_, kRowGrain,
+                                  Transpose{data_, out.data_, rows_, cols_});
   return out;
 }
 
@@ -214,23 +283,9 @@ float Tensor::l2norm() const {
 Tensor matmul(const Tensor& a, const Tensor& b) {
   SLIM_CHECK(a.cols() == b.rows(), "matmul shape mismatch");
   Tensor c(a.rows(), b.cols());  // zero-init: the k-panels accumulate
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  pool().parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    // Row-chunked saxpy form, k-panelled so the panel of B stays cached
-    // across the chunk's rows. Per output element the adds still happen in
-    // ascending-k order: identical bits to the unpanelled loop.
-    for (std::int64_t k0 = 0; k0 < k; k0 += kKBlock) {
-      const std::int64_t k1 = std::min(k, k0 + kKBlock);
-      for (std::int64_t i = i0; i < i1; ++i) {
-        float* crow = c.data() + i * n;
-        for (std::int64_t kk = k0; kk < k1; ++kk) {
-          const float av = a.at(i, kk);
-          const float* brow = b.data() + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
+  parallel_chunks<matmul_rows>(
+      0, a.rows(), kRowGrain,
+      Gemm{a.data(), b.data(), c.data(), a.cols(), b.cols()});
   return c;
 }
 
@@ -245,21 +300,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   SLIM_CHECK(a.rows() == b.rows(), "matmul_tn shape mismatch");
   Tensor c(a.cols(), b.cols());  // zero-init: accumulates over k
-  const std::int64_t m = a.cols(), k = a.rows(), n = b.cols();
-  pool().parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    // Chunk over output rows (columns of A); within a chunk keep k outer so
-    // each row of B streams once per chunk and is reused for every output
-    // row in it.
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* arow = a.data() + kk * m;
-      const float* brow = b.data() + kk * n;
-      for (std::int64_t i = i0; i < i1; ++i) {
-        const float av = arow[i];
-        float* crow = c.data() + i * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
+  parallel_chunks<matmul_tn_rows>(
+      0, a.cols(), kRowGrain,
+      GemmTn{a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols()});
   return c;
 }
 

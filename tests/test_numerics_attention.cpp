@@ -12,6 +12,7 @@
 
 #include "src/numerics/attention.hpp"
 #include "src/util/rng.hpp"
+#include "tests/isa_paths.hpp"
 
 namespace slim::num {
 namespace {
@@ -322,54 +323,58 @@ std::vector<OracleCase> oracle_cases() {
 }
 
 TEST(AttentionOracleTest, PartialMatchesScalarLoopsBitForBit) {
-  for (const OracleCase& c : oracle_cases()) {
-    SCOPED_TRACE(c.name);
-    Rng rng(static_cast<std::uint64_t>(c.q_len * 31 + c.head_dim));
-    const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
-    std::int64_t pos = c.k_start;
-    for (std::int64_t len : c.chunk_lens) {
-      const Tensor k = Tensor::randn(len, c.head_dim, rng, 1.0f);
-      const Tensor v = Tensor::randn(len, c.head_dim, rng, 1.0f);
-      const AttnPartial got = attn_partial(q, k, v, c.q_offset, pos, kScale);
-      const AttnPartial want =
-          oracle_attn_partial(q, k, v, c.q_offset, pos, kScale);
-      EXPECT_EQ(got.out.max_abs_diff(want.out), 0.0f) << "chunk at " << pos;
-      EXPECT_EQ(got.m, want.m) << "chunk at " << pos;
-      EXPECT_EQ(got.l, want.l) << "chunk at " << pos;
-      pos += len;
+  for_each_isa([&] {
+    for (const OracleCase& c : oracle_cases()) {
+      SCOPED_TRACE(c.name);
+      Rng rng(static_cast<std::uint64_t>(c.q_len * 31 + c.head_dim));
+      const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+      std::int64_t pos = c.k_start;
+      for (std::int64_t len : c.chunk_lens) {
+        const Tensor k = Tensor::randn(len, c.head_dim, rng, 1.0f);
+        const Tensor v = Tensor::randn(len, c.head_dim, rng, 1.0f);
+        const AttnPartial got = attn_partial(q, k, v, c.q_offset, pos, kScale);
+        const AttnPartial want =
+            oracle_attn_partial(q, k, v, c.q_offset, pos, kScale);
+        EXPECT_EQ(got.out.max_abs_diff(want.out), 0.0f) << "chunk at " << pos;
+        EXPECT_EQ(got.m, want.m) << "chunk at " << pos;
+        EXPECT_EQ(got.l, want.l) << "chunk at " << pos;
+        pos += len;
+      }
     }
-  }
+  });
 }
 
 TEST(AttentionOracleTest, StreamedBackwardMatchesScalarLoopsBitForBit) {
-  for (const OracleCase& c : oracle_cases()) {
-    SCOPED_TRACE(c.name);
-    Rng rng(static_cast<std::uint64_t>(c.q_len * 37 + c.head_dim));
-    const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
-    const Tensor dout = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
-    std::vector<KvChunk> chunks;
-    std::vector<Tensor> dk, dv, dk_want, dv_want;
-    std::int64_t pos = c.k_start;
-    for (std::int64_t len : c.chunk_lens) {
-      chunks.push_back({Tensor::randn(len, c.head_dim, rng, 1.0f),
-                        Tensor::randn(len, c.head_dim, rng, 1.0f), pos});
-      dk.emplace_back(len, c.head_dim);
-      dv.emplace_back(len, c.head_dim);
-      pos += len;
+  for_each_isa([&] {
+    for (const OracleCase& c : oracle_cases()) {
+      SCOPED_TRACE(c.name);
+      Rng rng(static_cast<std::uint64_t>(c.q_len * 37 + c.head_dim));
+      const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+      const Tensor dout = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+      std::vector<KvChunk> chunks;
+      std::vector<Tensor> dk, dv, dk_want, dv_want;
+      std::int64_t pos = c.k_start;
+      for (std::int64_t len : c.chunk_lens) {
+        chunks.push_back({Tensor::randn(len, c.head_dim, rng, 1.0f),
+                          Tensor::randn(len, c.head_dim, rng, 1.0f), pos});
+        dk.emplace_back(len, c.head_dim);
+        dv.emplace_back(len, c.head_dim);
+        pos += len;
+      }
+      dk_want = dk;
+      dv_want = dv;
+      const AttnPartial fwd = attn_streamed(q, chunks, c.q_offset, kScale);
+      Tensor dq, dq_want;
+      attn_streamed_bwd(q, chunks, c.q_offset, kScale, fwd, dout, dq, dk, dv);
+      oracle_attn_streamed_bwd(q, chunks, c.q_offset, kScale, fwd, dout,
+                               dq_want, dk_want, dv_want);
+      EXPECT_EQ(dq.max_abs_diff(dq_want), 0.0f);
+      for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+        EXPECT_EQ(dk[ci].max_abs_diff(dk_want[ci]), 0.0f) << "chunk " << ci;
+        EXPECT_EQ(dv[ci].max_abs_diff(dv_want[ci]), 0.0f) << "chunk " << ci;
+      }
     }
-    dk_want = dk;
-    dv_want = dv;
-    const AttnPartial fwd = attn_streamed(q, chunks, c.q_offset, kScale);
-    Tensor dq, dq_want;
-    attn_streamed_bwd(q, chunks, c.q_offset, kScale, fwd, dout, dq, dk, dv);
-    oracle_attn_streamed_bwd(q, chunks, c.q_offset, kScale, fwd, dout,
-                             dq_want, dk_want, dv_want);
-    EXPECT_EQ(dq.max_abs_diff(dq_want), 0.0f);
-    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
-      EXPECT_EQ(dk[ci].max_abs_diff(dk_want[ci]), 0.0f) << "chunk " << ci;
-      EXPECT_EQ(dv[ci].max_abs_diff(dv_want[ci]), 0.0f) << "chunk " << ci;
-    }
-  }
+  });
 }
 
 TEST(AttentionGradCheckTest, FiniteDifferences) {

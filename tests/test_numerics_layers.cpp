@@ -8,6 +8,7 @@
 #include "src/numerics/norm_act.hpp"
 #include "src/numerics/rope.hpp"
 #include "src/util/rng.hpp"
+#include "tests/isa_paths.hpp"
 
 namespace slim::num {
 namespace {
@@ -21,101 +22,111 @@ double dot(const Tensor& a, const Tensor& b) {
 }
 
 TEST(RmsNormTest, NormalizesRows) {
-  Rng rng(1);
-  const Tensor x = Tensor::randn(4, 16, rng, 2.0f);
-  Tensor w(1, 16);
-  w.fill(1.0f);
-  const Tensor y = rmsnorm(x, w);
-  for (std::int64_t r = 0; r < 4; ++r) {
-    double ms = 0.0;
-    for (std::int64_t c = 0; c < 16; ++c) {
-      ms += static_cast<double>(y.at(r, c)) * y.at(r, c);
+  for_each_isa([&] {
+    Rng rng(1);
+    const Tensor x = Tensor::randn(4, 16, rng, 2.0f);
+    Tensor w(1, 16);
+    w.fill(1.0f);
+    const Tensor y = rmsnorm(x, w);
+    for (std::int64_t r = 0; r < 4; ++r) {
+      double ms = 0.0;
+      for (std::int64_t c = 0; c < 16; ++c) {
+        ms += static_cast<double>(y.at(r, c)) * y.at(r, c);
+      }
+      EXPECT_NEAR(ms / 16.0, 1.0, 1e-3);
     }
-    EXPECT_NEAR(ms / 16.0, 1.0, 1e-3);
-  }
+  });
 }
 
 TEST(RmsNormTest, WeightScales) {
-  Rng rng(2);
-  const Tensor x = Tensor::randn(2, 8, rng, 1.0f);
-  Tensor w1(1, 8), w2(1, 8);
-  w1.fill(1.0f);
-  w2.fill(2.0f);
-  const Tensor y1 = rmsnorm(x, w1);
-  const Tensor y2 = rmsnorm(x, w2);
-  for (std::int64_t i = 0; i < y1.size(); ++i) {
-    EXPECT_NEAR(y2.data()[i], 2.0f * y1.data()[i], 1e-6f);
-  }
+  for_each_isa([&] {
+    Rng rng(2);
+    const Tensor x = Tensor::randn(2, 8, rng, 1.0f);
+    Tensor w1(1, 8), w2(1, 8);
+    w1.fill(1.0f);
+    w2.fill(2.0f);
+    const Tensor y1 = rmsnorm(x, w1);
+    const Tensor y2 = rmsnorm(x, w2);
+    for (std::int64_t i = 0; i < y1.size(); ++i) {
+      EXPECT_NEAR(y2.data()[i], 2.0f * y1.data()[i], 1e-6f);
+    }
+  });
 }
 
 TEST(RmsNormTest, GradCheck) {
-  Rng rng(3);
-  Tensor x = Tensor::randn(3, 8, rng, 1.0f);
-  Tensor w = Tensor::randn(1, 8, rng, 0.5f);
-  for (std::int64_t i = 0; i < w.size(); ++i) w.data()[i] += 1.0f;
-  const Tensor dy = Tensor::randn(3, 8, rng, 1.0f);
+  for_each_isa([&] {
+    Rng rng(3);
+    Tensor x = Tensor::randn(3, 8, rng, 1.0f);
+    Tensor w = Tensor::randn(1, 8, rng, 0.5f);
+    for (std::int64_t i = 0; i < w.size(); ++i) w.data()[i] += 1.0f;
+    const Tensor dy = Tensor::randn(3, 8, rng, 1.0f);
 
-  Tensor dw(1, 8);
-  const Tensor dx = rmsnorm_bwd(x, w, dy, dw);
+    Tensor dw(1, 8);
+    const Tensor dx = rmsnorm_bwd(x, w, dy, dw);
 
-  const float eps = 1e-3f;
-  for (std::int64_t i = 0; i < x.size(); i += 2) {
-    const float orig = x.data()[i];
-    x.data()[i] = orig + eps;
-    const double hi = dot(rmsnorm(x, w), dy);
-    x.data()[i] = orig - eps;
-    const double lo = dot(rmsnorm(x, w), dy);
-    x.data()[i] = orig;
-    EXPECT_NEAR((hi - lo) / (2.0 * eps), dx.data()[i], 5e-3);
-  }
-  for (std::int64_t i = 0; i < w.size(); ++i) {
-    const float orig = w.data()[i];
-    w.data()[i] = orig + eps;
-    const double hi = dot(rmsnorm(x, w), dy);
-    w.data()[i] = orig - eps;
-    const double lo = dot(rmsnorm(x, w), dy);
-    w.data()[i] = orig;
-    EXPECT_NEAR((hi - lo) / (2.0 * eps), dw.data()[i], 5e-3);
-  }
+    const float eps = 1e-3f;
+    for (std::int64_t i = 0; i < x.size(); i += 2) {
+      const float orig = x.data()[i];
+      x.data()[i] = orig + eps;
+      const double hi = dot(rmsnorm(x, w), dy);
+      x.data()[i] = orig - eps;
+      const double lo = dot(rmsnorm(x, w), dy);
+      x.data()[i] = orig;
+      EXPECT_NEAR((hi - lo) / (2.0 * eps), dx.data()[i], 5e-3);
+    }
+    for (std::int64_t i = 0; i < w.size(); ++i) {
+      const float orig = w.data()[i];
+      w.data()[i] = orig + eps;
+      const double hi = dot(rmsnorm(x, w), dy);
+      w.data()[i] = orig - eps;
+      const double lo = dot(rmsnorm(x, w), dy);
+      w.data()[i] = orig;
+      EXPECT_NEAR((hi - lo) / (2.0 * eps), dw.data()[i], 5e-3);
+    }
+  });
 }
 
 TEST(SwigluTest, MatchesDefinition) {
-  Rng rng(4);
-  const Tensor g = Tensor::randn(2, 6, rng, 1.5f);
-  const Tensor u = Tensor::randn(2, 6, rng, 1.5f);
-  const Tensor out = swiglu(g, u);
-  for (std::int64_t i = 0; i < out.size(); ++i) {
-    const float gi = g.data()[i];
-    const float expected = gi / (1.0f + std::exp(-gi)) * u.data()[i];
-    EXPECT_NEAR(out.data()[i], expected, 1e-6f);
-  }
+  for_each_isa([&] {
+    Rng rng(4);
+    const Tensor g = Tensor::randn(2, 6, rng, 1.5f);
+    const Tensor u = Tensor::randn(2, 6, rng, 1.5f);
+    const Tensor out = swiglu(g, u);
+    for (std::int64_t i = 0; i < out.size(); ++i) {
+      const float gi = g.data()[i];
+      const float expected = gi / (1.0f + std::exp(-gi)) * u.data()[i];
+      EXPECT_NEAR(out.data()[i], expected, 1e-6f);
+    }
+  });
 }
 
 TEST(SwigluTest, GradCheck) {
-  Rng rng(5);
-  Tensor g = Tensor::randn(2, 6, rng, 1.0f);
-  Tensor u = Tensor::randn(2, 6, rng, 1.0f);
-  const Tensor dout = Tensor::randn(2, 6, rng, 1.0f);
-  Tensor dg, du;
-  swiglu_bwd(g, u, dout, dg, du);
-  const float eps = 1e-3f;
-  for (std::int64_t i = 0; i < g.size(); ++i) {
-    float orig = g.data()[i];
-    g.data()[i] = orig + eps;
-    const double hi = dot(swiglu(g, u), dout);
-    g.data()[i] = orig - eps;
-    const double lo = dot(swiglu(g, u), dout);
-    g.data()[i] = orig;
-    EXPECT_NEAR((hi - lo) / (2.0 * eps), dg.data()[i], 3e-3);
+  for_each_isa([&] {
+    Rng rng(5);
+    Tensor g = Tensor::randn(2, 6, rng, 1.0f);
+    Tensor u = Tensor::randn(2, 6, rng, 1.0f);
+    const Tensor dout = Tensor::randn(2, 6, rng, 1.0f);
+    Tensor dg, du;
+    swiglu_bwd(g, u, dout, dg, du);
+    const float eps = 1e-3f;
+    for (std::int64_t i = 0; i < g.size(); ++i) {
+      float orig = g.data()[i];
+      g.data()[i] = orig + eps;
+      const double hi = dot(swiglu(g, u), dout);
+      g.data()[i] = orig - eps;
+      const double lo = dot(swiglu(g, u), dout);
+      g.data()[i] = orig;
+      EXPECT_NEAR((hi - lo) / (2.0 * eps), dg.data()[i], 3e-3);
 
-    orig = u.data()[i];
-    u.data()[i] = orig + eps;
-    const double hi2 = dot(swiglu(g, u), dout);
-    u.data()[i] = orig - eps;
-    const double lo2 = dot(swiglu(g, u), dout);
-    u.data()[i] = orig;
-    EXPECT_NEAR((hi2 - lo2) / (2.0 * eps), du.data()[i], 3e-3);
-  }
+      orig = u.data()[i];
+      u.data()[i] = orig + eps;
+      const double hi2 = dot(swiglu(g, u), dout);
+      u.data()[i] = orig - eps;
+      const double lo2 = dot(swiglu(g, u), dout);
+      u.data()[i] = orig;
+      EXPECT_NEAR((hi2 - lo2) / (2.0 * eps), du.data()[i], 3e-3);
+    }
+  });
 }
 
 TEST(SiluTest, GradMatchesFiniteDifference) {

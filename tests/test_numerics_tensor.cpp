@@ -7,6 +7,7 @@
 
 #include "src/numerics/tensor.hpp"
 #include "src/util/rng.hpp"
+#include "tests/isa_paths.hpp"
 
 namespace slim::num {
 namespace {
@@ -143,12 +144,14 @@ TEST_F(MatmulTest, TnMatchesNaive) {
 // crosses matmul's 128-wide k-panels, m = 37 crosses the 16-row chunks, and
 // n = 23 is odd.
 TEST_F(MatmulTest, AllVariantsMatchAscendingKFp32Exactly) {
-  const Tensor a = Tensor::randn(37, 300, rng_, 1.0f);
-  const Tensor b = Tensor::randn(300, 23, rng_, 1.0f);
-  const Tensor expect = naive_fp32(a, b);
-  EXPECT_EQ(matmul(a, b).max_abs_diff(expect), 0.0f);
-  EXPECT_EQ(matmul_nt(a, b.transposed()).max_abs_diff(expect), 0.0f);
-  EXPECT_EQ(matmul_tn(a.transposed(), b).max_abs_diff(expect), 0.0f);
+  for_each_isa([&] {
+    const Tensor a = Tensor::randn(37, 300, rng_, 1.0f);
+    const Tensor b = Tensor::randn(300, 23, rng_, 1.0f);
+    const Tensor expect = naive_fp32(a, b);
+    EXPECT_EQ(matmul(a, b).max_abs_diff(expect), 0.0f);
+    EXPECT_EQ(matmul_nt(a, b.transposed()).max_abs_diff(expect), 0.0f);
+    EXPECT_EQ(matmul_tn(a.transposed(), b).max_abs_diff(expect), 0.0f);
+  });
 }
 
 TEST_F(MatmulTest, ShapeMismatchThrows) {

@@ -11,10 +11,12 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/numerics/cross_entropy.hpp"
+#include "src/numerics/isa.hpp"
 #include "src/numerics/norm_act.hpp"
 #include "src/numerics/tensor.hpp"
 #include "src/numerics/transformer_block.hpp"
@@ -263,6 +265,67 @@ TEST(BlockDeterminism, ForwardBackwardBitIdenticalAcrossWidths) {
         << "width " << width;
   }
 }
+
+/// One TinyModel train step: two layers, GQA attention over four slices,
+/// and a vocabulary split into two shards.
+struct StepRun {
+  double loss = 0.0;
+  num::TinyModel::Grads grads;
+};
+
+StepRun tiny_model_step() {
+  Rng rng(29);
+  num::BlockDims dims;
+  dims.hidden = 64;
+  dims.heads = 4;
+  dims.kv_heads = 2;
+  dims.ffn = 96;
+  num::TinyModel model(dims, /*vocab=*/96, /*num_layers=*/2, rng);
+  std::vector<std::int64_t> tokens, targets;
+  for (std::int64_t t = 0; t < 200; ++t) {
+    tokens.push_back(static_cast<std::int64_t>(rng.next_below(96)));
+    targets.push_back(static_cast<std::int64_t>(rng.next_below(96)));
+  }
+  StepRun run;
+  run.grads = model.zero_grads();
+  run.loss = model.train_step(tokens, targets, /*n_slices=*/4, run.grads,
+                              /*vocab_shards=*/2);
+  return run;
+}
+
+/// Every kernel ISA path (src/numerics/isa.hpp), at pool widths 1 and 4,
+/// gives the bits of the baseline path's serial step.
+class IsaPathTest : public ::testing::TestWithParam<num::detail::Isa> {};
+
+TEST_P(IsaPathTest, TinyModelStepMatchesBaselineSerialBits) {
+  using num::detail::Isa;
+  using num::detail::ScopedIsa;
+  if (GetParam() == Isa::kAvx2 && !num::detail::cpu_has_avx2()) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  PoolWidthGuard guard;
+  util::ThreadPool& pool = util::ThreadPool::global();
+  pool.set_threads(1);
+  StepRun want;
+  {
+    ScopedIsa path(Isa::kBaseline);
+    want = tiny_model_step();
+  }
+  ScopedIsa path(GetParam());
+  for (int width : {1, 4}) {
+    pool.set_threads(width);
+    const StepRun got = tiny_model_step();
+    EXPECT_EQ(got.loss, want.loss) << "width " << width;
+    EXPECT_EQ(got.grads.max_abs_diff(want.grads), 0.0f) << "width " << width;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, IsaPathTest,
+    ::testing::Values(num::detail::Isa::kBaseline, num::detail::Isa::kAvx2),
+    [](const ::testing::TestParamInfo<num::detail::Isa>& info) {
+      return std::string(num::detail::isa_name(info.param));
+    });
 
 /// The threaded pipeline with kernel threading enabled must still match
 /// monolithic reference execution (the functional proof of the runtime),

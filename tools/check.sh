@@ -13,6 +13,11 @@
 # The perfbench smoke test builds the benchmark (~45 s cold) and runs every
 # workload at tiny shapes, checking Eq. 1's exact peak on both runtimes.
 #
+# After the plain build, every mode disassembles the numerics library and
+# fails on any fused multiply-add (vfmadd/vfmsub/vfnmadd/vfnmsub): the
+# kernels give the same bits on every ISA path (src/numerics/isa.hpp) only
+# while no multiply and add are fused.
+#
 # Each sanitizer preset (-DSLIMPIPE_SANITIZE=address|undefined|thread, see
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
 # runs the ctest label subsets most likely to surface that bug class:
@@ -81,9 +86,21 @@ build_tree() {
   cmake --build "$dir" -j "$JOBS"
 }
 
+check_no_fma() {
+  echo "== no fused multiply-add in the numerics kernels =="
+  local listing
+  listing="$(objdump -d build/src/numerics/libslim_numerics.a)"
+  if grep -qE 'vf(n)?m(add|sub)' <<<"$listing"; then
+    echo "check.sh: libslim_numerics.a contains fused multiply-adds:" >&2
+    grep -m 20 -E 'vf(n)?m(add|sub)' <<<"$listing" >&2
+    exit 1
+  fi
+}
+
 if [[ "$STRESS" -eq 1 ]]; then
   echo "== plain build + full test suite, 20 runs in a row =="
   build_tree build
+  check_no_fma
   ctest --test-dir build --output-on-failure -j "$JOBS" \
     --repeat until-fail:20
   echo "== perfbench smoke test =="
@@ -94,6 +111,7 @@ fi
 
 echo "== plain build + full test suite =="
 build_tree build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+check_no_fma
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 if [[ "$FAST" -eq 0 ]]; then

@@ -94,11 +94,8 @@ Measured run_once(dist::ProcessPipeline& pipe, const Shape& shape,
   options.n_slices = shape.n_slices;
   options.faults = plan;
   // Tight supervision so hang detection, not the bench reader's patience,
-  // dominates the recovery row.
-  options.heartbeat_interval = std::chrono::milliseconds(10);
+  // dominates the recovery row (workers beat every 5 ms).
   options.heartbeat_timeout = std::chrono::milliseconds(200);
-  options.drain_grace = std::chrono::milliseconds(200);
-  options.backoff_base = std::chrono::milliseconds(5);
   Measured m;
   options.report = &m.report;
   const auto start = std::chrono::steady_clock::now();

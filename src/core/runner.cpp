@@ -80,7 +80,7 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       spec.retain_kv = false;
       spec.context_exchange = false;
       // All m microbatches accumulate until the flush.
-      plan.max_inflight_units = static_cast<double>(spec.m);
+      spec.max_inflight_units = static_cast<double>(spec.m);
       plan.programs = sched::gpipe_programs(spec);
       break;
     case Scheme::TeraPipe:
@@ -89,7 +89,7 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       spec.retain_kv = true;
       spec.context_exchange = false;
       // GPipe-style accumulation at slice granularity: m * n live slices.
-      plan.max_inflight_units = static_cast<double>(spec.m) *
+      spec.max_inflight_units = static_cast<double>(spec.m) *
                                 static_cast<double>(spec.n);
       plan.programs = sched::terapipe_programs(spec);
       break;
@@ -100,7 +100,7 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       spec.retain_kv = false;
       spec.context_exchange = false;
       // Device 0's warm-up depth: p in-flight microbatches (fewer if m < p).
-      plan.max_inflight_units = static_cast<double>(std::min(spec.p, spec.m));
+      spec.max_inflight_units = static_cast<double>(std::min(spec.p, spec.m));
       plan.programs = sched::onef1b_programs(spec);
       break;
     case Scheme::Interleaved1F1B:
@@ -110,7 +110,7 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       if (spec.v == 1) return plan_scheme(Scheme::OneF1B, std::move(spec));
       spec.layout = sched::StageLayoutKind::Interleaved;
       // Device 0's Megatron warm-up: 2(p-1) + (v-1)p + 1 chunk passes.
-      plan.max_inflight_units = std::min(
+      spec.max_inflight_units = std::min(
           static_cast<double>(2 * (spec.p - 1) + (spec.v - 1) * spec.p + 1),
           static_cast<double>(spec.m) * static_cast<double>(spec.v));
       plan.programs = sched::interleaved_programs(spec);
@@ -130,7 +130,7 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       } else if (scheme == Scheme::VMin) {
         cap = std::max(4.0, 2.0 * static_cast<double>(spec.p) / 3.0 + 2.0);
       }
-      plan.max_inflight_units = cap;
+      spec.max_inflight_units = cap;
       plan.programs = sched::zbv_programs(spec, cap);
       break;
     }
@@ -142,7 +142,7 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       if (spec.n < spec.p) spec.n = spec.p;
       if (spec.n <= 1 || spec.p <= 1) spec.context_exchange = false;
       // Eq. 1 window at device 0: n v + 2(p-1) slice units.
-      plan.max_inflight_units = std::min(
+      spec.max_inflight_units = std::min(
           static_cast<double>(slimpipe_warmup_units(spec.p, 0, spec.n, spec.v)),
           static_cast<double>(spec.m) * static_cast<double>(spec.n) *
               static_cast<double>(spec.v));
@@ -152,12 +152,10 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
   SLIM_CHECK(!plan.programs.empty(),
              "scheme generated no device programs (is p >= 1?)");
   // A schedule can never hold more units than the (normalized) iteration has.
-  plan.max_inflight_units =
-      std::min(plan.max_inflight_units, static_cast<double>(spec.m) *
+  spec.max_inflight_units =
+      std::min(spec.max_inflight_units, static_cast<double>(spec.m) *
                                             static_cast<double>(spec.n) *
                                             static_cast<double>(spec.v));
-  // Declare the cap on the spec so sched::compile enforces it.
-  spec.max_inflight_units = plan.max_inflight_units;
   plan.spec = std::move(spec);
   return plan;
 }

@@ -51,13 +51,13 @@ sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
                                  fault::FaultReport* report = nullptr);
 
 /// A scheme's schedule without running the simulator: the normalized spec,
-/// the generated per-device programs and the scheme's declared cap on
-/// simultaneously-live activation units (one unit = one (microbatch, slice,
-/// chunk) forward; Table 2 bounds). Input to the static analysis passes.
+/// which declares the scheme's cap on simultaneously-live activation units
+/// in spec.max_inflight_units (one unit = one (microbatch, slice, chunk)
+/// forward; Table 2 bounds) so sched::compile enforces it, and the
+/// generated per-device programs. Input to the static analysis passes.
 struct SchedulePlan {
   sched::PipelineSpec spec;
   std::vector<sched::DeviceProgram> programs;
-  double max_inflight_units = 0.0;
 };
 
 /// Normalizes the spec for the scheme (the only place that does) and

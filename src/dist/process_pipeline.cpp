@@ -32,6 +32,12 @@ using Clock = obs::MonoClock;
 
 /// Flight-recorder events kept per worker for its postmortem.
 constexpr std::size_t kFlightTail = 32;
+/// Workers beat this many times per heartbeat deadline.
+constexpr int kBeatsPerDeadline = 40;
+/// Respawns allowed per stage and iteration, and the backoff before a
+/// stage's k-th respawn: min(kBackoffBase * 2^k, kBackoffCap).
+constexpr int kRespawnBudget = 3;
+constexpr std::chrono::milliseconds kBackoffBase{10}, kBackoffCap{250};
 
 /// Supervisor-side view of one worker process.
 struct WorkerHandle {
@@ -47,7 +53,7 @@ struct WorkerHandle {
   bool control_eof = false;
   bool done = false;  // Done frame received
   bool exited = false;
-  bool deadline_killed = false;  // SIGKILLed for missed heartbeats
+  bool killed = false;  // SIGKILLed by the supervisor's verdict
   bool signaled = false;
   int exit_code = 0;
   int term_signal = 0;
@@ -85,6 +91,11 @@ std::string describe_exit(const WorkerHandle& w) {
 std::string state_of(const WorkerHandle& w) {
   return w.exited && !w.done ? describe_exit(w)
                              : rt::stage_state_name(w.status.progress.state);
+}
+
+/// True when the worker ran every row (a starved one's Done frame says so).
+bool finished(const WorkerHandle& w) {
+  return w.done && w.status.progress.state == rt::StageState::Done;
 }
 
 /// Resolves the fault plan's runtime rules for one stage onto the real
@@ -284,7 +295,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           s + 1 < p ? boundaries[static_cast<std::size_t>(s)].a.get() : -1;
       cfg.control_fd = controls[static_cast<std::size_t>(s)].b.get();
       cfg.epoch = run_epoch;
-      cfg.heartbeat_interval = options.heartbeat_interval;
+      cfg.heartbeat_interval = options.heartbeat_timeout / kBeatsPerDeadline;
       cfg.starvation_timeout = options.starvation_timeout;
       cfg.trace = rec != nullptr;
       cfg.attempt = attempt_index;
@@ -347,14 +358,19 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     for (SocketPair& pair : controls) pair.b.reset();
     controls.clear();
 
+    // A verdict kills its worker if still alive, so the worker's sockets
+    // close and each survivor stops at its first row waiting on it. The
+    // first verdict is the attempt's.
     AttemptOutcome outcome;
-    Clock::time_point drain_until{};
-    auto fail = [&](int stage, const std::string& detail) {
+    auto fail = [&](WorkerHandle& w, const std::string& detail) {
+      if (!w.exited && !w.killed) {
+        ::kill(w.pid, SIGKILL);
+        w.killed = true;
+      }
       if (outcome.failed) return;
       outcome.failed = true;
-      outcome.culprit = stage;
+      outcome.culprit = w.stage;
       outcome.detail = detail;
-      drain_until = Clock::now() + options.drain_grace;
     };
 
     auto postmortem = [&]() -> std::string {
@@ -365,11 +381,12 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         states.push_back(state_of(w));
       }
       std::string out = rt::blocked_on_table(rows, states, run_now());
-      // Breadcrumbs of every worker that did not finish cleanly: the last-K
+      // Breadcrumbs of every worker that did not finish: the last-K
       // flight-recorder events recovered from its Telemetry flushes show
-      // what the stage was doing when it died/hung, not just that it did.
+      // what the stage was doing when it died, hung or starved, not just
+      // that it did.
       for (const WorkerHandle& w : workers) {
-        if (w.done || w.flight.empty()) continue;
+        if (finished(w) || w.flight.empty()) continue;
         out += "\nstage " + std::to_string(w.stage) +
                " flight recorder tail (last " +
                std::to_string(w.flight.size()) + " recovered events, " +
@@ -427,6 +444,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             break;
           }
           case FrameKind::Error: {
+            // The worker exits right after; the verdict comes at its reap.
             Reader r(frame.payload);
             WireStageDone last = read_stage_done(r);
             w.status = last.status;
@@ -434,7 +452,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             for (fault::FaultEvent& event : last.events) {
               iteration_report.events.push_back(std::move(event));
             }
-            fail(w.stage, w.error_detail);
             break;
           }
           case FrameKind::Done: {
@@ -445,8 +462,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             break;
           }
           default:
-            fail(w.stage, std::string("unexpected control frame: ") +
-                              frame_kind_name(frame.kind));
+            fail(w, std::string("unexpected control frame: ") +
+                        frame_kind_name(frame.kind));
         }
       }
     };
@@ -496,12 +513,13 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     };
 
     // ---- supervision loop: heartbeats, commits, reaping, deadlines ----
+    // It ends with the last worker: after a failure each survivor stops
+    // where the table says and reports.
     Clock::time_point next_telemetry = Clock::now();
     for (;;) {
       bool all_exited = true;
       for (const WorkerHandle& w : workers) all_exited &= w.exited;
       if (all_exited) break;
-      if (outcome.failed && Clock::now() >= drain_until) break;
 
       std::vector<int> fds;
       for (const WorkerHandle& w : workers) {
@@ -543,23 +561,23 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
                 rec->instant(w.stage, "crash", obs::kCatFault,
                              describe_exit(w));
               }
-              fail(w.stage, describe_exit(w));
+              fail(w, describe_exit(w));
             } else if (!w.error_detail.empty()) {
-              fail(w.stage, w.error_detail);
+              fail(w, w.error_detail);
             } else {
-              fail(w.stage, describe_exit(w) + " before finishing its work");
+              fail(w, describe_exit(w) + " before finishing its work");
             }
           }
         }
       }
 
       // Missed-heartbeat deadline: a live worker silent for too long is
-      // hung (injected hang, wedged syscall, livelock) — SIGKILL it and
-      // let the replay machinery take over. A killed worker stays silent
-      // until it is reaped; it is judged once.
+      // hung (injected hang, wedged syscall, livelock) — the verdict
+      // SIGKILLs it and the replay machinery takes over. A killed worker
+      // stays silent until it is reaped; it is judged once.
       const auto now = Clock::now();
       for (WorkerHandle& w : workers) {
-        if (w.exited || w.done || w.deadline_killed || w.pid <= 0) continue;
+        if (w.exited || w.done || w.killed || w.pid <= 0) continue;
         if (now - w.last_heard > options.heartbeat_timeout) {
           const std::string detail =
               "stage " + std::to_string(w.stage) + " missed heartbeats for " +
@@ -575,32 +593,21 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           if (rec != nullptr) {
             rec->instant(w.stage, "watchdog", obs::kCatFault, detail);
           }
-          ::kill(w.pid, SIGKILL);
-          w.deadline_killed = true;
-          fail(w.stage, detail);
+          fail(w, detail);
         }
       }
     }
 
-    // Teardown: kill stragglers, reap everyone, take one final pass over
-    // the control buffers (commits sent moments before death count).
-    for (WorkerHandle& w : workers) {
-      if (!w.exited && w.pid > 0) ::kill(w.pid, SIGKILL);
-    }
-    for (WorkerHandle& w : workers) {
-      if (w.exited || w.pid <= 0) continue;
-      int wstatus = 0;
-      while (::waitpid(w.pid, &wstatus, 0) < 0 && errno == EINTR) {
-      }
-      w.exited = true;
-      if (WIFSIGNALED(wstatus)) {
-        w.signaled = true;
-        w.term_signal = WTERMSIG(wstatus);
-      } else {
-        w.exit_code = WEXITSTATUS(wstatus);
+    // Every worker exited and was read to EOF. Work left uncommitted fails
+    // the attempt even without a verdict: a partial ledger never merges.
+    if (!outcome.failed) {
+      for (WorkerHandle& w : workers) {
+        if (finished(w)) continue;
+        fail(w, "stage " + std::to_string(w.stage) + " stopped " +
+                    state_of(w) + " with work uncommitted");
+        break;
       }
     }
-    for (WorkerHandle& w : workers) read_worker(w);
     if (outcome.failed) outcome.table = postmortem();
     if (telemetry_on) {
       last_snapshot = build_snapshot(outcome.failed ? "draining" : "running");
@@ -672,15 +679,14 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
 
     const std::size_t culprit = static_cast<std::size_t>(
         outcome.culprit >= 0 && outcome.culprit < p ? outcome.culprit : 0);
-    if (respawns[culprit] >= options.respawn_budget) {
-      fail_with(" (respawn budget of " +
-                std::to_string(options.respawn_budget) + " exhausted)");
+    if (respawns[culprit] >= kRespawnBudget) {
+      fail_with(" (respawn budget of " + std::to_string(kRespawnBudget) +
+                " exhausted)");
     }
     // Bounded exponential backoff before the respawn.
     const int k = respawns[culprit]++;
     const auto backoff = std::min(
-        options.backoff_cap,
-        options.backoff_base * (std::int64_t{1} << std::min(k, 20)));
+        kBackoffCap, kBackoffBase * (std::int64_t{1} << std::min(k, 20)));
     std::string detail = "stage " + std::to_string(outcome.culprit) +
                          " respawned after " +
                          std::to_string(backoff.count()) +

@@ -15,13 +15,15 @@
 //    the supervisor SIGKILLs it) within a configurable timeout;
 //  * deserializes Commit frames into the shared CommitLedger
 //    (src/runtime/commit.hpp) as microbatches retire per stage;
-//  * on failure drains surviving workers briefly (maximizing the set of
-//    retired microbatches), respawns the pipeline with bounded exponential
-//    backoff and replays exactly the unretired microbatches — the
-//    recovered gradients are bit-identical to the fault-free run;
-//  * converts an exhausted respawn budget (or recover=false) into a
-//    structured PipelineError with the per-stage postmortem table — never
-//    a hang.
+//  * on failure SIGKILLs the culprit if still alive; each survivor runs its
+//    table until its next row waits on a closed neighbour, reports
+//    `starved` and exits, so the table fixes which microbatches retired;
+//    then respawns with backoff min(10 ms * 2^k, 250 ms) and replays
+//    exactly the unretired microbatches — the recovered gradients are
+//    bit-identical to the fault-free run;
+//  * converts an exhausted respawn budget (3 per stage) or recover=false
+//    into a structured PipelineError with the per-stage postmortem table —
+//    never a hang.
 //
 // Workers inherit the model weights through fork-time copy-on-write memory
 // (the parameter snapshot; weights are immutable within an iteration), so
@@ -71,21 +73,9 @@ struct ProcessOptions {
   /// structured Error frame. Defaults from SLIMPIPE_STARVATION_TIMEOUT_MS.
   std::chrono::milliseconds starvation_timeout =
       rt::default_starvation_timeout();
-  /// Heartbeat cadence (worker -> supervisor).
-  std::chrono::milliseconds heartbeat_interval{25};
   /// A worker silent for this long is declared hung and SIGKILLed.
+  /// Workers beat every heartbeat_timeout / 40 (25 ms at the default).
   std::chrono::milliseconds heartbeat_timeout{1000};
-  /// After a failure: how long surviving workers may keep retiring
-  /// microbatches before teardown (maximizes committed work; makes the
-  /// crash-torture replay sets deterministic).
-  std::chrono::milliseconds drain_grace{500};
-  /// Respawns allowed per iteration before the supervisor gives up with a
-  /// structured PipelineError.
-  int respawn_budget = 3;
-  /// Exponential respawn backoff: min(backoff_base * 2^k, backoff_cap)
-  /// before the k-th respawn of a stage.
-  std::chrono::milliseconds backoff_base{10};
-  std::chrono::milliseconds backoff_cap{250};
   /// Fault plan mapped onto the real transport: stage_crash ->
   /// raise(SIGKILL), stage_hang -> parked process (heartbeats stop), delay
   /// -> receive-side straggler sleep, link extra_latency / socket_delay ->

@@ -92,42 +92,21 @@ bool poll_readable(int fd, int timeout_ms) {
   }
 }
 
-std::vector<bool> poll_readable_many(const std::vector<int>& fds,
-                                     int timeout_ms) {
+void poll_readable_many(const std::vector<int>& fds, int timeout_ms) {
   std::vector<struct pollfd> pfds;
-  std::vector<std::size_t> slots;
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i] < 0) continue;
-    struct pollfd pfd;
-    pfd.fd = fds[i];
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    pfds.push_back(pfd);
-    slots.push_back(i);
+  for (const int fd : fds) {
+    if (fd >= 0) pfds.push_back({fd, POLLIN, 0});
   }
-  std::vector<bool> readable(fds.size(), false);
   if (pfds.empty()) {
-    // Nothing to wait on: still honor the timeout so callers' cadence
-    // (heartbeat ticks, deadline checks) is preserved.
     if (timeout_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(timeout_ms));
     }
-    return readable;
+    return;
   }
-  for (;;) {
-    const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      SLIM_CHECK(false, std::string("poll failed: ") + std::strerror(errno));
-    }
-    break;
+  while (::poll(pfds.data(), pfds.size(), timeout_ms) < 0) {
+    SLIM_CHECK(errno == EINTR,
+               std::string("poll failed: ") + std::strerror(errno));
   }
-  for (std::size_t i = 0; i < pfds.size(); ++i) {
-    if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      readable[slots[i]] = true;
-    }
-  }
-  return readable;
 }
 
 SocketPair connect_with_retry(int fail_first, int max_attempts,

@@ -79,10 +79,10 @@ IoStatus recv_all(int fd, void* data, std::size_t n);
 /// True when fd is readable (or at EOF) within timeout_ms. EINTR retried.
 bool poll_readable(int fd, int timeout_ms);
 
-/// Polls all fds at once (negative entries skipped); out[i] is true when
-/// fds[i] is readable or at EOF.
-std::vector<bool> poll_readable_many(const std::vector<int>& fds,
-                                     int timeout_ms);
+/// Waits up to timeout_ms until any of fds (negative entries skipped) is
+/// readable or at EOF; with none to wait on it sleeps the timeout, so the
+/// caller's cadence holds. EINTR retried.
+void poll_readable_many(const std::vector<int>& fds, int timeout_ms);
 
 /// Establishes one stage-boundary transport with bounded retry over
 /// transient connect failures. `fail_first` initial attempts fail

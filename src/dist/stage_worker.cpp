@@ -35,6 +35,8 @@ class SocketLink final : public rt::StageLink {
   SocketLink(const WorkerConfig& cfg, rt::StageRun& run)
       : cfg_(cfg),
         run_(run),
+        prev_{cfg.prev_fd},
+        next_{cfg.next_fd},
         last_beat_(obs::MonoClock::now()),
         drops_fired_(cfg.faults.drops.size(), 0) {}
 
@@ -42,20 +44,27 @@ class SocketLink final : public rt::StageLink {
                std::chrono::milliseconds wait) override {
     const auto deadline = obs::MonoClock::now() + wait;
     for (;;) {
-      drain(arrivals);
+      // A link that closes ends the wait too: the driver then checks
+      // whether its next row waited on that neighbour.
+      const bool closed_now = drain(arrivals);
       const auto left = deadline - obs::MonoClock::now();
-      if (!arrivals.empty() || left <= left.zero()) return;
+      if (!arrivals.empty() || closed_now || left <= left.zero()) return;
       // Block in heartbeat-sized slices so the supervisor keeps hearing
       // from us.
       maybe_heartbeat();
       const auto slice = std::min<std::chrono::milliseconds>(
           cfg_.heartbeat_interval,
           std::chrono::ceil<std::chrono::milliseconds>(left));
-      poll_readable_many({prev_dead_ ? -1 : cfg_.prev_fd,
-                          next_dead_ ? -1 : cfg_.next_fd},
+      poll_readable_many({prev_.closed ? -1 : prev_.fd,
+                          next_.closed ? -1 : next_.fd},
                          static_cast<int>(std::max<std::int64_t>(
                              1, slice.count())));
     }
+  }
+
+  bool closed(int device) const override {
+    if (device == cfg_.stage - 1) return prev_.closed;
+    return device == cfg_.stage + 1 && next_.closed;
   }
 
   void send(rt::Outgoing out) override {
@@ -63,8 +72,8 @@ class SocketLink final : public rt::StageLink {
     const bool downstream = out.dst == cfg_.stage + 1;
     SLIM_CHECK(downstream || out.dst == cfg_.stage - 1,
                "process workers exchange messages with neighbours only");
-    bool& dead = downstream ? next_dead_ : prev_dead_;
-    if (dead) return;
+    Peer& peer = downstream ? next_ : prev_;
+    if (peer.broken) return;
     Frame frame;
     frame.kind = out.msg.kind == rt::Message::Kind::Forward
                      ? FrameKind::Forward
@@ -75,9 +84,7 @@ class SocketLink final : public rt::StageLink {
     Writer writer;
     writer.tensor(out.msg.payload);
     frame.payload = writer.take();
-    if (!send_data(downstream ? cfg_.next_fd : cfg_.prev_fd, frame)) {
-      dead = true;
-    }
+    if (!send_data(peer.fd, frame)) peer.broken = true;
   }
 
   void retire(rt::StageMachine& machine, int mb) override {
@@ -171,16 +178,16 @@ class SocketLink final : public rt::StageLink {
     }
   }
 
-  /// Appends whatever the neighbor sockets have ready right now (keeps
-  /// senders unblocked — AF_UNIX buffers are finite).
-  void drain(std::vector<rt::Message>& arrivals) {
-    for (const bool upstream : {true, false}) {
-      const int fd = upstream ? cfg_.prev_fd : cfg_.next_fd;
-      bool& dead = upstream ? prev_dead_ : next_dead_;
-      if (fd < 0 || dead) continue;
-      while (poll_readable(fd, 0)) {
+  /// Appends whatever the neighbour sockets have ready right now (keeps
+  /// senders unblocked — AF_UNIX buffers are finite). Returns true when a
+  /// socket closed.
+  bool drain(std::vector<rt::Message>& arrivals) {
+    bool closed_now = false;
+    for (Peer* peer : {&prev_, &next_}) {
+      if (peer->fd < 0 || peer->closed) continue;
+      while (poll_readable(peer->fd, 0)) {
         Frame frame;
-        const IoStatus io = recv_frame(fd, &frame);
+        const IoStatus io = recv_frame(peer->fd, &frame);
         if (io == IoStatus::Ok) {
           const bool backward = frame.kind == FrameKind::Backward;
           if (!backward && frame.kind != FrameKind::Forward) {
@@ -197,12 +204,13 @@ class SocketLink final : public rt::StageLink {
                               reader.tensor()});
           continue;
         }
-        // Eof: the neighbor exited (cleanly or was killed between frames).
+        // Eof: the neighbour exited (cleanly or was killed between frames).
         // Torn/Corrupt: it died mid-frame — the partial message is
         // discarded, its microbatch simply stays unretired here. Either
         // way this worker keeps finishing what it can locally; the
         // supervisor owns the verdict.
-        dead = true;
+        peer->closed = true;
+        closed_now = true;
         if (io != IoStatus::Eof) {
           ++run_.metrics.crc_rejects;
           const std::string detail =
@@ -218,6 +226,7 @@ class SocketLink final : public rt::StageLink {
         break;
       }
     }
+    return closed_now;
   }
 
   /// Applies SocketDrop / SocketDelay / LinkFault rules to one data-frame
@@ -279,10 +288,16 @@ class SocketLink final : public rt::StageLink {
     return ok;
   }
 
+  /// A data socket: `closed` once its EOF was read (all the neighbour sent
+  /// has arrived), `broken` once a send to it failed (later sends drop).
+  struct Peer {
+    int fd = -1;
+    bool closed = false, broken = false;
+  };
+
   const WorkerConfig& cfg_;
   rt::StageRun& run_;
-  bool prev_dead_ = false;
-  bool next_dead_ = false;
+  Peer prev_, next_;
   bool control_dead_ = false;
   obs::MonoClock::time_point last_beat_;
   std::int64_t data_sends_ = 0;   // SocketDrop / SocketDelay rule counter
@@ -320,9 +335,11 @@ int run_stage_worker(const WorkerConfig& config) {
     link.heartbeat_now();  // Hello already announced the transport
     rt::drive_stage(machine, link, run);
 
-    // All work retired: final status, metrics, events and trace in one
-    // Done frame.
-    run.crumb(obs::FlightKind::Mark, -1, -1, run.progress.committed, "done");
+    // All work retired, or the next row waits on a neighbour that is gone
+    // (starved, not a failure): final status, metrics, events and trace in
+    // one Done frame.
+    run.crumb(obs::FlightKind::Mark, -1, -1, run.progress.committed,
+              rt::stage_state_name(run.progress.state));
     link.flush_flight();
     Frame frame;
     frame.kind = FrameKind::Done;

@@ -20,7 +20,9 @@
 // heartbeats carrying the driver's progress and metrics, and SIGKILL or a
 // parked process for the plan's crash and hang rules. The table fixes the
 // order whatever the two neighbors' traffic does, which is what makes the
-// recovered gradients bit-identical to the threaded backend's.
+// recovered gradients bit-identical to the threaded backend's. It also
+// fixes where a survivor stops after a neighbour dies: at the first row
+// that waits on the dead neighbour's closed socket, reporting `starved`.
 
 #include <chrono>
 #include <cstdint>
@@ -84,10 +86,11 @@ struct WorkerConfig {
   WorkerFaults faults;
 };
 
-/// Runs the stage to completion. Returns the process exit code: 0 on
-/// success (Done frame sent), 2 on a structured failure (Error frame
-/// sent). Never throws and never returns via exceptions — the caller
-/// passes the result straight to _exit.
+/// Runs the stage to completion, or until its next row waits on a
+/// neighbour whose socket closed. Returns the process exit code: 0 with a
+/// Done frame sent (its state `done` or `starved`), 2 on a structured
+/// failure (Error frame sent). Never throws and never returns via
+/// exceptions — the caller passes the result straight to _exit.
 int run_stage_worker(const WorkerConfig& config);
 
 }  // namespace slim::dist

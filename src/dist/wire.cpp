@@ -295,8 +295,8 @@ obs::StageMetrics read_metrics(Reader& r) {
   return m;
 }
 
-// The records a worker makes — spans, instants and flow points; it records
-// no counters, and the supervisor names every track and process itself.
+// The records a worker makes — spans, instants and flow points; the
+// supervisor names every track and process itself.
 void write_trace(Writer& w, const obs::Trace& t) {
   w.i32(static_cast<std::int32_t>(t.spans.size()));
   for (const obs::TraceSpan& s : t.spans) {

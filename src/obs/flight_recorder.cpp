@@ -61,19 +61,6 @@ FlightRecorder::Flush FlightRecorder::flush() {
   return out;
 }
 
-std::vector<FlightEvent> FlightRecorder::tail(std::size_t k) const {
-  const std::uint64_t oldest =
-      next_seq_ > ring_.size() ? next_seq_ - ring_.size() : 0;
-  std::uint64_t first = oldest;
-  if (next_seq_ - first > k) first = next_seq_ - k;
-  std::vector<FlightEvent> out;
-  out.reserve(static_cast<std::size_t>(next_seq_ - first));
-  for (std::uint64_t seq = first; seq < next_seq_; ++seq) {
-    out.push_back(ring_[seq % ring_.size()]);
-  }
-  return out;
-}
-
 std::string render_flight_tail(const std::vector<FlightEvent>& events) {
   Table table({"seq", "t ms", "kind", "mb", "slice", "value", "label"});
   for (const FlightEvent& ev : events) {

@@ -73,11 +73,6 @@ class FlightRecorder {
   };
   Flush flush();
 
-  /// Last min(k, size) events currently in the ring, oldest first. Used for
-  /// the worker's own Error-frame postmortem; the supervisor-side tail of a
-  /// SIGKILLed worker comes from previously flushed Telemetry frames.
-  std::vector<FlightEvent> tail(std::size_t k) const;
-
   std::size_t capacity() const { return ring_.size(); }
 
  private:

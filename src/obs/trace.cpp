@@ -65,12 +65,6 @@ void Recorder::instant(int track, std::string name, std::string cat,
       {track, ts, std::move(name), std::move(cat), std::move(detail)});
 }
 
-void Recorder::counter(int track, std::string name, double value) {
-  const double ts = now();
-  std::lock_guard<std::mutex> lock(mutex_);
-  trace_.counters.push_back({track, ts, std::move(name), value});
-}
-
 void Recorder::flow_point(std::int64_t id, int track, double ts, bool begin,
                           std::string name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -85,7 +79,6 @@ void Recorder::append(Trace trace) {
   };
   move_into(trace_.spans, trace.spans);
   move_into(trace_.instants, trace.instants);
-  move_into(trace_.counters, trace.counters);
   move_into(trace_.flows, trace.flows);
 }
 
@@ -225,14 +218,6 @@ std::string chrome_trace_json(const Trace& trace) {
       out << ",\"args\":{\"detail\":" << json_quote(instant.detail) << "}";
     }
     out << "}";
-  }
-  for (const TraceCounter& counter : trace.counters) {
-    sep();
-    out << "{\"name\":" << json_quote(counter.name)
-        << ",\"ph\":\"C\",\"ts\":" << json_number(counter.ts * 1e6)
-        << ",\"pid\":" << trace.pid_of(counter.track)
-        << ",\"tid\":" << counter.track << ",\"args\":{\"value\":"
-        << json_number(counter.value) << "}}";
   }
   for (const TraceFlowPoint& flow : trace.flows) {
     sep();

@@ -3,15 +3,15 @@
 // Unified tracing model shared by both execution substrates.
 //
 // A Trace is a flat collection of spans (timed intervals on a track),
-// instants (point markers: faults, commits, recoveries), counter samples
-// (queue depths) and flow points (cross-track send→recv links). The
-// simulator converts an executed OpGraph into a Trace (trace_from_sim); the
-// runtimes fill one live through the thread-safe Recorder — rt::drive_stage
-// records every stage's spans, instants and flow points, a process worker
-// into its own Recorder on the inherited run epoch, whose Trace the
-// supervisor appends. One exporter (chrome_trace_json) renders either to
-// Chrome/catapult JSON for chrome://tracing, with flow arrows between
-// devices and fault/recovery markers on the timeline.
+// instants (point markers: faults, commits, recoveries) and flow points
+// (cross-track send→recv links). The simulator converts an executed OpGraph
+// into a Trace (trace_from_sim); the runtimes fill one live through the
+// thread-safe Recorder — rt::drive_stage records every stage's spans,
+// instants and flow points, a process worker into its own Recorder on the
+// inherited run epoch, whose Trace the supervisor appends. One exporter
+// (chrome_trace_json) renders either to Chrome/catapult JSON for
+// chrome://tracing, with flow arrows between devices and fault/recovery
+// markers on the timeline.
 //
 // Track convention: pipeline device/stage d uses track d; auxiliary
 // resources (communication channels, NICs, PCIe engines) use
@@ -60,13 +60,6 @@ struct TraceInstant {
   std::string detail;  // exported as args.detail when non-empty
 };
 
-struct TraceCounter {
-  int track = 0;
-  double ts = 0.0;
-  std::string name;
-  double value = 0.0;
-};
-
 /// One endpoint of a flow arrow; a flow id must appear with begin=true
 /// exactly once and begin=false at least once for the arrow to render.
 struct TraceFlowPoint {
@@ -87,7 +80,6 @@ struct Trace {
   std::map<std::int64_t, std::string> process_names;
   std::vector<TraceSpan> spans;
   std::vector<TraceInstant> instants;
-  std::vector<TraceCounter> counters;
   std::vector<TraceFlowPoint> flows;
 
   /// Chrome pid for a track (0 unless set_track_pid said otherwise).
@@ -97,8 +89,7 @@ struct Trace {
   }
 
   bool empty() const {
-    return spans.empty() && instants.empty() && counters.empty() &&
-           flows.empty();
+    return spans.empty() && instants.empty() && flows.empty();
   }
 };
 
@@ -128,7 +119,6 @@ class Recorder {
   /// An instant at now().
   void instant(int track, std::string name, std::string cat,
                std::string detail = {});
-  void counter(int track, std::string name, double value);
 
   /// Adds a flow endpoint. The sender and the receiver of a message each
   /// derive its id (rt::flow_id) without coordinating.
@@ -167,7 +157,7 @@ void append_fault_events(Trace& trace,
 
 /// Chrome trace event JSON ("catapult" format). Every string goes through
 /// json_escape; spans emit "X" events with mb/slice/stage args, instants
-/// "i", counters "C", flows "s"/"f", track names thread_name metadata and
+/// "i", flows "s"/"f", track names thread_name metadata and
 /// process names process_name metadata. Every event carries the pid of the
 /// process that produced its track (Trace::pid_of), so multi-process runs
 /// render as separate process groups in Perfetto.

@@ -254,13 +254,12 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
 
     auto worker_main = [&](int stage) {
       // Stage workers run concurrently; cap each one's numerics-kernel
-      // fan-out so p stages don't each claim the whole pool. The cap never
-      // changes chunk boundaries, so gradients stay bit-identical.
+      // fan-out at the pool's width divided across stages (at least 1), so
+      // p stages don't each claim the whole pool. The cap never changes
+      // chunk boundaries, so gradients stay bit-identical.
       const int pool_width = util::ThreadPool::global().max_threads();
-      const int kernel_cap = options.kernel_threads > 0
-                                 ? options.kernel_threads
-                                 : std::max(1, pool_width / std::max(1, p));
-      util::ScopedKernelThreads kernel_guard(kernel_cap);
+      util::ScopedKernelThreads kernel_guard(
+          std::max(1, pool_width / std::max(1, p)));
       Board& board = boards[static_cast<std::size_t>(stage)];
       auto mark = [&](StageState state) {
         std::lock_guard<std::mutex> lock(board.mutex);

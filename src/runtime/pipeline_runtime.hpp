@@ -102,14 +102,6 @@ struct RunOptions {
   /// instant markers. Null (the default) skips all recording — the hot
   /// path only pays a pointer test.
   obs::Recorder* recorder = nullptr;
-  /// Per-stage cap on numerics-kernel threads (util::ScopedKernelThreads).
-  /// Stage workers run concurrently, so letting each one fan out to the
-  /// full pool oversubscribes the machine; 0 (the default) divides the
-  /// pool's width evenly across stages (at least 1 — i.e. kernels run
-  /// serially inside each stage when stages >= pool width). Any positive
-  /// value is used as-is. Results are bit-identical either way — the cap
-  /// only affects how many workers help, never chunk boundaries.
-  int kernel_threads = 0;
 };
 
 /// Tied-embedding transformer split across `stages` worker threads.

@@ -171,6 +171,13 @@ void drive_stage(StageMachine& machine, StageLink& link, StageRun& run) {
 
     Message msg;
     if (!machine.pick(msg, on_pick)) {
+      const int source = machine.waits_on();
+      if (source >= 0 && link.closed(source)) {
+        // The row's sender is gone and all it sent has arrived, so the row
+        // can never run: stop where the table says, not at the watchdog.
+        publish(StageState::Starved);
+        return;
+      }
       // Nothing runnable: wait for arrivals under the watchdog.
       if (!waiting) {
         waiting = true;

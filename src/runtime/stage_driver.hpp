@@ -37,7 +37,7 @@ enum class StageState : int {
   Running = 0,
   Waiting,  // blocked waiting for arrivals
   Done,
-  Starved,  // the starvation watchdog fired
+  Starved,  // the watchdog fired, or the next row's sender is gone
   Hung,     // injected hang: parked
   Crashed,  // a worker thread threw
   Aborted,  // a worker thread unwound by channel poisoning
@@ -111,9 +111,12 @@ class StageLink {
  public:
   virtual ~StageLink() = default;
   /// Appends every arrival ready now to `arrivals`; when none is, first
-  /// waits up to `wait` for one (zero: never waits).
+  /// waits up to `wait` for one (zero: never waits), or until a link closes.
   virtual void receive(std::vector<Message>& arrivals,
                        std::chrono::milliseconds wait) = 0;
+  /// True once everything `device` will ever send has arrived (its link
+  /// closed). Channels never close.
+  virtual bool closed(int /*device*/) const { return false; }
   /// Moves one message to another stage.
   virtual void send(Outgoing out) = 0;
   /// Hands microbatch `mb`, just retired by `machine`, to its commit point.
@@ -125,7 +128,9 @@ class StageLink {
   [[noreturn]] virtual void hang() = 0;
 };
 
-/// Runs `machine` to completion over `link`. Throws StageStarved from the
+/// Runs `machine` to completion over `link`, publishing Done at the end.
+/// Returns early, publishing Starved, when the next row waits on a device
+/// whose link closed: that row can never run. Throws StageStarved from the
 /// watchdog, and whatever the machine or the link throws.
 void drive_stage(StageMachine& machine, StageLink& link, StageRun& run);
 

@@ -165,6 +165,16 @@ bool StageMachine::pick(Message& out,
   return true;
 }
 
+int StageMachine::waits_on() const {
+  if (next_row_ == rows_.size()) return -1;
+  const sched::Pass& row = rows_[next_row_];
+  const int at_stage = row.chunk * p_ + stage_;
+  if (row.type == sched::PassType::Forward) {
+    return at_stage == 0 ? -1 : (at_stage - 1) % p_;
+  }
+  return at_stage == total_stages_ - 1 ? -1 : (at_stage + 1) % p_;
+}
+
 bool StageMachine::finished() const {
   return done_f_ == slices_due_ && done_b_ == slices_due_ &&
          done_vw_ == vocab_due_ && done_vg_ == vocab_due_;

@@ -113,6 +113,12 @@ class StageMachine {
   /// microbatch it retired on this stage, else -1.
   int run(Message msg, std::vector<Outgoing>& sends);
 
+  /// The device whose arrival the next table row waits on: the previous
+  /// stage's for a forward, the next stage's for a backward; -1 when the
+  /// row needs no arrival from one device (stage 0's forwards, head-edge
+  /// backwards) or every row ran.
+  int waits_on() const;
+
   /// True once every forward, backward and vocabulary round ran.
   bool finished() const;
   /// True when no layer holds a live slice or KV chunk.

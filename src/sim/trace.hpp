@@ -1,7 +1,7 @@
 #pragma once
 
 // Timeline rendering: ASCII pipeline diagrams (like the paper's Figures 4, 5,
-// 7 and 9) and Chrome trace JSON export for offline inspection.
+// 7 and 9).
 
 #include <string>
 
@@ -21,11 +21,5 @@ struct AsciiTraceOptions {
 ///   V vocab fwd, v vocab bwd, O optimizer, '.' idle (bubble).
 std::string ascii_timeline(const OpGraph& graph, const ExecResult& result,
                            const AsciiTraceOptions& options = {});
-
-// Chrome trace export moved to the unified observability layer: see
-// obs::chrome_trace_json(obs::trace_from_sim(graph, result)) in
-// src/obs/trace.hpp, which adds proper JSON string escaping, per-channel
-// communication tracks, flow events linking sends to receives, and
-// fault/recovery instant markers.
 
 }  // namespace slim::sim

@@ -67,7 +67,7 @@ sched::BuildOutput compile_unlinted(const core::SchedulePlan& plan) {
 
 std::vector<Finding> lint_schedule(const core::SchedulePlan& plan) {
   analysis::ScheduleLintOptions options;
-  options.max_inflight_units = plan.max_inflight_units;
+  options.max_inflight_units = plan.spec.max_inflight_units;
   return analysis::check_schedule(plan.spec, plan.programs, options);
 }
 
@@ -199,10 +199,10 @@ TEST(ScheduleCheck, DeclaredBoundIsTightForOneF1b) {
   const core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::OneF1B, base_spec(4, 1, 8));
   analysis::ScheduleLintOptions options;
-  options.max_inflight_units = plan.max_inflight_units;
+  options.max_inflight_units = plan.spec.max_inflight_units;
   EXPECT_TRUE(
       analysis::check_schedule(plan.spec, plan.programs, options).empty());
-  options.max_inflight_units = plan.max_inflight_units - 1.0;
+  options.max_inflight_units = plan.spec.max_inflight_units - 1.0;
   EXPECT_TRUE(has_rule(
       analysis::check_schedule(plan.spec, plan.programs, options),
       "sched-inflight-bound"));
@@ -317,10 +317,10 @@ TEST(CompileLint, ToggleDisablesTheLint) {
 // stamps it, and compile() enforces it on the main simulation path.
 
 TEST(CompileInflightBound, PlanThreadsDeclaredCapThroughSpec) {
+  // GPipe holds all m = 4 microbatches until the flush.
   const core::SchedulePlan plan =
       core::plan_scheme(core::Scheme::GPipe, base_spec(2, 1, 4));
-  EXPECT_GT(plan.max_inflight_units, 0.0);
-  EXPECT_EQ(plan.spec.max_inflight_units, plan.max_inflight_units);
+  EXPECT_EQ(plan.spec.max_inflight_units, 4.0);
 }
 
 TEST(CompileInflightBound, CompileRejectsScheduleOverDeclaredCap) {

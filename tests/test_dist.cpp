@@ -25,6 +25,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -296,6 +297,37 @@ rt::ThreadedPipeline::Result threaded_result(int stages, int layers,
   return pipe.run_iteration(w.tokens, w.targets, n_slices);
 }
 
+/// One line per fault event ("<kind> stage <device>: <detail>"), for
+/// failure messages.
+std::string describe_events(const fault::FaultReport& report) {
+  std::string out;
+  for (const fault::FaultEvent& event : report.events) {
+    out += std::string(fault::event_kind_name(event.kind)) + " stage " +
+           std::to_string(event.device) + ": " + event.detail + "\n";
+  }
+  return out;
+}
+
+/// The state column of `stage`'s row in a blocked-on table ("" if absent).
+std::string state_cell(const std::string& table, int stage) {
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) {
+      const std::size_t first = cell.find_first_not_of(' ');
+      const std::size_t last = cell.find_last_not_of(' ');
+      cells.push_back(first == std::string::npos
+                          ? std::string()
+                          : cell.substr(first, last - first + 1));
+    }
+    if (cells.size() > 2 && cells[1] == std::to_string(stage)) {
+      return cells[2];
+    }
+  }
+  return "";
+}
+
 // ---------------------------------------------------------------------------
 // Fault-free parity.
 
@@ -376,7 +408,6 @@ TEST_P(DistKillTortureTest, RecoversBitIdentical) {
   options.n_slices = n;
   options.kill.stage = c.stage;
   options.kill.phase = c.phase;
-  options.drain_grace = std::chrono::milliseconds(400);
   options.heartbeat_timeout = std::chrono::milliseconds(2000);
   fault::FaultReport report;
   options.report = &report;
@@ -389,6 +420,8 @@ TEST_P(DistKillTortureTest, RecoversBitIdentical) {
       << "stage=" << c.stage << " phase=" << static_cast<int>(c.phase);
   EXPECT_DOUBLE_EQ(dist.loss, thr.loss);
 
+  // The survivors run their tables until their next row waits on the dead
+  // stage, so the table alone fixes which microbatches retired everywhere.
   const std::vector<int>& replay = report.replayed_microbatches;
   switch (c.phase) {
     case KillSpec::Phase::PreForward: {
@@ -402,25 +435,21 @@ TEST_P(DistKillTortureTest, RecoversBitIdentical) {
       break;
     }
     case KillSpec::Phase::MidCommit: {
-      // Killed on the stage's first Commit frame: some prefix of the
-      // microbatches retired everywhere (usually at least mb 0 — its
-      // remaining backwards were in flight and the drain grace lets
-      // survivors finish, though on a loaded machine a survivor can die on
-      // a dead-peer send first), the rest replay. The committed set is
-      // always a microbatch prefix (retirement follows schedule order), so
-      // the replay set must be a contiguous suffix ending at m-1.
-      ASSERT_FALSE(replay.empty());
-      std::vector<int> suffix;
-      for (int mb = replay.front(); mb < m; ++mb) suffix.push_back(mb);
-      EXPECT_EQ(replay, suffix);
+      // Killed on the stage's first Commit frame (mb 0). It sent all of mb
+      // 0's backward slices upstream before that Commit, and the stages
+      // downstream had retired mb 0 already, so mb 0 retires everywhere
+      // and exactly 1..m-1 replay.
+      std::vector<int> rest(static_cast<std::size_t>(m - 1));
+      std::iota(rest.begin(), rest.end(), 1);
+      EXPECT_EQ(replay, rest);
       EXPECT_TRUE(report.has_kind(fault::FaultEvent::Kind::Recovery));
       break;
     }
     case KillSpec::Phase::PostCommit:
       // Killed after its last commit: every microbatch had retired — the
-      // supervisor must skip replay gracefully. (The worker may even have
-      // exited cleanly before the SIGKILL landed; both are fine.)
+      // supervisor must skip replay gracefully.
       EXPECT_TRUE(replay.empty());
+      EXPECT_FALSE(report.has_kind(fault::FaultEvent::Kind::Recovery));
       break;
     case KillSpec::Phase::None:
       break;
@@ -455,9 +484,7 @@ TEST(DistSupervisionTest, HungWorkerDetectedByMissedHeartbeats) {
   ProcessOptions options;
   options.n_slices = n;
   options.faults = &plan;
-  options.heartbeat_interval = std::chrono::milliseconds(20);
   options.heartbeat_timeout = std::chrono::milliseconds(250);
-  options.drain_grace = std::chrono::milliseconds(300);
   fault::FaultReport report;
   options.report = &report;
 
@@ -466,7 +493,7 @@ TEST(DistSupervisionTest, HungWorkerDetectedByMissedHeartbeats) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   // The parked worker stops heartbeating; the supervisor must notice
-  // within the deadline (plus drain/backoff/replay time), SIGKILL it and
+  // within the deadline (plus backoff and replay time), SIGKILL it and
   // recover — well under the worker-side starvation timeout.
   EXPECT_LT(elapsed, std::chrono::seconds(10));
   // One hang, one verdict: a worker killed for missed heartbeats stays
@@ -496,7 +523,6 @@ TEST(DistSupervisionTest, PlanStageCrashBecomesRealSigkill) {
   ProcessOptions options;
   options.n_slices = n;
   options.faults = &plan;
-  options.drain_grace = std::chrono::milliseconds(400);
   fault::FaultReport report;
   options.report = &report;
 
@@ -519,10 +545,6 @@ TEST(DistSupervisionTest, RespawnBudgetExhaustionIsStructured) {
   options.kill.stage = 1;
   options.kill.phase = KillSpec::Phase::PreForward;
   options.kill.persistent = true;  // re-kill every respawn
-  options.respawn_budget = 2;
-  options.backoff_base = std::chrono::milliseconds(5);
-  options.backoff_cap = std::chrono::milliseconds(20);
-  options.drain_grace = std::chrono::milliseconds(150);
   fault::FaultReport report;
   options.report = &report;
 
@@ -541,10 +563,39 @@ TEST(DistSupervisionTest, RespawnBudgetExhaustionIsStructured) {
     for (const fault::FaultEvent& event : error.report().events) {
       recoveries += event.kind == fault::FaultEvent::Kind::Recovery ? 1 : 0;
     }
-    EXPECT_EQ(recoveries, 2);  // budget consumed before the failure
+    EXPECT_EQ(recoveries, 3);  // budget consumed before the failure
   }
   // The out-param report carries the same postmortem.
   EXPECT_FALSE(report.blocked_table.empty());
+}
+
+TEST(DistSupervisionTest, RecoveryNamesTheKilledStageEveryTime) {
+  // Stage 1 of 3 dies on its first Commit frame. Its neighbours starve on
+  // its closed sockets and report; a starved report is never the verdict,
+  // so every repetition blames stage 1 and replays the same microbatches.
+  const int stages = 3, layers = 4, n = 2, m = 4, seed = 1340;
+  const Workload w = make_workload(m, 24, kVocab, 1341);
+  Rng rng(static_cast<std::uint64_t>(seed));
+  ProcessPipeline pipe(kDims, kVocab, layers, stages, rng);
+  for (int rep = 0; rep < 10; ++rep) {
+    ProcessOptions options;
+    options.n_slices = n;
+    options.kill.stage = 1;
+    options.kill.phase = KillSpec::Phase::MidCommit;
+    fault::FaultReport report;
+    options.report = &report;
+    pipe.run_iteration(w.tokens, w.targets, options);
+    std::vector<int> recovery_stages;
+    for (const fault::FaultEvent& event : report.events) {
+      if (event.kind == fault::FaultEvent::Kind::Recovery) {
+        recovery_stages.push_back(event.device);
+      }
+    }
+    EXPECT_EQ(recovery_stages, std::vector<int>{1})
+        << "repetition " << rep << "\n" << describe_events(report);
+    EXPECT_EQ(report.replayed_microbatches, (std::vector<int>{1, 2, 3}))
+        << "repetition " << rep << "\n" << describe_events(report);
+  }
 }
 
 TEST(DistSupervisionTest, RecoverFalseFailsFastAndStructured) {
@@ -558,7 +609,6 @@ TEST(DistSupervisionTest, RecoverFalseFailsFastAndStructured) {
   options.kill.stage = 0;
   options.kill.phase = KillSpec::Phase::PreForward;
   options.recover = false;
-  options.drain_grace = std::chrono::milliseconds(150);
   EXPECT_THROW(pipe.run_iteration(w.tokens, w.targets, options),
                rt::PipelineError);
 }
@@ -681,7 +731,6 @@ TEST(DistSocketFaultTest, DropBudgetExhaustionIsStructured) {
   options.n_slices = n;
   options.faults = &plan;
   options.recover = false;
-  options.drain_grace = std::chrono::milliseconds(150);
   try {
     pipe.run_iteration(w.tokens, w.targets, options);
     FAIL() << "expected PipelineError";
@@ -838,7 +887,6 @@ TEST(DistObservabilityTest, KilledWorkerPostmortemCarriesFlightTail) {
   options.kill.stage = 1;
   options.kill.phase = KillSpec::Phase::MidCommit;
   options.recover = false;
-  options.drain_grace = std::chrono::milliseconds(150);
   fault::FaultReport report;
   options.report = &report;
   try {
@@ -853,9 +901,52 @@ TEST(DistObservabilityTest, KilledWorkerPostmortemCarriesFlightTail) {
     EXPECT_NE(what.find("commit"), std::string::npos) << what;
     EXPECT_NE(what.find("span-begin"), std::string::npos) << what;
   }
-  // The out-param report carries the same table.
+  // The out-param report carries the same table. Stage 0 was not killed:
+  // it stopped at its first row that waits on the dead stage 1 and said so
+  // in its Done frame.
   EXPECT_NE(report.blocked_table.find("flight recorder tail"),
             std::string::npos);
+  EXPECT_EQ(state_cell(report.blocked_table, 0), "starved")
+      << report.blocked_table;
+  EXPECT_EQ(state_cell(report.blocked_table, 1).rfind("killed by signal 9", 0),
+            0u)
+      << report.blocked_table;
+}
+
+TEST(DistObservabilityTest, SurvivorsOfAKilledStageKeepTheirTraces) {
+  // Stage 1 of 3 dies on its first Commit frame. Stages 0 and 2 run their
+  // rows until one waits on the dead stage, then ship their trace in a Done
+  // frame like a finished worker, so the failed attempt's compute on both
+  // survivors is in the trace, before the recovery instant.
+  const int stages = 3, layers = 4, n = 2, m = 4, seed = 1640;
+  const Workload w = make_workload(m, 24, kVocab, 1641);
+  const auto thr = threaded_result(stages, layers, seed, w, n);
+
+  Rng rng(static_cast<std::uint64_t>(seed));
+  ProcessPipeline pipe(kDims, kVocab, layers, stages, rng);
+  ProcessOptions options;
+  options.n_slices = n;
+  options.kill.stage = 1;
+  options.kill.phase = KillSpec::Phase::MidCommit;
+  obs::Recorder recorder;
+  options.recorder = &recorder;
+  const auto dist = pipe.run_iteration(w.tokens, w.targets, options);
+  EXPECT_EQ(dist.grads.max_abs_diff(thr.grads), 0.0f);
+
+  const obs::Trace trace = recorder.snapshot();
+  std::vector<double> recoveries;
+  for (const obs::TraceInstant& inst : trace.instants) {
+    if (inst.name == "recovery") recoveries.push_back(inst.ts);
+  }
+  ASSERT_EQ(recoveries.size(), 1u);
+  for (const int s : {0, 2}) {
+    int before = 0;
+    for (const obs::TraceSpan& span : trace.spans) {
+      before += span.cat == obs::kCatCompute && span.track == s &&
+                span.start < recoveries[0];
+    }
+    EXPECT_GT(before, 0) << "stage " << s;
+  }
 }
 
 TEST(DistObservabilityTest, MergedTraceHasPerProcessPidsAndFlowArrows) {
@@ -933,6 +1024,8 @@ TEST(DistObservabilityTest, WorkerRecordsLandOnTheRunClock) {
   options.n_slices = n;
   obs::Recorder recorder;
   options.recorder = &recorder;
+  fault::FaultReport report;  // names the fault if the run was not clean
+  options.report = &report;
   const double before = recorder.now();
   pipe.run_iteration(w.tokens, w.targets, options);
   const double after = recorder.now();
@@ -962,7 +1055,7 @@ TEST(DistObservabilityTest, WorkerRecordsLandOnTheRunClock) {
     EXPECT_GE(inst.ts, first[s]) << inst.name << " on stage " << s;
     EXPECT_LE(inst.ts, last[s]) << inst.name << " on stage " << s;
   }
-  EXPECT_EQ(commit_instants, stages * m);
+  EXPECT_EQ(commit_instants, stages * m) << describe_events(report);
 }
 
 TEST(DistObservabilityTest, WorkerFaultEventsLandOnTheRunClock) {

@@ -152,7 +152,7 @@ TEST(IrRoundTrip, ExportImportByteIdenticalAcrossSweep) {
     const sched::PipelineSpec applied =
         ir::apply_header(imported, point.spec);
     EXPECT_EQ(applied.validate(), "");
-    EXPECT_EQ(applied.max_inflight_units, plan.max_inflight_units);
+    EXPECT_EQ(applied.max_inflight_units, plan.spec.max_inflight_units);
     const ScheduleIR relowered =
         ir::lower(applied, ir::to_programs(imported), table.scheme);
     EXPECT_EQ(relowered, table);

@@ -42,7 +42,8 @@ struct Hung {};
 
 /// The test transport: Channels between stage threads. It keeps every send
 /// (payload dropped), retirement and published progress; crash and hang
-/// throw instead of ending the process or parking.
+/// throw instead of ending the process or parking; device `gone` reads as
+/// closed.
 class TestLink final : public StageLink {
  public:
   TestLink(int stage, std::vector<Channel<Message>>& inbox)
@@ -73,9 +74,11 @@ class TestLink final : public StageLink {
   void publish(const StageProgress& progress) override {
     published.push_back(progress);
   }
+  bool closed(int device) const override { return device == gone; }
   [[noreturn]] void crash() override { throw Crashed{}; }
   [[noreturn]] void hang() override { throw Hung{}; }
 
+  int gone = -1;
   std::vector<Outgoing> sent;
   std::vector<int> retired;
   std::vector<StageProgress> published;
@@ -197,6 +200,25 @@ TEST(StageDriverTest, StarvingStageThrowsAfterTheTimeout) {
   EXPECT_EQ(run.progress.state, StageState::Starved);
   EXPECT_EQ(run.events.size(), 1u);
   EXPECT_EQ(count_kind(run, fault::FaultEvent::Kind::Watchdog), 1);
+}
+
+TEST(StageDriverTest, StopsStarvedAtTheFirstRowWaitingOnAClosedLink) {
+  // Stage 0 of 2 driven alone, with stage 1's link closed: it runs its two
+  // warm-up forwards, then its first backward waits on stage 1. It stops
+  // there at once, publishing Starved, with no watchdog event or throw.
+  Rig rig(2, 1, 2, false);
+  rig.links[0].gone = 1;
+  StageRun& run = rig.runs[0];
+  run.starvation_timeout = std::chrono::seconds(30);
+  const auto start = std::chrono::steady_clock::now();
+  drive_stage(rig.machines[0], rig.links[0], run);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(rig.machines[0].messages(), 2);
+  EXPECT_EQ(rig.links[0].sent.size(), 2u);
+  EXPECT_FALSE(rig.machines[0].finished());
+  EXPECT_EQ(run.progress.state, StageState::Starved);
+  EXPECT_EQ(rig.links[0].published.back().state, StageState::Starved);
+  EXPECT_TRUE(run.events.empty());
 }
 
 TEST(StageDriverTest, StageLocalSendsNeverReachTheLink) {

@@ -158,6 +158,27 @@ TEST(StageMachineTest, VocabularyRoundRunsAheadOfABlockedRow) {
             (std::vector<std::string>{"vocab_work 0.1", "bwd 0.1"}));
 }
 
+TEST(StageMachineTest, NextRowNamesTheDeviceItWaitsOn) {
+  // Shard stage 0 of 2 (m = 1, n = 2) embeds its own tokens for both
+  // forwards; its first backward then waits on stage 1.
+  Rig rig(2, 1, 2, 8, /*vocab_parallel=*/true);
+  std::vector<std::string> hooked;
+  StageMachine first = rig.machine(0);
+  EXPECT_EQ(first.waits_on(), -1);
+  EXPECT_EQ(run_ready(first, hooked),
+            (std::vector<std::string>{"fwd 0.0", "fwd 0.1"}));
+  EXPECT_EQ(first.waits_on(), 1);
+  // The head's forwards wait on stage 0; its head-edge backward waits on
+  // every shard's vocabulary rounds, not on one device.
+  StageMachine head = rig.machine(1);
+  EXPECT_EQ(head.waits_on(), 0);
+  head.deliver(rig.slice(Message::Kind::Forward, 0, 0, 1));
+  head.deliver(rig.slice(Message::Kind::Forward, 0, 1, 1));
+  EXPECT_EQ(run_ready(head, hooked),
+            (std::vector<std::string>{"fwd 0.0", "fwd 0.1"}));
+  EXPECT_EQ(head.waits_on(), -1);
+}
+
 TEST(StageMachineTest, ArrivalAgainstTableOrderFails) {
   // The head's first row is fwd 0.0; its sender (stage 0) sends in table
   // order, so slice 1 at the FIFO front is a broken transport, not a

@@ -72,21 +72,6 @@ TEST(FlightRecorderTest, WraparoundCountsDroppedEvents) {
   }
 }
 
-TEST(FlightRecorderTest, TailReturnsLastKInRing) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 6; ++i) {
-    rec.record(FlightKind::Mark, 0.0, i, -1, i, "");
-  }
-  auto tail = rec.tail(2);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].seq, 4u);
-  EXPECT_EQ(tail[1].seq, 5u);
-  // Asking for more than the ring holds returns the whole ring.
-  tail = rec.tail(100);
-  ASSERT_EQ(tail.size(), 4u);
-  EXPECT_EQ(tail.front().seq, 2u);
-}
-
 TEST(FlightRecorderTest, LabelTruncatesToFixedSize) {
   FlightEvent ev;
   const std::string longer(64, 'x');
@@ -101,7 +86,7 @@ TEST(FlightRecorderTest, RenderedTailNamesKindsAndLabels) {
   FlightRecorder rec(8);
   rec.record(FlightKind::Send, 0.001, 2, 1, 4096, "fwd");
   rec.record(FlightKind::Commit, 0.002, 2, -1, 3, "");
-  const std::string text = render_flight_tail(rec.tail(8));
+  const std::string text = render_flight_tail(rec.flush().events);
   EXPECT_NE(text.find("send"), std::string::npos);
   EXPECT_NE(text.find("commit"), std::string::npos);
   EXPECT_NE(text.find("fwd"), std::string::npos);

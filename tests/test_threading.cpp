@@ -359,7 +359,6 @@ TEST(RuntimeDeterminism, ThreadedMatchesReferenceWithKernelThreads) {
   util::ThreadPool::global().set_threads(4);
   rt::RunOptions options;
   options.n_slices = 2;
-  options.kernel_threads = 2;
   const rt::ThreadedPipeline::Result a =
       pipe.run_iteration(tokens, targets, options);
   const rt::ThreadedPipeline::Result b =

@@ -16,7 +16,10 @@
 # After the plain build, every mode disassembles the numerics library and
 # fails on any fused multiply-add (vfmadd/vfmsub/vfnmadd/vfnmsub): the
 # kernels give the same bits on every ISA path (src/numerics/isa.hpp) only
-# while no multiply and add are fused.
+# while no multiply and add are fused. It also fails when an AVX2 matmul
+# body (avx2_path<...matmul_rows...> or <...matmul_tn_rows...>) has no ymm
+# instruction: the library is built at -O3 in every build type so that
+# tests and benches run the same vector code as a Release build.
 #
 # Each sanitizer preset (-DSLIMPIPE_SANITIZE=address|undefined|thread, see
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
@@ -87,12 +90,24 @@ build_tree() {
 }
 
 check_no_fma() {
-  echo "== no fused multiply-add in the numerics kernels =="
-  local listing
-  listing="$(objdump -d build/src/numerics/libslim_numerics.a)"
+  echo "== numerics kernels: no fused multiply-add, vectorized AVX2 matmul =="
+  local listing counts
+  listing="$(objdump -d --demangle build/src/numerics/libslim_numerics.a)"
   if grep -qE 'vf(n)?m(add|sub)' <<<"$listing"; then
     echo "check.sh: libslim_numerics.a contains fused multiply-adds:" >&2
     grep -m 20 -E 'vf(n)?m(add|sub)' <<<"$listing" >&2
+    exit 1
+  fi
+  # ymm instructions per AVX2 matmul body ("<count> <function>" lines).
+  counts="$(awk '/^[0-9a-f]+ <.*>:$/ {
+                   fn = $0 ~ /avx2_path<.*matmul_(tn_)?rows/ ? $0 : ""
+                   if (fn != "") n[fn] = 0
+                 }
+                 fn != "" && /%ymm/ { n[fn]++ }
+                 END { for (f in n) print n[f], f }' <<<"$listing")"
+  if [[ -z "$counts" ]] || grep -q '^0 ' <<<"$counts"; then
+    echo "check.sh: an AVX2 matmul body has no ymm instruction:" >&2
+    echo "${counts:-(no avx2_path matmul body found)}" >&2
     exit 1
   fi
 }

@@ -90,7 +90,7 @@ std::vector<analysis::Finding> lint_combo(core::Scheme scheme,
     const core::SchedulePlan plan = core::plan_scheme(scheme, std::move(spec));
 
     analysis::ScheduleLintOptions sched_opts;
-    sched_opts.max_inflight_units = plan.max_inflight_units;
+    sched_opts.max_inflight_units = plan.spec.max_inflight_units;
     findings = analysis::check_schedule(plan.spec, plan.programs, sched_opts);
     // A schedule the verifier rejects cannot be compiled meaningfully.
     if (analysis::has_errors(findings)) return findings;

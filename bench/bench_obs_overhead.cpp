@@ -1,6 +1,6 @@
 // Observability overhead gate: the ALWAYS-ON observability — the worker
-// flight recorder, its Telemetry flushes and the wire counters — must cost
-// < 3% of step time. That is the cost every production run pays;
+// flight recorder, the 32-event tail every heartbeat carries and the wire
+// counters — must cost < 3% of step time. That is the cost every production run pays;
 // the bench exits non-zero above the budget, so the telemetry ctest label
 // turns an observability regression into a red test, not a slow dashboard.
 //
@@ -200,9 +200,9 @@ int main(int argc, char** argv) {
           ", interleaved ON/OFF and OFF/OFF pairs=" +
           std::to_string(shape.pairs) +
           ", overhead = median pair ratio - 1, gated at budget + noise floor",
-      "breadcrumb recording is O(1) ring writes and flushes piggyback on "
-      "heartbeats, so observed step-time overhead stays under the 3% budget "
-      "on both substrates");
+      "breadcrumb recording is O(1) ring writes and the 32-event tail rides "
+      "in heartbeats, so observed step-time overhead stays under the 3% "
+      "budget on both substrates");
 
   const Data data = make_data(shape);
   Rng rng_d(12);

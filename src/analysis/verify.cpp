@@ -36,22 +36,23 @@ std::string row_location(const Row& row) {
   return out.str();
 }
 
+/// Findings kept per rule; the rest of a rule's findings are counted out.
+constexpr std::size_t kMaxFindingsPerRule = 8;
+
 /// Rate-limited per-rule reporter.
 class Reporter {
  public:
-  Reporter(std::vector<Finding>& findings, std::size_t cap)
-      : findings_(findings), cap_(cap) {}
+  explicit Reporter(std::vector<Finding>& findings) : findings_(findings) {}
 
   void operator()(const char* rule, const std::string& location,
                   const std::string& message) {
-    if (counts_[rule]++ < cap_) {
+    if (counts_[rule]++ < kMaxFindingsPerRule) {
       findings_.push_back({Severity::Error, rule, location, message});
     }
   }
 
  private:
   std::vector<Finding>& findings_;
-  std::size_t cap_;
   std::unordered_map<std::string, std::size_t> counts_;
 };
 
@@ -131,7 +132,7 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
              "verify_ir: spec does not describe the table's schedule shape "
              "(use ir::apply_header)");
   VerifyResult result;
-  Reporter report(result.findings, options.max_findings_per_rule);
+  Reporter report(result.findings);
 
   const StageLayout layout = spec.stage_layout();
   const int num_stages = layout.num_stages();

@@ -62,7 +62,6 @@ struct VerifyOptions {
   /// Per-device budget on the certified activation+KV peak, in bytes.
   /// <= 0 disables the budget rule.
   double activation_budget_bytes = 0.0;
-  std::size_t max_findings_per_rule = 8;
 };
 
 /// Certified peak of one global stage's activation+KV ledger.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -30,8 +29,6 @@ namespace {
 // Every supervisor timestamp is on the run's monotonic clock (obs/clock.hpp).
 using Clock = obs::MonoClock;
 
-/// Flight-recorder events kept per worker for its postmortem.
-constexpr std::size_t kFlightTail = 32;
 /// Workers beat this many times per heartbeat deadline.
 constexpr int kBeatsPerDeadline = 40;
 /// Respawns allowed per stage and iteration, and the backoff before a
@@ -44,12 +41,8 @@ struct WorkerHandle {
   int stage = -1;
   pid_t pid = -1;
   Fd control;  // parent end of the control socketpair
-  WireStatus status;
+  WireStatus status;  // the last heartbeat's, or the Done frame's
   Clock::time_point last_heard;
-  /// Last-K flight-recorder events recovered from Telemetry flushes — the
-  /// postmortem breadcrumb trail of a worker that dies without a Done frame.
-  std::deque<obs::FlightEvent> flight;
-  std::uint64_t flight_dropped = 0;
   bool control_eof = false;
   bool done = false;  // Done frame received
   bool exited = false;
@@ -58,7 +51,6 @@ struct WorkerHandle {
   int exit_code = 0;
   int term_signal = 0;
   WireStageDone done_info;  // the Done frame, once `done`
-  std::string error_detail;
 };
 
 /// Kills and reaps whatever is still alive when an attempt unwinds — no
@@ -87,15 +79,23 @@ std::string describe_exit(const WorkerHandle& w) {
   return "exited with code " + std::to_string(w.exit_code);
 }
 
-/// The state column: how the worker exited if it died, else its own.
+/// True when the worker's Done frame carries no error: it reported all it
+/// had, so its reap is not judged, even if it then dies by signal.
+bool reported(const WorkerHandle& w) {
+  return w.done && w.done_info.error.empty();
+}
+
+/// The state column: how the worker exited if it died or failed, else its
+/// own.
 std::string state_of(const WorkerHandle& w) {
-  return w.exited && !w.done ? describe_exit(w)
-                             : rt::stage_state_name(w.status.progress.state);
+  return w.exited && !reported(w)
+             ? describe_exit(w)
+             : rt::stage_state_name(w.status.progress.state);
 }
 
 /// True when the worker ran every row (a starved one's Done frame says so).
 bool finished(const WorkerHandle& w) {
-  return w.done && w.status.progress.state == rt::StageState::Done;
+  return reported(w) && w.status.progress.state == rt::StageState::Done;
 }
 
 /// Resolves the fault plan's runtime rules for one stage onto the real
@@ -253,7 +253,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         }
       }
       boundaries.push_back(connect_with_retry(
-          fail_first, fail_first + 3, [&](int attempt) {
+          fail_first, [&](int attempt) {
             const std::string detail =
                 "transport stage " + std::to_string(b) + "<->" +
                 std::to_string(b + 1) + " connect failed (attempt " +
@@ -301,14 +301,15 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       cfg.attempt = attempt_index;
       cfg.flight = options.flight;
       cfg.faults = resolve_faults(plan, s, inject);
-      const bool kill_here = kill_armed && kill.stage == s;
-      if (kill_here && (kill.phase == KillSpec::Phase::MidCommit ||
-                        kill.phase == KillSpec::Phase::PostCommit)) {
-        // The worker raises SIGKILL itself right after sending its first
-        // (MidCommit) or last (PostCommit) Commit frame — an exact
-        // protocol point, like stage_crash.
+      if (kill_armed && kill.stage == s) {
+        // The worker raises SIGKILL itself at an exact protocol point, like
+        // stage_crash: at its start (PreForward), or right after sending its
+        // first (MidCommit) or last (PostCommit) Commit frame. A SIGKILL sent
+        // from here after the fork would race the worker it kills.
         cfg.faults.kill_after_commits =
-            kill.phase == KillSpec::Phase::MidCommit ? 1 : mk;
+            kill.phase == KillSpec::Phase::PreForward  ? 0
+            : kill.phase == KillSpec::Phase::MidCommit ? 1
+                                                       : mk;
         --kills_left;
       }
 
@@ -344,13 +345,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         rec->set_process_name(static_cast<std::int64_t>(pid),
                               "stage " + std::to_string(s) + " worker");
       }
-
-      if (kill_here && kill.phase == KillSpec::Phase::PreForward) {
-        // Real SIGKILL before the stage completes any forward: the worker
-        // was just forked and the rest of the pipeline is not even up.
-        ::kill(pid, SIGKILL);
-        --kills_left;
-      }
     }
     // Parent relinquishes the data plane and the worker ends of the
     // control plane: stage-to-stage traffic is theirs alone.
@@ -381,18 +375,15 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         states.push_back(state_of(w));
       }
       std::string out = rt::blocked_on_table(rows, states, run_now());
-      // Breadcrumbs of every worker that did not finish: the last-K
-      // flight-recorder events recovered from its Telemetry flushes show
-      // what the stage was doing when it died, hung or starved, not just
-      // that it did.
+      // Breadcrumbs of every worker that did not finish: the flight tail
+      // its last status carried shows what the stage was doing when it
+      // died, hung or starved, not just that it did.
       for (const WorkerHandle& w : workers) {
-        if (finished(w) || w.flight.empty()) continue;
+        if (finished(w) || w.status.flight.empty()) continue;
         out += "\nstage " + std::to_string(w.stage) +
                " flight recorder tail (last " +
-               std::to_string(w.flight.size()) + " recovered events, " +
-               std::to_string(w.flight_dropped) + " dropped before flush):\n";
-        out += obs::render_flight_tail(
-            std::vector<obs::FlightEvent>(w.flight.begin(), w.flight.end()));
+               std::to_string(w.status.flight.size()) + " events):\n";
+        out += obs::render_flight_tail(w.status.flight);
       }
       return out;
     };
@@ -419,8 +410,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         }
         w.last_heard = Clock::now();
         switch (frame.kind) {
-          case FrameKind::Hello:
-            break;
           case FrameKind::Heartbeat: {
             Reader r(frame.payload);
             w.status = read_status(r);
@@ -431,30 +420,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             ledger.slot(w.stage, frame.mb) = read_commit(r);
             break;
           }
-          case FrameKind::Telemetry: {
-            // Flight-recorder flush: keep the last kFlightTail events as
-            // the worker's recoverable breadcrumb trail.
-            Reader r(frame.payload);
-            WireFlightFlush flush = read_flight_flush(r);
-            w.flight_dropped += flush.dropped;
-            for (const obs::FlightEvent& event : flush.events) {
-              w.flight.push_back(event);
-              if (w.flight.size() > kFlightTail) w.flight.pop_front();
-            }
-            break;
-          }
-          case FrameKind::Error: {
-            // The worker exits right after; the verdict comes at its reap.
-            Reader r(frame.payload);
-            WireStageDone last = read_stage_done(r);
-            w.status = last.status;
-            w.error_detail = r.str();
-            for (fault::FaultEvent& event : last.events) {
-              iteration_report.events.push_back(std::move(event));
-            }
-            break;
-          }
           case FrameKind::Done: {
+            // The worker exits right after; one with an error is judged at
+            // its reap.
             Reader r(frame.payload);
             w.done_info = read_stage_done(r);
             w.done = true;
@@ -505,7 +473,10 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         live.crc_rejects = sm.crc_rejects;
         live.retries = sm.send_retries;
         live.arena_peak_bytes = sm.measured_peak_total;
-        live.flight_events = w.status.flight_recorded;
+        live.flight_events =
+            w.status.flight.empty()
+                ? 0
+                : static_cast<std::int64_t>(w.status.flight.back().seq + 1);
         live.respawns = respawns[static_cast<std::size_t>(w.stage)];
         snap.stages.push_back(live);
       }
@@ -550,20 +521,24 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           // Frames sent before death are still in the socket buffer —
           // drain before judging (a clean worker's Done may race the reap).
           read_worker(w);
-          if (!w.done) {
+          if (!reported(w)) {
             if (w.signaled) {
-              iteration_report.events.push_back(
-                  {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
-                   w.status.progress.messages,
-                   "stage " + std::to_string(w.stage) + " " +
-                       describe_exit(w)});
-              if (rec != nullptr) {
-                rec->instant(w.stage, "crash", obs::kCatFault,
-                             describe_exit(w));
+              // A worker killed on a verdict was reported there; only a
+              // death the supervisor did not cause is a crash.
+              if (!w.killed) {
+                iteration_report.events.push_back(
+                    {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
+                     w.status.progress.messages,
+                     "stage " + std::to_string(w.stage) + " " +
+                         describe_exit(w)});
+                if (rec != nullptr) {
+                  rec->instant(w.stage, "crash", obs::kCatFault,
+                               describe_exit(w));
+                }
               }
               fail(w, describe_exit(w));
-            } else if (!w.error_detail.empty()) {
-              fail(w, w.error_detail);
+            } else if (!w.done_info.error.empty()) {
+              fail(w, w.done_info.error);
             } else {
               fail(w, describe_exit(w) + " before finishing its work");
             }

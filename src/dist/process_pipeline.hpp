@@ -4,15 +4,18 @@
 //
 // Each pipeline stage runs in its own forked worker process; adjacent
 // stages exchange activation/gradient slices over AF_UNIX stream sockets
-// and every worker owns a control socket to the supervisor in the parent.
-// The supervisor is a single-threaded poll loop that
+// and every worker owns a control socket to the supervisor in the parent,
+// which carries three frame kinds: Heartbeat, Commit and Done (see
+// wire.hpp). The supervisor is a single-threaded poll loop that
 //
 //  * hears heartbeats from every worker (each beat carries the stage's
-//    rt::StageProgress and obs::StageMetrics so far — the source of the
-//    postmortem blocked-on table and the live snapshots);
-//  * detects a SIGKILLed worker (waitpid/EOF), a crashed worker (nonzero
-//    exit or Error frame) or a hung worker (missed-heartbeat deadline —
-//    the supervisor SIGKILLs it) within a configurable timeout;
+//    rt::StageProgress, obs::StageMetrics so far and flight-recorder tail
+//    — the source of the postmortem blocked-on table, its breadcrumbs and
+//    the live snapshots);
+//  * detects a SIGKILLed worker (waitpid/EOF), a failed worker (nonzero
+//    exit, or a Done frame with an error message) or a hung worker
+//    (missed-heartbeat deadline — the supervisor SIGKILLs it) within a
+//    configurable timeout;
 //  * deserializes Commit frames into the shared CommitLedger
 //    (src/runtime/commit.hpp) as microbatches retire per stage;
 //  * on failure SIGKILLs the culprit if still alive; each survivor runs its
@@ -42,15 +45,15 @@
 namespace slim::dist {
 
 /// Crash-torture hook: a real SIGKILL of the worker of `stage` at a chosen
-/// protocol phase. The supervisor kills at PreForward; the commit phases
-/// are armed in the worker, which raises SIGKILL right after sending the
-/// Commit frame. The crash-torture tests sweep this over every
-/// (stage, phase) pair.
+/// protocol phase. Every phase is armed in the worker, which raises SIGKILL
+/// itself at that exact point, so the kill never races the worker's
+/// progress. The crash-torture tests sweep this over every (stage, phase)
+/// pair.
 struct KillSpec {
   int stage = -1;  // -1: disabled
   enum class Phase {
     None,
-    PreForward,  // immediately after fork, before any forward completes
+    PreForward,  // at the worker's start, before it sends anything
     MidCommit,   // right after the stage's first Commit frame
     PostCommit,  // right after its last Commit frame (all work retired)
   };
@@ -69,8 +72,8 @@ struct ProcessOptions {
   /// a token-uniform layout per microbatch, remainder to the first slices.
   std::vector<core::SliceLayout> layouts;
   /// Worker-side starvation watchdog (same semantics as the threaded
-  /// runtime's): a stage blocked in receive for this long sends a
-  /// structured Error frame. Defaults from SLIMPIPE_STARVATION_TIMEOUT_MS.
+  /// runtime's): a stage blocked in receive for this long fails, with the
+  /// error in its Done frame. Defaults from SLIMPIPE_STARVATION_TIMEOUT_MS.
   std::chrono::milliseconds starvation_timeout =
       rt::default_starvation_timeout();
   /// A worker silent for this long is declared hung and SIGKILLed.
@@ -94,10 +97,10 @@ struct ProcessOptions {
   obs::Recorder* recorder = nullptr;
   /// Crash-torture hook (see KillSpec).
   KillSpec kill;
-  /// Worker flight recorder (obs/flight_recorder.hpp): breadcrumb ring
-  /// flushed over the control socket; the last 32 recovered events of a
-  /// dead worker are appended to the postmortem. Off only for overhead
-  /// measurement (bench_obs_overhead).
+  /// Worker flight recorder (obs/flight_recorder.hpp): a ring of the last
+  /// 32 breadcrumbs, carried by every heartbeat; a dead worker's last tail
+  /// is appended to the postmortem. Off only for overhead measurement
+  /// (bench_obs_overhead).
   bool flight = true;
   /// Live telemetry: when telemetry_json_path is set the supervisor writes
   /// an atomic obs::LiveSnapshot JSON there every telemetry_interval (and a

@@ -109,23 +109,16 @@ void poll_readable_many(const std::vector<int>& fds, int timeout_ms) {
   }
 }
 
-SocketPair connect_with_retry(int fail_first, int max_attempts,
+SocketPair connect_with_retry(int fail_first,
                               const std::function<void(int)>& on_retry) {
-  SLIM_CHECK(max_attempts >= 1, "connect_with_retry needs >= 1 attempt");
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt <= fail_first) {
-      if (on_retry) on_retry(attempt);
-      // Bounded backoff: 1, 2, 4, ... ms capped at 16 ms — enough to model
-      // a transient listener, short enough for tests.
-      const int shift = attempt < 5 ? attempt - 1 : 4;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1 << shift));
-      continue;
-    }
-    return make_socket_pair();
+  for (int attempt = 1; attempt <= fail_first; ++attempt) {
+    if (on_retry) on_retry(attempt);
+    // Bounded backoff: 1, 2, 4, ... ms capped at 16 ms — enough to model
+    // a transient listener, short enough for tests.
+    const int shift = attempt < 5 ? attempt - 1 : 4;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1 << shift));
   }
-  SLIM_CHECK(false, "transport setup failed after " +
-                        std::to_string(max_attempts) + " attempts");
-  return {};
+  return make_socket_pair();
 }
 
 }  // namespace slim::dist

@@ -84,12 +84,11 @@ bool poll_readable(int fd, int timeout_ms);
 /// caller's cadence holds. EINTR retried.
 void poll_readable_many(const std::vector<int>& fds, int timeout_ms);
 
-/// Establishes one stage-boundary transport with bounded retry over
-/// transient connect failures. `fail_first` initial attempts fail
-/// (injected by a fault::SocketConnectFail rule — 0 in healthy runs);
-/// each failure invokes on_retry(attempt) and backs off briefly. Throws
-/// after max_attempts consecutive failures.
-SocketPair connect_with_retry(int fail_first, int max_attempts,
+/// Establishes one stage-boundary transport, retrying over transient
+/// connect failures. `fail_first` initial attempts fail (injected by a
+/// fault::SocketConnectFail rule — 0 in healthy runs); each failure invokes
+/// on_retry(attempt) and backs off briefly before the next attempt.
+SocketPair connect_with_retry(int fail_first,
                               const std::function<void(int)>& on_retry);
 
 }  // namespace slim::dist

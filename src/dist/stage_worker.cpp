@@ -19,7 +19,7 @@ namespace slim::dist {
 
 namespace {
 
-/// Structured worker failure: turned into an Error frame, never into an
+/// Structured worker failure: reported in the Done frame, never as an
 /// uncaught exception (the process must reach _exit, not std::terminate).
 struct WorkerError : std::runtime_error {
   using std::runtime_error::runtime_error;
@@ -27,7 +27,8 @@ struct WorkerError : std::runtime_error {
 
 /// The process transport of one stage: arrivals from the two data sockets,
 /// sends onto them under the plan's socket rules, Commit frames at
-/// retirement, progress and metrics in heartbeats over the control socket.
+/// retirement, progress, metrics and the flight tail in heartbeats over the
+/// control socket.
 /// A crash is raise(SIGKILL); a hang parks the process, so its heartbeats
 /// stop.
 class SocketLink final : public rt::StageLink {
@@ -90,11 +91,11 @@ class SocketLink final : public rt::StageLink {
   void retire(rt::StageMachine& machine, int mb) override {
     // The Commit frame IS the commit point — sent exactly once, and a
     // SIGKILL before or during the send leaves the supervisor's slot
-    // incomplete (replayed), never half-applied. Flush BEFORE it: the
+    // incomplete (replayed), never half-applied. Heartbeat BEFORE it: the
     // control socket is FIFO, so whoever sees the commit already holds the
-    // breadcrumbs that led to it — the postmortem tail of a worker killed
-    // at mid-commit is deterministic, not heartbeat-cadence lottery.
-    flush_flight();
+    // flight tail that ends at its breadcrumb — the postmortem of a worker
+    // killed at mid-commit is deterministic, not heartbeat-cadence lottery.
+    heartbeat_now();
     Frame commit;
     commit.kind = FrameKind::Commit;
     commit.stage = cfg_.stage;
@@ -113,27 +114,26 @@ class SocketLink final : public rt::StageLink {
 
   [[noreturn]] void crash() override {
     // A real crash: the process dies instantly, mid-protocol. No frame, no
-    // cleanup — detection is the supervisor's problem; only breadcrumbs
-    // already flushed survive into the postmortem tail.
+    // cleanup — detection is the supervisor's problem; the postmortem tail
+    // is the one the last heartbeat carried.
     ::raise(SIGKILL);
     std::_Exit(EXIT_FAILURE);  // not reached
   }
 
   [[noreturn]] void hang() override {
     // Heartbeats stop with the stage — exactly the signal the supervisor's
-    // missed-heartbeat deadline exists to catch. The hang breadcrumb
-    // escapes in a last flush, so the postmortem tail ends at the hang.
-    // Parked until SIGKILLed.
-    flush_flight();
+    // missed-heartbeat deadline exists to catch. A last heartbeat carries
+    // the hang breadcrumb, so the postmortem tail ends at the hang. Parked
+    // until SIGKILLed.
+    heartbeat_now();
     for (;;) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  /// The worker's status as its heartbeats, Error and Done frames carry it.
+  /// The worker's status as its heartbeats and Done frame carry it.
   WireStatus status() const {
     return {run_.progress, run_.metrics, injected_delay_seconds_,
-            run_.flight != nullptr
-                ? static_cast<std::int64_t>(run_.flight->recorded())
-                : 0};
+            run_.flight != nullptr ? run_.flight->tail()
+                                   : std::vector<obs::FlightEvent>{}};
   }
 
   /// Ships a frame to the supervisor. A dead control socket means the
@@ -144,21 +144,6 @@ class SocketLink final : public rt::StageLink {
     if (!send_frame(cfg_.control_fd, frame)) control_dead_ = true;
   }
 
-  /// Ships the unflushed flight-recorder suffix as one Telemetry frame, on
-  /// the heartbeat cadence and right before every Commit frame.
-  void flush_flight() {
-    if (run_.flight == nullptr || control_dead_) return;
-    obs::FlightRecorder::Flush flush = run_.flight->flush();
-    if (flush.events.empty() && flush.dropped == 0) return;
-    Frame frame;
-    frame.kind = FrameKind::Telemetry;
-    frame.stage = cfg_.stage;
-    Writer w;
-    write_flight_flush(w, {flush.dropped, std::move(flush.events)});
-    frame.payload = w.take();
-    send_control(frame);
-  }
-
   void heartbeat_now() {
     Frame beat;
     beat.kind = FrameKind::Heartbeat;
@@ -167,7 +152,6 @@ class SocketLink final : public rt::StageLink {
     write_status(w, status());
     beat.payload = w.take();
     send_control(beat);
-    flush_flight();
     last_beat_ = obs::MonoClock::now();
   }
 
@@ -308,6 +292,8 @@ class SocketLink final : public rt::StageLink {
 }  // namespace
 
 int run_stage_worker(const WorkerConfig& config) {
+  // KillSpec PreForward: die before doing anything.
+  if (config.faults.kill_after_commits == 0) ::raise(SIGKILL);
   rt::StageRun run;
   run.stage = config.stage;
   run.attempt = config.attempt;
@@ -322,48 +308,40 @@ int run_stage_worker(const WorkerConfig& config) {
   num::ArenaStats arena;
   run.arena = &arena;
   SocketLink link(config, run);
-  try {
-    Frame hello;
-    hello.kind = FrameKind::Hello;
-    hello.stage = config.stage;
-    link.send_control(hello);
-    run.crumb(obs::FlightKind::Mark, -1, -1, config.attempt, "start");
-    // The worker's parameter snapshot: a stage machine built from the
-    // fork-inherited weights, arena-tracked so the supervisor can reconcile
-    // measured peaks.
-    rt::StageMachine machine(config.inputs, config.stage, config.mbs, &arena);
-    link.heartbeat_now();  // Hello already announced the transport
-    rt::drive_stage(machine, link, run);
-
-    // All work retired, or the next row waits on a neighbour that is gone
-    // (starved, not a failure): final status, metrics, events and trace in
-    // one Done frame.
-    run.crumb(obs::FlightKind::Mark, -1, -1, run.progress.committed,
-              rt::stage_state_name(run.progress.state));
-    link.flush_flight();
+  // The final report: status, fault events, trace and, on a failure, the
+  // error message, in one Done frame.
+  auto report = [&](const std::string& error) {
     Frame frame;
     frame.kind = FrameKind::Done;
     frame.stage = config.stage;
     Writer writer;
-    write_stage_done(writer, {link.status(), run.events, recorder.take()});
+    write_stage_done(writer,
+                     {link.status(), run.events, recorder.take(), error});
     frame.payload = writer.take();
     link.send_control(frame);
+  };
+  try {
+    // The first heartbeat: alive, transport up.
+    run.crumb(obs::FlightKind::Mark, -1, -1, config.attempt, "start");
+    link.heartbeat_now();
+    // The worker's parameter snapshot: a stage machine built from the
+    // fork-inherited weights, arena-tracked so the supervisor can reconcile
+    // measured peaks.
+    rt::StageMachine machine(config.inputs, config.stage, config.mbs, &arena);
+    rt::drive_stage(machine, link, run);
+
+    // All work retired, or the next row waits on a neighbour that is gone
+    // (starved, not a failure).
+    run.crumb(obs::FlightKind::Mark, -1, -1, run.progress.committed,
+              rt::stage_state_name(run.progress.state));
+    report("");
     return 0;
   } catch (const std::exception& error) {
-    // Structured failure: everything the supervisor needs for the
-    // postmortem — final status, message, fault events — in one Error
-    // frame, then exit(2). Never an uncaught throw (this process must not
-    // run the parent's terminate handler or atexit chain).
+    // Structured failure: the same report with the message, then exit(2).
+    // Never an uncaught throw (this process must not run the parent's
+    // terminate handler or atexit chain).
     run.crumb(obs::FlightKind::Fault, -1, -1, run.progress.messages, "error");
-    link.flush_flight();
-    Frame frame;
-    frame.kind = FrameKind::Error;
-    frame.stage = config.stage;
-    Writer writer;
-    write_stage_done(writer, {link.status(), run.events, {}});
-    writer.str(error.what());
-    frame.payload = writer.take();
-    link.send_control(frame);
+    report(error.what());
     return 2;
   } catch (...) {
     return 2;

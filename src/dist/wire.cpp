@@ -43,14 +43,11 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 const char* frame_kind_name(FrameKind kind) {
   switch (kind) {
-    case FrameKind::Hello: return "hello";
     case FrameKind::Forward: return "fwd";
     case FrameKind::Backward: return "bwd";
     case FrameKind::Heartbeat: return "heartbeat";
     case FrameKind::Commit: return "commit";
-    case FrameKind::Error: return "error";
     case FrameKind::Done: return "done";
-    case FrameKind::Telemetry: return "telemetry";
   }
   return "?";
 }
@@ -386,22 +383,8 @@ void write_status(Writer& w, const WireStatus& status) {
   write_progress(w, status.progress);
   write_metrics(w, status.metrics);
   w.f64(status.injected_delay_seconds);
-  w.i64(status.flight_recorded);
-}
-
-WireStatus read_status(Reader& r) {
-  WireStatus status;
-  status.progress = read_progress(r);
-  status.metrics = read_metrics(r);
-  status.injected_delay_seconds = r.f64();
-  status.flight_recorded = r.i64();
-  return status;
-}
-
-void write_flight_flush(Writer& w, const WireFlightFlush& flush) {
-  w.i64(static_cast<std::int64_t>(flush.dropped));
-  w.i32(static_cast<std::int32_t>(flush.events.size()));
-  for (const obs::FlightEvent& ev : flush.events) {
+  w.i32(static_cast<std::int32_t>(status.flight.size()));
+  for (const obs::FlightEvent& ev : status.flight) {
     w.f64(ev.ts);
     w.i64(static_cast<std::int64_t>(ev.seq));
     w.u8(static_cast<std::uint8_t>(ev.kind));
@@ -412,14 +395,13 @@ void write_flight_flush(Writer& w, const WireFlightFlush& flush) {
   }
 }
 
-WireFlightFlush read_flight_flush(Reader& r) {
-  WireFlightFlush flush;
-  flush.dropped = static_cast<std::uint64_t>(r.i64());
-  const std::int32_t n = r.i32();
-  SLIM_CHECK(n >= 0, "telemetry frame with negative event count");
-  flush.events.reserve(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) {
-    obs::FlightEvent ev;
+WireStatus read_status(Reader& r) {
+  WireStatus status;
+  status.progress = read_progress(r);
+  status.metrics = read_metrics(r);
+  status.injected_delay_seconds = r.f64();
+  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
+    obs::FlightEvent& ev = status.flight.emplace_back();
     ev.ts = r.f64();
     ev.seq = static_cast<std::uint64_t>(r.i64());
     ev.kind = static_cast<obs::FlightKind>(r.u8());
@@ -427,9 +409,8 @@ WireFlightFlush read_flight_flush(Reader& r) {
     ev.slice = r.i32();
     ev.value = r.i64();
     ev.set_label(r.str());
-    flush.events.push_back(ev);
   }
-  return flush;
+  return status;
 }
 
 namespace {
@@ -493,6 +474,7 @@ void write_stage_done(Writer& w, const WireStageDone& done) {
   w.i32(static_cast<std::int32_t>(done.events.size()));
   for (const fault::FaultEvent& e : done.events) write_event(w, e);
   write_trace(w, done.trace);
+  w.str(done.error);
 }
 
 WireStageDone read_stage_done(Reader& r) {
@@ -502,6 +484,7 @@ WireStageDone read_stage_done(Reader& r) {
     done.events.push_back(read_event(r));
   }
   done.trace = read_trace(r);
+  done.error = r.str();
   return done;
 }
 

@@ -2,7 +2,11 @@
 
 // Message framing and tensor (de)serialization for the socket transport.
 //
-// Every message on a data or control socket is one frame:
+// A data socket carries Forward and Backward frames between neighbouring
+// stages. A worker's control socket carries three kinds to the supervisor:
+// Heartbeat (its status), Commit (a retired microbatch's gradients) and
+// Done (its final status, fault events and trace, plus the error message
+// when it failed). Every message on either socket is one frame:
 //
 //   header (36 bytes, little-endian):
 //     u32 magic 'SLMF'   u8 kind  u8 pad[3]
@@ -19,8 +23,9 @@
 // the little-endian Writer/Reader below; tensors travel as raw fp32 bytes
 // (bit-exact — gradient bit-identity across the process boundary depends
 // on it). A worker's progress, metrics and trace travel as the same
-// records the threaded runtime keeps in memory: rt::StageProgress and
-// obs::StageMetrics in every heartbeat, obs::Trace in the Done frame.
+// records the threaded runtime keeps in memory: rt::StageProgress,
+// obs::StageMetrics and the flight recorder's tail in every heartbeat,
+// obs::Trace in the Done frame.
 
 #include <cstdint>
 #include <string>
@@ -38,20 +43,17 @@
 namespace slim::dist {
 
 enum class FrameKind : std::uint8_t {
-  Hello = 1,      // worker -> supervisor: alive, transport up
   Forward = 2,    // activation slice, stage s -> s+1
   Backward = 3,   // gradient slice, stage s -> s-1
-  Heartbeat = 4,  // worker -> supervisor: progress snapshot
+  Heartbeat = 4,  // worker -> supervisor: status (WireStatus)
   Commit = 5,     // worker -> supervisor: retired microbatch's staged grads
-  Error = 7,      // worker -> supervisor: structured failure, then exit(2)
-  Done = 8,       // worker -> supervisor: all work finished + metrics
-  Telemetry = 9,  // worker -> supervisor: flight-recorder flush
+  Done = 8,       // worker -> supervisor: final report, then exit
 };
 
 const char* frame_kind_name(FrameKind kind);
 
 struct Frame {
-  FrameKind kind = FrameKind::Hello;
+  FrameKind kind = FrameKind::Heartbeat;
   std::int32_t stage = -1;
   std::int32_t mb = -1;
   std::int32_t slice = -1;
@@ -106,40 +108,31 @@ class Reader {
 // Structured payloads shared by stage workers and the supervisor.
 
 /// Heartbeat payload: the stage's progress (the source of the supervisor's
-/// postmortem blocked-on table and live snapshots) and this attempt's
-/// metrics so far — wire counters and arena peaks included.
+/// postmortem blocked-on table and live snapshots), this attempt's metrics
+/// so far — wire counters and arena peaks included — and the flight
+/// recorder's tail, oldest first (the breadcrumbs of the postmortem).
 struct WireStatus {
   rt::StageProgress progress;
   obs::StageMetrics metrics;
   double injected_delay_seconds = 0.0;
-  std::int64_t flight_recorded = 0;  // flight-recorder events so far
+  std::vector<obs::FlightEvent> flight;
 };
 
 void write_status(Writer& w, const WireStatus& status);
 WireStatus read_status(Reader& r);
 
-/// Telemetry payload: one flight-recorder flush (see obs/flight_recorder.hpp).
-/// `dropped` counts ring-overwritten events lost between flushes.
-struct WireFlightFlush {
-  std::uint64_t dropped = 0;
-  std::vector<obs::FlightEvent> events;
-};
-
-void write_flight_flush(Writer& w, const WireFlightFlush& flush);
-WireFlightFlush read_flight_flush(Reader& r);
-
 /// Commit payload: one retired (stage, microbatch) StageCommit.
 void write_commit(Writer& w, const rt::StageCommit& commit);
 rt::StageCommit read_commit(Reader& r);
 
-/// Done payload: the worker's final status, its fault events and its trace
-/// (recorded on the inherited run epoch, appended by the supervisor as is).
-/// An Error frame carries the same record, without the trace, then the
-/// error message.
+/// Done payload: the worker's final status, its fault events, its trace
+/// (recorded on the inherited run epoch, appended by the supervisor as is)
+/// and, when the worker failed (exit code 2), the error message.
 struct WireStageDone {
   WireStatus status;
   std::vector<fault::FaultEvent> events;
   obs::Trace trace;
+  std::string error;  // empty: the worker ran until done or starved
 };
 
 void write_stage_done(Writer& w, const WireStageDone& done);

@@ -77,7 +77,6 @@ class Layer {
 
   const BlockDims& dims() const { return dims_; }
   const LayerWeights& weights() const { return weights_; }
-  LayerWeights& mutable_weights() { return weights_; }
 
   /// Forward of a slice whose first token has global position `pos`.
   /// Appends one KV chunk to microbatch `mb`'s cache; a microbatch's

@@ -30,13 +30,10 @@ std::string FlightEvent::label_str() const {
   return std::string(label, strnlen(label, kLabelSize));
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity) {}
-
 void FlightRecorder::record(FlightKind kind, double ts, std::int32_t mb,
                             std::int32_t slice, std::int64_t value,
                             std::string_view label) {
-  FlightEvent& slot = ring_[next_seq_ % ring_.size()];
+  FlightEvent& slot = ring_[next_seq_ % kCapacity];
   slot.ts = ts;
   slot.seq = next_seq_;
   slot.kind = kind;
@@ -47,17 +44,13 @@ void FlightRecorder::record(FlightKind kind, double ts, std::int32_t mb,
   ++next_seq_;
 }
 
-FlightRecorder::Flush FlightRecorder::flush() {
-  Flush out;
-  const std::uint64_t oldest =
-      next_seq_ > ring_.size() ? next_seq_ - ring_.size() : 0;
-  const std::uint64_t first = std::max(flushed_, oldest);
-  out.dropped = first - flushed_;
-  out.events.reserve(static_cast<std::size_t>(next_seq_ - first));
+std::vector<FlightEvent> FlightRecorder::tail() const {
+  const std::uint64_t first = next_seq_ > kCapacity ? next_seq_ - kCapacity : 0;
+  std::vector<FlightEvent> out;
+  out.reserve(static_cast<std::size_t>(next_seq_ - first));
   for (std::uint64_t seq = first; seq < next_seq_; ++seq) {
-    out.events.push_back(ring_[seq % ring_.size()]);
+    out.push_back(ring_[seq % kCapacity]);
   }
-  flushed_ = next_seq_;
   return out;
 }
 

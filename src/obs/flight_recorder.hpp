@@ -5,16 +5,18 @@
 // A stage worker is a forked single-threaded process: when the supervisor
 // SIGKILLs it (heartbeat deadline, kill torture) everything in its address
 // space is gone. The flight recorder makes the last moments recoverable: the
-// worker appends compact POD events to a fixed-capacity ring buffer on every
-// interesting step (span begin/end, commit, send/recv with byte counts,
-// fault hooks) and periodically flushes the unflushed suffix over the
-// control socket as a Telemetry wire frame. The supervisor keeps the last K
-// events per worker, so a postmortem can show what a dead stage was doing —
-// not just that it died.
+// worker appends compact POD events to a fixed ring of the last kCapacity
+// events on every interesting step (span begin/end, commit, send/recv with
+// byte counts, fault hooks), and every status it sends the supervisor — each
+// heartbeat and the Done frame — carries the whole ring, oldest first. The
+// worker heartbeats right before every Commit frame and when it parks on a
+// hang, so the supervisor's copy of a dead stage's tail shows what it was
+// doing, not just that it died.
 //
 // Single writer, no locks: the worker is single-threaded by construction and
 // the supervisor only ever sees serialized copies.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -53,32 +55,19 @@ struct FlightEvent {
 
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultCapacity = 256;
-
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
+  /// Events kept: the postmortem shows a dead worker's last kCapacity.
+  static constexpr std::size_t kCapacity = 32;
 
   void record(FlightKind kind, double ts, std::int32_t mb, std::int32_t slice,
               std::int64_t value, std::string_view label);
 
-  /// Total events ever recorded (== next seq to be assigned).
-  std::uint64_t recorded() const { return next_seq_; }
-
-  /// Events recorded since the previous flush, oldest first. Events the ring
-  /// already overwrote before they could be flushed are counted in
-  /// `dropped` — the wire carries that count so the supervisor knows the
-  /// stream has a gap rather than silently missing history.
-  struct Flush {
-    std::uint64_t dropped = 0;
-    std::vector<FlightEvent> events;
-  };
-  Flush flush();
-
-  std::size_t capacity() const { return ring_.size(); }
+  /// The ring, oldest first: the last min(recorded, kCapacity) events, with
+  /// consecutive seqs. The last one's seq + 1 counts every event recorded.
+  std::vector<FlightEvent> tail() const;
 
  private:
-  std::vector<FlightEvent> ring_;
+  std::array<FlightEvent, kCapacity> ring_{};
   std::uint64_t next_seq_ = 0;
-  std::uint64_t flushed_ = 0;  // every seq < flushed_ has been flushed
 };
 
 /// Renders events as an aligned postmortem table ("seq  t(ms)  kind  mb

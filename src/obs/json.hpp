@@ -38,7 +38,6 @@ class JsonValue {
   JsonValue() = default;
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
   bool is_bool() const { return kind_ == Kind::Bool; }
   bool is_number() const { return kind_ == Kind::Number; }
   bool is_string() const { return kind_ == Kind::String; }

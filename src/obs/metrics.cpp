@@ -40,14 +40,6 @@ double RunMetrics::mean_bubble_fraction() const {
   return sum / static_cast<double>(stages.size());
 }
 
-int RunMetrics::max_peak_live_slices() const {
-  int peak = 0;
-  for (const StageMetrics& s : stages) {
-    peak = std::max(peak, s.peak_live_slices);
-  }
-  return peak;
-}
-
 void RunMetrics::set_idle_from_makespan() {
   for (StageMetrics& s : stages) {
     s.idle_seconds = std::max(0.0, makespan - s.compute_seconds);
@@ -58,12 +50,6 @@ void RunMetrics::set_idle_from_makespan() {
 std::int64_t RunMetrics::total_p2p_messages() const {
   std::int64_t total = 0;
   for (const StageMetrics& s : stages) total += s.p2p_messages;
-  return total;
-}
-
-double RunMetrics::total_p2p_bytes() const {
-  double total = 0.0;
-  for (const StageMetrics& s : stages) total += s.p2p_bytes;
   return total;
 }
 

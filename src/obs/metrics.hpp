@@ -68,12 +68,10 @@ struct RunMetrics {
   std::vector<StageMetrics> stages;
 
   double mean_bubble_fraction() const;
-  int max_peak_live_slices() const;
   /// Measured runtimes: every stage's idle time (makespan minus compute,
   /// floored at zero) and bubble fraction of the wall-clock makespan.
   void set_idle_from_makespan();
   std::int64_t total_p2p_messages() const;
-  double total_p2p_bytes() const;
 };
 
 /// Computes per-device metrics from an executed simulator graph. Comm

@@ -25,8 +25,6 @@ const char* level_name(LogLevel level) {
 
 void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
 
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
 namespace detail {
 
 LogLine::LogLine(LogLevel level, const char* file, int line)

@@ -18,7 +18,6 @@ enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
 /// Sets the minimum severity that will be emitted.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 namespace detail {
 

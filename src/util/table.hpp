@@ -25,8 +25,6 @@ class Table {
   /// Renders rows as CSV (separators omitted).
   std::string to_csv() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
   /// Column headers, as passed to the constructor.
   const std::vector<std::string>& header() const { return header_; }
 

@@ -33,6 +33,7 @@
 #include "src/dist/socket.hpp"
 #include "src/dist/stage_worker.hpp"
 #include "src/dist/wire.hpp"
+#include "src/obs/flight_recorder.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/telemetry.hpp"
 #include "src/obs/trace.hpp"
@@ -192,7 +193,20 @@ TEST(WireTest, StatusRoundTrip) {
   status.metrics.measured_peak_bytes = {1024.0, 0.0, 512.0};
   status.metrics.measured_peak_total = 1536.0;
   status.injected_delay_seconds = 0.125;
-  status.flight_recorded = 456;
+  // The flight tail: a long label travels as truncated at record time.
+  obs::FlightEvent ev;
+  ev.ts = 1.25;
+  ev.seq = 41;
+  ev.kind = obs::FlightKind::Recv;
+  ev.mb = 3;
+  ev.slice = 1;
+  ev.value = 6144;
+  ev.set_label("this label is much longer than fits");
+  status.flight.push_back(ev);
+  ev.seq = 42;
+  ev.kind = obs::FlightKind::Fault;
+  ev.set_label("hang");
+  status.flight.push_back(ev);
   Writer w;
   write_status(w, status);
   const std::vector<std::uint8_t> bytes = w.take();
@@ -226,7 +240,19 @@ TEST(WireTest, StatusRoundTrip) {
             (std::vector<double>{1024.0, 0.0, 512.0}));
   EXPECT_EQ(back.metrics.measured_peak_total, 1536.0);
   EXPECT_EQ(back.injected_delay_seconds, 0.125);
-  EXPECT_EQ(back.flight_recorded, 456);
+  ASSERT_EQ(back.flight.size(), 2u);
+  EXPECT_EQ(back.flight[0].ts, 1.25);
+  EXPECT_EQ(back.flight[0].seq, 41u);
+  EXPECT_EQ(back.flight[0].kind, obs::FlightKind::Recv);
+  EXPECT_EQ(back.flight[0].mb, 3);
+  EXPECT_EQ(back.flight[0].slice, 1);
+  EXPECT_EQ(back.flight[0].value, 6144);
+  EXPECT_EQ(back.flight[0].label_str(),
+            std::string("this label is much longer than fits")
+                .substr(0, obs::FlightEvent::kLabelSize - 1));
+  EXPECT_EQ(back.flight[1].seq, 42u);
+  EXPECT_EQ(back.flight[1].kind, obs::FlightKind::Fault);
+  EXPECT_EQ(back.flight[1].label_str(), "hang");
   EXPECT_TRUE(r.done());
 }
 
@@ -497,14 +523,17 @@ TEST(DistSupervisionTest, HungWorkerDetectedByMissedHeartbeats) {
   // recover — well under the worker-side starvation timeout.
   EXPECT_LT(elapsed, std::chrono::seconds(10));
   // One hang, one verdict: a worker killed for missed heartbeats stays
-  // silent until it is reaped, and must not be judged again meanwhile.
+  // silent until it is reaped, and must not be judged again meanwhile —
+  // nor reported a second time as a crash when its SIGKILL is reaped.
   std::vector<int> watchdog_stages;
   for (const fault::FaultEvent& event : report.events) {
     if (event.kind == fault::FaultEvent::Kind::Watchdog) {
       watchdog_stages.push_back(event.device);
     }
   }
-  EXPECT_EQ(watchdog_stages, std::vector<int>{1});
+  EXPECT_EQ(watchdog_stages, std::vector<int>{1}) << describe_events(report);
+  EXPECT_FALSE(report.has_kind(fault::FaultEvent::Kind::Crash))
+      << describe_events(report);
   EXPECT_TRUE(report.has_kind(fault::FaultEvent::Kind::Recovery));
   EXPECT_EQ(dist.grads.max_abs_diff(thr.grads), 0.0f);
   EXPECT_DOUBLE_EQ(dist.loss, thr.loss);
@@ -911,6 +940,41 @@ TEST(DistObservabilityTest, KilledWorkerPostmortemCarriesFlightTail) {
   EXPECT_EQ(state_cell(report.blocked_table, 1).rfind("killed by signal 9", 0),
             0u)
       << report.blocked_table;
+}
+
+TEST(DistObservabilityTest, FailedWorkerTraceReachesTheSupervisor) {
+  // DropBudgetExhaustionIsStructured's plan, traced: stage 0 fails on its
+  // first send and reports the error in its Done frame, with its trace, so
+  // its own "socket drop" instant lands on its track.
+  const int stages = 2, layers = 3, n = 2, m = 2, seed = 1430;
+  const Workload w = make_workload(m, 24, kVocab, 1431);
+
+  fault::FaultPlan plan;
+  plan.socket_drops.push_back({0, 1, 100, 2});
+
+  Rng rng(static_cast<std::uint64_t>(seed));
+  ProcessPipeline pipe(kDims, kVocab, layers, stages, rng);
+  ProcessOptions options;
+  options.n_slices = n;
+  options.faults = &plan;
+  options.recover = false;
+  obs::Recorder recorder;
+  options.recorder = &recorder;
+  fault::FaultReport report;
+  options.report = &report;
+  EXPECT_THROW(pipe.run_iteration(w.tokens, w.targets, options),
+               rt::PipelineError);
+  // The failed worker's verdict and state cell are its exit.
+  EXPECT_EQ(state_cell(report.blocked_table, 0), "exited with code 2")
+      << report.blocked_table;
+
+  const obs::Trace trace = recorder.snapshot();
+  int drops = 0;
+  for (const obs::TraceInstant& inst : trace.instants) {
+    drops += inst.track == 0 && inst.name == "socket drop" &&
+             inst.detail.find("retry budget") != std::string::npos;
+  }
+  EXPECT_EQ(drops, 1) << describe_events(report);
 }
 
 TEST(DistObservabilityTest, SurvivorsOfAKilledStageKeepTheirTraces) {

@@ -1,8 +1,8 @@
 // Tests for the multi-process observability layer: the crash-surviving
-// flight recorder and its wire flush (obs/flight_recorder.hpp,
-// dist/wire.hpp), and live telemetry snapshots — Prometheus exposition
-// golden lines, snapshot JSON round trips and the slimpipe_top terminal
-// rendering (obs/telemetry.hpp).
+// flight recorder and the heartbeat that carries its tail
+// (obs/flight_recorder.hpp, dist/wire.hpp), and live telemetry snapshots —
+// Prometheus exposition golden lines, snapshot JSON round trips and the
+// slimpipe_top terminal rendering (obs/telemetry.hpp).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/dist/socket.hpp"
@@ -25,50 +26,53 @@ namespace slim::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Flight recorder: ring semantics, flush suffixes, wraparound accounting.
+// Flight recorder: a ring of the last 32 events, flushed whole into every
+// status a worker sends.
 
 TEST(FlightRecorderTest, FlushReturnsSuffixOldestFirst) {
-  FlightRecorder rec(8);
+  // Below capacity the tail is everything recorded, oldest first, with
+  // seqs from 0; a later tail adds what was recorded since.
+  FlightRecorder rec;
+  EXPECT_TRUE(rec.tail().empty());
   rec.record(FlightKind::SpanBegin, 0.1, 0, 0, 0, "fwd");
-  rec.record(FlightKind::SpanEnd, 0.2, 0, 0, 0, "fwd");
-  rec.record(FlightKind::Send, 0.3, 0, 0, 128, "fwd");
-  auto flush = rec.flush();
-  EXPECT_EQ(flush.dropped, 0u);
-  ASSERT_EQ(flush.events.size(), 3u);
-  EXPECT_EQ(flush.events[0].seq, 0u);
-  EXPECT_EQ(flush.events[0].kind, FlightKind::SpanBegin);
-  EXPECT_EQ(flush.events[2].kind, FlightKind::Send);
-  EXPECT_EQ(flush.events[2].value, 128);
-  EXPECT_EQ(flush.events[2].label_str(), "fwd");
+  rec.record(FlightKind::Send, 0.2, 0, 0, 128, "fwd");
+  std::vector<FlightEvent> tail = rec.tail();
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].seq, 0u);
+  EXPECT_EQ(tail[0].kind, FlightKind::SpanBegin);
+  EXPECT_EQ(tail[1].seq, 1u);
+  EXPECT_EQ(tail[1].kind, FlightKind::Send);
+  EXPECT_EQ(tail[1].value, 128);
+  EXPECT_EQ(tail[1].label_str(), "fwd");
 
-  // A second flush carries only what was recorded since.
-  rec.record(FlightKind::Commit, 0.4, 1, -1, 1, "");
-  flush = rec.flush();
-  EXPECT_EQ(flush.dropped, 0u);
-  ASSERT_EQ(flush.events.size(), 1u);
-  EXPECT_EQ(flush.events[0].seq, 3u);
-  EXPECT_EQ(flush.events[0].kind, FlightKind::Commit);
-
-  // Nothing new: empty flush, no drops.
-  flush = rec.flush();
-  EXPECT_EQ(flush.dropped, 0u);
-  EXPECT_TRUE(flush.events.empty());
+  rec.record(FlightKind::Commit, 0.3, 1, -1, 1, "");
+  tail = rec.tail();
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[0].kind, FlightKind::SpanBegin);
+  EXPECT_EQ(tail[2].seq, 2u);
+  EXPECT_EQ(tail[2].kind, FlightKind::Commit);
+  EXPECT_EQ(tail[2].mb, 1);
 }
 
 TEST(FlightRecorderTest, WraparoundCountsDroppedEvents) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
+  // Full, then one past full, then far past: always the newest 32, oldest
+  // first, with consecutive seqs ending at the last one recorded, so the
+  // first kept seq counts the events the ring has overwritten.
+  ASSERT_EQ(FlightRecorder::kCapacity, 32u);
+  FlightRecorder rec;
+  for (int i = 0; i < 100; ++i) {
     rec.record(FlightKind::Mark, 0.01 * i, i, -1, i, "m");
-  }
-  EXPECT_EQ(rec.recorded(), 10u);
-  const auto flush = rec.flush();
-  // Ring of 4 holds seqs 6..9; seqs 0..5 were overwritten before any flush.
-  EXPECT_EQ(flush.dropped, 6u);
-  ASSERT_EQ(flush.events.size(), 4u);
-  EXPECT_EQ(flush.events.front().seq, 6u);
-  EXPECT_EQ(flush.events.back().seq, 9u);
-  for (std::size_t i = 1; i < flush.events.size(); ++i) {
-    EXPECT_EQ(flush.events[i].seq, flush.events[i - 1].seq + 1);
+    const std::vector<FlightEvent> tail = rec.tail();
+    const std::uint64_t recorded = static_cast<std::uint64_t>(i) + 1;
+    const std::uint64_t dropped = recorded > 32 ? recorded - 32 : 0;
+    ASSERT_EQ(tail.size(), recorded - dropped);
+    EXPECT_EQ(tail.front().seq, dropped) << "after " << i;
+    EXPECT_EQ(tail.front().value, static_cast<std::int64_t>(dropped));
+    EXPECT_EQ(tail.back().seq, recorded - 1);
+    EXPECT_EQ(tail.back().mb, i);
+    for (std::size_t k = 1; k < tail.size(); ++k) {
+      EXPECT_EQ(tail[k].seq, tail[k - 1].seq + 1);
+    }
   }
 }
 
@@ -83,10 +87,10 @@ TEST(FlightRecorderTest, LabelTruncatesToFixedSize) {
 }
 
 TEST(FlightRecorderTest, RenderedTailNamesKindsAndLabels) {
-  FlightRecorder rec(8);
+  FlightRecorder rec;
   rec.record(FlightKind::Send, 0.001, 2, 1, 4096, "fwd");
   rec.record(FlightKind::Commit, 0.002, 2, -1, 3, "");
-  const std::string text = render_flight_tail(rec.flush().events);
+  const std::string text = render_flight_tail(rec.tail());
   EXPECT_NE(text.find("send"), std::string::npos);
   EXPECT_NE(text.find("commit"), std::string::npos);
   EXPECT_NE(text.find("fwd"), std::string::npos);
@@ -94,63 +98,75 @@ TEST(FlightRecorderTest, RenderedTailNamesKindsAndLabels) {
 }
 
 // ---------------------------------------------------------------------------
-// Flight flush on the wire: Telemetry payload round trip + torn recovery.
+// The flight tail on the wire: a heartbeat's status payload, torn or cut.
 
-TEST(FlightWireTest, FlushRoundTrip) {
-  dist::WireFlightFlush flush;
-  flush.dropped = 17;
-  FlightEvent ev;
-  ev.ts = 1.25;
-  ev.seq = 41;
-  ev.kind = FlightKind::Recv;
-  ev.mb = 3;
-  ev.slice = 1;
-  ev.value = 6144;
-  ev.set_label("this label is much longer than fits");
-  flush.events.push_back(ev);
-  ev.seq = 42;
-  ev.kind = FlightKind::Fault;
-  ev.set_label("hang");
-  flush.events.push_back(ev);
-
-  dist::Writer w;
-  dist::write_flight_flush(w, flush);
-  const std::vector<std::uint8_t> bytes = w.take();
-  dist::Reader r(bytes);
-  const dist::WireFlightFlush back = dist::read_flight_flush(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(back.dropped, 17u);
-  ASSERT_EQ(back.events.size(), 2u);
-  EXPECT_EQ(back.events[0].ts, 1.25);
-  EXPECT_EQ(back.events[0].seq, 41u);
-  EXPECT_EQ(back.events[0].kind, FlightKind::Recv);
-  EXPECT_EQ(back.events[0].mb, 3);
-  EXPECT_EQ(back.events[0].slice, 1);
-  EXPECT_EQ(back.events[0].value, 6144);
-  // The label survives exactly as truncated at record time.
-  EXPECT_EQ(back.events[0].label_str(),
-            std::string("this label is much longer than fits")
-                .substr(0, FlightEvent::kLabelSize - 1));
-  EXPECT_EQ(back.events[1].kind, FlightKind::Fault);
-  EXPECT_EQ(back.events[1].label_str(), "hang");
-}
-
-TEST(FlightWireTest, TornTelemetryFlushDetected) {
-  // A worker SIGKILLed mid-flush leaves a truncated Telemetry frame on the
-  // control socket; the supervisor's reader must classify it Torn and keep
-  // the events from earlier, complete flushes.
-  dist::WireFlightFlush flush;
+/// A status whose flight tail holds `events` commit breadcrumbs.
+dist::WireStatus status_with_tail(int events) {
+  dist::WireStatus status;
   FlightEvent ev;
   ev.kind = FlightKind::Commit;
   ev.set_label("mb0");
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < events; ++i) {
     ev.seq = static_cast<std::uint64_t>(i);
-    flush.events.push_back(ev);
+    status.flight.push_back(ev);
   }
+  return status;
+}
+
+TEST(FlightWireTest, FlushRoundTrip) {
+  // A heartbeat flushes the whole ring: a wrapped recorder's tail, sent as
+  // a Heartbeat frame's status, arrives event for event, its long label as
+  // truncated at record time.
+  const std::string longer = "this label is much longer than fits";
+  FlightRecorder rec;
+  for (int i = 0; i < 40; ++i) {
+    rec.record(i % 2 == 0 ? FlightKind::Recv : FlightKind::Send, 0.25 * i, i,
+               i % 3 - 1, 64 * i, i == 39 ? std::string_view(longer) : "fwd");
+  }
+  dist::WireStatus status;
+  status.flight = rec.tail();
   dist::Writer w;
-  dist::write_flight_flush(w, flush);
+  dist::write_status(w, status);
   dist::Frame out;
-  out.kind = dist::FrameKind::Telemetry;
+  out.kind = dist::FrameKind::Heartbeat;
+  out.stage = 2;
+  out.payload = w.take();
+
+  dist::SocketPair pair = dist::make_socket_pair();
+  ASSERT_TRUE(dist::send_frame(pair.a.get(), out));
+  dist::Frame in;
+  ASSERT_EQ(dist::recv_frame(pair.b.get(), &in), dist::IoStatus::Ok);
+  EXPECT_EQ(in.kind, dist::FrameKind::Heartbeat);
+  EXPECT_EQ(in.stage, 2);
+  dist::Reader r(in.payload);
+  const dist::WireStatus back = dist::read_status(r);
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(back.flight.size(), FlightRecorder::kCapacity);
+  for (std::size_t k = 0; k < back.flight.size(); ++k) {
+    const FlightEvent& sent = status.flight[k];
+    const FlightEvent& got = back.flight[k];
+    EXPECT_EQ(got.ts, sent.ts) << k;
+    EXPECT_EQ(got.seq, sent.seq) << k;
+    EXPECT_EQ(got.kind, sent.kind) << k;
+    EXPECT_EQ(got.mb, sent.mb) << k;
+    EXPECT_EQ(got.slice, sent.slice) << k;
+    EXPECT_EQ(got.value, sent.value) << k;
+    EXPECT_EQ(got.label_str(), sent.label_str()) << k;
+  }
+  EXPECT_EQ(back.flight.front().seq, 8u);
+  EXPECT_EQ(back.flight.back().seq, 39u);
+  EXPECT_EQ(back.flight.back().label_str(),
+            longer.substr(0, FlightEvent::kLabelSize - 1));
+}
+
+TEST(FlightWireTest, TornHeartbeatDetected) {
+  // A worker SIGKILLed mid-heartbeat leaves a truncated Heartbeat frame on
+  // the control socket; the supervisor's reader must classify it Torn, so
+  // the postmortem keeps the tail of the last complete heartbeat.
+  dist::Writer w;
+  dist::write_status(w, status_with_tail(4));
+  dist::Frame out;
+  out.kind = dist::FrameKind::Heartbeat;
   out.stage = 1;
   out.payload = w.take();
 
@@ -169,18 +185,23 @@ TEST(FlightWireTest, TornTelemetryFlushDetected) {
   EXPECT_EQ(dist::recv_frame(pair.b.get(), &in), dist::IoStatus::Torn);
 }
 
-TEST(FlightWireTest, TruncatedFlushPayloadThrowsNotReadsGarbage) {
+TEST(FlightWireTest, TruncatedStatusPayloadThrowsNotReadsGarbage) {
   // Even if a corrupt-but-CRC-passing payload were possible, the Reader's
-  // bounds checks fail loudly instead of fabricating events.
-  dist::WireFlightFlush flush;
-  FlightEvent ev;
-  flush.events.push_back(ev);
+  // bounds checks fail loudly instead of fabricating events: a status cut
+  // inside its flight tail's last label, between two events, or halfway.
   dist::Writer w;
-  dist::write_flight_flush(w, flush);
-  std::vector<std::uint8_t> bytes = w.take();
-  bytes.resize(bytes.size() / 2);
-  dist::Reader r(bytes);
-  EXPECT_THROW(dist::read_flight_flush(r), std::logic_error);
+  dist::write_status(w, status_with_tail(2));
+  const std::vector<std::uint8_t> bytes = w.take();
+  dist::Writer one;
+  dist::write_status(one, status_with_tail(1));
+  const std::size_t event_bytes = bytes.size() - one.take().size();
+  for (const std::size_t keep :
+       {bytes.size() - 1, bytes.size() - event_bytes, bytes.size() / 2}) {
+    std::vector<std::uint8_t> cut(bytes.begin(),
+                                  bytes.begin() + static_cast<long>(keep));
+    dist::Reader r(cut);
+    EXPECT_THROW(dist::read_status(r), std::logic_error) << keep;
+  }
 }
 
 TEST(FlightWireTest, FlowIdsDeterministicAndDistinct) {

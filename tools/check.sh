@@ -25,7 +25,8 @@
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
 # runs the ctest label subsets most likely to surface that bug class:
 #
-#   address    faults, mem, ir, sched, dist, telemetry, elastic, numerics
+#   address    faults, mem, ir, sched, dist, telemetry, elastic, numerics,
+#              obs
 #                                  (lifetime/overflow in the fault machinery,
 #                                   arena tracking, the schedule IR and its
 #                                   verifier (ir: test_ir + test_analysis),
@@ -35,10 +36,14 @@
 #                                   test_integration, test_extensions,
 #                                   test_fuzz, test_parallel, test_pareto),
 #                                   the multi-process socket runtime, the
-#                                   flight-recorder/telemetry ring + wire
-#                                   paths, variable-length slice layouts and
-#                                   the numerics kernels' raw-pointer loops)
-#   undefined  faults, mem, ir, sched, dist, telemetry, elastic, numerics
+#                                   flight-recorder ring and the heartbeat
+#                                   that carries it, variable-length slice
+#                                   layouts, the numerics kernels' raw-pointer
+#                                   loops, and obs: the JSON parser that
+#                                   reads report and snapshot files from
+#                                   outside the program, traces and metrics)
+#   undefined  faults, mem, ir, sched, dist, telemetry, elastic, numerics,
+#              obs
 #                                  (integer/shift UB in the same layers)
 #   thread     faults, threads, dist, telemetry, elastic
 #                                  (faults: the threaded runtime's own
@@ -138,7 +143,7 @@ if [[ "$FAST" -eq 0 ]]; then
     if [[ "$san" == "thread" ]]; then
       labels="faults|threads|dist|telemetry|elastic"
     else
-      labels="faults|mem|ir|sched|dist|telemetry|elastic|numerics"
+      labels="faults|mem|ir|sched|dist|telemetry|elastic|numerics|obs"
     fi
     echo "== ${san} sanitizer tests (-L '${labels}') =="
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \

@@ -216,275 +216,163 @@ std::string Reader::str() {
 num::Tensor Reader::tensor() {
   const std::int64_t rows = i64();
   const std::int64_t cols = i64();
-  SLIM_CHECK(rows >= 0 && cols >= 0, "wire tensor with negative shape");
+  // The shape must fit the bytes left before anything is allocated for it.
+  const auto floats_left =
+      static_cast<std::int64_t>((bytes_.size() - pos_) / sizeof(float));
+  SLIM_CHECK(rows >= 0 && cols >= 0 &&
+                 (rows == 0 || cols <= floats_left / rows),
+             "wire tensor shape exceeds the payload");
   if (rows == 0 || cols == 0) return {};
   num::Tensor t = num::Tensor::uninit(rows, cols);
   const std::size_t n = static_cast<std::size_t>(t.size()) * sizeof(float);
-  SLIM_CHECK(pos_ + n <= bytes_.size(), "wire payload underrun");
   std::memcpy(t.data(), bytes_.data() + pos_, n);
   pos_ += n;
   return t;
 }
 
 // ---------------------------------------------------------------------------
-// Structured payloads
+// Field lists of the payload records (src/util/fields.hpp); a record's
+// wire layout is its list's order. obs::StageMetrics keeps its list beside
+// the struct, since the report JSON walks it too.
 
-namespace {
-
-void write_progress(Writer& w, const rt::StageProgress& p) {
-  w.i32(static_cast<std::int32_t>(p.state));
-  w.i64(p.messages);
-  for (const int v : {p.done_f, p.done_b, p.due, p.live, p.cap, p.queue,
-                      p.committed, p.microbatches, p.last_mb}) {
-    w.i32(v);
-  }
-  w.f64(p.at);
+template <MaybeConst<rt::StageProgress> P, class Visit>
+void fields(P& p, Visit&& visit) {
+  visit("state", p.state);
+  visit("messages", p.messages);
+  visit("done_f", p.done_f);
+  visit("done_b", p.done_b);
+  visit("due", p.due);
+  visit("live", p.live);
+  visit("cap", p.cap);
+  visit("queue", p.queue);
+  visit("committed", p.committed);
+  visit("microbatches", p.microbatches);
+  visit("last_mb", p.last_mb);
+  visit("at", p.at);
 }
 
-rt::StageProgress read_progress(Reader& r) {
-  rt::StageProgress p;
-  p.state = static_cast<rt::StageState>(r.i32());
-  p.messages = r.i64();
-  for (int* v : {&p.done_f, &p.done_b, &p.due, &p.live, &p.cap, &p.queue,
-                 &p.committed, &p.microbatches, &p.last_mb}) {
-    *v = r.i32();
-  }
-  p.at = r.f64();
-  return p;
+template <MaybeConst<obs::FlightEvent> E, class Visit>
+void fields(E& e, Visit&& visit) {
+  visit("ts", e.ts);
+  visit("seq", e.seq);
+  visit("kind", e.kind);
+  visit("mb", e.mb);
+  visit("slice", e.slice);
+  visit("value", e.value);
+  visit("label", e.label);  // the fixed array travels as its string
 }
 
-void write_metrics(Writer& w, const obs::StageMetrics& m) {
-  w.i32(m.device);
-  for (const double v :
-       {m.compute_seconds, m.comm_seconds, m.idle_seconds, m.bubble_fraction,
-        m.p2p_bytes, m.exchange_bytes, m.blocked_recv_seconds,
-        m.peak_memory_bytes, m.bytes_recv, m.measured_peak_total}) {
-    w.f64(v);
-  }
-  for (const std::int64_t v : {m.p2p_messages, m.frames_sent, m.frames_recv,
-                               m.crc_rejects, m.send_retries}) {
-    w.i64(v);
-  }
-  w.i32(m.peak_live_slices);
-  w.i32(m.peak_queue_depth);
-  w.i32(static_cast<std::int32_t>(m.measured_peak_bytes.size()));
-  for (const double v : m.measured_peak_bytes) w.f64(v);
+template <MaybeConst<fault::FaultEvent> E, class Visit>
+void fields(E& e, Visit&& visit) {
+  visit("kind", e.kind);
+  visit("device", e.device);
+  visit("time", e.time);
+  visit("index", e.index);
+  visit("detail", e.detail);
 }
 
-obs::StageMetrics read_metrics(Reader& r) {
-  obs::StageMetrics m;
-  m.device = r.i32();
-  for (double* v :
-       {&m.compute_seconds, &m.comm_seconds, &m.idle_seconds,
-        &m.bubble_fraction, &m.p2p_bytes, &m.exchange_bytes,
-        &m.blocked_recv_seconds, &m.peak_memory_bytes, &m.bytes_recv,
-        &m.measured_peak_total}) {
-    *v = r.f64();
-  }
-  for (std::int64_t* v : {&m.p2p_messages, &m.frames_sent, &m.frames_recv,
-                          &m.crc_rejects, &m.send_retries}) {
-    *v = r.i64();
-  }
-  m.peak_live_slices = r.i32();
-  m.peak_queue_depth = r.i32();
-  const std::int32_t n = r.i32();
-  for (std::int32_t i = 0; i < n; ++i) m.measured_peak_bytes.push_back(r.f64());
-  return m;
-}
-
-// The records a worker makes — spans, instants and flow points; the
+// A worker's trace records: spans, instants and flow points. The
 // supervisor names every track and process itself.
-void write_trace(Writer& w, const obs::Trace& t) {
-  w.i32(static_cast<std::int32_t>(t.spans.size()));
-  for (const obs::TraceSpan& s : t.spans) {
-    w.i32(s.track);
-    w.f64(s.start);
-    w.f64(s.end);
-    w.str(s.name);
-    w.str(s.cat);
-    w.i32(s.microbatch);
-    w.i32(s.slice);
-    w.i32(s.stage);
-  }
-  w.i32(static_cast<std::int32_t>(t.instants.size()));
-  for (const obs::TraceInstant& i : t.instants) {
-    w.i32(i.track);
-    w.f64(i.ts);
-    w.str(i.name);
-    w.str(i.cat);
-    w.str(i.detail);
-  }
-  w.i32(static_cast<std::int32_t>(t.flows.size()));
-  for (const obs::TraceFlowPoint& f : t.flows) {
-    w.i64(f.id);
-    w.i32(f.track);
-    w.f64(f.ts);
-    w.u8(f.begin ? 1 : 0);
-    w.str(f.name);
-  }
+template <MaybeConst<obs::TraceSpan> S, class Visit>
+void fields(S& s, Visit&& visit) {
+  visit("track", s.track);
+  visit("start", s.start);
+  visit("end", s.end);
+  visit("name", s.name);
+  visit("cat", s.cat);
+  visit("microbatch", s.microbatch);
+  visit("slice", s.slice);
+  visit("stage", s.stage);
 }
 
-obs::Trace read_trace(Reader& r) {
-  obs::Trace t;
-  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
-    obs::TraceSpan s;
-    s.track = r.i32();
-    s.start = r.f64();
-    s.end = r.f64();
-    s.name = r.str();
-    s.cat = r.str();
-    s.microbatch = r.i32();
-    s.slice = r.i32();
-    s.stage = r.i32();
-    t.spans.push_back(std::move(s));
-  }
-  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
-    obs::TraceInstant inst;
-    inst.track = r.i32();
-    inst.ts = r.f64();
-    inst.name = r.str();
-    inst.cat = r.str();
-    inst.detail = r.str();
-    t.instants.push_back(std::move(inst));
-  }
-  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
-    obs::TraceFlowPoint f;
-    f.id = r.i64();
-    f.track = r.i32();
-    f.ts = r.f64();
-    f.begin = r.u8() != 0;
-    f.name = r.str();
-    t.flows.push_back(std::move(f));
-  }
-  return t;
+template <MaybeConst<obs::TraceInstant> I, class Visit>
+void fields(I& i, Visit&& visit) {
+  visit("track", i.track);
+  visit("ts", i.ts);
+  visit("name", i.name);
+  visit("cat", i.cat);
+  visit("detail", i.detail);
 }
 
-void write_event(Writer& w, const fault::FaultEvent& event) {
-  w.u8(static_cast<std::uint8_t>(event.kind));
-  w.i32(event.device);
-  w.f64(event.time);
-  w.i64(event.index);
-  w.str(event.detail);
+template <MaybeConst<obs::TraceFlowPoint> F, class Visit>
+void fields(F& f, Visit&& visit) {
+  visit("id", f.id);
+  visit("track", f.track);
+  visit("ts", f.ts);
+  visit("begin", f.begin);
+  visit("name", f.name);
 }
 
-fault::FaultEvent read_event(Reader& r) {
-  fault::FaultEvent event;
-  event.kind = static_cast<fault::FaultEvent::Kind>(r.u8());
-  event.device = r.i32();
-  event.time = r.f64();
-  event.index = r.i64();
-  event.detail = r.str();
-  return event;
+template <MaybeConst<num::LayerGrads> G, class Visit>
+void fields(G& g, Visit&& visit) {
+  SLIM_CHECK(!g.moe.has_value(),
+             "MoE layer gradients are not wire-serializable yet");
+  visit("wq", g.wq);
+  visit("wk", g.wk);
+  visit("wv", g.wv);
+  visit("wo", g.wo);
+  visit("w_gate", g.w_gate);
+  visit("w_up", g.w_up);
+  visit("w_down", g.w_down);
+  visit("norm1", g.norm1);
+  visit("norm2", g.norm2);
 }
 
-}  // namespace
-
-void write_status(Writer& w, const WireStatus& status) {
-  write_progress(w, status.progress);
-  write_metrics(w, status.metrics);
-  w.f64(status.injected_delay_seconds);
-  w.i32(static_cast<std::int32_t>(status.flight.size()));
-  for (const obs::FlightEvent& ev : status.flight) {
-    w.f64(ev.ts);
-    w.i64(static_cast<std::int64_t>(ev.seq));
-    w.u8(static_cast<std::uint8_t>(ev.kind));
-    w.i32(ev.mb);
-    w.i32(ev.slice);
-    w.i64(ev.value);
-    w.str(ev.label_str());
-  }
+// `complete` stays behind: a Commit frame goes out only at retirement, so
+// read_commit sets it.
+template <MaybeConst<rt::StageCommit> C, class Visit>
+void fields(C& c, Visit&& visit) {
+  visit("loss", c.loss);
+  visit("layers", c.layers);
+  visit("embed_in", c.embed_in);
+  visit("head_shard", c.head_shard);
+  visit("final_norm", c.final_norm);
 }
+
+template <MaybeConst<WireStatus> S, class Visit>
+void fields(S& s, Visit&& visit) {
+  visit("progress", s.progress);
+  visit("metrics", s.metrics);
+  visit("injected_delay_seconds", s.injected_delay_seconds);
+  visit("flight", s.flight);
+}
+
+template <MaybeConst<WireStageDone> D, class Visit>
+void fields(D& d, Visit&& visit) {
+  visit("status", d.status);
+  visit("events", d.events);
+  visit("spans", d.trace.spans);
+  visit("instants", d.trace.instants);
+  visit("flows", d.trace.flows);
+  visit("error", d.error);
+}
+
+void write_status(Writer& w, const WireStatus& status) { fields(status, w); }
 
 WireStatus read_status(Reader& r) {
   WireStatus status;
-  status.progress = read_progress(r);
-  status.metrics = read_metrics(r);
-  status.injected_delay_seconds = r.f64();
-  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
-    obs::FlightEvent& ev = status.flight.emplace_back();
-    ev.ts = r.f64();
-    ev.seq = static_cast<std::uint64_t>(r.i64());
-    ev.kind = static_cast<obs::FlightKind>(r.u8());
-    ev.mb = r.i32();
-    ev.slice = r.i32();
-    ev.value = r.i64();
-    ev.set_label(r.str());
-  }
+  fields(status, r);
   return status;
 }
 
-namespace {
-
-void write_layer_grads(Writer& w, const num::LayerGrads& g) {
-  SLIM_CHECK(!g.moe.has_value(),
-             "MoE layer gradients are not wire-serializable yet");
-  w.tensor(g.wq);
-  w.tensor(g.wk);
-  w.tensor(g.wv);
-  w.tensor(g.wo);
-  w.tensor(g.w_gate);
-  w.tensor(g.w_up);
-  w.tensor(g.w_down);
-  w.tensor(g.norm1);
-  w.tensor(g.norm2);
-}
-
-num::LayerGrads read_layer_grads(Reader& r) {
-  num::LayerGrads g;
-  g.wq = r.tensor();
-  g.wk = r.tensor();
-  g.wv = r.tensor();
-  g.wo = r.tensor();
-  g.w_gate = r.tensor();
-  g.w_up = r.tensor();
-  g.w_down = r.tensor();
-  g.norm1 = r.tensor();
-  g.norm2 = r.tensor();
-  return g;
-}
-
-}  // namespace
-
 void write_commit(Writer& w, const rt::StageCommit& commit) {
-  w.f64(commit.loss);
-  w.i32(static_cast<std::int32_t>(commit.layers.size()));
-  for (const num::LayerGrads& g : commit.layers) write_layer_grads(w, g);
-  w.tensor(commit.embed_in);
-  w.tensor(commit.head_shard);
-  w.tensor(commit.final_norm);
+  fields(commit, w);
 }
 
 rt::StageCommit read_commit(Reader& r) {
   rt::StageCommit commit;
-  commit.loss = r.f64();
-  const std::int32_t n_layers = r.i32();
-  SLIM_CHECK(n_layers >= 0, "commit frame with negative layer count");
-  for (std::int32_t i = 0; i < n_layers; ++i) {
-    commit.layers.push_back(read_layer_grads(r));
-  }
-  commit.embed_in = r.tensor();
-  commit.head_shard = r.tensor();
-  commit.final_norm = r.tensor();
+  fields(commit, r);
   commit.complete = true;
   return commit;
 }
 
 void write_stage_done(Writer& w, const WireStageDone& done) {
-  write_status(w, done.status);
-  w.i32(static_cast<std::int32_t>(done.events.size()));
-  for (const fault::FaultEvent& e : done.events) write_event(w, e);
-  write_trace(w, done.trace);
-  w.str(done.error);
+  fields(done, w);
 }
 
 WireStageDone read_stage_done(Reader& r) {
   WireStageDone done;
-  done.status = read_status(r);
-  for (std::int32_t n = r.i32(), i = 0; i < n; ++i) {
-    done.events.push_back(read_event(r));
-  }
-  done.trace = read_trace(r);
-  done.error = r.str();
+  fields(done, r);
   return done;
 }
 

@@ -25,10 +25,15 @@
 // on it). A worker's progress, metrics and trace travel as the same
 // records the threaded runtime keeps in memory: rt::StageProgress,
 // obs::StageMetrics and the flight recorder's tail in every heartbeat,
-// obs::Trace in the Done frame.
+// obs::Trace's records in the Done frame. Each payload record has one
+// field list (src/util/fields.hpp) that Writer and Reader both walk, so a
+// record's layout is its list's order: both ends are the same binary.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/dist/socket.hpp"
@@ -39,6 +44,8 @@
 #include "src/obs/trace.hpp"
 #include "src/runtime/commit.hpp"
 #include "src/runtime/stage_driver.hpp"
+#include "src/util/fields.hpp"
+#include "src/util/logging.hpp"
 
 namespace slim::dist {
 
@@ -84,7 +91,43 @@ class Writer {
   void tensor(const num::Tensor& t);  // rows, cols, raw fp32 bytes
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
+  /// Field-list visit (src/util/fields.hpp): appends one member in its
+  /// type's wire form; the key and any tag stay behind.
+  template <class T, class... Tag>
+  void operator()(const char* /*key*/, const T& member, Tag...) {
+    put(member);
+  }
+
  private:
+  // Integers and enums at their width, a bool as a u8, a fixed char array
+  // (the flight label) as its string, a vector as an i32 count and its
+  // elements, a record as its field list.
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+      u8(static_cast<std::uint8_t>(v));
+    } else if constexpr (std::is_same_v<T, std::int32_t>) {
+      i32(v);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      i64(static_cast<std::int64_t>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      f64(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      str(v);
+    } else if constexpr (std::is_same_v<T, num::Tensor>) {
+      tensor(v);
+    } else if constexpr (std::is_array_v<T>) {
+      str(std::string(v, strnlen(v, std::extent_v<T>)));
+    } else if constexpr (is_vector_v<T>) {
+      i32(static_cast<std::int32_t>(v.size()));
+      for (const auto& element : v) put(element);
+    } else {
+      fields(v, *this);
+    }
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -99,7 +142,50 @@ class Reader {
   num::Tensor tensor();
   bool done() const { return pos_ == bytes_.size(); }
 
+  /// Field-list visit: reads one member back from its type's wire form.
+  /// Every read is bounds-checked; a short or corrupt payload throws.
+  template <class T, class... Tag>
+  void operator()(const char* /*key*/, T& member, Tag...) {
+    get(member);
+  }
+
  private:
+  // The inverse of Writer::put. A vector's element count must lie in
+  // [0, bytes left] (every element takes at least one byte); it is checked
+  // before any element is read and never used to reserve memory.
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw;
+      get(raw);
+      v = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+      v = static_cast<T>(u8());  // a bool: any nonzero byte is true
+    } else if constexpr (std::is_same_v<T, std::int32_t>) {
+      v = i32();
+    } else if constexpr (std::is_integral_v<T> && sizeof(T) == 8) {
+      v = static_cast<T>(i64());
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = f64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = str();
+    } else if constexpr (std::is_same_v<T, num::Tensor>) {
+      v = tensor();
+    } else if constexpr (std::is_array_v<T>) {  // keeps N - 1 bytes at most
+      const std::string s = str();
+      const std::size_t n = std::min(s.size(), std::extent_v<T> - 1);
+      std::memcpy(v, s.data(), n);
+      std::memset(v + n, 0, std::extent_v<T> - n);
+    } else if constexpr (is_vector_v<T>) {
+      const std::int32_t n = i32();
+      SLIM_CHECK(n >= 0 && static_cast<std::size_t>(n) <= bytes_.size() - pos_,
+                 "wire element count out of range");
+      for (std::int32_t i = 0; i < n; ++i) get(v.emplace_back());
+    } else {
+      fields(v, *this);
+    }
+  }
+
   const std::vector<std::uint8_t>& bytes_;
   std::size_t pos_ = 0;
 };

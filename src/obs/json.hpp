@@ -2,19 +2,24 @@
 
 // Minimal JSON support for the observability layer.
 //
-// Two halves: escaping for every place the codebase hand-emits JSON (trace
-// exporter, bench reporter, metrics reports), and a small recursive-descent
-// parser used by slimpipe_report and the trace/report validators. The parser
-// covers the full JSON grammar (objects, arrays, strings with escapes,
-// numbers, literals) — enough to round-trip everything we emit and to reject
-// structurally broken output in tests.
+// Three parts: escaping and number formatting for the text the codebase
+// emits by hand (the Chrome trace, the Prometheus exposition), a small
+// recursive-descent parser used by slimpipe_report, slimpipe_top and the
+// trace/report validators, and a codec that walks a record's field list to
+// and from a JsonValue (the run metrics, live snapshot and bench report
+// files). The parser covers the full JSON grammar (objects, arrays, strings
+// with escapes, numbers, literals) — enough to round-trip everything we emit
+// and to reject structurally broken output in tests.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "src/util/fields.hpp"
 
 namespace slim::obs {
 
@@ -90,5 +95,103 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+// ---------------------------------------------------------------------------
+// Field-list codec (src/util/fields.hpp). to_json writes numbers, bools and
+// strings as themselves, vectors as arrays and records as objects whose
+// members follow the record's field list; from_json reads the same shapes
+// back. A member missing from an object keeps its default; a member of the
+// wrong type fails the decode, which then leaves `*out` alone.
+
+/// Optional third argument of a field-list visit: JSON carries the member
+/// only when `present` (the wire always does; a reader takes it when there).
+struct InJson {
+  bool present = true;
+};
+
+template <class T>
+JsonValue to_json(const T& value);
+template <class T>
+bool from_json(const JsonValue& value, T* out);
+
+/// Field-list visitor: appends each member to `object`, in list order.
+class JsonWriter {
+ public:
+  explicit JsonWriter(JsonValue& object) : object_(object) {}
+
+  template <class T>
+  void operator()(std::string_view key, const T& member, InJson in = {}) {
+    if (in.present) object_.set(key, to_json(member));
+  }
+
+ private:
+  JsonValue& object_;
+};
+
+/// Field-list visitor: assigns each member that `object` holds.
+class JsonReader {
+ public:
+  explicit JsonReader(const JsonValue& object) : object_(object) {}
+
+  template <class T>
+  void operator()(std::string_view key, T& member, InJson = {}) {
+    const JsonValue* value = object_.find(key);
+    if (value != nullptr && !from_json(*value, &member)) ok_ = false;
+  }
+
+  bool ok() const { return ok_; }
+
+ private:
+  const JsonValue& object_;
+  bool ok_ = true;
+};
+
+template <class T>
+JsonValue to_json(const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return JsonValue::make_bool(value);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return JsonValue::make_number(static_cast<double>(value));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return JsonValue::make_string(value);
+  } else if constexpr (is_vector_v<T>) {
+    JsonValue array = JsonValue::make_array();
+    for (const auto& element : value) array.push_back(to_json(element));
+    return array;
+  } else {
+    JsonValue object = JsonValue::make_object();
+    fields(value, JsonWriter(object));
+    return object;
+  }
+}
+
+template <class T>
+bool from_json(const JsonValue& value, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!value.is_bool()) return false;
+    *out = value.boolean();
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    if (!value.is_number()) return false;
+    *out = static_cast<T>(value.number());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!value.is_string()) return false;
+    *out = value.str();
+  } else if constexpr (is_vector_v<T>) {
+    if (!value.is_array()) return false;
+    T elements;
+    for (const JsonValue& item : value.array()) {
+      if (!from_json(item, &elements.emplace_back())) return false;
+    }
+    *out = std::move(elements);
+  } else {
+    if (out == nullptr || !value.is_object()) return false;
+    T record;
+    JsonReader reader(value);
+    fields(record, reader);
+    if (!reader.ok()) return false;
+    *out = std::move(record);
+  }
+  return true;
+}
 
 }  // namespace slim::obs

@@ -161,101 +161,11 @@ RunMetrics metrics_from_sim(const sim::OpGraph& graph,
 }
 
 JsonValue run_metrics_to_json(const RunMetrics& metrics) {
-  JsonValue root = JsonValue::make_object();
-  root.set("substrate", JsonValue::make_string(metrics.substrate));
-  root.set("scheme", JsonValue::make_string(metrics.scheme));
-  root.set("makespan", JsonValue::make_number(metrics.makespan));
-  JsonValue stages = JsonValue::make_array();
-  for (const StageMetrics& s : metrics.stages) {
-    JsonValue stage = JsonValue::make_object();
-    stage.set("device", JsonValue::make_number(s.device));
-    stage.set("compute_seconds", JsonValue::make_number(s.compute_seconds));
-    stage.set("comm_seconds", JsonValue::make_number(s.comm_seconds));
-    stage.set("idle_seconds", JsonValue::make_number(s.idle_seconds));
-    stage.set("bubble_fraction", JsonValue::make_number(s.bubble_fraction));
-    stage.set("peak_live_slices", JsonValue::make_number(s.peak_live_slices));
-    stage.set("p2p_messages",
-              JsonValue::make_number(static_cast<double>(s.p2p_messages)));
-    stage.set("p2p_bytes", JsonValue::make_number(s.p2p_bytes));
-    stage.set("exchange_bytes", JsonValue::make_number(s.exchange_bytes));
-    stage.set("blocked_recv_seconds",
-              JsonValue::make_number(s.blocked_recv_seconds));
-    stage.set("peak_queue_depth",
-              JsonValue::make_number(s.peak_queue_depth));
-    stage.set("peak_memory_bytes",
-              JsonValue::make_number(s.peak_memory_bytes));
-    stage.set("frames_sent",
-              JsonValue::make_number(static_cast<double>(s.frames_sent)));
-    stage.set("frames_recv",
-              JsonValue::make_number(static_cast<double>(s.frames_recv)));
-    stage.set("bytes_recv", JsonValue::make_number(s.bytes_recv));
-    stage.set("crc_rejects",
-              JsonValue::make_number(static_cast<double>(s.crc_rejects)));
-    stage.set("send_retries",
-              JsonValue::make_number(static_cast<double>(s.send_retries)));
-    if (!s.measured_peak_bytes.empty()) {
-      JsonValue measured = JsonValue::make_array();
-      for (const double b : s.measured_peak_bytes) {
-        measured.push_back(JsonValue::make_number(b));
-      }
-      stage.set("measured_peak_bytes", std::move(measured));
-      stage.set("measured_peak_total",
-                JsonValue::make_number(s.measured_peak_total));
-    }
-    stages.push_back(std::move(stage));
-  }
-  root.set("stages", std::move(stages));
-  return root;
+  return to_json(metrics);
 }
 
 bool run_metrics_from_json(const JsonValue& value, RunMetrics* out) {
-  if (!value.is_object() || out == nullptr) return false;
-  RunMetrics metrics;
-  metrics.substrate = value.string_or("substrate", "");
-  metrics.scheme = value.string_or("scheme", "");
-  metrics.makespan = value.number_or("makespan", 0.0);
-  const JsonValue* stages = value.find("stages");
-  if (stages != nullptr && stages->is_array()) {
-    for (const JsonValue& item : stages->array()) {
-      if (!item.is_object()) return false;
-      StageMetrics s;
-      s.device = static_cast<int>(item.number_or("device", 0.0));
-      s.compute_seconds = item.number_or("compute_seconds", 0.0);
-      s.comm_seconds = item.number_or("comm_seconds", 0.0);
-      s.idle_seconds = item.number_or("idle_seconds", 0.0);
-      s.bubble_fraction = item.number_or("bubble_fraction", 0.0);
-      s.peak_live_slices =
-          static_cast<int>(item.number_or("peak_live_slices", 0.0));
-      s.p2p_messages =
-          static_cast<std::int64_t>(item.number_or("p2p_messages", 0.0));
-      s.p2p_bytes = item.number_or("p2p_bytes", 0.0);
-      s.exchange_bytes = item.number_or("exchange_bytes", 0.0);
-      s.blocked_recv_seconds = item.number_or("blocked_recv_seconds", 0.0);
-      s.peak_queue_depth =
-          static_cast<int>(item.number_or("peak_queue_depth", 0.0));
-      s.peak_memory_bytes = item.number_or("peak_memory_bytes", 0.0);
-      s.frames_sent =
-          static_cast<std::int64_t>(item.number_or("frames_sent", 0.0));
-      s.frames_recv =
-          static_cast<std::int64_t>(item.number_or("frames_recv", 0.0));
-      s.bytes_recv = item.number_or("bytes_recv", 0.0);
-      s.crc_rejects =
-          static_cast<std::int64_t>(item.number_or("crc_rejects", 0.0));
-      s.send_retries =
-          static_cast<std::int64_t>(item.number_or("send_retries", 0.0));
-      const JsonValue* measured = item.find("measured_peak_bytes");
-      if (measured != nullptr && measured->is_array()) {
-        for (const JsonValue& b : measured->array()) {
-          if (!b.is_number()) return false;
-          s.measured_peak_bytes.push_back(b.number());
-        }
-        s.measured_peak_total = item.number_or("measured_peak_total", 0.0);
-      }
-      metrics.stages.push_back(s);
-    }
-  }
-  *out = std::move(metrics);
-  return true;
+  return from_json(value, out);
 }
 
 }  // namespace slim::obs

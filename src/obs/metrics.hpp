@@ -14,6 +14,7 @@
 #include "src/obs/json.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/graph.hpp"
+#include "src/util/fields.hpp"
 
 namespace slim::obs {
 
@@ -73,6 +74,43 @@ struct RunMetrics {
   void set_idle_from_makespan();
   std::int64_t total_p2p_messages() const;
 };
+
+/// StageMetrics' field list (src/util/fields.hpp), walked by the worker
+/// wire (src/dist/wire.cpp) and by the run metrics JSON. The JSON carries
+/// the arena peaks only when they were measured.
+template <MaybeConst<StageMetrics> M, class Visit>
+void fields(M& m, Visit&& visit) {
+  visit("device", m.device);
+  visit("compute_seconds", m.compute_seconds);
+  visit("comm_seconds", m.comm_seconds);
+  visit("idle_seconds", m.idle_seconds);
+  visit("bubble_fraction", m.bubble_fraction);
+  visit("peak_live_slices", m.peak_live_slices);
+  visit("p2p_messages", m.p2p_messages);
+  visit("p2p_bytes", m.p2p_bytes);
+  visit("exchange_bytes", m.exchange_bytes);
+  visit("blocked_recv_seconds", m.blocked_recv_seconds);
+  visit("peak_queue_depth", m.peak_queue_depth);
+  visit("peak_memory_bytes", m.peak_memory_bytes);
+  visit("frames_sent", m.frames_sent);
+  visit("frames_recv", m.frames_recv);
+  visit("bytes_recv", m.bytes_recv);
+  visit("crc_rejects", m.crc_rejects);
+  visit("send_retries", m.send_retries);
+  const InJson measured{!m.measured_peak_bytes.empty()};
+  visit("measured_peak_bytes", m.measured_peak_bytes, measured);
+  visit("measured_peak_total", m.measured_peak_total, measured);
+}
+
+/// RunMetrics' field list: the run metrics JSON, also nested in every
+/// bench report run.
+template <MaybeConst<RunMetrics> R, class Visit>
+void fields(R& r, Visit&& visit) {
+  visit("substrate", r.substrate);
+  visit("scheme", r.scheme);
+  visit("makespan", r.makespan);
+  visit("stages", r.stages);
+}
 
 /// Computes per-device metrics from an executed simulator graph. Comm
 /// seconds attribute channel occupancy to the *sending* device. Peak live

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/util/fields.hpp"
+
 namespace slim::obs {
 
 void BenchReport::add_series(const std::string& title, const Table& table) {
@@ -17,113 +19,48 @@ void BenchReport::add_series(const std::string& title, const Table& table) {
   series.push_back(std::move(s));
 }
 
+// Field lists of the report records (src/util/fields.hpp).
+
+template <MaybeConst<SeriesTable> S, class Visit>
+void fields(S& s, Visit&& visit) {
+  visit("title", s.title);
+  visit("columns", s.columns);
+  visit("rows", s.rows);
+}
+
+template <MaybeConst<RunRecord> R, class Visit>
+void fields(R& r, Visit&& visit) {
+  visit("label", r.label);
+  visit("iteration_time", r.iteration_time);
+  visit("bubble_fraction", r.bubble_fraction);
+  visit("mfu", r.mfu);
+  visit("peak_memory", r.peak_memory);
+  visit("oom", r.oom);
+  visit("metrics", r.metrics);
+}
+
+template <MaybeConst<BenchReport> B, class Visit>
+void fields(B& b, Visit&& visit) {
+  visit("name", b.name);
+  visit("artifact", b.artifact);
+  visit("setup", b.setup);
+  visit("expectation", b.expectation);
+  visit("series", b.series);
+  visit("runs", b.runs);
+}
+
+// The schema and version members lead the file; validate_report checks
+// them, the reader does not need them.
 JsonValue report_to_json(const BenchReport& report) {
   JsonValue root = JsonValue::make_object();
   root.set("schema", JsonValue::make_string(kReportSchema));
   root.set("version", JsonValue::make_number(kReportVersion));
-  root.set("name", JsonValue::make_string(report.name));
-  root.set("artifact", JsonValue::make_string(report.artifact));
-  root.set("setup", JsonValue::make_string(report.setup));
-  root.set("expectation", JsonValue::make_string(report.expectation));
-
-  JsonValue series = JsonValue::make_array();
-  for (const SeriesTable& s : report.series) {
-    JsonValue entry = JsonValue::make_object();
-    entry.set("title", JsonValue::make_string(s.title));
-    JsonValue columns = JsonValue::make_array();
-    for (const std::string& c : s.columns) {
-      columns.push_back(JsonValue::make_string(c));
-    }
-    entry.set("columns", std::move(columns));
-    JsonValue rows = JsonValue::make_array();
-    for (const std::vector<std::string>& row : s.rows) {
-      JsonValue cells = JsonValue::make_array();
-      for (const std::string& cell : row) {
-        cells.push_back(JsonValue::make_string(cell));
-      }
-      rows.push_back(std::move(cells));
-    }
-    entry.set("rows", std::move(rows));
-    series.push_back(std::move(entry));
-  }
-  root.set("series", std::move(series));
-
-  JsonValue runs = JsonValue::make_array();
-  for (const RunRecord& run : report.runs) {
-    JsonValue entry = JsonValue::make_object();
-    entry.set("label", JsonValue::make_string(run.label));
-    entry.set("iteration_time", JsonValue::make_number(run.iteration_time));
-    entry.set("bubble_fraction", JsonValue::make_number(run.bubble_fraction));
-    entry.set("mfu", JsonValue::make_number(run.mfu));
-    entry.set("peak_memory", JsonValue::make_number(run.peak_memory));
-    entry.set("oom", JsonValue::make_bool(run.oom));
-    entry.set("metrics", run_metrics_to_json(run.metrics));
-    runs.push_back(std::move(entry));
-  }
-  root.set("runs", std::move(runs));
+  fields(report, JsonWriter(root));
   return root;
 }
 
 bool report_from_json(const JsonValue& value, BenchReport* out) {
-  if (!value.is_object() || out == nullptr) return false;
-  BenchReport report;
-  report.name = value.string_or("name", "");
-  report.artifact = value.string_or("artifact", "");
-  report.setup = value.string_or("setup", "");
-  report.expectation = value.string_or("expectation", "");
-
-  if (const JsonValue* series = value.find("series");
-      series != nullptr && series->is_array()) {
-    for (const JsonValue& entry : series->array()) {
-      if (!entry.is_object()) return false;
-      SeriesTable s;
-      s.title = entry.string_or("title", "");
-      if (const JsonValue* columns = entry.find("columns");
-          columns != nullptr && columns->is_array()) {
-        for (const JsonValue& c : columns->array()) {
-          if (!c.is_string()) return false;
-          s.columns.push_back(c.str());
-        }
-      }
-      if (const JsonValue* rows = entry.find("rows");
-          rows != nullptr && rows->is_array()) {
-        for (const JsonValue& row : rows->array()) {
-          if (!row.is_array()) return false;
-          std::vector<std::string> cells;
-          for (const JsonValue& cell : row.array()) {
-            if (!cell.is_string()) return false;
-            cells.push_back(cell.str());
-          }
-          s.rows.push_back(std::move(cells));
-        }
-      }
-      report.series.push_back(std::move(s));
-    }
-  }
-
-  if (const JsonValue* runs = value.find("runs");
-      runs != nullptr && runs->is_array()) {
-    for (const JsonValue& entry : runs->array()) {
-      if (!entry.is_object()) return false;
-      RunRecord run;
-      run.label = entry.string_or("label", "");
-      run.iteration_time = entry.number_or("iteration_time", 0.0);
-      run.bubble_fraction = entry.number_or("bubble_fraction", 0.0);
-      run.mfu = entry.number_or("mfu", 0.0);
-      run.peak_memory = entry.number_or("peak_memory", 0.0);
-      if (const JsonValue* oom = entry.find("oom");
-          oom != nullptr && oom->is_bool()) {
-        run.oom = oom->boolean();
-      }
-      if (const JsonValue* metrics = entry.find("metrics");
-          metrics != nullptr && metrics->is_object()) {
-        if (!run_metrics_from_json(*metrics, &run.metrics)) return false;
-      }
-      report.runs.push_back(std::move(run));
-    }
-  }
-  *out = std::move(report);
-  return true;
+  return from_json(value, out);
 }
 
 bool load_report(const std::string& path, BenchReport* out,

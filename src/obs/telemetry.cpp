@@ -3,72 +3,51 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/util/fields.hpp"
 #include "src/util/table.hpp"
 
 namespace slim::obs {
 
+// Field lists of the snapshot records (src/util/fields.hpp).
+
+template <MaybeConst<StageLive> S, class Visit>
+void fields(S& s, Visit&& visit) {
+  visit("stage", s.stage);
+  visit("pid", s.pid);
+  visit("state", s.state);
+  visit("beat_age_seconds", s.beat_age_seconds);
+  visit("messages", s.messages);
+  visit("done_f", s.done_f);
+  visit("want_f", s.want_f);
+  visit("done_b", s.done_b);
+  visit("want_b", s.want_b);
+  visit("live", s.live);
+  visit("live_cap", s.live_cap);
+  visit("queue", s.queue);
+  visit("committed", s.committed);
+  visit("committed_total", s.committed_total);
+  visit("frames_out", s.frames_out);
+  visit("frames_in", s.frames_in);
+  visit("bytes_out", s.bytes_out);
+  visit("bytes_in", s.bytes_in);
+  visit("crc_rejects", s.crc_rejects);
+  visit("retries", s.retries);
+  visit("arena_peak_bytes", s.arena_peak_bytes);
+  visit("flight_events", s.flight_events);
+  visit("respawns", s.respawns);
+}
+
+template <MaybeConst<LiveSnapshot> S, class Visit>
+void fields(S& s, Visit&& visit) {
+  visit("ts", s.ts);
+  visit("phase", s.phase);
+  visit("attempt", s.attempt);
+  visit("microbatches", s.microbatches);
+  visit("merged_microbatches", s.merged_microbatches);
+  visit("stages", s.stages);
+}
+
 namespace {
-
-JsonValue stage_to_json(const StageLive& s) {
-  JsonValue v = JsonValue::make_object();
-  v.set("stage", JsonValue::make_number(s.stage));
-  v.set("pid", JsonValue::make_number(static_cast<double>(s.pid)));
-  v.set("state", JsonValue::make_string(s.state));
-  v.set("beat_age_seconds", JsonValue::make_number(s.beat_age_seconds));
-  v.set("messages", JsonValue::make_number(static_cast<double>(s.messages)));
-  v.set("done_f", JsonValue::make_number(s.done_f));
-  v.set("want_f", JsonValue::make_number(s.want_f));
-  v.set("done_b", JsonValue::make_number(s.done_b));
-  v.set("want_b", JsonValue::make_number(s.want_b));
-  v.set("live", JsonValue::make_number(s.live));
-  v.set("live_cap", JsonValue::make_number(s.live_cap));
-  v.set("queue", JsonValue::make_number(s.queue));
-  v.set("committed", JsonValue::make_number(s.committed));
-  v.set("committed_total", JsonValue::make_number(s.committed_total));
-  v.set("frames_out",
-        JsonValue::make_number(static_cast<double>(s.frames_out)));
-  v.set("frames_in", JsonValue::make_number(static_cast<double>(s.frames_in)));
-  v.set("bytes_out", JsonValue::make_number(s.bytes_out));
-  v.set("bytes_in", JsonValue::make_number(s.bytes_in));
-  v.set("crc_rejects",
-        JsonValue::make_number(static_cast<double>(s.crc_rejects)));
-  v.set("retries", JsonValue::make_number(static_cast<double>(s.retries)));
-  v.set("arena_peak_bytes", JsonValue::make_number(s.arena_peak_bytes));
-  v.set("flight_events",
-        JsonValue::make_number(static_cast<double>(s.flight_events)));
-  v.set("respawns", JsonValue::make_number(static_cast<double>(s.respawns)));
-  return v;
-}
-
-StageLive stage_from_json(const JsonValue& v) {
-  StageLive s;
-  s.stage = static_cast<int>(v.number_or("stage", 0.0));
-  s.pid = static_cast<std::int64_t>(v.number_or("pid", 0.0));
-  s.state = v.string_or("state", "");
-  s.beat_age_seconds = v.number_or("beat_age_seconds", 0.0);
-  s.messages = static_cast<std::int64_t>(v.number_or("messages", 0.0));
-  s.done_f = static_cast<std::int32_t>(v.number_or("done_f", 0.0));
-  s.want_f = static_cast<std::int32_t>(v.number_or("want_f", 0.0));
-  s.done_b = static_cast<std::int32_t>(v.number_or("done_b", 0.0));
-  s.want_b = static_cast<std::int32_t>(v.number_or("want_b", 0.0));
-  s.live = static_cast<std::int32_t>(v.number_or("live", 0.0));
-  s.live_cap = static_cast<std::int32_t>(v.number_or("live_cap", 0.0));
-  s.queue = static_cast<std::int32_t>(v.number_or("queue", 0.0));
-  s.committed = static_cast<std::int32_t>(v.number_or("committed", 0.0));
-  s.committed_total =
-      static_cast<std::int32_t>(v.number_or("committed_total", 0.0));
-  s.frames_out = static_cast<std::int64_t>(v.number_or("frames_out", 0.0));
-  s.frames_in = static_cast<std::int64_t>(v.number_or("frames_in", 0.0));
-  s.bytes_out = v.number_or("bytes_out", 0.0);
-  s.bytes_in = v.number_or("bytes_in", 0.0);
-  s.crc_rejects = static_cast<std::int64_t>(v.number_or("crc_rejects", 0.0));
-  s.retries = static_cast<std::int64_t>(v.number_or("retries", 0.0));
-  s.arena_peak_bytes = v.number_or("arena_peak_bytes", 0.0);
-  s.flight_events =
-      static_cast<std::int64_t>(v.number_or("flight_events", 0.0));
-  s.respawns = static_cast<std::int64_t>(v.number_or("respawns", 0.0));
-  return s;
-}
 
 struct Series {
   const char* name;
@@ -152,41 +131,17 @@ std::string human_bytes(double bytes) {
 
 }  // namespace
 
+// The marker member, first in the file, tells a snapshot from other JSON.
 JsonValue snapshot_to_json(const LiveSnapshot& snap) {
   JsonValue root = JsonValue::make_object();
   root.set("slimpipe_live_snapshot", JsonValue::make_number(1));
-  root.set("ts", JsonValue::make_number(snap.ts));
-  root.set("phase", JsonValue::make_string(snap.phase));
-  root.set("attempt", JsonValue::make_number(snap.attempt));
-  root.set("microbatches", JsonValue::make_number(snap.microbatches));
-  root.set("merged_microbatches",
-           JsonValue::make_number(snap.merged_microbatches));
-  JsonValue stages = JsonValue::make_array();
-  for (const StageLive& s : snap.stages) stages.push_back(stage_to_json(s));
-  root.set("stages", std::move(stages));
+  fields(snap, JsonWriter(root));
   return root;
 }
 
 bool snapshot_from_json(const JsonValue& value, LiveSnapshot* out) {
-  if (!value.is_object() || out == nullptr) return false;
-  if (value.find("slimpipe_live_snapshot") == nullptr) return false;
-  LiveSnapshot snap;
-  snap.ts = value.number_or("ts", 0.0);
-  snap.phase = value.string_or("phase", "");
-  snap.attempt = static_cast<int>(value.number_or("attempt", 0.0));
-  snap.microbatches = static_cast<int>(value.number_or("microbatches", 0.0));
-  snap.merged_microbatches =
-      static_cast<int>(value.number_or("merged_microbatches", 0.0));
-  const JsonValue* stages = value.find("stages");
-  if (stages != nullptr) {
-    if (!stages->is_array()) return false;
-    for (const JsonValue& item : stages->array()) {
-      if (!item.is_object()) return false;
-      snap.stages.push_back(stage_from_json(item));
-    }
-  }
-  *out = std::move(snap);
-  return true;
+  return value.find("slimpipe_live_snapshot") != nullptr &&
+         from_json(value, out);
 }
 
 std::string prometheus_text(const LiveSnapshot& snap) {

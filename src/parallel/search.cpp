@@ -17,6 +17,11 @@ namespace {
 
 constexpr double kUsableFraction = 0.96;  // leave room for runtime/NCCL
 constexpr double kReserveBytes = 3.0 * kGiB;
+constexpr std::int64_t kMaxP = 64;
+/// Paper §6.1 deployment rule: "TP, CP and EP should be deployed within a
+/// node" — t * c may not exceed the NVLink domain. Table 4 style cross-node
+/// CP escapes this by constructing configs directly.
+constexpr std::int64_t kMaxTcPerNode = 8;
 
 bool scheme_retains_kv(core::Scheme scheme) {
   return scheme == core::Scheme::SlimPipe || scheme == core::Scheme::TeraPipe;
@@ -216,12 +221,9 @@ SearchResult grid_search(const model::TransformerConfig& model,
   for (std::int64_t t : t_options) {
     if (options.fixed_t != 0 && t != options.fixed_t) continue;
     for (std::int64_t c : c_options) {
-      if (options.fixed_c != 0 && c != options.fixed_c) continue;
-      if (options.max_tc_per_node > 0 && t * c > options.max_tc_per_node) {
-        continue;
-      }
+      if (t * c > kMaxTcPerNode) continue;
       for (std::int64_t e : e_options) {
-        for (std::int64_t p = 1; p <= options.max_p; ++p) {
+        for (std::int64_t p = 1; p <= kMaxP; ++p) {
           if (options.fixed_p != 0 && p != options.fixed_p) continue;
           if (model.layers % p != 0) continue;
           const std::int64_t tcp = t * c * p;

@@ -24,15 +24,9 @@ const char* to_string(SearchStatus status);
 struct SearchOptions {
   std::vector<double> offload_ratios = {0.0};
   int simulate_top_k = 4;
-  std::int64_t max_p = 64;
   // Pin dimensions (0 = search freely) — Figure 2 fixes 8-way TP and PP.
   std::int64_t fixed_t = 0;
-  std::int64_t fixed_c = 0;
   std::int64_t fixed_p = 0;
-  /// Paper §6.1 deployment rule: "TP, CP and EP should be deployed within
-  /// a node" — t * c may not exceed the NVLink domain. Table 4 style
-  /// cross-node CP escapes this by constructing configs directly.
-  std::int64_t max_tc_per_node = 8;
   bool verbose = false;
 };
 

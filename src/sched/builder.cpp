@@ -20,6 +20,9 @@ namespace slim::sched {
 namespace {
 
 constexpr double kMemoryReserveBytes = 3.0 * kGiB;  // runtime + NCCL + workspace
+/// Fraction of data-parallel gradient communication that is exposed (not
+/// overlapped with backward); uniform across schemes.
+constexpr double kDpExposedFraction = 0.25;
 
 std::atomic<bool> g_compile_lint{true};
 
@@ -398,7 +401,7 @@ BuildOutput compile(const PipelineSpec& spec,
                                                   params * 4.0, true);
       const double ag = topo.ring_collective_time(static_cast<int>(spec.d),
                                                   params * 2.0, true);
-      dp_time = spec.dp_exposed_fraction * (rs + ag);
+      dp_time = kDpExposedFraction * (rs + ag);
     }
     const sim::OpId opt = graph.add_compute(dev, update_time + dp_time,
                                             sim::OpClass::Optimizer, {});

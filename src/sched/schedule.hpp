@@ -90,10 +90,6 @@ struct PipelineSpec {
   /// ablated in bench_eq2_exchange_volume).
   bool adaptive_exchange = false;
   mem::OffloadModel offload;
-
-  /// Fraction of data-parallel gradient communication that is exposed
-  /// (not overlapped with backward); uniform across schemes.
-  double dp_exposed_fraction = 0.25;
   std::int64_t d = 1;                       // data-parallel size (optimizer)
 
   /// Declared cap on simultaneously-live activation units (slices) per

@@ -3,10 +3,7 @@
 // Minimal thread-safe logging for the SlimPipe library.
 //
 // Usage:
-//   SLIM_LOG(Info) << "built schedule with " << n << " ops";
-//
-// The log level is process-global and can be raised to silence output in
-// benchmarks (set_log_level(LogLevel::Warn)).
+//   SLIM_LOG(Warn) << "built schedule with " << n << " ops";
 
 #include <mutex>
 #include <sstream>
@@ -14,10 +11,7 @@
 
 namespace slim {
 
-enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Sets the minimum severity that will be emitted.
-void set_log_level(LogLevel level);
+enum class LogLevel : int { Warn, Error };
 
 namespace detail {
 
@@ -30,12 +24,11 @@ class LogLine {
 
   template <typename T>
   LogLine& operator<<(const T& value) {
-    if (enabled_) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
  private:
-  bool enabled_;
   std::ostringstream stream_;
 };
 

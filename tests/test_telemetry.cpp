@@ -1,8 +1,9 @@
 // Tests for the multi-process observability layer: the crash-surviving
 // flight recorder and the heartbeat that carries its tail
-// (obs/flight_recorder.hpp, dist/wire.hpp), and live telemetry snapshots —
-// Prometheus exposition golden lines, snapshot JSON round trips and the
-// slimpipe_top terminal rendering (obs/telemetry.hpp).
+// (obs/flight_recorder.hpp, dist/wire.hpp), the heartbeat's progress and
+// metrics field by field on the wire and in the report JSON, and live
+// telemetry snapshots — Prometheus exposition golden lines, snapshot JSON
+// round trips and the slimpipe_top terminal rendering (obs/telemetry.hpp).
 
 #include <gtest/gtest.h>
 
@@ -202,6 +203,136 @@ TEST(FlightWireTest, TruncatedStatusPayloadThrowsNotReadsGarbage) {
     dist::Reader r(cut);
     EXPECT_THROW(dist::read_status(r), std::logic_error) << keep;
   }
+}
+
+TEST(FlightWireTest, BadFlightCountsThrow) {
+  // The flight tail is the status's last member, so its element count sits
+  // 4 bytes before the end of a status without events. A negative count and
+  // one far beyond the two events behind it must both fail the read.
+  dist::Writer empty;
+  dist::write_status(empty, status_with_tail(0));
+  const std::size_t at = empty.take().size() - 4;
+  dist::Writer w;
+  dist::write_status(w, status_with_tail(2));
+  const std::vector<std::uint8_t> bytes = w.take();
+  for (const std::uint32_t count : {0xFFFFFFFFu, 0x7FFFFFFFu}) {
+    std::vector<std::uint8_t> bad = bytes;
+    for (std::size_t b = 0; b < 4; ++b) {
+      bad[at + b] = static_cast<std::uint8_t>(count >> (8 * b));
+    }
+    dist::Reader r(bad);
+    EXPECT_THROW(dist::read_status(r), std::logic_error) << count;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Field by field: every member of the heartbeat's progress and metrics, each
+// set to its own non-default value, survives the wire and the report JSON.
+
+rt::StageProgress distinct_progress() {
+  rt::StageProgress p;
+  p.state = rt::StageState::Starved;
+  p.messages = 101;
+  p.done_f = 102;
+  p.done_b = 103;
+  p.due = 104;
+  p.live = 105;
+  p.cap = 106;
+  p.queue = 107;
+  p.committed = 108;
+  p.microbatches = 109;
+  p.last_mb = 110;
+  p.at = 111.5;
+  return p;
+}
+
+void expect_same_progress(const rt::StageProgress& a,
+                          const rt::StageProgress& b) {
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.done_f, b.done_f);
+  EXPECT_EQ(a.done_b, b.done_b);
+  EXPECT_EQ(a.due, b.due);
+  EXPECT_EQ(a.live, b.live);
+  EXPECT_EQ(a.cap, b.cap);
+  EXPECT_EQ(a.queue, b.queue);
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.microbatches, b.microbatches);
+  EXPECT_EQ(a.last_mb, b.last_mb);
+  EXPECT_EQ(a.at, b.at);
+}
+
+StageMetrics distinct_metrics() {
+  StageMetrics m;
+  m.device = 201;
+  m.compute_seconds = 202.5;
+  m.comm_seconds = 203.5;
+  m.idle_seconds = 204.5;
+  m.bubble_fraction = 0.205;
+  m.peak_live_slices = 206;
+  m.p2p_messages = 207;
+  m.p2p_bytes = 208.5;
+  m.exchange_bytes = 209.5;
+  m.blocked_recv_seconds = 210.5;
+  m.peak_queue_depth = 211;
+  m.peak_memory_bytes = 212.5;
+  m.frames_sent = 213;
+  m.frames_recv = 214;
+  m.bytes_recv = 215.5;
+  m.crc_rejects = 216;
+  m.send_retries = 217;
+  m.measured_peak_bytes = {218.5, 219.5};
+  m.measured_peak_total = 220.5;
+  return m;
+}
+
+void expect_same_metrics(const StageMetrics& a, const StageMetrics& b) {
+  EXPECT_EQ(a.device, b.device);
+  EXPECT_EQ(a.compute_seconds, b.compute_seconds);
+  EXPECT_EQ(a.comm_seconds, b.comm_seconds);
+  EXPECT_EQ(a.idle_seconds, b.idle_seconds);
+  EXPECT_EQ(a.bubble_fraction, b.bubble_fraction);
+  EXPECT_EQ(a.peak_live_slices, b.peak_live_slices);
+  EXPECT_EQ(a.p2p_messages, b.p2p_messages);
+  EXPECT_EQ(a.p2p_bytes, b.p2p_bytes);
+  EXPECT_EQ(a.exchange_bytes, b.exchange_bytes);
+  EXPECT_EQ(a.blocked_recv_seconds, b.blocked_recv_seconds);
+  EXPECT_EQ(a.peak_queue_depth, b.peak_queue_depth);
+  EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
+  EXPECT_EQ(a.frames_sent, b.frames_sent);
+  EXPECT_EQ(a.frames_recv, b.frames_recv);
+  EXPECT_EQ(a.bytes_recv, b.bytes_recv);
+  EXPECT_EQ(a.crc_rejects, b.crc_rejects);
+  EXPECT_EQ(a.send_retries, b.send_retries);
+  EXPECT_EQ(a.measured_peak_bytes, b.measured_peak_bytes);
+  EXPECT_EQ(a.measured_peak_total, b.measured_peak_total);
+}
+
+TEST(FieldListTest, EveryProgressAndMetricsFieldSurvivesTheWire) {
+  dist::WireStatus status;
+  status.progress = distinct_progress();
+  status.metrics = distinct_metrics();
+  dist::Writer w;
+  dist::write_status(w, status);
+  const std::vector<std::uint8_t> bytes = w.take();
+  dist::Reader r(bytes);
+  const dist::WireStatus back = dist::read_status(r);
+  EXPECT_TRUE(r.done());
+  expect_same_progress(back.progress, status.progress);
+  expect_same_metrics(back.metrics, status.metrics);
+}
+
+TEST(FieldListTest, EveryMetricsFieldSurvivesTheReportJson) {
+  RunMetrics metrics;
+  metrics.stages.push_back(distinct_metrics());
+  const std::string text = run_metrics_to_json(metrics).dump();
+  JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(JsonValue::parse(text, &parsed, &error)) << error;
+  RunMetrics back;
+  ASSERT_TRUE(run_metrics_from_json(parsed, &back));
+  ASSERT_EQ(back.stages.size(), 1u);
+  expect_same_metrics(back.stages[0], metrics.stages[0]);
 }
 
 TEST(FlightWireTest, FlowIdsDeterministicAndDistinct) {

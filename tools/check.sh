@@ -19,7 +19,12 @@
 # while no multiply and add are fused. It also fails when an AVX2 matmul
 # body (avx2_path<...matmul_rows...> or <...matmul_tn_rows...>) has no ymm
 # instruction: the library is built at -O3 in every build type so that
-# tests and benches run the same vector code as a Release build.
+# tests and benches run the same vector code as a Release build. And it
+# fails when a hot AVX2 body (avx2_path<...matmul_rows...>,
+# <...partial_rows...> or <...streamed_bwd_rows...>) starts off a 64-byte
+# boundary in a linked binary (nm -C): slim_numerics is built with
+# -falign-functions=64, since where the link happens to place those bodies
+# moved a training step's time by ~4% with unchanged kernel code.
 #
 # Each sanitizer preset (-DSLIMPIPE_SANITIZE=address|undefined|thread, see
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
@@ -117,10 +122,30 @@ check_no_fma() {
   fi
 }
 
+check_kernel_alignment() {
+  echo "== numerics kernels: hot AVX2 bodies on 64-byte boundaries =="
+  local symbols addr rest
+  symbols="$(nm -C build/bench/bench_numerics_kernels |
+    grep -E 'avx2_path<[^,]*(matmul_rows|partial_rows|streamed_bwd_rows),' ||
+    true)"
+  if [[ "$(grep -c . <<<"$symbols")" -ne 3 ]]; then
+    echo "check.sh: expected 3 hot AVX2 kernel bodies, found:" >&2
+    echo "${symbols:-(none)}" >&2
+    exit 1
+  fi
+  while read -r addr rest; do
+    if (( 16#$addr % 64 != 0 )); then
+      echo "check.sh: kernel body off a 64-byte boundary: $addr $rest" >&2
+      exit 1
+    fi
+  done <<<"$symbols"
+}
+
 if [[ "$STRESS" -eq 1 ]]; then
   echo "== plain build + full test suite, 20 runs in a row =="
   build_tree build
   check_no_fma
+  check_kernel_alignment
   ctest --test-dir build --output-on-failure -j "$JOBS" \
     --repeat until-fail:20
   echo "== perfbench smoke test =="
@@ -132,6 +157,7 @@ fi
 echo "== plain build + full test suite =="
 build_tree build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 check_no_fma
+check_kernel_alignment
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 if [[ "$FAST" -eq 0 ]]; then

@@ -182,7 +182,8 @@ int main(int argc, char** argv) {
                  [&] { return num::rmsnorm(x, w); });
   }
 
-  // --- transformer block forward (one slice; the runtime's unit of work) ---
+  // --- transformer block forward and backward (one slice; the runtime's
+  // unit of work) ---
   {
     num::BlockDims dims;
     dims.hidden = smoke ? 128 : 512;
@@ -201,6 +202,16 @@ int main(int argc, char** argv) {
     sweep_kernel(table, paths, "block fwd", gflop, [&] {
       layer.reset();
       return layer.forward_slice(x, 0, 0);
+    });
+    // A forward, then the same slice's backward (counted as twice the
+    // forward's work): the only row that runs attention's backward body.
+    Rng grad_rng(17);
+    const Tensor dy = Tensor::randn(s, dims.hidden, grad_rng);
+    sweep_kernel(table, paths, "block bwd", 3.0 * gflop, [&] {
+      layer.reset();
+      layer.forward_slice(x, 0, 0);
+      num::LayerGrads grads = num::LayerGrads::zeros(dims);
+      return layer.backward_slice(dy, grads, 0);
     });
   }
 

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "src/numerics/arena.hpp"
+#include "src/numerics/exp.hpp"
 #include "src/numerics/isa.hpp"
 
 namespace slim::num {
@@ -19,39 +20,49 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 constexpr std::int64_t kQueryGrain = 8;
 
 // Keys per stack tile of score / dP values, and keys whose dot products run
-// side by side within a tile.
+// side by side within a tile: one exp block (exp.hpp).
 constexpr std::int64_t kKeyTile = 64;
-constexpr std::int64_t kKeyBlock = 8;
+constexpr std::int64_t kKeyBlock = kExpLanes;
+static_assert(kKeyTile % kKeyBlock == 0);
 
 using detail::parallel_chunks;
 
-/// out[r] = x · rows[r] for r in [0, count), where `rows` is row-major with
-/// `n` columns. Each dot is a double sum in ascending column order — the
-/// bits of one serial loop per row — but kKeyBlock rows accumulate at once,
-/// so their independent add chains overlap instead of each waiting out the
-/// add latency of the one before.
-SLIM_CHUNK_BODY void dot_rows(const float* x, const float* rows,
-                              std::int64_t n, std::int64_t count,
-                              double* out) {
-  std::int64_t r = 0;
-  for (; r + kKeyBlock <= count; r += kKeyBlock) {
-    const float* block = rows + r * n;
+/// `count` rounded up to whole key blocks.
+constexpr std::int64_t round_up(std::int64_t count) {
+  return (count + kKeyBlock - 1) / kKeyBlock * kKeyBlock;
+}
+
+/// Key-contiguous copy of the first `count` rows of a row-major chunk with
+/// `n` columns: cols[c * stride + r] = rows[r * n + c], and the pad keys
+/// [count, stride) are zero, so whole key blocks read finite values.
+[[gnu::always_inline]] inline void transpose_keys(const float* rows,
+                                                  std::int64_t n,
+                                                  std::int64_t count,
+                                                  std::int64_t stride,
+                                                  float* cols) {
+  for (std::int64_t c = 0; c < n; ++c) {
+    float* col = cols + c * stride;
+    for (std::int64_t r = 0; r < count; ++r) col[r] = rows[r * n + c];
+    for (std::int64_t r = count; r < stride; ++r) col[r] = 0.0f;
+  }
+}
+
+/// out[t] = x · column t of `cols` (n rows, `stride` apart) for t in
+/// [0, count), count a multiple of kKeyBlock. Each dot is a double sum in
+/// ascending row order — the bits of one serial loop per key — and the
+/// kKeyBlock keys of one row load as one vector.
+[[gnu::always_inline]] inline void dot_cols(const float* x, const float* cols,
+                                            std::int64_t n,
+                                            std::int64_t stride,
+                                            std::int64_t count, double* out) {
+  for (std::int64_t t = 0; t < count; t += kKeyBlock) {
     double acc[kKeyBlock] = {};
     for (std::int64_t c = 0; c < n; ++c) {
       const double xc = x[c];
-      for (std::int64_t b = 0; b < kKeyBlock; ++b) {
-        acc[b] += xc * block[b * n + c];
-      }
+      const float* col = cols + c * stride + t;
+      for (std::int64_t b = 0; b < kKeyBlock; ++b) acc[b] += xc * col[b];
     }
-    for (std::int64_t b = 0; b < kKeyBlock; ++b) out[r + b] = acc[b];
-  }
-  for (; r < count; ++r) {
-    const float* row = rows + r * n;
-    double dot = 0.0;
-    for (std::int64_t c = 0; c < n; ++c) {
-      dot += static_cast<double>(x[c]) * row[c];
-    }
-    out[r] = dot;
+    for (std::int64_t b = 0; b < kKeyBlock; ++b) out[t + b] = acc[b];
   }
 }
 
@@ -70,10 +81,20 @@ SLIM_CHUNK_BODY void partial_rows(const PartialRows& g, std::int64_t i0,
                                   std::int64_t i1) {
   const Tensor &q = g.q, &k = g.k, &v = g.v;
   Tensor& out = g.part.out;
-  const std::int64_t kv = k.rows(), d = v.cols();
-  // Score-row scratch from this worker's reusable workspace: every slot
-  // [0, visible) is written before it is read, so no zeroing is needed.
-  WorkspaceLease<float> scores(kv);
+  const std::int64_t kv = k.rows(), kc = k.cols(), d = v.cols();
+  // A row sees no fewer keys than the row before it, so the body's last row
+  // bounds the keys any of its rows reads.
+  const std::int64_t seen =
+      std::clamp<std::int64_t>(g.q_offset + i1 - g.k_offset, 0, kv);
+  if (seen == 0) return;
+  // One lease from this worker's reusable workspace: the score row, then K
+  // key-contiguous. Every score slot a row reads is written first (its
+  // scores, then its pad lanes), so nothing needs zeroing.
+  const std::int64_t stride = round_up(seen);
+  WorkspaceLease<float> lease(stride * (1 + kc));
+  float* scores = lease.data();
+  float* kt = scores + stride;
+  transpose_keys(k.data(), kc, seen, stride, kt);
   for (std::int64_t i = i0; i < i1; ++i) {
     const std::int64_t visible =
         std::clamp<std::int64_t>(g.q_offset + i - g.k_offset + 1, 0, kv);
@@ -83,17 +104,20 @@ SLIM_CHUNK_BODY void partial_rows(const PartialRows& g, std::int64_t i0,
     for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
       const std::int64_t nt = std::min(kKeyTile, visible - t0);
       double dots[kKeyTile];
-      dot_rows(q.data() + i * q.cols(), k.data() + t0 * k.cols(), k.cols(),
-               nt, dots);
+      dot_cols(q.data() + i * kc, kt + t0, kc, stride, round_up(nt), dots);
       for (std::int64_t t = 0; t < nt; ++t) {
         const float sc = static_cast<float>(dots[t]) * g.scale;
         scores[t0 + t] = sc;
         m = std::max(m, sc);
       }
     }
+    // Weights in whole exp blocks; the pad lanes hold m and are never read.
+    const std::int64_t padded = round_up(visible);
+    for (std::int64_t j = visible; j < padded; ++j) scores[j] = m;
+    exp_shifted(scores, m, padded, scores);
     double l = 0.0;
     for (std::int64_t j = 0; j < visible; ++j) {
-      const float w = std::exp(scores[j] - m);
+      const float w = scores[j];
       l += w;
       for (std::int64_t c = 0; c < d; ++c) out.at(i, c) += w * v.at(j, c);
     }
@@ -132,8 +156,8 @@ SLIM_CHUNK_BODY void merge_rows(const MergeRows& g, std::int64_t i0,
       continue;
     }
     const float m = std::max(a.m[si], b.m[si]);
-    const float wa = la * std::exp(a.m[si] - m);
-    const float wb = lb * std::exp(b.m[si] - m);
+    const float wa = la * exp_f32(a.m[si] - m);
+    const float wb = lb * exp_f32(b.m[si] - m);
     const float l = wa + wb;
     for (std::int64_t c = 0; c < d; ++c) {
       out.out.at(i, c) = (a.out.at(i, c) * wa + b.out.at(i, c) * wb) / l;
@@ -163,10 +187,14 @@ SLIM_CHUNK_BODY void output_rowsums(const RowSums& g, std::int64_t i0,
 }
 
 // One KV chunk's backward for query rows [i0, i1): dq rows directly, dk/dv
-// into the query chunk's own partial slab.
+// into the query chunk's own partial slab. kt and vt are the chunk's K and
+// V key-contiguous (transpose_keys, `stride` keys per column).
 struct BwdRows {
   const Tensor& q;
   const KvChunk& chunk;
+  const float* kt;
+  const float* vt;
+  std::int64_t stride;
   std::int64_t q_offset;
   float scale;
   const AttnPartial& fwd;
@@ -192,29 +220,38 @@ SLIM_CHUNK_BODY void streamed_bwd_rows(const BwdRows& g, std::int64_t i0,
     if (g.fwd.l[si] == 0.0f) continue;
     const std::int64_t visible =
         std::clamp<std::int64_t>(g.q_offset + i - chunk.pos + 1, 0, kv);
+    const float m = g.fwd.m[si];
     const float inv_l = 1.0f / g.fwd.l[si];
     const float* qi = g.q.data() + i * kc;
     const float* douti = g.dout.data() + i * g.dout.cols();
     float* dqi = g.dq.data() + i * kc;
     for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
       const std::int64_t nt = std::min(kKeyTile, visible - t0);
+      const std::int64_t padded = round_up(nt);
       double dots[kKeyTile], dps[kKeyTile];
-      dot_rows(qi, chunk.k.data() + t0 * kc, kc, nt, dots);
-      dot_rows(douti, chunk.v.data() + t0 * vc, vc, nt, dps);
-      for (std::int64_t t = 0; t < nt; ++t) {
+      dot_cols(qi, g.kt + t0, kc, g.stride, padded, dots);
+      dot_cols(douti, g.vt + t0, vc, g.stride, padded, dps);
+      // p and dS in whole exp blocks; the pad lanes hold m and are never
+      // read.
+      float p[kKeyTile], ds[kKeyTile];
+      std::int64_t t = 0;
+      for (; t < nt; ++t) p[t] = static_cast<float>(dots[t]) * g.scale;
+      for (; t < padded; ++t) p[t] = m;
+      exp_shifted(p, m, padded, p);
+      for (t = 0; t < padded; ++t) {
+        p[t] *= inv_l;
+        ds[t] = p[t] * (static_cast<float>(dps[t]) - g.D[i]) * g.scale;
+      }
+      for (t = 0; t < nt; ++t) {
         const std::int64_t j = t0 + t;
-        const float pj =
-            std::exp(static_cast<float>(dots[t]) * g.scale - g.fwd.m[si]) *
-            inv_l;
-        const float ds = pj * (static_cast<float>(dps[t]) - g.D[i]) * g.scale;
         const float* kj = chunk.k.data() + j * kc;
         float* dkj = dkp + j * kc;
         for (std::int64_t c = 0; c < kc; ++c) {
-          dqi[c] += ds * kj[c];
-          dkj[c] += ds * qi[c];
+          dqi[c] += ds[t] * kj[c];
+          dkj[c] += ds[t] * qi[c];
         }
         float* dvj = dvp + j * vc;
-        for (std::int64_t c = 0; c < vc; ++c) dvj[c] += pj * douti[c];
+        for (std::int64_t c = 0; c < vc; ++c) dvj[c] += p[t] * douti[c];
       }
     }
   }
@@ -379,14 +416,21 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
     // the slabs fold in ascending chunk order below — the thread-count
     // independent combine. The slabs live in the CALLER's workspace (one
     // lease instead of 2*n_qchunks fresh tensors); workers zero their own
-    // disjoint slab before accumulating into it.
+    // disjoint slab before accumulating into it. After its slabs, each lease
+    // holds the chunk's K (dk's) or V (dv's) key-contiguous, which the
+    // workers' score and dP tiles read.
     const std::int64_t n_qchunks = util::chunk_count(0, s, kQueryGrain);
-    WorkspaceLease<float> dk_partials(n_qchunks * kv * kc);
-    WorkspaceLease<float> dv_partials(n_qchunks * kv * vc);
+    const std::int64_t stride = round_up(kv);
+    WorkspaceLease<float> dk_partials(n_qchunks * kv * kc + kc * stride);
+    WorkspaceLease<float> dv_partials(n_qchunks * kv * vc + vc * stride);
+    float* kt = dk_partials.data() + n_qchunks * kv * kc;
+    float* vt = dv_partials.data() + n_qchunks * kv * vc;
+    transpose_keys(chunk.k.data(), kc, kv, stride, kt);
+    transpose_keys(chunk.v.data(), vc, kv, stride, vt);
     parallel_chunks<streamed_bwd_rows>(
         0, s, kQueryGrain,
-        BwdRows{q, chunk, q_offset, scale, fwd, dout, D.data(), dq,
-                dk_partials.data(), dv_partials.data()});
+        BwdRows{q, chunk, kt, vt, stride, q_offset, scale, fwd, dout,
+                D.data(), dq, dk_partials.data(), dv_partials.data()});
     detail::run_chunk<fold_slabs>(
         SlabFold{dk_partials.data(), dv_partials.data(), dk.data(), dv.data(),
                  kv * kc, kv * vc},

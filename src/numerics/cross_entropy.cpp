@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "src/numerics/arena.hpp"
+#include "src/numerics/exp.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slim::num {
@@ -37,17 +38,18 @@ CeResult cross_entropy(const Tensor& logits,
     for (std::int64_t t = t0; t < t1; ++t) {
       const std::int64_t y = targets[static_cast<std::size_t>(t)];
       SLIM_CHECK(y >= 0 && y < vocab, "target out of vocabulary");
+      const float* row = logits.data() + t * vocab;
+      float* drow = result.dlogits.data() + t * vocab;
       float m = kNegInf;
-      for (std::int64_t c = 0; c < vocab; ++c) m = std::max(m, logits.at(t, c));
+      for (std::int64_t c = 0; c < vocab; ++c) m = std::max(m, row[c]);
+      // The row's exp values go to its gradient row, then become p there.
+      exp_shifted(row, m, vocab, drow);
       double l = 0.0;
+      for (std::int64_t c = 0; c < vocab; ++c) l += drow[c];
+      loss += std::log(l) + m - row[y];
       for (std::int64_t c = 0; c < vocab; ++c) {
-        l += std::exp(logits.at(t, c) - m);
-      }
-      loss += std::log(l) + m - logits.at(t, y);
-      for (std::int64_t c = 0; c < vocab; ++c) {
-        const float p =
-            static_cast<float>(std::exp(logits.at(t, c) - m) / l);
-        result.dlogits.at(t, c) = (p - (c == y ? 1.0f : 0.0f)) * inv_tokens;
+        const float p = static_cast<float>(drow[c] / l);
+        drow[c] = (p - (c == y ? 1.0f : 0.0f)) * inv_tokens;
       }
     }
   });
@@ -67,13 +69,14 @@ CeShardStats ce_shard_stats(const Tensor& shard, std::int64_t col_offset,
   stats.target_logit.assign(static_cast<std::size_t>(tokens), kNegInf);
   pool().parallel_for(0, tokens, kTokenGrain,
                       [&](std::int64_t t0, std::int64_t t1) {
+    WorkspaceLease<float> w(width);
     for (std::int64_t t = t0; t < t1; ++t) {
+      const float* row = shard.data() + t * width;
       float m = kNegInf;
-      for (std::int64_t c = 0; c < width; ++c) m = std::max(m, shard.at(t, c));
+      for (std::int64_t c = 0; c < width; ++c) m = std::max(m, row[c]);
+      exp_shifted(row, m, width, w.data());
       double l = 0.0;
-      for (std::int64_t c = 0; c < width; ++c) {
-        l += std::exp(shard.at(t, c) - m);
-      }
+      for (std::int64_t c = 0; c < width; ++c) l += w[c];
       stats.max_logit[static_cast<std::size_t>(t)] = m;
       stats.sum_exp[static_cast<std::size_t>(t)] = static_cast<float>(l);
       const std::int64_t y = targets[static_cast<std::size_t>(t)] - col_offset;
@@ -114,12 +117,18 @@ ShardedCeResult cross_entropy_sharded(
   }
   std::vector<double> gsum(static_cast<std::size_t>(tokens), 0.0);
   std::vector<float> gtarget(static_cast<std::size_t>(tokens), kNegInf);
+  std::vector<float> rescale(static_cast<std::size_t>(tokens));
   for (const CeShardStats& st : stats) {
+    // exp(max - gmax) per token; an unused one may be NaN (-inf - -inf).
+    for (std::int64_t t = 0; t < tokens; ++t) {
+      const std::size_t ti = static_cast<std::size_t>(t);
+      rescale[ti] = st.max_logit[ti] - gmax[ti];
+    }
+    exp_shifted(rescale.data(), 0.0f, tokens, rescale.data());
     for (std::int64_t t = 0; t < tokens; ++t) {
       const std::size_t ti = static_cast<std::size_t>(t);
       if (st.sum_exp[ti] > 0.0f) {
-        gsum[ti] += static_cast<double>(st.sum_exp[ti]) *
-                    std::exp(st.max_logit[ti] - gmax[ti]);
+        gsum[ti] += static_cast<double>(st.sum_exp[ti]) * rescale[ti];
       }
       if (st.target_logit[ti] != kNegInf) gtarget[ti] = st.target_logit[ti];
     }
@@ -140,13 +149,15 @@ ShardedCeResult cross_entropy_sharded(
     Tensor grad = Tensor::uninit(shard.rows(), shard.cols());
     pool().parallel_for(0, tokens, kTokenGrain,
                         [&](std::int64_t t0, std::int64_t t1) {
+      const std::int64_t width = shard.cols();
       for (std::int64_t t = t0; t < t1; ++t) {
         const std::size_t ti = static_cast<std::size_t>(t);
         const std::int64_t y = targets[ti] - offsets[s];
-        for (std::int64_t c = 0; c < shard.cols(); ++c) {
-          const float p = static_cast<float>(
-              std::exp(shard.at(t, c) - gmax[ti]) / gsum[ti]);
-          grad.at(t, c) = (p - (c == y ? 1.0f : 0.0f)) * inv_tokens;
+        float* grow = grad.data() + t * width;
+        exp_shifted(shard.data() + t * width, gmax[ti], width, grow);
+        for (std::int64_t c = 0; c < width; ++c) {
+          const float p = static_cast<float>(grow[c] / gsum[ti]);
+          grow[c] = (p - (c == y ? 1.0f : 0.0f)) * inv_tokens;
         }
       }
     });

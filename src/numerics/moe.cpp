@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/numerics/exp.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::num {
@@ -38,11 +39,9 @@ std::vector<float> softmax_row(const Tensor& logits, std::int64_t row) {
   float m = logits.at(row, 0);
   for (std::int64_t c = 1; c < e; ++c) m = std::max(m, logits.at(row, c));
   std::vector<float> p(static_cast<std::size_t>(e));
+  exp_shifted(logits.data() + row * e, m, e, p.data());
   double sum = 0.0;
-  for (std::int64_t c = 0; c < e; ++c) {
-    p[static_cast<std::size_t>(c)] = std::exp(logits.at(row, c) - m);
-    sum += p[static_cast<std::size_t>(c)];
-  }
+  for (const float v : p) sum += v;
   for (float& v : p) v = static_cast<float>(v / sum);
   return p;
 }

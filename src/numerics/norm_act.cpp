@@ -140,13 +140,6 @@ Tensor rmsnorm_bwd(const Tensor& x, const Tensor& weight, const Tensor& dy,
   return dx;
 }
 
-float silu(float x) { return x / (1.0f + std::exp(-x)); }
-
-float silu_grad(float x) {
-  const float s = 1.0f / (1.0f + std::exp(-x));
-  return s * (1.0f + x * (1.0f - s));
-}
-
 Tensor swiglu(const Tensor& gate, const Tensor& up) {
   SLIM_CHECK(gate.rows() == up.rows() && gate.cols() == up.cols(),
              "swiglu shape mismatch");

@@ -6,6 +6,7 @@
 // output (gradients are recomputed from the input), and SwiGLU recomputes
 // the swish product from the stored gate/up projections.
 
+#include "src/numerics/exp.hpp"
 #include "src/numerics/tensor.hpp"
 
 namespace slim::num {
@@ -20,9 +21,14 @@ Tensor rmsnorm(const Tensor& x, const Tensor& weight);
 Tensor rmsnorm_bwd(const Tensor& x, const Tensor& weight, const Tensor& dy,
                    Tensor& dweight);
 
-/// silu(x) = x * sigmoid(x).
-float silu(float x);
-float silu_grad(float x);
+/// silu(x) = x * sigmoid(x). Always inlined, so the swiglu loops vectorize.
+[[gnu::always_inline]] inline float silu(float x) {
+  return x / (1.0f + exp_f32(-x));
+}
+[[gnu::always_inline]] inline float silu_grad(float x) {
+  const float s = 1.0f / (1.0f + exp_f32(-x));
+  return s * (1.0f + x * (1.0f - s));
+}
 
 /// out = silu(gate) * up, elementwise.
 Tensor swiglu(const Tensor& gate, const Tensor& up);

@@ -52,17 +52,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-std::string JsonValue::string_or(std::string_view key,
-                                 std::string fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_string() ? v->str() : std::move(fallback);
-}
-
-double JsonValue::number_or(std::string_view key, double fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_number() ? v->number() : fallback;
-}
-
 JsonValue JsonValue::make_string(std::string s) {
   JsonValue v;
   v.kind_ = Kind::String;

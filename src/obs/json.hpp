@@ -60,10 +60,6 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
 
-  /// Convenience accessors with defaults (for tolerant report loading).
-  std::string string_or(std::string_view key, std::string fallback) const;
-  double number_or(std::string_view key, double fallback) const;
-
   /// Parses `text`; on failure returns false and fills `error` with a
   /// message including the byte offset.
   static bool parse(std::string_view text, JsonValue* out, std::string* error);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/numerics/attention.hpp"
+#include "src/numerics/exp.hpp"
 #include "src/util/rng.hpp"
 #include "tests/isa_paths.hpp"
 
@@ -222,7 +223,7 @@ AttnPartial oracle_attn_partial(const Tensor& q, const Tensor& k,
     }
     double l = 0.0;
     for (std::int64_t j = 0; j < visible; ++j) {
-      const float w = std::exp(scores[static_cast<std::size_t>(j)] - m);
+      const float w = exp_f32(scores[static_cast<std::size_t>(j)] - m);
       l += w;
       for (std::int64_t c = 0; c < d; ++c) {
         part.out.at(i, c) += w * v.at(j, c);
@@ -274,7 +275,7 @@ void oracle_attn_streamed_bwd(const Tensor& q,
             dot += static_cast<double>(q.at(i, c)) * chunk.k.at(j, c);
           }
           const float pj =
-              std::exp(static_cast<float>(dot) * scale - fwd.m[si]) * inv_l;
+              exp_f32(static_cast<float>(dot) * scale - fwd.m[si]) * inv_l;
           double dpj = 0.0;
           for (std::int64_t c = 0; c < d; ++c) {
             dpj += static_cast<double>(dout.at(i, c)) * chunk.v.at(j, c);
@@ -310,7 +311,8 @@ struct OracleCase {
 
 // Visible-key counts that are not multiples of any key block, chunks longer
 // than a key tile, every head_dim the transformer blocks use, rows with no
-// visible key, and chunks at nonzero offsets.
+// visible key, chunks at nonzero offsets, and chunks of 1 to 4 keys (a
+// small training shape), where every exp block is mostly padding.
 std::vector<OracleCase> oracle_cases() {
   return {
       {"diagonal, 100 keys, head_dim 4", 4, 100, 0, 0, {100}},
@@ -319,6 +321,7 @@ std::vector<OracleCase> oracle_cases() {
        {37, 100, 13}},
       {"first rows fully masked, head_dim 8", 8, 20, 0, 5, {9, 70}},
       {"short chunks, head_dim 16", 16, 12, 13, 0, {4, 4, 4, 4, 9}},
+      {"chunks of 1 to 4 keys, head_dim 4", 4, 10, 0, 0, {1, 2, 3, 4}},
   };
 }
 

@@ -1,10 +1,15 @@
-// Finite-difference gradient checks for RMSNorm, SwiGLU and RoPE, plus the
-// memory-thrifty recompute identities the paper's §5 relies on.
+// Finite-difference gradient checks for RMSNorm, SwiGLU and RoPE, the
+// memory-thrifty recompute identities the paper's §5 relies on, and the
+// accuracy of the library's own exp.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "src/numerics/exp.hpp"
 #include "src/numerics/norm_act.hpp"
 #include "src/numerics/rope.hpp"
 #include "src/util/rng.hpp"
@@ -135,6 +140,104 @@ TEST(SiluTest, GradMatchesFiniteDifference) {
     const float fd = (silu(x + eps) - silu(x - eps)) / (2.0f * eps);
     EXPECT_NEAR(silu_grad(x), fd, 1e-3f);
   }
+}
+
+// ---- exp_f32 ---------------------------------------------------------------
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// |got - want| in units of the float spacing at `want` (2^-149 below the
+/// normal range).
+double ulp_error(float got, double want) {
+  const double mag = std::fabs(want);
+  const double ulp =
+      mag < 0x1p-126 ? 0x1p-149 : std::ldexp(1.0, std::ilogb(mag) - 23);
+  return std::fabs(static_cast<double>(got) - want) / ulp;
+}
+
+/// Calls check(x) for every `step`-th float from `from` towards `to` (same
+/// sign, |from| <= |to|), by bit pattern.
+template <class Check>
+void for_floats(float from, float to, std::uint32_t step, Check check) {
+  const std::uint32_t last = std::bit_cast<std::uint32_t>(to);
+  for (std::uint32_t bits = std::bit_cast<std::uint32_t>(from); bits <= last;
+       bits += step) {
+    check(std::bit_cast<float>(bits));
+  }
+}
+
+TEST(ExpTest, WithinOneUlpOfDoubleExp) {
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  const auto check = [&](float x) {
+    const double want = std::exp(static_cast<double>(x));
+    if (std::isinf(static_cast<float>(want))) return;  // OverflowIsInfinite
+    const double err = ulp_error(exp_f32(x), want);
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+  };
+  for_floats(0.0f, 89.0f, 4099, check);
+  for_floats(-0.0f, -104.0f, 4099, check);
+  EXPECT_LE(worst, 1.0) << "at x = " << worst_x;
+}
+
+TEST(ExpTest, ZeroIsExactlyOne) {
+  EXPECT_EQ(exp_f32(0.0f), 1.0f);
+  EXPECT_EQ(exp_f32(-0.0f), 1.0f);
+}
+
+// Every float across the underflow edge, exhaustively: +0 exactly where the
+// correctly rounded exp is 0.
+TEST(ExpTest, UnderflowIsPositiveZero) {
+  for_floats(-103.5f, -104.5f, 1, [](float x) {
+    const float want = static_cast<float>(std::exp(static_cast<double>(x)));
+    const float got = exp_f32(x);
+    if (want == 0.0f) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got), 0u) << "x = " << x;
+    } else {
+      EXPECT_GT(got, 0.0f) << "x = " << x;
+    }
+  });
+  for (float x : {-105.0f, -1000.0f, -std::numeric_limits<float>::max(),
+                  -kInf}) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(exp_f32(x)), 0u) << "x = " << x;
+  }
+}
+
+// Every float across the overflow edge, exhaustively: +inf exactly where
+// the correctly rounded exp is.
+TEST(ExpTest, OverflowIsInfinite) {
+  for_floats(88.5f, 89.5f, 1, [](float x) {
+    const float want = static_cast<float>(std::exp(static_cast<double>(x)));
+    const float got = exp_f32(x);
+    if (std::isinf(want)) {
+      EXPECT_EQ(got, kInf) << "x = " << x;
+    } else {
+      EXPECT_LT(got, kInf) << "x = " << x;
+    }
+  });
+  for (float x : {90.0f, 1000.0f, std::numeric_limits<float>::max(), kInf}) {
+    EXPECT_EQ(exp_f32(x), kInf) << "x = " << x;
+  }
+}
+
+TEST(ExpTest, NanStaysNan) {
+  for (float x : {std::numeric_limits<float>::quiet_NaN(),
+                  -std::numeric_limits<float>::quiet_NaN(),
+                  std::numeric_limits<float>::signaling_NaN()}) {
+    EXPECT_TRUE(std::isnan(exp_f32(x)));
+  }
+}
+
+// The 2^n scale runs in two halves, so a subnormal result rounds instead of
+// flushing to zero.
+TEST(ExpTest, SubnormalResultsSurvive) {
+  const float got = exp_f32(-100.0f);
+  EXPECT_GT(got, 0.0f);
+  EXPECT_LT(got, std::numeric_limits<float>::min());
+  EXPECT_LE(ulp_error(got, std::exp(-100.0)), 1.0);
 }
 
 TEST(RopeTest, PreservesNorm) {

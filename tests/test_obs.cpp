@@ -68,8 +68,12 @@ TEST(JsonParseTest, RoundTripsBuilderOutput) {
     JsonValue back;
     std::string error;
     ASSERT_TRUE(JsonValue::parse(doc.dump(indent), &back, &error)) << error;
-    EXPECT_EQ(back.string_or("name", ""), "tricky \"name\"\n");
-    EXPECT_DOUBLE_EQ(back.number_or("count", 0.0), 3.0);
+    const JsonValue* name = back.find("name");
+    ASSERT_NE(name, nullptr);
+    EXPECT_EQ(name->str(), "tricky \"name\"\n");
+    const JsonValue* count = back.find("count");
+    ASSERT_NE(count, nullptr);
+    EXPECT_DOUBLE_EQ(count->number(), 3.0);
     const JsonValue* ok = back.find("ok");
     ASSERT_NE(ok, nullptr);
     EXPECT_TRUE(ok->boolean());

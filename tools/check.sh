@@ -16,10 +16,14 @@
 # After the plain build, every mode disassembles the numerics library and
 # fails on any fused multiply-add (vfmadd/vfmsub/vfnmadd/vfnmsub): the
 # kernels give the same bits on every ISA path (src/numerics/isa.hpp) only
-# while no multiply and add are fused. It also fails when an AVX2 matmul
-# body (avx2_path<...matmul_rows...> or <...matmul_tn_rows...>) has no ymm
-# instruction: the library is built at -O3 in every build type so that
-# tests and benches run the same vector code as a Release build. And it
+# while no multiply and add are fused. It also fails when a hot AVX2 body
+# (avx2_path<...matmul_rows...>, <...matmul_tn_rows...>, <...partial_rows...>
+# or <...streamed_bwd_rows...>) has no ymm instruction, or carries a
+# relocation to libm's exp or expf: the library is built at -O3 in every
+# build type so that tests and benches run the same vector code as a
+# Release build, and attention exponentiates with the library's own
+# exp_f32 (src/numerics/exp.hpp) in vector blocks, not one libm call per
+# (query, key). And it
 # fails when a hot AVX2 body (avx2_path<...matmul_rows...>,
 # <...partial_rows...> or <...streamed_bwd_rows...>) starts off a 64-byte
 # boundary in a linked binary (nm -C): slim_numerics is built with
@@ -100,24 +104,29 @@ build_tree() {
 }
 
 check_no_fma() {
-  echo "== numerics kernels: no fused multiply-add, vectorized AVX2 matmul =="
+  echo "== numerics kernels: no fused multiply-add, vectorized AVX2 bodies =="
   local listing counts
-  listing="$(objdump -d --demangle build/src/numerics/libslim_numerics.a)"
+  listing="$(objdump -dr --demangle build/src/numerics/libslim_numerics.a)"
   if grep -qE 'vf(n)?m(add|sub)' <<<"$listing"; then
     echo "check.sh: libslim_numerics.a contains fused multiply-adds:" >&2
     grep -m 20 -E 'vf(n)?m(add|sub)' <<<"$listing" >&2
     exit 1
   fi
-  # ymm instructions per AVX2 matmul body ("<count> <function>" lines).
+  # Per hot AVX2 body: "<ymm instructions> <libm exp relocations> <body>".
   counts="$(awk '/^[0-9a-f]+ <.*>:$/ {
-                   fn = $0 ~ /avx2_path<.*matmul_(tn_)?rows/ ? $0 : ""
-                   if (fn != "") n[fn] = 0
+                   fn = $0 ~ /avx2_path<[^,]*(matmul_rows|matmul_tn_rows|partial_rows|streamed_bwd_rows),/ ? $0 : ""
+                   if (fn != "") { ymm[fn] = 0; libm[fn] = 0 }
                  }
-                 fn != "" && /%ymm/ { n[fn]++ }
-                 END { for (f in n) print n[f], f }' <<<"$listing")"
-  if [[ -z "$counts" ]] || grep -q '^0 ' <<<"$counts"; then
-    echo "check.sh: an AVX2 matmul body has no ymm instruction:" >&2
-    echo "${counts:-(no avx2_path matmul body found)}" >&2
+                 fn != "" && /%ymm/ { ymm[fn]++ }
+                 fn != "" && /R_X86_64_[A-Z0-9_]+[[:space:]]+expf?([-+@]|$)/ {
+                   libm[fn]++
+                 }
+                 END { for (f in ymm) print ymm[f], libm[f], f }' <<<"$listing")"
+  if [[ "$(grep -c . <<<"$counts")" -ne 4 ]] ||
+     grep -qE '^(0 [0-9]+|[0-9]+ [1-9][0-9]*) ' <<<"$counts"; then
+    echo "check.sh: expected 4 hot AVX2 bodies, each with ymm instructions" \
+         "and no libm exp call (ymm count, exp relocations, body):" >&2
+    echo "${counts:-(no avx2_path body found)}" >&2
     exit 1
   fi
 }

@@ -5,9 +5,7 @@
 #include <csignal>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include <sys/wait.h>
@@ -18,6 +16,7 @@
 #include "src/obs/clock.hpp"
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/telemetry.hpp"
+#include "src/runtime/replay.hpp"
 #include "src/runtime/stage_driver.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/thread_pool.hpp"
@@ -31,10 +30,6 @@ using Clock = obs::MonoClock;
 
 /// Workers beat this many times per heartbeat deadline.
 constexpr int kBeatsPerDeadline = 40;
-/// Respawns allowed per stage and iteration, and the backoff before a
-/// stage's k-th respawn: min(kBackoffBase * 2^k, kBackoffCap).
-constexpr int kRespawnBudget = 3;
-constexpr std::chrono::milliseconds kBackoffBase{10}, kBackoffCap{250};
 
 /// Supervisor-side view of one worker process.
 struct WorkerHandle {
@@ -99,11 +94,10 @@ bool finished(const WorkerHandle& w) {
 }
 
 /// Resolves the fault plan's runtime rules for one stage onto the real
-/// transport (armed only on injecting attempts).
-WorkerFaults resolve_faults(const fault::FaultPlan* plan, int stage,
-                            bool inject) {
+/// transport (null on a replay: nothing armed).
+WorkerFaults resolve_faults(const fault::FaultPlan* plan, int stage) {
   WorkerFaults faults;
-  if (!inject || plan == nullptr) return faults;
+  if (plan == nullptr) return faults;
   faults.stage = fault::stage_rules(*plan, stage);
   for (const fault::LinkFault& link : plan->links) {
     if (link.src == -1 || link.src == stage) {
@@ -141,54 +135,19 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
 ProcessPipeline::Result ProcessPipeline::run_reference(
     const std::vector<std::vector<std::int64_t>>& tokens,
     const std::vector<std::vector<std::int64_t>>& targets) {
-  rt::ReferenceResult reference = rt::reference_run(model_, tokens, targets);
-  Result result;
-  result.loss = reference.loss;
-  result.grads = std::move(reference.grads);
-  return result;
+  return rt::reference_run(model_, tokens, targets);
 }
 
 ProcessPipeline::Result ProcessPipeline::run_iteration(
     const std::vector<std::vector<std::int64_t>>& tokens,
     const std::vector<std::vector<std::int64_t>>& targets,
     const ProcessOptions& options) {
-  const int n_slices = options.n_slices;
   const int m = static_cast<int>(tokens.size());
   const int p = model_.stages;
-  const std::vector<core::SliceLayout> layouts =
-      rt::resolve_layouts(tokens, targets, n_slices, options.layouts);
-  const fault::FaultPlan* plan = options.faults;
-  if (plan != nullptr) {
-    const std::vector<fault::PlanIssue> issues = fault::validate(*plan, p);
-    SLIM_CHECK(issues.empty(), "invalid fault plan:\n" + fault::render(issues));
-  }
   obs::Recorder* const rec = options.recorder;
   if (rec != nullptr) {
-    for (int s = 0; s < p; ++s) {
-      rec->set_track_name(s, "stage " + std::to_string(s));
-    }
     rec->set_process_name(static_cast<std::int64_t>(::getpid()), "supervisor");
   }
-  // The run clock: the recorder's epoch when tracing, else this iteration's
-  // start. Workers inherit it through fork, so every time they report is
-  // already on it.
-  const Clock::time_point run_epoch =
-      rec != nullptr ? rec->epoch() : Clock::now();
-  auto run_now = [&]() -> double {
-    return std::chrono::duration<double>(Clock::now() - run_epoch).count();
-  };
-
-  Result result;
-  result.stats.peak_live_slices.assign(static_cast<std::size_t>(p), 0);
-  result.stats.messages.assign(static_cast<std::size_t>(p), 0);
-  rt::CommitLedger ledger(model_, m, /*vocab_parallel=*/false);
-  fault::FaultReport iteration_report;
-
-  // Per-stage metrics accumulate across attempts (a respawned stage keeps
-  // folding into the same row, like the threaded backend's probes).
-  std::vector<obs::StageMetrics>& stage_metrics = result.stats.metrics.stages;
-  stage_metrics.resize(static_cast<std::size_t>(p));
-  double wall_seconds = 0.0;
 
   // Live telemetry state: each attempt refreshes last_snapshot on the
   // telemetry cadence; the iteration's tail writes the terminal phase.
@@ -205,8 +164,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
                         obs::prometheus_text(snap));
     }
   };
-  std::vector<int> respawns(static_cast<std::size_t>(p), 0);
-  int attempt_index = 0;
+  Clock::time_point run_epoch;  // the replay loop's run clock
 
   // KillSpec arming: once overall, or on every attempt when persistent.
   int kills_left = options.kill.phase == KillSpec::Phase::None ||
@@ -216,23 +174,11 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
                               ? std::numeric_limits<int>::max()
                               : 1);
 
-  struct AttemptOutcome {
-    bool failed = false;
-    int culprit = -1;
-    std::string detail;
-    std::string table;
-  };
-
-  // ---- one pipeline attempt over a subset of the microbatches ----
-  auto run_attempt = [&](const std::vector<int>& mbs,
-                         bool inject) -> AttemptOutcome {
-    const int mk = static_cast<int>(mbs.size());
-    SLIM_CHECK(mk >= 1, "attempt without microbatches");
-    for (int s = 0; s < p; ++s) {
-      for (const int mb : mbs) ledger.prepare(s, mb);
-    }
-
-    const auto attempt_start = Clock::now();
+  // ---- one attempt: fork, supervise and reap a worker per stage ----
+  auto run_attempt = [&](const rt::Attempt& attempt) -> rt::AttemptEnd {
+    run_epoch = attempt.epoch;
+    const int mk = static_cast<int>(attempt.mbs.size());
+    rt::AttemptEnd end;
 
     // Transport setup: one socketpair per adjacent stage boundary, with
     // bounded retry over injected transient connect failures.
@@ -240,9 +186,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     for (int b = 0; b + 1 < p; ++b) {
       int fail_first = 0;
       int rule_stage = -1;
-      if (inject && plan != nullptr) {
+      if (attempt.faults != nullptr) {
         for (const fault::SocketConnectFail& rule :
-             plan->socket_connect_fails) {
+             attempt.faults->socket_connect_fails) {
           // A rule names the stage whose adjacent transport flaps; that is
           // the boundary upstream of the stage (downstream for stage 0).
           const int affected = std::min(rule.stage, p - 2);
@@ -253,14 +199,13 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         }
       }
       boundaries.push_back(connect_with_retry(
-          fail_first, [&](int attempt) {
+          fail_first, [&](int retry) {
             const std::string detail =
                 "transport stage " + std::to_string(b) + "<->" +
                 std::to_string(b + 1) + " connect failed (attempt " +
-                std::to_string(attempt) + "), retrying";
-            iteration_report.events.push_back(
-                {fault::FaultEvent::Kind::ConnectRetry, rule_stage,
-                 run_now(), attempt, detail});
+                std::to_string(retry) + "), retrying";
+            end.events.push_back({fault::FaultEvent::Kind::ConnectRetry,
+                                  rule_stage, attempt.now(), retry, detail});
             if (rec != nullptr) {
               rec->instant(std::max(0, rule_stage), "connect retry",
                            obs::kCatFault, detail);
@@ -286,21 +231,21 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       WorkerHandle& w = workers[static_cast<std::size_t>(s)];
       w.stage = s;
       WorkerConfig cfg;
-      cfg.inputs = {&model_, &tokens, &targets, &layouts, n_slices, false};
+      cfg.inputs = attempt.inputs;
       cfg.stage = s;
-      cfg.mbs = mbs;
+      cfg.mbs = attempt.mbs;
       cfg.prev_fd = s > 0 ? boundaries[static_cast<std::size_t>(s - 1)].b.get()
                           : -1;
       cfg.next_fd =
           s + 1 < p ? boundaries[static_cast<std::size_t>(s)].a.get() : -1;
       cfg.control_fd = controls[static_cast<std::size_t>(s)].b.get();
-      cfg.epoch = run_epoch;
+      cfg.epoch = attempt.epoch;
       cfg.heartbeat_interval = options.heartbeat_timeout / kBeatsPerDeadline;
       cfg.starvation_timeout = options.starvation_timeout;
       cfg.trace = rec != nullptr;
-      cfg.attempt = attempt_index;
+      cfg.attempt = attempt.index;
       cfg.flight = options.flight;
-      cfg.faults = resolve_faults(plan, s, inject);
+      cfg.faults = resolve_faults(attempt.faults, s);
       if (kill_armed && kill.stage == s) {
         // The worker raises SIGKILL itself at an exact protocol point, like
         // stage_crash: at its start (PreForward), or right after sending its
@@ -355,16 +300,14 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     // A verdict kills its worker if still alive, so the worker's sockets
     // close and each survivor stops at its first row waiting on it. The
     // first verdict is the attempt's.
-    AttemptOutcome outcome;
     auto fail = [&](WorkerHandle& w, const std::string& detail) {
       if (!w.exited && !w.killed) {
         ::kill(w.pid, SIGKILL);
         w.killed = true;
       }
-      if (outcome.failed) return;
-      outcome.failed = true;
-      outcome.culprit = w.stage;
-      outcome.detail = detail;
+      if (end.culprit >= 0) return;
+      end.culprit = w.stage;
+      end.detail = detail;
     };
 
     auto postmortem = [&]() -> std::string {
@@ -374,7 +317,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         rows.push_back(w.status.progress);
         states.push_back(state_of(w));
       }
-      std::string out = rt::blocked_on_table(rows, states, run_now());
+      std::string out = rt::blocked_on_table(rows, states, attempt.now());
       // Breadcrumbs of every worker that did not finish: the flight tail
       // its last status carried shows what the stage was doing when it
       // died, hung or starved, not just that it did.
@@ -400,8 +343,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           // the microbatch is simply replayed (at-most-once semantics).
           w.control_eof = true;
           if (io != IoStatus::Eof) {
-            iteration_report.events.push_back(
-                {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
+            end.events.push_back(
+                {fault::FaultEvent::Kind::Crash, w.stage, attempt.now(),
                  w.status.progress.messages,
                  std::string("control frame ") + io_status_name(io) +
                      "; half-written tail discarded"});
@@ -417,7 +360,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
           }
           case FrameKind::Commit: {
             Reader r(frame.payload);
-            ledger.slot(w.stage, frame.mb) = read_commit(r);
+            attempt.ledger.slot(w.stage, frame.mb) = read_commit(r);
             break;
           }
           case FrameKind::Done: {
@@ -441,11 +384,11 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
     // done/failed write).
     auto build_snapshot = [&](const std::string& phase) {
       obs::LiveSnapshot snap;
-      snap.ts = run_now();
+      snap.ts = attempt.now();
       snap.phase = phase;
-      snap.attempt = attempt_index;
+      snap.attempt = attempt.index;
       snap.microbatches = m;
-      snap.merged_microbatches = ledger.merged();
+      snap.merged_microbatches = attempt.ledger.merged();
       const auto now = Clock::now();
       for (const WorkerHandle& w : workers) {
         obs::StageLive live;
@@ -477,7 +420,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
             w.status.flight.empty()
                 ? 0
                 : static_cast<std::int64_t>(w.status.flight.back().seq + 1);
-        live.respawns = respawns[static_cast<std::size_t>(w.stage)];
+        live.respawns = attempt.respawns[static_cast<std::size_t>(w.stage)];
         snap.stages.push_back(live);
       }
       return snap;
@@ -501,7 +444,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
 
       if (telemetry_on && Clock::now() >= next_telemetry) {
         last_snapshot =
-            build_snapshot(outcome.failed ? "draining" : "running");
+            build_snapshot(end.culprit >= 0 ? "draining" : "running");
         publish_snapshot(last_snapshot);
         next_telemetry = Clock::now() + options.telemetry_interval;
       }
@@ -526,8 +469,8 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
               // A worker killed on a verdict was reported there; only a
               // death the supervisor did not cause is a crash.
               if (!w.killed) {
-                iteration_report.events.push_back(
-                    {fault::FaultEvent::Kind::Crash, w.stage, run_now(),
+                end.events.push_back(
+                    {fault::FaultEvent::Kind::Crash, w.stage, attempt.now(),
                      w.status.progress.messages,
                      "stage " + std::to_string(w.stage) + " " +
                          describe_exit(w)});
@@ -562,9 +505,9 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
               " ms (deadline " +
               std::to_string(options.heartbeat_timeout.count()) +
               " ms); killed";
-          iteration_report.events.push_back(
-              {fault::FaultEvent::Kind::Watchdog, w.stage, run_now(),
-               w.status.progress.messages, detail});
+          end.events.push_back({fault::FaultEvent::Kind::Watchdog, w.stage,
+                                attempt.now(), w.status.progress.messages,
+                                detail});
           if (rec != nullptr) {
             rec->instant(w.stage, "watchdog", obs::kCatFault, detail);
           }
@@ -575,7 +518,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
 
     // Every worker exited and was read to EOF. Work left uncommitted fails
     // the attempt even without a verdict: a partial ledger never merges.
-    if (!outcome.failed) {
+    if (end.culprit < 0) {
       for (WorkerHandle& w : workers) {
         if (finished(w)) continue;
         fail(w, "stage " + std::to_string(w.stage) + " stopped " +
@@ -583,133 +526,52 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         break;
       }
     }
-    if (outcome.failed) outcome.table = postmortem();
+    if (end.culprit >= 0) end.table = postmortem();
     if (telemetry_on) {
-      last_snapshot = build_snapshot(outcome.failed ? "draining" : "running");
+      last_snapshot = build_snapshot(end.culprit >= 0 ? "draining" : "running");
     }
 
-    wall_seconds +=
-        std::chrono::duration<double>(Clock::now() - attempt_start).count();
-
-    // Fold the attempt's telemetry into the iteration totals. Counters come
-    // from the last status (the Done frame's when the worker finished, the
-    // final heartbeat's when it died), so a crashed attempt's work counts.
+    // Each stage's last status: the Done frame's when the worker finished,
+    // the final heartbeat's when it died, so a crashed attempt's work
+    // counts.
     for (WorkerHandle& w : workers) {
-      const std::size_t s = static_cast<std::size_t>(w.stage);
-      result.stats.messages[s] += w.status.progress.messages;
-      iteration_report.injected_seconds += w.status.injected_delay_seconds;
-      stage_metrics[s].fold(w.status.metrics);
-      if (!w.done) continue;
-      for (const fault::FaultEvent& event : w.done_info.events) {
-        iteration_report.events.push_back(event);
-      }
+      end.stages.push_back({w.status.progress, std::move(w.status.metrics),
+                            std::move(w.done_info.events),
+                            w.status.injected_delay_seconds});
       // The worker recorded on the run clock already.
-      if (rec != nullptr) rec->append(std::move(w.done_info.trace));
+      if (rec != nullptr && w.done) rec->append(std::move(w.done_info.trace));
     }
-    return outcome;
+    return end;
   };
 
-  // ---- attempt 1: all microbatches, faults armed ----
-  std::vector<int> all_mbs(static_cast<std::size_t>(m));
-  std::iota(all_mbs.begin(), all_mbs.end(), 0);
-  const bool inject = plan != nullptr && !plan->empty();
-
-  std::vector<int> attempt_mbs = all_mbs;
-  bool first_attempt = true;
-
-  for (;;) {
-    const AttemptOutcome outcome = run_attempt(attempt_mbs, first_attempt && inject);
-    first_attempt = false;
-    ++attempt_index;
-
-    // Merge every microbatch that newly retired on all stages, ascending —
-    // the same deterministic order as the threaded backend.
-    ledger.merge_committed();
-
-    if (!outcome.failed) break;
-
-    auto fail_with = [&](const std::string& reason) {
-      fault::FaultReport report = iteration_report;
-      report.blocked_table = outcome.table;
-      if (options.report != nullptr) *options.report = report;
-      if (telemetry_on) {
-        last_snapshot.phase = "failed";
-        last_snapshot.ts = run_now();
-        publish_snapshot(last_snapshot);
-      }
-      throw rt::PipelineError("pipeline stage " +
-                                  std::to_string(outcome.culprit) + " failed: " +
-                                  outcome.detail + reason +
-                                  "; blocked-on state:\n" + outcome.table,
-                              std::move(report));
-    };
-    if (!options.recover) fail_with(" (recovery disabled)");
-
-    const std::vector<int> replay = ledger.uncommitted();
-    if (replay.empty()) {
-      // The failure struck after every microbatch had already retired on
-      // every stage (e.g. a post-commit kill) — nothing to replay.
-      break;
-    }
-
-    const std::size_t culprit = static_cast<std::size_t>(
-        outcome.culprit >= 0 && outcome.culprit < p ? outcome.culprit : 0);
-    if (respawns[culprit] >= kRespawnBudget) {
-      fail_with(" (respawn budget of " + std::to_string(kRespawnBudget) +
-                " exhausted)");
-    }
-    // Bounded exponential backoff before the respawn.
-    const int k = respawns[culprit]++;
-    const auto backoff = std::min(
-        kBackoffCap, kBackoffBase * (std::int64_t{1} << std::min(k, 20)));
-    std::string detail = "stage " + std::to_string(outcome.culprit) +
-                         " respawned after " +
-                         std::to_string(backoff.count()) +
-                         " ms backoff; replaying microbatches";
-    for (const int mb : replay) detail += " " + std::to_string(mb);
-    iteration_report.events.push_back(
-        {fault::FaultEvent::Kind::Recovery, outcome.culprit, run_now(),
-         static_cast<std::int64_t>(replay.size()), detail});
-    if (rec != nullptr) {
-      rec->instant(std::max(0, outcome.culprit), "recovery", obs::kCatFault,
-                   detail);
-    }
-    if (iteration_report.replayed_microbatches.empty()) {
-      iteration_report.replayed_microbatches = replay;
-      result.stats.replayed_microbatches = replay;
-    }
-    std::this_thread::sleep_for(backoff);
-    attempt_mbs = replay;
-  }
-
-  ledger.finish(result.loss, result.grads);
-
-  if (telemetry_on) {
-    // Recount merges: the last in-attempt snapshot predates the final merge.
-    last_snapshot.phase = "done";
-    last_snapshot.ts = run_now();
-    last_snapshot.merged_microbatches = ledger.merged();
+  // The replay loop takes the options both runtimes share.
+  rt::RunOptions shared;
+  shared.n_slices = options.n_slices;
+  shared.layouts = options.layouts;
+  shared.faults = options.faults;
+  shared.recover = options.recover;
+  shared.report = options.report;
+  shared.recorder = rec;
+  // The terminal snapshot: the last in-attempt one, with its final phase.
+  auto publish_final = [&](const char* phase) {
+    if (!telemetry_on) return;
+    last_snapshot.phase = phase;
+    last_snapshot.ts =
+        std::chrono::duration<double>(Clock::now() - run_epoch).count();
     publish_snapshot(last_snapshot);
+  };
+  try {
+    Result result = rt::run_replayed(model_, tokens, targets, shared, "dist",
+                                     "slimpipe", run_attempt);
+    // Every microbatch merged; the last in-attempt snapshot predates the
+    // final merge.
+    last_snapshot.merged_microbatches = m;
+    publish_final("done");
+    return result;
+  } catch (const rt::PipelineError&) {
+    publish_final("failed");
+    throw;
   }
-
-  result.stats.metrics.substrate = "dist";
-  result.stats.metrics.scheme = "slimpipe";
-  result.stats.metrics.makespan = wall_seconds;
-  for (int s = 0; s < p; ++s) {
-    const std::size_t i = static_cast<std::size_t>(s);
-    stage_metrics[i].device = s;
-    result.stats.peak_live_slices[i] = stage_metrics[i].peak_live_slices;
-  }
-  result.stats.metrics.set_idle_from_makespan();
-  if (options.report != nullptr) {
-    options.report->events.insert(options.report->events.end(),
-                                  iteration_report.events.begin(),
-                                  iteration_report.events.end());
-    options.report->replayed_microbatches =
-        iteration_report.replayed_microbatches;
-    options.report->injected_seconds += iteration_report.injected_seconds;
-  }
-  return result;
 }
 
 }  // namespace slim::dist

@@ -21,12 +21,15 @@
 //  * on failure SIGKILLs the culprit if still alive; each survivor runs its
 //    table until its next row waits on a closed neighbour, reports
 //    `starved` and exits, so the table fixes which microbatches retired;
-//    then respawns with backoff min(10 ms * 2^k, 250 ms) and replays
-//    exactly the unretired microbatches — the recovered gradients are
-//    bit-identical to the fault-free run;
-//  * converts an exhausted respawn budget (3 per stage) or recover=false
-//    into a structured PipelineError with the per-stage postmortem table —
-//    never a hang.
+//    the attempt ends with its last worker and a per-stage postmortem
+//    table.
+//
+// That is one attempt. Above it sits the replay loop the threaded runtime
+// shares (rt::run_replayed, src/runtime/replay.hpp): it respawns with
+// backoff min(10 ms * 2^k, 250 ms) and replays exactly the unretired
+// microbatches — the recovered gradients are bit-identical to the
+// fault-free run — and turns an exhausted respawn budget (3 per stage) or
+// recover=false into a structured PipelineError, never a hang.
 //
 // Workers inherit the model weights through fork-time copy-on-write memory
 // (the parameter snapshot; weights are immutable within an iteration), so
@@ -89,7 +92,8 @@ struct ProcessOptions {
   /// Respawn + replay after failures (true) or fail the iteration on the
   /// first one (false — still a structured PipelineError).
   bool recover = true;
-  /// Filled with observed fault events + replayed microbatches when set.
+  /// Appended to with the observed fault events and replayed microbatches
+  /// when set, whether the iteration succeeds or throws.
   fault::FaultReport* report = nullptr;
   /// Optional tracing sink. Workers inherit its epoch, stamp their spans,
   /// instants and flow points on the run clock, and ship them in the Done

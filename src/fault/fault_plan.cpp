@@ -392,7 +392,6 @@ const char* event_kind_name(FaultEvent::Kind kind) {
     case FaultEvent::Kind::Delay: return "delay";
     case FaultEvent::Kind::Watchdog: return "watchdog";
     case FaultEvent::Kind::Recovery: return "recovery";
-    case FaultEvent::Kind::Shutdown: return "shutdown";
     case FaultEvent::Kind::SocketDrop: return "socket-drop";
     case FaultEvent::Kind::SocketDelay: return "socket-delay";
     case FaultEvent::Kind::ConnectRetry: return "connect-retry";

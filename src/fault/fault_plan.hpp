@@ -198,7 +198,6 @@ struct FaultEvent {
     Delay,
     Watchdog,   // starvation probe fired; blocked-on table attached
     Recovery,   // stage respawned, microbatches replayed
-    Shutdown,   // worker aborted by channel poisoning
     SocketDrop,    // data frame dropped on the wire (sender retried)
     SocketDelay,   // data frame delivered late (injected socket latency)
     ConnectRetry,  // transient transport setup failure, retried
@@ -218,7 +217,7 @@ struct FaultReport {
   double injected_seconds = 0.0;
   /// Checkpoint-restart cost: lost in-flight work + restart time.
   double recovery_overhead = 0.0;
-  /// Threaded runtime: microbatches replayed after a stage respawn.
+  /// Training runtimes: the microbatches the first respawn replayed.
   std::vector<int> replayed_microbatches;
   /// Watchdog deadlock report: per-stage blocked-on state table.
   std::string blocked_table;

@@ -63,8 +63,7 @@ bool report_from_json(const JsonValue& value, BenchReport* out) {
   return from_json(value, out);
 }
 
-bool load_report(const std::string& path, BenchReport* out,
-                 std::string* error) {
+bool load_json(const std::string& path, JsonValue* out, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     if (error != nullptr) *error = "cannot open " + path;
@@ -72,12 +71,18 @@ bool load_report(const std::string& path, BenchReport* out,
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  JsonValue doc;
   std::string parse_error;
-  if (!JsonValue::parse(buffer.str(), &doc, &parse_error)) {
+  if (!JsonValue::parse(buffer.str(), out, &parse_error)) {
     if (error != nullptr) *error = path + ": " + parse_error;
     return false;
   }
+  return true;
+}
+
+bool load_report(const std::string& path, BenchReport* out,
+                 std::string* error) {
+  JsonValue doc;
+  if (!load_json(path, &doc, error)) return false;
   if (!report_from_json(doc, out)) {
     if (error != nullptr) *error = path + ": not a bench report object";
     return false;

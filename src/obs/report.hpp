@@ -58,6 +58,10 @@ struct BenchReport {
 JsonValue report_to_json(const BenchReport& report);
 bool report_from_json(const JsonValue& value, BenchReport* out);
 
+/// Reads and parses a JSON file; returns false and fills `error` on I/O or
+/// parse failure.
+bool load_json(const std::string& path, JsonValue* out, std::string* error);
+
 /// Loads and parses a report file; returns false and fills `error` on I/O or
 /// parse failure (schema issues are reported via validate_report instead).
 bool load_report(const std::string& path, BenchReport* out,

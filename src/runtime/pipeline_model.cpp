@@ -55,13 +55,13 @@ std::vector<std::vector<int>> PipelineModel::owned_layers() const {
   return owned;
 }
 
-ReferenceResult reference_run(
+PipelineResult reference_run(
     const PipelineModel& model,
     const std::vector<std::vector<std::int64_t>>& tokens,
     const std::vector<std::vector<std::int64_t>>& targets) {
   const int m = static_cast<int>(tokens.size());
 
-  ReferenceResult result;
+  PipelineResult result;
   result.grads.embedding = num::Tensor(model.vocab, model.dims.hidden);
   for (int i = 0; i < model.layers_total; ++i) {
     result.grads.layers.push_back(num::LayerGrads::zeros(model.dims));

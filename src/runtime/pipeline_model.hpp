@@ -1,6 +1,7 @@
 #pragma once
 
-// The immutable per-iteration model state shared by every pipeline backend.
+// The immutable per-iteration model state shared by every pipeline backend,
+// and the result shape every backend returns.
 //
 // Both the threaded runtime (one worker thread per stage) and the
 // multi-process runtime (src/dist: one forked worker process per stage)
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/numerics/transformer_block.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/rng.hpp"
 
 namespace slim::rt {
@@ -51,14 +53,34 @@ struct PipelineModel {
   }
 };
 
-struct ReferenceResult {
+struct PipelineStats {
+  /// Peak simultaneously-live slices per stage (the Eq. 1 quantity in
+  /// slice units).
+  std::vector<int> peak_live_slices;
+  /// Activation/gradient messages exchanged per stage boundary.
+  std::vector<std::int64_t> messages;
+  /// Microbatches the first respawn replayed (empty when fault-free).
+  std::vector<int> replayed_microbatches;
+
+  /// Per-stage observability breakdown — the same shape the simulator
+  /// attaches to sched::ScheduleResult, filled from cheap always-on probes
+  /// (wall-clock busy/blocked time, cross-stage message counts, arrival
+  /// high-water marks). The consistency tests assert the discrete fields
+  /// match the simulator for the same schedule.
+  obs::RunMetrics metrics;
+};
+
+/// One iteration on any backend: the mean loss, the accumulated gradients
+/// and the run's statistics (empty for the monolithic reference).
+struct PipelineResult {
   double loss = 0.0;
   num::TinyModel::Grads grads;  // flattened: embedding, all layers, norm
+  PipelineStats stats;
 };
 
 /// The same parameters executed monolithically on one thread — the ground
 /// truth every pipeline backend's gradients are compared against.
-ReferenceResult reference_run(
+PipelineResult reference_run(
     const PipelineModel& model,
     const std::vector<std::vector<std::int64_t>>& tokens,
     const std::vector<std::vector<std::int64_t>>& targets);

@@ -9,10 +9,10 @@
 // rt::StageMachine (stage_machine.hpp), which runs its device's rows of the
 // simulator's SlimPipe table in order, with the per-message numerics and
 // commit at retirement (§4.1.2); the multi-process backend (src/dist)
-// drives the same machine with the same loop over sockets. This runtime
-// supplies only a Channel link — arrivals, sends, retired slots into the
-// CommitLedger, progress for the watchdog's blocked-on table — plus the
-// shutdown protocol and the one-replay crash recovery.
+// drives the same machine with the same loop over sockets, and both recover
+// through one replay loop (replay.hpp). This runtime supplies only one
+// attempt: a Channel link per stage — arrivals, sends, retired slots into
+// the CommitLedger — a thread per stage, and the shutdown protocol.
 //
 // The runtime's gradients match single-threaded monolithic execution up to
 // float accumulation order, and the multi-process backend's bit for bit —
@@ -41,28 +41,11 @@ namespace slim::rt {
 /// raise it via the env so legitimate long waits don't trip the watchdog.
 std::chrono::milliseconds default_starvation_timeout();
 
-struct PipelineStats {
-  /// Peak simultaneously-live slices per stage (the Eq. 1 quantity in
-  /// slice units).
-  std::vector<int> peak_live_slices;
-  /// Activation/gradient messages exchanged per stage boundary.
-  std::vector<std::int64_t> messages;
-  /// Microbatches replayed after a stage respawn (empty when fault-free).
-  std::vector<int> replayed_microbatches;
-
-  /// Per-stage observability breakdown — the same shape the simulator
-  /// attaches to sched::ScheduleResult, filled from cheap always-on probes
-  /// (wall-clock busy/blocked time, cross-stage message counts, arrival
-  /// high-water marks). The consistency tests assert the discrete fields
-  /// match the simulator for the same schedule.
-  obs::RunMetrics metrics;
-};
-
 /// Structured pipeline failure: what happened, on which stage, and the
-/// per-stage blocked-on table at the moment of failure. Every worker
-/// exception — injected faults, invariant violations, starvation — is
-/// captured, converted into one of these and rethrown from the parent
-/// thread after all workers joined; no failure path reaches
+/// per-stage blocked-on table at the end of the failed attempt. Every
+/// worker failure — injected faults, invariant violations, starvation — is
+/// captured and, once the replay loop (replay.hpp) gives up on it, thrown
+/// from the parent after all workers joined; no failure path reaches
 /// std::terminate.
 class PipelineError : public std::runtime_error {
  public:
@@ -91,10 +74,13 @@ struct RunOptions {
   std::chrono::milliseconds starvation_timeout = default_starvation_timeout();
   /// Runtime-substrate faults to inject (stage crashes/hangs, delays).
   const fault::FaultPlan* faults = nullptr;
-  /// After an injected stage crash: respawn the stage from the parameter
-  /// snapshot and replay the unretired microbatches instead of failing.
+  /// After any failed attempt (an injected crash or hang, the watchdog, a
+  /// worker exception): respawn the pipeline from the parameter snapshot
+  /// and replay the unretired microbatches instead of failing, under the
+  /// replay loop's respawn budget and backoff (replay.hpp).
   bool recover = false;
-  /// Filled with the injected/observed fault events when set.
+  /// Appended to with the injected/observed fault events, whether the
+  /// iteration succeeds or throws.
   fault::FaultReport* report = nullptr;
   /// Optional tracing sink. When set, every slice forward/backward, vocab
   /// shard pass, cross-stage send/recv and gradient commit records a span
@@ -114,11 +100,7 @@ class ThreadedPipeline {
   ThreadedPipeline(num::BlockDims dims, std::int64_t vocab, int layers_total,
                    int stages, Rng& rng, int chunks_per_stage = 1);
 
-  struct Result {
-    double loss = 0.0;
-    num::TinyModel::Grads grads;  // flattened: embedding, all layers, norm
-    PipelineStats stats;
-  };
+  using Result = PipelineResult;
 
   /// One training iteration over `microbatches` sequences, each uniformly
   /// split into `n_slices`. Spawns one thread per stage; returns the mean
@@ -135,11 +117,11 @@ class ThreadedPipeline {
                        const std::vector<std::vector<std::int64_t>>& targets,
                        int n_slices, bool vocab_parallel = false);
 
-  /// Full-option form: starvation watchdog, fault injection and
-  /// crash-recovery (respawn + replay of unretired microbatches). Worker
-  /// gradients are staged per microbatch and committed at microbatch
-  /// retirement, so a mid-iteration crash discards only partial work and
-  /// the recovered gradients still match run_reference.
+  /// Full-option form: starvation watchdog, fault injection and recovery
+  /// (respawn + replay of unretired microbatches). Worker gradients are
+  /// staged per microbatch and committed at microbatch retirement, so a
+  /// failed attempt discards only partial work and the recovered gradients
+  /// still match run_reference.
   Result run_iteration(const std::vector<std::vector<std::int64_t>>& tokens,
                        const std::vector<std::vector<std::int64_t>>& targets,
                        const RunOptions& options);

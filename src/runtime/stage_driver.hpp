@@ -81,8 +81,12 @@ struct StageStarved : std::runtime_error {
 };
 
 /// One stage's drive: what drive_stage needs besides the machine and the
-/// link, and what it leaves behind for the runtime.
-struct StageRun {
+/// link, and what it leaves behind for the runtime. Cache-line aligned: the
+/// threaded runtime keeps one per stage thread in a vector, and each thread
+/// writes its progress and metrics after every message while reading its
+/// rules and clock, so two records sharing a line made a step's time depend
+/// on where the heap put the vector.
+struct alignas(64) StageRun {
   int stage = 0;
   int attempt = 0;  // folded into flow ids
   fault::StageRules rules;  // the plan's hooks; default-constructed = none

@@ -496,9 +496,11 @@ TEST(RuntimeFaultTest, CrashWithoutRecoveryThrowsStructuredError) {
   Fixture f = make_fixture(3, 3, 2);
   fault::FaultPlan plan;
   plan.stage_crashes.push_back({1, 5});
+  fault::FaultReport report;
   RunOptions options;
   options.n_slices = 4;
   options.faults = &plan;
+  options.report = &report;
 
   try {
     f.pipe.run_iteration(f.tokens, f.targets, options);
@@ -510,7 +512,14 @@ TEST(RuntimeFaultTest, CrashWithoutRecoveryThrowsStructuredError) {
               std::string::npos);
     // The message carries the blocked-on table, not just the report.
     EXPECT_NE(std::string(e.what()).find("last mb"), std::string::npos);
+    // One error form on both runtimes: the failed stage, then the table.
+    EXPECT_EQ(std::string(e.what()).rfind("pipeline stage 1 failed: ", 0), 0u)
+        << e.what();
   }
+  // The out-param report holds the failure too, not only the exception.
+  EXPECT_TRUE(report.has_kind(fault::FaultEvent::Kind::Crash));
+  EXPECT_NE(report.blocked_table.find("last mb"), std::string::npos)
+      << report.blocked_table;
 }
 
 TEST(RuntimeFaultTest, HangTriggersWatchdogWithBlockedTable) {
@@ -538,6 +547,41 @@ TEST(RuntimeFaultTest, HangTriggersWatchdogWithBlockedTable) {
     EXPECT_NE(e.report().blocked_table.find("last mb"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("starved"), std::string::npos);
   }
+}
+
+TEST(RuntimeFaultTest, HangWithRecoveryReplays) {
+  // The watchdog's verdict on a hang is a failed attempt like a crash: with
+  // recover = true the pipeline respawns and replays the unretired
+  // microbatches with the plan disarmed, and the gradients match.
+  Fixture f = make_fixture(3, 3, 2);
+  const auto ref = f.pipe.run_reference(f.tokens, f.targets);
+  fault::FaultPlan plan;
+  plan.stage_hangs.push_back({1, 3});
+  fault::FaultReport report;
+  RunOptions options;
+  options.n_slices = 4;
+  options.faults = &plan;
+  options.recover = true;
+  options.report = &report;
+  options.starvation_timeout = std::chrono::milliseconds(200);
+
+  const auto recovered = f.pipe.run_iteration(f.tokens, f.targets, options);
+  EXPECT_NEAR(recovered.loss, ref.loss, 1e-5);
+  EXPECT_LT(recovered.grads.max_abs_diff(ref.grads), 5e-5f);
+  EXPECT_TRUE(report.has_kind(fault::FaultEvent::Kind::Watchdog));
+  EXPECT_TRUE(report.has_kind(fault::FaultEvent::Kind::Hang));
+  EXPECT_TRUE(report.has_kind(fault::FaultEvent::Kind::Recovery));
+  ASSERT_FALSE(report.replayed_microbatches.empty());
+  EXPECT_EQ(report.replayed_microbatches,
+            recovered.stats.replayed_microbatches);
+  // The respawn is charged to the hung stage, not to whichever starved
+  // peer's watchdog fired first.
+  const auto recovery = std::find_if(
+      report.events.begin(), report.events.end(), [](const auto& event) {
+        return event.kind == fault::FaultEvent::Kind::Recovery;
+      });
+  ASSERT_NE(recovery, report.events.end());
+  EXPECT_EQ(recovery->device, 1) << recovery->detail;
 }
 
 TEST(RuntimeFaultTest, FaultEventsCarryRunClockTimesWithoutRecorder) {

@@ -67,13 +67,16 @@
 #                                   substrates)
 #
 # After its label run the thread preset repeats the runtime's watchdog-hang
-# test (RuntimeFaultTest.HangTriggersWatchdogWithBlockedTable), the
-# cross-process observability tests (DistObservabilityTest) and the tests
-# where several threads write one obs::Recorder (RecorderTest and the
-# traced threaded run in ConsistencyTest, both in test_obs, label obs) ten
-# times each, in parallel: under TSan a slow first forward can trip the
-# watchdog test's 200 ms starvation timeout, the observability tests pin
-# the one run clock that forked workers share with the supervisor, and
+# tests (RuntimeFaultTest.HangTriggersWatchdogWithBlockedTable and
+# RuntimeFaultTest.HangWithRecoveryReplays), the cross-process
+# observability tests (DistObservabilityTest) and the tests where several
+# threads write one obs::Recorder (RecorderTest and the traced threaded run
+# in ConsistencyTest, both in test_obs, label obs) ten times each, in
+# parallel: under TSan a slow first forward can trip the watchdog tests'
+# 200 ms starvation timeout; the hang replay wakes a parked stage through
+# the shutdown broadcast, then runs a second attempt on fresh threads and
+# machines, an interleaving no other test makes; the observability tests
+# pin the one run clock that forked workers share with the supervisor; and
 # rt::drive_stage writes the threaded runtime's recorder from every stage
 # thread.
 #
@@ -184,7 +187,8 @@ if [[ "$FAST" -eq 0 ]]; then
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \
       -L "$labels"
     if [[ "$san" == "thread" ]]; then
-      repeats="HangTriggersWatchdogWithBlockedTable|DistObservabilityTest"
+      repeats="HangTriggersWatchdogWithBlockedTable|HangWithRecoveryReplays"
+      repeats+="|DistObservabilityTest"
       repeats+="|^RecorderTest\.|^ConsistencyTest\."
       echo "== ${san} sanitizer repeats (-R '${repeats}', 10 runs) =="
       ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \

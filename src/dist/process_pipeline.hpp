@@ -26,10 +26,10 @@
 //
 // That is one attempt. Above it sits the replay loop the threaded runtime
 // shares (rt::run_replayed, src/runtime/replay.hpp): it respawns with
-// backoff min(10 ms * 2^k, 250 ms) and replays exactly the unretired
-// microbatches — the recovered gradients are bit-identical to the
-// fault-free run — and turns an exhausted respawn budget (3 per stage) or
-// recover=false into a structured PipelineError, never a hang.
+// backoff 10 ms * 2^k and replays exactly the unretired microbatches — the
+// recovered gradients are bit-identical to the fault-free run — and turns
+// an exhausted respawn budget (3 per stage) or recover=false into a
+// structured PipelineError, never a hang.
 //
 // Workers inherit the model weights through fork-time copy-on-write memory
 // (the parameter snapshot; weights are immutable within an iteration), so
@@ -76,9 +76,8 @@ struct ProcessOptions {
   std::vector<core::SliceLayout> layouts;
   /// Worker-side starvation watchdog (same semantics as the threaded
   /// runtime's): a stage blocked in receive for this long fails, with the
-  /// error in its Done frame. Defaults from SLIMPIPE_STARVATION_TIMEOUT_MS.
-  std::chrono::milliseconds starvation_timeout =
-      rt::default_starvation_timeout();
+  /// error in its Done frame.
+  std::chrono::milliseconds starvation_timeout{30000};
   /// A worker silent for this long is declared hung and SIGKILLed.
   /// Workers beat every heartbeat_timeout / 40 (25 ms at the default).
   std::chrono::milliseconds heartbeat_timeout{1000};

@@ -1,8 +1,11 @@
 #include "src/fault/fault_plan.hpp"
 
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 
+#include "src/util/env.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/table.hpp"
 
@@ -217,13 +220,28 @@ struct KvArgs {
     }
     return nullptr;
   }
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
+  /// `key`'s value as one whole base-10 token within T's range.
+  template <typename T>
+  T get_int(const std::string& key, T fallback) const {
     const std::string* v = find(key);
-    return v == nullptr ? fallback : std::stoll(*v);
+    if (v == nullptr) return fallback;
+    const auto value = util::parse_env_int(v->c_str());
+    SLIM_CHECK(value && *value >= std::numeric_limits<T>::min() &&
+                   *value <= std::numeric_limits<T>::max(),
+               "fault plan: '" + key + "' expects an integer, got '" + *v +
+                   "'");
+    return static_cast<T>(*value);
   }
+  /// `key`'s value as one whole floating-point token.
   double get_double(const std::string& key, double fallback) const {
     const std::string* v = find(key);
-    return v == nullptr ? fallback : std::stod(*v);
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    const double value = std::strtod(v->c_str(), &end);
+    SLIM_CHECK(end != v->c_str() && *end == '\0',
+               "fault plan: '" + key + "' expects a number, got '" + *v +
+                   "'");
+    return value;
   }
 };
 
@@ -270,18 +288,18 @@ FaultPlan parse_plan(const std::string& text) {
                                 {"device", "ops", "factor", "jitter", "from",
                                  "to"});
       Straggler s;
-      s.device = static_cast<int>(a.get_int("device", -1));
+      s.device = a.get_int<int>("device", -1);
       if (const std::string* ops = a.find("ops")) s.ops = parse_op_filter(*ops);
       s.factor = a.get_double("factor", 1.0);
       s.jitter = a.get_double("jitter", 0.0);
-      s.from_op = a.get_int("from", 0);
-      s.to_op = a.get_int("to", -1);
+      s.from_op = a.get_int<std::int64_t>("from", 0);
+      s.to_op = a.get_int<std::int64_t>("to", -1);
       plan.stragglers.push_back(s);
     } else if (kind == "link") {
       const KvArgs a = parse_kv(line, kind, {"src", "slowdown",
                                              "extra_latency"});
       LinkFault l;
-      l.src = static_cast<int>(a.get_int("src", -1));
+      l.src = a.get_int<int>("src", -1);
       l.slowdown = a.get_double("slowdown", 1.0);
       l.extra_latency = a.get_double("extra_latency", 0.0);
       plan.links.push_back(l);
@@ -289,45 +307,45 @@ FaultPlan parse_plan(const std::string& text) {
       const KvArgs a = parse_kv(line, kind, {"device", "at_op",
                                              "restart_cost"});
       Crash c;
-      c.device = static_cast<int>(a.get_int("device", 0));
-      c.at_op = a.get_int("at_op", 0);
+      c.device = a.get_int<int>("device", 0);
+      c.at_op = a.get_int<std::int64_t>("at_op", 0);
       c.restart_cost = a.get_double("restart_cost", 1.0);
       plan.crashes.push_back(c);
     } else if (kind == "stage_crash") {
       const KvArgs a = parse_kv(line, kind, {"stage", "after_messages"});
       plan.stage_crashes.push_back(
-          {static_cast<int>(a.get_int("stage", 0)),
-           a.get_int("after_messages", 1)});
+          {a.get_int<int>("stage", 0),
+           a.get_int<std::int64_t>("after_messages", 1)});
     } else if (kind == "stage_hang") {
       const KvArgs a = parse_kv(line, kind, {"stage", "after_messages"});
-      plan.stage_hangs.push_back({static_cast<int>(a.get_int("stage", 0)),
-                                  a.get_int("after_messages", 1)});
+      plan.stage_hangs.push_back(
+          {a.get_int<int>("stage", 0),
+           a.get_int<std::int64_t>("after_messages", 1)});
     } else if (kind == "delay") {
       const KvArgs a = parse_kv(line, kind, {"stage", "every", "seconds"});
       MessageDelay d;
-      d.stage = static_cast<int>(a.get_int("stage", -1));
-      d.every = a.get_int("every", 1);
+      d.stage = a.get_int<int>("stage", -1);
+      d.every = a.get_int<std::int64_t>("every", 1);
       d.seconds = a.get_double("seconds", 0.0);
       plan.delays.push_back(d);
     } else if (kind == "socket_drop") {
       const KvArgs a = parse_kv(line, kind,
                                 {"stage", "every", "count", "max_retries"});
       SocketDrop d;
-      d.stage = static_cast<int>(a.get_int("stage", -1));
-      d.every = a.get_int("every", 1);
-      d.count = static_cast<int>(a.get_int("count", 1));
-      d.max_retries = static_cast<int>(a.get_int("max_retries", 3));
+      d.stage = a.get_int<int>("stage", -1);
+      d.every = a.get_int<std::int64_t>("every", 1);
+      d.count = a.get_int<int>("count", 1);
+      d.max_retries = a.get_int<int>("max_retries", 3);
       plan.socket_drops.push_back(d);
     } else if (kind == "socket_connect") {
       const KvArgs a = parse_kv(line, kind, {"stage", "failures"});
       plan.socket_connect_fails.push_back(
-          {static_cast<int>(a.get_int("stage", 0)),
-           static_cast<int>(a.get_int("failures", 1))});
+          {a.get_int<int>("stage", 0), a.get_int<int>("failures", 1)});
     } else if (kind == "socket_delay") {
       const KvArgs a = parse_kv(line, kind, {"stage", "every", "seconds"});
       SocketDelay d;
-      d.stage = static_cast<int>(a.get_int("stage", -1));
-      d.every = a.get_int("every", 1);
+      d.stage = a.get_int<int>("stage", -1);
+      d.every = a.get_int<std::int64_t>("every", 1);
       d.seconds = a.get_double("seconds", 0.0);
       plan.socket_delays.push_back(d);
     } else {

@@ -170,7 +170,9 @@ StageRules stage_rules(const FaultPlan& plan, int stage);
 // ---------------------------------------------------------------------------
 // Text round-trip: one fault per line, "kind key=value ...". '#' comments
 // and blank lines ignored. parse_plan throws (SLIM_CHECK) on structurally
-// malformed input; semantic problems are left to validate().
+// malformed input, including a value that is not one whole number token or
+// an integer outside its field's type; semantic problems are left to
+// validate().
 //
 //   seed 42
 //   straggler device=1 ops=forward factor=1.5 jitter=0.1 from=0 to=-1

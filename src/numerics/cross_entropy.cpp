@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "src/numerics/arena.hpp"
 #include "src/numerics/exp.hpp"
@@ -60,13 +61,16 @@ CeResult cross_entropy(const Tensor& logits,
   return result;
 }
 
-CeShardStats ce_shard_stats(const Tensor& shard, std::int64_t col_offset,
-                            const std::vector<std::int64_t>& targets) {
-  CeShardStats stats;
+Tensor ce_shard_stats(const Tensor& shard, std::int64_t col_offset,
+                      const std::vector<std::int64_t>& targets) {
   const std::int64_t tokens = shard.rows(), width = shard.cols();
-  stats.max_logit.assign(static_cast<std::size_t>(tokens), kNegInf);
-  stats.sum_exp.assign(static_cast<std::size_t>(tokens), 0.0f);
-  stats.target_logit.assign(static_cast<std::size_t>(tokens), kNegInf);
+  SLIM_CHECK(static_cast<std::int64_t>(targets.size()) == tokens,
+             "one target per token required");
+  // Every element is written by its token's chunk — uninit is safe.
+  Tensor stats = Tensor::uninit(3, tokens);
+  float* max_logit = stats.data();
+  float* sum_exp = max_logit + tokens;
+  float* target_logit = sum_exp + tokens;
   pool().parallel_for(0, tokens, kTokenGrain,
                       [&](std::int64_t t0, std::int64_t t1) {
     WorkspaceLease<float> w(width);
@@ -77,15 +81,68 @@ CeShardStats ce_shard_stats(const Tensor& shard, std::int64_t col_offset,
       exp_shifted(row, m, width, w.data());
       double l = 0.0;
       for (std::int64_t c = 0; c < width; ++c) l += w[c];
-      stats.max_logit[static_cast<std::size_t>(t)] = m;
-      stats.sum_exp[static_cast<std::size_t>(t)] = static_cast<float>(l);
+      max_logit[t] = m;
+      sum_exp[t] = static_cast<float>(l);
       const std::int64_t y = targets[static_cast<std::size_t>(t)] - col_offset;
-      if (y >= 0 && y < width) {
-        stats.target_logit[static_cast<std::size_t>(t)] = shard.at(t, y);
-      }
+      target_logit[t] = y >= 0 && y < width ? row[y] : kNegInf;
     }
   });
   return stats;
+}
+
+CeFold ce_fold(const std::vector<Tensor>& stats) {
+  SLIM_CHECK(!stats.empty(), "need at least one shard");
+  const std::int64_t tokens = stats.front().cols();
+  for (const Tensor& st : stats) {
+    SLIM_CHECK(st.rows() == 3 && st.cols() == tokens,
+               "shard statistics must be 3 x tokens");
+  }
+  CeFold fold{Tensor::uninit(2, tokens), 0.0};
+  for (std::int64_t t = 0; t < tokens; ++t) {
+    float gmax = kNegInf, target = kNegInf;
+    for (const Tensor& st : stats) {
+      gmax = std::max(gmax, st.at(0, t));
+      if (st.at(2, t) != kNegInf) target = st.at(2, t);
+    }
+    SLIM_CHECK(target != kNegInf, "token " + std::to_string(t) +
+                                      ": target class missing from all shards");
+    double gsum = 0.0;
+    for (const Tensor& st : stats) {
+      if (st.at(1, t) > 0.0f) {
+        gsum += static_cast<double>(st.at(1, t)) * exp_f32(st.at(0, t) - gmax);
+      }
+    }
+    fold.loss += std::log(gsum) + gmax - target;
+    fold.global.at(0, t) = gmax;
+    fold.global.at(1, t) = static_cast<float>(gsum);
+  }
+  fold.loss /= static_cast<double>(tokens);
+  return fold;
+}
+
+Tensor ce_shard_grad(const Tensor& shard, std::int64_t col_offset,
+                     const std::vector<std::int64_t>& targets,
+                     const Tensor& global, float scale) {
+  const std::int64_t tokens = shard.rows(), width = shard.cols();
+  SLIM_CHECK(static_cast<std::int64_t>(targets.size()) == tokens &&
+                 global.rows() == 2 && global.cols() == tokens,
+             "one target and one global (max, sum) per token required");
+  const float* gmax = global.data();
+  const float* gsum = gmax + tokens;
+  // Every element of grad is written exactly once — uninit is safe.
+  Tensor grad = Tensor::uninit(tokens, width);
+  pool().parallel_for(0, tokens, kTokenGrain,
+                      [&](std::int64_t t0, std::int64_t t1) {
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t y = targets[static_cast<std::size_t>(t)] - col_offset;
+      float* grow = grad.data() + t * width;
+      exp_shifted(shard.data() + t * width, gmax[t], width, grow);
+      for (std::int64_t c = 0; c < width; ++c) {
+        grow[c] = (grow[c] / gsum[t] - (c == y ? 1.0f : 0.0f)) * scale;
+      }
+    }
+  });
+  return grad;
 }
 
 ShardedCeResult cross_entropy_sharded(
@@ -93,75 +150,21 @@ ShardedCeResult cross_entropy_sharded(
     const std::vector<std::int64_t>& targets) {
   SLIM_CHECK(!shards.empty(), "need at least one shard");
   const std::int64_t tokens = shards.front().rows();
-  ShardedCeResult result;
-
-  // Phase 1: local statistics (what each PP device computes).
-  std::vector<CeShardStats> stats;
-  std::vector<std::int64_t> offsets;
+  std::vector<Tensor> stats;
   std::int64_t offset = 0;
   for (const Tensor& shard : shards) {
     SLIM_CHECK(shard.rows() == tokens, "shard token-count mismatch");
-    offsets.push_back(offset);
     stats.push_back(ce_shard_stats(shard, offset, targets));
     offset += shard.cols();
   }
-
-  // Phase 2: synchronize scalars (the all-reduce of the paper — O(tokens)).
-  std::vector<float> gmax(static_cast<std::size_t>(tokens), kNegInf);
-  for (const CeShardStats& st : stats) {
-    for (std::int64_t t = 0; t < tokens; ++t) {
-      gmax[static_cast<std::size_t>(t)] =
-          std::max(gmax[static_cast<std::size_t>(t)],
-                   st.max_logit[static_cast<std::size_t>(t)]);
-    }
-  }
-  std::vector<double> gsum(static_cast<std::size_t>(tokens), 0.0);
-  std::vector<float> gtarget(static_cast<std::size_t>(tokens), kNegInf);
-  std::vector<float> rescale(static_cast<std::size_t>(tokens));
-  for (const CeShardStats& st : stats) {
-    // exp(max - gmax) per token; an unused one may be NaN (-inf - -inf).
-    for (std::int64_t t = 0; t < tokens; ++t) {
-      const std::size_t ti = static_cast<std::size_t>(t);
-      rescale[ti] = st.max_logit[ti] - gmax[ti];
-    }
-    exp_shifted(rescale.data(), 0.0f, tokens, rescale.data());
-    for (std::int64_t t = 0; t < tokens; ++t) {
-      const std::size_t ti = static_cast<std::size_t>(t);
-      if (st.sum_exp[ti] > 0.0f) {
-        gsum[ti] += static_cast<double>(st.sum_exp[ti]) * rescale[ti];
-      }
-      if (st.target_logit[ti] != kNegInf) gtarget[ti] = st.target_logit[ti];
-    }
-  }
-
-  // Phase 3: loss and shard-local gradients from the global statistics.
-  const float inv_tokens = 1.0f / static_cast<float>(tokens);
-  for (std::int64_t t = 0; t < tokens; ++t) {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    SLIM_CHECK(gtarget[ti] != kNegInf, "target class missing from all shards");
-    result.loss += std::log(gsum[ti]) + gmax[ti] - gtarget[ti];
-  }
-  result.loss /= static_cast<double>(tokens);
-
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const Tensor& shard = shards[s];
-    // Every element of grad is written exactly once — uninit is safe.
-    Tensor grad = Tensor::uninit(shard.rows(), shard.cols());
-    pool().parallel_for(0, tokens, kTokenGrain,
-                        [&](std::int64_t t0, std::int64_t t1) {
-      const std::int64_t width = shard.cols();
-      for (std::int64_t t = t0; t < t1; ++t) {
-        const std::size_t ti = static_cast<std::size_t>(t);
-        const std::int64_t y = targets[ti] - offsets[s];
-        float* grow = grad.data() + t * width;
-        exp_shifted(shard.data() + t * width, gmax[ti], width, grow);
-        for (std::int64_t c = 0; c < width; ++c) {
-          const float p = static_cast<float>(grow[c] / gsum[ti]);
-          grow[c] = (p - (c == y ? 1.0f : 0.0f)) * inv_tokens;
-        }
-      }
-    });
-    result.dshards.push_back(std::move(grad));
+  const CeFold fold = ce_fold(stats);
+  ShardedCeResult result;
+  result.loss = fold.loss;
+  offset = 0;
+  for (const Tensor& shard : shards) {
+    result.dshards.push_back(ce_shard_grad(shard, offset, targets, fold.global,
+                                           1.0f / static_cast<float>(tokens)));
+    offset += shard.cols();
   }
   return result;
 }

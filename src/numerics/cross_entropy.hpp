@@ -2,11 +2,13 @@
 
 // Softmax cross-entropy: monolithic and vocabulary-sharded (paper §4.3.2).
 //
-// The sharded variant computes the loss from column shards of the logits
-// without ever gathering them: each shard contributes its local (max,
-// sum-exp, target-logit) statistics, the scalars are "synchronized" (here:
-// combined), and both the loss and the per-shard gradients follow from the
-// global statistics. Tests assert exact agreement with the monolithic path.
+// The sharded loss never gathers the logits. Its three phases are what the
+// threaded runtime's vocabulary rounds route between devices, and
+// cross_entropy_sharded composes them on one thread: ce_shard_stats (each
+// shard's O(tokens) statistics), ce_fold (the synchronized global and the
+// loss) and ce_shard_grad (each shard's logit gradient). Every exponential
+// is exp_shifted's (exp.hpp). Tests assert agreement with the monolithic
+// path.
 
 #include <cstdint>
 #include <vector>
@@ -35,15 +37,25 @@ ShardedCeResult cross_entropy_sharded(
     const std::vector<Tensor>& shards,
     const std::vector<std::int64_t>& targets);
 
-/// The per-shard statistics the sharded loss synchronizes — exposed so the
-/// tests can check the communication payload is O(tokens), not O(vocab).
-struct CeShardStats {
-  std::vector<float> max_logit;   // per token
-  std::vector<float> sum_exp;     // per token, relative to local max
-  std::vector<float> target_logit;  // per token; -inf if target not local
+/// `shard` holds logit columns [col_offset, col_offset + shard.cols()).
+/// Rows of the result, per token: the shard's max logit, its sum of
+/// exp(logit - max), the target's logit (-inf when not in this shard).
+Tensor ce_shard_stats(const Tensor& shard, std::int64_t col_offset,
+                      const std::vector<std::int64_t>& targets);
+
+struct CeFold {
+  Tensor global;      // 2 x tokens: global max logit, sum of exp(logit - max)
+  double loss = 0.0;  // mean over tokens
 };
 
-CeShardStats ce_shard_stats(const Tensor& shard, std::int64_t col_offset,
-                            const std::vector<std::int64_t>& targets);
+/// Folds every shard's statistics in shard order. Throws when a token's
+/// target lies in no shard.
+CeFold ce_fold(const std::vector<Tensor>& stats);
+
+/// d(loss) / d(shard) from ce_fold's global, times `scale` (1 / tokens for
+/// the mean loss).
+Tensor ce_shard_grad(const Tensor& shard, std::int64_t col_offset,
+                     const std::vector<std::int64_t>& targets,
+                     const Tensor& global, float scale);
 
 }  // namespace slim::num

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/util/thread_pool.hpp"
 
@@ -453,6 +454,35 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
   return dx;
 }
 
+Tensor embed(const Tensor& table, std::span<const std::int64_t> ids) {
+  const std::int64_t hidden = table.cols();
+  // Every row is copied below — uninit is safe.
+  Tensor x = Tensor::uninit(static_cast<std::int64_t>(ids.size()), hidden);
+  for (std::int64_t r = 0; r < x.rows(); ++r) {
+    const std::int64_t id = ids[static_cast<std::size_t>(r)];
+    SLIM_CHECK(id >= 0 && id < table.rows(),
+               "token " + std::to_string(id) + " out of vocabulary");
+    std::copy_n(table.data() + id * hidden, hidden, x.data() + r * hidden);
+  }
+  return x;
+}
+
+void embed_bwd(std::span<const std::int64_t> ids, const Tensor& dx,
+               Tensor& dtable) {
+  const std::int64_t hidden = dtable.cols();
+  SLIM_CHECK(dx.rows() == static_cast<std::int64_t>(ids.size()) &&
+                 dx.cols() == hidden,
+             "one gradient row of the table's width per token required");
+  for (std::int64_t r = 0; r < dx.rows(); ++r) {
+    const std::int64_t id = ids[static_cast<std::size_t>(r)];
+    SLIM_CHECK(id >= 0 && id < dtable.rows(),
+               "token " + std::to_string(id) + " out of vocabulary");
+    float* drow = dtable.data() + id * hidden;
+    const float* src = dx.data() + r * hidden;
+    for (std::int64_t c = 0; c < hidden; ++c) drow[c] += src[c];
+  }
+}
+
 TinyModel::TinyModel(BlockDims dims, std::int64_t vocab,
                      std::int64_t num_layers, Rng& rng)
     : dims_(dims), vocab_(vocab) {
@@ -530,13 +560,13 @@ double TinyModel::train_step(const std::vector<std::int64_t>& tokens,
              "vocabulary must split uniformly");
   for (Layer& layer : layers_) layer.reset();
 
-  struct SliceState {
-    Tensor x_embed;       // embedding output (for the tied-weight grad)
-    Tensor final_input;   // input of the final norm
-    Tensor dlogits_head;  // d(final hidden) from the loss
-    std::vector<std::int64_t> token_ids;
+  auto slice_ids = [&](int si) {
+    return std::span<const std::int64_t>(tokens).subspan(
+        static_cast<std::size_t>(layout.begin(si)),
+        static_cast<std::size_t>(layout.len(si)));
   };
-  std::vector<SliceState> states(static_cast<std::size_t>(n_slices));
+  // Per slice: d(final hidden) from the loss, kept for the LIFO backward.
+  std::vector<Tensor> head_grads(static_cast<std::size_t>(n_slices));
   double total_loss = 0.0;
 
   // ---- forward, slice by slice ----
@@ -545,18 +575,8 @@ double TinyModel::train_step(const std::vector<std::int64_t>& tokens,
     const std::int64_t slice_len = layout.len(si);
     const float slice_weight =
         static_cast<float>(slice_len) / static_cast<float>(seq);
-    SliceState& st = states[static_cast<std::size_t>(si)];
-    st.token_ids.assign(tokens.begin() + pos, tokens.begin() + pos + slice_len);
-    Tensor x(slice_len, dims_.hidden);
-    for (std::int64_t r = 0; r < slice_len; ++r) {
-      const std::int64_t id = st.token_ids[static_cast<std::size_t>(r)];
-      SLIM_CHECK(id >= 0 && id < vocab_, "token out of vocabulary");
-      const float* row = embedding_.data() + id * dims_.hidden;
-      std::copy(row, row + dims_.hidden, x.data() + r * dims_.hidden);
-    }
-    st.x_embed = x;
+    Tensor x = embed(embedding_, slice_ids(si));
     for (Layer& layer : layers_) x = layer.forward_slice(x, pos);
-    st.final_input = x;
 
     const Tensor hidden = rmsnorm(x, final_norm_);
     std::vector<std::int64_t> slice_targets(
@@ -596,13 +616,13 @@ double TinyModel::train_step(const std::vector<std::int64_t>& tokens,
     }
     grads.embedding.add_(matmul_tn(dlogits_scaled, hidden));
     const Tensor dhidden = matmul(dlogits_scaled, embedding_);
-    st.dlogits_head = rmsnorm_bwd(x, final_norm_, dhidden, grads.final_norm);
+    head_grads[static_cast<std::size_t>(si)] =
+        rmsnorm_bwd(x, final_norm_, dhidden, grads.final_norm);
   }
 
   // ---- backward, strictly LIFO over slices ----
   for (int si = n_slices - 1; si >= 0; --si) {
-    SliceState& st = states[static_cast<std::size_t>(si)];
-    Tensor dx = st.dlogits_head;
+    Tensor dx = std::move(head_grads[static_cast<std::size_t>(si)]);
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
       const std::size_t layer_idx =
           layers_.size() - 1 -
@@ -610,12 +630,7 @@ double TinyModel::train_step(const std::vector<std::int64_t>& tokens,
       dx = it->backward_slice(dx, grads.layers[layer_idx]);
     }
     // Tied embedding: input-side gradient.
-    for (std::int64_t r = 0; r < dx.rows(); ++r) {
-      const std::int64_t id = st.token_ids[static_cast<std::size_t>(r)];
-      for (std::int64_t c = 0; c < dims_.hidden; ++c) {
-        grads.embedding.at(id, c) += dx.at(r, c);
-      }
-    }
+    embed_bwd(slice_ids(si), dx, grads.embedding);
   }
   for (Layer& layer : layers_) {
     SLIM_CHECK(layer.live_slices() == 0 && layer.cache_chunks() == 0,

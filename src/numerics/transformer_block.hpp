@@ -12,9 +12,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
-
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "src/core/slice_layout.hpp"
 #include "src/numerics/arena.hpp"
@@ -149,6 +149,16 @@ class Layer {
   std::vector<std::pair<int, MicrobatchState>> microbatches_;
   ArenaStats* arena_stats_ = nullptr;
 };
+
+/// The tied embedding's token gather: row ids[r] of `table` (vocab x
+/// hidden) as row r. Throws on an id outside [0, vocab).
+Tensor embed(const Tensor& table, std::span<const std::int64_t> ids);
+
+/// Its gradient: adds row r of `dx` to row ids[r] of `dtable` for r in
+/// ascending order, so a repeated id accumulates in row order. Throws on an
+/// id outside [0, vocab).
+void embed_bwd(std::span<const std::int64_t> ids, const Tensor& dx,
+               Tensor& dtable);
 
 /// Tiny LM: tied embedding, L layers, final norm, vocabulary head.
 class TinyModel {

@@ -73,16 +73,8 @@ PipelineResult reference_run(
 
   for (int mb = 0; mb < m; ++mb) {
     // Microbatches may carry different sequence lengths (elastic layouts).
-    const std::int64_t seq =
-        static_cast<std::int64_t>(tokens[static_cast<std::size_t>(mb)].size());
-    num::Tensor x(seq, model.dims.hidden);
-    for (std::int64_t r = 0; r < seq; ++r) {
-      const std::int64_t id = tokens[static_cast<std::size_t>(mb)]
-                                    [static_cast<std::size_t>(r)];
-      for (std::int64_t c = 0; c < model.dims.hidden; ++c) {
-        x.at(r, c) = model.embedding.at(id, c);
-      }
-    }
+    const std::vector<std::int64_t>& ids = tokens[static_cast<std::size_t>(mb)];
+    num::Tensor x = num::embed(model.embedding, ids);
     for (num::Layer& layer : layers) x = layer.forward_slice(x, 0, mb);
 
     const num::Tensor hidden = num::rmsnorm(x, model.final_norm);
@@ -102,13 +94,7 @@ PipelineResult reference_run(
           layers.size() - static_cast<std::size_t>(it - layers.rbegin()) - 1;
       dx = it->backward_slice(dx, result.grads.layers[global], mb);
     }
-    for (std::int64_t r = 0; r < seq; ++r) {
-      const std::int64_t id = tokens[static_cast<std::size_t>(mb)]
-                                    [static_cast<std::size_t>(r)];
-      for (std::int64_t c = 0; c < model.dims.hidden; ++c) {
-        result.grads.embedding.at(id, c) += dx.at(r, c);
-      }
-    }
+    num::embed_bwd(ids, dx, result.grads.embedding);
   }
   return result;
 }

@@ -12,7 +12,6 @@
 #include "src/runtime/replay.hpp"
 #include "src/runtime/stage_driver.hpp"
 #include "src/runtime/stage_machine.hpp"
-#include "src/util/env.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace slim::rt {
@@ -242,11 +241,6 @@ ThreadedPipeline::Result ThreadedPipeline::run_reference(
     const std::vector<std::vector<std::int64_t>>& tokens,
     const std::vector<std::vector<std::int64_t>>& targets) {
   return reference_run(model_, tokens, targets);
-}
-
-std::chrono::milliseconds default_starvation_timeout() {
-  return std::chrono::milliseconds(
-      util::env_int_or("SLIMPIPE_STARVATION_TIMEOUT_MS", 30000, 1));
 }
 
 }  // namespace slim::rt

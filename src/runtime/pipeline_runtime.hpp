@@ -36,11 +36,6 @@
 
 namespace slim::rt {
 
-/// Default for RunOptions::starvation_timeout: SLIMPIPE_STARVATION_TIMEOUT_MS
-/// when set to a positive integer, else 30 s. Sanitizer-slowed CI runs
-/// raise it via the env so legitimate long waits don't trip the watchdog.
-std::chrono::milliseconds default_starvation_timeout();
-
 /// Structured pipeline failure: what happened, on which stage, and the
 /// per-stage blocked-on table at the end of the failed attempt. Every
 /// worker failure — injected faults, invariant violations, starvation — is
@@ -71,7 +66,7 @@ struct RunOptions {
   /// Starvation probe: a stage blocked in receive for this long collects
   /// the per-stage blocked-on table and fails the iteration (the
   /// watchdog). Short values let fault tests probe deadlocks quickly.
-  std::chrono::milliseconds starvation_timeout = default_starvation_timeout();
+  std::chrono::milliseconds starvation_timeout{30000};
   /// Runtime-substrate faults to inject (stage crashes/hangs, delays).
   const fault::FaultPlan* faults = nullptr;
   /// After any failed attempt (an injected crash or hang, the watchdog, a

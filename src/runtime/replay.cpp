@@ -1,6 +1,5 @@
 #include "src/runtime/replay.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -12,9 +11,9 @@ namespace slim::rt {
 namespace {
 
 /// Respawns allowed per stage and iteration, and the backoff before a
-/// stage's k-th respawn: min(kBackoffBase * 2^k, kBackoffCap).
+/// stage's k-th respawn: kBackoffBase * 2^k (10, 20 and 40 ms).
 constexpr int kRespawnBudget = 3;
-constexpr std::chrono::milliseconds kBackoffBase{10}, kBackoffCap{250};
+constexpr std::chrono::milliseconds kBackoffBase{10};
 
 double seconds_since(obs::MonoClock::time_point start) {
   return std::chrono::duration<double>(obs::MonoClock::now() - start).count();
@@ -31,7 +30,8 @@ PipelineResult run_replayed(const PipelineModel& model, const Batch& tokens,
   const int p = model.stages;
   const int m = static_cast<int>(tokens.size());
   const std::vector<core::SliceLayout> layouts =
-      resolve_layouts(tokens, targets, options.n_slices, options.layouts);
+      resolve_layouts(tokens, targets, model.vocab, options.n_slices,
+                      options.layouts);
   const StageInputs inputs{&model,   &tokens,          &targets,
                            &layouts, options.n_slices, options.vocab_parallel};
   const fault::FaultPlan* plan = options.faults;
@@ -125,8 +125,7 @@ PipelineResult run_replayed(const PipelineModel& model, const Batch& tokens,
       fail(end, " (respawn budget of " + std::to_string(kRespawnBudget) +
                     " exhausted)");
     }
-    const std::chrono::milliseconds backoff =
-        std::min(kBackoffCap, kBackoffBase * (1 << used));
+    const std::chrono::milliseconds backoff = kBackoffBase * (1 << used);
     ++used;
     // The pipeline restarts from the parameter snapshot (weights are
     // immutable within the iteration) and replays what had not retired.

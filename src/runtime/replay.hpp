@@ -14,9 +14,9 @@
 //
 // The policy. Attempt 0 runs every microbatch with the plan's faults armed.
 // While an attempt fails and `recover` is set, the loop merges what retired
-// on every stage, backs off min(10 ms * 2^k, 250 ms), where k counts the
-// failed stage's earlier respawns, and replays exactly the uncommitted
-// microbatches with the faults disarmed; 3 respawns per stage bound it.
+// on every stage, backs off 10 ms * 2^k, where k counts the failed stage's
+// earlier respawns, and replays exactly the uncommitted microbatches with
+// the faults disarmed; 3 respawns per stage bound it (10, 20, 40 ms).
 // Both runtimes commit a microbatch's gradients only when it retires on a
 // stage, so a replay discards exactly the failed attempt's partial work and
 // the recovered gradients are bit-identical to a fault-free run.

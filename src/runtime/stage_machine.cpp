@@ -1,8 +1,6 @@
 #include "src/runtime/stage_machine.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "src/core/slice.hpp"
 #include "src/core/slimpipe.hpp"
@@ -13,8 +11,8 @@
 namespace slim::rt {
 
 std::vector<core::SliceLayout> resolve_layouts(
-    const Batch& tokens, const Batch& targets, int n_slices,
-    std::vector<core::SliceLayout> layouts) {
+    const Batch& tokens, const Batch& targets, std::int64_t vocab,
+    int n_slices, std::vector<core::SliceLayout> layouts) {
   const std::size_t m = tokens.size();
   SLIM_CHECK(m >= 1 && targets.size() == m, "bad microbatches");
   SLIM_CHECK(n_slices >= 1, "n_slices must be >= 1");
@@ -32,6 +30,15 @@ std::vector<core::SliceLayout> resolve_layouts(
                "slice layout does not match its microbatch");
     SLIM_CHECK(tokens[mb].size() == targets[mb].size(),
                "tokens/targets length mismatch");
+    for (std::size_t pos = 0; pos < tokens[mb].size(); ++pos) {
+      const std::int64_t token = tokens[mb][pos], target = targets[mb][pos];
+      SLIM_CHECK(token >= 0 && token < vocab && target >= 0 && target < vocab,
+                 "microbatch " + std::to_string(mb) + " position " +
+                     std::to_string(pos) + ": token id " +
+                     std::to_string(token) + ", target id " +
+                     std::to_string(target) + ", vocabulary [0, " +
+                     std::to_string(vocab) + ")");
+    }
   }
   return layouts;
 }
@@ -84,10 +91,9 @@ StageMachine::StageMachine(const StageInputs& inputs, int stage,
     }
   }
   if (in_.vocab_parallel) {
-    shard_width_ = model_.vocab / p_;
-    shard_lo_ = stage_ * shard_width_;
-    head_shard_ =
-        model_.embedding.slice_rows(shard_lo_, shard_lo_ + shard_width_);
+    const std::int64_t width = model_.vocab / p_;
+    shard_lo_ = stage_ * width;
+    head_shard_ = model_.embedding.slice_rows(shard_lo_, shard_lo_ + width);
   }
   for (int r = 0; r < mk; ++r) {
     staged_.push_back(make_stage_commit(model_, stage_, in_.vocab_parallel));
@@ -216,6 +222,15 @@ float StageMachine::slice_weight(int mb, int slice) const {
          (static_cast<float>(layout.seq()) * static_cast<float>(m_));
 }
 
+std::span<const std::int64_t> StageMachine::slice_tokens(int mb,
+                                                        int slice) const {
+  const core::SliceLayout& layout = layout_of(mb);
+  return std::span<const std::int64_t>(
+             (*in_.tokens)[static_cast<std::size_t>(mb)])
+      .subspan(static_cast<std::size_t>(layout.begin(slice)),
+               static_cast<std::size_t>(layout.len(slice)));
+}
+
 std::vector<std::int64_t> StageMachine::slice_targets(int mb, int slice) const {
   const core::SliceLayout& layout = layout_of(mb);
   const auto& targets = (*in_.targets)[static_cast<std::size_t>(mb)];
@@ -256,22 +271,11 @@ void StageMachine::forward(Message& msg, StageCommit& staged,
   ++done_f_;
   ++live_;
   peak_live_ = std::max(peak_live_, live_);
-  const core::SliceLayout& layout = layout_of(msg.mb);
-  const std::int64_t pos = layout.begin(msg.slice);
-  num::Tensor x;
-  if (msg.stage == 0) {
-    const std::int64_t slice_len = layout.len(msg.slice);
-    const auto& ids = (*in_.tokens)[static_cast<std::size_t>(msg.mb)];
-    x = num::Tensor(slice_len, model_.dims.hidden);
-    for (std::int64_t r = 0; r < slice_len; ++r) {
-      const std::int64_t id = ids[static_cast<std::size_t>(pos + r)];
-      for (std::int64_t c = 0; c < model_.dims.hidden; ++c) {
-        x.at(r, c) = model_.embedding.at(id, c);
-      }
-    }
-  } else {
-    x = std::move(msg.payload);
-  }
+  const std::int64_t pos = layout_of(msg.mb).begin(msg.slice);
+  num::Tensor x =
+      msg.stage == 0
+          ? num::embed(model_.embedding, slice_tokens(msg.mb, msg.slice))
+          : std::move(msg.payload);
   for (num::Layer& layer :
        chunk_layers_[static_cast<std::size_t>(msg.stage / p_)]) {
     x = layer.forward_slice(x, pos, msg.mb);
@@ -332,15 +336,7 @@ int StageMachine::backward(Message& msg, StageCommit& staged,
                      {Message::Kind::Backward, msg.mb, msg.slice,
                       msg.stage - 1, std::move(dx)}});
   } else {
-    const core::SliceLayout& layout = layout_of(msg.mb);
-    const std::int64_t pos = layout.begin(msg.slice);
-    const auto& ids = (*in_.tokens)[static_cast<std::size_t>(msg.mb)];
-    for (std::int64_t row = 0; row < layout.len(msg.slice); ++row) {
-      const std::int64_t id = ids[static_cast<std::size_t>(pos + row)];
-      for (std::int64_t c = 0; c < model_.dims.hidden; ++c) {
-        staged.embed_in.at(id, c) += dx.at(row, c);
-      }
-    }
+    num::embed_bwd(slice_tokens(msg.mb, msg.slice), dx, staged.embed_in);
   }
   if (b_done_[r] < in_.n_slices * model_.chunks_per_stage) return -1;
   // Retired on this stage: the staged gradients are final (commit point).
@@ -352,59 +348,31 @@ int StageMachine::backward(Message& msg, StageCommit& staged,
 void StageMachine::vocab_work(Message& msg, std::vector<Outgoing>& sends) {
   ++done_vw_;
   // Shard pass 1: local logits -> per-token scalar statistics.
-  const std::int64_t slice_len = msg.payload.rows();
-  const num::Tensor logits = num::matmul_nt(msg.payload, head_shard_);
-  const num::CeShardStats st = num::ce_shard_stats(
-      logits, shard_lo_, slice_targets(msg.mb, msg.slice));
-  num::Tensor packed(3, slice_len);
-  for (std::int64_t i = 0; i < slice_len; ++i) {
-    packed.at(0, i) = st.max_logit[static_cast<std::size_t>(i)];
-    packed.at(1, i) = st.sum_exp[static_cast<std::size_t>(i)];
-    packed.at(2, i) = st.target_logit[static_cast<std::size_t>(i)];
-  }
+  num::Tensor stats =
+      num::ce_shard_stats(num::matmul_nt(msg.payload, head_shard_), shard_lo_,
+                          slice_targets(msg.mb, msg.slice));
   shard_hidden_[slot(msg.mb, msg.slice)] = std::move(msg.payload);
   sends.push_back({head_thread_,
                    {Message::Kind::VocabStats, msg.mb, msg.slice, stage_,
-                    std::move(packed)}});
+                    std::move(stats)}});
 }
 
 void StageMachine::vocab_stats(Message& msg, StageCommit& staged,
                                std::vector<Outgoing>& sends) {
-  // Head: synchronize the scalars across shards once all p arrived.
-  const std::int64_t slice_len = msg.payload.cols();
+  // Head: synchronize the scalars across shards once all p arrived, in
+  // shard order; the loss comes from the synchronized scalars, which are
+  // broadcast back.
   const std::size_t i = slot(msg.mb, msg.slice);
   std::vector<num::Tensor>& parts = stats_parts_[i];
   parts[static_cast<std::size_t>(msg.stage)] = std::move(msg.payload);
   if (++stats_seen_[i] < p_) return;
-  // Fold as running (max, rescaled sum) in shard order; the loss comes from
-  // the synchronized scalars, which are broadcast back.
-  double loss = 0.0;
-  num::Tensor global(2, slice_len);
-  for (std::int64_t t = 0; t < slice_len; ++t) {
-    float gmax = -std::numeric_limits<float>::infinity();
-    float gsum = 0.0f;
-    float target = -std::numeric_limits<float>::infinity();
-    for (const num::Tensor& part : parts) {
-      const float sm = part.at(0, t);
-      const float ss = part.at(1, t);
-      const float next_max = std::max(gmax, sm);
-      float next_sum = 0.0f;
-      if (gsum > 0.0f) next_sum += gsum * std::exp(gmax - next_max);
-      if (ss > 0.0f) next_sum += ss * std::exp(sm - next_max);
-      gmax = next_max;
-      gsum = next_sum;
-      target = std::max(target, part.at(2, t));
-    }
-    loss += std::log(gsum) + gmax - target;
-    global.at(0, t) = gmax;
-    global.at(1, t) = gsum;
-  }
+  const num::CeFold fold = num::ce_fold(parts);
   parts.assign(parts.size(), {});
-  staged.loss += loss / static_cast<double>(slice_len) *
-                 slice_weight(msg.mb, msg.slice) * static_cast<double>(m_);
+  staged.loss +=
+      fold.loss * slice_weight(msg.mb, msg.slice) * static_cast<double>(m_);
   for (int s = 0; s < p_; ++s) {
     sends.push_back(
-        {s, {Message::Kind::VocabGlobal, msg.mb, msg.slice, 0, global}});
+        {s, {Message::Kind::VocabGlobal, msg.mb, msg.slice, 0, fold.global}});
   }
 }
 
@@ -413,24 +381,13 @@ void StageMachine::vocab_global(const Message& msg, StageCommit& staged,
   ++done_vg_;
   // Shard pass 2: gradient of the shard's logits from the global
   // statistics; return the partial d(hidden).
-  const std::int64_t slice_len = msg.payload.cols();
-  const float weight = slice_weight(msg.mb, msg.slice);
   const num::Tensor hidden = std::move(shard_hidden_[slot(msg.mb, msg.slice)]);
-  const num::Tensor logits = num::matmul_nt(hidden, head_shard_);
-  const auto targets = slice_targets(msg.mb, msg.slice);
-  num::Tensor dlogits(slice_len, shard_width_);
-  for (std::int64_t t = 0; t < slice_len; ++t) {
-    const float gmax = msg.payload.at(0, t);
-    const float gsum = msg.payload.at(1, t);
-    const std::int64_t y = targets[static_cast<std::size_t>(t)] - shard_lo_;
-    for (std::int64_t col = 0; col < shard_width_; ++col) {
-      const float prob = std::exp(logits.at(t, col) - gmax) / gsum;
-      // Mean over the slice's tokens, then the slice's share of the
-      // iteration mean — matching the monolithic head exactly.
-      dlogits.at(t, col) = (prob - (col == y ? 1.0f : 0.0f)) *
-                           (weight / static_cast<float>(slice_len));
-    }
-  }
+  // Mean over the slice's tokens, then the slice's share of the iteration
+  // mean.
+  const num::Tensor dlogits = num::ce_shard_grad(
+      num::matmul_nt(hidden, head_shard_), shard_lo_,
+      slice_targets(msg.mb, msg.slice), msg.payload,
+      slice_weight(msg.mb, msg.slice) / static_cast<float>(hidden.rows()));
   staged.head_shard.add_(num::matmul_tn(dlogits, hidden));
   sends.push_back({head_thread_,
                    {Message::Kind::VocabDx, msg.mb, msg.slice, stage_,

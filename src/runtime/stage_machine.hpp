@@ -19,7 +19,10 @@
 //    Eq. 1's min(n*v + 2(p-1-r), m*n*v);
 //  * the numerics of every message kind: slice forwards appending one KV
 //    chunk, slice backwards popping exactly that chunk, the loss head and
-//    the four vocabulary-parallel rounds;
+//    the four vocabulary-parallel rounds. All of it is src/numerics calls:
+//    the tied embedding is num::embed / embed_bwd, and the vocabulary
+//    rounds route the sharded loss's phases (num::ce_shard_stats, ce_fold,
+//    ce_shard_grad) between shards;
 //  * per-microbatch staged gradients, complete exactly when the
 //    microbatch's last backward slice ran on this stage (retirement).
 //
@@ -32,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,10 +53,12 @@ using Batch = std::vector<std::vector<std::int64_t>>;
 /// (when empty) a token-uniform layout per microbatch with the remainder on
 /// the first slices — seq % n_slices != 0 and ragged microbatches both
 /// train on every token. Checks that every layout has n_slices slices
-/// covering its microbatch and that tokens and targets line up.
+/// covering its microbatch, that tokens and targets line up and that every
+/// id lies in [0, vocab), naming the microbatch and position of the first
+/// that does not.
 std::vector<core::SliceLayout> resolve_layouts(
-    const Batch& tokens, const Batch& targets, int n_slices,
-    std::vector<core::SliceLayout> layouts);
+    const Batch& tokens, const Batch& targets, std::int64_t vocab,
+    int n_slices, std::vector<core::SliceLayout> layouts);
 
 /// The iteration's read-only inputs, shared by every stage machine.
 struct StageInputs {
@@ -152,6 +158,7 @@ class StageMachine {
   std::size_t rank(int mb) const;
   std::size_t slot(int mb, int slice) const;
   float slice_weight(int mb, int slice) const;
+  std::span<const std::int64_t> slice_tokens(int mb, int slice) const;
   std::vector<std::int64_t> slice_targets(int mb, int slice) const;
   void forward(Message& msg, StageCommit& staged,
                std::vector<Outgoing>& sends);
@@ -178,7 +185,6 @@ class StageMachine {
   std::vector<std::vector<num::Layer>> chunk_layers_;
   std::vector<int> local_of_global_;  // global layer id -> staging index
   std::int64_t shard_lo_ = 0;
-  std::int64_t shard_width_ = 0;
   num::Tensor head_shard_;  // output-head rows (vocabulary parallel only)
 
   std::vector<StageCommit> staged_;  // per rank

@@ -658,6 +658,40 @@ TEST(DistSupervisionTest, RecoverFalseFailsFastAndStructured) {
                rt::PipelineError);
 }
 
+TEST(DistSupervisionTest, OutOfVocabularyIdsRejectedBeforeAnyFork) {
+  // A token or target id outside [0, vocab) throws once in the supervisor,
+  // naming its microbatch and position, before any worker forks: no
+  // failed attempt, so no fault event and no replay with backoff.
+  Rng rng(1340);
+  ProcessPipeline pipe(kDims, kVocab, 3, 2, rng);
+  struct Case {
+    bool target;
+    std::int64_t id;
+    const char* what;
+  };
+  for (const Case c : {Case{false, kVocab, "token id 32"},
+                       Case{false, -1, "token id -1"},
+                       Case{true, kVocab, "target id 32"}}) {
+    SCOPED_TRACE(c.what);
+    Workload w = make_workload(2, 24, kVocab, 1341);
+    (c.target ? w.targets : w.tokens)[1][5] = c.id;
+    fault::FaultReport report;
+    ProcessOptions options;
+    options.n_slices = 2;
+    options.report = &report;
+    try {
+      pipe.run_iteration(w.tokens, w.targets, options);
+      ADD_FAILURE() << "trained on an id outside the vocabulary";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("microbatch 1 position 5: "), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(c.what), std::string::npos) << what;
+    }
+    EXPECT_TRUE(report.events.empty());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Socket-level fault rules on the real transport.
 

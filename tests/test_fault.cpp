@@ -86,6 +86,11 @@ TEST(FaultPlanTextTest, RejectsMalformedInput) {
   EXPECT_THROW(parse_plan("link src=0 src=1"), std::logic_error);
   EXPECT_THROW(parse_plan("straggler ops=sideways"), std::logic_error);
   EXPECT_THROW(parse_plan("seed"), std::logic_error);
+  // A value is one whole token, in its field's range.
+  EXPECT_THROW(parse_plan("straggler device=1abc"), std::logic_error);
+  EXPECT_THROW(parse_plan("straggler factor=1.5x"), std::logic_error);
+  EXPECT_THROW(parse_plan("delay stage=0 every=3junk"), std::logic_error);
+  EXPECT_THROW(parse_plan("stage_crash stage=4294967297"), std::logic_error);
 }
 
 // ---- validation: one corrupted fixture per rule id ----
@@ -613,21 +618,6 @@ TEST(RuntimeFaultTest, FaultEventsCarryRunClockTimesWithoutRecorder) {
   }
 }
 
-TEST(RuntimeFaultTest, StarvationTimeoutEnvDefault) {
-  // SLIMPIPE_STARVATION_TIMEOUT_MS seeds RunOptions::starvation_timeout;
-  // garbage and non-positive values fall back to the built-in 30 s.
-  ASSERT_EQ(setenv("SLIMPIPE_STARVATION_TIMEOUT_MS", "1234", 1), 0);
-  EXPECT_EQ(default_starvation_timeout(), std::chrono::milliseconds(1234));
-  EXPECT_EQ(RunOptions{}.starvation_timeout,
-            std::chrono::milliseconds(1234));
-  ASSERT_EQ(setenv("SLIMPIPE_STARVATION_TIMEOUT_MS", "0", 1), 0);
-  EXPECT_EQ(default_starvation_timeout(), std::chrono::milliseconds(30000));
-  ASSERT_EQ(setenv("SLIMPIPE_STARVATION_TIMEOUT_MS", "nonsense", 1), 0);
-  EXPECT_EQ(default_starvation_timeout(), std::chrono::milliseconds(30000));
-  ASSERT_EQ(unsetenv("SLIMPIPE_STARVATION_TIMEOUT_MS"), 0);
-  EXPECT_EQ(default_starvation_timeout(), std::chrono::milliseconds(30000));
-}
-
 TEST(RuntimeFaultTest, InvalidPlanRejectedUpFront) {
   Fixture f = make_fixture(3, 3, 1);
   fault::FaultPlan plan;
@@ -637,6 +627,43 @@ TEST(RuntimeFaultTest, InvalidPlanRejectedUpFront) {
   options.faults = &plan;
   EXPECT_THROW(f.pipe.run_iteration(f.tokens, f.targets, options),
                std::logic_error);
+}
+
+TEST(RuntimeFaultTest, OutOfVocabularyIdsRejectedBeforeAttemptZero) {
+  // A token or target id outside [0, vocab) throws once, naming its
+  // microbatch and position, before any stage thread starts: no fault
+  // event and no replay, on the dense and the vocabulary-parallel head.
+  struct Case {
+    bool target;
+    std::int64_t id;
+    const char* what;
+  };
+  for (const bool vocab_parallel : {false, true}) {
+    for (const Case c : {Case{false, 16, "token id 16"},
+                         Case{false, -1, "token id -1"},
+                         Case{true, 16, "target id 16"}}) {
+      SCOPED_TRACE(std::string(c.what) +
+                   (vocab_parallel ? ", vocab parallel" : ", dense"));
+      Fixture f = make_fixture(2, 2, 2);  // vocabulary 16
+      (c.target ? f.targets : f.tokens)[1][5] = c.id;
+      fault::FaultReport report;
+      RunOptions options;
+      options.n_slices = 4;
+      options.vocab_parallel = vocab_parallel;
+      options.recover = true;
+      options.report = &report;
+      try {
+        f.pipe.run_iteration(f.tokens, f.targets, options);
+        ADD_FAILURE() << "trained on an id outside the vocabulary";
+      } catch (const std::logic_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("microbatch 1 position 5: "), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(c.what), std::string::npos) << what;
+      }
+      EXPECT_TRUE(report.events.empty());
+    }
+  }
 }
 
 struct RecoveryCase {

@@ -83,10 +83,64 @@ TEST(ShardedCeTest, StatsPayloadIsPerToken) {
   // point of computing the loss from sharded logits (paper §4.3.2).
   Rng rng(55);
   const Tensor shard = Tensor::randn(5, 16, rng, 1.0f);
-  const CeShardStats stats = ce_shard_stats(shard, 0, {1, 2, 3, 4, 5});
-  EXPECT_EQ(stats.max_logit.size(), 5u);
-  EXPECT_EQ(stats.sum_exp.size(), 5u);
-  EXPECT_EQ(stats.target_logit.size(), 5u);
+  const Tensor stats = ce_shard_stats(shard, 0, {1, 2, 3, 4, 5});
+  EXPECT_EQ(stats.rows(), 3);  // (max, sum-exp, target logit)
+  EXPECT_EQ(stats.cols(), 5);
+}
+
+TEST(ShardedCeTest, FoldRejectsATargetInNoShard) {
+  // Token 1's target (6) lies in the second of two 4-column shards: folding
+  // the first shard alone throws instead of returning loss = inf.
+  Rng rng(56);
+  const Tensor logits = Tensor::randn(2, 8, rng, 1.0f);
+  const std::vector<std::int64_t> targets = {1, 6};
+  const Tensor first = ce_shard_stats(logits.slice_cols(0, 4), 0, targets);
+  const Tensor second = ce_shard_stats(logits.slice_cols(4, 8), 4, targets);
+  EXPECT_NO_THROW(ce_fold({first, second}));
+  EXPECT_THROW(ce_fold({first}), std::logic_error);
+}
+
+TEST(EmbedTest, IdsOutsideTheVocabularyThrow) {
+  Rng rng(57);
+  const Tensor table = Tensor::randn(4, 3, rng, 1.0f);
+  Tensor dtable(4, 3);
+  const Tensor dx(1, 3);
+  for (const std::int64_t id : {std::int64_t{-1}, std::int64_t{4}}) {
+    const std::vector<std::int64_t> ids = {id};
+    EXPECT_THROW(embed(table, ids), std::logic_error) << id;
+    EXPECT_THROW(embed_bwd(ids, dx, dtable), std::logic_error) << id;
+  }
+}
+
+TEST(EmbedTest, GathersRowsAndAccumulatesRepeatsInRowOrder) {
+  Rng rng(58);
+  const Tensor table = Tensor::randn(4, 3, rng, 1.0f);
+  const std::vector<std::int64_t> ids = {2, 0, 2, 2};
+  const Tensor x = embed(table, ids);
+  ASSERT_EQ(x.rows(), 4);
+  for (std::int64_t r = 0; r < 4; ++r) {
+    for (std::int64_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(x.at(r, c), table.at(ids[static_cast<std::size_t>(r)], c));
+    }
+  }
+  // Float addition is not associative: row 2 gets 0.25 + 1e8 - 1e8 + 1 =
+  // 1 in row order; adding the rows in reverse order would give 0.
+  Tensor dx(4, 3);
+  dx.fill(0.5f);
+  for (std::int64_t c = 0; c < 3; ++c) {
+    dx.at(0, c) = 1e8f;
+    dx.at(2, c) = -1e8f;
+    dx.at(3, c) = 1.0f;
+  }
+  Tensor dtable(4, 3);
+  dtable.fill(0.25f);
+  embed_bwd(ids, dx, dtable);
+  for (std::int64_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(dtable.at(0, c), 0.75f);
+    EXPECT_EQ(dtable.at(1, c), 0.25f);
+    EXPECT_EQ(dtable.at(2, c), 1.0f);
+    EXPECT_EQ(dtable.at(3, c), 0.25f);
+  }
 }
 
 TEST(LayerTest, SlicedForwardMatchesMonolithic) {

@@ -97,7 +97,7 @@ struct Rig {
                                  chunks);
     tokens = random_batch(rng, m, 12);
     targets = random_batch(rng, m, 12);
-    layouts = resolve_layouts(tokens, targets, n, {});
+    layouts = resolve_layouts(tokens, targets, kVocab, n, {});
     inputs = {&model, &tokens, &targets, &layouts, n, vocab_parallel};
     std::vector<int> mbs(static_cast<std::size_t>(m));
     std::iota(mbs.begin(), mbs.end(), 0);

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/numerics/cross_entropy.hpp"
 #include "src/runtime/pipeline_runtime.hpp"
 #include "src/runtime/stage_machine.hpp"
 
@@ -42,7 +44,7 @@ struct Rig {
     model = PipelineModel::build(kDims, kVocab, stages + 1, stages, rng);
     tokens = random_batch(rng, m, seq);
     targets = random_batch(rng, m, seq);
-    layouts = resolve_layouts(tokens, targets, n, {});
+    layouts = resolve_layouts(tokens, targets, kVocab, n, {});
   }
 
   StageMachine machine(int stage) {
@@ -298,6 +300,77 @@ TEST(StageMachineTest, HeadFoldsShardPartialsInShardOrder) {
   EXPECT_EQ(in_order.final_norm.max_abs_diff(reversed.final_norm), 0.0f);
 }
 
+bool same_bits(const num::Tensor& a, const num::Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.size())) == 0;
+}
+
+TEST(StageMachineTest, VocabularyRoundsRouteTheLibraryHead) {
+  // The vocabulary rounds compute nothing of their own: the head's
+  // VocabGlobal payload is num::ce_fold over the shards' VocabStats
+  // payloads, and each shard's VocabDx payload is num::ce_shard_grad
+  // through that shard's head rows, bit for bit.
+  for (const int p : {2, 4}) {
+    SCOPED_TRACE("p = " + std::to_string(p));
+    Rig rig(p, 1, 2, 16, /*vocab_parallel=*/true);
+    std::deque<StageMachine> shards;
+    for (int s = 0; s < p; ++s) shards.push_back(rig.machine(s));
+    StageMachine& head = shards.back();
+    auto step = [](StageMachine& machine) {
+      Message msg;
+      EXPECT_TRUE(machine.pick(msg, nullptr));
+      std::vector<Outgoing> sends;
+      machine.run(std::move(msg), sends);
+      return sends;
+    };
+    // fwd 0.0 on the head broadcasts slice 0's hidden states.
+    head.deliver(rig.slice(Message::Kind::Forward, 0, 0, p - 1));
+    std::vector<Outgoing> work = step(head);
+    ASSERT_EQ(work.size(), static_cast<std::size_t>(p));
+    const num::Tensor hidden = work.front().msg.payload;
+    std::vector<Message> stats_msgs;
+    for (Outgoing& o : work) {
+      shards[static_cast<std::size_t>(o.dst)].deliver(std::move(o.msg));
+      std::vector<Outgoing> sent =
+          step(shards[static_cast<std::size_t>(o.dst)]);
+      ASSERT_EQ(sent.size(), 1u);
+      stats_msgs.push_back(std::move(sent.front().msg));
+    }
+    std::vector<num::Tensor> stats;
+    std::vector<Outgoing> globals;
+    for (Message& msg : stats_msgs) {
+      stats.push_back(msg.payload);
+      head.deliver(std::move(msg));
+      globals = step(head);
+    }
+    ASSERT_EQ(globals.size(), static_cast<std::size_t>(p));
+    const num::CeFold fold = num::ce_fold(stats);
+    const core::SliceLayout& layout = rig.layouts[0];
+    const float weight = static_cast<float>(layout.len(0)) /
+                         static_cast<float>(layout.seq());  // m = 1
+    EXPECT_EQ(head.commit(0).loss, fold.loss * weight);
+    const std::vector<std::int64_t> targets(
+        rig.targets[0].begin(), rig.targets[0].begin() + layout.len(0));
+    const std::int64_t width = kVocab / p;
+    for (Outgoing& o : globals) {
+      EXPECT_TRUE(same_bits(o.msg.payload, fold.global)) << "to " << o.dst;
+      const std::int64_t lo = o.dst * width;
+      shards[static_cast<std::size_t>(o.dst)].deliver(std::move(o.msg));
+      const std::vector<Outgoing> sent =
+          step(shards[static_cast<std::size_t>(o.dst)]);
+      ASSERT_EQ(sent.size(), 1u);
+      const num::Tensor rows = rig.model.embedding.slice_rows(lo, lo + width);
+      const num::Tensor dlogits = num::ce_shard_grad(
+          num::matmul_nt(hidden, rows), lo, targets, fold.global,
+          weight / static_cast<float>(layout.len(0)));
+      EXPECT_TRUE(same_bits(sent.front().msg.payload,
+                            num::matmul(dlogits, rows)))
+          << "shard " << o.dst;
+    }
+  }
+}
+
 struct InterleavingCase {
   int stages;
   int chunks;
@@ -328,7 +401,7 @@ TEST_P(StageMachineInterleavingTest, MatchesThreadedPipelineBitForBit) {
       pipe.run_iteration(tokens, targets, options);
 
   const std::vector<core::SliceLayout> layouts =
-      resolve_layouts(tokens, targets, n, {});
+      resolve_layouts(tokens, targets, kVocab, n, {});
   const StageInputs inputs{&pipe.model(), &tokens,  &targets,
                            &layouts,      n,        c.vocab_parallel};
   std::vector<int> mbs(static_cast<std::size_t>(m));

@@ -30,6 +30,13 @@
 # -falign-functions=64, since where the link happens to place those bodies
 # moved a training step's time by ~4% with unchanged kernel code.
 #
+# It also fails when the runtime library (libslim_runtime.a) carries a
+# relocation to libm's exp or expf. The runtime only routes tensors between
+# shards: the vocabulary-parallel loss is src/numerics' three phases
+# (ce_shard_stats, ce_fold, ce_shard_grad), which exponentiate with
+# exp_f32, so a libm exp in the runtime would be a second copy of that
+# math with its own rounding.
+#
 # Each sanitizer preset (-DSLIMPIPE_SANITIZE=address|undefined|thread, see
 # the top-level CMakeLists) gets its own build tree under build-<name>/ and
 # runs the ctest label subsets most likely to surface that bug class:
@@ -134,6 +141,19 @@ check_no_fma() {
   fi
 }
 
+check_runtime_no_exp() {
+  echo "== training runtime: no exponentials of its own =="
+  local calls
+  calls="$(objdump -dr --demangle build/src/runtime/libslim_runtime.a |
+    grep -E 'R_X86_64_[A-Z0-9_]+[[:space:]]+expf?([-+@]|$)' || true)"
+  if [[ -n "$calls" ]]; then
+    echo "check.sh: libslim_runtime.a calls libm's exp or expf" \
+         "(the loss math belongs in src/numerics):" >&2
+    echo "$calls" >&2
+    exit 1
+  fi
+}
+
 check_kernel_alignment() {
   echo "== numerics kernels: hot AVX2 bodies on 64-byte boundaries =="
   local symbols addr rest
@@ -157,6 +177,7 @@ if [[ "$STRESS" -eq 1 ]]; then
   echo "== plain build + full test suite, 20 runs in a row =="
   build_tree build
   check_no_fma
+  check_runtime_no_exp
   check_kernel_alignment
   ctest --test-dir build --output-on-failure -j "$JOBS" \
     --repeat until-fail:20
@@ -169,6 +190,7 @@ fi
 echo "== plain build + full test suite =="
 build_tree build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 check_no_fma
+check_runtime_no_exp
 check_kernel_alignment
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

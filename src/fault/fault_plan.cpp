@@ -1,11 +1,11 @@
 #include "src/fault/fault_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <sstream>
+#include <string_view>
 
-#include "src/util/env.hpp"
+#include "src/util/fields.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/table.hpp"
 
@@ -22,15 +22,6 @@ const char* op_filter_name(OpFilter filter) {
 }
 
 namespace {
-
-OpFilter parse_op_filter(const std::string& name) {
-  if (name == "any") return OpFilter::Any;
-  if (name == "forward") return OpFilter::Forward;
-  if (name == "backward") return OpFilter::Backward;
-  if (name == "comm") return OpFilter::Comm;
-  SLIM_CHECK(false, "unknown op filter '" + name + "'");
-  return OpFilter::Any;
-}
 
 bool finite_ge(double value, double bound) {
   return std::isfinite(value) && value >= bound;
@@ -207,195 +198,151 @@ std::string render(const std::vector<PlanIssue>& issues) {
 }
 
 // ---------------------------------------------------------------------------
-// Text round-trip
+// Text round-trip: the directive records' field lists (src/util/fields.hpp)
+// hold the text's keys in the text's order, and parse_plan and to_text walk
+// them. A key a line leaves out keeps the record's default.
 
-namespace {
+template <MaybeConst<Straggler> S, class Visit>
+void fields(S& s, Visit&& visit) {
+  visit("device", s.device);
+  visit("ops", s.ops, op_filter_name);
+  visit("factor", s.factor);
+  visit("jitter", s.jitter);
+  visit("from", s.from_op);
+  visit("to", s.to_op);
+}
 
-struct KvArgs {
-  std::vector<std::pair<std::string, std::string>> pairs;
+template <MaybeConst<LinkFault> L, class Visit>
+void fields(L& l, Visit&& visit) {
+  visit("src", l.src);
+  visit("slowdown", l.slowdown);
+  visit("extra_latency", l.extra_latency);
+}
 
-  const std::string* find(const std::string& key) const {
-    for (const auto& [k, v] : pairs) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  /// `key`'s value as one whole base-10 token within T's range.
-  template <typename T>
-  T get_int(const std::string& key, T fallback) const {
-    const std::string* v = find(key);
-    if (v == nullptr) return fallback;
-    const auto value = util::parse_env_int(v->c_str());
-    SLIM_CHECK(value && *value >= std::numeric_limits<T>::min() &&
-                   *value <= std::numeric_limits<T>::max(),
-               "fault plan: '" + key + "' expects an integer, got '" + *v +
-                   "'");
-    return static_cast<T>(*value);
-  }
-  /// `key`'s value as one whole floating-point token.
-  double get_double(const std::string& key, double fallback) const {
-    const std::string* v = find(key);
-    if (v == nullptr) return fallback;
-    char* end = nullptr;
-    const double value = std::strtod(v->c_str(), &end);
-    SLIM_CHECK(end != v->c_str() && *end == '\0',
-               "fault plan: '" + key + "' expects a number, got '" + *v +
-                   "'");
-    return value;
-  }
-};
+template <MaybeConst<Crash> C, class Visit>
+void fields(C& c, Visit&& visit) {
+  visit("device", c.device);
+  visit("at_op", c.at_op);
+  visit("restart_cost", c.restart_cost);
+}
 
-KvArgs parse_kv(std::istringstream& line, const std::string& kind,
-                const std::vector<std::string>& allowed) {
-  KvArgs args;
+template <class S, class Visit>
+  requires MaybeConst<S, StageCrash> || MaybeConst<S, StageHang>
+void fields(S& s, Visit&& visit) {
+  visit("stage", s.stage);
+  visit("after_messages", s.after_messages);
+}
+
+template <class D, class Visit>
+  requires MaybeConst<D, MessageDelay> || MaybeConst<D, SocketDelay>
+void fields(D& d, Visit&& visit) {
+  visit("stage", d.stage);
+  visit("every", d.every);
+  visit("seconds", d.seconds);
+}
+
+template <MaybeConst<SocketDrop> D, class Visit>
+void fields(D& d, Visit&& visit) {
+  visit("stage", d.stage);
+  visit("every", d.every);
+  visit("count", d.count);
+  visit("max_retries", d.max_retries);
+}
+
+template <MaybeConst<SocketConnectFail> C, class Visit>
+void fields(C& c, Visit&& visit) {
+  visit("stage", c.stage);
+  visit("failures", c.failures);
+}
+
+/// The plan's directive list: each directive's name and records.
+template <MaybeConst<FaultPlan> P, class Visit>
+void directives(P& plan, Visit&& visit) {
+  visit("straggler", plan.stragglers);
+  visit("link", plan.links);
+  visit("crash", plan.crashes);
+  visit("stage_crash", plan.stage_crashes);
+  visit("stage_hang", plan.stage_hangs);
+  visit("delay", plan.delays);
+  visit("socket_drop", plan.socket_drops);
+  visit("socket_connect", plan.socket_connect_fails);
+  visit("socket_delay", plan.socket_delays);
+}
+
+bool FaultPlan::empty() const {
+  bool none = true;
+  directives(*this, [&](std::string_view, const auto& records) {
+    none = none && records.empty();
+  });
+  return none;
+}
+
+/// Reads a directive line's key=value tokens into `record`.
+template <class Record>
+void read_directive(std::istringstream& line, const std::string& kind,
+                    Record& record) {
+  std::vector<std::string> seen;
   std::string token;
   while (line >> token) {
     const std::size_t eq = token.find('=');
     SLIM_CHECK(eq != std::string::npos && eq > 0 && eq + 1 < token.size(),
                "fault plan: '" + kind + "' expects key=value, got '" + token +
                    "'");
-    const std::string key = token.substr(0, eq);
+    const std::string key = token.substr(0, eq), value = token.substr(eq + 1);
+    SLIM_CHECK(std::find(seen.begin(), seen.end(), key) == seen.end(),
+               "fault plan: duplicate key '" + key + "'");
+    seen.push_back(key);
     bool known = false;
-    for (const std::string& a : allowed) known = known || a == key;
+    fields(record, [&](std::string_view name, auto& member, auto... how) {
+      if (name != key) return;
+      known = true;
+      SLIM_CHECK(util::read_token(value, &member, how...),
+                 "fault plan: bad value '" + value + "' for '" + key + "'");
+    });
     SLIM_CHECK(known, "fault plan: unknown key '" + key + "' for '" + kind +
                           "'");
-    SLIM_CHECK(args.find(key) == nullptr,
-               "fault plan: duplicate key '" + key + "'");
-    args.pairs.emplace_back(key, token.substr(eq + 1));
   }
-  return args;
 }
-
-}  // namespace
 
 FaultPlan parse_plan(const std::string& text) {
   FaultPlan plan;
   std::istringstream in(text);
   std::string raw;
   while (std::getline(in, raw)) {
-    const std::size_t hash = raw.find('#');
-    if (hash != std::string::npos) raw.resize(hash);
-    std::istringstream line(raw);
-    std::string kind;
+    std::istringstream line(raw.substr(0, raw.find('#')));
+    std::string kind, seed, extra;
     if (!(line >> kind)) continue;
     if (kind == "seed") {
-      std::uint64_t seed = 0;
-      SLIM_CHECK(static_cast<bool>(line >> seed),
+      line >> seed;
+      SLIM_CHECK(util::read_token(seed, &plan.seed) && !(line >> extra),
                  "fault plan: 'seed' expects one integer");
-      plan.seed = seed;
-    } else if (kind == "straggler") {
-      const KvArgs a = parse_kv(line, kind,
-                                {"device", "ops", "factor", "jitter", "from",
-                                 "to"});
-      Straggler s;
-      s.device = a.get_int<int>("device", -1);
-      if (const std::string* ops = a.find("ops")) s.ops = parse_op_filter(*ops);
-      s.factor = a.get_double("factor", 1.0);
-      s.jitter = a.get_double("jitter", 0.0);
-      s.from_op = a.get_int<std::int64_t>("from", 0);
-      s.to_op = a.get_int<std::int64_t>("to", -1);
-      plan.stragglers.push_back(s);
-    } else if (kind == "link") {
-      const KvArgs a = parse_kv(line, kind, {"src", "slowdown",
-                                             "extra_latency"});
-      LinkFault l;
-      l.src = a.get_int<int>("src", -1);
-      l.slowdown = a.get_double("slowdown", 1.0);
-      l.extra_latency = a.get_double("extra_latency", 0.0);
-      plan.links.push_back(l);
-    } else if (kind == "crash") {
-      const KvArgs a = parse_kv(line, kind, {"device", "at_op",
-                                             "restart_cost"});
-      Crash c;
-      c.device = a.get_int<int>("device", 0);
-      c.at_op = a.get_int<std::int64_t>("at_op", 0);
-      c.restart_cost = a.get_double("restart_cost", 1.0);
-      plan.crashes.push_back(c);
-    } else if (kind == "stage_crash") {
-      const KvArgs a = parse_kv(line, kind, {"stage", "after_messages"});
-      plan.stage_crashes.push_back(
-          {a.get_int<int>("stage", 0),
-           a.get_int<std::int64_t>("after_messages", 1)});
-    } else if (kind == "stage_hang") {
-      const KvArgs a = parse_kv(line, kind, {"stage", "after_messages"});
-      plan.stage_hangs.push_back(
-          {a.get_int<int>("stage", 0),
-           a.get_int<std::int64_t>("after_messages", 1)});
-    } else if (kind == "delay") {
-      const KvArgs a = parse_kv(line, kind, {"stage", "every", "seconds"});
-      MessageDelay d;
-      d.stage = a.get_int<int>("stage", -1);
-      d.every = a.get_int<std::int64_t>("every", 1);
-      d.seconds = a.get_double("seconds", 0.0);
-      plan.delays.push_back(d);
-    } else if (kind == "socket_drop") {
-      const KvArgs a = parse_kv(line, kind,
-                                {"stage", "every", "count", "max_retries"});
-      SocketDrop d;
-      d.stage = a.get_int<int>("stage", -1);
-      d.every = a.get_int<std::int64_t>("every", 1);
-      d.count = a.get_int<int>("count", 1);
-      d.max_retries = a.get_int<int>("max_retries", 3);
-      plan.socket_drops.push_back(d);
-    } else if (kind == "socket_connect") {
-      const KvArgs a = parse_kv(line, kind, {"stage", "failures"});
-      plan.socket_connect_fails.push_back(
-          {a.get_int<int>("stage", 0), a.get_int<int>("failures", 1)});
-    } else if (kind == "socket_delay") {
-      const KvArgs a = parse_kv(line, kind, {"stage", "every", "seconds"});
-      SocketDelay d;
-      d.stage = a.get_int<int>("stage", -1);
-      d.every = a.get_int<std::int64_t>("every", 1);
-      d.seconds = a.get_double("seconds", 0.0);
-      plan.socket_delays.push_back(d);
-    } else {
-      SLIM_CHECK(false, "fault plan: unknown directive '" + kind + "'");
+      continue;
     }
+    bool known = false;
+    directives(plan, [&](std::string_view name, auto& records) {
+      if (name != kind) return;
+      known = true;
+      read_directive(line, kind, records.emplace_back());
+    });
+    SLIM_CHECK(known, "fault plan: unknown directive '" + kind + "'");
   }
   return plan;
 }
 
 std::string to_text(const FaultPlan& plan) {
-  std::ostringstream out;
-  out << "seed " << plan.seed << "\n";
-  for (const Straggler& s : plan.stragglers) {
-    out << "straggler device=" << s.device << " ops=" << op_filter_name(s.ops)
-        << " factor=" << s.factor << " jitter=" << s.jitter
-        << " from=" << s.from_op << " to=" << s.to_op << "\n";
-  }
-  for (const LinkFault& l : plan.links) {
-    out << "link src=" << l.src << " slowdown=" << l.slowdown
-        << " extra_latency=" << l.extra_latency << "\n";
-  }
-  for (const Crash& c : plan.crashes) {
-    out << "crash device=" << c.device << " at_op=" << c.at_op
-        << " restart_cost=" << c.restart_cost << "\n";
-  }
-  for (const StageCrash& c : plan.stage_crashes) {
-    out << "stage_crash stage=" << c.stage
-        << " after_messages=" << c.after_messages << "\n";
-  }
-  for (const StageHang& h : plan.stage_hangs) {
-    out << "stage_hang stage=" << h.stage
-        << " after_messages=" << h.after_messages << "\n";
-  }
-  for (const MessageDelay& d : plan.delays) {
-    out << "delay stage=" << d.stage << " every=" << d.every
-        << " seconds=" << d.seconds << "\n";
-  }
-  for (const SocketDrop& d : plan.socket_drops) {
-    out << "socket_drop stage=" << d.stage << " every=" << d.every
-        << " count=" << d.count << " max_retries=" << d.max_retries << "\n";
-  }
-  for (const SocketConnectFail& c : plan.socket_connect_fails) {
-    out << "socket_connect stage=" << c.stage << " failures=" << c.failures
-        << "\n";
-  }
-  for (const SocketDelay& d : plan.socket_delays) {
-    out << "socket_delay stage=" << d.stage << " every=" << d.every
-        << " seconds=" << d.seconds << "\n";
-  }
-  return out.str();
+  std::string out = "seed " + util::token_text(plan.seed) + "\n";
+  directives(plan, [&](std::string_view name, const auto& records) {
+    for (const auto& record : records) {
+      out += name;
+      fields(record, [&](std::string_view key, const auto& member,
+                         auto... how) {
+        ((out += ' ') += key) += '=';
+        out += util::token_text(member, how...);
+      });
+      out += '\n';
+    }
+  });
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -130,12 +130,8 @@ struct FaultPlan {
   std::vector<SocketConnectFail> socket_connect_fails;
   std::vector<SocketDelay> socket_delays;
 
-  bool empty() const {
-    return stragglers.empty() && links.empty() && crashes.empty() &&
-           stage_crashes.empty() && stage_hangs.empty() && delays.empty() &&
-           socket_drops.empty() && socket_connect_fails.empty() &&
-           socket_delays.empty();
-  }
+  /// No directive of any kind.
+  bool empty() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -169,10 +165,13 @@ StageRules stage_rules(const FaultPlan& plan, int stage);
 
 // ---------------------------------------------------------------------------
 // Text round-trip: one fault per line, "kind key=value ...". '#' comments
-// and blank lines ignored. parse_plan throws (SLIM_CHECK) on structurally
-// malformed input, including a value that is not one whole number token or
-// an integer outside its field's type; semantic problems are left to
-// validate().
+// and blank lines ignored. Both functions walk each directive record's
+// field list (the keys below, in this order) and read and write values
+// with the one number reader and writer (src/util/number.hpp), so
+// parse_plan(to_text(plan)) equals the plan member for member. parse_plan
+// throws (SLIM_CHECK, naming the key) on structurally malformed input,
+// including a repeated key and a value that is not one whole token of its
+// member's type; semantic problems are left to validate().
 //
 //   seed 42
 //   straggler device=1 ops=forward factor=1.5 jitter=0.1 from=0 to=-1

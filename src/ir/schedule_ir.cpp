@@ -1,10 +1,11 @@
 #include "src/ir/schedule_ir.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "src/util/fields.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::ir {
@@ -15,96 +16,12 @@ using sched::PassType;
 using sched::StageLayout;
 using sched::StageLayoutKind;
 
-PassType parse_kind(const std::string& token, int line) {
-  if (token == "F") return PassType::Forward;
-  if (token == "B") return PassType::Backward;
-  if (token == "BI") return PassType::BackwardInput;
-  if (token == "BW") return PassType::BackwardWeight;
-  throw std::runtime_error("schedule IR line " + std::to_string(line) +
-                           ": unknown row kind '" + token + "'");
-}
-
-StageLayoutKind parse_layout(const std::string& token, int line) {
-  if (token == "sequential") return StageLayoutKind::Sequential;
-  if (token == "interleaved") return StageLayoutKind::Interleaved;
-  if (token == "vshape") return StageLayoutKind::VShape;
-  throw std::runtime_error("schedule IR line " + std::to_string(line) +
-                           ": unknown layout '" + token + "'");
-}
-
-model::CheckpointPolicy parse_policy(const std::string& token, int line) {
-  const std::optional<model::CheckpointPolicy> policy =
-      model::policy_by_name(token);
-  if (policy) return *policy;
-  throw std::runtime_error("schedule IR line " + std::to_string(line) +
-                           ": unknown checkpoint policy '" + token + "'");
-}
-
-model::CpMode parse_cp_mode(const std::string& token, int line) {
-  if (token == "ringkv") return model::CpMode::RingKv;
-  if (token == "commutated") return model::CpMode::Commutated;
-  throw std::runtime_error("schedule IR line " + std::to_string(line) +
-                           ": unknown cp-mode '" + token + "'");
-}
-
 const char* cp_mode_name(model::CpMode mode) {
   switch (mode) {
     case model::CpMode::RingKv: return "ringkv";
     case model::CpMode::Commutated: return "commutated";
   }
   return "?";
-}
-
-/// Endpoint column: a device index, or "." for none.
-std::string endpoint_text(int endpoint) {
-  return endpoint == kNoEndpoint ? "." : std::to_string(endpoint);
-}
-
-int parse_endpoint(const std::string& token, int line) {
-  if (token == ".") return kNoEndpoint;
-  try {
-    std::size_t used = 0;
-    const int value = std::stoi(token, &used);
-    if (used == token.size()) return value;
-  } catch (...) {  // fall through to the shared error below
-  }
-  throw std::runtime_error("schedule IR line " + std::to_string(line) +
-                           ": bad endpoint '" + token + "'");
-}
-
-int parse_int(const std::string& token, int line, const char* what) {
-  try {
-    std::size_t used = 0;
-    const int value = std::stoi(token, &used);
-    if (used == token.size()) return value;
-  } catch (...) {
-  }
-  throw std::runtime_error("schedule IR line " + std::to_string(line) +
-                           ": bad " + what + " '" + token + "'");
-}
-
-double parse_double(const std::string& token, int line, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used == token.size()) return value;
-  } catch (...) {
-  }
-  throw std::runtime_error("schedule IR line " + std::to_string(line) +
-                           ": bad " + what + " '" + token + "'");
-}
-
-/// Canonical text for the in-flight cap: integral caps print without a
-/// fractional part, fractional ones (e.g. V-Min's 2p/3 + 2) with enough
-/// digits to re-parse to the exact same double — either way the round-trip
-/// stays byte-identical.
-std::string inflight_text(double units) {
-  if (units == static_cast<double>(static_cast<long long>(units))) {
-    return std::to_string(static_cast<long long>(units));
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", units);
-  return buf;
 }
 
 }  // namespace
@@ -245,143 +162,143 @@ sched::PipelineSpec apply_header(const ScheduleIR& ir,
   return base;
 }
 
+// ---------------------------------------------------------------------------
+// Text format: the header's and a row's field lists (src/util/fields.hpp),
+// walked by export_text and import_text, one token per member
+// (util::token_text / read_token).
+
+template <MaybeConst<ScheduleIR> S, class Visit>
+void fields(S& ir, Visit&& visit) {
+  visit("scheme", ir.scheme);
+  visit("p", ir.p);
+  visit("v", ir.v);
+  visit("n", ir.n);
+  visit("m", ir.m);
+  visit("layout", ir.layout, layout_name);
+  visit("retain-kv", ir.retain_kv);
+  visit("vocab-parallel", ir.vocab_parallel);
+  visit("context-exchange", ir.context_exchange);
+  visit("policy", ir.policy, model::to_string);
+  visit("cp-mode", ir.cp_mode, cp_mode_name);
+  visit("max-inflight", ir.max_inflight_units);
+}
+
+template <MaybeConst<Row> R, class Visit>
+void fields(R& row, Visit&& visit) {
+  visit("device", row.device);
+  visit("order", row.order);
+  visit("kind", row.kind, kind_name);
+  visit("mb", row.microbatch);
+  visit("slice", row.slice);
+  visit("chunk", row.chunk);
+  visit("stage", row.stage);
+  visit("recv", row.recv_from, util::Dot{kNoEndpoint});
+  visit("send", row.send_to, util::Dot{kNoEndpoint});
+}
+
+namespace {
+
+/// The columns line's value: the row list's keys.
+std::string column_keys() {
+  std::string keys;
+  const Row row;
+  fields(row, [&](std::string_view key, const auto&, auto...) {
+    if (!keys.empty()) keys += ' ';
+    keys += key;
+  });
+  return keys;
+}
+
+}  // namespace
+
 std::string export_text(const ScheduleIR& ir) {
   ScheduleIR sorted = ir;
   sorted.canonicalize();
-  std::ostringstream out;
-  out << "slimpipe-ir 1\n";
-  out << "scheme " << sorted.scheme << "\n";
-  out << "p " << sorted.p << "\n";
-  out << "v " << sorted.v << "\n";
-  out << "n " << sorted.n << "\n";
-  out << "m " << sorted.m << "\n";
-  out << "layout " << layout_name(sorted.layout) << "\n";
-  out << "retain-kv " << (sorted.retain_kv ? 1 : 0) << "\n";
-  out << "vocab-parallel " << (sorted.vocab_parallel ? 1 : 0) << "\n";
-  out << "context-exchange " << (sorted.context_exchange ? 1 : 0) << "\n";
-  out << "policy " << model::to_string(sorted.policy) << "\n";
-  out << "cp-mode " << cp_mode_name(sorted.cp_mode) << "\n";
-  out << "max-inflight " << inflight_text(sorted.max_inflight_units) << "\n";
-  out << "columns device order kind mb slice chunk stage recv send\n";
+  std::string out = "slimpipe-ir 1\n";
+  fields(sorted, [&](std::string_view key, const auto& member, auto... how) {
+    ((out += key) += ' ') += util::token_text(member, how...) + "\n";
+  });
+  out += "columns " + column_keys() + "\n";
   for (const Row& row : sorted.rows) {
-    out << "row " << row.device << " " << row.order << " "
-        << kind_name(row.kind) << " " << row.microbatch << " " << row.slice
-        << " " << row.chunk << " " << row.stage << " "
-        << endpoint_text(row.recv_from) << " " << endpoint_text(row.send_to)
-        << "\n";
+    out += "row";
+    fields(row, [&](std::string_view, const auto& member, auto... how) {
+      (out += ' ') += util::token_text(member, how...);
+    });
+    out += "\n";
   }
-  out << "end\n";
-  return out.str();
+  return out + "end\n";
 }
 
 ScheduleIR import_text(const std::string& text) {
   ScheduleIR ir;
+  std::vector<std::string_view> seen;  // header keys read so far
   std::istringstream in(text);
   std::string line;
-  int lineno = 0;
+  int lineno = 0;  // 0 once the error concerns the whole text
   bool saw_magic = false, saw_end = false;
+  auto fail = [&](const std::string& what) {
+    throw std::runtime_error(
+        "schedule IR" +
+        (lineno > 0 ? " line " + std::to_string(lineno) : std::string()) +
+        ": " + what);
+  };
   while (std::getline(in, line)) {
     ++lineno;
     // Strip a trailing CR so CRLF files parse.
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    auto rest = [&]() {
-      std::string value;
-      std::getline(ls, value);
-      const std::size_t start = value.find_first_not_of(' ');
-      return start == std::string::npos ? std::string() : value.substr(start);
-    };
-    auto token = [&](const char* what) {
-      std::string value;
-      if (!(ls >> value)) {
-        throw std::runtime_error("schedule IR line " + std::to_string(lineno) +
-                                 ": missing " + what);
-      }
-      return value;
-    };
+    std::string key, value;  // value: the rest of the line
+    std::getline(ls >> key >> std::ws, value);
     if (!saw_magic) {
-      if (key != "slimpipe-ir" || token("version") != "1") {
-        throw std::runtime_error(
-            "schedule IR line " + std::to_string(lineno) +
-            ": expected header 'slimpipe-ir 1'");
+      if (key != "slimpipe-ir" || value != "1") {
+        fail("expected header 'slimpipe-ir 1'");
       }
       saw_magic = true;
-      continue;
-    }
-    if (saw_end) {
-      throw std::runtime_error("schedule IR line " + std::to_string(lineno) +
-                               ": content after 'end'");
-    }
-    if (key == "scheme") {
-      ir.scheme = rest();
-    } else if (key == "p") {
-      ir.p = parse_int(token("p"), lineno, "p");
-    } else if (key == "v") {
-      ir.v = parse_int(token("v"), lineno, "v");
-    } else if (key == "n") {
-      ir.n = parse_int(token("n"), lineno, "n");
-    } else if (key == "m") {
-      ir.m = parse_int(token("m"), lineno, "m");
-    } else if (key == "layout") {
-      ir.layout = parse_layout(token("layout"), lineno);
-    } else if (key == "retain-kv") {
-      ir.retain_kv = parse_int(token("retain-kv"), lineno, "retain-kv") != 0;
-    } else if (key == "vocab-parallel") {
-      ir.vocab_parallel =
-          parse_int(token("vocab-parallel"), lineno, "vocab-parallel") != 0;
-    } else if (key == "context-exchange") {
-      ir.context_exchange =
-          parse_int(token("context-exchange"), lineno, "context-exchange") != 0;
-    } else if (key == "policy") {
-      ir.policy = parse_policy(token("policy"), lineno);
-    } else if (key == "cp-mode") {
-      ir.cp_mode = parse_cp_mode(token("cp-mode"), lineno);
-    } else if (key == "max-inflight") {
-      ir.max_inflight_units =
-          parse_double(token("max-inflight"), lineno, "max-inflight");
-    } else if (key == "columns") {
-      const std::string expected = "device order kind mb slice chunk stage recv send";
-      if (rest() != expected) {
-        throw std::runtime_error("schedule IR line " + std::to_string(lineno) +
-                                 ": unsupported column set (expected '" +
-                                 expected + "')");
-      }
+    } else if (saw_end) {
+      fail("content after 'end'");
     } else if (key == "row") {
-      Row row;
-      row.device = parse_int(token("device"), lineno, "device");
-      row.order = parse_int(token("order"), lineno, "order");
-      row.kind = parse_kind(token("kind"), lineno);
-      row.microbatch = parse_int(token("mb"), lineno, "mb");
-      row.slice = parse_int(token("slice"), lineno, "slice");
-      row.chunk = parse_int(token("chunk"), lineno, "chunk");
-      row.stage = parse_int(token("stage"), lineno, "stage");
-      row.recv_from = parse_endpoint(token("recv"), lineno);
-      row.send_to = parse_endpoint(token("send"), lineno);
-      std::string extra;
-      if (ls >> extra) {
-        throw std::runtime_error("schedule IR line " + std::to_string(lineno) +
-                                 ": trailing token '" + extra + "'");
+      std::istringstream cells(value);
+      std::string cell;
+      fields(ir.rows.emplace_back(),
+             [&](std::string_view column, auto& member, auto... how) {
+               if (!(cells >> cell)) fail("missing " + std::string(column));
+               if (!util::read_token(cell, &member, how...)) {
+                 fail("bad " + std::string(column) + " '" + cell + "'");
+               }
+             });
+      if (cells >> cell) fail("trailing token '" + cell + "'");
+    } else if (key == "columns") {
+      if (value != column_keys()) {
+        fail("unsupported column set (expected '" + column_keys() + "')");
       }
-      ir.rows.push_back(row);
     } else if (key == "end") {
       saw_end = true;
     } else {
-      throw std::runtime_error("schedule IR line " + std::to_string(lineno) +
-                               ": unknown directive '" + key + "'");
+      bool known = false;
+      fields(ir, [&](std::string_view name, auto& member, auto... how) {
+        if (name != key) return;
+        known = true;
+        if (std::find(seen.begin(), seen.end(), name) != seen.end()) {
+          fail("repeated key '" + key + "'");
+        }
+        seen.push_back(name);
+        if (!util::read_token(value, &member, how...)) {
+          fail("bad " + key + " '" + value + "'");
+        }
+      });
+      if (!known) fail("unknown directive '" + key + "'");
     }
   }
-  if (!saw_magic) {
-    throw std::runtime_error("schedule IR: missing 'slimpipe-ir 1' header");
-  }
-  if (!saw_end) {
-    throw std::runtime_error("schedule IR: missing 'end' terminator");
-  }
-  if (ir.p < 1) {
-    throw std::runtime_error("schedule IR: p must be >= 1");
-  }
+  lineno = 0;
+  if (!saw_magic) fail("missing 'slimpipe-ir 1' header");
+  if (!saw_end) fail("missing 'end' terminator");
+  fields(ir, [&](std::string_view name, const auto&, auto...) {
+    if (std::find(seen.begin(), seen.end(), name) == seen.end()) {
+      fail("missing header key '" + std::string(name) + "'");
+    }
+  });
+  if (ir.p < 1) fail("p must be >= 1");
   ir.canonicalize();
   return ir;
 }

@@ -104,11 +104,14 @@ sched::PipelineSpec apply_header(const ScheduleIR& ir,
 /// Serializes the table to the deterministic text format. The output is
 /// canonical: fixed header order, rows sorted by (device, order), single
 /// spaces, trailing newline — export(import(text)) == text for canonical
-/// text and import(export(ir)) == ir for canonical tables.
+/// text and import(export(ir)) == ir for canonical tables. Both functions
+/// walk the header's and Row's field lists.
 std::string export_text(const ScheduleIR& ir);
 
-/// Parses the text format. Throws std::runtime_error with a line-numbered
-/// message on malformed input. Rows are canonicalized on import.
+/// Parses the text format: every header key exactly once, a boolean 0 or
+/// 1, each value one whole token of its member's type. Throws
+/// std::runtime_error with a line-numbered message on malformed input.
+/// Rows are canonicalized on import.
 ScheduleIR import_text(const std::string& text);
 
 /// Stable one-letter row kind ("F", "B", "BI", "BW").

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace slim::obs {
 
@@ -267,11 +266,10 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) return fail("expected number");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return fail("malformed number");
-    *out = JsonValue::make_number(value);
+    const std::optional<double> value =
+        util::parse_number<double>(text_.substr(start, pos_ - start));
+    if (!value) return fail("malformed number");
+    *out = JsonValue::make_number(*value);
     return true;
   }
 

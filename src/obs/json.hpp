@@ -9,10 +9,12 @@
 // and from a JsonValue (the run metrics, live snapshot and bench report
 // files). The parser covers the full JSON grammar (objects, arrays, strings
 // with escapes, numbers, literals) — enough to round-trip everything we emit
-// and to reject structurally broken output in tests.
+// and to reject structurally broken output in tests; a number goes through
+// util::parse_number, so 1e999 is malformed, not infinity.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "src/util/fields.hpp"
+#include "src/util/number.hpp"
 
 namespace slim::obs {
 
@@ -97,7 +100,8 @@ class JsonValue {
 // strings as themselves, vectors as arrays and records as objects whose
 // members follow the record's field list; from_json reads the same shapes
 // back. A member missing from an object keeps its default; a member of the
-// wrong type fails the decode, which then leaves `*out` alone.
+// wrong type, or a fractional or out-of-range number in an integer member,
+// fails the decode, which then leaves `*out` alone.
 
 /// Optional third argument of a field-list visit: JSON carries the member
 /// only when `present` (the wire always does; a reader takes it when there).
@@ -166,7 +170,12 @@ bool from_json(const JsonValue& value, T* out) {
   if constexpr (std::is_same_v<T, bool>) {
     if (!value.is_bool()) return false;
     *out = value.boolean();
-  } else if constexpr (std::is_arithmetic_v<T>) {
+  } else if constexpr (std::is_integral_v<T>) {
+    if (!value.is_number()) return false;
+    const std::optional<T> exact = util::exact_integer<T>(value.number());
+    if (!exact) return false;
+    *out = *exact;
+  } else if constexpr (std::is_floating_point_v<T>) {
     if (!value.is_number()) return false;
     *out = static_cast<T>(value.number());
   } else if constexpr (std::is_same_v<T, std::string>) {

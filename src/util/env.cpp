@@ -1,26 +1,17 @@
 #include "src/util/env.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 
 #include "src/util/logging.hpp"
+#include "src/util/number.hpp"
 
 namespace slim::util {
-
-std::optional<long long> parse_env_int(const char* text) {
-  if (text == nullptr || *text == '\0') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0') return std::nullopt;
-  return value;
-}
 
 long long env_int_or(const char* name, long long fallback,
                      long long min_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return fallback;
-  const auto parsed = parse_env_int(raw);
+  const auto parsed = parse_number<long long>(raw);
   if (!parsed.has_value() || *parsed < min_value) {
     SLIM_LOG(Warn) << name << "=\"" << raw << "\" is not an integer >= "
                    << min_value << "; using " << fallback;

@@ -2,19 +2,13 @@
 
 // Strict environment-variable parsing.
 //
-// The runtimes take tuning knobs from SLIMPIPE_* environment variables.
-// `strtol(env, nullptr, 10)` silently accepted trailing garbage
-// (SLIMPIPE_THREADS=8abc parsed as 8) and silently fell back on
-// non-numeric values; these helpers reject anything that is not a whole
-// base-10 integer and warn once per read so misconfigurations are loud.
-
-#include <optional>
+// The runtimes take tuning knobs from SLIMPIPE_* environment variables,
+// read with the program's one number reader (util::parse_number): a value
+// that is not one whole base-10 integer (SLIMPIPE_THREADS=8abc, +8, 0x8)
+// is malformed, and a malformed or too small value logs a warning and falls
+// back, where strtol read a prefix of it.
 
 namespace slim::util {
-
-/// Parses a base-10 signed integer occupying the entire string. Returns
-/// nullopt for null/empty input, trailing garbage, or out-of-range values.
-std::optional<long long> parse_env_int(const char* text);
 
 /// Reads environment variable `name`. Unset returns `fallback` silently;
 /// set-but-malformed (trailing garbage, empty, out of range) or below

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "src/runtime/pipeline_runtime.hpp"
 #include "src/sched/builder.hpp"
 #include "src/util/env.hpp"
+#include "src/util/number.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 
@@ -198,14 +200,16 @@ TEST(WorkloadTest, PackingConservesTokensAndNeverTruncates) {
 
 // ------------------------------------------------------------ env parsing
 
+// Environment variables read with the one number reader.
 TEST(EnvParseTest, RejectsTrailingGarbageAndEmpty) {
-  EXPECT_EQ(util::parse_env_int("8"), 8);
-  EXPECT_EQ(util::parse_env_int("-3"), -3);
-  EXPECT_EQ(util::parse_env_int("8abc"), std::nullopt);  // strtol said 8
-  EXPECT_EQ(util::parse_env_int("abc"), std::nullopt);
-  EXPECT_EQ(util::parse_env_int(""), std::nullopt);
-  EXPECT_EQ(util::parse_env_int(nullptr), std::nullopt);
-  EXPECT_EQ(util::parse_env_int("999999999999999999999999"), std::nullopt);
+  using util::parse_number;
+  EXPECT_EQ(parse_number<long long>("8"), 8);
+  EXPECT_EQ(parse_number<long long>("-3"), -3);
+  EXPECT_EQ(parse_number<long long>("8abc"), std::nullopt);  // strtol said 8
+  EXPECT_EQ(parse_number<long long>("abc"), std::nullopt);
+  EXPECT_EQ(parse_number<long long>(""), std::nullopt);
+  EXPECT_EQ(parse_number<long long>(std::string_view()), std::nullopt);  // null
+  EXPECT_EQ(parse_number<long long>("999999999999999999999999"), std::nullopt);
 }
 
 TEST(EnvParseTest, EnvIntOrWarnsAndFallsBack) {

@@ -9,8 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +29,7 @@
 #include "src/runtime/pipeline_runtime.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/graph.hpp"
+#include "src/util/rng.hpp"
 
 namespace slim::fault {
 namespace {
@@ -71,6 +77,154 @@ TEST(FaultPlanTextTest, RoundTrip) {
   EXPECT_DOUBLE_EQ(reparsed.socket_delays[0].seconds, 0.001);
 }
 
+// ---- exact round trip over random plans ----
+
+double any_double(Rng& rng) {
+  constexpr double kShort[] = {1.23456789, 3.3e-7, 0.0012345678, 1e6, 2.5,
+                               0.0001,     1e-5,   123456.5};
+  switch (rng.next_below(3)) {
+    case 0: return kShort[rng.next_below(std::size(kShort))];
+    case 1: return rng.next_double() * 10.0;  // 16-17 significant digits
+    default: {
+      const double bits = std::bit_cast<double>(rng.next_u64());
+      return std::isfinite(bits) ? bits : -0.5;
+    }
+  }
+}
+
+std::int64_t any_int64(Rng& rng) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto k = static_cast<std::int64_t>(rng.next_below(4));
+  switch (rng.next_below(3)) {
+    case 0: return kMax - k;
+    case 1: return -kMax - 1 + k;
+    default: return static_cast<std::int64_t>(rng.next_u64());
+  }
+}
+
+int any_int(Rng& rng) { return static_cast<int>(rng.next_u64()); }
+
+/// A plan with one to three directives of every kind, every member drawn.
+FaultPlan random_plan(Rng& rng) {
+  FaultPlan plan;
+  plan.seed = rng.next_below(4) == 0 ? std::numeric_limits<std::uint64_t>::max()
+                                     : rng.next_u64();
+  auto times = [&] { return 1 + static_cast<int>(rng.next_below(3)); };
+  for (int i = times(); i > 0; --i) {
+    plan.stragglers.push_back({any_int(rng),
+                               static_cast<OpFilter>(rng.next_below(4)),
+                               any_double(rng), any_double(rng),
+                               any_int64(rng), any_int64(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.links.push_back({any_int(rng), any_double(rng), any_double(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.crashes.push_back({any_int(rng), any_int64(rng), any_double(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.stage_crashes.push_back({any_int(rng), any_int64(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.stage_hangs.push_back({any_int(rng), any_int64(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.delays.push_back({any_int(rng), any_int64(rng), any_double(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.socket_drops.push_back(
+        {any_int(rng), any_int64(rng), any_int(rng), any_int(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.socket_connect_fails.push_back({any_int(rng), any_int(rng)});
+  }
+  for (int i = times(); i > 0; --i) {
+    plan.socket_delays.push_back(
+        {any_int(rng), any_int64(rng), any_double(rng)});
+  }
+  return plan;
+}
+
+void expect_same_plan(const FaultPlan& a, const FaultPlan& b) {
+  EXPECT_EQ(a.seed, b.seed);
+  ASSERT_EQ(a.stragglers.size(), b.stragglers.size());
+  for (std::size_t i = 0; i < a.stragglers.size(); ++i) {
+    const Straggler &x = a.stragglers[i], &y = b.stragglers[i];
+    EXPECT_EQ(x.device, y.device);
+    EXPECT_EQ(x.ops, y.ops);
+    EXPECT_EQ(x.factor, y.factor);
+    EXPECT_EQ(x.jitter, y.jitter);
+    EXPECT_EQ(x.from_op, y.from_op);
+    EXPECT_EQ(x.to_op, y.to_op);
+  }
+  ASSERT_EQ(a.links.size(), b.links.size());
+  for (std::size_t i = 0; i < a.links.size(); ++i) {
+    EXPECT_EQ(a.links[i].src, b.links[i].src);
+    EXPECT_EQ(a.links[i].slowdown, b.links[i].slowdown);
+    EXPECT_EQ(a.links[i].extra_latency, b.links[i].extra_latency);
+  }
+  ASSERT_EQ(a.crashes.size(), b.crashes.size());
+  for (std::size_t i = 0; i < a.crashes.size(); ++i) {
+    EXPECT_EQ(a.crashes[i].device, b.crashes[i].device);
+    EXPECT_EQ(a.crashes[i].at_op, b.crashes[i].at_op);
+    EXPECT_EQ(a.crashes[i].restart_cost, b.crashes[i].restart_cost);
+  }
+  ASSERT_EQ(a.stage_crashes.size(), b.stage_crashes.size());
+  for (std::size_t i = 0; i < a.stage_crashes.size(); ++i) {
+    EXPECT_EQ(a.stage_crashes[i].stage, b.stage_crashes[i].stage);
+    EXPECT_EQ(a.stage_crashes[i].after_messages,
+              b.stage_crashes[i].after_messages);
+  }
+  ASSERT_EQ(a.stage_hangs.size(), b.stage_hangs.size());
+  for (std::size_t i = 0; i < a.stage_hangs.size(); ++i) {
+    EXPECT_EQ(a.stage_hangs[i].stage, b.stage_hangs[i].stage);
+    EXPECT_EQ(a.stage_hangs[i].after_messages,
+              b.stage_hangs[i].after_messages);
+  }
+  ASSERT_EQ(a.delays.size(), b.delays.size());
+  for (std::size_t i = 0; i < a.delays.size(); ++i) {
+    EXPECT_EQ(a.delays[i].stage, b.delays[i].stage);
+    EXPECT_EQ(a.delays[i].every, b.delays[i].every);
+    EXPECT_EQ(a.delays[i].seconds, b.delays[i].seconds);
+  }
+  ASSERT_EQ(a.socket_drops.size(), b.socket_drops.size());
+  for (std::size_t i = 0; i < a.socket_drops.size(); ++i) {
+    const SocketDrop &x = a.socket_drops[i], &y = b.socket_drops[i];
+    EXPECT_EQ(x.stage, y.stage);
+    EXPECT_EQ(x.every, y.every);
+    EXPECT_EQ(x.count, y.count);
+    EXPECT_EQ(x.max_retries, y.max_retries);
+  }
+  ASSERT_EQ(a.socket_connect_fails.size(), b.socket_connect_fails.size());
+  for (std::size_t i = 0; i < a.socket_connect_fails.size(); ++i) {
+    EXPECT_EQ(a.socket_connect_fails[i].stage,
+              b.socket_connect_fails[i].stage);
+    EXPECT_EQ(a.socket_connect_fails[i].failures,
+              b.socket_connect_fails[i].failures);
+  }
+  ASSERT_EQ(a.socket_delays.size(), b.socket_delays.size());
+  for (std::size_t i = 0; i < a.socket_delays.size(); ++i) {
+    EXPECT_EQ(a.socket_delays[i].stage, b.socket_delays[i].stage);
+    EXPECT_EQ(a.socket_delays[i].every, b.socket_delays[i].every);
+    EXPECT_EQ(a.socket_delays[i].seconds, b.socket_delays[i].seconds);
+  }
+}
+
+TEST(FaultPlanTextTest, RoundTripsEveryValueExactly) {
+  Rng rng(2718);
+  for (int i = 0; i < 200; ++i) {
+    const FaultPlan plan = random_plan(rng);
+    const std::string text = to_text(plan);
+    SCOPED_TRACE(text);
+    const FaultPlan back = parse_plan(text);
+    expect_same_plan(back, plan);
+    EXPECT_EQ(to_text(back), text);
+    EXPECT_FALSE(back.empty());
+    if (HasFailure()) return;  // one plan's report is enough
+  }
+  EXPECT_TRUE(FaultPlan{}.empty());
+}
+
 TEST(FaultPlanTextTest, CommentsAndBlankLinesIgnored) {
   const FaultPlan plan = parse_plan(
       "# a comment\n\n  seed 7  # trailing\n\nlink src=1 slowdown=3\n");
@@ -91,6 +245,11 @@ TEST(FaultPlanTextTest, RejectsMalformedInput) {
   EXPECT_THROW(parse_plan("straggler factor=1.5x"), std::logic_error);
   EXPECT_THROW(parse_plan("delay stage=0 every=3junk"), std::logic_error);
   EXPECT_THROW(parse_plan("stage_crash stage=4294967297"), std::logic_error);
+  // The seed is one whole base-10 integer in the uint64 range, alone.
+  EXPECT_THROW(parse_plan("seed 5junk"), std::logic_error);
+  EXPECT_THROW(parse_plan("seed -1"), std::logic_error);
+  EXPECT_THROW(parse_plan("seed 1 2"), std::logic_error);
+  EXPECT_THROW(parse_plan("seed 0x10"), std::logic_error);
 }
 
 // ---- validation: one corrupted fixture per rule id ----

@@ -701,6 +701,27 @@ TEST(IrImport, RejectsMalformedText) {
   const std::string bad_row =
       no_end + "row 0 0 Q 0 0 0 0 . .\nend\n";
   EXPECT_THROW(ir::import_text(bad_row), std::runtime_error);
+
+  // Every header key appears exactly once, and each value is one whole
+  // token of its member's type: 0 or 1, a base-10 integer, a finite number.
+  const core::SchedulePlan plan = onef1b_plan(2, 4);
+  const std::string good =
+      ir::export_text(ir::lower(plan.spec, plan.programs, "1F1B"));
+  ASSERT_NO_THROW(ir::import_text(good));
+  auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text : text.replace(at, from.size(), to);
+  };
+  for (const std::string& text :
+       {edited("\nretain-kv 0\n", "\nretain-kv 7\n"),
+        edited("\np 2\n", "\np +2\n"),
+        edited("\np 2\n", "\np 2\np 2\n"),
+        edited("\nv 1\n", "\n"),
+        edited("\nmax-inflight 2\n", "\nmax-inflight nan\n")}) {
+    EXPECT_THROW(ir::import_text(text), std::runtime_error) << text;
+  }
 }
 
 }  // namespace

@@ -87,7 +87,8 @@ TEST(JsonParseTest, RoundTripsBuilderOutput) {
 
 TEST(JsonParseTest, RejectsMalformedInput) {
   for (const char* bad : {"", "{", "[1,", "{\"a\":}", "\"unterminated",
-                          "{\"a\":1} trailing", "nul"}) {
+                          "{\"a\":1} trailing", "nul", "1e999", "-1e999",
+                          "[1e999]", "+1", "1e"}) {
     JsonValue out;
     std::string error;
     EXPECT_FALSE(JsonValue::parse(bad, &out, &error)) << bad;
@@ -204,6 +205,25 @@ TEST(MetricsJsonTest, RoundTrip) {
   EXPECT_DOUBLE_EQ(back.stages[0].compute_seconds, 0.75);
   EXPECT_EQ(back.stages[0].peak_live_slices, 4);
   EXPECT_EQ(back.stages[0].p2p_messages, 7);
+}
+
+// A number lands in an integer member only when it is an integer within the
+// member's type; casting 1e30 to an int is undefined.
+TEST(MetricsJsonTest, IntegerMembersTakeOnlyIntegersInRange) {
+  auto decodes = [](const std::string& stage) {
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(JsonValue::parse("{\"stages\":[" + stage + "]}", &doc, &error))
+        << error;
+    RunMetrics out;
+    return run_metrics_from_json(doc, &out);
+  };
+  EXPECT_TRUE(decodes("{\"device\":3,\"p2p_messages\":9007199254740992}"));
+  EXPECT_FALSE(decodes("{\"device\":2.5}"));
+  EXPECT_FALSE(decodes("{\"device\":1e30}"));
+  EXPECT_FALSE(decodes("{\"peak_live_slices\":-7e20}"));
+  EXPECT_FALSE(decodes("{\"p2p_messages\":1e300}"));
+  EXPECT_FALSE(decodes("{\"frames_sent\":-0.5}"));
 }
 
 // --------------------------------------------------------- ascii golden

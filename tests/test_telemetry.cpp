@@ -438,6 +438,26 @@ TEST(SnapshotJsonTest, RejectsNonSnapshotJson) {
   EXPECT_FALSE(snapshot_from_json(JsonValue::make_number(3.0), &out));
 }
 
+TEST(SnapshotJsonTest, RejectsFractionalOrOutOfRangeIntegers) {
+  auto decodes = [](const std::string& members) {
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(JsonValue::parse("{\"slimpipe_live_snapshot\":1" + members +
+                                     "}",
+                                 &doc, &error))
+        << error;
+    LiveSnapshot out;
+    return snapshot_from_json(doc, &out);
+  };
+  EXPECT_TRUE(decodes(",\"attempt\":1,\"stages\":[{\"stage\":2,\"pid\":4242}]"));
+  EXPECT_FALSE(decodes(",\"attempt\":1e30,\"microbatches\":2.5,"
+                       "\"stages\":[{\"stage\":-7e20,\"pid\":1e300}]"));
+  EXPECT_FALSE(decodes(",\"attempt\":1e30"));
+  EXPECT_FALSE(decodes(",\"microbatches\":2.5"));
+  EXPECT_FALSE(decodes(",\"stages\":[{\"stage\":-7e20}]"));
+  EXPECT_FALSE(decodes(",\"stages\":[{\"pid\":1e300}]"));
+}
+
 TEST(PrometheusTest, GoldenExpositionLines) {
   const std::string text = prometheus_text(sample_snapshot());
   const auto has_line = [&](const std::string& line) {

@@ -42,7 +42,7 @@
 # runs the ctest label subsets most likely to surface that bug class:
 #
 #   address    faults, mem, ir, sched, dist, telemetry, elastic, numerics,
-#              obs
+#              obs, util
 #                                  (lifetime/overflow in the fault machinery,
 #                                   arena tracking, the schedule IR and its
 #                                   verifier (ir: test_ir + test_analysis),
@@ -55,11 +55,14 @@
 #                                   flight-recorder ring and the heartbeat
 #                                   that carries it, variable-length slice
 #                                   layouts, the numerics kernels' raw-pointer
-#                                   loops, and obs: the JSON parser that
-#                                   reads report and snapshot files from
-#                                   outside the program, traces and metrics)
+#                                   loops (test_numerics_*, test_moe and
+#                                   test_context_parallel), obs: the JSON
+#                                   parser that reads report and snapshot
+#                                   files from outside the program, traces
+#                                   and metrics, and util: the number reader
+#                                   all outside text goes through)
 #   undefined  faults, mem, ir, sched, dist, telemetry, elastic, numerics,
-#              obs
+#              obs, util
 #                                  (integer/shift UB in the same layers)
 #   thread     faults, threads, dist, telemetry, elastic
 #                                  (faults: the threaded runtime's own
@@ -203,7 +206,7 @@ if [[ "$FAST" -eq 0 ]]; then
     if [[ "$san" == "thread" ]]; then
       labels="faults|threads|dist|telemetry|elastic"
     else
-      labels="faults|mem|ir|sched|dist|telemetry|elastic|numerics|obs"
+      labels="faults|mem|ir|sched|dist|telemetry|elastic|numerics|obs|util"
     fi
     echo "== ${san} sanitizer tests (-L '${labels}') =="
     ctest --test-dir "build-${san}" --output-on-failure -j "$JOBS" \

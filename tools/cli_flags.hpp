@@ -1,20 +1,24 @@
 #pragma once
 
-// The flags slimpipe_sim and slimpipe_lint share, parsed strictly: a value
-// that does not parse whole, lies out of range or names nothing is a usage
-// error with the tool's usage exit status, never a silent 0 or a truncated
-// number.
+// The flags slimpipe_sim and slimpipe_lint share, parsed strictly with the
+// one number reader (util::parse_number): a value that does not parse
+// whole, lies out of range or names nothing is a usage error with the
+// tool's usage exit status, never a silent 0 or a truncated number. Both
+// tools load an external schedule table the same way, too.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 
+#include "src/ir/schedule_ir.hpp"
 #include "src/model/activation.hpp"
 #include "src/sched/schedule.hpp"
-#include "src/util/env.hpp"
+#include "src/util/number.hpp"
 
 namespace slim::cli {
 
@@ -54,7 +58,7 @@ class SpecFlags {
   /// Flag `flag`'s value `text` as an integer in [lo, hi].
   long long integer(const std::string& flag, const char* text, long long lo,
                     long long hi = kInt64Max) const {
-    const std::optional<long long> value = util::parse_env_int(text);
+    const std::optional<long long> value = util::parse_number<long long>(text);
     if (!value || *value < lo || *value > hi) {
       fail("invalid value '" + std::string(text) + "' for " + flag +
            ": expected an integer in [" + std::to_string(lo) + ", " +
@@ -101,16 +105,38 @@ class SpecFlags {
 
  private:
   double fraction(const std::string& flag, const char* text) const {
-    char* end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(value >= 0.0 && value < 1.0)) {
+    const std::optional<double> value = util::parse_number<double>(text);
+    if (!value || !(*value >= 0.0 && *value < 1.0)) {
       fail("invalid value '" + std::string(text) + "' for " + flag +
            ": expected a fraction in [0, 1)");
     }
-    return value;
+    return *value;
   }
 
   int status_;
 };
+
+/// The schedule table in `path`, with its header overlaid on `*spec`;
+/// nullopt, with the reason on stderr, when the file cannot be read or
+/// parsed or its header yields an invalid spec. Both tools exit 3 then.
+inline std::optional<ir::ScheduleIR> load_schedule(const std::string& path,
+                                                   sched::PipelineSpec* spec) {
+  std::string error = "cannot read the file";
+  if (std::ifstream in(path); in) {
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+      ir::ScheduleIR table = ir::import_text(text.str());
+      *spec = ir::apply_header(table, *spec);
+      const std::string invalid = spec->validate();
+      if (invalid.empty()) return table;
+      error = "header yields an invalid spec: " + invalid;
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  }
+  std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+  return std::nullopt;
+}
 
 }  // namespace slim::cli

@@ -23,7 +23,6 @@
 #include <fstream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -140,32 +139,17 @@ bool is_verifier_finding(const analysis::Finding& finding) {
 
 /// Certifies an external IR schedule file: import, overlay the header onto
 /// the workload spec, run the verifier. Returns the exit status (0/1/3).
-int lint_ir_file(const std::string& path, const sched::PipelineSpec& base,
+int lint_ir_file(const std::string& path, sched::PipelineSpec spec,
                  bool verbose) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read IR file '%s'\n", path.c_str());
-    return 3;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-
+  const std::optional<ir::ScheduleIR> table = cli::load_schedule(path, &spec);
+  if (!table) return 3;
   std::vector<analysis::Finding> findings;
   try {
-    const ir::ScheduleIR table = ir::import_text(buffer.str());
-    const sched::PipelineSpec spec = ir::apply_header(table, base);
-    const std::string err = spec.validate();
-    if (!err.empty()) {
-      std::fprintf(stderr, "%s: header yields an invalid spec: %s\n",
-                   path.c_str(), err.c_str());
-      return 3;
-    }
-
-    const analysis::VerifyResult verdict = analysis::verify_ir(table, spec);
+    const analysis::VerifyResult verdict = analysis::verify_ir(*table, spec);
     findings = verdict.findings;
     if (findings.empty()) {
       std::printf("%s: %s certified clean (%zu rows)\n", path.c_str(),
-                  table.scheme.c_str(), table.rows.size());
+                  table->scheme.c_str(), table->rows.size());
       if (verbose) {
         for (const analysis::StageCertificate& sc :
              verdict.certificate.stages) {

@@ -76,8 +76,8 @@ modes
                      built-in scheme (see slimpipe_lint --emit-ir). The IR
                      header supplies p/v/n/m/layout/...; the remaining
                      options shape the workload. The schedule only runs if
-                     the static verifier certifies it clean (exit 3 when it
-                     is rejected)
+                     the static verifier certifies it clean (exit 3 when
+                     the file cannot be read or parsed, or is rejected)
 )");
 }
 
@@ -210,23 +210,10 @@ int main(int argc, char** argv) {
     if (!schedule_path.empty()) {
       // External schedule: import, certify with the static verifier, then
       // run the table's programs through the same pipeline as the schemes.
-      std::ifstream in(schedule_path);
-      if (!in) {
-        std::fprintf(stderr, "cannot read schedule '%s'\n",
-                     schedule_path.c_str());
-        return 1;
-      }
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      const ir::ScheduleIR table = ir::import_text(text);
-      spec = ir::apply_header(table, spec);
-      const std::string err = spec.validate();
-      if (!err.empty()) {
-        std::fprintf(stderr, "%s: header yields an invalid spec: %s\n",
-                     schedule_path.c_str(), err.c_str());
-        return 3;
-      }
-      const analysis::VerifyResult verdict = analysis::verify_ir(table, spec);
+      const std::optional<ir::ScheduleIR> table =
+          cli::load_schedule(schedule_path, &spec);
+      if (!table) return 3;
+      const analysis::VerifyResult verdict = analysis::verify_ir(*table, spec);
       if (!verdict.ok()) {
         std::fprintf(stderr,
                      "%s: schedule rejected by the static verifier:\n%s",
@@ -239,8 +226,8 @@ int main(int argc, char** argv) {
         planner = std::make_unique<core::ExchangePlanner>(spec);
       }
       r = sched::run_pipeline(
-          spec, ir::to_programs(table), planner.get(),
-          table.scheme.empty() ? std::string("external") : table.scheme,
+          spec, ir::to_programs(*table), planner.get(),
+          table->scheme.empty() ? std::string("external") : table->scheme,
           timeline, trace_out, plan_in, &report);
     } else {
       r = core::run_scheme(scheme, spec, timeline, trace_out, plan_in,

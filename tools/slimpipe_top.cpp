@@ -10,15 +10,18 @@
 // "failed" (exit code 0 / 1). A missing file is retried — start slimpipe_top
 // before or after the run, in any order.
 
-#include <cstdio>
-#include <cstdlib>
 #include <chrono>
+#include <climits>
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "src/obs/report.hpp"
 #include "src/obs/telemetry.hpp"
+#include "src/util/number.hpp"
 
 using namespace slim;
 
@@ -29,21 +32,9 @@ void usage() {
 
 Tails the live-telemetry JSON snapshot written by the multi-process
 supervisor and renders a per-stage terminal view. Exits 0 when the run
-finishes ("done"), 1 when it fails ("failed").
+finishes ("done"), 1 when it fails ("failed"), 2 on a usage error or, with
+--once, a file that is not a snapshot.
 )");
-}
-
-/// Reads the whole file; false when it does not exist (yet) or is unreadable.
-bool slurp(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace
@@ -59,9 +50,15 @@ int main(int argc, char** argv) {
       return 0;
     } else if (args[i] == "--once") {
       once = true;
-    } else if (args[i] == "--interval-ms" && i + 1 < args.size()) {
-      interval_ms = std::atoi(args[++i].c_str());
-      if (interval_ms < 1) interval_ms = 1;
+    } else if (args[i] == "--interval-ms") {
+      const std::string text = i + 1 < args.size() ? args[++i] : "";
+      const std::optional<int> value = util::parse_number<int>(text);
+      if (!value || *value < 1) {
+        std::fprintf(stderr, "invalid value '%s' for --interval-ms: expected "
+                     "an integer in [1, %d]\n", text.c_str(), INT_MAX);
+        return 2;
+      }
+      interval_ms = *value;
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -76,24 +73,16 @@ int main(int argc, char** argv) {
 
   bool seen = false;
   for (;;) {
-    std::string text;
+    obs::JsonValue value;
     obs::LiveSnapshot snap;
-    bool have = false;
-    if (slurp(path, &text)) {
-      obs::JsonValue value;
-      std::string error;
-      // The supervisor writes via rename, so a parse failure means a stale
-      // or foreign file, not a torn write — report it once and keep polling.
-      if (obs::JsonValue::parse(text, &value, &error) &&
-          obs::snapshot_from_json(value, &snap)) {
-        have = true;
-      } else if (once) {
-        std::fprintf(stderr, "%s: not a live-telemetry snapshot\n",
-                     path.c_str());
-        return 2;
-      }
-    } else if (once) {
-      std::fprintf(stderr, "%s: cannot read\n", path.c_str());
+    std::string error;
+    // The supervisor writes via rename, so a file that does not parse is
+    // stale or foreign, not torn: keep polling, unless --once.
+    const bool have = obs::load_json(path, &value, &error) &&
+                      obs::snapshot_from_json(value, &snap);
+    if (!have && once) {
+      if (error.empty()) error = path + ": not a live-telemetry snapshot";
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 2;
     }
 

@@ -211,6 +211,9 @@ TEST(WireTest, StatusRoundTrip) {
   Writer w;
   write_status(w, status);
   const std::vector<std::uint8_t> bytes = w.take();
+  // The heartbeat's layout: progress, metrics with three arena categories,
+  // the injected delay and two flight events, one label truncated.
+  EXPECT_EQ(bytes.size(), 337u);
   Reader r(bytes);
   const WireStatus back = read_status(r);
   EXPECT_EQ(back.progress.state, rt::StageState::Waiting);

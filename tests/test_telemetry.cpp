@@ -2,8 +2,9 @@
 // flight recorder and the heartbeat that carries its tail
 // (obs/flight_recorder.hpp, dist/wire.hpp), the heartbeat's progress and
 // metrics field by field on the wire and in the report JSON, and live
-// telemetry snapshots — Prometheus exposition golden lines, snapshot JSON
-// round trips and the slimpipe_top terminal rendering (obs/telemetry.hpp).
+// telemetry snapshots — the snapshot JSON and the Prometheus exposition
+// byte for byte, JSON round trips and the slimpipe_top terminal rendering
+// (obs/telemetry.hpp).
 
 #include <gtest/gtest.h>
 
@@ -429,6 +430,71 @@ TEST(SnapshotJsonTest, RoundTripsThroughDumpAndParse) {
   EXPECT_EQ(back.stages[1].respawns, 1);
 }
 
+TEST(SnapshotJsonTest, GoldenDocument) {
+  // The snapshot file, byte for byte: slimpipe_top and any other reader of
+  // the file see these keys, in this order, with these number spellings.
+  EXPECT_EQ(snapshot_to_json(sample_snapshot()).dump(2), R"json({
+  "slimpipe_live_snapshot": 1,
+  "ts": 1.5,
+  "phase": "running",
+  "attempt": 2,
+  "microbatches": 4,
+  "merged_microbatches": 1,
+  "stages": [
+    {
+      "stage": 0,
+      "pid": 4242,
+      "state": "running",
+      "beat_age_seconds": 0.025000000000000001,
+      "messages": 31,
+      "done_f": 6,
+      "want_f": 8,
+      "done_b": 4,
+      "want_b": 8,
+      "live": 2,
+      "live_cap": 4,
+      "queue": 1,
+      "committed": 1,
+      "committed_total": 4,
+      "frames_out": 12,
+      "frames_in": 11,
+      "bytes_out": 98304,
+      "bytes_in": 90112,
+      "crc_rejects": 0,
+      "retries": 2,
+      "arena_peak_bytes": 1048576,
+      "flight_events": 57,
+      "respawns": 1
+    },
+    {
+      "stage": 1,
+      "pid": 4243,
+      "state": "killed by signal 9 (heartbeat deadline)",
+      "beat_age_seconds": 0.025000000000000001,
+      "messages": 31,
+      "done_f": 6,
+      "want_f": 8,
+      "done_b": 4,
+      "want_b": 8,
+      "live": 2,
+      "live_cap": 4,
+      "queue": 1,
+      "committed": 1,
+      "committed_total": 4,
+      "frames_out": 12,
+      "frames_in": 11,
+      "bytes_out": 98304,
+      "bytes_in": 90112,
+      "crc_rejects": 0,
+      "retries": 2,
+      "arena_peak_bytes": 1048576,
+      "flight_events": 57,
+      "respawns": 1
+    }
+  ]
+})json");
+}
+
 TEST(SnapshotJsonTest, RejectsNonSnapshotJson) {
   JsonValue other = JsonValue::make_object();
   other.set("ts", JsonValue::make_number(1.0));  // no marker key
@@ -496,6 +562,90 @@ TEST(PrometheusTest, GoldenExpositionLines) {
               std::string::npos)
         << name;
   }
+}
+
+TEST(PrometheusTest, GoldenExposition) {
+  // The whole exposition, byte for byte: every series' HELP and TYPE
+  // headers, names, labels and values, in scrape order.
+  EXPECT_EQ(prometheus_text(sample_snapshot()),
+            R"(# HELP slimpipe_snapshot_ts_seconds Run-clock time of this snapshot.
+# TYPE slimpipe_snapshot_ts_seconds gauge
+slimpipe_snapshot_ts_seconds 1.5
+# HELP slimpipe_attempt Respawn attempt index.
+# TYPE slimpipe_attempt gauge
+slimpipe_attempt 2
+# HELP slimpipe_merged_microbatches Microbatches committed on every stage.
+# TYPE slimpipe_merged_microbatches gauge
+slimpipe_merged_microbatches 1
+# HELP slimpipe_stage_up Worker liveness (1 = worker-loop state).
+# TYPE slimpipe_stage_up gauge
+slimpipe_stage_up{stage="0"} 1
+slimpipe_stage_up{stage="1"} 0
+# HELP slimpipe_stage_beat_age_seconds Run-clock seconds since the stage's last heartbeat.
+# TYPE slimpipe_stage_beat_age_seconds gauge
+slimpipe_stage_beat_age_seconds{stage="0"} 0.025000000000000001
+slimpipe_stage_beat_age_seconds{stage="1"} 0.025000000000000001
+# HELP slimpipe_stage_messages_total Frames processed by the worker loop.
+# TYPE slimpipe_stage_messages_total counter
+slimpipe_stage_messages_total{stage="0"} 31
+slimpipe_stage_messages_total{stage="1"} 31
+# HELP slimpipe_stage_forward_slices_total Forward slice passes completed.
+# TYPE slimpipe_stage_forward_slices_total counter
+slimpipe_stage_forward_slices_total{stage="0"} 6
+slimpipe_stage_forward_slices_total{stage="1"} 6
+# HELP slimpipe_stage_backward_slices_total Backward slice passes completed.
+# TYPE slimpipe_stage_backward_slices_total counter
+slimpipe_stage_backward_slices_total{stage="0"} 4
+slimpipe_stage_backward_slices_total{stage="1"} 4
+# HELP slimpipe_stage_committed_microbatches Microbatch gradients committed by this stage.
+# TYPE slimpipe_stage_committed_microbatches gauge
+slimpipe_stage_committed_microbatches{stage="0"} 1
+slimpipe_stage_committed_microbatches{stage="1"} 1
+# HELP slimpipe_stage_live_slices Live slices held (paper Eq.1 window).
+# TYPE slimpipe_stage_live_slices gauge
+slimpipe_stage_live_slices{stage="0"} 2
+slimpipe_stage_live_slices{stage="1"} 2
+# HELP slimpipe_stage_queue_depth Inbox queue depth.
+# TYPE slimpipe_stage_queue_depth gauge
+slimpipe_stage_queue_depth{stage="0"} 1
+slimpipe_stage_queue_depth{stage="1"} 1
+# HELP slimpipe_stage_frames_out_total Wire frames sent on data links.
+# TYPE slimpipe_stage_frames_out_total counter
+slimpipe_stage_frames_out_total{stage="0"} 12
+slimpipe_stage_frames_out_total{stage="1"} 12
+# HELP slimpipe_stage_frames_in_total Wire frames received on data links.
+# TYPE slimpipe_stage_frames_in_total counter
+slimpipe_stage_frames_in_total{stage="0"} 11
+slimpipe_stage_frames_in_total{stage="1"} 11
+# HELP slimpipe_stage_bytes_out_total Payload bytes sent on data links.
+# TYPE slimpipe_stage_bytes_out_total counter
+slimpipe_stage_bytes_out_total{stage="0"} 98304
+slimpipe_stage_bytes_out_total{stage="1"} 98304
+# HELP slimpipe_stage_bytes_in_total Payload bytes received on data links.
+# TYPE slimpipe_stage_bytes_in_total counter
+slimpipe_stage_bytes_in_total{stage="0"} 90112
+slimpipe_stage_bytes_in_total{stage="1"} 90112
+# HELP slimpipe_stage_crc_rejects_total Frames rejected by CRC/framing checks.
+# TYPE slimpipe_stage_crc_rejects_total counter
+slimpipe_stage_crc_rejects_total{stage="0"} 0
+slimpipe_stage_crc_rejects_total{stage="1"} 0
+# HELP slimpipe_stage_send_retries_total Retransmits after injected frame drops.
+# TYPE slimpipe_stage_send_retries_total counter
+slimpipe_stage_send_retries_total{stage="0"} 2
+slimpipe_stage_send_retries_total{stage="1"} 2
+# HELP slimpipe_stage_arena_peak_bytes Concurrent arena memory high-water, bytes.
+# TYPE slimpipe_stage_arena_peak_bytes gauge
+slimpipe_stage_arena_peak_bytes{stage="0"} 1048576
+slimpipe_stage_arena_peak_bytes{stage="1"} 1048576
+# HELP slimpipe_stage_flight_events_total Flight-recorder events recorded by the worker.
+# TYPE slimpipe_stage_flight_events_total counter
+slimpipe_stage_flight_events_total{stage="0"} 57
+slimpipe_stage_flight_events_total{stage="1"} 57
+# HELP slimpipe_stage_respawns_total Times this stage was respawned.
+# TYPE slimpipe_stage_respawns_total counter
+slimpipe_stage_respawns_total{stage="0"} 1
+slimpipe_stage_respawns_total{stage="1"} 1
+)");
 }
 
 TEST(RenderTopTest, FrameCarriesPhaseProgressAndStates) {

@@ -17,7 +17,6 @@
 #include "src/obs/flight_recorder.hpp"
 #include "src/obs/telemetry.hpp"
 #include "src/runtime/replay.hpp"
-#include "src/runtime/stage_driver.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/thread_pool.hpp"
 
@@ -36,7 +35,7 @@ struct WorkerHandle {
   int stage = -1;
   pid_t pid = -1;
   Fd control;  // parent end of the control socketpair
-  WireStatus status;  // the last heartbeat's, or the Done frame's
+  obs::StageStatus status;  // the last heartbeat's, or the Done frame's
   Clock::time_point last_heard;
   bool control_eof = false;
   bool done = false;  // Done frame received
@@ -85,12 +84,12 @@ bool reported(const WorkerHandle& w) {
 std::string state_of(const WorkerHandle& w) {
   return w.exited && !reported(w)
              ? describe_exit(w)
-             : rt::stage_state_name(w.status.progress.state);
+             : obs::stage_state_name(w.status.progress.state);
 }
 
 /// True when the worker ran every row (a starved one's Done frame says so).
 bool finished(const WorkerHandle& w) {
-  return reported(w) && w.status.progress.state == rt::StageState::Done;
+  return reported(w) && w.status.progress.state == obs::StageState::Done;
 }
 
 /// Resolves the fault plan's runtime rules for one stage onto the real
@@ -310,25 +309,32 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       end.detail = detail;
     };
 
-    auto postmortem = [&]() -> std::string {
-      std::vector<rt::StageProgress> rows;
-      std::vector<std::string> states;
+    // One row per worker: its last status, heartbeat or Done frame, beside
+    // what only the supervisor knows. The live snapshots and the postmortem
+    // print the same rows.
+    auto rows = [&] {
+      const auto now = Clock::now();
+      std::vector<obs::StageLive> out;
       for (const WorkerHandle& w : workers) {
-        rows.push_back(w.status.progress);
-        states.push_back(state_of(w));
-      }
-      std::string out = rt::blocked_on_table(rows, states, attempt.now());
-      // Breadcrumbs of every worker that did not finish: the flight tail
-      // its last status carried shows what the stage was doing when it
-      // died, hung or starved, not just that it did.
-      for (const WorkerHandle& w : workers) {
-        if (finished(w) || w.status.flight.empty()) continue;
-        out += "\nstage " + std::to_string(w.stage) +
-               " flight recorder tail (last " +
-               std::to_string(w.status.flight.size()) + " events):\n";
-        out += obs::render_flight_tail(w.status.flight);
+        const std::vector<obs::FlightEvent>& flight = w.status.flight;
+        out.push_back(
+            {w.stage, static_cast<std::int64_t>(w.pid), state_of(w),
+             std::chrono::duration<double>(now - w.last_heard).count(),
+             flight.empty() ? 0
+                            : static_cast<std::int64_t>(flight.back().seq + 1),
+             attempt.respawns[static_cast<std::size_t>(w.stage)],
+             w.status.progress, w.status.metrics});
       }
       return out;
+    };
+
+    // The rows as a LiveSnapshot for the JSON/Prometheus publishers (and
+    // the final done/failed write).
+    auto snapshot = [&](std::vector<obs::StageLive> live) {
+      return obs::LiveSnapshot{attempt.now(),
+                               end.culprit >= 0 ? "draining" : "running",
+                               attempt.index, m, attempt.ledger.merged(),
+                               std::move(live)};
     };
 
     // Reads every frame a worker's control socket has ready.
@@ -379,53 +385,6 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       }
     };
 
-    // Folds the workers' latest status — heartbeat or Done frame — into a
-    // LiveSnapshot for the JSON/Prometheus publishers (and the final
-    // done/failed write).
-    auto build_snapshot = [&](const std::string& phase) {
-      obs::LiveSnapshot snap;
-      snap.ts = attempt.now();
-      snap.phase = phase;
-      snap.attempt = attempt.index;
-      snap.microbatches = m;
-      snap.merged_microbatches = attempt.ledger.merged();
-      const auto now = Clock::now();
-      for (const WorkerHandle& w : workers) {
-        obs::StageLive live;
-        live.stage = w.stage;
-        live.pid = static_cast<std::int64_t>(w.pid);
-        live.state = state_of(w);
-        live.beat_age_seconds =
-            std::chrono::duration<double>(now - w.last_heard).count();
-        const rt::StageProgress& progress = w.status.progress;
-        live.messages = progress.messages;
-        live.done_f = progress.done_f;
-        live.want_f = progress.due;
-        live.done_b = progress.done_b;
-        live.want_b = progress.due;
-        live.live = progress.live;
-        live.live_cap = progress.cap;
-        live.queue = progress.queue;
-        live.committed = progress.committed;
-        live.committed_total = progress.microbatches;
-        const obs::StageMetrics& sm = w.status.metrics;
-        live.frames_out = sm.frames_sent;
-        live.frames_in = sm.frames_recv;
-        live.bytes_out = sm.p2p_bytes;
-        live.bytes_in = sm.bytes_recv;
-        live.crc_rejects = sm.crc_rejects;
-        live.retries = sm.send_retries;
-        live.arena_peak_bytes = sm.measured_peak_total;
-        live.flight_events =
-            w.status.flight.empty()
-                ? 0
-                : static_cast<std::int64_t>(w.status.flight.back().seq + 1);
-        live.respawns = attempt.respawns[static_cast<std::size_t>(w.stage)];
-        snap.stages.push_back(live);
-      }
-      return snap;
-    };
-
     // ---- supervision loop: heartbeats, commits, reaping, deadlines ----
     // It ends with the last worker: after a failure each survivor stops
     // where the table says and reports.
@@ -443,8 +402,7 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
       for (WorkerHandle& w : workers) read_worker(w);
 
       if (telemetry_on && Clock::now() >= next_telemetry) {
-        last_snapshot =
-            build_snapshot(end.culprit >= 0 ? "draining" : "running");
+        last_snapshot = snapshot(rows());
         publish_snapshot(last_snapshot);
         next_telemetry = Clock::now() + options.telemetry_interval;
       }
@@ -526,18 +484,31 @@ ProcessPipeline::Result ProcessPipeline::run_iteration(
         break;
       }
     }
-    if (end.culprit >= 0) end.table = postmortem();
-    if (telemetry_on) {
-      last_snapshot = build_snapshot(end.culprit >= 0 ? "draining" : "running");
+    // The rows once, for the postmortem and the attempt's last snapshot.
+    if (end.culprit >= 0 || telemetry_on) {
+      std::vector<obs::StageLive> live = rows();
+      if (end.culprit >= 0) {
+        end.table = obs::stage_table(live);
+        // Breadcrumbs of every worker that did not finish: the flight tail
+        // its last status carried shows what the stage was doing when it
+        // died, hung or starved, not just that it did.
+        for (const WorkerHandle& w : workers) {
+          if (finished(w) || w.status.flight.empty()) continue;
+          end.table += "\nstage " + std::to_string(w.stage) +
+                       " flight recorder tail (last " +
+                       std::to_string(w.status.flight.size()) + " events):\n";
+          end.table += obs::render_flight_tail(w.status.flight);
+        }
+      }
+      if (telemetry_on) last_snapshot = snapshot(std::move(live));
     }
 
-    // Each stage's last status: the Done frame's when the worker finished,
-    // the final heartbeat's when it died, so a crashed attempt's work
-    // counts.
+    // Each stage's last status, whole: the Done frame's when the worker
+    // finished, the final heartbeat's when it died, so a crashed attempt's
+    // work counts.
     for (WorkerHandle& w : workers) {
-      end.stages.push_back({w.status.progress, std::move(w.status.metrics),
-                            std::move(w.done_info.events),
-                            w.status.injected_delay_seconds});
+      end.stages.push_back(
+          {std::move(w.status), std::move(w.done_info.events)});
       // The worker recorded on the run clock already.
       if (rec != nullptr && w.done) rec->append(std::move(w.done_info.trace));
     }

@@ -9,9 +9,10 @@
 // wire.hpp). The supervisor is a single-threaded poll loop that
 //
 //  * hears heartbeats from every worker (each beat carries the stage's
-//    rt::StageProgress, obs::StageMetrics so far and flight-recorder tail
-//    — the source of the postmortem blocked-on table, its breadcrumbs and
-//    the live snapshots);
+//    obs::StageStatus: progress, metrics so far and flight-recorder tail);
+//    from each worker's last status it builds one obs::StageLive row, and
+//    the same rows are the live snapshots and the postmortem table
+//    (obs::stage_table), whose breadcrumbs are the flight tails;
 //  * detects a SIGKILLed worker (waitpid/EOF), a failed worker (nonzero
 //    exit, or a Done frame with an error message) or a hung worker
 //    (missed-heartbeat deadline — the supervisor SIGKILLs it) within a
@@ -21,8 +22,8 @@
 //  * on failure SIGKILLs the culprit if still alive; each survivor runs its
 //    table until its next row waits on a closed neighbour, reports
 //    `starved` and exits, so the table fixes which microbatches retired;
-//    the attempt ends with its last worker and a per-stage postmortem
-//    table.
+//    the attempt ends with its last worker, a per-stage postmortem table
+//    and each worker's last status, moved whole into its rt::StageEnd.
 //
 // That is one attempt. Above it sits the replay loop the threaded runtime
 // shares (rt::run_replayed, src/runtime/replay.hpp): it respawns with

@@ -110,7 +110,7 @@ class SocketLink final : public rt::StageLink {
     }
   }
 
-  void publish(const rt::StageProgress&) override { maybe_heartbeat(); }
+  void publish(const obs::StageProgress&) override { maybe_heartbeat(); }
 
   [[noreturn]] void crash() override {
     // A real crash: the process dies instantly, mid-protocol. No frame, no
@@ -130,7 +130,7 @@ class SocketLink final : public rt::StageLink {
   }
 
   /// The worker's status as its heartbeats and Done frame carry it.
-  WireStatus status() const {
+  obs::StageStatus status() const {
     return {run_.progress, run_.metrics, injected_delay_seconds_,
             run_.flight != nullptr ? run_.flight->tail()
                                    : std::vector<obs::FlightEvent>{}};
@@ -333,7 +333,7 @@ int run_stage_worker(const WorkerConfig& config) {
     // All work retired, or the next row waits on a neighbour that is gone
     // (starved, not a failure).
     run.crumb(obs::FlightKind::Mark, -1, -1, run.progress.committed,
-              rt::stage_state_name(run.progress.state));
+              obs::stage_state_name(run.progress.state));
     report("");
     return 0;
   } catch (const std::exception& error) {

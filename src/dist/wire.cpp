@@ -235,7 +235,7 @@ num::Tensor Reader::tensor() {
 // wire layout is its list's order. obs::StageMetrics keeps its list beside
 // the struct, since the report JSON walks it too.
 
-template <MaybeConst<rt::StageProgress> P, class Visit>
+template <MaybeConst<obs::StageProgress> P, class Visit>
 void fields(P& p, Visit&& visit) {
   visit("state", p.state);
   visit("messages", p.messages);
@@ -329,7 +329,7 @@ void fields(C& c, Visit&& visit) {
   visit("final_norm", c.final_norm);
 }
 
-template <MaybeConst<WireStatus> S, class Visit>
+template <MaybeConst<obs::StageStatus> S, class Visit>
 void fields(S& s, Visit&& visit) {
   visit("progress", s.progress);
   visit("metrics", s.metrics);
@@ -347,10 +347,10 @@ void fields(D& d, Visit&& visit) {
   visit("error", d.error);
 }
 
-void write_status(Writer& w, const WireStatus& status) { fields(status, w); }
+void write_status(Writer& w, const obs::StageStatus& s) { fields(s, w); }
 
-WireStatus read_status(Reader& r) {
-  WireStatus status;
+obs::StageStatus read_status(Reader& r) {
+  obs::StageStatus status;
   fields(status, r);
   return status;
 }

@@ -22,12 +22,13 @@
 // half of the at-most-once commit protocol. Payloads are built/read with
 // the little-endian Writer/Reader below; tensors travel as raw fp32 bytes
 // (bit-exact — gradient bit-identity across the process boundary depends
-// on it). A worker's progress, metrics and trace travel as the same
-// records the threaded runtime keeps in memory: rt::StageProgress,
-// obs::StageMetrics and the flight recorder's tail in every heartbeat,
-// obs::Trace's records in the Done frame. Each payload record has one
-// field list (src/util/fields.hpp) that Writer and Reader both walk, so a
-// record's layout is its list's order: both ends are the same binary.
+// on it). A worker's status and trace travel as the same records the
+// threaded runtime keeps in memory: obs::StageStatus (progress, metrics,
+// injected delay and the flight recorder's tail, obs/telemetry.hpp) in
+// every heartbeat and the Done frame, obs::Trace's records in the Done
+// frame. Each payload record has one field list (src/util/fields.hpp) that
+// Writer and Reader both walk, so a record's layout is its list's order:
+// both ends are the same binary.
 
 #include <algorithm>
 #include <cstdint>
@@ -40,10 +41,9 @@
 #include "src/fault/fault_plan.hpp"
 #include "src/numerics/tensor.hpp"
 #include "src/obs/flight_recorder.hpp"
-#include "src/obs/metrics.hpp"
+#include "src/obs/telemetry.hpp"
 #include "src/obs/trace.hpp"
 #include "src/runtime/commit.hpp"
-#include "src/runtime/stage_driver.hpp"
 #include "src/util/fields.hpp"
 #include "src/util/logging.hpp"
 
@@ -52,7 +52,7 @@ namespace slim::dist {
 enum class FrameKind : std::uint8_t {
   Forward = 2,    // activation slice, stage s -> s+1
   Backward = 3,   // gradient slice, stage s -> s-1
-  Heartbeat = 4,  // worker -> supervisor: status (WireStatus)
+  Heartbeat = 4,  // worker -> supervisor: status (obs::StageStatus)
   Commit = 5,     // worker -> supervisor: retired microbatch's staged grads
   Done = 8,       // worker -> supervisor: final report, then exit
 };
@@ -193,19 +193,11 @@ class Reader {
 // ---------------------------------------------------------------------------
 // Structured payloads shared by stage workers and the supervisor.
 
-/// Heartbeat payload: the stage's progress (the source of the supervisor's
-/// postmortem blocked-on table and live snapshots), this attempt's metrics
-/// so far — wire counters and arena peaks included — and the flight
-/// recorder's tail, oldest first (the breadcrumbs of the postmortem).
-struct WireStatus {
-  rt::StageProgress progress;
-  obs::StageMetrics metrics;
-  double injected_delay_seconds = 0.0;
-  std::vector<obs::FlightEvent> flight;
-};
-
-void write_status(Writer& w, const WireStatus& status);
-WireStatus read_status(Reader& r);
+/// Heartbeat payload: the stage's status — the source of the supervisor's
+/// per-stage rows (live snapshots and postmortem) and, with the flight
+/// tail, of the postmortem's breadcrumbs.
+void write_status(Writer& w, const obs::StageStatus& status);
+obs::StageStatus read_status(Reader& r);
 
 /// Commit payload: one retired (stage, microbatch) StageCommit.
 void write_commit(Writer& w, const rt::StageCommit& commit);
@@ -215,7 +207,7 @@ rt::StageCommit read_commit(Reader& r);
 /// (recorded on the inherited run epoch, appended by the supervisor as is)
 /// and, when the worker failed (exit code 2), the error message.
 struct WireStageDone {
-  WireStatus status;
+  obs::StageStatus status;
   std::vector<fault::FaultEvent> events;
   obs::Trace trace;
   std::string error;  // empty: the worker ran until done or starved

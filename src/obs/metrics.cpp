@@ -7,6 +7,19 @@
 
 namespace slim::obs {
 
+const char* stage_state_name(StageState state) {
+  switch (state) {
+    case StageState::Running: return "running";
+    case StageState::Waiting: return "waiting";
+    case StageState::Done: return "done";
+    case StageState::Starved: return "starved";
+    case StageState::Hung: return "hung";
+    case StageState::Crashed: return "crashed";
+    case StageState::Aborted: return "aborted";
+  }
+  return "?";
+}
+
 void StageMetrics::fold(const StageMetrics& attempt) {
   compute_seconds += attempt.compute_seconds;
   comm_seconds += attempt.comm_seconds;

@@ -6,7 +6,11 @@
 // rt::drive_stage and its transport link, one record per attempt, folded
 // with StageMetrics::fold. sched::ScheduleResult and rt::PipelineStats both
 // carry a RunMetrics so the same analysis/report code consumes either.
+// Beside it, a runtime stage's progress (StageProgress), which the same
+// loop publishes after every message; obs/telemetry.hpp pairs the two as
+// the stage's status.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,33 @@
 #include "src/util/fields.hpp"
 
 namespace slim::obs {
+
+/// Lifecycle of one runtime stage, thread or process: the state column of
+/// the per-stage table.
+enum class StageState : int {
+  Running = 0,
+  Waiting,  // blocked waiting for arrivals
+  Done,
+  Starved,  // the watchdog fired, or the next row's sender is gone
+  Hung,     // injected hang: parked
+  Crashed,  // a worker thread threw
+  Aborted,  // a worker thread unwound by channel poisoning
+};
+
+const char* stage_state_name(StageState state);
+
+/// One runtime stage's progress, published after every message.
+struct StageProgress {
+  StageState state = StageState::Running;
+  std::int64_t messages = 0;  // rows and vocabulary messages picked
+  int done_f = 0, done_b = 0;
+  int due = 0;             // forward (= backward) slices this stage runs
+  int live = 0, cap = 0;   // live slices vs the table's Eq. 1 peak
+  int queue = 0;           // arrivals waiting for their row
+  int committed = 0, microbatches = 0;
+  int last_mb = -1;        // microbatch of the last picked message
+  double at = 0.0;         // run-clock seconds of the publish
+};
 
 /// Per-device (== per-pipeline-stage) breakdown for one iteration.
 /// Discrete fields (peak_live_slices, p2p_messages) are schedule-shape

@@ -8,31 +8,34 @@
 
 namespace slim::obs {
 
-// Field lists of the snapshot records (src/util/fields.hpp).
+// Field lists of the snapshot records (src/util/fields.hpp). A row's keys
+// name the stage's own progress and metrics members in the file's terms.
 
 template <MaybeConst<StageLive> S, class Visit>
 void fields(S& s, Visit&& visit) {
+  auto& p = s.progress;
+  auto& m = s.metrics;
   visit("stage", s.stage);
   visit("pid", s.pid);
   visit("state", s.state);
   visit("beat_age_seconds", s.beat_age_seconds);
-  visit("messages", s.messages);
-  visit("done_f", s.done_f);
-  visit("want_f", s.want_f);
-  visit("done_b", s.done_b);
-  visit("want_b", s.want_b);
-  visit("live", s.live);
-  visit("live_cap", s.live_cap);
-  visit("queue", s.queue);
-  visit("committed", s.committed);
-  visit("committed_total", s.committed_total);
-  visit("frames_out", s.frames_out);
-  visit("frames_in", s.frames_in);
-  visit("bytes_out", s.bytes_out);
-  visit("bytes_in", s.bytes_in);
-  visit("crc_rejects", s.crc_rejects);
-  visit("retries", s.retries);
-  visit("arena_peak_bytes", s.arena_peak_bytes);
+  visit("messages", p.messages);
+  visit("done_f", p.done_f);
+  visit("want_f", p.due);
+  visit("done_b", p.done_b);
+  visit("want_b", p.due);
+  visit("live", p.live);
+  visit("live_cap", p.cap);
+  visit("queue", p.queue);
+  visit("committed", p.committed);
+  visit("committed_total", p.microbatches);
+  visit("frames_out", m.frames_sent);
+  visit("frames_in", m.frames_recv);
+  visit("bytes_out", m.p2p_bytes);
+  visit("bytes_in", m.bytes_recv);
+  visit("crc_rejects", m.crc_rejects);
+  visit("retries", m.send_retries);
+  visit("arena_peak_bytes", m.measured_peak_total);
   visit("flight_events", s.flight_events);
   visit("respawns", s.respawns);
 }
@@ -63,57 +66,53 @@ constexpr Series kStageSeries[] = {
     // signal 9 (...)", "exited with code 2"), so liveness is membership in
     // the worker-loop state set, not a "dead" sentinel.
     {"slimpipe_stage_up", "Worker liveness (1 = worker-loop state).", "gauge",
-     [](const StageLive& s) {
+     [](const StageLive& s) -> double {
        return s.state == "running" || s.state == "waiting" ||
-                      s.state == "done" || s.state == "starved" ||
-                      s.state == "hung"
-                  ? 1.0
-                  : 0.0;
+              s.state == "done" || s.state == "starved" || s.state == "hung";
      }},
     {"slimpipe_stage_beat_age_seconds",
      "Run-clock seconds since the stage's last heartbeat.", "gauge",
-     [](const StageLive& s) { return s.beat_age_seconds; }},
+     [](const StageLive& s) -> double { return s.beat_age_seconds; }},
     {"slimpipe_stage_messages_total",
      "Frames processed by the worker loop.", "counter",
-     [](const StageLive& s) { return static_cast<double>(s.messages); }},
+     [](const StageLive& s) -> double { return s.progress.messages; }},
     {"slimpipe_stage_forward_slices_total",
      "Forward slice passes completed.", "counter",
-     [](const StageLive& s) { return static_cast<double>(s.done_f); }},
+     [](const StageLive& s) -> double { return s.progress.done_f; }},
     {"slimpipe_stage_backward_slices_total",
      "Backward slice passes completed.", "counter",
-     [](const StageLive& s) { return static_cast<double>(s.done_b); }},
+     [](const StageLive& s) -> double { return s.progress.done_b; }},
     {"slimpipe_stage_committed_microbatches",
      "Microbatch gradients committed by this stage.", "gauge",
-     [](const StageLive& s) { return static_cast<double>(s.committed); }},
+     [](const StageLive& s) -> double { return s.progress.committed; }},
     {"slimpipe_stage_live_slices", "Live slices held (paper Eq.1 window).",
-     "gauge", [](const StageLive& s) { return static_cast<double>(s.live); }},
+     "gauge", [](const StageLive& s) -> double { return s.progress.live; }},
     {"slimpipe_stage_queue_depth", "Inbox queue depth.", "gauge",
-     [](const StageLive& s) { return static_cast<double>(s.queue); }},
+     [](const StageLive& s) -> double { return s.progress.queue; }},
     {"slimpipe_stage_frames_out_total", "Wire frames sent on data links.",
      "counter",
-     [](const StageLive& s) { return static_cast<double>(s.frames_out); }},
+     [](const StageLive& s) -> double { return s.metrics.frames_sent; }},
     {"slimpipe_stage_frames_in_total", "Wire frames received on data links.",
      "counter",
-     [](const StageLive& s) { return static_cast<double>(s.frames_in); }},
+     [](const StageLive& s) -> double { return s.metrics.frames_recv; }},
     {"slimpipe_stage_bytes_out_total", "Payload bytes sent on data links.",
-     "counter", [](const StageLive& s) { return s.bytes_out; }},
+     "counter", [](const StageLive& s) { return s.metrics.p2p_bytes; }},
     {"slimpipe_stage_bytes_in_total", "Payload bytes received on data links.",
-     "counter", [](const StageLive& s) { return s.bytes_in; }},
+     "counter", [](const StageLive& s) { return s.metrics.bytes_recv; }},
     {"slimpipe_stage_crc_rejects_total",
      "Frames rejected by CRC/framing checks.", "counter",
-     [](const StageLive& s) { return static_cast<double>(s.crc_rejects); }},
+     [](const StageLive& s) -> double { return s.metrics.crc_rejects; }},
     {"slimpipe_stage_send_retries_total",
      "Retransmits after injected frame drops.", "counter",
-     [](const StageLive& s) { return static_cast<double>(s.retries); }},
+     [](const StageLive& s) -> double { return s.metrics.send_retries; }},
     {"slimpipe_stage_arena_peak_bytes",
      "Concurrent arena memory high-water, bytes.", "gauge",
-     [](const StageLive& s) { return s.arena_peak_bytes; }},
+     [](const StageLive& s) { return s.metrics.measured_peak_total; }},
     {"slimpipe_stage_flight_events_total",
      "Flight-recorder events recorded by the worker.", "counter",
-     [](const StageLive& s) { return static_cast<double>(s.flight_events); }},
+     [](const StageLive& s) -> double { return s.flight_events; }},
     {"slimpipe_stage_respawns_total", "Times this stage was respawned.",
-     "counter",
-     [](const StageLive& s) { return static_cast<double>(s.respawns); }},
+     "counter", [](const StageLive& s) -> double { return s.respawns; }},
 };
 
 std::string human_bytes(double bytes) {
@@ -168,32 +167,37 @@ std::string prometheus_text(const LiveSnapshot& snap) {
   return out.str();
 }
 
+std::string stage_table(const std::vector<StageLive>& rows) {
+  auto count = [](std::int64_t n) { return fmt(n); };
+  auto ratio = [](std::int64_t done, std::int64_t of) {
+    return fmt(done) + "/" + fmt(of);
+  };
+  Table table({"stage", "state", "pid", "age ms", "messages", "fwd", "bwd",
+               "live", "queue", "last mb", "commit", "out", "in", "crc",
+               "retry", "arena"});
+  for (const StageLive& s : rows) {
+    const StageProgress& p = s.progress;
+    const StageMetrics& m = s.metrics;
+    table.add_row({count(s.stage), s.state,
+                   s.pid > 0 ? count(s.pid) : "-",
+                   fmt(s.beat_age_seconds * 1e3, 0), count(p.messages),
+                   ratio(p.done_f, p.due), ratio(p.done_b, p.due),
+                   ratio(p.live, p.cap), count(p.queue),
+                   p.last_mb < 0 ? "-" : count(p.last_mb),
+                   ratio(p.committed, p.microbatches),
+                   human_bytes(m.p2p_bytes), human_bytes(m.bytes_recv),
+                   count(m.crc_rejects), count(m.send_retries),
+                   human_bytes(m.measured_peak_total)});
+  }
+  return table.to_string();
+}
+
 std::string render_top(const LiveSnapshot& snap) {
   std::ostringstream out;
   out << "slimpipe " << snap.phase << "  t=" << fmt(snap.ts, 2) << "s"
       << "  attempt " << snap.attempt << "  merged "
       << snap.merged_microbatches << "/" << snap.microbatches << " mb\n";
-  Table table({"stage", "pid", "state", "beat ms", "fwd", "bwd", "commit",
-               "live", "queue", "out", "in", "crc", "retry", "arena"});
-  for (const StageLive& s : snap.stages) {
-    table.add_row(
-        {fmt(static_cast<std::int64_t>(s.stage)),
-         fmt(static_cast<std::int64_t>(s.pid)), s.state,
-         fmt(s.beat_age_seconds * 1e3, 0),
-         fmt(static_cast<std::int64_t>(s.done_f)) + "/" +
-             fmt(static_cast<std::int64_t>(s.want_f)),
-         fmt(static_cast<std::int64_t>(s.done_b)) + "/" +
-             fmt(static_cast<std::int64_t>(s.want_b)),
-         fmt(static_cast<std::int64_t>(s.committed)) + "/" +
-             fmt(static_cast<std::int64_t>(s.committed_total)),
-         fmt(static_cast<std::int64_t>(s.live)) + "/" +
-             fmt(static_cast<std::int64_t>(s.live_cap)),
-         fmt(static_cast<std::int64_t>(s.queue)),
-         human_bytes(s.bytes_out), human_bytes(s.bytes_in),
-         fmt(s.crc_rejects), fmt(s.retries),
-         human_bytes(s.arena_peak_bytes)});
-  }
-  out << table.to_string();
+  out << stage_table(snap.stages);
   return out.str();
 }
 

@@ -1,11 +1,14 @@
 #pragma once
 
-// Live telemetry snapshots for the multi-process runtime.
+// A runtime stage's status and the live views built from it.
 //
-// The supervisor folds every worker's heartbeat counters (per-channel
-// bytes/frames/CRC rejects/retries, queue depths, committed-microbatch
-// progress, arena peaks) into a LiveSnapshot and publishes it two ways on a
-// fixed cadence:
+// Every stage reports one StageStatus (progress, metrics, injected delay,
+// flight tail): a process worker in each heartbeat and its Done frame, the
+// threaded runtime from its run record; the replay loop folds it. A
+// StageLive row adds what only the supervisor knows, and one table,
+// stage_table, prints the rows for the threaded watchdog, the process
+// postmortem and `slimpipe_top`. The multi-process supervisor publishes
+// its rows as a LiveSnapshot on a fixed cadence:
 //
 //   * a JSON snapshot file (atomic rename) that `slimpipe_top` tails for a
 //     live terminal view, and
@@ -18,34 +21,32 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/flight_recorder.hpp"
 #include "src/obs/json.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace slim::obs {
 
-/// Per-stage live state, as of the worker's most recent heartbeat.
+/// What one stage reports about itself: a heartbeat's and a Done frame's
+/// payload, and what the replay loop folds for each stage and attempt.
+struct StageStatus {
+  StageProgress progress;  // as last published
+  StageMetrics metrics;    // this attempt's so far
+  double injected_delay_seconds = 0.0;  // transport delay the plan injected
+  std::vector<FlightEvent> flight;      // the flight recorder's tail
+};
+
+/// One stage's row of the per-stage table and of a live snapshot: the
+/// stage's own progress and metrics beside what the supervisor adds.
 struct StageLive {
   int stage = 0;
-  std::int64_t pid = 0;
-  std::string state;             // worker-reported loop state
-  double beat_age_seconds = 0.0; // run-clock seconds since the last beat
-  std::int64_t messages = 0;     // frames processed by the worker loop
-
-  // Progress.
-  std::int32_t done_f = 0, want_f = 0;  // forward slices done / total
-  std::int32_t done_b = 0, want_b = 0;  // backward slices done / total
-  std::int32_t live = 0, live_cap = 0;  // live slices vs Eq.1 cap
-  std::int32_t queue = 0;               // inbox depth
-  std::int32_t committed = 0, committed_total = 0;  // microbatches
-
-  // Per-channel wire counters, summed over the worker's links.
-  std::int64_t frames_out = 0, frames_in = 0;
-  double bytes_out = 0.0, bytes_in = 0.0;
-  std::int64_t crc_rejects = 0, retries = 0;
-
-  double arena_peak_bytes = 0.0;  // concurrent arena high-water
-
+  std::int64_t pid = 0;           // 0: a thread of this process
+  std::string state;              // a StageState name, or how a worker exited
+  double beat_age_seconds = 0.0;  // run-clock seconds since its last status
   std::int64_t flight_events = 0;  // flight-recorder events recorded so far
   std::int64_t respawns = 0;       // times this stage was respawned
+  StageProgress progress;
+  StageMetrics metrics;
 };
 
 struct LiveSnapshot {
@@ -64,8 +65,13 @@ bool snapshot_from_json(const JsonValue& value, LiveSnapshot* out);
 /// headers plus one `slimpipe_*{stage="N"}` series per stage per metric.
 std::string prometheus_text(const LiveSnapshot& snap);
 
-/// One terminal frame for the `slimpipe_top` live view (plain text, aligned
-/// table + header line; no ANSI escapes — the tool owns cursor control).
+/// The per-stage table: one row per StageLive, stage and state first, then
+/// pid, status age and the stage's own progress and metrics.
+std::string stage_table(const std::vector<StageLive>& rows);
+
+/// One terminal frame for the `slimpipe_top` live view (plain text: a
+/// header line and the per-stage table; no ANSI escapes — the tool owns
+/// cursor control).
 std::string render_top(const LiveSnapshot& snap);
 
 /// Writes `content` to `path` via a sibling temp file + rename so readers

@@ -8,6 +8,7 @@
 #include <optional>
 #include <thread>
 
+#include "src/obs/telemetry.hpp"
 #include "src/runtime/channel.hpp"
 #include "src/runtime/replay.hpp"
 #include "src/runtime/stage_driver.hpp"
@@ -76,7 +77,7 @@ class ChannelLink final : public StageLink {
 
   // The driver keeps the progress record in the StageRun, which the parent
   // reads after the join; publishing only checks for shutdown.
-  void publish(const StageProgress& /*progress*/) override {
+  void publish(const obs::StageProgress& /*progress*/) override {
     if (ctrl_.shutdown.load(std::memory_order_relaxed)) throw WorkerAborted{};
   }
 
@@ -191,13 +192,13 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
       } catch (const WorkerAborted&) {
         // Poisoned during shutdown. Keep a Hung label: the blocked-on table
         // should show the root cause.
-        if (run.progress.state != StageState::Hung) {
-          run.progress.state = StageState::Aborted;
+        if (run.progress.state != obs::StageState::Hung) {
+          run.progress.state = obs::StageState::Aborted;
         }
       } catch (const StageStarved& starved) {
         fail(stage, starved.what());  // the watchdog; the row says starved
       } catch (const std::exception& error) {
-        run.progress.state = StageState::Crashed;
+        run.progress.state = obs::StageState::Crashed;
         fail(stage, error.what());
       }
     };
@@ -211,23 +212,24 @@ ThreadedPipeline::Result ThreadedPipeline::run_iteration(
     AttemptEnd end;
     end.culprit = ctrl.culprit;
     end.detail = std::move(ctrl.detail);
-    std::vector<StageProgress> rows;
-    std::vector<std::string> states;
     for (StageRun& run : runs) {
-      rows.push_back(run.progress);
-      states.emplace_back(stage_state_name(run.progress.state));
-      end.stages.push_back(
-          {run.progress, std::move(run.metrics), std::move(run.events)});
+      end.stages.push_back({{run.progress, std::move(run.metrics), 0.0, {}},
+                            std::move(run.events)});
     }
     if (end.culprit >= 0) {
-      // A starved stage only saw the fault: a hung stage is the culprit,
-      // as the process supervisor's missed-heartbeat verdict names it.
+      std::vector<obs::StageLive> rows;
       for (int s = 0; s < p; ++s) {
-        if (rows[static_cast<std::size_t>(s)].state == StageState::Hung) {
-          end.culprit = s;
-        }
+        const obs::StageStatus& status =
+            end.stages[static_cast<std::size_t>(s)].status;
+        // A starved stage only saw the fault: a hung stage is the culprit,
+        // as the process supervisor's missed-heartbeat verdict names it.
+        if (status.progress.state == obs::StageState::Hung) end.culprit = s;
+        rows.push_back({s, 0, obs::stage_state_name(status.progress.state),
+                        attempt.now() - status.progress.at, 0,
+                        attempt.respawns[static_cast<std::size_t>(s)],
+                        status.progress, status.metrics});
       }
-      end.table = blocked_on_table(rows, states, attempt.now());
+      end.table = obs::stage_table(rows);
     }
     return end;
   };

@@ -104,9 +104,10 @@ PipelineResult run_replayed(const PipelineModel& model, const Batch& tokens,
     }
     for (int s = 0; s < p; ++s) {
       StageEnd& stage = end.stages[static_cast<std::size_t>(s)];
-      stats.messages[static_cast<std::size_t>(s)] += stage.progress.messages;
-      probes[static_cast<std::size_t>(s)].fold(stage.metrics);
-      report.injected_seconds += stage.injected_seconds;
+      const obs::StageStatus& status = stage.status;
+      stats.messages[static_cast<std::size_t>(s)] += status.progress.messages;
+      probes[static_cast<std::size_t>(s)].fold(status.metrics);
+      report.injected_seconds += status.injected_delay_seconds;
       for (fault::FaultEvent& event : stage.events) {
         report.events.push_back(std::move(event));
       }

@@ -6,11 +6,12 @@
 // threaded runtime starts a thread per stage over Channels and joins them
 // (pipeline_runtime.cpp), the multi-process runtime forks a worker per
 // stage, supervises and reaps them (src/dist/process_pipeline.cpp) — and
-// reports how it ended. run_replayed owns everything above that: the slice
-// layouts and the plan's validation, the run clock, the CommitLedger, the
-// attempt/replay policy, the Recovery event, the per-attempt fold of every
-// stage's metrics and fault events, the FaultReport out-param and the one
-// PipelineError form.
+// reports how it ended: each stage's status (obs::StageStatus, the record a
+// process worker's heartbeat carries) and fault events, and the culprit.
+// run_replayed owns everything above that: the slice layouts and the plan's
+// validation, the run clock, the CommitLedger, the attempt/replay policy,
+// the Recovery event, the per-attempt fold of every stage's status and
+// fault events, the FaultReport out-param and the one PipelineError form.
 //
 // The policy. Attempt 0 runs every microbatch with the plan's faults armed.
 // While an attempt fails and `recover` is set, the loop merges what retired
@@ -27,9 +28,9 @@
 
 #include "src/fault/fault_plan.hpp"
 #include "src/obs/clock.hpp"
+#include "src/obs/telemetry.hpp"
 #include "src/runtime/commit.hpp"
 #include "src/runtime/pipeline_runtime.hpp"
-#include "src/runtime/stage_driver.hpp"
 #include "src/runtime/stage_machine.hpp"
 
 namespace slim::rt {
@@ -48,12 +49,12 @@ struct Attempt {
   double now() const;
 };
 
-/// What one stage left behind in one attempt.
+/// What one stage left behind in one attempt: its last status — a process
+/// worker's Done frame or final heartbeat, a stage thread's run record —
+/// and the fault events it logged.
 struct StageEnd {
-  StageProgress progress;     // as last published
-  obs::StageMetrics metrics;  // this attempt's probes
+  obs::StageStatus status;
   std::vector<fault::FaultEvent> events;
-  double injected_seconds = 0.0;  // transport delay the plan injected
 };
 
 /// How one attempt ended.
@@ -64,7 +65,7 @@ struct AttemptEnd {
   std::vector<fault::FaultEvent> events;
   int culprit = -1;    // the stage whose failure ended the attempt; -1: none
   std::string detail;  // what failed
-  std::string table;   // the blocked-on table, when it failed
+  std::string table;   // the per-stage table (obs::stage_table), if failed
 };
 
 using RunAttempt = std::function<AttemptEnd(const Attempt&)>;

@@ -5,44 +5,8 @@
 #include <utility>
 
 #include "src/memory/category.hpp"
-#include "src/util/table.hpp"
 
 namespace slim::rt {
-
-const char* stage_state_name(StageState state) {
-  switch (state) {
-    case StageState::Running: return "running";
-    case StageState::Waiting: return "waiting";
-    case StageState::Done: return "done";
-    case StageState::Starved: return "starved";
-    case StageState::Hung: return "hung";
-    case StageState::Crashed: return "crashed";
-    case StageState::Aborted: return "aborted";
-  }
-  return "?";
-}
-
-std::string blocked_on_table(const std::vector<StageProgress>& rows,
-                             const std::vector<std::string>& states,
-                             double now) {
-  Table table({"stage", "state", "age ms", "messages", "fwd", "bwd", "live",
-               "cap", "queue", "last mb", "committed mbs"});
-  for (std::size_t s = 0; s < rows.size(); ++s) {
-    const StageProgress& row = rows[s];
-    const std::string due = std::to_string(row.due);
-    table.add_row(
-        {std::to_string(s), states[s],
-         std::to_string(static_cast<std::int64_t>((now - row.at) * 1e3)),
-         std::to_string(row.messages),
-         std::to_string(row.done_f) + "/" + due,
-         std::to_string(row.done_b) + "/" + due, std::to_string(row.live),
-         std::to_string(row.cap), std::to_string(row.queue),
-         row.last_mb < 0 ? std::string("-") : std::to_string(row.last_mb),
-         std::to_string(row.committed) + "/" +
-             std::to_string(row.microbatches)});
-  }
-  return table.to_string();
-}
 
 std::int64_t flow_id(int attempt, const Message& msg, int dst) {
   // Mixed-radix fold; the radices bound any run this repo can set up.
@@ -78,14 +42,14 @@ void drive_stage(StageMachine& machine, StageLink& link, StageRun& run) {
   using Clock = obs::MonoClock;
   const int stage = run.stage;
   obs::Recorder* const rec = run.recorder;
-  StageProgress& progress = run.progress;
+  obs::StageProgress& progress = run.progress;
   obs::StageMetrics& metrics = run.metrics;
   metrics.device = stage;
   progress.due = machine.slices_due();
   progress.cap = machine.live_cap();
   progress.microbatches = machine.microbatches();
 
-  auto publish = [&](StageState state) {
+  auto publish = [&](obs::StageState state) {
     progress.state = state;
     progress.messages = machine.messages();
     progress.done_f = machine.forwards_done();
@@ -112,7 +76,7 @@ void drive_stage(StageMachine& machine, StageLink& link, StageRun& run) {
   const fault::StageRules& rules = run.rules;
   bool delay_logged = false;
   auto on_pick = [&](const Message& msg) {
-    publish(StageState::Running);
+    publish(obs::StageState::Running);
     const std::int64_t count = machine.messages();
     if (count == rules.hang_after) {
       // The stage silently stops making progress: its peers starve, or
@@ -120,7 +84,7 @@ void drive_stage(StageMachine& machine, StageLink& link, StageRun& run) {
       run.fault(fault::FaultEvent::Kind::Hang, "hang",
                 "stage stopped draining its inbox");
       run.crumb(obs::FlightKind::Fault, msg.mb, msg.slice, count, "hang");
-      publish(StageState::Hung);
+      publish(obs::StageState::Hung);
       link.hang();
     }
     if (count == rules.crash_after) {
@@ -175,18 +139,18 @@ void drive_stage(StageMachine& machine, StageLink& link, StageRun& run) {
       if (source >= 0 && link.closed(source)) {
         // The row's sender is gone and all it sent has arrived, so the row
         // can never run: stop where the table says, not at the watchdog.
-        publish(StageState::Starved);
+        publish(obs::StageState::Starved);
         return;
       }
       // Nothing runnable: wait for arrivals under the watchdog.
       if (!waiting) {
         waiting = true;
         wait_start = Clock::now();
-        publish(StageState::Waiting);
+        publish(obs::StageState::Waiting);
       }
       const auto waited = Clock::now() - wait_start;
       if (waited >= run.starvation_timeout) {
-        publish(StageState::Starved);
+        publish(obs::StageState::Starved);
         const std::string detail =
             "starved: f=" + std::to_string(progress.done_f) + "/" +
             std::to_string(progress.due) +
@@ -266,9 +230,9 @@ void drive_stage(StageMachine& machine, StageLink& link, StageRun& run) {
                     std::to_string(slice) + " st" + std::to_string(at_stage),
                 obs::kCatCompute, start, end, mb, slice, at_stage);
     }
-    publish(StageState::Running);
+    publish(obs::StageState::Running);
   }
-  publish(StageState::Done);
+  publish(obs::StageState::Done);
 }
 
 }  // namespace slim::rt

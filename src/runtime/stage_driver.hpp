@@ -7,7 +7,9 @@
 // run, send, retire; the wait for arrivals under the starvation watchdog;
 // the fault plan's crash, hang and delay rules, keyed on the pick count;
 // busy and blocked timing; compute and recv spans, commit instants and flow
-// points; and one StageProgress, published after every message. A
+// points; and the stage's own records, obs::StageProgress (published after
+// every message) and this attempt's obs::StageMetrics, which both runtimes
+// report as the stage's obs::StageStatus (src/obs/telemetry.hpp). A
 // StageLink supplies only what differs by transport — the threaded runtime
 // moves messages over Channels (pipeline_runtime.cpp), a process worker
 // over its data sockets (src/dist/stage_worker.cpp), the unit tests over a
@@ -30,43 +32,6 @@
 #include "src/runtime/stage_machine.hpp"
 
 namespace slim::rt {
-
-/// Lifecycle of one stage worker, thread or process: the state column of
-/// the blocked-on table.
-enum class StageState : int {
-  Running = 0,
-  Waiting,  // blocked waiting for arrivals
-  Done,
-  Starved,  // the watchdog fired, or the next row's sender is gone
-  Hung,     // injected hang: parked
-  Crashed,  // a worker thread threw
-  Aborted,  // a worker thread unwound by channel poisoning
-};
-
-const char* stage_state_name(StageState state);
-
-/// One stage's progress, published after every message: the threaded
-/// watchdog's blocked-on table reads it, a process worker's heartbeat
-/// carries it.
-struct StageProgress {
-  StageState state = StageState::Running;
-  std::int64_t messages = 0;  // rows and vocabulary messages picked
-  int done_f = 0, done_b = 0;
-  int due = 0;             // forward (= backward) slices this stage runs
-  int live = 0, cap = 0;   // live slices vs the table's Eq. 1 peak
-  int queue = 0;           // arrivals waiting for their row
-  int committed = 0, microbatches = 0;
-  int last_mb = -1;        // microbatch of the last picked message
-  double at = 0.0;         // run-clock seconds of the publish
-};
-
-/// The blocked-on table: one row per stage, with `states[i]` as row i's
-/// state column (a runtime may name more than StageState, e.g. how a worker
-/// process exited) and each row's age (ms since it was published) at the
-/// run-clock time `now`.
-std::string blocked_on_table(const std::vector<StageProgress>& rows,
-                             const std::vector<std::string>& states,
-                             double now);
 
 /// Flow-arrow id of one cross-stage message, derived independently by its
 /// sender and its receiver (`dst`): attempt, kind, global stage,
@@ -96,8 +61,8 @@ struct alignas(64) StageRun {
   obs::FlightRecorder* flight = nullptr;  // breadcrumbs (process workers)
   const num::ArenaStats* arena = nullptr;  // the machine's arena sink
 
-  StageProgress progress;     // as last published
-  obs::StageMetrics metrics;  // this attempt's probes, driver and link
+  obs::StageProgress progress;  // as last published
+  obs::StageMetrics metrics;    // this attempt's probes, driver and link
   std::vector<fault::FaultEvent> events;
 
   /// Seconds on the run clock.
@@ -126,7 +91,7 @@ class StageLink {
   /// Hands microbatch `mb`, just retired by `machine`, to its commit point.
   virtual void retire(StageMachine& machine, int mb) = 0;
   /// Shares the progress record the driver just updated.
-  virtual void publish(const StageProgress& progress) = 0;
+  virtual void publish(const obs::StageProgress& progress) = 0;
   /// The plan's crash and hang rules: neither returns.
   [[noreturn]] virtual void crash() = 0;
   [[noreturn]] virtual void hang() = 0;

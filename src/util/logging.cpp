@@ -26,15 +26,14 @@ LogLine::~LogLine() {
   std::cerr << stream_.str() << "\n";
 }
 
+// Throws only: whoever catches the error reports what() (the tools, a
+// worker's Done frame, PipelineError), and an uncaught one reaches
+// std::terminate's message.
 void check_failed(const char* cond, const std::string& msg, const char* file,
                   int line) {
   std::ostringstream out;
   out << "SLIM_CHECK failed: (" << cond << ") at " << file << ":" << line
       << ": " << msg;
-  {
-    std::lock_guard<std::mutex> lock(g_io_mutex);
-    std::cerr << out.str() << std::endl;
-  }
   throw std::logic_error(out.str());
 }
 

@@ -39,7 +39,9 @@ class LogLine {
 #define SLIM_LOG(severity) \
   ::slim::detail::LogLine(::slim::LogLevel::severity, __FILE__, __LINE__)
 
-/// Fatal-on-violation check used for internal invariants (always enabled).
+/// Check for internal invariants and malformed input (always enabled): a
+/// failed one throws std::logic_error naming the condition, file, line and
+/// message, and prints nothing itself.
 #define SLIM_CHECK(cond, msg)                                              \
   do {                                                                     \
     if (!(cond)) {                                                         \

@@ -166,8 +166,8 @@ TEST(WireTest, CorruptPayloadDetected) {
 }
 
 TEST(WireTest, StatusRoundTrip) {
-  WireStatus status;
-  status.progress.state = rt::StageState::Waiting;
+  obs::StageStatus status;
+  status.progress.state = obs::StageState::Waiting;
   status.progress.messages = 123;
   status.progress.done_f = 7;
   status.progress.done_b = 6;
@@ -215,8 +215,8 @@ TEST(WireTest, StatusRoundTrip) {
   // the injected delay and two flight events, one label truncated.
   EXPECT_EQ(bytes.size(), 337u);
   Reader r(bytes);
-  const WireStatus back = read_status(r);
-  EXPECT_EQ(back.progress.state, rt::StageState::Waiting);
+  const obs::StageStatus back = read_status(r);
+  EXPECT_EQ(back.progress.state, obs::StageState::Waiting);
   EXPECT_EQ(back.progress.messages, 123);
   EXPECT_EQ(back.progress.done_f, 7);
   EXPECT_EQ(back.progress.done_b, 6);
@@ -948,8 +948,9 @@ TEST(DistObservabilityTest, LiveSnapshotCarriesArenaPeaks) {
   for (const obs::StageLive& live : snap.stages) {
     const obs::StageMetrics& sm =
         dist.stats.metrics.stages[static_cast<std::size_t>(live.stage)];
-    EXPECT_GT(live.arena_peak_bytes, 0.0) << "stage " << live.stage;
-    EXPECT_EQ(live.arena_peak_bytes, sm.measured_peak_total)
+    EXPECT_GT(live.metrics.measured_peak_total, 0.0)
+        << "stage " << live.stage;
+    EXPECT_EQ(live.metrics.measured_peak_total, sm.measured_peak_total)
         << "stage " << live.stage;
   }
 }

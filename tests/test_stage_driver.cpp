@@ -71,7 +71,7 @@ class TestLink final : public StageLink {
     retired.push_back(mb);
     machine.take_commit(mb);
   }
-  void publish(const StageProgress& progress) override {
+  void publish(const obs::StageProgress& progress) override {
     published.push_back(progress);
   }
   bool closed(int device) const override { return device == gone; }
@@ -81,7 +81,7 @@ class TestLink final : public StageLink {
   int gone = -1;
   std::vector<Outgoing> sent;
   std::vector<int> retired;
-  std::vector<StageProgress> published;
+  std::vector<obs::StageProgress> published;
 
  private:
   int stage_;
@@ -160,7 +160,7 @@ TEST(StageDriverTest, HangFiresAtTheRulesPickCountAndPublishesHung) {
   EXPECT_THROW(drive_stage(rig.machines[0], rig.links[0], rig.runs[0]), Hung);
   EXPECT_EQ(rig.machines[0].messages(), 3);
   ASSERT_FALSE(rig.links[0].published.empty());
-  EXPECT_EQ(rig.links[0].published.back().state, StageState::Hung);
+  EXPECT_EQ(rig.links[0].published.back().state, obs::StageState::Hung);
   EXPECT_EQ(rig.links[0].published.back().messages, 3);
   EXPECT_EQ(count_kind(rig.runs[0], fault::FaultEvent::Kind::Hang), 1);
 }
@@ -181,7 +181,7 @@ TEST(StageDriverTest, DelayLogsOneEventPerAttempt) {
     EXPECT_EQ(rig.machines[0].messages(), 8);
     EXPECT_EQ(count_kind(rig.runs[0], fault::FaultEvent::Kind::Delay), 1)
         << "attempt " << attempt;
-    EXPECT_EQ(rig.links[0].published.back().state, StageState::Done);
+    EXPECT_EQ(rig.links[0].published.back().state, obs::StageState::Done);
   }
 }
 
@@ -196,8 +196,8 @@ TEST(StageDriverTest, StarvingStageThrowsAfterTheTimeout) {
   EXPECT_GE(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(60));
   ASSERT_FALSE(rig.links[1].published.empty());
-  EXPECT_EQ(rig.links[1].published.back().state, StageState::Starved);
-  EXPECT_EQ(run.progress.state, StageState::Starved);
+  EXPECT_EQ(rig.links[1].published.back().state, obs::StageState::Starved);
+  EXPECT_EQ(run.progress.state, obs::StageState::Starved);
   EXPECT_EQ(run.events.size(), 1u);
   EXPECT_EQ(count_kind(run, fault::FaultEvent::Kind::Watchdog), 1);
 }
@@ -216,8 +216,8 @@ TEST(StageDriverTest, StopsStarvedAtTheFirstRowWaitingOnAClosedLink) {
   EXPECT_EQ(rig.machines[0].messages(), 2);
   EXPECT_EQ(rig.links[0].sent.size(), 2u);
   EXPECT_FALSE(rig.machines[0].finished());
-  EXPECT_EQ(run.progress.state, StageState::Starved);
-  EXPECT_EQ(rig.links[0].published.back().state, StageState::Starved);
+  EXPECT_EQ(run.progress.state, obs::StageState::Starved);
+  EXPECT_EQ(rig.links[0].published.back().state, obs::StageState::Starved);
   EXPECT_TRUE(run.events.empty());
 }
 

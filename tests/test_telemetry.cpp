@@ -3,8 +3,8 @@
 // (obs/flight_recorder.hpp, dist/wire.hpp), the heartbeat's progress and
 // metrics field by field on the wire and in the report JSON, and live
 // telemetry snapshots — the snapshot JSON and the Prometheus exposition
-// byte for byte, JSON round trips and the slimpipe_top terminal rendering
-// (obs/telemetry.hpp).
+// byte for byte, JSON round trips, and the one per-stage table with the
+// slimpipe_top frame built on it (obs/telemetry.hpp).
 
 #include <gtest/gtest.h>
 
@@ -103,8 +103,8 @@ TEST(FlightRecorderTest, RenderedTailNamesKindsAndLabels) {
 // The flight tail on the wire: a heartbeat's status payload, torn or cut.
 
 /// A status whose flight tail holds `events` commit breadcrumbs.
-dist::WireStatus status_with_tail(int events) {
-  dist::WireStatus status;
+StageStatus status_with_tail(int events) {
+  StageStatus status;
   FlightEvent ev;
   ev.kind = FlightKind::Commit;
   ev.set_label("mb0");
@@ -125,7 +125,7 @@ TEST(FlightWireTest, FlushRoundTrip) {
     rec.record(i % 2 == 0 ? FlightKind::Recv : FlightKind::Send, 0.25 * i, i,
                i % 3 - 1, 64 * i, i == 39 ? std::string_view(longer) : "fwd");
   }
-  dist::WireStatus status;
+  StageStatus status;
   status.flight = rec.tail();
   dist::Writer w;
   dist::write_status(w, status);
@@ -141,7 +141,7 @@ TEST(FlightWireTest, FlushRoundTrip) {
   EXPECT_EQ(in.kind, dist::FrameKind::Heartbeat);
   EXPECT_EQ(in.stage, 2);
   dist::Reader r(in.payload);
-  const dist::WireStatus back = dist::read_status(r);
+  const StageStatus back = dist::read_status(r);
   EXPECT_TRUE(r.done());
   ASSERT_EQ(back.flight.size(), FlightRecorder::kCapacity);
   for (std::size_t k = 0; k < back.flight.size(); ++k) {
@@ -230,9 +230,9 @@ TEST(FlightWireTest, BadFlightCountsThrow) {
 // Field by field: every member of the heartbeat's progress and metrics, each
 // set to its own non-default value, survives the wire and the report JSON.
 
-rt::StageProgress distinct_progress() {
-  rt::StageProgress p;
-  p.state = rt::StageState::Starved;
+StageProgress distinct_progress() {
+  StageProgress p;
+  p.state = StageState::Starved;
   p.messages = 101;
   p.done_f = 102;
   p.done_b = 103;
@@ -247,8 +247,8 @@ rt::StageProgress distinct_progress() {
   return p;
 }
 
-void expect_same_progress(const rt::StageProgress& a,
-                          const rt::StageProgress& b) {
+void expect_same_progress(const StageProgress& a,
+                          const StageProgress& b) {
   EXPECT_EQ(a.state, b.state);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.done_f, b.done_f);
@@ -310,14 +310,14 @@ void expect_same_metrics(const StageMetrics& a, const StageMetrics& b) {
 }
 
 TEST(FieldListTest, EveryProgressAndMetricsFieldSurvivesTheWire) {
-  dist::WireStatus status;
+  StageStatus status;
   status.progress = distinct_progress();
   status.metrics = distinct_metrics();
   dist::Writer w;
   dist::write_status(w, status);
   const std::vector<std::uint8_t> bytes = w.take();
   dist::Reader r(bytes);
-  const dist::WireStatus back = dist::read_status(r);
+  const StageStatus back = dist::read_status(r);
   EXPECT_TRUE(r.done());
   expect_same_progress(back.progress, status.progress);
   expect_same_metrics(back.metrics, status.metrics);
@@ -380,23 +380,22 @@ LiveSnapshot sample_snapshot() {
   s0.pid = 4242;
   s0.state = "running";
   s0.beat_age_seconds = 0.025;
-  s0.messages = 31;
-  s0.done_f = 6;
-  s0.want_f = 8;
-  s0.done_b = 4;
-  s0.want_b = 8;
-  s0.live = 2;
-  s0.live_cap = 4;
-  s0.queue = 1;
-  s0.committed = 1;
-  s0.committed_total = 4;
-  s0.frames_out = 12;
-  s0.frames_in = 11;
-  s0.bytes_out = 98304.0;
-  s0.bytes_in = 90112.0;
-  s0.crc_rejects = 0;
-  s0.retries = 2;
-  s0.arena_peak_bytes = 1 << 20;
+  s0.progress.messages = 31;
+  s0.progress.done_f = 6;
+  s0.progress.due = 8;
+  s0.progress.done_b = 4;
+  s0.progress.live = 2;
+  s0.progress.cap = 4;
+  s0.progress.queue = 1;
+  s0.progress.committed = 1;
+  s0.progress.microbatches = 4;
+  s0.metrics.frames_sent = 12;
+  s0.metrics.frames_recv = 11;
+  s0.metrics.p2p_bytes = 98304.0;
+  s0.metrics.bytes_recv = 90112.0;
+  s0.metrics.crc_rejects = 0;
+  s0.metrics.send_retries = 2;
+  s0.metrics.measured_peak_total = 1 << 20;
   s0.flight_events = 57;
   s0.respawns = 1;
   snap.stages.push_back(s0);
@@ -423,8 +422,8 @@ TEST(SnapshotJsonTest, RoundTripsThroughDumpAndParse) {
   EXPECT_EQ(back.merged_microbatches, 1);
   ASSERT_EQ(back.stages.size(), 2u);
   EXPECT_EQ(back.stages[0].pid, 4242);
-  EXPECT_EQ(back.stages[0].frames_out, 12);
-  EXPECT_EQ(back.stages[0].bytes_in, 90112.0);
+  EXPECT_EQ(back.stages[0].metrics.frames_sent, 12);
+  EXPECT_EQ(back.stages[0].metrics.bytes_recv, 90112.0);
   EXPECT_EQ(back.stages[0].flight_events, 57);
   EXPECT_EQ(back.stages[1].state, "killed by signal 9 (heartbeat deadline)");
   EXPECT_EQ(back.stages[1].respawns, 1);
@@ -658,6 +657,47 @@ TEST(RenderTopTest, FrameCarriesPhaseProgressAndStates) {
   EXPECT_NE(text.find("6/8"), std::string::npos);  // fwd progress
   // No ANSI escapes: cursor control belongs to the tool, not the renderer.
   EXPECT_EQ(text.find('\033'), std::string::npos);
+}
+
+TEST(RenderTopTest, GoldenFrame) {
+  // The header line, then the one per-stage table: stage and state first
+  // (the columns the blocked-on table's readers parse), the stage's own
+  // progress and metrics after. The snapshot file carries no last
+  // microbatch, so that column reads "-" here.
+  EXPECT_EQ(render_top(sample_snapshot()), R"(slimpipe running  t=1.50s  attempt 2  merged 1/4 mb
++-------+-----------------------------------------+------+--------+----------+-----+-----+------+-------+---------+--------+---------+---------+-----+-------+--------+
+| stage | state                                   | pid  | age ms | messages | fwd | bwd | live | queue | last mb | commit | out     | in      | crc | retry | arena  |
++-------+-----------------------------------------+------+--------+----------+-----+-----+------+-------+---------+--------+---------+---------+-----+-------+--------+
+| 0     | running                                 | 4242 | 25     | 31       | 6/8 | 4/8 | 2/4  | 1     | -       | 1/4    | 96.0KiB | 88.0KiB | 0   | 2     | 1.0MiB |
+| 1     | killed by signal 9 (heartbeat deadline) | 4243 | 25     | 31       | 6/8 | 4/8 | 2/4  | 1     | -       | 1/4    | 96.0KiB | 88.0KiB | 0   | 2     | 1.0MiB |
++-------+-----------------------------------------+------+--------+----------+-----+-----+------+-------+---------+--------+---------+---------+-----+-------+--------+
+)");
+}
+
+TEST(StageTableTest, ThreadRowShowsNoPidAndItsLastMicrobatch) {
+  // A stage thread's row, as the threaded watchdog prints it: no pid of its
+  // own, and the microbatch of the last picked message.
+  StageLive row;
+  row.stage = 1;
+  row.state = "hung";
+  row.beat_age_seconds = 0.2014;
+  row.respawns = 1;
+  row.progress.messages = 3;
+  row.progress.done_f = 2;
+  row.progress.due = 8;
+  row.progress.live = 2;
+  row.progress.cap = 6;
+  row.progress.queue = 1;
+  row.progress.microbatches = 2;
+  row.progress.last_mb = 0;
+  row.metrics.p2p_bytes = 768.0;
+  row.metrics.bytes_recv = 1536.0;
+  EXPECT_EQ(stage_table({row}), R"(+-------+-------+-----+--------+----------+-----+-----+------+-------+---------+--------+------+--------+-----+-------+-------+
+| stage | state | pid | age ms | messages | fwd | bwd | live | queue | last mb | commit | out  | in     | crc | retry | arena |
++-------+-------+-----+--------+----------+-----+-----+------+-------+---------+--------+------+--------+-----+-------+-------+
+| 1     | hung  | -   | 201    | 3        | 2/8 | 0/8 | 2/6  | 1     | 0       | 0/2    | 768B | 1.5KiB | 0   | 0     | 0.0B  |
++-------+-------+-----+--------+----------+-----+-----+------+-------+---------+--------+------+--------+-----+-------+-------+
+)");
 }
 
 TEST(WriteAtomicTest, WritesAndReplacesWithoutTornReads) {

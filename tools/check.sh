@@ -44,13 +44,16 @@
 #   address    faults, mem, ir, sched, dist, telemetry, elastic, numerics,
 #              obs, util
 #                                  (lifetime/overflow in the fault machinery,
-#                                   arena tracking, the schedule IR and its
-#                                   verifier (ir: test_ir + test_analysis),
-#                                   the scheme generators, graph builder,
-#                                   simulator and planner (sched: test_sched,
-#                                   test_zbv, test_slimpipe, test_exchange,
+#                                   arena tracking and the memory models
+#                                   (mem: test_arena, test_memory), the
+#                                   schedule IR and its verifier (ir: test_ir
+#                                   + test_analysis), the scheme generators,
+#                                   graph builder, executor, cost model and
+#                                   planner (sched: test_sched, test_zbv,
+#                                   test_slimpipe, test_exchange,
 #                                   test_integration, test_extensions,
-#                                   test_fuzz, test_parallel, test_pareto),
+#                                   test_fuzz, test_parallel, test_pareto,
+#                                   test_sim, test_model),
 #                                   the multi-process socket runtime, the
 #                                   flight-recorder ring and the heartbeat
 #                                   that carries it, variable-length slice

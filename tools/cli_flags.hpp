@@ -4,7 +4,8 @@
 // one number reader (util::parse_number): a value that does not parse
 // whole, lies out of range or names nothing is a usage error with the
 // tool's usage exit status, never a silent 0 or a truncated number. Both
-// tools load an external schedule table the same way, too.
+// tools load an external schedule table the same way, too, and every input
+// file (a schedule table, a fault plan) through one loader.
 
 #include <cstdint>
 #include <cstdio>
@@ -13,8 +14,11 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "src/fault/fault_plan.hpp"
 #include "src/ir/schedule_ir.hpp"
 #include "src/model/activation.hpp"
 #include "src/sched/schedule.hpp"
@@ -116,27 +120,56 @@ class SpecFlags {
   int status_;
 };
 
-/// The schedule table in `path`, with its header overlaid on `*spec`;
-/// nullopt, with the reason on stderr, when the file cannot be read or
-/// parsed or its header yields an invalid spec. Both tools exit 3 then.
-inline std::optional<ir::ScheduleIR> load_schedule(const std::string& path,
-                                                   sched::PipelineSpec* spec) {
+/// What `load` makes of the text of the file at `path`; nullopt, with
+/// "PATH: reason" on stderr, when the file cannot be read or `load` throws.
+template <class Load>
+auto load_file(const std::string& path, Load load)
+    -> std::optional<decltype(load(std::string()))> {
   std::string error = "cannot read the file";
   if (std::ifstream in(path); in) {
     std::ostringstream text;
     text << in.rdbuf();
     try {
-      ir::ScheduleIR table = ir::import_text(text.str());
-      *spec = ir::apply_header(table, *spec);
-      const std::string invalid = spec->validate();
-      if (invalid.empty()) return table;
-      error = "header yields an invalid spec: " + invalid;
+      return load(text.str());
     } catch (const std::exception& e) {
       error = e.what();
     }
   }
-  std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+  if (error.empty() || error.back() != '\n') error += '\n';
+  std::fprintf(stderr, "%s: %s", path.c_str(), error.c_str());
   return std::nullopt;
+}
+
+/// The schedule table in `path`, with its header overlaid on `*spec`;
+/// nullopt, with the reason on stderr, when the file cannot be read or
+/// parsed or its header yields an invalid spec. Both tools exit 3 then.
+inline std::optional<ir::ScheduleIR> load_schedule(const std::string& path,
+                                                   sched::PipelineSpec* spec) {
+  return load_file(path, [&](const std::string& text) {
+    ir::ScheduleIR table = ir::import_text(text);
+    *spec = ir::apply_header(table, *spec);
+    const std::string invalid = spec->validate();
+    if (!invalid.empty()) {
+      throw std::invalid_argument("header yields an invalid spec: " + invalid);
+    }
+    return table;
+  });
+}
+
+/// The fault plan in `path`, checked against a pipeline of `p` stages;
+/// nullopt, with the reason on stderr, when the file cannot be read or
+/// parsed or fault::validate rejects the plan. slimpipe_sim exits 3 then.
+inline std::optional<fault::FaultPlan> load_fault_plan(const std::string& path,
+                                                       int p) {
+  return load_file(path, [&](const std::string& text) {
+    fault::FaultPlan plan = fault::parse_plan(text);
+    const std::vector<fault::PlanIssue> issues = fault::validate(plan, p);
+    if (!issues.empty()) {
+      throw std::invalid_argument("invalid fault plan:\n" +
+                                  fault::render(issues));
+    }
+    return plan;
+  });
 }
 
 }  // namespace slim::cli

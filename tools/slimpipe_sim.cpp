@@ -19,7 +19,6 @@
 #include <cstring>
 #include <fstream>
 #include <climits>
-#include <iterator>
 #include <memory>
 #include <string>
 
@@ -71,7 +70,10 @@ modes
                      as instant markers
   --json FILE        write a slimpipe-bench-report JSON (slimpipe_report)
   --faults FILE      apply a fault plan (stragglers, link degradation,
-                     crashes with checkpoint-restart) and print the report
+                     crashes with checkpoint-restart) and print the report.
+                     The plan is read, parsed and validated against p
+                     before the run (exit 3 when it cannot be read or
+                     parsed, or is invalid)
   --schedule FILE    run an external tabular-IR schedule instead of a
                      built-in scheme (see slimpipe_lint --emit-ir). The IR
                      header supplies p/v/n/m/layout/...; the remaining
@@ -190,28 +192,12 @@ int main(int argc, char** argv) {
   spec.adaptive_exchange = adaptive;
 
   try {
-    sched::ScheduleResult r;
-    fault::FaultReport report;
-    fault::FaultPlan plan;
-    if (!faults_path.empty()) {
-      std::ifstream in(faults_path);
-      if (!in) {
-        std::fprintf(stderr, "cannot read fault plan '%s'\n",
-                     faults_path.c_str());
-        return 1;
-      }
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      plan = fault::parse_plan(text);
-    }
-    obs::Trace trace;
-    obs::Trace* trace_out = trace_path.empty() ? nullptr : &trace;
-    const fault::FaultPlan* plan_in = faults_path.empty() ? nullptr : &plan;
+    // Every input file is read, parsed and checked before anything runs:
+    // the schedule table first, since its header may change p, then the
+    // fault plan against that p.
+    std::optional<ir::ScheduleIR> table;
     if (!schedule_path.empty()) {
-      // External schedule: import, certify with the static verifier, then
-      // run the table's programs through the same pipeline as the schemes.
-      const std::optional<ir::ScheduleIR> table =
-          cli::load_schedule(schedule_path, &spec);
+      table = cli::load_schedule(schedule_path, &spec);
       if (!table) return 3;
       const analysis::VerifyResult verdict = analysis::verify_ir(*table, spec);
       if (!verdict.ok()) {
@@ -221,6 +207,20 @@ int main(int argc, char** argv) {
                      analysis::render(verdict.findings).c_str());
         return 3;
       }
+    }
+    std::optional<fault::FaultPlan> plan;
+    if (!faults_path.empty()) {
+      plan = cli::load_fault_plan(faults_path, spec.p);
+      if (!plan) return 3;
+    }
+    sched::ScheduleResult r;
+    fault::FaultReport report;
+    obs::Trace trace;
+    obs::Trace* trace_out = trace_path.empty() ? nullptr : &trace;
+    const fault::FaultPlan* plan_in = plan ? &*plan : nullptr;
+    if (table) {
+      // External schedule, certified above: run the table's programs through
+      // the same pipeline as the schemes.
       std::unique_ptr<core::ExchangePlanner> planner;
       if (spec.context_exchange && spec.p > 1) {
         planner = std::make_unique<core::ExchangePlanner>(spec);
@@ -234,11 +234,15 @@ int main(int argc, char** argv) {
                            &report);
     }
     print_result(r);
-    if (!faults_path.empty()) std::printf("\n%s", report.render().c_str());
+    if (plan) std::printf("\n%s", report.render().c_str());
     if (timeline) std::printf("\n%s", r.ascii_timeline.c_str());
     if (!trace_path.empty()) {
       std::ofstream out(trace_path);
       out << obs::chrome_trace_json(trace);
+      if (!out.flush()) {
+        std::fprintf(stderr, "cannot write trace '%s'\n", trace_path.c_str());
+        return 1;
+      }
       std::printf("\nChrome trace written to %s\n", trace_path.c_str());
     }
     if (!json_path.empty()) {

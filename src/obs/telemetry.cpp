@@ -66,13 +66,16 @@ constexpr Series kStageSeries[] = {
     // signal 9 (...)", "exited with code 2"), so liveness is membership in
     // the worker-loop state set, not a "dead" sentinel.
     {"slimpipe_stage_up", "Worker liveness (1 = worker-loop state).", "gauge",
-     [](const StageLive& s) -> double {
+     [](const StageLive& s) {
        return s.state == "running" || s.state == "waiting" ||
-              s.state == "done" || s.state == "starved" || s.state == "hung";
+                      s.state == "done" || s.state == "starved" ||
+                      s.state == "hung"
+                  ? 1.0
+                  : 0.0;
      }},
     {"slimpipe_stage_beat_age_seconds",
      "Run-clock seconds since the stage's last heartbeat.", "gauge",
-     [](const StageLive& s) -> double { return s.beat_age_seconds; }},
+     [](const StageLive& s) { return s.beat_age_seconds; }},
     {"slimpipe_stage_messages_total",
      "Frames processed by the worker loop.", "counter",
      [](const StageLive& s) -> double { return s.progress.messages; }},
@@ -110,9 +113,10 @@ constexpr Series kStageSeries[] = {
      [](const StageLive& s) { return s.metrics.measured_peak_total; }},
     {"slimpipe_stage_flight_events_total",
      "Flight-recorder events recorded by the worker.", "counter",
-     [](const StageLive& s) -> double { return s.flight_events; }},
+     [](const StageLive& s) { return static_cast<double>(s.flight_events); }},
     {"slimpipe_stage_respawns_total", "Times this stage was respawned.",
-     "counter", [](const StageLive& s) -> double { return s.respawns; }},
+     "counter",
+     [](const StageLive& s) { return static_cast<double>(s.respawns); }},
 };
 
 std::string human_bytes(double bytes) {

@@ -6,6 +6,7 @@
 
 #include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
+#include "src/util/env.hpp"
 
 namespace slimbench {
 namespace {
@@ -63,8 +64,8 @@ void print_banner(const std::string& artifact, const std::string& setup,
                   const std::string& paper_expectation) {
   // Benches compile thousands of schedules over their grids; skip the
   // static analysis passes unless explicitly requested (SLIMPIPE_LINT=1).
-  const char* lint = std::getenv("SLIMPIPE_LINT");
-  slim::sched::set_compile_lint(lint != nullptr && lint[0] == '1');
+  slim::sched::set_compile_lint(
+      slim::util::env_int_or("SLIMPIPE_LINT", 0, 0) != 0);
   std::printf("\n================================================================\n");
   std::printf("Reproducing: %s\n", artifact.c_str());
   std::printf("Setup:       %s\n", setup.c_str());
@@ -88,6 +89,10 @@ void add_run(const std::string& label,
   if (g_report_open) {
     g_report.runs.push_back(slim::sched::to_run_record(result, label));
   }
+}
+
+bool smoke_mode() {
+  return slim::util::env_int_or("SLIMPIPE_BENCH_SMOKE", 0, 0) != 0;
 }
 
 std::string status_cell(const slim::sched::ScheduleResult& result) {

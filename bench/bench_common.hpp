@@ -51,6 +51,11 @@ void print_table(const std::string& title, const slim::Table& table);
 void add_run(const std::string& label,
              const slim::sched::ScheduleResult& result);
 
+/// True when SLIMPIPE_BENCH_SMOKE is a nonzero integer: the benches that
+/// time real kernels or processes shrink their shapes to seconds. Read
+/// with util::env_int_or (a malformed value warns and means 0).
+bool smoke_mode();
+
 /// "ok" / "OOM" / "--" cell helper.
 std::string status_cell(const slim::sched::ScheduleResult& result);
 

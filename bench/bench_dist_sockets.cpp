@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "src/dist/process_pipeline.hpp"
 #include "src/fault/fault_plan.hpp"
@@ -27,11 +26,6 @@
 using namespace slim;
 
 namespace {
-
-bool smoke_mode() {
-  const char* env = std::getenv("SLIMPIPE_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 struct Shape {
   num::BlockDims dims;
@@ -44,7 +38,7 @@ struct Shape {
 };
 
 Shape bench_shape() {
-  if (smoke_mode()) {
+  if (slimbench::smoke_mode()) {
     return {{32, 4, 2, 48}, 32, 4, 2, 2, 2, 24};
   }
   return {{64, 8, 2, 96}, 64, 8, 4, 4, 2, 48};
@@ -138,8 +132,9 @@ int main(int argc, char** argv) {
   slimbench::open_report("dist_sockets");
   slimbench::print_banner(
       "Fault degradation over sockets — multi-process runtime (src/dist)",
-      (smoke_mode() ? std::string("smoke shapes (SLIMPIPE_BENCH_SMOKE), ")
-                    : std::string("full shapes, ")) +
+      (slimbench::smoke_mode()
+           ? std::string("smoke shapes (SLIMPIPE_BENCH_SMOKE), ")
+           : std::string("full shapes, ")) +
           "p=" + std::to_string(shape.stages) +
           ", m=" + std::to_string(shape.microbatches) +
           ", n=" + std::to_string(shape.n_slices) +
@@ -172,17 +167,17 @@ int main(int argc, char** argv) {
   // ---- measured vs analytical exchange volume (fault-free run) ----
   //
   // The wire counters (the socket link's share of each worker's
-  // StageMetrics) measure what actually crossed each worker's sockets. The analytical prediction
-  // is bench_eq2_exchange_volume's counting argument mapped onto the frame
-  // format: every interior boundary carries m*n forward frames down and m*n
-  // backward frames up, each one tensor payload of slice_len x hidden fp32
-  // plus the 16-byte rows/cols header. On a fault-free run the two must
-  // agree EXACTLY — any drift means frames are being dropped, duplicated or
-  // miscounted.
+  // StageMetrics) measure what actually crossed each worker's sockets. The
+  // analytical prediction is bench_eq2_exchange_volume's counting argument
+  // mapped onto the frames: every interior boundary carries m*n forward
+  // frames down and m*n backward frames up, each one tensor of slice_len x
+  // hidden fp32 (the counters count the tensor's bytes, as the threaded
+  // runtime's do; the 16-byte rows/cols header is the wire's encoding). On
+  // a fault-free run the two must agree EXACTLY — any drift means frames
+  // are being dropped, duplicated or miscounted.
   {
     const std::int64_t slice_len = shape.seq / shape.n_slices;
     const double frame_payload =
-        16.0 +
         static_cast<double>(slice_len * shape.dims.hidden) * 4.0;
     Table wire({"stage", "frames out", "frames in", "bytes out", "bytes in",
                 "pred frames", "pred bytes", "crc rej", "retries", "match"});

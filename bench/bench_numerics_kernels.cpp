@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <thread>
@@ -38,11 +37,6 @@ namespace {
 
 bool g_all_identical = true;
 bool g_paths_identical = true;
-
-bool smoke_mode() {
-  const char* env = std::getenv("SLIMPIPE_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
 
 double seconds_of(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -143,7 +137,7 @@ BENCHMARK(BM_Matmul)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   slimbench::open_report("numerics_kernels");
-  const bool smoke = smoke_mode();
+  const bool smoke = slimbench::smoke_mode();
   slimbench::print_banner(
       "numerics kernels on the parallel engine",
       smoke ? "smoke shapes (SLIMPIPE_BENCH_SMOKE)" : "full shapes",

@@ -47,11 +47,6 @@ namespace {
 
 constexpr double kBudget = 0.03;  // 3% of step time
 
-bool smoke_mode() {
-  const char* env = std::getenv("SLIMPIPE_BENCH_SMOKE");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 struct Shape {
   num::BlockDims dims;
   std::int64_t vocab;
@@ -64,7 +59,7 @@ struct Shape {
 };
 
 Shape bench_shape() {
-  if (smoke_mode()) {
+  if (slimbench::smoke_mode()) {
     return {{32, 4, 2, 48}, 32, 4, 2, 2, 2, 24, 9};
   }
   return {{64, 8, 2, 96}, 64, 8, 2, 4, 2, 48, 11};
@@ -192,8 +187,9 @@ int main(int argc, char** argv) {
   slimbench::open_report("obs_overhead");
   slimbench::print_banner(
       "Observability overhead gate — flight recorder + telemetry < 3%",
-      (smoke_mode() ? std::string("smoke shapes (SLIMPIPE_BENCH_SMOKE), ")
-                    : std::string("full shapes, ")) +
+      (slimbench::smoke_mode()
+           ? std::string("smoke shapes (SLIMPIPE_BENCH_SMOKE), ")
+           : std::string("full shapes, ")) +
           "p=" + std::to_string(shape.stages) +
           ", m=" + std::to_string(shape.microbatches) +
           ", n=" + std::to_string(shape.n_slices) +

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "src/model/activation.hpp"
 #include "src/util/logging.hpp"
 
 namespace slim::analysis {
@@ -91,34 +90,25 @@ std::vector<mem::MeasuredPeak> MemoryCertificate::measured_peaks() const {
   std::vector<mem::MeasuredPeak> peaks;
   for (std::size_t dev = 0; dev < device_peak.size(); ++dev) {
     // Unit size of the device's chunk-0 stage (stages on one device share
-    // the unit size whenever layers split evenly).
-    double act_unit = 0.0, kv_unit = 0.0;
+    // the unit size whenever layers split evenly). The unit is act+KV
+    // combined, so both categories' entries use it.
+    double unit = 0.0;
     for (const StageCertificate& stage : stages) {
       if (stage.device != static_cast<int>(dev)) continue;
-      act_unit = stage.unit_bytes;
+      unit = stage.unit_bytes;
       break;
-    }
-    if (kv_category == mem::kKvCache) {
-      // unit_bytes is act+kv combined; split is carried by the ledgers.
-      // Activation entry uses the combined unit minus the KV share only
-      // when KV is booked separately; reconstruct from the device peaks is
-      // not possible in general, so both entries use the stage unit.
-      kv_unit = act_unit;
     }
     mem::MeasuredPeak act;
     act.device = static_cast<int>(dev);
     act.category = mem::kActivation;
     act.measured_bytes = device_activation_peak[dev];
-    act.measured_unit_bytes = act_unit;
-    act.analytical_unit_bytes = act_unit;
+    act.measured_unit_bytes = unit;
+    act.analytical_unit_bytes = unit;
     peaks.push_back(act);
     if (kv_category == mem::kKvCache && device_kv_peak[dev] > 0.0) {
-      mem::MeasuredPeak kv;
-      kv.device = static_cast<int>(dev);
+      mem::MeasuredPeak kv = act;
       kv.category = mem::kKvCache;
       kv.measured_bytes = device_kv_peak[dev];
-      kv.measured_unit_bytes = kv_unit;
-      kv.analytical_unit_bytes = kv_unit;
       peaks.push_back(kv);
     }
   }
@@ -504,23 +494,18 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     }
   }
 
-  const double wkeep = model::wgrad_kept_fraction(spec.cfg, spec.policy);
+  const sched::SliceMemory slice_memory(spec);
 
   // ---- sched-inflight-bound: live activation units vs the declared cap ----
-  // The unit ledger mirrors the builder's frees: F holds one unit, B
-  // releases it, BI releases (1 - wkeep) and BW the remaining wkeep, so the
-  // ZB-V greedy's fractional cap is checked exactly.
+  // The unit ledger books the builder's activation shares (F holds one
+  // unit, B releases it, BI releases 1 - wkeep and BW the remaining wkeep),
+  // so the ZB-V greedy's fractional cap is checked exactly.
   if (spec.max_inflight_units > 0.0) {
     for (const auto& positions : device_pos) {
       double live = 0.0;
       for (const std::size_t idx : positions) {
         const Row& row = rows[idx];
-        switch (row.kind) {
-          case PassType::Forward: live += 1.0; break;
-          case PassType::Backward: live -= 1.0; break;
-          case PassType::BackwardInput: live -= 1.0 - wkeep; break;
-          case PassType::BackwardWeight: live -= wkeep; break;
-        }
+        live += slice_memory.share(row.kind).act;
         if (live <= spec.max_inflight_units + kInflightSlack) continue;
         std::ostringstream msg;
         msg << "live activation units reach " << live
@@ -541,18 +526,10 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
     const double mean_slice_tokens =
         static_cast<double>(spec.total_tokens()) /
         (static_cast<double>(spec.m) * static_cast<double>(spec.n));
-    const double nonkv_per_token = model::act_bytes_per_token_layer_no_kv(
-        spec.cfg, spec.shard, spec.policy);
-    const bool kv_stored =
-        spec.retain_kv || spec.policy != model::CheckpointPolicy::Full;
-    const double kv_per_token =
-        kv_stored ? model::kv_bytes_per_token_layer(spec.cfg, spec.shard)
-                  : 0.0;
-    const int kv_category =
-        spec.retain_kv ? mem::kKvCache : mem::kActivation;
+    const sched::SliceBytes& per_token = slice_memory.per_token_layer();
 
     MemoryCertificate& cert = result.certificate;
-    cert.kv_category = kv_category;
+    cert.kv_category = slice_memory.kv_category();
     cert.stages.resize(static_cast<std::size_t>(num_stages));
     std::vector<double> stage_act(static_cast<std::size_t>(num_stages), 0.0);
     std::vector<double> stage_kv(static_cast<std::size_t>(num_stages), 0.0);
@@ -567,7 +544,7 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       StageCertificate& sc = cert.stages[static_cast<std::size_t>(stage)];
       sc.stage = stage;
       sc.device = layout.device_of(stage);
-      sc.unit_bytes = (nonkv_per_token + kv_per_token) * tokens;
+      sc.unit_bytes = (per_token.act + per_token.kv) * tokens;
     }
 
     // The activation/KV deltas all come from a device's own passes, so a
@@ -579,31 +556,16 @@ VerifyResult verify_ir(const ScheduleIR& table, const sched::PipelineSpec& spec,
       for (const std::size_t idx : device_pos[static_cast<std::size_t>(dev)]) {
         const Row& row = rows[idx];
         const std::size_t stage = static_cast<std::size_t>(row.stage);
-        const double tokens = static_cast<double>(
+        const sched::SliceBytes slice = slice_memory.slice(
+            row.stage,
             slice_layouts[static_cast<std::size_t>(row.microbatch)].len(
-                row.slice) *
-            spec.layers_of_stage(row.stage));
-        const double act = nonkv_per_token * tokens;
-        const double kv = kv_per_token * tokens;
-        double d_act = 0.0, d_kv = 0.0;  // kActivation / kKvCache ledgers
-        const double kv_as_act = kv_category == mem::kActivation ? kv : 0.0;
-        const double kv_as_kv = kv_category == mem::kKvCache ? kv : 0.0;
-        switch (row.kind) {
-          case PassType::Forward:
-            d_act = act + kv_as_act;
-            d_kv = kv_as_kv;
-            break;
-          case PassType::Backward:
-            d_act = -(act + kv_as_act);
-            d_kv = -kv_as_kv;
-            break;
-          case PassType::BackwardInput:
-            d_act = -(act * (1.0 - wkeep) + kv_as_act);
-            d_kv = -kv_as_kv;
-            break;
-          case PassType::BackwardWeight:
-            d_act = -act * wkeep;
-            break;
+                row.slice));
+        const sched::SliceBytes share = slice_memory.share(row.kind);
+        // kActivation / kKvCache ledgers; KV not retained is activation.
+        double d_act = slice.act * share.act, d_kv = slice.kv * share.kv;
+        if (cert.kv_category == mem::kActivation) {
+          d_act += d_kv;
+          d_kv = 0.0;
         }
         stage_act[stage] += d_act;
         stage_kv[stage] += d_kv;

@@ -31,18 +31,18 @@
 //                         orphaned forwards or backwards
 //   sched-inflight-bound  per device, live activation units never exceed
 //                         spec.max_inflight_units (0 = undeclared, rule
-//                         off): F +1, B -1, BI -(1 - wkeep), BW -wkeep with
-//                         wkeep = model::wgrad_kept_fraction (Table 2 /
-//                         Eq. 1 caps)
+//                         off), each pass booking its activation share of
+//                         sched::SliceMemory: F +1, B -1, BI -(1 - wkeep),
+//                         BW -wkeep (Table 2 / Eq. 1 caps)
 //   verify-memory-cert    static replay of the in-flight activation/KV
 //                         ledger producing a peak-bytes certificate per
 //                         stage and per device; flags ledger dips below
 //                         zero and, when a budget is given, certificate
 //                         peaks above it
 //
-// The memory certificate books the same bytes sched::compile attaches to
-// the graph (model::act_bytes_per_token_layer_no_kv + the KV term, split
-// frees weighted by wgrad_kept_fraction), so it reconciles with the
+// The memory certificate books the bytes sched::compile attaches to the
+// graph through the same rule, sched::SliceMemory (a pass's share of its
+// slice's bytes, KV under the spec's category), so it reconciles with the
 // simulator's mem::replay_memory peaks to within the mem::reconcile_peaks
 // tolerance — MemoryCertificate::measured_peaks() packages it for exactly
 // that check.
@@ -74,7 +74,7 @@ struct StageCertificate {
 
 struct MemoryCertificate {
   /// Category KV bytes are booked under (mem::kKvCache when the schedule
-  /// retains KV, else folded into mem::kActivation) — mirrors the builder.
+  /// retains KV, else folded into mem::kActivation): SliceMemory's.
   int kv_category = 0;
   std::vector<StageCertificate> stages;        // indexed by global stage
   std::vector<double> device_activation_peak;  // kActivation ledger, bytes

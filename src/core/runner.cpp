@@ -44,15 +44,22 @@ std::optional<Scheme> scheme_by_name(const std::string& name) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Live stage-unit cap of the V-shaped schemes' greedy.
+double vshape_cap(Scheme scheme, int p) {
+  const double dp = static_cast<double>(p);
+  if (scheme == Scheme::VHalf) return dp + 2.0;  // Table 2: (1/2 + 1/p) Ma
+  if (scheme == Scheme::VMin) return std::max(4.0, 2.0 * dp / 3.0 + 2.0);
+  return 2.0 * dp;  // ZB-V: 1F1B's peak
+}
+
+}  // namespace
+
 sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
                                  bool want_timeline, obs::Trace* trace,
                                  const fault::FaultPlan* faults,
                                  fault::FaultReport* report) {
-  // Interleaving with a single chunk is plain 1F1B (plan_scheme delegates
-  // the same way) — resolve it before the label is chosen.
-  if (scheme == Scheme::Interleaved1F1B && spec.v == 1) {
-    scheme = Scheme::OneF1B;
-  }
   // plan_scheme stamps the scheme's declared in-flight cap on the spec, so
   // compile() enforces the sched-inflight-bound rule on every simulated run.
   SchedulePlan plan = plan_scheme(scheme, std::move(spec));
@@ -61,17 +68,20 @@ sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
     planner = std::make_unique<ExchangePlanner>(plan.spec);
   }
   return sched::run_pipeline(plan.spec, plan.programs, planner.get(),
-                             scheme_name(scheme), want_timeline, trace,
+                             scheme_name(plan.scheme), want_timeline, trace,
                              faults, report);
 }
 
-SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
-  // The one spec normalization per scheme: run_scheme simulates exactly
-  // the plan returned here, so linting a plan covers the same schedule the
-  // simulator executes. The generators divide by p, v, m and n.
+SchemeSpec normalize_scheme(Scheme scheme, sched::PipelineSpec spec) {
+  // The one spec normalization per scheme: the planner's estimates read
+  // the same spec plan_scheme generates programs for and run_scheme
+  // simulates. The generators divide by p, v, m and n.
   SLIM_CHECK(spec.p >= 1 && spec.v >= 1 && spec.m >= 1 && spec.n >= 1,
              "p, v, m and n must be >= 1");
-  SchedulePlan plan;
+  // Interleaving with a single chunk is plain 1F1B.
+  if (scheme == Scheme::Interleaved1F1B && spec.v == 1) {
+    scheme = Scheme::OneF1B;
+  }
   switch (scheme) {
     case Scheme::GPipe:
       spec.v = 1;
@@ -81,7 +91,6 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       spec.context_exchange = false;
       // All m microbatches accumulate until the flush.
       spec.max_inflight_units = static_cast<double>(spec.m);
-      plan.programs = sched::gpipe_programs(spec);
       break;
     case Scheme::TeraPipe:
       spec.v = 1;
@@ -91,7 +100,6 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       // GPipe-style accumulation at slice granularity: m * n live slices.
       spec.max_inflight_units = static_cast<double>(spec.m) *
                                 static_cast<double>(spec.n);
-      plan.programs = sched::terapipe_programs(spec);
       break;
     case Scheme::OneF1B:
       spec.v = 1;
@@ -100,40 +108,28 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       spec.retain_kv = false;
       spec.context_exchange = false;
       // Device 0's warm-up depth: p in-flight microbatches (fewer if m < p).
-      spec.max_inflight_units = static_cast<double>(std::min(spec.p, spec.m));
-      plan.programs = sched::onef1b_programs(spec);
+      spec.max_inflight_units = static_cast<double>(spec.p);
       break;
     case Scheme::Interleaved1F1B:
       spec.n = 1;
       spec.retain_kv = false;
       spec.context_exchange = false;
-      if (spec.v == 1) return plan_scheme(Scheme::OneF1B, std::move(spec));
       spec.layout = sched::StageLayoutKind::Interleaved;
       // Device 0's Megatron warm-up: 2(p-1) + (v-1)p + 1 chunk passes.
-      spec.max_inflight_units = std::min(
-          static_cast<double>(2 * (spec.p - 1) + (spec.v - 1) * spec.p + 1),
-          static_cast<double>(spec.m) * static_cast<double>(spec.v));
-      plan.programs = sched::interleaved_programs(spec);
+      spec.max_inflight_units =
+          static_cast<double>(2 * (spec.p - 1) + (spec.v - 1) * spec.p + 1);
       break;
     case Scheme::ZBV:
     case Scheme::VHalf:
-    case Scheme::VMin: {
+    case Scheme::VMin:
       spec.v = 2;
       spec.n = 1;
       spec.layout = sched::StageLayoutKind::VShape;
       spec.retain_kv = false;
       spec.context_exchange = false;
       spec.policy = model::CheckpointPolicy::None;
-      double cap = 2.0 * static_cast<double>(spec.p);  // ZB-V: 1F1B's peak
-      if (scheme == Scheme::VHalf) {
-        cap = static_cast<double>(spec.p) + 2.0;  // Table 2: (1/2 + 1/p) Ma
-      } else if (scheme == Scheme::VMin) {
-        cap = std::max(4.0, 2.0 * static_cast<double>(spec.p) / 3.0 + 2.0);
-      }
-      spec.max_inflight_units = cap;
-      plan.programs = sched::zbv_programs(spec, cap);
+      spec.max_inflight_units = vshape_cap(scheme, spec.p);
       break;
-    }
     case Scheme::SlimPipe:
       spec.layout = spec.v == 1 ? sched::StageLayoutKind::Sequential
                                 : sched::StageLayoutKind::Interleaved;
@@ -142,21 +138,37 @@ SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
       if (spec.n < spec.p) spec.n = spec.p;
       if (spec.n <= 1 || spec.p <= 1) spec.context_exchange = false;
       // Eq. 1 window at device 0: n v + 2(p-1) slice units.
-      spec.max_inflight_units = std::min(
-          static_cast<double>(slimpipe_warmup_units(spec.p, 0, spec.n, spec.v)),
-          static_cast<double>(spec.m) * static_cast<double>(spec.n) *
-              static_cast<double>(spec.v));
-      plan.programs = slimpipe_programs(spec);
+      spec.max_inflight_units =
+          static_cast<double>(slimpipe_warmup_units(spec.p, 0, spec.n, spec.v));
       break;
   }
-  SLIM_CHECK(!plan.programs.empty(),
-             "scheme generated no device programs (is p >= 1?)");
   // A schedule can never hold more units than the (normalized) iteration has.
   spec.max_inflight_units =
       std::min(spec.max_inflight_units, static_cast<double>(spec.m) *
                                             static_cast<double>(spec.n) *
                                             static_cast<double>(spec.v));
-  plan.spec = std::move(spec);
+  return {scheme, std::move(spec)};
+}
+
+SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec) {
+  SchedulePlan plan{normalize_scheme(scheme, std::move(spec)), {}};
+  const sched::PipelineSpec& s = plan.spec;
+  switch (plan.scheme) {
+    case Scheme::GPipe: plan.programs = sched::gpipe_programs(s); break;
+    case Scheme::TeraPipe: plan.programs = sched::terapipe_programs(s); break;
+    case Scheme::OneF1B: plan.programs = sched::onef1b_programs(s); break;
+    case Scheme::Interleaved1F1B:
+      plan.programs = sched::interleaved_programs(s);
+      break;
+    case Scheme::ZBV:
+    case Scheme::VHalf:
+    case Scheme::VMin:  // the greedy takes the cap before the m n v clamp
+      plan.programs = sched::zbv_programs(s, vshape_cap(plan.scheme, s.p));
+      break;
+    case Scheme::SlimPipe: plan.programs = slimpipe_programs(s); break;
+  }
+  SLIM_CHECK(!plan.programs.empty(),
+             "scheme generated no device programs (is p >= 1?)");
   return plan;
 }
 

@@ -2,8 +2,9 @@
 
 // Public façade: run any pipeline scheme on a spec and compare schemes.
 // run_scheme is the one scheme-level way to simulate an iteration (traced,
-// fault-injected or plain); plan_scheme is the one place a scheme's
-// spec normalization lives, and run_scheme routes through it.
+// fault-injected or plain); normalize_scheme is the one place a scheme's
+// spec normalization lives, which plan_scheme, run_scheme and the
+// planner's estimates (parallel::estimate_*) all route through.
 
 #include <optional>
 #include <string>
@@ -33,10 +34,10 @@ std::optional<Scheme> scheme_by_name(const std::string& name);
 
 /// Runs one simulated training iteration under the given scheme.
 /// Scheme-specific knobs on the spec (layout, retain_kv, ...) are
-/// normalized by plan_scheme; schedule-relevant ones (p, v, n, m, policy,
-/// vocab_parallel, context_exchange) are honored where the scheme supports
-/// them. Interleaved1F1B at v = 1 runs (and is labelled) as 1F1B; the
-/// result's scheme is scheme_name of the scheme that ran.
+/// normalized by normalize_scheme; schedule-relevant ones (p, v, n, m,
+/// policy, vocab_parallel, context_exchange) are honored where the scheme
+/// supports them. The result's scheme is scheme_name of the scheme that ran
+/// (Interleaved1F1B at v = 1 runs, and is labelled, as 1F1B).
 ///
 /// `trace`, `faults` and `report` pass through to sched::run_pipeline: a
 /// trace receives the executed timeline, a fault plan degrades op durations
@@ -50,19 +51,30 @@ sched::ScheduleResult run_scheme(Scheme scheme, sched::PipelineSpec spec,
                                  const fault::FaultPlan* faults = nullptr,
                                  fault::FaultReport* report = nullptr);
 
-/// A scheme's schedule without running the simulator: the normalized spec,
-/// which declares the scheme's cap on simultaneously-live activation units
-/// in spec.max_inflight_units (one unit = one (microbatch, slice, chunk)
-/// forward; Table 2 bounds) so sched::compile enforces it, and the
-/// generated per-device programs. Input to the static analysis passes.
-struct SchedulePlan {
+/// The scheme that actually runs (Interleaved1F1B at v = 1 runs as
+/// OneF1B) and the spec normalized for it. spec.max_inflight_units is the
+/// scheme's cap on simultaneously-live activation units (one unit = one
+/// (microbatch, slice, chunk) forward; Table 2 bounds, at most m * n * v),
+/// which sched::compile enforces: a device holds at most max_inflight_units
+/// / (p * n * v) of M_a.
+struct SchemeSpec {
+  Scheme scheme = Scheme::SlimPipe;
   sched::PipelineSpec spec;
+};
+
+/// Normalizes the spec for the scheme. Throws (SLIM_CHECK) on p, v, m or n
+/// below 1.
+SchemeSpec normalize_scheme(Scheme scheme, sched::PipelineSpec spec);
+
+/// A scheme's schedule without running the simulator: normalize_scheme's
+/// result plus the generated per-device programs. Input to the static
+/// analysis passes.
+struct SchedulePlan : SchemeSpec {
   std::vector<sched::DeviceProgram> programs;
 };
 
-/// Normalizes the spec for the scheme (the only place that does) and
-/// generates its programs. Throws (SLIM_CHECK) on specs the scheme cannot
-/// schedule, and on p, v, m or n below 1.
+/// Throws (SLIM_CHECK) on specs the scheme cannot schedule, and on p, v, m
+/// or n below 1.
 SchedulePlan plan_scheme(Scheme scheme, sched::PipelineSpec spec);
 
 }  // namespace slim::core

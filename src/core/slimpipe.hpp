@@ -5,8 +5,9 @@
 // chunk reuse, attention context exchange and vocabulary parallelism.
 //
 // This file holds the schedule (pure ordering). The spec normalization
-// (layout, KV retention, commutated CP, n >= p) lives in core::plan_scheme;
-// run it with core::run_scheme(Scheme::SlimPipe, spec).
+// (layout, KV retention, commutated CP, n >= p) lives in
+// core::normalize_scheme; run it with core::run_scheme(Scheme::SlimPipe,
+// spec).
 
 #include <vector>
 

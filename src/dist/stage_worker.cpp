@@ -85,7 +85,11 @@ class SocketLink final : public rt::StageLink {
     Writer writer;
     writer.tensor(out.msg.payload);
     frame.payload = writer.take();
-    if (!send_data(peer.fd, frame)) peer.broken = true;
+    const bool sent = send_data(peer.fd, frame);
+    // Both links count a tensor's bytes (the wire adds a 16-byte shape).
+    ++run_.metrics.frames_sent;
+    run_.metrics.p2p_bytes += static_cast<double>(out.msg.payload.size()) * 4.0;
+    if (!sent) peer.broken = true;
   }
 
   void retire(rt::StageMachine& machine, int mb) override {
@@ -179,13 +183,14 @@ class SocketLink final : public rt::StageLink {
                               ": unexpected data frame kind " +
                               std::string(frame_kind_name(frame.kind)));
           }
-          ++run_.metrics.frames_recv;
-          run_.metrics.bytes_recv += static_cast<double>(frame.payload.size());
           Reader reader(frame.payload);
           arrivals.push_back({backward ? rt::Message::Kind::Backward
                                        : rt::Message::Kind::Forward,
                               frame.mb, frame.slice, frame.stage,
                               reader.tensor()});
+          ++run_.metrics.frames_recv;
+          run_.metrics.bytes_recv +=
+              static_cast<double>(arrivals.back().payload.size()) * 4.0;
           continue;
         }
         // Eof: the neighbour exited (cleanly or was killed between frames).
@@ -266,10 +271,7 @@ class SocketLink final : public rt::StageLink {
       std::this_thread::sleep_for(std::chrono::duration<double>(delay));
     }
 
-    const bool ok = send_frame(fd, frame);
-    ++run_.metrics.frames_sent;
-    run_.metrics.p2p_bytes += static_cast<double>(frame.payload.size());
-    return ok;
+    return send_frame(fd, frame);
   }
 
   /// A data socket: `closed` once its EOF was read (all the neighbour sent

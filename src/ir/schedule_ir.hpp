@@ -13,8 +13,8 @@
 // graph is built — so slimpipe_sim can accept external schedules without
 // recompiling.
 //
-// The header carries the schedule-structural knobs core::plan_scheme
-// normalizes on the spec (layout, KV retention, checkpoint policy, ...), so
+// The header carries the schedule-structural knobs core::normalize_scheme
+// sets on the spec (layout, KV retention, checkpoint policy, ...), so
 // importing an exported table reproduces the direct run byte-identically.
 // Workload knobs (model, GPU, sharding, sequence length) stay outside the
 // IR: they come from the spec the table is applied to.

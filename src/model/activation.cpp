@@ -9,6 +9,29 @@ namespace slim::model {
 namespace {
 constexpr double kBf16 = 2.0;
 constexpr double kFp32 = 4.0;
+
+/// Stored non-KV activation elements per global token per layer, before
+/// sharding.
+double stored_elements(const TransformerConfig& cfg, CheckpointPolicy policy) {
+  const double h = static_cast<double>(cfg.hidden);
+  const double ffn_active =
+      static_cast<double>(cfg.ffn) * static_cast<double>(cfg.active_experts());
+  switch (policy) {
+    case CheckpointPolicy::None:
+      // layer input (h) + Q (h) + attention output (h) + O-proj output (h)
+      // + gate and up projections (2 * H * active experts). SwiGLU product
+      // and RMSNorm outputs are recomputed; SDPA stores only O(s) stats.
+      return 4.0 * h + 2.0 * ffn_active;
+    case CheckpointPolicy::Selective:
+      // Additionally recompute up-projection + SwiGLU: gate/up outputs gone.
+      return 4.0 * h;
+    case CheckpointPolicy::Full:
+      // Only the layer input survives.
+      return 1.0 * h;
+  }
+  return 0.0;
+}
+
 }  // namespace
 
 const char* to_string(CheckpointPolicy policy) {
@@ -30,27 +53,8 @@ std::optional<CheckpointPolicy> policy_by_name(const std::string& name) {
 double act_bytes_per_token_layer_no_kv(const TransformerConfig& cfg,
                                        const Shard& shard,
                                        CheckpointPolicy policy) {
-  const double h = static_cast<double>(cfg.hidden);
-  const double ffn_active =
-      static_cast<double>(cfg.ffn) * static_cast<double>(cfg.active_experts());
-  double elements = 0.0;
-  switch (policy) {
-    case CheckpointPolicy::None:
-      // layer input (h) + Q (h) + attention output (h) + O-proj output (h)
-      // + gate and up projections (2 * H * active experts). SwiGLU product
-      // and RMSNorm outputs are recomputed; SDPA stores only O(s) stats.
-      elements = 4.0 * h + 2.0 * ffn_active;
-      break;
-    case CheckpointPolicy::Selective:
-      // Additionally recompute up-projection + SwiGLU: gate/up outputs gone.
-      elements = 4.0 * h;
-      break;
-    case CheckpointPolicy::Full:
-      // Only the layer input survives.
-      elements = 1.0 * h;
-      break;
-  }
-  return elements * kBf16 / static_cast<double>(shard.t * shard.c);
+  return stored_elements(cfg, policy) * kBf16 /
+         static_cast<double>(shard.t * shard.c);
 }
 
 double kv_bytes_per_token_layer(const TransformerConfig& cfg,
@@ -59,16 +63,22 @@ double kv_bytes_per_token_layer(const TransformerConfig& cfg,
   return kv * kBf16 / static_cast<double>(shard.t * shard.c);
 }
 
+double stored_kv_bytes_per_token_layer(const TransformerConfig& cfg,
+                                       const Shard& shard,
+                                       CheckpointPolicy policy,
+                                       bool retain_kv) {
+  // Under None/Selective the K/V projections are stored for backward anyway;
+  // under Full they are only kept when a KV cache is required (SlimPipe).
+  return policy != CheckpointPolicy::Full || retain_kv
+             ? kv_bytes_per_token_layer(cfg, shard)
+             : 0.0;
+}
+
 double act_bytes_per_token_layer(const TransformerConfig& cfg,
                                  const Shard& shard, CheckpointPolicy policy,
                                  bool retain_kv) {
-  double bytes = act_bytes_per_token_layer_no_kv(cfg, shard, policy);
-  // Under None/Selective the K/V projections are stored for backward anyway;
-  // under Full they are only kept when a KV cache is required (SlimPipe).
-  if (policy != CheckpointPolicy::Full || retain_kv) {
-    bytes += kv_bytes_per_token_layer(cfg, shard);
-  }
-  return bytes;
+  return act_bytes_per_token_layer_no_kv(cfg, shard, policy) +
+         stored_kv_bytes_per_token_layer(cfg, shard, policy, retain_kv);
 }
 
 double logits_bytes(const TransformerConfig& cfg, const Shard& shard,
@@ -96,26 +106,13 @@ double wgrad_kept_fraction(const TransformerConfig& cfg,
   // Inputs of QKV, O-projection and FFN GEMMs (3h) plus gate/up outputs
   // (2H, needed to rebuild the down-projection input).
   const double kept = 3.0 * h + 2.0 * ffn_active;
-  double stored = 0.0;
-  switch (policy) {
-    case CheckpointPolicy::None:
-      stored = 4.0 * h + 2.0 * ffn_active;
-      break;
-    case CheckpointPolicy::Selective:
-      stored = 4.0 * h;
-      break;
-    case CheckpointPolicy::Full:
-      stored = 1.0 * h;
-      break;
-  }
+  const double stored = stored_elements(cfg, policy);
   if (stored <= 0.0) return 1.0;
   return std::min(1.0, kept / stored);
 }
 
-double model_state_bytes(const TransformerConfig& cfg, const Shard& shard,
-                         double layers_local, double vocab_fraction,
-                         std::int64_t d_shard) {
-  SLIM_CHECK(d_shard >= 1, "optimizer shard must be >= 1");
+double device_params(const TransformerConfig& cfg, const Shard& shard,
+                     double layers_local, double vocab_fraction) {
   const double h = static_cast<double>(cfg.hidden);
   // Attention + norms are divided by t; MoE expert parameters additionally
   // by e (expert parallelism stores only local experts).
@@ -130,7 +127,15 @@ double model_state_bytes(const TransformerConfig& cfg, const Shard& shard,
                            static_cast<double>(shard.t);
   const double embed = static_cast<double>(cfg.params_embedding()) *
                        vocab_fraction / static_cast<double>(shard.t);
-  const double params = layers_local * per_layer + embed;
+  return layers_local * per_layer + embed;
+}
+
+double model_state_bytes(const TransformerConfig& cfg, const Shard& shard,
+                         double layers_local, double vocab_fraction,
+                         std::int64_t d_shard) {
+  SLIM_CHECK(d_shard >= 1, "optimizer shard must be >= 1");
+  const double params =
+      device_params(cfg, shard, layers_local, vocab_fraction);
 
   // bf16 weights (2) + fp32 main gradients (4) resident — the paper trains
   // with "float32 used in gradient accumulation"; fp32 master weights (4) +

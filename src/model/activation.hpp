@@ -52,9 +52,16 @@ double act_bytes_per_token_layer_no_kv(const TransformerConfig& cfg,
 double kv_bytes_per_token_layer(const TransformerConfig& cfg,
                                 const Shard& shard);
 
-/// Total stored activation bytes per global token per layer on one device,
-/// with KV retention forced on (SlimPipe) or policy-controlled (classic PP,
-/// where under Full checkpointing K/V are re-computed and not retained).
+/// The key+value bytes per global token per layer kept for backward:
+/// kv_bytes_per_token_layer, except under Full checkpointing without a KV
+/// cache (retain_kv, SlimPipe), where K/V are recomputed: 0.
+double stored_kv_bytes_per_token_layer(const TransformerConfig& cfg,
+                                       const Shard& shard,
+                                       CheckpointPolicy policy,
+                                       bool retain_kv);
+
+/// Total stored activation bytes per global token per layer on one device:
+/// the non-KV bytes plus stored_kv_bytes_per_token_layer.
 double act_bytes_per_token_layer(const TransformerConfig& cfg,
                                  const Shard& shard, CheckpointPolicy policy,
                                  bool retain_kv);
@@ -77,11 +84,16 @@ double embedding_bytes(const TransformerConfig& cfg, const Shard& shard,
 double wgrad_kept_fraction(const TransformerConfig& cfg,
                            CheckpointPolicy policy);
 
-/// Model-state bytes per device: bf16 params + grads, fp32 master weights
-/// and Adam moments. `layers_local` is the number of transformer layers on
-/// the device; embedding/vocab parameters are added for devices that hold
-/// them (`vocab_fraction` in [0,1]). Optimizer state is sharded `d_shard`
-/// ways (Megatron distributed optimizer / ZeRO-1).
+/// Parameter count on one device after TP/EP sharding: `layers_local`
+/// transformer layers plus `vocab_fraction` (in [0,1]) of the tied
+/// embedding/vocabulary parameters.
+double device_params(const TransformerConfig& cfg, const Shard& shard,
+                     double layers_local, double vocab_fraction);
+
+/// Model-state bytes per device: bf16 params + fp32 main grads, fp32 master
+/// weights and Adam moments, for device_params(cfg, shard, layers_local,
+/// vocab_fraction) parameters. Optimizer state is sharded `d_shard` ways
+/// (Megatron distributed optimizer / ZeRO-1).
 double model_state_bytes(const TransformerConfig& cfg, const Shard& shard,
                          double layers_local, double vocab_fraction,
                          std::int64_t d_shard);

@@ -1,5 +1,9 @@
 #include "src/obs/telemetry.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <sstream>
 
@@ -206,17 +210,33 @@ std::string render_top(const LiveSnapshot& snap) {
 }
 
 bool write_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
+  // Only a regular file (or nothing) is replaced by a rename: renaming over
+  // a FIFO or a device such as /dev/null would swap the node for a file.
+  // Those are written in place, opened without blocking so that a FIFO
+  // nobody reads fails at once instead of stalling the caller.
+  struct stat st {};
+  const bool in_place = ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+  const std::string target = in_place ? path : path + ".tmp";
+  const int fd = ::open(target.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC |
+                            (in_place ? O_NONBLOCK : 0),
+                        0666);
+  if (fd < 0) return false;
+  if (in_place) ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+  std::FILE* f = ::fdopen(fd, "wb");
+  if (f == nullptr) {
+    ::close(fd);
+    return false;
+  }
   const std::size_t written =
       content.empty() ? 0 : std::fwrite(content.data(), 1, content.size(), f);
   const bool ok = (std::fclose(f) == 0) && written == content.size();
+  if (in_place) return ok;
   if (!ok) {
-    std::remove(tmp.c_str());
+    std::remove(target.c_str());
     return false;
   }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return std::rename(target.c_str(), path.c_str()) == 0;
 }
 
 }  // namespace slim::obs

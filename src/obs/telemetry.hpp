@@ -75,7 +75,9 @@ std::string stage_table(const std::vector<StageLive>& rows);
 std::string render_top(const LiveSnapshot& snap);
 
 /// Writes `content` to `path` via a sibling temp file + rename so readers
-/// never observe a torn snapshot. Returns false on any I/O failure.
+/// never observe a torn snapshot. A path that names something other than a
+/// regular file (a FIFO, a device such as /dev/null) is written in place
+/// instead, so the node stays what it is. Returns false on any I/O failure.
 bool write_atomic(const std::string& path, const std::string& content);
 
 }  // namespace slim::obs

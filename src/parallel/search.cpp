@@ -23,37 +23,6 @@ constexpr std::int64_t kMaxP = 64;
 /// CP escapes this by constructing configs directly.
 constexpr std::int64_t kMaxTcPerNode = 8;
 
-bool scheme_retains_kv(core::Scheme scheme) {
-  return scheme == core::Scheme::SlimPipe || scheme == core::Scheme::TeraPipe;
-}
-
-double activation_fraction(const HybridConfig& cfg, std::int64_t m) {
-  const int p = static_cast<int>(cfg.p);
-  const int mi = static_cast<int>(m);
-  switch (cfg.scheme) {
-    case core::Scheme::GPipe:
-    case core::Scheme::TeraPipe:
-      return core::gpipe_activation_fraction(mi, p);
-    case core::Scheme::OneF1B:
-      return core::onef1b_activation_fraction(mi, p);
-    case core::Scheme::Interleaved1F1B:
-      return std::min(core::interleaved_activation_fraction(p, cfg.v),
-                      static_cast<double>(mi) / p);
-    case core::Scheme::ZBV:
-      return core::onef1b_activation_fraction(mi, p);
-    case core::Scheme::VHalf:
-      return std::min(core::vhalf_activation_fraction(p),
-                      static_cast<double>(mi) / p);
-    case core::Scheme::VMin:
-      return std::min(core::vmin_activation_fraction(p),
-                      static_cast<double>(mi) / p);
-    case core::Scheme::SlimPipe:
-      return std::min(core::slimpipe_activation_fraction(p, cfg.n, cfg.v),
-                      static_cast<double>(mi) / p);
-  }
-  return 1.0;
-}
-
 double bubble_estimate(const HybridConfig& cfg, std::int64_t m) {
   const int p = static_cast<int>(cfg.p);
   const int mi = std::max<int>(1, static_cast<int>(m));
@@ -104,35 +73,32 @@ double estimate_peak_memory(const HybridConfig& cfg,
                             const model::TransformerConfig& model,
                             const model::GpuSpec& gpu, std::int64_t seq,
                             std::int64_t tokens_per_iter) {
-  (void)gpu;
-  const std::int64_t m = cfg.microbatches(seq, tokens_per_iter);
-  const model::Shard shard{cfg.t, cfg.c, cfg.e, 8};
-  const bool retain_kv = scheme_retains_kv(cfg.scheme);
-  const model::CheckpointPolicy policy =
-      (cfg.scheme == core::Scheme::ZBV || cfg.scheme == core::Scheme::VHalf ||
-       cfg.scheme == core::Scheme::VMin)
-          ? model::CheckpointPolicy::None
-          : cfg.policy;
-  const double act_tok =
-      model::act_bytes_per_token_layer(model, shard, policy, retain_kv);
-  const double ma = act_tok * static_cast<double>(seq) *
-                    static_cast<double>(model.layers);
-  const double act =
-      activation_fraction(cfg, m) * ma * (1.0 - cfg.offload_ratio);
+  // The spec the candidate's scheme runs: the same policy, KV retention,
+  // vocabulary parallelism and in-flight cap as its simulation.
+  const sched::PipelineSpec spec = core::normalize_scheme(
+      cfg.scheme, make_spec(cfg, model, gpu, seq, tokens_per_iter)).spec;
+  const double ma =
+      model::act_bytes_per_token_layer(model, spec.shard, spec.policy,
+                                       spec.retain_kv) *
+      static_cast<double>(seq) * static_cast<double>(model.layers);
+  // A device holds at most the scheme's in-flight cap of the p * n * v
+  // slice units M_a divides into.
+  const double fraction = spec.max_inflight_units /
+                          (static_cast<double>(spec.p) * spec.n * spec.v);
+  const double act = fraction * ma * (1.0 - cfg.offload_ratio);
 
   const double layers_local =
       static_cast<double>(model.layers) / static_cast<double>(cfg.p);
-  const bool vocab_parallel = cfg.scheme == core::Scheme::SlimPipe;
-  const double vocab_frac = vocab_parallel ? 1.0 / static_cast<double>(cfg.p)
-                                           : 0.5;
-  const double states =
-      model::model_state_bytes(model, shard, layers_local, vocab_frac, cfg.d);
+  const double vocab_frac =
+      spec.vocab_parallel ? 1.0 / static_cast<double>(cfg.p) : 0.5;
+  const double states = model::model_state_bytes(
+      model, spec.shard, layers_local, vocab_frac, cfg.d);
   const std::int64_t loss_tokens =
-      vocab_parallel ? (seq + cfg.n - 1) / cfg.n : seq;
-  const std::int64_t vshards = vocab_parallel ? cfg.p : 1;
+      spec.vocab_parallel ? (seq + cfg.n - 1) / cfg.n : seq;
+  const std::int64_t vshards = spec.vocab_parallel ? cfg.p : 1;
   const double logits =
-      model::logits_bytes(model, shard, loss_tokens, vshards) *
-      (vocab_parallel ? 2.0 : 1.0);
+      model::logits_bytes(model, spec.shard, loss_tokens, vshards) *
+      (spec.vocab_parallel ? 2.0 : 1.0);
   return act + states + logits;
 }
 
@@ -141,18 +107,10 @@ double estimate_iteration_time(const HybridConfig& cfg,
                                const model::GpuSpec& gpu, std::int64_t seq,
                                std::int64_t tokens_per_iter) {
   const std::int64_t m = cfg.microbatches(seq, tokens_per_iter);
-  const model::Shard shard{cfg.t, cfg.c, cfg.e, 8};
-  const model::CheckpointPolicy policy =
-      (cfg.scheme == core::Scheme::ZBV || cfg.scheme == core::Scheme::VHalf ||
-       cfg.scheme == core::Scheme::VMin)
-          ? model::CheckpointPolicy::None
-          : cfg.policy;
-  sched::PipelineSpec probe = make_spec(cfg, model, gpu, seq, tokens_per_iter);
-  const model::CostModel cost(model, gpu, sched::pipeline_topology(probe),
-                              shard, policy,
-                              cfg.scheme == core::Scheme::SlimPipe
-                                  ? model::CpMode::Commutated
-                                  : model::CpMode::RingKv);
+  const sched::PipelineSpec spec = core::normalize_scheme(
+      cfg.scheme, make_spec(cfg, model, gpu, seq, tokens_per_iter)).spec;
+  const model::CostModel cost(model, gpu, sched::pipeline_topology(spec),
+                              spec.shard, spec.policy, spec.cp_mode);
   const std::int64_t layers_dev = model.layers / cfg.p;
   const std::int64_t layers_pass =
       std::max<std::int64_t>(1, model.layers / (cfg.p * cfg.v));
@@ -165,8 +123,7 @@ double estimate_iteration_time(const HybridConfig& cfg,
   const core::SliceLayout layout = core::SliceLayout::uniform(
       seq, static_cast<int>(cfg.n),
       (cfg.c > 1 && seq % cfg.c == 0 && seq / cfg.c >= cfg.n) ? cfg.c : 1);
-  const bool vocab_parallel = cfg.scheme == core::Scheme::SlimPipe;
-  const std::int64_t vshards = vocab_parallel ? cfg.p : 1;
+  const std::int64_t vshards = spec.vocab_parallel ? cfg.p : 1;
   const std::int64_t mean_recompute_prefix = (cfg.n / 2) * (seq / cfg.n);
   double per_mb = 0.0;
   for (int i = 0; i < cfg.n; ++i) {
@@ -187,7 +144,7 @@ double estimate_iteration_time(const HybridConfig& cfg,
   // Offload exposure (rough): traffic beyond what the compute window hides.
   if (cfg.offload_ratio > 0.0) {
     const double act_tok = model::act_bytes_per_token_layer(
-        model, shard, policy, scheme_retains_kv(cfg.scheme));
+        model, spec.shard, spec.policy, spec.retain_kv);
     const double bytes = act_tok * static_cast<double>(seq) *
                          static_cast<double>(model.layers) /
                          static_cast<double>(cfg.p) * cfg.offload_ratio *

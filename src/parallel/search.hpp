@@ -45,13 +45,15 @@ SearchResult grid_search(const model::TransformerConfig& model,
                          core::Scheme scheme, const SearchOptions& options = {});
 
 /// Fast analytic peak-memory estimate of a configuration (bytes, worst
-/// device).
+/// device): model states, logits, and max_inflight_units / (p n v) of M_a
+/// for the spec the scheme runs (core::normalize_scheme).
 double estimate_peak_memory(const HybridConfig& cfg,
                             const model::TransformerConfig& model,
                             const model::GpuSpec& gpu, std::int64_t seq,
                             std::int64_t tokens_per_iter);
 
-/// Fast analytic iteration-time estimate (seconds).
+/// Fast analytic iteration-time estimate (seconds), costed with the
+/// normalized spec's checkpoint policy, CP mode and vocabulary parallelism.
 double estimate_iteration_time(const HybridConfig& cfg,
                                const model::TransformerConfig& model,
                                const model::GpuSpec& gpu, std::int64_t seq,

@@ -34,24 +34,6 @@ std::int64_t pack_key(PassType type, std::int32_t mb, std::int32_t slice,
          static_cast<std::int64_t>(stage);
 }
 
-/// Parameter count on one device (after TP/EP sharding).
-double device_params(const model::TransformerConfig& cfg,
-                     const model::Shard& shard, double layers_local,
-                     double vocab_fraction) {
-  const double h = static_cast<double>(cfg.hidden);
-  const double attn = 2.0 * h * h + 2.0 * h * static_cast<double>(cfg.kv_hidden());
-  double ffn = 3.0 * h * static_cast<double>(cfg.ffn);
-  if (cfg.is_moe()) {
-    ffn = ffn * static_cast<double>(cfg.experts) /
-              static_cast<double>(shard.e) +
-          h * static_cast<double>(cfg.experts);
-  }
-  const double per_layer = (attn + ffn + 2.0 * h) / static_cast<double>(shard.t);
-  const double embed = static_cast<double>(cfg.params_embedding()) *
-                       vocab_fraction / static_cast<double>(shard.t);
-  return layers_local * per_layer + embed;
-}
-
 }  // namespace
 
 void set_compile_lint(bool enabled) { g_compile_lint.store(enabled); }
@@ -103,8 +85,8 @@ BuildOutput compile(const PipelineSpec& spec,
   // ---- static verification ----
   // Runs *before* any graph is built, so a rejected schedule costs nothing
   // and external (imported) schedules are certified by the same path. The
-  // spec carries the scheme's declared in-flight cap (core::plan_scheme
-  // fills it in); 0 leaves the sched-inflight-bound rule off.
+  // spec carries the scheme's declared in-flight cap
+  // (core::normalize_scheme fills it in); 0 leaves the rule off.
   if (compile_lint_enabled()) {
     const analysis::VerifyResult verdict =
         analysis::verify_ir(ir::lower(spec, programs, "compile"), spec);
@@ -129,43 +111,27 @@ BuildOutput compile(const PipelineSpec& spec,
   const model::CostModel cost(spec.cfg, spec.gpu, topo, spec.shard,
                               spec.policy, spec.cp_mode);
 
-  // --- activation byte model per slice per stage ---
-  const double nonkv_per_token = model::act_bytes_per_token_layer_no_kv(
-      spec.cfg, spec.shard, spec.policy);
-  const bool kv_stored =
-      spec.retain_kv || spec.policy != model::CheckpointPolicy::Full;
-  const double kv_per_token =
-      kv_stored ? model::kv_bytes_per_token_layer(spec.cfg, spec.shard) : 0.0;
-  const int kv_category = spec.retain_kv ? mem::kKvCache : mem::kActivation;
-  // Per-stage activation bytes (stages may hold uneven layer counts and
-  // slices carry per-layout token counts).
-  auto act_slice_of = [&](int stage, std::int64_t len) {
-    return nonkv_per_token *
-           static_cast<double>(len * spec.layers_of_stage(stage));
-  };
-  auto kv_slice_of = [&](int stage, std::int64_t len) {
-    return kv_per_token *
-           static_cast<double>(len * spec.layers_of_stage(stage));
-  };
-  const double wkeep = model::wgrad_kept_fraction(spec.cfg, spec.policy);
+  // Activation byte model: per-stage slice bytes (stages may hold uneven
+  // layer counts and slices carry per-layout token counts) and the share
+  // each pass kind books.
+  const SliceMemory slice_memory(spec);
+  const int kv_category = slice_memory.kv_category();
 
-  // Fraction of the (tied, single-copy) vocabulary parameters on a device:
-  // the embedding sits with the first stage, the output head with the last.
-  const StageLayout vf_layout = spec.stage_layout();
-  auto vocab_fraction_of = [&](int dev) {
-    if (spec.vocab_parallel) return 1.0 / static_cast<double>(spec.p);
-    double f = 0.0;
-    if (vf_layout.device_of(0) == dev) f += 0.5;
-    if (vf_layout.device_of(vf_layout.num_stages() - 1) == dev) f += 0.5;
-    return f;
-  };
-  // Layers on one device across all its chunks.
-  auto layers_of_device = [&](int dev) {
-    std::int64_t total = 0;
+  // Parameters on a device: the layers of all its chunks plus its share of
+  // the (tied, single-copy) vocabulary — the embedding sits with the first
+  // stage, the output head with the last.
+  auto params_of = [&](int dev) {
+    std::int64_t layers = 0;
     for (int chunk = 0; chunk < spec.v; ++chunk) {
-      total += spec.layers_of_stage(vf_layout.stage_of(dev, chunk));
+      layers += spec.layers_of_stage(layout.stage_of(dev, chunk));
     }
-    return static_cast<double>(total);
+    double vocab = 1.0 / static_cast<double>(spec.p);
+    if (!spec.vocab_parallel) {
+      vocab = (layout.device_of(0) == dev ? 0.5 : 0.0) +
+              (layout.device_of(num_stages - 1) == dev ? 0.5 : 0.0);
+    }
+    return model::device_params(spec.cfg, spec.shard,
+                                static_cast<double>(layers), vocab);
   };
 
   // Vocabulary handling (per-slice token counts).
@@ -299,77 +265,60 @@ BuildOutput compile(const PipelineSpec& spec,
         }
       }
 
-      // Memory deltas. With offloading enabled, the forward allocates the
-      // full slice; an explicit PCIe store then moves the host share out,
-      // and a prefetch restores it ahead of the backward — the transfer
-      // windows and PCIe contention are simulated, not assumed (paper 6.5,
-      // "pipeline-parallelism-aware offloading").
-      const double act_full = act_slice_of(stage, slice_len);
-      const double kv_full = kv_slice_of(stage, slice_len);
-      const double act_host = spec.offload.host_bytes(act_full);
-      const double kv_host = spec.offload.host_bytes(kv_full);
+      // Memory deltas: a forward allocates at its start, the backward kinds
+      // free at their end. With offloading enabled, the forward allocates
+      // the full slice; an explicit PCIe store then moves the host share
+      // out, and a prefetch restores it ahead of the backward — the
+      // transfer windows and PCIe contention are simulated, not assumed
+      // (paper 6.5, "pipeline-parallelism-aware offloading").
+      const SliceBytes full = slice_memory.slice(stage, slice_len);
+      const double act_host = spec.offload.host_bytes(full.act);
+      const double kv_host = spec.offload.host_bytes(full.kv);
       const bool offloading = spec.offload.enabled() &&
                               (pass.type == PassType::Forward ||
                                pass.type == PassType::Backward);
       const double pcie_time =
           (act_host + kv_host) / spec.offload.pcie_bandwidth;
-      switch (pass.type) {
-        case PassType::Forward: {
-          graph.add_mem(op, {dev, mem::kActivation, act_full, false});
-          if (kv_full > 0.0) {
-            graph.add_mem(op, {dev, kv_category, kv_full, false});
-          }
-          if (spec.vocab_parallel && pass.chunk == spec.v - 1) {
-            graph.add_mem(op, {dev, mem::kLogits, logits_slice, true});
-          }
-          if (offloading) {
-            const sim::OpId store = graph.add_on_resource(
-                graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
-                {op});
-            graph.set_tag(store, pass.microbatch, pass.slice, stage);
-            graph.add_mem(store, {dev, mem::kActivation, -act_host, true});
-            if (kv_host > 0.0) {
-              graph.add_mem(store, {dev, kv_category, -kv_host, true});
-            }
-          }
-          break;
+      if (offloading && pass.type == PassType::Backward) {
+        // Prefetch launched from two passes back so it overlaps; the
+        // backward waits for it.
+        const auto& own = device_ops[static_cast<std::size_t>(dev)];
+        std::vector<sim::OpId> pdeps;
+        if (own.size() >= 2) pdeps.push_back(own[own.size() - 2]);
+        const sim::OpId prefetch = graph.add_on_resource(
+            graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
+            std::move(pdeps));
+        graph.set_tag(prefetch, pass.microbatch, pass.slice, stage);
+        graph.add_mem(prefetch, {dev, mem::kActivation, act_host, false});
+        if (kv_host > 0.0) {
+          graph.add_mem(prefetch, {dev, kv_category, kv_host, false});
         }
-        case PassType::Backward: {
-          if (offloading) {
-            // Prefetch launched from two passes back so it overlaps; the
-            // backward waits for it.
-            const auto& own = device_ops[static_cast<std::size_t>(dev)];
-            std::vector<sim::OpId> pdeps;
-            if (own.size() >= 2) pdeps.push_back(own[own.size() - 2]);
-            const sim::OpId prefetch = graph.add_on_resource(
-                graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
-                std::move(pdeps));
-            graph.set_tag(prefetch, pass.microbatch, pass.slice, stage);
-            graph.add_mem(prefetch, {dev, mem::kActivation, act_host, false});
-            if (kv_host > 0.0) {
-              graph.add_mem(prefetch, {dev, kv_category, kv_host, false});
-            }
-            graph.op(op).deps.push_back(prefetch);
-          }
-          graph.add_mem(op, {dev, mem::kActivation, -act_full, true});
-          if (kv_full > 0.0) {
-            graph.add_mem(op, {dev, kv_category, -kv_full, true});
-          }
-          if (spec.vocab_parallel && pass.chunk == spec.v - 1) {
-            graph.add_mem(op, {dev, mem::kLogits, -logits_slice, false});
-          }
-          break;
+        graph.op(op).deps.push_back(prefetch);
+      }
+      const bool frees = pass.type != PassType::Forward;
+      const SliceBytes share = slice_memory.share(pass.type);
+      graph.add_mem(op, {dev, mem::kActivation, full.act * share.act, frees});
+      if (full.kv > 0.0 && share.kv != 0.0) {
+        graph.add_mem(op, {dev, kv_category, full.kv * share.kv, frees});
+      }
+      if (spec.vocab_parallel && pass.chunk == spec.v - 1) {
+        // Vocabulary-parallel logits live from the forward's end to the
+        // backward's start.
+        if (pass.type == PassType::Forward) {
+          graph.add_mem(op, {dev, mem::kLogits, logits_slice, true});
+        } else if (pass.type == PassType::Backward) {
+          graph.add_mem(op, {dev, mem::kLogits, -logits_slice, false});
         }
-        case PassType::BackwardInput:
-          graph.add_mem(
-              op, {dev, mem::kActivation, -act_full * (1.0 - wkeep), true});
-          if (kv_full > 0.0) {
-            graph.add_mem(op, {dev, kv_category, -kv_full, true});
-          }
-          break;
-        case PassType::BackwardWeight:
-          graph.add_mem(op, {dev, mem::kActivation, -act_full * wkeep, true});
-          break;
+      }
+      if (offloading && pass.type == PassType::Forward) {
+        const sim::OpId store = graph.add_on_resource(
+            graph.pcie_resource(dev), dev, pcie_time, sim::OpClass::Other,
+            {op});
+        graph.set_tag(store, pass.microbatch, pass.slice, stage);
+        graph.add_mem(store, {dev, mem::kActivation, -act_host, true});
+        if (kv_host > 0.0) {
+          graph.add_mem(store, {dev, kv_category, -kv_host, true});
+        }
       }
 
       // Non-parallel vocabulary: forward of the last stage is followed by
@@ -391,9 +340,7 @@ BuildOutput compile(const PipelineSpec& spec,
 
     // Optimizer tail: parameter update + exposed data-parallel gradient
     // communication.
-    const double params = device_params(spec.cfg, spec.shard,
-                                        layers_of_device(dev),
-                                        vocab_fraction_of(dev));
+    const double params = params_of(dev);
     const double update_time = params * 18.0 / spec.gpu.hbm_bandwidth;
     double dp_time = 0.0;
     if (spec.d > 1) {
@@ -539,9 +486,7 @@ BuildOutput compile(const PipelineSpec& spec,
 
   // ---- static model-state baseline ----
   for (int dev = 0; dev < spec.p; ++dev) {
-    const double params = device_params(spec.cfg, spec.shard,
-                                        layers_of_device(dev),
-                                        vocab_fraction_of(dev));
+    const double params = params_of(dev);
     output.baseline.push_back({dev, mem::kParams, params * 2.0});
     // fp32 main gradients (mixed-precision accumulation, paper 6.1).
     output.baseline.push_back({dev, mem::kGrads, params * 4.0});

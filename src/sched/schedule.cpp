@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "src/memory/category.hpp"
 #include "src/util/logging.hpp"
 #include "src/util/math.hpp"
 
@@ -148,6 +149,31 @@ std::string PipelineSpec::validate() const {
     err << "context exchange requires uniform equal-length slices; ";
   }
   return err.str();
+}
+
+SliceMemory::SliceMemory(const PipelineSpec& spec)
+    : spec_(&spec),
+      per_token_{model::act_bytes_per_token_layer_no_kv(spec.cfg, spec.shard,
+                                                        spec.policy),
+                 model::stored_kv_bytes_per_token_layer(
+                     spec.cfg, spec.shard, spec.policy, spec.retain_kv)},
+      wkeep_(model::wgrad_kept_fraction(spec.cfg, spec.policy)),
+      kv_category_(spec.retain_kv ? mem::kKvCache : mem::kActivation) {}
+
+SliceBytes SliceMemory::slice(int stage, std::int64_t tokens) const {
+  const double token_layers =
+      static_cast<double>(tokens * spec_->layers_of_stage(stage));
+  return {per_token_.act * token_layers, per_token_.kv * token_layers};
+}
+
+SliceBytes SliceMemory::share(PassType kind) const {
+  switch (kind) {
+    case PassType::Forward: return {1.0, 1.0};
+    case PassType::Backward: return {-1.0, -1.0};
+    case PassType::BackwardInput: return {-(1.0 - wkeep_), -1.0};
+    case PassType::BackwardWeight: return {-wkeep_, 0.0};
+  }
+  return {};
 }
 
 obs::RunRecord to_run_record(const ScheduleResult& result,

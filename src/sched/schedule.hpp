@@ -94,8 +94,8 @@ struct PipelineSpec {
 
   /// Declared cap on simultaneously-live activation units (slices) per
   /// device. 0 = undeclared; when positive, sched::compile enforces it via
-  /// the verifier's sched-inflight-bound rule. core::plan_scheme fills in
-  /// each scheme's analytical cap.
+  /// the verifier's sched-inflight-bound rule. core::normalize_scheme fills
+  /// in each scheme's analytical cap.
   double max_inflight_units = 0.0;
 
   /// Base layers per stage (uneven splits give the remainder to the first
@@ -134,6 +134,40 @@ struct PipelineSpec {
   /// Validates divisibility and structural constraints; returns an error
   /// message or empty string when valid.
   std::string validate() const;
+};
+
+/// Bytes in the two activation ledgers: non-KV activations and keys/values.
+struct SliceBytes {
+  double act = 0.0;
+  double kv = 0.0;
+};
+
+/// The activation byte model of a spec, which the graph builder's memory
+/// deltas, the verifier's certificate and in-flight ledger and the ZB-V
+/// greedy all read. A slice holds its tokens x its stage's layers x the
+/// model's per-token bytes (model::act_bytes_per_token_layer_no_kv and
+/// stored_kv_bytes_per_token_layer); a pass books a share of it, per
+/// column: F +1/+1, B -1/-1, BI -(1 - wkeep)/-1, BW -wkeep/0 (wkeep =
+/// model::wgrad_kept_fraction). KV is booked under mem::kKvCache when the
+/// spec retains KV, else under mem::kActivation. Keeps a pointer to `spec`,
+/// which must outlive it.
+class SliceMemory {
+ public:
+  explicit SliceMemory(const PipelineSpec& spec);
+
+  /// Bytes per token per layer.
+  const SliceBytes& per_token_layer() const { return per_token_; }
+  /// Bytes one slice of `tokens` tokens holds at global stage `stage`.
+  SliceBytes slice(int stage, std::int64_t tokens) const;
+  /// Share of its slice that a pass of `kind` books, per column.
+  SliceBytes share(PassType kind) const;
+  int kv_category() const { return kv_category_; }
+
+ private:
+  const PipelineSpec* spec_;
+  SliceBytes per_token_;
+  double wkeep_ = 1.0;
+  int kv_category_ = 0;
 };
 
 /// Everything measured for one simulated iteration.

@@ -8,7 +8,7 @@
 //   ZB-V / V-Half    — zero-bubble schedules with split backward
 //
 // Each scheme has a program generator here (pure ordering). The spec
-// normalization lives in one place, core::plan_scheme, and
+// normalization lives in one place, core::normalize_scheme, and
 // core::run_scheme is the one way to simulate a scheme.
 
 #include <vector>

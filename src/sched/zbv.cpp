@@ -36,7 +36,9 @@ std::vector<DeviceProgram> zbv_programs(const PipelineSpec& spec,
   const double tbw = cost.backward_weight_time(layers, spec.seq);
   const double tvf = cost.vocab_forward_time(spec.seq, 1);
   const double tvb = cost.vocab_backward_time(spec.seq, 1);
-  const double wkeep = model::wgrad_kept_fraction(spec.cfg, spec.policy);
+  // The activation ledger books the builder's unit shares (BI frees
+  // 1 - wkeep, BW the rest), so the cap means what the verifier checks.
+  const SliceMemory slice_memory(spec);
 
   std::vector<std::vector<double>> fdone(
       static_cast<std::size_t>(S), std::vector<double>(static_cast<std::size_t>(m), kInf));
@@ -200,7 +202,7 @@ std::vector<DeviceProgram> zbv_programs(const PipelineSpec& spec,
       if (stage == S - 1) dur += tvf;
       const double end = now + dur;
       fdone[static_cast<std::size_t>(stage)][static_cast<std::size_t>(mb)] = end;
-      st.mem_units += 1.0;
+      st.mem_units += slice_memory.share(PassType::Forward).act;
       st.program.push_back({PassType::Forward, mb, 0, chunk});
       st.busy_until = end;
     } else if (action == 1) {  // BackwardInput
@@ -210,14 +212,14 @@ std::vector<DeviceProgram> zbv_programs(const PipelineSpec& spec,
       if (stage == S - 1) dur += tvb;
       const double end = now + dur;
       bidone[static_cast<std::size_t>(stage)][static_cast<std::size_t>(mb)] = end;
-      st.mem_units -= (1.0 - wkeep);
+      st.mem_units += slice_memory.share(PassType::BackwardInput).act;
       st.program.push_back({PassType::BackwardInput, mb, 0, chunk});
       st.pending_bw.push_back({PassType::BackwardWeight, mb, 0, chunk});
       st.busy_until = end;
     } else {  // BackwardWeight filler
       Pass bw = st.pending_bw.front();
       st.pending_bw.pop_front();
-      st.mem_units -= wkeep;
+      st.mem_units += slice_memory.share(PassType::BackwardWeight).act;
       st.program.push_back(bw);
       st.busy_until = now + tbw;
     }

@@ -420,6 +420,19 @@ TEST_P(DistParityTest, MatchesThreadedBitExactAndReference) {
   }
   EXPECT_EQ(dist.stats.messages, thr.stats.messages);
   EXPECT_TRUE(dist.stats.replayed_microbatches.empty());
+
+  // Both links count the same frames and the tensors' bytes (a socket
+  // frame's shape header is the wire's encoding, not payload).
+  ASSERT_EQ(dist.stats.metrics.stages.size(), thr.stats.metrics.stages.size());
+  for (std::size_t s = 0; s < thr.stats.metrics.stages.size(); ++s) {
+    const obs::StageMetrics& d = dist.stats.metrics.stages[s];
+    const obs::StageMetrics& t = thr.stats.metrics.stages[s];
+    EXPECT_EQ(d.frames_sent, t.frames_sent) << "stage " << s;
+    EXPECT_EQ(d.frames_recv, t.frames_recv) << "stage " << s;
+    EXPECT_EQ(d.p2p_messages, t.p2p_messages) << "stage " << s;
+    EXPECT_EQ(d.p2p_bytes, t.p2p_bytes) << "stage " << s;
+    EXPECT_EQ(d.bytes_recv, t.bytes_recv) << "stage " << s;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DistParityTest,

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/core/slice.hpp"
+#include "src/model/activation.hpp"
 #include "src/parallel/config.hpp"
 #include "src/parallel/search.hpp"
 
@@ -129,6 +134,92 @@ TEST(EstimateTest, MemoryTracksSimulation) {
   auto spec = make_spec(cfg, llama, gpu, 64 * 1024, 4 * kMi);
   const auto r = core::run_scheme(core::Scheme::OneF1B, spec);
   EXPECT_NEAR(est, r.peak_memory, 0.35 * r.peak_memory);
+}
+
+TEST(EstimateTest, ActivationTermIsTheSchemesTable2Fraction) {
+  // The activation term, 2 x (estimate at offload 0 - estimate at offload
+  // 0.5), is the Table 2 fraction of M_a of the scheme that runs:
+  // Interleaved 1F1B at v = 1 runs, and is priced, as 1F1B. Full
+  // checkpointing keeps K/V only where a scheme retains it (SlimPipe,
+  // TeraPipe); the V-shaped schemes run without checkpointing.
+  const auto llama = model::llama13b();
+  const auto gpu = model::hopper80();
+  constexpr std::int64_t kSeq = 64 * 1024;
+  constexpr int kP = 4;
+  struct Case {
+    core::Scheme scheme;
+    int v;
+    int n;
+  };
+  const std::vector<Case> cases = {{core::Scheme::GPipe, 1, 1},
+                                   {core::Scheme::TeraPipe, 1, 8},
+                                   {core::Scheme::OneF1B, 1, 1},
+                                   {core::Scheme::Interleaved1F1B, 1, 1},
+                                   {core::Scheme::Interleaved1F1B, 2, 1},
+                                   {core::Scheme::ZBV, 2, 1},
+                                   {core::Scheme::VHalf, 2, 1},
+                                   {core::Scheme::VMin, 2, 1},
+                                   {core::Scheme::SlimPipe, 1, 8},
+                                   {core::Scheme::SlimPipe, 2, 16}};
+  for (const int m : {2, 8}) {
+    for (const Case& c : cases) {
+      HybridConfig cfg;
+      cfg.t = 8;
+      cfg.p = kP;
+      cfg.v = c.v;
+      cfg.n = c.n;
+      cfg.policy = model::CheckpointPolicy::Full;
+      cfg.scheme = c.scheme;
+      const double cap = static_cast<double>(m) / kP;  // all m microbatches
+      double fraction = 0.0;
+      switch (c.scheme) {
+        case core::Scheme::GPipe:
+        case core::Scheme::TeraPipe:
+          fraction = core::gpipe_activation_fraction(m, kP);
+          break;
+        case core::Scheme::OneF1B:
+        case core::Scheme::ZBV:
+          fraction = core::onef1b_activation_fraction(m, kP);
+          break;
+        case core::Scheme::Interleaved1F1B:
+          fraction = c.v == 1 ? core::onef1b_activation_fraction(m, kP)
+                              : std::min(core::interleaved_activation_fraction(
+                                             kP, c.v),
+                                         cap);
+          break;
+        case core::Scheme::VHalf:
+          fraction = std::min(core::vhalf_activation_fraction(kP), cap);
+          break;
+        case core::Scheme::VMin:
+          fraction = std::min(core::vmin_activation_fraction(kP), cap);
+          break;
+        case core::Scheme::SlimPipe:
+          fraction = std::min(
+              core::slimpipe_activation_fraction(kP, c.n, c.v), cap);
+          break;
+      }
+      const bool retain_kv = c.scheme == core::Scheme::SlimPipe ||
+                             c.scheme == core::Scheme::TeraPipe;
+      const bool vshape = c.scheme == core::Scheme::ZBV ||
+                          c.scheme == core::Scheme::VHalf ||
+                          c.scheme == core::Scheme::VMin;
+      const double ma =
+          model::act_bytes_per_token_layer(
+              llama, {8, 1, 1, 8},
+              vshape ? model::CheckpointPolicy::None : cfg.policy,
+              retain_kv) *
+          static_cast<double>(kSeq) * static_cast<double>(llama.layers);
+      const double whole =
+          estimate_peak_memory(cfg, llama, gpu, kSeq, kSeq * m);
+      cfg.offload_ratio = 0.5;
+      const double half =
+          estimate_peak_memory(cfg, llama, gpu, kSeq, kSeq * m);
+      EXPECT_NEAR(2.0 * (whole - half), fraction * ma,
+                  1e-12 * fraction * ma)
+          << core::scheme_name(c.scheme) << " v=" << c.v << " n=" << c.n
+          << " m=" << m;
+    }
+  }
 }
 
 TEST(EstimateTest, TimeOrdersPolicies) {

@@ -12,6 +12,8 @@
 
 #include "src/core/runner.hpp"
 #include "src/core/slice.hpp"
+#include "src/memory/category.hpp"
+#include "src/model/activation.hpp"
 #include "src/model/transformer.hpp"
 #include "src/sched/builder.hpp"
 #include "src/sched/schedule.hpp"
@@ -126,6 +128,58 @@ TEST(SpecTest, PlanRejectsNonPositiveShapeBeforeGenerating) {
     spec.*field = 0;
     EXPECT_THROW(core::plan_scheme(core::Scheme::SlimPipe, spec),
                  std::logic_error);
+  }
+}
+
+TEST(BuilderTest, ModelStateBaselineIsModelStateBytes) {
+  // A device's kParams + kGrads + kOptimizer baseline is
+  // model::model_state_bytes of the layers and the share of the tied
+  // vocabulary it holds (1/p each with vocabulary parallelism, else half
+  // with the first stage and half with the last).
+  struct Case {
+    core::Scheme scheme;
+    model::TransformerConfig cfg;
+    std::int64_t e;
+    std::int64_t d;
+    bool vocab_parallel;
+  };
+  const std::vector<Case> cases = {
+      {core::Scheme::OneF1B, model::llama13b(), 1, 1, false},
+      {core::Scheme::ZBV, model::llama13b(), 1, 4, false},
+      {core::Scheme::SlimPipe, model::llama13b(), 1, 2, true},
+      {core::Scheme::OneF1B, model::mixtral8x7b(), 2, 2, false}};
+  for (const Case& c : cases) {
+    PipelineSpec spec = small_spec(4, 4, 2);
+    spec.cfg = c.cfg;
+    spec.shard.e = c.e;
+    spec.d = c.d;
+    spec.n = 4;
+    spec.vocab_parallel = c.vocab_parallel;
+    const core::SchedulePlan plan = core::plan_scheme(c.scheme, spec);
+    const BuildOutput built = compile(plan.spec, plan.programs, nullptr);
+    std::vector<double> states(static_cast<std::size_t>(spec.p), 0.0);
+    for (const mem::StaticFootprint& f : built.baseline) {
+      EXPECT_TRUE(f.category == mem::kParams || f.category == mem::kGrads ||
+                  f.category == mem::kOptimizer);
+      states[static_cast<std::size_t>(f.device)] += f.bytes;
+    }
+    const StageLayout layout = plan.spec.stage_layout();
+    for (int dev = 0; dev < spec.p; ++dev) {
+      double layers = 0.0;
+      for (int chunk = 0; chunk < plan.spec.v; ++chunk) {
+        layers += static_cast<double>(
+            plan.spec.layers_of_stage(layout.stage_of(dev, chunk)));
+      }
+      double vocab = 1.0 / spec.p;
+      if (!c.vocab_parallel) {
+        vocab = (layout.device_of(0) == dev ? 0.5 : 0.0) +
+                (layout.device_of(layout.num_stages() - 1) == dev ? 0.5 : 0.0);
+      }
+      EXPECT_DOUBLE_EQ(states[static_cast<std::size_t>(dev)],
+                       model::model_state_bytes(c.cfg, plan.spec.shard, layers,
+                                                vocab, c.d))
+          << core::scheme_name(c.scheme) << " dev " << dev;
+    }
   }
 }
 

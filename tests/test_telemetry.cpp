@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -717,6 +721,36 @@ TEST(WriteAtomicTest, WritesAndReplacesWithoutTornReads) {
   std::remove(path.c_str());
   // Unwritable directory fails cleanly instead of crashing.
   EXPECT_FALSE(write_atomic("/nonexistent-dir/x.json", "x"));
+}
+
+TEST(WriteAtomicTest, WritesSpecialFilesInPlace) {
+  // A path naming something other than a regular file (here a FIFO; a
+  // device such as /dev/null alike) is written through, never renamed over.
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string dir = tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp";
+  const std::string path =
+      dir + "/slimpipe_test_write_atomic_" + std::to_string(::getpid()) +
+      ".fifo";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << path;
+  // Held open read-write, so opening it for writing does not block.
+  const int fd = ::open(path.c_str(), O_RDWR | O_NONBLOCK);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(write_atomic(path, "snapshot"));
+  struct stat st {};
+  ASSERT_EQ(::lstat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  char buf[64] = {};
+  const ssize_t n = ::read(fd, buf, sizeof buf);
+  EXPECT_EQ(std::string(buf, n > 0 ? static_cast<std::size_t>(n) : 0),
+            "snapshot");
+  ::close(fd);
+  // With nobody reading, the write fails at once instead of blocking, and
+  // the FIFO stays.
+  EXPECT_FALSE(write_atomic(path, "snapshot"));
+  ASSERT_EQ(::lstat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 # Repo-wide check driver: sanitizer builds, labeled test subsets, clang-tidy.
 #
 #   tools/check.sh              # plain + perfbench smoke + sanitizers
-#   tools/check.sh --fast       # plain build + full test suite only
+#   tools/check.sh --fast       # plain build + full test suite + bench
+#                               # tables only
 #   tools/check.sh stress       # plain build, full suite 20 times in a row,
 #                               # then the perfbench smoke test
 #   JOBS=8 tools/check.sh       # override build/test parallelism
@@ -29,6 +30,14 @@
 # boundary in a linked binary (nm -C): slim_numerics is built with
 # -falign-functions=64, since where the link happens to place those bodies
 # moved a training step's time by ~4% with unchanged kernel code.
+#
+# After the plain test suite (in both the default and --fast modes), every
+# bench with a committed table (results/bench_*.txt) runs again from the
+# plain build with its timers filtered out (--benchmark_filter='^$') and
+# its JSON report sent to a temp dir (SLIMPIPE_RESULTS_DIR), so results/
+# is left as it is; any table line (one starting with | or +) that differs
+# from the committed file fails the check (~21 s on a 4-vCPU box, most of
+# it bench_fig12_end_to_end's grid search).
 #
 # It also fails when the runtime library (libslim_runtime.a) carries a
 # relocation to libm's exp or expf. The runtime only routes tensors between
@@ -179,6 +188,28 @@ check_kernel_alignment() {
   done <<<"$symbols"
 }
 
+check_bench_tables() {
+  echo "== bench tables: results/bench_*.txt regenerate unchanged =="
+  local reports txt name fresh
+  reports="$(mktemp -d)"
+  for txt in results/bench_*.txt; do
+    name="$(basename "$txt" .txt)"
+    if ! fresh="$(SLIMPIPE_RESULTS_DIR="$reports" "build/bench/$name" \
+                   --benchmark_filter='^$' 2>/dev/null)"; then
+      echo "check.sh: build/bench/$name failed" >&2
+      rm -rf "$reports"
+      exit 1
+    fi
+    if ! diff <(grep -E '^[|+]' "$txt") <(grep -E '^[|+]' <<<"$fresh") >&2
+    then
+      echo "check.sh: the tables of $name differ from $txt" >&2
+      rm -rf "$reports"
+      exit 1
+    fi
+  done
+  rm -rf "$reports"
+}
+
 if [[ "$STRESS" -eq 1 ]]; then
   echo "== plain build + full test suite, 20 runs in a row =="
   build_tree build
@@ -199,6 +230,7 @@ check_no_fma
 check_runtime_no_exp
 check_kernel_alignment
 ctest --test-dir build --output-on-failure -j "$JOBS"
+check_bench_tables
 
 if [[ "$FAST" -eq 0 ]]; then
   echo "== perfbench smoke test =="

@@ -4,8 +4,9 @@
 // one number reader (util::parse_number): a value that does not parse
 // whole, lies out of range or names nothing is a usage error with the
 // tool's usage exit status, never a silent 0 or a truncated number. Both
-// tools load an external schedule table the same way, too, and every input
-// file (a schedule table, a fault plan) through one loader.
+// tools load an external schedule table the same way, too, every input
+// file (a schedule table, a fault plan) through one loader, and write every
+// output file (a trace, an emitted table) through one checked writer.
 
 #include <cstdint>
 #include <cstdio>
@@ -138,6 +139,20 @@ auto load_file(const std::string& path, Load load)
   if (error.empty() || error.back() != '\n') error += '\n';
   std::fprintf(stderr, "%s: %s", path.c_str(), error.c_str());
   return std::nullopt;
+}
+
+/// Writes `text` to `path` in place (no temp file and rename, so a device
+/// or FIFO path stays what it is). False, with "cannot write WHAT 'PATH'"
+/// on stderr (`what` may be empty), when the file cannot be opened, written
+/// or flushed.
+inline bool write_file(const std::string& path, const std::string& text,
+                       const std::string& what = "") {
+  std::ofstream out(path);
+  out << text;
+  if (out.flush()) return true;
+  std::fprintf(stderr, "cannot write %s%s'%s'\n", what.c_str(),
+               what.empty() ? "" : " ", path.c_str());
+  return false;
 }
 
 /// The schedule table in `path`, with its header overlaid on `*spec`;

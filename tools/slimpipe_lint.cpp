@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -73,8 +72,9 @@ modes
   --verbose          print a line for clean combinations too
 
 exit status
-  0 = clean, 1 = lint findings, 2 = usage error,
-  3 = verifier errors (ir-structure / verify-* rules, or unreadable IR)
+  0 = clean, 1 = lint findings, 2 = usage error (or an --emit-ir FILE
+  that cannot be written), 3 = verifier errors (ir-structure / verify-*
+  rules, or unreadable IR)
 )");
 }
 
@@ -260,18 +260,13 @@ int main(int argc, char** argv) {
     }
     const core::SchedulePlan plan =
         core::plan_scheme(combos[0].scheme, combos[0].spec);
-    const ir::ScheduleIR table = ir::lower(
-        plan.spec, plan.programs, core::scheme_name(combos[0].scheme));
+    const ir::ScheduleIR table =
+        ir::lower(plan.spec, plan.programs, core::scheme_name(plan.scheme));
     const std::string text = ir::export_text(table);
     if (emit_ir_path == "-") {
       std::fputs(text.c_str(), stdout);
     } else {
-      std::ofstream out(emit_ir_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", emit_ir_path.c_str());
-        return 2;
-      }
-      out << text;
+      if (!cli::write_file(emit_ir_path, text)) return 2;
       std::printf("wrote %s (%zu rows)\n", emit_ir_path.c_str(),
                   table.rows.size());
     }

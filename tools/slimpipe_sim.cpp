@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <climits>
 #include <memory>
 #include <string>
@@ -237,10 +236,8 @@ int main(int argc, char** argv) {
     if (plan) std::printf("\n%s", report.render().c_str());
     if (timeline) std::printf("\n%s", r.ascii_timeline.c_str());
     if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      out << obs::chrome_trace_json(trace);
-      if (!out.flush()) {
-        std::fprintf(stderr, "cannot write trace '%s'\n", trace_path.c_str());
+      if (!cli::write_file(trace_path, obs::chrome_trace_json(trace),
+                           "trace")) {
         return 1;
       }
       std::printf("\nChrome trace written to %s\n", trace_path.c_str());

@@ -14,118 +14,270 @@ namespace slim::num {
 namespace {
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
-// Query rows per chunk. Rows are independent in the forward (each owns its
-// own online-softmax state) so chunks write disjoint rows; the backward's
-// dk/dv reductions keep per-chunk partials folded in chunk order.
+// Query rows per chunk of the backward, the merge and the D rowsums. The
+// backward's dk/dv reductions keep one partial slab per chunk, folded in
+// chunk order.
 constexpr std::int64_t kQueryGrain = 8;
+// Query rows per forward chunk. Rows are independent in the forward (each
+// owns its own online-softmax state) so chunks write disjoint rows. Each
+// chunk holds a scratch region in the call's lease (partial_rows), so a
+// coarser grain keeps the lease small.
+constexpr std::int64_t kForwardGrain = 32;
 
-// Keys per stack tile of score / dP values, and keys whose dot products run
-// side by side within a tile: one exp block (exp.hpp).
-constexpr std::int64_t kKeyTile = 64;
-constexpr std::int64_t kKeyBlock = kExpLanes;
-static_assert(kKeyTile % kKeyBlock == 0);
+// The register block of the forward and backward bodies: kRowBlock query
+// rows side by side in the lanes of one f64x4 / f32x4, against Tile::kKeys
+// keys at a time (one f64x4 of scores per key), with output columns in
+// blocks of Tile::V. Each path's tile fills eight of its sixteen vector
+// registers with scores: eight ymm on AVX2, four keys' worth of xmm pairs
+// on the baseline. K and V copies pad keys to whole kKeyPad blocks.
+constexpr std::int64_t kRowBlock = 4;
+constexpr std::int64_t kKeyPad = 8;
+struct WideTile {
+  static constexpr std::int64_t kKeys = 8;
+  using V = detail::f32x8;
+};
+struct NarrowTile {
+  static constexpr std::int64_t kKeys = 4;
+  using V = detail::f32x4;
+};
+static_assert(kQueryGrain % kRowBlock == 0);
+static_assert(kForwardGrain % kRowBlock == 0);
+static_assert(kKeyPad % WideTile::kKeys == 0);
+static_assert(kKeyPad % NarrowTile::kKeys == 0);
+static_assert(kRowBlock * NarrowTile::kKeys % kExpLanes == 0);
 
+using detail::f32x4;
+using detail::f32x8;
+using detail::f64x4;
+using detail::i32x4;
+using detail::i64x4;
+using detail::load;
 using detail::parallel_chunks;
+using detail::store;
 
-/// `count` rounded up to whole key blocks.
-constexpr std::int64_t round_up(std::int64_t count) {
-  return (count + kKeyBlock - 1) / kKeyBlock * kKeyBlock;
+/// `count` rounded up to a multiple of `to`.
+constexpr std::int64_t round_up(std::int64_t count, std::int64_t to) {
+  return (count + to - 1) / to * to;
 }
 
-/// Key-contiguous copy of the first `count` rows of a row-major chunk with
-/// `n` columns: cols[c * stride + r] = rows[r * n + c], and the pad keys
-/// [count, stride) are zero, so whole key blocks read finite values.
-[[gnu::always_inline]] inline void transpose_keys(const float* rows,
-                                                  std::int64_t n,
-                                                  std::int64_t count,
-                                                  std::int64_t stride,
-                                                  float* cols) {
+/// Key-contiguous double copy of the first `count` rows of a row-major
+/// chunk with `n` columns: cols[c * stride + r] = rows[r * n + c], and the
+/// pad keys [count, stride) are zero, so whole key blocks read finite
+/// values.
+void transpose_keys(const float* rows, std::int64_t n, std::int64_t count,
+                    std::int64_t stride, double* cols) {
   for (std::int64_t c = 0; c < n; ++c) {
-    float* col = cols + c * stride;
+    double* col = cols + c * stride;
     for (std::int64_t r = 0; r < count; ++r) col[r] = rows[r * n + c];
-    for (std::int64_t r = count; r < stride; ++r) col[r] = 0.0f;
+    for (std::int64_t r = count; r < stride; ++r) col[r] = 0.0;
   }
 }
 
-/// out[t] = x · column t of `cols` (n rows, `stride` apart) for t in
-/// [0, count), count a multiple of kKeyBlock. Each dot is a double sum in
-/// ascending row order — the bits of one serial loop per key — and the
-/// kKeyBlock keys of one row load as one vector.
-[[gnu::always_inline]] inline void dot_cols(const float* x, const float* cols,
-                                            std::int64_t n,
-                                            std::int64_t stride,
-                                            std::int64_t count, double* out) {
-  for (std::int64_t t = 0; t < count; t += kKeyBlock) {
-    double acc[kKeyBlock] = {};
-    for (std::int64_t c = 0; c < n; ++c) {
-      const double xc = x[c];
-      const float* col = cols + c * stride + t;
-      for (std::int64_t b = 0; b < kKeyBlock; ++b) acc[b] += xc * col[b];
-    }
-    for (std::int64_t b = 0; b < kKeyBlock; ++b) out[t + b] = acc[b];
+/// One register block of query rows. Lane r is row `row[r]` and sees keys
+/// [0, vis[r]). A lane with vis 0 writes nothing: a row that sees no key of
+/// the chunk, or a lane past the chunk's last row (it repeats that row, so
+/// its loads stay in bounds). Keys [0, lo) are visible to every lane and
+/// [lo, hi) to some.
+struct RowBlock {
+  std::int64_t row[kRowBlock];
+  std::int32_t vis[kRowBlock];
+  std::int64_t lo, hi;
+
+  /// Lane mask of the rows that see key j.
+  [[gnu::always_inline]] i32x4 sees(std::int64_t j) const {
+    const i32x4 v = {vis[0], vis[1], vis[2], vis[3]};
+    return (i32x4{} + static_cast<std::int32_t>(j)) < v;
   }
+};
+
+/// The block of rows [i, i + kRowBlock) of a chunk ending at i1; `visible`
+/// gives a row's visible key count.
+template <class Visible>
+[[gnu::always_inline]] inline RowBlock row_block(std::int64_t i,
+                                                 std::int64_t i1,
+                                                 const Visible& visible) {
+  RowBlock b;
+  b.lo = std::numeric_limits<std::int64_t>::max();
+  b.hi = 0;
+  for (std::int64_t r = 0; r < kRowBlock; ++r) {
+    b.row[r] = std::min(i + r, i1 - 1);
+    b.vis[r] = static_cast<std::int32_t>(i + r < i1 ? visible(b.row[r]) : 0);
+    b.lo = std::min<std::int64_t>(b.lo, b.vis[r]);
+    b.hi = std::max<std::int64_t>(b.hi, b.vis[r]);
+  }
+  return b;
+}
+
+/// xt[c * kRowBlock + r] = row `b.row[r]` of x (n columns), column c, as
+/// double: the block's rows side by side, one f64x4 per column.
+[[gnu::always_inline]] inline void gather_rows(const float* x, std::int64_t n,
+                                               const RowBlock& b, double* xt) {
+  for (std::int64_t c = 0; c < n; ++c) {
+    for (std::int64_t r = 0; r < kRowBlock; ++r) {
+      xt[c * kRowBlock + r] = x[b.row[r] * n + c];
+    }
+  }
+}
+
+/// dots[t], lane r = the dot of the block's row r (xt, n columns) with key
+/// key0 + t of `cols` (key-contiguous, `stride` keys per column): one double
+/// sum per (row, key) in ascending column order, the bits of one serial
+/// loop. A block's rows share each column's key loads.
+template <std::int64_t kKeys>
+[[gnu::always_inline]] inline void dot_block(const double* xt,
+                                             const double* cols,
+                                             std::int64_t n,
+                                             std::int64_t stride,
+                                             std::int64_t key0,
+                                             f64x4 (&dots)[kKeys]) {
+  for (std::int64_t t = 0; t < kKeys; ++t) dots[t] = f64x4{};
+  for (std::int64_t c = 0; c < n; ++c) {
+    const f64x4 x = load<f64x4>(xt + c * kRowBlock);
+    const double* col = cols + c * stride + key0;
+    for (std::int64_t t = 0; t < kKeys; ++t) dots[t] += x * col[t];
+  }
+}
+
+/// w[e] = exp_f32(w[e] - m[e % kRowBlock]) for e in [0, n), n a multiple
+/// of kExpLanes: key-major values, each lane shifted by its own row's max,
+/// in whole exp blocks.
+[[gnu::always_inline]] inline void exp_lanes(float* w, const f32x4& m,
+                                             std::int64_t n) {
+  float shift[kExpLanes];
+  for (std::int64_t b = 0; b < kExpLanes; ++b) shift[b] = m[b % kRowBlock];
+  for (std::int64_t e = 0; e < n; e += kExpLanes) {
+    for (std::int64_t b = 0; b < kExpLanes; ++b) {
+      w[e + b] = exp_f32(w[e + b] - shift[b]);
+    }
+  }
+}
+
+/// Calls body.template operator()<V>(c0) on the column blocks of [0, n):
+/// blocks of Wide (f32x8 or f32x4), then one f32x4 block if Wide is wider,
+/// then single floats.
+template <class Wide, class Body>
+[[gnu::always_inline]] inline void for_column_blocks(std::int64_t n,
+                                                     const Body& body) {
+  constexpr std::int64_t lanes = sizeof(Wide) / sizeof(float);
+  std::int64_t c = 0;
+  for (; c + lanes <= n; c += lanes) body.template operator()<Wide>(c);
+  if (lanes > 4 && c + 4 <= n) {
+    body.template operator()<f32x4>(c);
+    c += 4;
+  }
+  for (; c < n; ++c) body.template operator()<float>(c);
+}
+
+/// Runs step.template operator()<masked>(j) for the keys j in [begin, end)
+/// in ascending order: unmasked below b.lo, where every lane sees the key;
+/// masked above, where step must test each lane.
+template <class Step>
+[[gnu::always_inline]] inline void for_keys(const RowBlock& b,
+                                            std::int64_t begin,
+                                            std::int64_t end,
+                                            const Step& step) {
+  const std::int64_t split = std::clamp(b.lo, begin, end);
+  for (std::int64_t j = begin; j < split; ++j) {
+    step.template operator()<false>(j);
+  }
+  for (std::int64_t j = split; j < end; ++j) step.template operator()<true>(j);
 }
 
 // Chunk bodies over query rows (isa.hpp): each compiles once per ISA path.
 
 struct PartialRows {
   const Tensor& q;
-  const Tensor& k;
   const Tensor& v;
-  std::int64_t q_offset, k_offset;
+  const double* kt;  // K key-contiguous: q.cols() x stride
+  std::int64_t stride;
+  double* scratch;  // per query chunk: chunk_scratch doubles
+  std::int64_t chunk_scratch;
+  std::int64_t first_visible;  // keys row 0 sees: q_offset - k_offset + 1
+  std::int64_t kv;
   float scale;
   AttnPartial& part;
 };
 
-SLIM_CHUNK_BODY void partial_rows(const PartialRows& g, std::int64_t i0,
-                                  std::int64_t i1) {
-  const Tensor &q = g.q, &k = g.k, &v = g.v;
-  Tensor& out = g.part.out;
-  const std::int64_t kv = k.rows(), kc = k.cols(), d = v.cols();
-  // A row sees no fewer keys than the row before it, so the body's last row
-  // bounds the keys any of its rows reads.
-  const std::int64_t seen =
-      std::clamp<std::int64_t>(g.q_offset + i1 - g.k_offset, 0, kv);
-  if (seen == 0) return;
-  // One lease from this worker's reusable workspace: the score row, then K
-  // key-contiguous. Every score slot a row reads is written first (its
-  // scores, then its pad lanes), so nothing needs zeroing.
-  const std::int64_t stride = round_up(seen);
-  WorkspaceLease<float> lease(stride * (1 + kc));
-  float* scores = lease.data();
-  float* kt = scores + stride;
-  transpose_keys(k.data(), kc, seen, stride, kt);
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::int64_t visible =
-        std::clamp<std::int64_t>(g.q_offset + i - g.k_offset + 1, 0, kv);
-    if (visible == 0) continue;
-    // Row scores and max, the max folded in ascending key order.
-    float m = kNegInf;
-    for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
-      const std::int64_t nt = std::min(kKeyTile, visible - t0);
-      double dots[kKeyTile];
-      dot_cols(q.data() + i * kc, kt + t0, kc, stride, round_up(nt), dots);
-      for (std::int64_t t = 0; t < nt; ++t) {
-        const float sc = static_cast<float>(dots[t]) * g.scale;
-        scores[t0 + t] = sc;
-        m = std::max(m, sc);
+template <class Tile>
+[[gnu::always_inline]] inline void partial_rows_tiled(const PartialRows& g,
+                                                      std::int64_t i0,
+                                                      std::int64_t i1) {
+  constexpr std::int64_t kKeys = Tile::kKeys;
+  const std::int64_t kc = g.q.cols(), d = g.v.cols();
+  // The chunk's scratch: its row block's q columns, then the block's
+  // scores / weights key-major (stride keys x kRowBlock lanes). Every slot
+  // a block reads it writes first.
+  double* qt = g.scratch + i0 / kForwardGrain * g.chunk_scratch;
+  float* w = reinterpret_cast<float*>(qt + kc * kRowBlock);
+  float* out = g.part.out.data();
+  for (std::int64_t i = i0; i < i1; i += kRowBlock) {
+    const RowBlock b = row_block(i, i1, [&](std::int64_t row) {
+      return std::clamp<std::int64_t>(g.first_visible + row, 0, g.kv);
+    });
+    if (b.hi == 0) continue;
+    gather_rows(g.q.data(), kc, b, qt);
+    // Scores, and each row's max folded over its visible keys in ascending
+    // key order.
+    const std::int64_t keys = round_up(b.hi, kKeys);
+    f32x4 m = f32x4{} + kNegInf;
+    for (std::int64_t t0 = 0; t0 < keys; t0 += kKeys) {
+      f64x4 dots[kKeys];
+      dot_block(qt, g.kt, kc, g.stride, t0, dots);
+      for (std::int64_t t = 0; t < kKeys; ++t) {
+        const f32x4 s = __builtin_convertvector(dots[t], f32x4) * g.scale;
+        store(w + (t0 + t) * kRowBlock, s);
+        m = b.sees(t0 + t) & (m < s) ? s : m;
       }
     }
-    // Weights in whole exp blocks; the pad lanes hold m and are never read.
-    const std::int64_t padded = round_up(visible);
-    for (std::int64_t j = visible; j < padded; ++j) scores[j] = m;
-    exp_shifted(scores, m, padded, scores);
-    double l = 0.0;
-    for (std::int64_t j = 0; j < visible; ++j) {
-      const float w = scores[j];
-      l += w;
-      for (std::int64_t c = 0; c < d; ++c) out.at(i, c) += w * v.at(j, c);
+    // Weights in whole exp blocks; a lane's keys past its visible count
+    // hold garbage and are never read.
+    exp_lanes(w, m, keys * kRowBlock);
+    // Each row's normalizer: its weights summed in double, in ascending key
+    // order.
+    f64x4 l = {};
+    for (std::int64_t j = 0; j < b.hi; ++j) {
+      const f64x4 wj =
+          __builtin_convertvector(load<f32x4>(w + j * kRowBlock), f64x4);
+      l = __builtin_convertvector(b.sees(j), i64x4) ? l + wj : l;
     }
-    const float inv_l = 1.0f / static_cast<float>(l);
-    for (std::int64_t c = 0; c < d; ++c) out.at(i, c) *= inv_l;
-    g.part.m[static_cast<std::size_t>(i)] = m;
-    g.part.l[static_cast<std::size_t>(i)] = static_cast<float>(l);
+    const f32x4 lf = __builtin_convertvector(l, f32x4);
+    const f32x4 inv_l = 1.0f / lf;
+    // out rows: the weighted V rows summed in fp32 in ascending key order,
+    // from zero, in registers, then scaled by 1/l.
+    for_column_blocks<typename Tile::V>(d, [&]<class V>(std::int64_t c0)
+                                              __attribute__((always_inline)) {
+      V acc[kRowBlock] = {};
+      for_keys(b, 0, b.hi, [&]<bool kMasked>(std::int64_t j)
+                               __attribute__((always_inline)) {
+        const V vj = load<V>(g.v.data() + j * d + c0);
+        for (std::int64_t r = 0; r < kRowBlock; ++r) {
+          if (!kMasked || j < b.vis[r]) acc[r] += w[j * kRowBlock + r] * vj;
+        }
+      });
+      for (std::int64_t r = 0; r < kRowBlock; ++r) {
+        if (b.vis[r] > 0) store(out + b.row[r] * d + c0, acc[r] * inv_l[r]);
+      }
+    });
+    for (std::int64_t r = 0; r < kRowBlock; ++r) {
+      if (b.vis[r] == 0) continue;
+      const std::size_t row = static_cast<std::size_t>(b.row[r]);
+      g.part.m[row] = m[r];
+      g.part.l[row] = lf[r];
+    }
   }
+}
+
+// partial_rows runs on the AVX2 path, partial_rows_narrow on the baseline
+// one (isa.hpp's active_path).
+
+SLIM_CHUNK_BODY void partial_rows(const PartialRows& g, std::int64_t i0,
+                                  std::int64_t i1) {
+  partial_rows_tiled<WideTile>(g, i0, i1);
+}
+
+SLIM_CHUNK_BODY void partial_rows_narrow(const PartialRows& g,
+                                         std::int64_t i0, std::int64_t i1) {
+  partial_rows_tiled<NarrowTile>(g, i0, i1);
 }
 
 struct MergeRows {
@@ -192,9 +344,11 @@ SLIM_CHUNK_BODY void output_rowsums(const RowSums& g, std::int64_t i0,
 struct BwdRows {
   const Tensor& q;
   const KvChunk& chunk;
-  const float* kt;
-  const float* vt;
+  const double* kt;
+  const double* vt;
   std::int64_t stride;
+  double* scratch;  // per query chunk: chunk_scratch doubles
+  std::int64_t chunk_scratch;
   std::int64_t q_offset;
   float scale;
   const AttnPartial& fwd;
@@ -205,8 +359,11 @@ struct BwdRows {
   float* dv_partials;
 };
 
-SLIM_CHUNK_BODY void streamed_bwd_rows(const BwdRows& g, std::int64_t i0,
-                                       std::int64_t i1) {
+template <class Tile>
+[[gnu::always_inline]] inline void streamed_bwd_rows_tiled(const BwdRows& g,
+                                                           std::int64_t i0,
+                                                           std::int64_t i1) {
+  constexpr std::int64_t kKeys = Tile::kKeys;
   const KvChunk& chunk = g.chunk;
   const std::int64_t kv = chunk.k.rows();
   const std::int64_t kc = chunk.k.cols(), vc = chunk.v.cols();
@@ -215,46 +372,105 @@ SLIM_CHUNK_BODY void streamed_bwd_rows(const BwdRows& g, std::int64_t i0,
   float* dvp = g.dv_partials + qc * kv * vc;
   std::memset(dkp, 0, static_cast<std::size_t>(kv * kc) * sizeof(float));
   std::memset(dvp, 0, static_cast<std::size_t>(kv * vc) * sizeof(float));
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::size_t si = static_cast<std::size_t>(i);
-    if (g.fwd.l[si] == 0.0f) continue;
-    const std::int64_t visible =
-        std::clamp<std::int64_t>(g.q_offset + i - chunk.pos + 1, 0, kv);
-    const float m = g.fwd.m[si];
-    const float inv_l = 1.0f / g.fwd.l[si];
-    const float* qi = g.q.data() + i * kc;
-    const float* douti = g.dout.data() + i * g.dout.cols();
-    float* dqi = g.dq.data() + i * kc;
-    for (std::int64_t t0 = 0; t0 < visible; t0 += kKeyTile) {
-      const std::int64_t nt = std::min(kKeyTile, visible - t0);
-      const std::int64_t padded = round_up(nt);
-      double dots[kKeyTile], dps[kKeyTile];
-      dot_cols(qi, g.kt + t0, kc, g.stride, padded, dots);
-      dot_cols(douti, g.vt + t0, vc, g.stride, padded, dps);
-      // p and dS in whole exp blocks; the pad lanes hold m and are never
-      // read.
-      float p[kKeyTile], ds[kKeyTile];
-      std::int64_t t = 0;
-      for (; t < nt; ++t) p[t] = static_cast<float>(dots[t]) * g.scale;
-      for (; t < padded; ++t) p[t] = m;
-      exp_shifted(p, m, padded, p);
-      for (t = 0; t < padded; ++t) {
-        p[t] *= inv_l;
-        ds[t] = p[t] * (static_cast<float>(dps[t]) - g.D[i]) * g.scale;
+  // The chunk's scratch: its row block's q columns, then its dout columns.
+  double* qt = g.scratch + qc * g.chunk_scratch;
+  double* dt = qt + kc * kRowBlock;
+  for (std::int64_t i = i0; i < i1; i += kRowBlock) {
+    const RowBlock b = row_block(i, i1, [&](std::int64_t row) {
+      if (g.fwd.l[static_cast<std::size_t>(row)] == 0.0f) {
+        return std::int64_t{0};
       }
-      for (t = 0; t < nt; ++t) {
-        const std::int64_t j = t0 + t;
-        const float* kj = chunk.k.data() + j * kc;
-        float* dkj = dkp + j * kc;
-        for (std::int64_t c = 0; c < kc; ++c) {
-          dqi[c] += ds[t] * kj[c];
-          dkj[c] += ds[t] * qi[c];
+      return std::clamp<std::int64_t>(g.q_offset + row - chunk.pos + 1, 0, kv);
+    });
+    if (b.hi == 0) continue;
+    gather_rows(g.q.data(), kc, b, qt);
+    gather_rows(g.dout.data(), vc, b, dt);
+    f32x4 m, inv_l, D;
+    for (std::int64_t r = 0; r < kRowBlock; ++r) {
+      const std::size_t row = static_cast<std::size_t>(b.row[r]);
+      m[r] = g.fwd.m[row];
+      inv_l[r] = 1.0f / g.fwd.l[row];
+      D[r] = g.D[row];
+    }
+    for (std::int64_t t0 = 0; t0 < b.hi; t0 += kKeys) {
+      // p and dS of the block's rows against keys [t0, t0 + kKeys),
+      // key-major (lane r of key t at t * kRowBlock + r), in whole exp
+      // blocks; a lane's keys past its visible count are never read.
+      float p[kKeys * kRowBlock], ds[kKeys * kRowBlock];
+      f64x4 dots[kKeys];
+      dot_block(qt, g.kt, kc, g.stride, t0, dots);
+      for (std::int64_t t = 0; t < kKeys; ++t) {
+        store(p + t * kRowBlock,
+              __builtin_convertvector(dots[t], f32x4) * g.scale);
+      }
+      exp_lanes(p, m, kKeys * kRowBlock);
+      dot_block(dt, g.vt, vc, g.stride, t0, dots);
+      for (std::int64_t t = 0; t < kKeys; ++t) {
+        const f32x4 pt = load<f32x4>(p + t * kRowBlock) * inv_l;
+        store(p + t * kRowBlock, pt);
+        store(ds + t * kRowBlock,
+              pt * (__builtin_convertvector(dots[t], f32x4) - D) * g.scale);
+      }
+      const std::int64_t t1 = std::min(t0 + kKeys, b.hi);
+      // dq rows stay in registers across the keys; each dk slab row takes
+      // the block's rows in ascending order, one load and one store per key.
+      for_column_blocks<typename Tile::V>(kc, [&]<class V>(std::int64_t c0)
+                                                  __attribute__((always_inline)) {
+        V dq[kRowBlock], q[kRowBlock];
+        for (std::int64_t r = 0; r < kRowBlock; ++r) {
+          q[r] = load<V>(g.q.data() + b.row[r] * kc + c0);
+          dq[r] = b.vis[r] > 0 ? load<V>(g.dq.data() + b.row[r] * kc + c0)
+                               : V{};
         }
-        float* dvj = dvp + j * vc;
-        for (std::int64_t c = 0; c < vc; ++c) dvj[c] += p[t] * douti[c];
-      }
+        for_keys(b, t0, t1, [&]<bool kMasked>(std::int64_t j)
+                                __attribute__((always_inline)) {
+          const float* sj = ds + (j - t0) * kRowBlock;
+          const V kj = load<V>(chunk.k.data() + j * kc + c0);
+          V dk = load<V>(dkp + j * kc + c0);
+          for (std::int64_t r = 0; r < kRowBlock; ++r) {
+            if (kMasked && j >= b.vis[r]) continue;
+            dq[r] += sj[r] * kj;
+            dk += sj[r] * q[r];
+          }
+          store(dkp + j * kc + c0, dk);
+        });
+        for (std::int64_t r = 0; r < kRowBlock; ++r) {
+          if (b.vis[r] > 0) store(g.dq.data() + b.row[r] * kc + c0, dq[r]);
+        }
+      });
+      for_column_blocks<typename Tile::V>(vc, [&]<class V>(std::int64_t c0)
+                                                  __attribute__((always_inline)) {
+        V dout[kRowBlock];
+        for (std::int64_t r = 0; r < kRowBlock; ++r) {
+          dout[r] = load<V>(g.dout.data() + b.row[r] * vc + c0);
+        }
+        for_keys(b, t0, t1, [&]<bool kMasked>(std::int64_t j)
+                                __attribute__((always_inline)) {
+          const float* pj = p + (j - t0) * kRowBlock;
+          V dv = load<V>(dvp + j * vc + c0);
+          for (std::int64_t r = 0; r < kRowBlock; ++r) {
+            if (kMasked && j >= b.vis[r]) continue;
+            dv += pj[r] * dout[r];
+          }
+          store(dvp + j * vc + c0, dv);
+        });
+      });
     }
   }
+}
+
+// streamed_bwd_rows runs on the AVX2 path, streamed_bwd_rows_narrow on the
+// baseline one (isa.hpp's active_path).
+
+SLIM_CHUNK_BODY void streamed_bwd_rows(const BwdRows& g, std::int64_t i0,
+                                       std::int64_t i1) {
+  streamed_bwd_rows_tiled<WideTile>(g, i0, i1);
+}
+
+SLIM_CHUNK_BODY void streamed_bwd_rows_narrow(const BwdRows& g,
+                                              std::int64_t i0,
+                                              std::int64_t i1) {
+  streamed_bwd_rows_tiled<NarrowTile>(g, i0, i1);
 }
 
 // Folds the partial slabs of query chunks [qc0, qc1) into dk/dv, in
@@ -290,8 +506,24 @@ AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
   part.m.assign(static_cast<std::size_t>(s), kNegInf);
   part.l.assign(static_cast<std::size_t>(s), 0.0f);
 
-  parallel_chunks<partial_rows>(
-      0, s, kQueryGrain, PartialRows{q, k, v, q_offset, k_offset, scale, part});
+  // The last row sees the most keys.
+  const std::int64_t seen =
+      std::clamp<std::int64_t>(q_offset + s - k_offset, 0, k.rows());
+  if (seen == 0) return part;
+  // One lease for the call: K key-contiguous, then every query chunk's
+  // scratch (partial_rows).
+  const std::int64_t kc = k.cols();
+  const std::int64_t stride = round_up(seen, kKeyPad);
+  const std::int64_t chunk_scratch =
+      round_up(kc * kRowBlock + stride * kRowBlock / 2, 8);
+  WorkspaceLease<double> lease(
+      kc * stride + util::chunk_count(0, s, kForwardGrain) * chunk_scratch);
+  transpose_keys(k.data(), kc, seen, stride, lease.data());
+  parallel_chunks<partial_rows, partial_rows_narrow>(
+      0, s, kForwardGrain,
+      PartialRows{q, v, lease.data(), stride, lease.data() + kc * stride,
+                  chunk_scratch, q_offset - k_offset + 1, k.rows(), scale,
+                  part});
   return part;
 }
 
@@ -414,26 +646,31 @@ void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,
     // dq rows are disjoint across query chunks; dk/dv reduce over query
     // rows, so each query chunk accumulates into its own partial slab and
     // the slabs fold in ascending chunk order below — the thread-count
-    // independent combine. The slabs live in the CALLER's workspace (one
-    // lease instead of 2*n_qchunks fresh tensors); workers zero their own
-    // disjoint slab before accumulating into it. After its slabs, each lease
-    // holds the chunk's K (dk's) or V (dv's) key-contiguous, which the
-    // workers' score and dP tiles read.
+    // independent combine. Everything the chunk bodies share lives in one
+    // lease from the CALLER's workspace: the chunk's K and V
+    // key-contiguous, which the score and dP blocks read, every query
+    // chunk's scratch (streamed_bwd_rows), then the slabs, which workers
+    // zero (each its own, disjoint) before accumulating into them.
     const std::int64_t n_qchunks = util::chunk_count(0, s, kQueryGrain);
-    const std::int64_t stride = round_up(kv);
-    WorkspaceLease<float> dk_partials(n_qchunks * kv * kc + kc * stride);
-    WorkspaceLease<float> dv_partials(n_qchunks * kv * vc + vc * stride);
-    float* kt = dk_partials.data() + n_qchunks * kv * kc;
-    float* vt = dv_partials.data() + n_qchunks * kv * vc;
+    const std::int64_t stride = round_up(kv, kKeyPad);
+    const std::int64_t chunk_scratch = round_up((kc + vc) * kRowBlock, 8);
+    const std::int64_t keys = (kc + vc) * stride + n_qchunks * chunk_scratch;
+    const std::int64_t slab_floats = n_qchunks * kv * (kc + vc);
+    WorkspaceLease<double> lease(keys + (slab_floats + 1) / 2);
+    double* kt = lease.data();
+    double* vt = kt + kc * stride;
     transpose_keys(chunk.k.data(), kc, kv, stride, kt);
     transpose_keys(chunk.v.data(), vc, kv, stride, vt);
-    parallel_chunks<streamed_bwd_rows>(
+    float* dk_partials = reinterpret_cast<float*>(lease.data() + keys);
+    float* dv_partials = dk_partials + n_qchunks * kv * kc;
+    parallel_chunks<streamed_bwd_rows, streamed_bwd_rows_narrow>(
         0, s, kQueryGrain,
-        BwdRows{q, chunk, kt, vt, stride, q_offset, scale, fwd, dout,
-                D.data(), dq, dk_partials.data(), dv_partials.data()});
+        BwdRows{q, chunk, kt, vt, stride, vt + vc * stride, chunk_scratch,
+                q_offset, scale, fwd, dout, D.data(), dq, dk_partials,
+                dv_partials});
     detail::run_chunk<fold_slabs>(
-        SlabFold{dk_partials.data(), dv_partials.data(), dk.data(), dv.data(),
-                 kv * kc, kv * vc},
+        SlabFold{dk_partials, dv_partials, dk.data(), dv.data(), kv * kc,
+                 kv * vc},
         0, n_qchunks);
   }
 }

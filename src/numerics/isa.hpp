@@ -4,8 +4,11 @@
 //
 // Every hot chunk body in src/numerics is written once, as an
 // always-inline function, and compiled twice: inlined into a baseline
-// wrapper and into an `__attribute__((target("avx2")))` wrapper. The path is
-// chosen once per process from CPUID (`__builtin_cpu_supports`). Only the
+// wrapper and into an `__attribute__((target("avx2")))` wrapper. A
+// register-tiled body (matmul, attention) is one template instantiated
+// once per path instead, each with tiles sized for its path's registers
+// (active_path's Body and Narrow). The path is chosen once per process from
+// CPUID (`__builtin_cpu_supports`). Only the
 // wrappers carry the target attribute, never a whole file: out-of-line
 // copies of shared inline functions stay baseline, so the linker cannot
 // hand an AVX2 copy to a baseline caller.
@@ -17,6 +20,7 @@
 // rounds.
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/util/thread_pool.hpp"
@@ -33,6 +37,31 @@
 #define SLIM_CHUNK_BODY [[gnu::always_inline]] inline
 
 namespace slim::num::detail {
+
+// GCC vector types for the register tiles of the chunk bodies. Their
+// arithmetic is element-wise IEEE float or double, so each wrapper lowers
+// it to its own registers (one ymm on the AVX2 path, two xmm on the
+// baseline one) with the same bits, and never to a fused multiply-add.
+using f32x8 = float __attribute__((vector_size(32)));
+using f32x4 = float __attribute__((vector_size(16)));
+using f64x4 = double __attribute__((vector_size(32)));
+using i32x4 = std::int32_t __attribute__((vector_size(16)));
+using i64x4 = std::int64_t __attribute__((vector_size(32)));
+
+/// Unaligned load of a V (a vector type above, or a plain float or double)
+/// from p.
+template <class V, class T>
+[[gnu::always_inline]] inline V load(const T* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(V));
+  return v;
+}
+
+/// Unaligned store of v to p.
+template <class V, class T>
+[[gnu::always_inline]] inline void store(T* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
 
 enum class Isa { kBaseline, kAvx2 };
 
@@ -74,25 +103,29 @@ void baseline_path(const Ctx& ctx, std::int64_t lo, std::int64_t hi) {
   Body(ctx, lo, hi);
 }
 
-/// Body compiled for the path active now.
-template <auto Body, class Ctx>
+/// The body for the path active now: Body compiled for AVX2, or Narrow
+/// compiled for the baseline. A register-tiled kernel passes as Narrow the
+/// same computation with tiles sized for the baseline's sixteen xmm
+/// registers (the bits do not depend on the tile); every other kernel
+/// passes one body for both.
+template <auto Body, auto Narrow, class Ctx>
 auto active_path() -> void (*)(const Ctx&, std::int64_t, std::int64_t) {
   return active_isa() == Isa::kAvx2 ? &avx2_path<Body, Ctx>
-                                    : &baseline_path<Body, Ctx>;
+                                    : &baseline_path<Narrow, Ctx>;
 }
 
-/// Runs Body(ctx, lo, hi) once on the calling thread, on the active path.
-template <auto Body, class Ctx>
+/// Runs the active path's body once on the calling thread over [lo, hi).
+template <auto Body, auto Narrow = Body, class Ctx>
 void run_chunk(const Ctx& ctx, std::int64_t lo, std::int64_t hi) {
-  active_path<Body, Ctx>()(ctx, lo, hi);
+  active_path<Body, Narrow, Ctx>()(ctx, lo, hi);
 }
 
 /// parallel_for over [begin, end) in chunks of `grain` on the kernel pool,
-/// every chunk running Body on the path active at the call.
-template <auto Body, class Ctx>
+/// every chunk running the body of the path active at the call.
+template <auto Body, auto Narrow = Body, class Ctx>
 void parallel_chunks(std::int64_t begin, std::int64_t end, std::int64_t grain,
                      const Ctx& ctx) {
-  const auto body = active_path<Body, Ctx>();
+  const auto body = active_path<Body, Narrow, Ctx>();
   util::ThreadPool::global().parallel_for(
       begin, end, grain,
       [&](std::int64_t lo, std::int64_t hi) { body(ctx, lo, hi); });

@@ -16,9 +16,23 @@ namespace {
 // determinism rule of src/util/thread_pool.hpp.
 constexpr std::int64_t kRowGrain = 16;       // output rows per chunk
 constexpr std::int64_t kFlatGrain = 1 << 14; // elements per chunk
-constexpr std::int64_t kKBlock = 128;        // k-panel kept hot in cache
 
+// The matmul register tile: kTileRows rows of two V vectors of fp32
+// accumulators, eight registers on either path (V = f32x8, 16 columns, on
+// AVX2; V = f32x4, 8 columns, on the baseline). B is packed one k-panel of
+// one tile column block at a time (at most 16 KiB, on the stack) and reused
+// by every tile of a chunk's rows.
+constexpr std::int64_t kTileRows = 4;
+template <class V>
+constexpr std::int64_t kTileCols = 2 * std::int64_t{sizeof(V) / sizeof(float)};
+constexpr std::int64_t kKPanel = 256;
+static_assert(kRowGrain % kTileRows == 0);
+
+using detail::f32x4;
+using detail::f32x8;
+using detail::load;
 using detail::parallel_chunks;
+using detail::store;
 
 // Chunk bodies (isa.hpp): each compiles once per ISA path.
 
@@ -41,63 +55,160 @@ struct Transpose {
 
 SLIM_CHUNK_BODY void transpose_rows(const Transpose& g, std::int64_t r0,
                                     std::int64_t r1) {
-  for (std::int64_t r = r0; r < r1; ++r) {
-    for (std::int64_t c = 0; c < g.cols; ++c) {
+  // Column-outer: each column writes the chunk's rows as one contiguous run
+  // of dst, and the chunk's source rows stay cached across columns. Row-outer
+  // stores walk dst at a stride of `rows` floats, which at power-of-two
+  // widths lands every store in the same few cache sets.
+  for (std::int64_t c = 0; c < g.cols; ++c) {
+    for (std::int64_t r = r0; r < r1; ++r) {
       g.dst[c * g.rows + r] = g.src[r * g.cols + c];
     }
   }
 }
 
-// C += A * B for row-major A (m x k), B (k x n), C (m x n).
+// C = op(A) * B for row-major B (k x n) and C (m x n). op(A) is A (m x k,
+// row-major) for matmul and A^T (A k x m) for matmul_tn; the tile reads it
+// through (row, k) strides, so both share one body.
 struct Gemm {
   const float* a;
   const float* b;
   float* c;
-  std::int64_t k, n;
+  std::int64_t m, k, n;
 };
 
-SLIM_CHUNK_BODY void matmul_rows(const Gemm& g, std::int64_t i0,
-                                 std::int64_t i1) {
-  // Row-chunked saxpy form, k-panelled so the panel of B stays cached
-  // across the chunk's rows. Per output element the adds still happen in
-  // ascending-k order: identical bits to the unpanelled loop.
-  const std::int64_t k = g.k, n = g.n;
-  for (std::int64_t k0 = 0; k0 < k; k0 += kKBlock) {
-    const std::int64_t k1 = std::min(k, k0 + kKBlock);
-    for (std::int64_t i = i0; i < i1; ++i) {
-      float* crow = g.c + i * n;
-      for (std::int64_t kk = k0; kk < k1; ++kk) {
-        const float av = g.a[i * k + kk];
-        const float* brow = g.b + kk * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+/// B's rows [k0, k0 + kn), columns [j0, j0 + nj), as kn rows of
+/// kTileCols<V> floats; columns past nj are zero.
+template <class V>
+[[gnu::always_inline]] inline void pack_panel(const Gemm& g, std::int64_t k0,
+                                              std::int64_t kn, std::int64_t j0,
+                                              std::int64_t nj, float* panel) {
+  constexpr std::int64_t cols = kTileCols<V>, half = cols / 2;
+  for (std::int64_t kk = 0; kk < kn; ++kk) {
+    const float* src = g.b + (k0 + kk) * g.n + j0;
+    float* dst = panel + kk * cols;
+    if (nj == cols) {
+      store(dst, load<V>(src));
+      store(dst + half, load<V>(src + half));
+    } else {
+      std::int64_t j = 0;
+      for (; j < nj; ++j) dst[j] = src[j];
+      for (; j < cols; ++j) dst[j] = 0.0f;
+    }
+  }
+}
+
+/// The first nj < kTileCols<V> floats of a tile row of C, zero-padded, and
+/// back.
+template <class V>
+[[gnu::always_inline]] inline void load_tile_row(const float* c,
+                                                 std::int64_t nj, V& lo,
+                                                 V& hi) {
+  constexpr std::int64_t half = kTileCols<V> / 2;
+  alignas(32) float row[kTileCols<V>] = {};
+  std::copy_n(c, nj, row);
+  lo = load<V>(row);
+  hi = load<V>(row + half);
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store_tile_row(float* c, std::int64_t nj,
+                                                  const V& lo, const V& hi) {
+  constexpr std::int64_t half = kTileCols<V> / 2;
+  alignas(32) float row[kTileCols<V>];
+  store(row, lo);
+  store(row + half, hi);
+  std::copy_n(row, nj, c);
+}
+
+/// C rows [i, i + ni) x columns [j0, j0 + nj) over the k-panel [k0, k0 +
+/// kn) of the packed B. Every accumulator is one output element: it starts
+/// from zero on the first panel and from C's partial sum on later ones, and
+/// adds a * b in ascending k. Tile rows past ni repeat row i + ni - 1 and
+/// are never stored.
+template <bool kTransposedA, class V>
+[[gnu::always_inline]] inline void gemm_tile(const Gemm& g,
+                                             const float* panel,
+                                             std::int64_t i, std::int64_t ni,
+                                             std::int64_t k0, std::int64_t kn,
+                                             std::int64_t j0,
+                                             std::int64_t nj) {
+  constexpr std::int64_t cols = kTileCols<V>, half = cols / 2;
+  const std::int64_t row_stride = kTransposedA ? 1 : g.k;
+  const std::int64_t k_stride = kTransposedA ? g.m : 1;
+  const float* a[kTileRows];
+  V lo[kTileRows], hi[kTileRows];
+  for (std::int64_t r = 0; r < kTileRows; ++r) {
+    const std::int64_t row = i + std::min(r, ni - 1);
+    a[r] = g.a + row * row_stride + k0 * k_stride;
+    float* c = g.c + row * g.n + j0;
+    if (k0 == 0) {
+      lo[r] = hi[r] = V{};
+    } else if (nj == cols) {
+      lo[r] = load<V>(c);
+      hi[r] = load<V>(c + half);
+    } else {
+      load_tile_row(c, nj, lo[r], hi[r]);
+    }
+  }
+  for (std::int64_t kk = 0; kk < kn; ++kk) {
+    const V b_lo = load<V>(panel + kk * cols);
+    const V b_hi = load<V>(panel + kk * cols + half);
+    for (std::int64_t r = 0; r < kTileRows; ++r) {
+      const float av = a[r][kk * k_stride];
+      lo[r] += av * b_lo;
+      hi[r] += av * b_hi;
+    }
+  }
+  for (std::int64_t r = 0; r < ni; ++r) {
+    float* c = g.c + (i + r) * g.n + j0;
+    if (nj == cols) {
+      store(c, lo[r]);
+      store(c + half, hi[r]);
+    } else {
+      store_tile_row(c, nj, lo[r], hi[r]);
+    }
+  }
+}
+
+template <bool kTransposedA, class V>
+[[gnu::always_inline]] inline void gemm_rows(const Gemm& g, std::int64_t i0,
+                                             std::int64_t i1) {
+  constexpr std::int64_t cols = kTileCols<V>;
+  alignas(64) float panel[kKPanel * cols];
+  for (std::int64_t k0 = 0; k0 < g.k; k0 += kKPanel) {
+    const std::int64_t kn = std::min(kKPanel, g.k - k0);
+    for (std::int64_t j0 = 0; j0 < g.n; j0 += cols) {
+      const std::int64_t nj = std::min(cols, g.n - j0);
+      pack_panel<V>(g, k0, kn, j0, nj, panel);
+      for (std::int64_t i = i0; i < i1; i += kTileRows) {
+        gemm_tile<kTransposedA, V>(g, panel, i, std::min(kTileRows, i1 - i),
+                                   k0, kn, j0, nj);
       }
     }
   }
 }
 
-// C += A^T * B for row-major A (k x m), B (k x n), C (m x n).
-struct GemmTn {
-  const float* a;
-  const float* b;
-  float* c;
-  std::int64_t k, m, n;
-};
+// matmul_rows and matmul_tn_rows run on the AVX2 path, the _narrow bodies
+// on the baseline one (isa.hpp's active_path).
 
-SLIM_CHUNK_BODY void matmul_tn_rows(const GemmTn& g, std::int64_t i0,
+SLIM_CHUNK_BODY void matmul_rows(const Gemm& g, std::int64_t i0,
+                                 std::int64_t i1) {
+  gemm_rows<false, f32x8>(g, i0, i1);
+}
+
+SLIM_CHUNK_BODY void matmul_rows_narrow(const Gemm& g, std::int64_t i0,
+                                        std::int64_t i1) {
+  gemm_rows<false, f32x4>(g, i0, i1);
+}
+
+SLIM_CHUNK_BODY void matmul_tn_rows(const Gemm& g, std::int64_t i0,
                                     std::int64_t i1) {
-  // Chunk over output rows (columns of A); within a chunk keep k outer so
-  // each row of B streams once per chunk and is reused for every output
-  // row in it.
-  const std::int64_t m = g.m, n = g.n;
-  for (std::int64_t kk = 0; kk < g.k; ++kk) {
-    const float* arow = g.a + kk * m;
-    const float* brow = g.b + kk * n;
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float av = arow[i];
-      float* crow = g.c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm_rows<true, f32x8>(g, i0, i1);
+}
+
+SLIM_CHUNK_BODY void matmul_tn_rows_narrow(const Gemm& g, std::int64_t i0,
+                                           std::int64_t i1) {
+  gemm_rows<true, f32x4>(g, i0, i1);
 }
 
 }  // namespace
@@ -275,34 +386,33 @@ float Tensor::l2norm() const {
 // Accumulation policy (shared by all three matmul variants): fp32 partial
 // sums in ascending-k order, the same convention as fp32 GEMM on the
 // hardware the substrate stands in for, so forward and backward projections
-// round symmetrically. Loops vectorize across output columns, never across
-// k, which keeps every element's sum in that order. There is no
-// zero-operand fast path: 0 * NaN must stay NaN (IEEE propagation) and
+// round symmetrically. The register tile vectorizes across output columns,
+// never across k, which keeps every element's sum in that order. There is
+// no zero-operand fast path: 0 * NaN must stay NaN (IEEE propagation) and
 // kernel timing must not depend on the data.
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   SLIM_CHECK(a.cols() == b.rows(), "matmul shape mismatch");
-  Tensor c(a.rows(), b.cols());  // zero-init: the k-panels accumulate
-  parallel_chunks<matmul_rows>(
+  Tensor c(a.rows(), b.cols());  // zero-init: stays zero when k = 0
+  parallel_chunks<matmul_rows, matmul_rows_narrow>(
       0, a.rows(), kRowGrain,
-      Gemm{a.data(), b.data(), c.data(), a.cols(), b.cols()});
+      Gemm{a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols()});
   return c;
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   SLIM_CHECK(a.cols() == b.cols(), "matmul_nt shape mismatch");
-  // A per-output dot over k is one serial add chain the compiler may not
-  // reorder; matmul's saxpy form vectorizes across output columns instead,
-  // with the same ascending-k sum per element.
+  // Packing B^T's panels straight from B would gather every element once
+  // per row chunk; one transpose per call keeps the packing contiguous.
   return matmul(a, b.transposed());
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   SLIM_CHECK(a.rows() == b.rows(), "matmul_tn shape mismatch");
-  Tensor c(a.cols(), b.cols());  // zero-init: accumulates over k
-  parallel_chunks<matmul_tn_rows>(
+  Tensor c(a.cols(), b.cols());  // zero-init: stays zero when k = 0
+  parallel_chunks<matmul_tn_rows, matmul_tn_rows_narrow>(
       0, a.cols(), kRowGrain,
-      GemmTn{a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols()});
+      Gemm{a.data(), b.data(), c.data(), a.cols(), a.rows(), b.cols()});
   return c;
 }
 

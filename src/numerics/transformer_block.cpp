@@ -20,6 +20,27 @@ Tensor retain(Tensor&& t, Arena* arena, int category) {
   return Tensor(t);
 }
 
+/// Per KV head: its K and V columns of every cached chunk, in cache order.
+/// Built once per slice and shared by the query heads of the head's GQA
+/// group.
+template <class Cache>
+std::vector<std::vector<KvChunk>> kv_head_chunks(const Cache& cache,
+                                                 std::int64_t kv_heads,
+                                                 std::int64_t hd) {
+  std::vector<std::vector<KvChunk>> lists(static_cast<std::size_t>(kv_heads));
+  pool().parallel_for(0, kv_heads, 1, [&](std::int64_t h0, std::int64_t h1) {
+    for (std::int64_t kh = h0; kh < h1; ++kh) {
+      std::vector<KvChunk>& chunks = lists[static_cast<std::size_t>(kh)];
+      chunks.reserve(cache.size());
+      for (const auto& cc : cache) {
+        chunks.push_back({cc.k.slice_cols(kh * hd, (kh + 1) * hd),
+                          cc.v.slice_cols(kh * hd, (kh + 1) * hd), cc.pos});
+      }
+    }
+  });
+  return lists;
+}
+
 /// The arena's rounding: 64-byte-aligned float buffers.
 std::int64_t aligned_bytes(std::int64_t elems) {
   const std::int64_t bytes = elems * static_cast<std::int64_t>(sizeof(float));
@@ -256,21 +277,17 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   acts.m.resize(static_cast<std::size_t>(dims_.heads));
   acts.l.resize(static_cast<std::size_t>(dims_.heads));
   const std::int64_t group = dims_.heads / dims_.kv_heads;
+  const std::vector<std::vector<KvChunk>> kv_chunks =
+      kv_head_chunks(st.cache, dims_.kv_heads, hd);
   // Heads are independent in forward: disjoint columns of attn_cat and
   // disjoint m/l slots. Attention kernels called from inside this loop run
   // inline (nested parallel_for serializes).
   pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
     for (std::int64_t head = h0; head < h1; ++head) {
-      const std::int64_t kv_head = head / group;
       const Tensor qh = q.slice_cols(head * hd, (head + 1) * hd);
-      std::vector<KvChunk> chunks;
-      chunks.reserve(st.cache.size());
-      for (const CacheChunk& cc : st.cache) {
-        chunks.push_back({cc.k.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.v.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.pos});
-      }
-      const AttnPartial part = attn_streamed(qh, chunks, pos, scale);
+      const AttnPartial part =
+          attn_streamed(qh, kv_chunks[static_cast<std::size_t>(head / group)],
+                        pos, scale);
       attn_cat.assign_cols(head * hd, part.out);
       acts.m[static_cast<std::size_t>(head)] = part.m;
       acts.l[static_cast<std::size_t>(head)] = part.l;
@@ -352,17 +369,11 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
       static_cast<std::size_t>(dims_.heads));
   std::vector<std::vector<Tensor>> dv_per_head(
       static_cast<std::size_t>(dims_.heads));
+  const std::vector<std::vector<KvChunk>> kv_chunks =
+      kv_head_chunks(st.cache, dims_.kv_heads, hd);
   pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
     for (std::int64_t head = h0; head < h1; ++head) {
-      const std::int64_t kv_head = head / group;
       const Tensor qh = acts.q_rot.slice_cols(head * hd, (head + 1) * hd);
-      std::vector<KvChunk> chunks;
-      chunks.reserve(st.cache.size());
-      for (const CacheChunk& cc : st.cache) {
-        chunks.push_back({cc.k.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.v.slice_cols(kv_head * hd, (kv_head + 1) * hd),
-                          cc.pos});
-      }
       AttnPartial fwd;
       fwd.out = acts.attn_cat.slice_cols(head * hd, (head + 1) * hd);
       fwd.m = acts.m[static_cast<std::size_t>(head)];
@@ -378,8 +389,9 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
         dv_chunks.emplace_back(cc.v.rows(), hd);
       }
       Tensor dqh;
-      attn_streamed_bwd(qh, chunks, acts.pos, scale, fwd, dout_h, dqh,
-                        dk_chunks, dv_chunks);
+      attn_streamed_bwd(qh, kv_chunks[static_cast<std::size_t>(head / group)],
+                        acts.pos, scale, fwd, dout_h, dqh, dk_chunks,
+                        dv_chunks);
       dq.assign_cols(head * hd, dqh);
     }
   });

@@ -150,16 +150,21 @@ void ThreadPool::parallel_for(
   grain = std::max<std::int64_t>(1, grain);
   const std::int64_t n_chunks = chunk_count(begin, end, grain);
 
-  int width;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    width = configured_;
+  // Serial path: a caller capped at one thread, a nested call from a pool
+  // worker, a single chunk, or a forced-serial pool. The first three need
+  // no pool state, so they skip the pool lock, which the pipeline's stage
+  // threads would otherwise take on every kernel call. Chunks still run in
+  // ascending index order with the same boundaries — bit-identical to the
+  // threaded path.
+  int width = 1;
+  if (t_kernel_cap != 1 && !t_in_pool_worker && n_chunks > 1) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      width = configured_;
+    }
+    if (t_kernel_cap > 0) width = std::min(width, t_kernel_cap);
   }
-  if (t_kernel_cap > 0) width = std::min(width, t_kernel_cap);
-  // Serial path: forced-serial pool, capped caller, a nested call from a
-  // pool worker, or a single chunk. Chunks still run in ascending index
-  // order with the same boundaries — bit-identical to the threaded path.
-  if (width <= 1 || t_in_pool_worker || n_chunks == 1) {
+  if (width <= 1) {
     for (std::int64_t chunk = 0; chunk < n_chunks; ++chunk) {
       const std::int64_t lo = begin + chunk * grain;
       fn(lo, std::min(end, lo + grain));

@@ -310,9 +310,11 @@ struct OracleCase {
 };
 
 // Visible-key counts that are not multiples of any key block, chunks longer
-// than a key tile, every head_dim the transformer blocks use, rows with no
-// visible key, chunks at nonzero offsets, and chunks of 1 to 4 keys (a
-// small training shape), where every exp block is mostly padding.
+// than a key tile, every head_dim the transformer blocks use (and one that
+// leaves a column tail after its 8-wide blocks), rows with no visible key,
+// chunks at nonzero offsets, chunks of 1 to 4 keys (a small training shape),
+// where every exp block is mostly padding, train_long's last slice, and a
+// ragged last row block.
 std::vector<OracleCase> oracle_cases() {
   return {
       {"diagonal, 100 keys, head_dim 4", 4, 100, 0, 0, {100}},
@@ -322,6 +324,12 @@ std::vector<OracleCase> oracle_cases() {
       {"first rows fully masked, head_dim 8", 8, 20, 0, 5, {9, 70}},
       {"short chunks, head_dim 16", 16, 12, 13, 0, {4, 4, 4, 4, 9}},
       {"chunks of 1 to 4 keys, head_dim 4", 4, 10, 0, 0, {1, 2, 3, 4}},
+      {"two chunks, head_dim 32", 32, 24, 40, 0, {30, 35}},
+      {"two chunks, head_dim 12", 12, 20, 30, 0, {17, 33}},
+      {"train_long's last slice: 8 chunks of 128 keys, head_dim 16", 16, 128,
+       896, 0, {128, 128, 128, 128, 128, 128, 128, 128}},
+      {"dead and live rows in one row block, ragged last block, head_dim 8",
+       8, 7, 0, 2, {3, 9}},
   };
 }
 

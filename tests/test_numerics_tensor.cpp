@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "src/numerics/tensor.hpp"
@@ -143,14 +145,54 @@ TEST_F(MatmulTest, TnMatchesNaive) {
 // pool widths rely on every variant rounding exactly like this. k = 300
 // crosses matmul's 128-wide k-panels, m = 37 crosses the 16-row chunks, and
 // n = 23 is odd.
+// True when every element of `got` has the bits of `want`'s, or both are
+// NaN.
+::testing::AssertionResult SameValues(const Tensor& got, const Tensor& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  for (std::int64_t e = 0; e < got.size(); ++e) {
+    const float x = got.data()[e], y = want.data()[e];
+    if ((std::isnan(x) && std::isnan(y)) ||
+        std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y)) {
+      continue;
+    }
+    return ::testing::AssertionFailure()
+           << "element " << e << ": " << x << " != " << y;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Shapes that fill whole 4 x 16 register tiles and leave every row and
+// column tail, with k of one element, across one 256-deep k-panel boundary
+// and across two.
 TEST_F(MatmulTest, AllVariantsMatchAscendingKFp32Exactly) {
+  for (std::int64_t k : {1, 300, 520}) {
+    for (std::int64_t m : {1, 3, 4, 5, 37, 128}) {
+      for (std::int64_t n : {1, 7, 8, 15, 16, 17, 23, 384}) {
+        const Tensor a = Tensor::randn(m, k, rng_, 1.0f);
+        const Tensor b = Tensor::randn(k, n, rng_, 1.0f);
+        const Tensor expect = naive_fp32(a, b);
+        const Tensor at = a.transposed(), bt = b.transposed();
+        for_each_isa([&] {
+          SCOPED_TRACE(::testing::Message()
+                       << "m " << m << ", n " << n << ", k " << k);
+          EXPECT_TRUE(SameValues(matmul(a, b), expect));
+          EXPECT_TRUE(SameValues(matmul_nt(a, bt), expect));
+          EXPECT_TRUE(SameValues(matmul_tn(at, b), expect));
+        });
+      }
+    }
+  }
+}
+
+TEST_F(MatmulTest, EmptyInnerDimensionGivesZeros) {
+  const Tensor a(5, 0), b(0, 17);
+  const Tensor zeros(5, 17);
   for_each_isa([&] {
-    const Tensor a = Tensor::randn(37, 300, rng_, 1.0f);
-    const Tensor b = Tensor::randn(300, 23, rng_, 1.0f);
-    const Tensor expect = naive_fp32(a, b);
-    EXPECT_EQ(matmul(a, b).max_abs_diff(expect), 0.0f);
-    EXPECT_EQ(matmul_nt(a, b.transposed()).max_abs_diff(expect), 0.0f);
-    EXPECT_EQ(matmul_tn(a.transposed(), b).max_abs_diff(expect), 0.0f);
+    EXPECT_TRUE(SameValues(matmul(a, b), zeros));
+    EXPECT_TRUE(SameValues(matmul_nt(a, b.transposed()), zeros));
+    EXPECT_TRUE(SameValues(matmul_tn(a.transposed(), b), zeros));
   });
 }
 
@@ -225,6 +267,29 @@ TEST_F(MatmulNanTest, TnZeroTimesNanPropagates) {
   EXPECT_TRUE(std::isnan(c.at(0, 0)));
   EXPECT_TRUE(std::isnan(c.at(1, 0)));
   EXPECT_TRUE(std::isnan(c.at(0, 1)));
+}
+
+// A NaN in A inside a whole 4 x 16 tile poisons its row of C, one in B its
+// column; every other element keeps its ascending-k fp32 bits.
+TEST_F(MatmulNanTest, NanInsideAFullTileMatchesTheScalarLoop) {
+  Tensor a = Tensor::randn(8, 40, rng_, 1.0f);
+  Tensor b = Tensor::randn(40, 32, rng_, 1.0f);
+  a.at(5, 17) = kNaN;
+  b.at(23, 20) = kNaN;
+  const Tensor expect = naive_fp32(a, b);
+  for_each_isa([&] {
+    const Tensor c = matmul(a, b);
+    EXPECT_TRUE(SameValues(c, expect));
+    EXPECT_TRUE(SameValues(matmul_nt(a, b.transposed()), expect));
+    EXPECT_TRUE(SameValues(matmul_tn(a.transposed(), b), expect));
+    for (std::int64_t j = 0; j < c.cols(); ++j) {
+      EXPECT_TRUE(std::isnan(c.at(5, j)));
+    }
+    for (std::int64_t i = 0; i < c.rows(); ++i) {
+      EXPECT_TRUE(std::isnan(c.at(i, 20)));
+    }
+    EXPECT_FALSE(std::isnan(c.at(4, 19)));
+  });
 }
 
 TEST_F(MatmulNanTest, NanInLeftOperandPropagates) {

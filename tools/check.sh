@@ -25,8 +25,7 @@
 # Release build, and attention exponentiates with the library's own
 # exp_f32 (src/numerics/exp.hpp) in vector blocks, not one libm call per
 # (query, key). And it
-# fails when a hot AVX2 body (avx2_path<...matmul_rows...>,
-# <...partial_rows...> or <...streamed_bwd_rows...>) starts off a 64-byte
+# fails when one of the same four hot AVX2 bodies starts off a 64-byte
 # boundary in a linked binary (nm -C): slim_numerics is built with
 # -falign-functions=64, since where the link happens to place those bodies
 # moved a training step's time by ~4% with unchanged kernel code.
@@ -173,10 +172,10 @@ check_kernel_alignment() {
   echo "== numerics kernels: hot AVX2 bodies on 64-byte boundaries =="
   local symbols addr rest
   symbols="$(nm -C build/bench/bench_numerics_kernels |
-    grep -E 'avx2_path<[^,]*(matmul_rows|partial_rows|streamed_bwd_rows),' ||
+    grep -E 'avx2_path<[^,]*(matmul_rows|matmul_tn_rows|partial_rows|streamed_bwd_rows),' ||
     true)"
-  if [[ "$(grep -c . <<<"$symbols")" -ne 3 ]]; then
-    echo "check.sh: expected 3 hot AVX2 kernel bodies, found:" >&2
+  if [[ "$(grep -c . <<<"$symbols")" -ne 4 ]]; then
+    echo "check.sh: expected 4 hot AVX2 kernel bodies, found:" >&2
     echo "${symbols:-(none)}" >&2
     exit 1
   fi

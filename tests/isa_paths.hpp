@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/numerics/isa.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace slim::num {
 
@@ -18,6 +19,21 @@ inline void for_each_isa(const std::function<void()>& body) {
     detail::ScopedIsa path(isa);
     SCOPED_TRACE(std::string("kernel path ") + detail::isa_name(isa));
     body();
+  }
+}
+
+/// Runs the body on every ISA path at kernel pool widths 1 and 4, and puts
+/// the pool's width back afterwards. Failures name the path and the width.
+inline void for_each_isa_and_width(const std::function<void()>& body) {
+  struct WidthGuard {
+    util::ThreadPool& pool = util::ThreadPool::global();
+    int previous = pool.max_threads();
+    ~WidthGuard() { pool.set_threads(previous); }
+  } guard;
+  for (int width : {1, 4}) {
+    guard.pool.set_threads(width);
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    for_each_isa(body);
   }
 }
 

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "src/core/slice_layout.hpp"
 #include "src/numerics/cross_entropy.hpp"
 #include "src/numerics/transformer_block.hpp"
 #include "src/util/rng.hpp"
+#include "tests/isa_paths.hpp"
 
 namespace slim::num {
 namespace {
@@ -159,6 +163,51 @@ TEST(LayerTest, SlicedForwardMatchesMonolithic) {
   }
   EXPECT_LT(Tensor::vcat(parts).max_abs_diff(full), 5e-6f);
   EXPECT_EQ(sliced.cache_chunks(), 3);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+struct SlicedForwardCase {
+  const char* name;
+  BlockDims dims;
+  core::SliceLayout layout;
+};
+
+// Each slice attends to every visible key of its microbatch's cache in one
+// pass, the pass the whole-sequence forward makes, so each slice's output
+// rows are the whole-sequence forward's bits.
+TEST(LayerTest, SlicedForwardEqualsWholeSequenceBitForBit) {
+  const std::vector<SlicedForwardCase> cases = {
+      {"train_fine's dims, 256 tokens in 64 slices", {32, 8, 4, 64},
+       core::SliceLayout::uniform(256, 64)},
+      {"train_long's dims, 1024 tokens in 8 slices", {128, 8, 4, 384},
+       core::SliceLayout::uniform(1024, 8)},
+      {"ragged, 100 tokens in 7 slices, head_dim 12", {48, 4, 2, 64},
+       core::SliceLayout::from_lens({9, 23, 1, 17, 30, 5, 15})},
+  };
+  for_each_isa_and_width([&] {
+    for (const SlicedForwardCase& c : cases) {
+      SCOPED_TRACE(c.name);
+      Rng rng(static_cast<std::uint64_t>(c.dims.hidden * 7 + c.layout.seq()));
+      Layer whole(c.dims, LayerWeights::random(c.dims, rng));
+      Layer sliced(c.dims, whole.weights());
+      const Tensor x = Tensor::randn(c.layout.seq(), c.dims.hidden, rng, 1.0f);
+      const Tensor want = whole.forward_slice(x, 0);
+      int differing = 0;
+      for (int si = 0; si < c.layout.slices(); ++si) {
+        const std::int64_t begin = c.layout.begin(si);
+        const std::int64_t end = begin + c.layout.len(si);
+        const Tensor got = sliced.forward_slice(x.slice_rows(begin, end), begin);
+        if (!same_bits(got, want.slice_rows(begin, end))) ++differing;
+      }
+      EXPECT_EQ(differing, 0)
+          << differing << " of " << c.layout.slices() << " slices differ";
+    }
+  });
 }
 
 TEST(LayerTest, LifoBackwardMatchesMonolithic) {

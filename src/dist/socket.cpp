@@ -1,5 +1,6 @@
 #include "src/dist/socket.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -8,6 +9,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "src/util/logging.hpp"
@@ -45,17 +47,42 @@ const char* io_status_name(IoStatus status) {
 }
 
 bool send_all(int fd, const void* data, std::size_t n) {
-  const char* p = static_cast<const char*>(data);
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t rc = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
+  return send_all(fd, data, n, nullptr, 0);
+}
+
+bool send_all(int fd, const void* head, std::size_t head_n, const void* body,
+              std::size_t body_n) {
+  iovec parts[2] = {{const_cast<void*>(head), head_n},
+                    {const_cast<void*>(body), body_n}};
+  iovec* next = parts;
+  std::size_t left = 2;
+  while (left > 0) {
+    if (next->iov_len == 0) {
+      ++next;
+      --left;
+      continue;
+    }
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = left;
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (rc < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET) return false;
       SLIM_CHECK(false, std::string("socket send failed: ") +
                             std::strerror(errno));
     }
-    sent += static_cast<std::size_t>(rc);
+    // Resume after the bytes sent, which may end inside either part.
+    for (std::size_t sent = static_cast<std::size_t>(rc); sent > 0;) {
+      const std::size_t step = std::min(sent, next->iov_len);
+      next->iov_base = static_cast<char*>(next->iov_base) + step;
+      next->iov_len -= step;
+      sent -= step;
+      if (next->iov_len == 0) {
+        ++next;
+        --left;
+      }
+    }
   }
   return true;
 }

@@ -72,6 +72,12 @@ const char* io_status_name(IoStatus status);
 /// fatal; any other errno throws.
 bool send_all(int fd, const void* data, std::size_t n);
 
+/// Writes head_n bytes of head, then body_n bytes of body, with one sendmsg
+/// over both while the socket takes them, resuming where a partial write
+/// stopped (in either part). Same errors as above.
+bool send_all(int fd, const void* head, std::size_t head_n, const void* body,
+              std::size_t body_n);
+
 /// Reads exactly n bytes: Ok, Eof (clean close before any byte) or Torn
 /// (connection dropped partway through).
 IoStatus recv_all(int fd, void* data, std::size_t n);

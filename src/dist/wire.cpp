@@ -88,24 +88,22 @@ std::uint32_t crc32(const void* data, std::size_t n) {
 }
 
 bool send_frame(int fd, const Frame& frame) {
-  std::vector<std::uint8_t> buf(kHeaderSize + frame.payload.size());
-  put_u32(buf.data(), kMagic);
-  buf[4] = static_cast<std::uint8_t>(frame.kind);
-  buf[5] = buf[6] = buf[7] = 0;
-  put_u32(buf.data() + 8, static_cast<std::uint32_t>(frame.stage));
-  put_u32(buf.data() + 12, static_cast<std::uint32_t>(frame.mb));
-  put_u32(buf.data() + 16, static_cast<std::uint32_t>(frame.slice));
-  put_u64(buf.data() + 20, frame.payload.size());
-  put_u32(buf.data() + 28,
+  std::uint8_t header[kHeaderSize];
+  put_u32(header, kMagic);
+  header[4] = static_cast<std::uint8_t>(frame.kind);
+  header[5] = header[6] = header[7] = 0;
+  put_u32(header + 8, static_cast<std::uint32_t>(frame.stage));
+  put_u32(header + 12, static_cast<std::uint32_t>(frame.mb));
+  put_u32(header + 16, static_cast<std::uint32_t>(frame.slice));
+  put_u64(header + 20, frame.payload.size());
+  put_u32(header + 28,
           frame.payload.empty() ? 0u
                                 : crc32(frame.payload.data(),
                                         frame.payload.size()));
-  put_u32(buf.data() + 32, crc32(buf.data(), 32));
-  if (!frame.payload.empty()) {
-    std::memcpy(buf.data() + kHeaderSize, frame.payload.data(),
-                frame.payload.size());
-  }
-  return send_all(fd, buf.data(), buf.size());
+  put_u32(header + 32, crc32(header, 32));
+  // The payload goes out from where it lies, behind the header.
+  return send_all(fd, header, kHeaderSize, frame.payload.data(),
+                  frame.payload.size());
 }
 
 IoStatus recv_frame(int fd, Frame* out) {

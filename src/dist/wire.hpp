@@ -70,7 +70,8 @@ struct Frame {
 /// CRC-32 (IEEE 802.3, reflected) over a byte range.
 std::uint32_t crc32(const void* data, std::size_t n);
 
-/// Serializes and writes one frame. Returns false when the peer is gone
+/// Writes one frame: its 36-byte header and the payload in place, with one
+/// sendmsg while the socket takes both. Returns false when the peer is gone
 /// (the caller decides whether a dead peer is fatal).
 bool send_frame(int fd, const Frame& frame);
 

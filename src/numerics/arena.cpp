@@ -66,11 +66,19 @@ void* Arena::allocate(std::size_t bytes, int category) {
   const std::size_t need = aligned(std::max<std::size_t>(bytes, 1));
   // Find room at or after the current block; never rewind past the
   // watermark by reusing an earlier block's tail.
+  const std::size_t start = current_;
   while (current_ < blocks_.size() &&
          blocks_[current_].used + need > blocks_[current_].capacity) {
     ++current_;
   }
   if (current_ == blocks_.size()) {
+    // Every block past the starting one is empty (no mark points there)
+    // and too small for this request: release them rather than keep their
+    // pages reserved behind the new block.
+    if (start + 1 < blocks_.size()) {
+      blocks_.resize(start + 1);
+      current_ = blocks_.size();
+    }
     Block block;
     block.capacity = std::max(need, block_bytes_);
     // Not zero-filled: a Tensor zeroes its own floats unless it is uninit

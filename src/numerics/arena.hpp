@@ -98,7 +98,10 @@ class Arena {
     std::size_t log_size = 0;
   };
 
-  /// 64-byte-aligned raw allocation booked under `category`.
+  /// 64-byte-aligned raw allocation booked under `category`. A request no
+  /// block from the current one on has room for appends a block of its own
+  /// (at least block_bytes), first releasing the empty blocks past the
+  /// current one, so growing requests keep only the blocks in use reserved.
   void* allocate(std::size_t bytes, int category);
   float* allocate_floats(std::int64_t count, int category) {
     return static_cast<float*>(

@@ -20,25 +20,33 @@ Tensor retain(Tensor&& t, Arena* arena, int category) {
   return Tensor(t);
 }
 
-/// Per KV head: its K and V columns of every cached chunk, in cache order.
-/// Built once per slice and shared by the query heads of the head's GQA
-/// group.
+/// The microbatch's cache as the attention pass reads it, in place.
 template <class Cache>
-std::vector<std::vector<KvChunk>> kv_head_chunks(const Cache& cache,
-                                                 std::int64_t kv_heads,
-                                                 std::int64_t hd) {
-  std::vector<std::vector<KvChunk>> lists(static_cast<std::size_t>(kv_heads));
-  pool().parallel_for(0, kv_heads, 1, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t kh = h0; kh < h1; ++kh) {
-      std::vector<KvChunk>& chunks = lists[static_cast<std::size_t>(kh)];
-      chunks.reserve(cache.size());
-      for (const auto& cc : cache) {
-        chunks.push_back({cc.k.slice_cols(kh * hd, (kh + 1) * hd),
-                          cc.v.slice_cols(kh * hd, (kh + 1) * hd), cc.pos});
-      }
-    }
-  });
-  return lists;
+std::vector<KvRows> kv_rows(Cache& cache) {
+  std::vector<KvRows> rows;
+  rows.reserve(cache.size());
+  for (auto& cc : cache) {
+    rows.push_back({cc.k.data(), cc.v.data(), cc.dk.data(), cc.dv.data(),
+                    cc.k.rows(), cc.pos});
+  }
+  return rows;
+}
+
+/// KV head kh's GQA group of query heads (columns of q) against the cache.
+HeadGroup head_group(const BlockDims& dims, std::span<const KvRows> cache,
+                     std::int64_t kh, const Tensor& q, std::int64_t pos) {
+  const std::int64_t hd = dims.head_dim();
+  const std::int64_t group = dims.heads / dims.kv_heads;
+  return {.cache = cache,
+          .kv_ld = dims.kv_hidden(),
+          .kv_col = kh * hd,
+          .q = q.data() + kh * group * hd,
+          .q_ld = dims.hidden,
+          .rows = q.rows(),
+          .q_offset = pos,
+          .heads = group,
+          .head_dim = hd,
+          .scale = 1.0f / std::sqrt(static_cast<float>(hd))};
 }
 
 /// The arena's rounding: 64-byte-aligned float buffers.
@@ -208,7 +216,6 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   SLIM_CHECK(x.cols() == dims_.hidden, "layer input width mismatch");
   const std::int64_t s = x.rows();
   const std::int64_t hd = dims_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // One arena scope per slice: everything retained below is reclaimed by
   // this slice's own backward (the LIFO discipline of §4.1.2). Bindings are
@@ -272,25 +279,23 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   }
   st.cache.push_back(std::move(chunk));
 
-  // Per-head streamed attention over all cached chunks.
-  Tensor attn_cat(s, dims_.hidden);
-  acts.m.resize(static_cast<std::size_t>(dims_.heads));
-  acts.l.resize(static_cast<std::size_t>(dims_.heads));
-  const std::int64_t group = dims_.heads / dims_.kv_heads;
-  const std::vector<std::vector<KvChunk>> kv_chunks =
-      kv_head_chunks(st.cache, dims_.kv_heads, hd);
-  // Heads are independent in forward: disjoint columns of attn_cat and
-  // disjoint m/l slots. Attention kernels called from inside this loop run
+  // One attention pass per KV head over the microbatch's whole cache, read
+  // in place: each slice's rows are the whole-sequence attention's bits.
+  // KV heads are independent in forward: disjoint columns of attn_cat and
+  // disjoint m/l rows. Attention kernels called from inside this loop run
   // inline (nested parallel_for serializes).
-  pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t head = h0; head < h1; ++head) {
-      const Tensor qh = q.slice_cols(head * hd, (head + 1) * hd);
-      const AttnPartial part =
-          attn_streamed(qh, kv_chunks[static_cast<std::size_t>(head / group)],
-                        pos, scale);
-      attn_cat.assign_cols(head * hd, part.out);
-      acts.m[static_cast<std::size_t>(head)] = part.m;
-      acts.l[static_cast<std::size_t>(head)] = part.l;
+  Tensor attn_cat(s, dims_.hidden);
+  acts.m.resize(static_cast<std::size_t>(dims_.heads * s));
+  acts.l.resize(static_cast<std::size_t>(dims_.heads * s));
+  const std::int64_t group = dims_.heads / dims_.kv_heads;
+  const std::vector<KvRows> cache = kv_rows(st.cache);
+  pool().parallel_for(0, dims_.kv_heads, 1,
+                      [&](std::int64_t h0, std::int64_t h1) {
+    for (std::int64_t kh = h0; kh < h1; ++kh) {
+      const std::int64_t head = kh * group;
+      attn_group_fwd(head_group(dims_, cache, kh, q, pos),
+                     attn_cat.data() + head * hd, dims_.hidden,
+                     acts.m.data() + head * s, acts.l.data() + head * s);
     }
   });
   {
@@ -331,7 +336,6 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
   const SliceActs& acts = st.acts.back();
   const std::int64_t s = acts.x.rows();
   const std::int64_t hd = dims_.head_dim();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   const std::int64_t group = dims_.heads / dims_.kv_heads;
 
   // ---- FFN backward (activations recomputed) ----
@@ -357,63 +361,24 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
   grads.wo.add_(matmul_tn(acts.attn_cat, dx2));
   const Tensor dattn_cat = matmul_nt(dx2, weights_.wo);
 
-  // ---- per-head streamed attention backward ----
-  // Heads run in parallel into per-head buffers: heads that share a kv head
-  // (GQA) accumulate into the same dk/dv columns, so they must not write the
-  // cache-wide buffers concurrently. The merge below folds the per-head
-  // contributions serially in ascending head order — the same element-wise
-  // add sequence as the old serial loop, hence bit-identical and
-  // thread-count independent.
+  // ---- attention backward, one pass per KV head ----
+  // KV heads write disjoint columns of dq and of the cache's dK/dV; a
+  // group's heads add into their KV head's columns in ascending head order.
+  // Contributions to earlier chunks wait there until those slices' own
+  // backward — the LIFO completion argument of §4.1.2.
   Tensor dq(s, dims_.hidden);
-  std::vector<std::vector<Tensor>> dk_per_head(
-      static_cast<std::size_t>(dims_.heads));
-  std::vector<std::vector<Tensor>> dv_per_head(
-      static_cast<std::size_t>(dims_.heads));
-  const std::vector<std::vector<KvChunk>> kv_chunks =
-      kv_head_chunks(st.cache, dims_.kv_heads, hd);
-  pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t head = h0; head < h1; ++head) {
-      const Tensor qh = acts.q_rot.slice_cols(head * hd, (head + 1) * hd);
-      AttnPartial fwd;
-      fwd.out = acts.attn_cat.slice_cols(head * hd, (head + 1) * hd);
-      fwd.m = acts.m[static_cast<std::size_t>(head)];
-      fwd.l = acts.l[static_cast<std::size_t>(head)];
-      const Tensor dout_h = dattn_cat.slice_cols(head * hd, (head + 1) * hd);
-
-      std::vector<Tensor>& dk_chunks =
-          dk_per_head[static_cast<std::size_t>(head)];
-      std::vector<Tensor>& dv_chunks =
-          dv_per_head[static_cast<std::size_t>(head)];
-      for (const CacheChunk& cc : st.cache) {
-        dk_chunks.emplace_back(cc.k.rows(), hd);
-        dv_chunks.emplace_back(cc.v.rows(), hd);
-      }
-      Tensor dqh;
-      attn_streamed_bwd(qh, kv_chunks[static_cast<std::size_t>(head / group)],
-                        acts.pos, scale, fwd, dout_h, dqh, dk_chunks,
-                        dv_chunks);
-      dq.assign_cols(head * hd, dqh);
+  const std::vector<KvRows> cache = kv_rows(st.cache);
+  pool().parallel_for(0, dims_.kv_heads, 1,
+                      [&](std::int64_t h0, std::int64_t h1) {
+    for (std::int64_t kh = h0; kh < h1; ++kh) {
+      const std::int64_t col = kh * group * hd, row = kh * group * s;
+      attn_group_bwd(head_group(dims_, cache, kh, acts.q_rot, acts.pos),
+                     acts.attn_cat.data() + col, dims_.hidden,
+                     acts.m.data() + row, acts.l.data() + row,
+                     dattn_cat.data() + col, dims_.hidden, dq.data() + col,
+                     dims_.hidden);
     }
   });
-  // Accumulate into the cache-wide KV gradient buffers (contributions to
-  // earlier chunks wait there until those slices' own backward — the LIFO
-  // completion argument of §4.1.2).
-  for (std::int64_t head = 0; head < dims_.heads; ++head) {
-    const std::int64_t kv_head = head / group;
-    const std::vector<Tensor>& dk_chunks =
-        dk_per_head[static_cast<std::size_t>(head)];
-    const std::vector<Tensor>& dv_chunks =
-        dv_per_head[static_cast<std::size_t>(head)];
-    for (std::size_t ci = 0; ci < st.cache.size(); ++ci) {
-      CacheChunk& cc = st.cache[ci];
-      for (std::int64_t r = 0; r < dk_chunks[ci].rows(); ++r) {
-        for (std::int64_t c = 0; c < hd; ++c) {
-          cc.dk.at(r, kv_head * hd + c) += dk_chunks[ci].at(r, c);
-          cc.dv.at(r, kv_head * hd + c) += dv_chunks[ci].at(r, c);
-        }
-      }
-    }
-  }
 
   // ---- this slice's own KV chunk is now complete: project back ----
   CacheChunk own = std::move(st.cache.back());

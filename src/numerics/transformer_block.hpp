@@ -130,7 +130,7 @@ class Layer {
     Tensor q_rot;     // rotated queries
     Tensor gate, up;  // MLP projections
     Tensor attn_cat;  // per-head attention outputs, concatenated
-    std::vector<std::vector<float>> m, l;  // per head, per query row
+    std::vector<float> m, l;  // head h's row i at h * rows + i
     std::int64_t pos = 0;
   };
   struct MicrobatchState {

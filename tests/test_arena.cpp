@@ -103,6 +103,28 @@ TEST(ArenaTest, TrimDropsBlocksPastTheCurrentOne) {
   EXPECT_EQ(arena.live_bytes(), 0);
 }
 
+TEST(ArenaTest, GrowingLeasesReserveOnlyTheBlocksInUse) {
+  // A workspace's leases grow call by call: each one fits no earlier block
+  // past the current one, and the empty blocks it skips are released
+  // before a block of its own size is appended.
+  Arena arena(nullptr, /*block_bytes=*/256);
+  float* kept = arena.allocate_floats(50, mem::kActivation);  // block 0
+  kept[0] = 3.0f;
+  const Arena::Mark mark = arena.mark();
+  for (const std::size_t bytes : {512u, 1024u, 4096u, 16384u}) {
+    arena.allocate(bytes, mem::kWorkspace);
+    EXPECT_EQ(arena.reserved_bytes(), static_cast<std::int64_t>(256 + bytes))
+        << bytes << "-byte lease";
+    arena.release_to(mark);
+  }
+  // A smaller lease reuses the kept block past the current one.
+  arena.allocate(2048, mem::kWorkspace);
+  EXPECT_EQ(arena.reserved_bytes(), 256 + 16384);
+  arena.release_to(mark);
+  EXPECT_EQ(arena.live_bytes(), 256);
+  EXPECT_EQ(kept[0], 3.0f);
+}
+
 TEST(ArenaTest, StatsTrackPerCategoryLiveAndPeak) {
   ArenaStats stats;
   Arena arena(&stats);
@@ -273,6 +295,28 @@ TEST(ArenaLayerTest, ArenaBackedExecutionBitIdenticalAcrossWidths) {
           << "category " << mem::category_name(c) << " width " << width;
     }
   }
+}
+
+TEST(ArenaLayerTest, LongSliceBackwardWorkspaceStaysSmall) {
+  // One 1024-token slice at train_long's dims on one thread: each 8-row
+  // query chunk's dk/dv slab spans one 256-key block (slabs spanning all
+  // 1024 keys would take 16 MiB per head). The backward runs on a fresh
+  // thread, whose workspace arena starts empty.
+  PoolWidthGuard guard;
+  util::ThreadPool::global().set_threads(1);
+  Rng rng(19);
+  const num::BlockDims dims{128, 8, 4, 384};
+  num::Layer layer(dims, num::LayerWeights::random(dims, rng));
+  const Tensor x = Tensor::randn(1024, dims.hidden, rng, 1.0f);
+  const Tensor dy = Tensor::randn(1024, dims.hidden, rng, 1.0f);
+  (void)layer.forward_slice(x, 0);
+  num::LayerGrads grads = num::LayerGrads::zeros(dims);
+  std::int64_t reserved = 0;
+  std::thread([&] {
+    (void)layer.backward_slice(dy, grads);
+    reserved = num::workspace_arena().reserved_bytes();
+  }).join();
+  EXPECT_LE(reserved, std::int64_t{6} << 20);
 }
 
 TEST(ArenaLayerTest, MeasuredPeakMatchesSliceFootprint) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/dist/process_pipeline.hpp"
@@ -118,6 +120,38 @@ TEST(WireTest, FrameRoundTrip) {
   EXPECT_EQ(r.str(), "hello");
   EXPECT_EQ(r.i64(), -77);
   EXPECT_TRUE(r.done());
+}
+
+TEST(WireTest, FrameLargerThanTheSendBufferRoundTrips) {
+  // With a 4 KiB send buffer a 1 MiB frame leaves the header and the payload
+  // in many writes, each resuming where the last stopped, while a reader
+  // drains them.
+  SocketPair pair = make_socket_pair();
+  const int sndbuf = 4096;
+  ASSERT_EQ(::setsockopt(pair.a.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof sndbuf),
+            0);
+  Frame out;
+  out.kind = FrameKind::Backward;
+  out.stage = 1;
+  out.mb = 3;
+  out.slice = 7;
+  out.payload.resize(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < out.payload.size(); ++i) {
+    out.payload[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+  }
+  bool sent = false;
+  std::thread writer([&] { sent = send_frame(pair.a.get(), out); });
+  Frame in;
+  const IoStatus status = recv_frame(pair.b.get(), &in);
+  writer.join();
+  EXPECT_TRUE(sent);
+  ASSERT_EQ(status, IoStatus::Ok);
+  EXPECT_EQ(in.kind, FrameKind::Backward);
+  EXPECT_EQ(in.stage, 1);
+  EXPECT_EQ(in.mb, 3);
+  EXPECT_EQ(in.slice, 7);
+  EXPECT_TRUE(in.payload == out.payload);
 }
 
 TEST(WireTest, CleanCloseIsEof) {

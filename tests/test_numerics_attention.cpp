@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -384,6 +385,126 @@ TEST(AttentionOracleTest, StreamedBackwardMatchesScalarLoopsBitForBit) {
         EXPECT_EQ(dk[ci].max_abs_diff(dk_want[ci]), 0.0f) << "chunk " << ci;
         EXPECT_EQ(dv[ci].max_abs_diff(dv_want[ci]), 0.0f) << "chunk " << ci;
       }
+    }
+  });
+}
+
+// ---- One pass over the whole cache -----------------------------------------
+//
+// attn_streamed and attn_streamed_bwd make one pass over every visible key
+// of the chunks, so how the keys are cut into chunks changes no bit. The
+// backward walks the keys in fixed blocks; these cases cross two block
+// boundaries (256 and 512 keys), with chunk and query-chunk boundaries off
+// the block boundaries, and train_fine's shape: 64 chunks of 4 keys.
+
+/// Chunks of the given lengths from position k_start, and the same keys and
+/// values as one chunk.
+struct ChunkedKv {
+  std::vector<KvChunk> chunks;
+  KvChunk whole;
+};
+
+ChunkedKv random_chunks(Rng& rng, std::int64_t head_dim, std::int64_t k_start,
+                        const std::vector<std::int64_t>& lens) {
+  ChunkedKv kv;
+  std::vector<Tensor> ks, vs;
+  std::int64_t pos = k_start;
+  for (std::int64_t len : lens) {
+    kv.chunks.push_back({Tensor::randn(len, head_dim, rng, 1.0f),
+                         Tensor::randn(len, head_dim, rng, 1.0f), pos});
+    ks.push_back(kv.chunks.back().k);
+    vs.push_back(kv.chunks.back().v);
+    pos += len;
+  }
+  kv.whole = {Tensor::vcat(ks), Tensor::vcat(vs), k_start};
+  return kv;
+}
+
+std::vector<OracleCase> whole_cache_cases() {
+  std::vector<OracleCase> cases = oracle_cases();
+  cases.push_back({"40 rows against 580 keys in chunks across two key-block "
+                   "boundaries, head_dim 8",
+                   8, 40, 540, 0, {200, 100, 150, 130}});
+  cases.push_back({"600-row diagonal across two key-block boundaries, "
+                   "head_dim 4",
+                   4, 600, 0, 0, {97, 203, 61, 239}});
+  cases.push_back({"train_fine's last slice: 64 chunks of 4 keys, head_dim 4",
+                   4, 4, 252, 0, std::vector<std::int64_t>(64, 4)});
+  return cases;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(WholeCacheTest, StreamedForwardIsThePartialOverTheConcatenation) {
+  for_each_isa_and_width([&] {
+    for (const OracleCase& c : whole_cache_cases()) {
+      SCOPED_TRACE(c.name);
+      Rng rng(static_cast<std::uint64_t>(c.q_len * 41 + c.head_dim));
+      const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+      const ChunkedKv kv = random_chunks(rng, c.head_dim, c.k_start,
+                                         c.chunk_lens);
+      const AttnPartial got = attn_streamed(q, kv.chunks, c.q_offset, kScale);
+      const AttnPartial want = attn_partial(q, kv.whole.k, kv.whole.v,
+                                            c.q_offset, c.k_start, kScale);
+      EXPECT_TRUE(same_bits(got.out, want.out));
+      EXPECT_TRUE(same_bits(got.m, want.m));
+      EXPECT_TRUE(same_bits(got.l, want.l));
+    }
+  });
+}
+
+TEST(WholeCacheTest, StreamedBackwardIsTheSameOverOneChunkAndTheOracle) {
+  for_each_isa_and_width([&] {
+    for (const OracleCase& c : whole_cache_cases()) {
+      SCOPED_TRACE(c.name);
+      Rng rng(static_cast<std::uint64_t>(c.q_len * 43 + c.head_dim));
+      const Tensor q = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+      const Tensor dout = Tensor::randn(c.q_len, c.head_dim, rng, 1.0f);
+      const ChunkedKv kv = random_chunks(rng, c.head_dim, c.k_start,
+                                         c.chunk_lens);
+      const AttnPartial fwd = attn_streamed(q, kv.chunks, c.q_offset, kScale);
+      auto zeros = [&](const std::vector<KvChunk>& chunks) {
+        std::vector<Tensor> out;
+        for (const KvChunk& chunk : chunks) {
+          out.emplace_back(chunk.k.rows(), c.head_dim);
+        }
+        return out;
+      };
+      // Over the chunks, over one chunk, and the scalar loops over both.
+      const std::vector<KvChunk> whole = {kv.whole};
+      Tensor dq, dq_whole, dq_oracle, dq_oracle_whole;
+      std::vector<Tensor> dk = zeros(kv.chunks), dv = zeros(kv.chunks);
+      std::vector<Tensor> dk_whole = zeros(whole), dv_whole = zeros(whole);
+      std::vector<Tensor> dk_oracle = dk, dv_oracle = dv;
+      std::vector<Tensor> dk_oracle_whole = dk_whole,
+                          dv_oracle_whole = dv_whole;
+      attn_streamed_bwd(q, kv.chunks, c.q_offset, kScale, fwd, dout, dq, dk,
+                        dv);
+      attn_streamed_bwd(q, whole, c.q_offset, kScale, fwd, dout, dq_whole,
+                        dk_whole, dv_whole);
+      oracle_attn_streamed_bwd(q, kv.chunks, c.q_offset, kScale, fwd, dout,
+                               dq_oracle, dk_oracle, dv_oracle);
+      oracle_attn_streamed_bwd(q, whole, c.q_offset, kScale, fwd, dout,
+                               dq_oracle_whole, dk_oracle_whole,
+                               dv_oracle_whole);
+      EXPECT_TRUE(same_bits(dq, dq_whole));
+      EXPECT_TRUE(same_bits(dq, dq_oracle));
+      EXPECT_TRUE(same_bits(dq, dq_oracle_whole));
+      EXPECT_TRUE(same_bits(Tensor::vcat(dk), dk_whole[0]));
+      EXPECT_TRUE(same_bits(Tensor::vcat(dv), dv_whole[0]));
+      EXPECT_TRUE(same_bits(Tensor::vcat(dk), Tensor::vcat(dk_oracle)));
+      EXPECT_TRUE(same_bits(Tensor::vcat(dv), Tensor::vcat(dv_oracle)));
+      EXPECT_TRUE(same_bits(dk_whole[0], dk_oracle_whole[0]));
+      EXPECT_TRUE(same_bits(dv_whole[0], dv_oracle_whole[0]));
     }
   });
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -253,6 +254,37 @@ TEST(LayerTest, SteadyStateChunkInvariant) {
     (void)layer.backward_slice(Tensor::randn(4, 16, rng, 1.0f), grads);
     EXPECT_EQ(layer.cache_chunks(), s);
   }
+}
+
+// The runtime's arena path at train_fine's dims: a slice's retained tensors
+// are copied into the arena once and RoPE rotates q, k, dq and dK in place,
+// so a slice's forward and backward take few heap Tensors (the output
+// Tensors of the kernels they call).
+TEST(LayerTest, ArenaSliceTakesFewHeapTensors) {
+  Rng rng(63);
+  const BlockDims dims{32, 8, 4, 64};
+  constexpr int kSlices = 64;
+  constexpr std::int64_t kLen = 4;
+  Layer layer(dims, LayerWeights::random(dims, rng));
+  ArenaStats stats;
+  layer.set_arena_stats(&stats);
+  LayerGrads grads = LayerGrads::zeros(dims);
+  const Tensor x = Tensor::randn(kSlices * kLen, dims.hidden, rng, 1.0f);
+  const Tensor dout = Tensor::randn(kLen, dims.hidden, rng, 1.0f);
+  std::int64_t most_fwd = 0, most_bwd = 0;
+  for (int s = 0; s < kSlices; ++s) {
+    const Tensor xs = x.slice_rows(s * kLen, (s + 1) * kLen);
+    const std::int64_t before = tensor_heap_allocs();
+    (void)layer.forward_slice(xs, s * kLen);
+    most_fwd = std::max(most_fwd, tensor_heap_allocs() - before);
+  }
+  for (int s = 0; s < kSlices; ++s) {
+    const std::int64_t before = tensor_heap_allocs();
+    (void)layer.backward_slice(dout, grads);
+    most_bwd = std::max(most_bwd, tensor_heap_allocs() - before);
+  }
+  EXPECT_LE(most_fwd, 11);
+  EXPECT_LE(most_bwd, 29);
 }
 
 struct ModelCase {

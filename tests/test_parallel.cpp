@@ -11,6 +11,7 @@
 #include "src/model/activation.hpp"
 #include "src/parallel/config.hpp"
 #include "src/parallel/search.hpp"
+#include "src/sched/builder.hpp"
 
 namespace slim::parallel {
 namespace {
@@ -219,6 +220,48 @@ TEST(EstimateTest, ActivationTermIsTheSchemesTable2Fraction) {
           << core::scheme_name(c.scheme) << " v=" << c.v << " n=" << c.n
           << " m=" << m;
     }
+  }
+}
+
+TEST(EstimateTest, ModelStateTermIsTheBuildersDeviceZeroBaseline) {
+  // The estimate prices device 0's model states with the vocabulary share
+  // the graph builder books there: all of the tied vocabulary when device 0
+  // holds both the first and the last stage (ZB-V's V shape, any scheme at
+  // p = 1). 2 x (estimate at offload 0.5) - (estimate at offload 0) drops
+  // the activation term and leaves model states plus logits.
+  const auto llama = model::llama13b();
+  const auto gpu = model::hopper80();
+  constexpr std::int64_t kSeq = 16 * 1024;
+  struct Case {
+    core::Scheme scheme;
+    std::int64_t p;
+    int v;
+  };
+  for (const Case& c :
+       {Case{core::Scheme::ZBV, 8, 2}, Case{core::Scheme::OneF1B, 1, 1}}) {
+    HybridConfig cfg;
+    cfg.t = 8;
+    cfg.p = c.p;
+    cfg.v = c.v;
+    cfg.scheme = c.scheme;
+    const std::int64_t tokens = kSeq * 2 * c.p;
+    const double whole = estimate_peak_memory(cfg, llama, gpu, kSeq, tokens);
+    cfg.offload_ratio = 0.5;
+    const double half = estimate_peak_memory(cfg, llama, gpu, kSeq, tokens);
+    cfg.offload_ratio = 0.0;
+
+    const core::SchedulePlan plan = core::plan_scheme(
+        c.scheme, make_spec(cfg, llama, gpu, kSeq, tokens));
+    ASSERT_FALSE(plan.spec.vocab_parallel);
+    const sched::BuildOutput built =
+        sched::compile(plan.spec, plan.programs, nullptr);
+    double device0 = 0.0;
+    for (const mem::StaticFootprint& f : built.baseline) {
+      if (f.device == 0) device0 += f.bytes;
+    }
+    const double logits = model::logits_bytes(llama, plan.spec.shard, kSeq, 1);
+    EXPECT_NEAR(2.0 * half - whole - logits, device0, 1e-9 * device0)
+        << core::scheme_name(c.scheme) << " p=" << c.p;
   }
 }
 

@@ -577,40 +577,6 @@ SLIM_CHUNK_BODY void fold_slabs(const SlabFold& g, std::int64_t j0,
 
 }  // namespace
 
-AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
-                         std::int64_t q_offset, std::int64_t k_offset,
-                         float scale) {
-  SLIM_CHECK(q.cols() == k.cols(), "q/k head-dim mismatch");
-  SLIM_CHECK(k.rows() == v.rows(), "k/v length mismatch");
-  const std::int64_t s = q.rows(), d = v.cols();
-  AttnPartial part;
-  part.out = Tensor(s, d);
-  part.m.assign(static_cast<std::size_t>(s), kNegInf);
-  part.l.assign(static_cast<std::size_t>(s), 0.0f);
-
-  // The last row sees the most keys.
-  const std::int64_t seen =
-      std::clamp<std::int64_t>(q_offset + s - k_offset, 0, k.rows());
-  if (seen == 0) return part;
-  // One lease for the call: K key-tiled, then every query chunk's scratch
-  // (partial_rows).
-  const std::int64_t kc = k.cols();
-  const std::int64_t padded = round_up(seen, kKeyPad);
-  const std::int64_t chunk_scratch =
-      round_up(kc * kRowBlock + padded * kRowBlock / 2, 8);
-  WorkspaceLease<double> lease(
-      kc * padded + util::chunk_count(0, s, kForwardGrain) * chunk_scratch);
-  tile_keys(k.data(), kc, kc, seen, 0, lease.data());
-  zero_pad_keys(lease.data(), kc, seen);
-  parallel_chunks<partial_rows, partial_rows_narrow>(
-      0, s, kForwardGrain,
-      PartialRows{q.data(), kc, kc, lease.data(), v.data(), d,
-                  lease.data() + kc * padded, chunk_scratch,
-                  q_offset - k_offset + 1, k.rows(), scale, part.out.data(),
-                  d, part.m.data(), part.l.data()});
-  return part;
-}
-
 AttnPartial attn_merge(const AttnPartial& a, const AttnPartial& b) {
   SLIM_CHECK(a.q_len() == b.q_len() && a.out.cols() == b.out.cols(),
              "merge shape mismatch");
@@ -850,11 +816,9 @@ HeadGroup single_head(const Tensor& q, std::span<const KvRows> cache,
                    scale};
 }
 
-}  // namespace
-
-AttnPartial attn_streamed(const Tensor& q, const std::vector<KvChunk>& chunks,
-                          std::int64_t q_offset, float scale) {
-  const std::vector<KvRows> cache = chunk_rows(q, chunks, nullptr, nullptr);
+/// attn_group_fwd for one head over `cache`, as an AttnPartial.
+AttnPartial single_head_fwd(const Tensor& q, std::span<const KvRows> cache,
+                            std::int64_t q_offset, float scale) {
   AttnPartial part;
   part.out = Tensor(q.rows(), q.cols());
   part.m.resize(static_cast<std::size_t>(q.rows()));
@@ -862,6 +826,24 @@ AttnPartial attn_streamed(const Tensor& q, const std::vector<KvChunk>& chunks,
   attn_group_fwd(single_head(q, cache, q_offset, scale), part.out.data(),
                  q.cols(), part.m.data(), part.l.data());
   return part;
+}
+
+}  // namespace
+
+AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
+                         std::int64_t q_offset, std::int64_t k_offset,
+                         float scale) {
+  SLIM_CHECK(k.cols() == q.cols() && v.cols() == q.cols(),
+             "q/k/v head-dim mismatch");
+  SLIM_CHECK(k.rows() == v.rows(), "k/v length mismatch");
+  const KvRows chunk{k.data(), v.data(), nullptr, nullptr, k.rows(), k_offset};
+  return single_head_fwd(q, {&chunk, 1}, q_offset, scale);
+}
+
+AttnPartial attn_streamed(const Tensor& q, const std::vector<KvChunk>& chunks,
+                          std::int64_t q_offset, float scale) {
+  return single_head_fwd(q, chunk_rows(q, chunks, nullptr, nullptr), q_offset,
+                         scale);
 }
 
 void attn_streamed_bwd(const Tensor& q, const std::vector<KvChunk>& chunks,

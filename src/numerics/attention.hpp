@@ -38,7 +38,8 @@ struct AttnPartial {
 
 /// Attention of q (global positions q_offset..q_offset+q_len-1) against
 /// k/v (global positions k_offset..), causally masked: key j visible to
-/// query i iff k_offset + j <= q_offset + i.
+/// query i iff k_offset + j <= q_offset + i. q, k and v share one head
+/// width: this is attn_group_fwd for one head over one chunk.
 AttnPartial attn_partial(const Tensor& q, const Tensor& k, const Tensor& v,
                          std::int64_t q_offset, std::int64_t k_offset,
                          float scale);

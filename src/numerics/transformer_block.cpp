@@ -12,22 +12,24 @@ namespace {
 
 util::ThreadPool& pool() { return util::ThreadPool::global(); }
 
-/// Retains a temporary: deep-copies into `arena` under `category` when
-/// arenas are enabled, otherwise adopts the heap buffer unchanged (move).
+/// Keeps a slice's tensor until its backward: adopts the heap buffer
+/// (move) on the heap path, copies it into `arena` under `category` once
+/// when arenas are enabled.
 Tensor retain(Tensor&& t, Arena* arena, int category) {
   if (arena == nullptr) return std::move(t);
   ArenaBinding bind(arena, category);
   return Tensor(t);
 }
 
-/// The microbatch's cache as the attention pass reads it, in place.
-template <class Cache>
-std::vector<KvRows> kv_rows(Cache& cache) {
+/// The microbatch's KV cache as the attention pass reads it, in place: one
+/// chunk per live slice.
+template <class Slices>
+std::vector<KvRows> kv_rows(Slices& slices) {
   std::vector<KvRows> rows;
-  rows.reserve(cache.size());
-  for (auto& cc : cache) {
-    rows.push_back({cc.k.data(), cc.v.data(), cc.dk.data(), cc.dv.data(),
-                    cc.k.rows(), cc.pos});
+  rows.reserve(slices.size());
+  for (auto& sl : slices) {
+    rows.push_back({sl.k.data(), sl.v.data(), sl.dk.data(), sl.dv.data(),
+                    sl.k.rows(), sl.pos});
   }
   return rows;
 }
@@ -186,15 +188,7 @@ Layer::MicrobatchState& Layer::state_of(int mb) {
 std::int64_t Layer::live_slices() const {
   std::int64_t total = 0;
   for (const auto& [id, state] : microbatches_) {
-    total += static_cast<std::int64_t>(state.acts.size());
-  }
-  return total;
-}
-
-std::int64_t Layer::cache_chunks() const {
-  std::int64_t total = 0;
-  for (const auto& [id, state] : microbatches_) {
-    total += static_cast<std::int64_t>(state.cache.size());
+    total += static_cast<std::int64_t>(state.slices.size());
   }
   return total;
 }
@@ -202,7 +196,7 @@ std::int64_t Layer::cache_chunks() const {
 Layer::SliceFootprint Layer::slice_footprint(std::int64_t slice_len) const {
   const std::int64_t s = slice_len, h = dims_.hidden, kvh = dims_.kv_hidden();
   SliceFootprint fp;
-  // Retained activations: x, q_rot, attn_cat, x2; dense layers also keep
+  // Retained activations: x, q, attn_cat, x2; dense layers also keep
   // the gate/up projections (MoE recomputes everything from x2).
   fp.activation_bytes = 4 * aligned_bytes(s * h);
   if (!is_moe()) fp.activation_bytes += 2 * aligned_bytes(s * dims_.ffn);
@@ -228,56 +222,32 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
         arena_stats_, static_cast<std::size_t>(slice_footprint(s).total()));
   }
   Arena* arena = st.arena.get();
-  if (arena != nullptr) st.marks.push_back(arena->mark());
-
-  SliceActs acts;
+  Slice& sl = st.slices.emplace_back();
+  sl.pos = pos;
+  if (arena != nullptr) sl.mark = arena->mark();
   {
     ArenaBinding bind(arena, mem::kActivation);
-    acts.x = x;
+    sl.x = x;
   }
-  acts.pos = pos;
 
+  // q and k rotate in place before they are kept; everything below reads
+  // the kept copies.
   const Tensor h1 = rmsnorm(x, weights_.norm1);
   Tensor q = matmul(h1, weights_.wq);
   Tensor k = matmul(h1, weights_.wk);
-  Tensor v = matmul(h1, weights_.wv);
-
-  // RoPE is applied per head (each head's feature pairs rotate with the
-  // same schedule). Heads touch disjoint column bands, so they rotate in
-  // parallel.
-  pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t head = h0; head < h1; ++head) {
-      Tensor qh = q.slice_cols(head * hd, (head + 1) * hd);
-      rope_apply(qh, pos);
-      q.assign_cols(head * hd, qh);
-    }
-  });
-  pool().parallel_for(0, dims_.kv_heads, 1,
-                      [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t kh = h0; kh < h1; ++kh) {
-      Tensor khh = k.slice_cols(kh * hd, (kh + 1) * hd);
-      rope_apply(khh, pos);
-      k.assign_cols(kh * hd, khh);
-    }
-  });
-  {
-    ArenaBinding bind(arena, mem::kActivation);
-    acts.q_rot = q;  // q is still needed by the attention loop below
-  }
-
-  CacheChunk chunk;
-  chunk.k = retain(std::move(k), arena, mem::kKvCache);
-  chunk.v = retain(std::move(v), arena, mem::kKvCache);
-  chunk.pos = pos;
+  rope_apply(q, hd, pos);
+  rope_apply(k, hd, pos);
+  sl.q = retain(std::move(q), arena, mem::kActivation);
+  sl.k = retain(std::move(k), arena, mem::kKvCache);
+  sl.v = retain(matmul(h1, weights_.wv), arena, mem::kKvCache);
   {
     // The KV-gradient accumulators belong to THIS slice's scope even
     // though later slices' backwards write into them: releasing a later
     // slice's mark must not free them (LIFO completion, §4.1.2).
     ArenaBinding bind(arena, mem::kGrads);
-    chunk.dk = Tensor(s, dims_.kv_hidden());
-    chunk.dv = Tensor(s, dims_.kv_hidden());
+    sl.dk = Tensor(s, dims_.kv_hidden());
+    sl.dv = Tensor(s, dims_.kv_hidden());
   }
-  st.cache.push_back(std::move(chunk));
 
   // One attention pass per KV head over the microbatch's whole cache, read
   // in place: each slice's rows are the whole-sequence attention's bits.
@@ -285,32 +255,26 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
   // disjoint m/l rows. Attention kernels called from inside this loop run
   // inline (nested parallel_for serializes).
   Tensor attn_cat(s, dims_.hidden);
-  acts.m.resize(static_cast<std::size_t>(dims_.heads * s));
-  acts.l.resize(static_cast<std::size_t>(dims_.heads * s));
+  sl.m.resize(static_cast<std::size_t>(dims_.heads * s));
+  sl.l.resize(static_cast<std::size_t>(dims_.heads * s));
   const std::int64_t group = dims_.heads / dims_.kv_heads;
-  const std::vector<KvRows> cache = kv_rows(st.cache);
+  const std::vector<KvRows> cache = kv_rows(st.slices);
   pool().parallel_for(0, dims_.kv_heads, 1,
                       [&](std::int64_t h0, std::int64_t h1) {
     for (std::int64_t kh = h0; kh < h1; ++kh) {
       const std::int64_t head = kh * group;
-      attn_group_fwd(head_group(dims_, cache, kh, q, pos),
+      attn_group_fwd(head_group(dims_, cache, kh, sl.q, pos),
                      attn_cat.data() + head * hd, dims_.hidden,
-                     acts.m.data() + head * s, acts.l.data() + head * s);
+                     sl.m.data() + head * s, sl.l.data() + head * s);
     }
   });
-  {
-    ArenaBinding bind(arena, mem::kActivation);
-    acts.attn_cat = attn_cat;
-  }
+  sl.attn_cat = retain(std::move(attn_cat), arena, mem::kActivation);
 
-  Tensor x2 = matmul(attn_cat, weights_.wo);
+  Tensor x2 = matmul(sl.attn_cat, weights_.wo);
   x2.add_(x);
-  {
-    ArenaBinding bind(arena, mem::kActivation);
-    acts.x2 = x2;
-  }
+  sl.x2 = retain(std::move(x2), arena, mem::kActivation);
 
-  const Tensor h2 = rmsnorm(x2, weights_.norm2);
+  const Tensor h2 = rmsnorm(sl.x2, weights_.norm2);
   Tensor out;
   if (is_moe()) {
     // Routed expert FFN; everything recomputed in backward from x2.
@@ -319,46 +283,42 @@ Tensor Layer::forward_slice(const Tensor& x, std::int64_t pos, int mb) {
     Tensor gate = matmul(h2, weights_.w_gate);
     Tensor up = matmul(h2, weights_.w_up);
     out = matmul(swiglu(gate, up), weights_.w_down);
-    acts.gate = retain(std::move(gate), arena, mem::kActivation);
-    acts.up = retain(std::move(up), arena, mem::kActivation);
+    sl.gate = retain(std::move(gate), arena, mem::kActivation);
+    sl.up = retain(std::move(up), arena, mem::kActivation);
   }
-  out.add_(x2);
-
-  st.acts.push_back(std::move(acts));
+  out.add_(sl.x2);
   return out;
 }
 
 Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
   MicrobatchState& st = state_of(mb);
-  SLIM_CHECK(!st.acts.empty(), "backward without pending forward");
-  SLIM_CHECK(st.cache.size() == st.acts.size(),
-             "cache/activation bookkeeping out of sync");
-  const SliceActs& acts = st.acts.back();
-  const std::int64_t s = acts.x.rows();
+  SLIM_CHECK(!st.slices.empty(), "backward without pending forward");
+  Slice& sl = st.slices.back();
+  const std::int64_t s = sl.x.rows();
   const std::int64_t hd = dims_.head_dim();
   const std::int64_t group = dims_.heads / dims_.kv_heads;
 
   // ---- FFN backward (activations recomputed) ----
-  const Tensor h2 = rmsnorm(acts.x2, weights_.norm2);  // recompute
+  const Tensor h2 = rmsnorm(sl.x2, weights_.norm2);  // recompute
   Tensor dh2;
   if (is_moe()) {
     dh2 = moe_backward(*moe_dims_, *moe_weights_, h2, dout, *grads.moe);
   } else {
-    const Tensor swiglu_out = swiglu(acts.gate, acts.up);
+    const Tensor swiglu_out = swiglu(sl.gate, sl.up);
     grads.w_down.add_(matmul_tn(swiglu_out, dout));
     const Tensor dswiglu = matmul_nt(dout, weights_.w_down);
     Tensor dgate, dup;
-    swiglu_bwd(acts.gate, acts.up, dswiglu, dgate, dup);
+    swiglu_bwd(sl.gate, sl.up, dswiglu, dgate, dup);
     grads.w_gate.add_(matmul_tn(h2, dgate));
     grads.w_up.add_(matmul_tn(h2, dup));
     dh2 = matmul_nt(dgate, weights_.w_gate);
     dh2.add_(matmul_nt(dup, weights_.w_up));
   }
-  Tensor dx2 = rmsnorm_bwd(acts.x2, weights_.norm2, dh2, grads.norm2);
+  Tensor dx2 = rmsnorm_bwd(sl.x2, weights_.norm2, dh2, grads.norm2);
   dx2.add_(dout);  // residual
 
   // ---- attention projection backward ----
-  grads.wo.add_(matmul_tn(acts.attn_cat, dx2));
+  grads.wo.add_(matmul_tn(sl.attn_cat, dx2));
   const Tensor dattn_cat = matmul_nt(dx2, weights_.wo);
 
   // ---- attention backward, one pass per KV head ----
@@ -367,59 +327,41 @@ Tensor Layer::backward_slice(const Tensor& dout, LayerGrads& grads, int mb) {
   // Contributions to earlier chunks wait there until those slices' own
   // backward — the LIFO completion argument of §4.1.2.
   Tensor dq(s, dims_.hidden);
-  const std::vector<KvRows> cache = kv_rows(st.cache);
+  const std::vector<KvRows> cache = kv_rows(st.slices);
   pool().parallel_for(0, dims_.kv_heads, 1,
                       [&](std::int64_t h0, std::int64_t h1) {
     for (std::int64_t kh = h0; kh < h1; ++kh) {
       const std::int64_t col = kh * group * hd, row = kh * group * s;
-      attn_group_bwd(head_group(dims_, cache, kh, acts.q_rot, acts.pos),
-                     acts.attn_cat.data() + col, dims_.hidden,
-                     acts.m.data() + row, acts.l.data() + row,
+      attn_group_bwd(head_group(dims_, cache, kh, sl.q, sl.pos),
+                     sl.attn_cat.data() + col, dims_.hidden,
+                     sl.m.data() + row, sl.l.data() + row,
                      dattn_cat.data() + col, dims_.hidden, dq.data() + col,
                      dims_.hidden);
     }
   });
 
-  // ---- this slice's own KV chunk is now complete: project back ----
-  CacheChunk own = std::move(st.cache.back());
-  st.cache.pop_back();
-  // Undo RoPE on dq and dk (disjoint column bands per head).
-  pool().parallel_for(0, dims_.heads, 1, [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t head = h0; head < h1; ++head) {
-      Tensor dqh = dq.slice_cols(head * hd, (head + 1) * hd);
-      rope_apply_bwd(dqh, acts.pos);
-      dq.assign_cols(head * hd, dqh);
-    }
-  });
-  pool().parallel_for(0, dims_.kv_heads, 1,
-                      [&](std::int64_t h0, std::int64_t h1) {
-    for (std::int64_t kh = h0; kh < h1; ++kh) {
-      Tensor dkh = own.dk.slice_cols(kh * hd, (kh + 1) * hd);
-      rope_apply_bwd(dkh, acts.pos);
-      own.dk.assign_cols(kh * hd, dkh);
-    }
-  });
-
-  const Tensor h1 = rmsnorm(acts.x, weights_.norm1);  // recompute
+  // ---- this slice's own KV chunk is now complete: undo RoPE on dq and
+  // dK in place, then project back ----
+  rope_apply_bwd(dq, hd, sl.pos);
+  rope_apply_bwd(sl.dk, hd, sl.pos);
+  const Tensor h1 = rmsnorm(sl.x, weights_.norm1);  // recompute
   grads.wq.add_(matmul_tn(h1, dq));
-  grads.wk.add_(matmul_tn(h1, own.dk));
-  grads.wv.add_(matmul_tn(h1, own.dv));
+  grads.wk.add_(matmul_tn(h1, sl.dk));
+  grads.wv.add_(matmul_tn(h1, sl.dv));
   Tensor dh1 = matmul_nt(dq, weights_.wq);
-  dh1.add_(matmul_nt(own.dk, weights_.wk));
-  dh1.add_(matmul_nt(own.dv, weights_.wv));
-  Tensor dx = rmsnorm_bwd(acts.x, weights_.norm1, dh1, grads.norm1);
+  dh1.add_(matmul_nt(sl.dk, weights_.wk));
+  dh1.add_(matmul_nt(sl.dv, weights_.wv));
+  Tensor dx = rmsnorm_bwd(sl.x, weights_.norm1, dh1, grads.norm1);
   dx.add_(dx2);  // residual through the attention block
 
-  st.acts.pop_back();
+  // Retire the slice, then reclaim everything its forward scope retained.
+  const Arena::Mark mark = sl.mark;
+  st.slices.pop_back();
   if (st.arena != nullptr) {
-    // Reclaim everything the matching forward scope retained. Nothing
-    // arena-backed from this slice is referenced past this point (`own` is
-    // non-owning and already fully consumed above).
-    st.arena->release_to(st.marks.back());
+    st.arena->release_to(mark);
     st.arena->trim();
-    st.marks.pop_back();
   }
-  if (st.acts.empty()) {
+  if (st.slices.empty()) {
     // Drop the finished microbatch's bookkeeping entry.
     for (auto it = microbatches_.begin(); it != microbatches_.end(); ++it) {
       if (it->first == mb) {
@@ -610,8 +552,7 @@ double TinyModel::train_step(const std::vector<std::int64_t>& tokens,
     embed_bwd(slice_ids(si), dx, grads.embedding);
   }
   for (Layer& layer : layers_) {
-    SLIM_CHECK(layer.live_slices() == 0 && layer.cache_chunks() == 0,
-               "slice bookkeeping leaked");
+    SLIM_CHECK(layer.live_slices() == 0, "slice bookkeeping leaked");
   }
   return total_loss;
 }

@@ -91,8 +91,8 @@ class Layer {
   Tensor backward_slice(const Tensor& dout, LayerGrads& grads, int mb = 0);
 
   /// Live (not yet backwarded) slices across all in-flight microbatches.
+  /// Each holds exactly one KV chunk.
   std::int64_t live_slices() const;
-  std::int64_t cache_chunks() const;
 
   /// Clears cache/activations (abandoning any pending backward).
   void reset();
@@ -109,7 +109,7 @@ class Layer {
   /// measured-vs-analytical reconciliation. Sizes are 64-byte-aligned the
   /// way the arena rounds them.
   struct SliceFootprint {
-    std::int64_t activation_bytes = 0;  // x, q_rot, attn_cat, x2 (+gate, up)
+    std::int64_t activation_bytes = 0;  // x, q, attn_cat, x2 (+gate, up)
     std::int64_t kv_bytes = 0;          // post-RoPE k, v
     std::int64_t grad_bytes = 0;        // dk, dv accumulators
     std::int64_t total() const {
@@ -119,25 +119,24 @@ class Layer {
   SliceFootprint slice_footprint(std::int64_t slice_len) const;
 
  private:
-  struct CacheChunk {
-    Tensor k, v;      // post-RoPE keys, values (s, kvh)
-    std::int64_t pos = 0;
-    Tensor dk, dv;    // gradient accumulators, completed LIFO
-  };
-  struct SliceActs {
-    Tensor x;         // layer input
-    Tensor x2;        // post-attention residual
-    Tensor q_rot;     // rotated queries
-    Tensor gate, up;  // MLP projections
-    Tensor attn_cat;  // per-head attention outputs, concatenated
+  /// One live slice: what its forward retains for its backward, its KV
+  /// chunk with the gradient accumulators later slices' backwards add into,
+  /// and the arena mark its backward releases to.
+  struct Slice {
+    std::int64_t pos = 0;     // global position of the first token
+    Arena::Mark mark;         // set when arena stats are enabled
+    Tensor x;                 // layer input
+    Tensor q;                 // rotated queries
+    Tensor k, v;              // post-RoPE keys, values (s, kvh)
+    Tensor dk, dv;            // KV gradient accumulators, completed LIFO
+    Tensor attn_cat;          // per-head attention outputs, concatenated
     std::vector<float> m, l;  // head h's row i at h * rows + i
-    std::int64_t pos = 0;
+    Tensor x2;                // post-attention residual
+    Tensor gate, up;          // MLP projections (dense layers)
   };
   struct MicrobatchState {
-    std::vector<CacheChunk> cache;
-    std::vector<SliceActs> acts;
-    std::unique_ptr<Arena> arena;    // set when arena stats are enabled
-    std::vector<Arena::Mark> marks;  // one scope per live slice (LIFO)
+    std::unique_ptr<Arena> arena;  // set when arena stats are enabled
+    std::vector<Slice> slices;     // live slices in position order
   };
 
   MicrobatchState& state_of(int mb);

@@ -31,6 +31,7 @@ void fields(S& s, Visit&& visit) {
   visit("live", p.live);
   visit("live_cap", p.cap);
   visit("queue", p.queue);
+  visit("last_mb", p.last_mb);
   visit("committed", p.committed);
   visit("committed_total", p.microbatches);
   visit("frames_out", m.frames_sent);

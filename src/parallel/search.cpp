@@ -87,12 +87,11 @@ double estimate_peak_memory(const HybridConfig& cfg,
                           (static_cast<double>(spec.p) * spec.n * spec.v);
   const double act = fraction * ma * (1.0 - cfg.offload_ratio);
 
+  // Model states of device 0, which holds the largest vocabulary share.
   const double layers_local =
       static_cast<double>(model.layers) / static_cast<double>(cfg.p);
-  const double vocab_frac =
-      spec.vocab_parallel ? 1.0 / static_cast<double>(cfg.p) : 0.5;
   const double states = model::model_state_bytes(
-      model, spec.shard, layers_local, vocab_frac, cfg.d);
+      model, spec.shard, layers_local, sched::vocab_share(spec, 0), cfg.d);
   const std::int64_t loss_tokens =
       spec.vocab_parallel ? (seq + cfg.n - 1) / cfg.n : seq;
   const std::int64_t vshards = spec.vocab_parallel ? cfg.p : 1;

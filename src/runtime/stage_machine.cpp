@@ -189,7 +189,7 @@ bool StageMachine::finished() const {
 bool StageMachine::drained() const {
   for (const auto& chunk : chunk_layers_) {
     for (const num::Layer& layer : chunk) {
-      if (layer.live_slices() != 0 || layer.cache_chunks() != 0) return false;
+      if (layer.live_slices() != 0) return false;
     }
   }
   return true;

@@ -118,20 +118,15 @@ BuildOutput compile(const PipelineSpec& spec,
   const int kv_category = slice_memory.kv_category();
 
   // Parameters on a device: the layers of all its chunks plus its share of
-  // the (tied, single-copy) vocabulary — the embedding sits with the first
-  // stage, the output head with the last.
+  // the (tied, single-copy) vocabulary.
   auto params_of = [&](int dev) {
     std::int64_t layers = 0;
     for (int chunk = 0; chunk < spec.v; ++chunk) {
       layers += spec.layers_of_stage(layout.stage_of(dev, chunk));
     }
-    double vocab = 1.0 / static_cast<double>(spec.p);
-    if (!spec.vocab_parallel) {
-      vocab = (layout.device_of(0) == dev ? 0.5 : 0.0) +
-              (layout.device_of(num_stages - 1) == dev ? 0.5 : 0.0);
-    }
     return model::device_params(spec.cfg, spec.shard,
-                                static_cast<double>(layers), vocab);
+                                static_cast<double>(layers),
+                                vocab_share(spec, dev));
   };
 
   // Vocabulary handling (per-slice token counts).

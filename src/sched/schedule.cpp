@@ -176,6 +176,13 @@ SliceBytes SliceMemory::share(PassType kind) const {
   return {};
 }
 
+double vocab_share(const PipelineSpec& spec, int device) {
+  if (spec.vocab_parallel) return 1.0 / static_cast<double>(spec.p);
+  const StageLayout layout = spec.stage_layout();
+  return (layout.device_of(0) == device ? 0.5 : 0.0) +
+         (layout.device_of(layout.num_stages() - 1) == device ? 0.5 : 0.0);
+}
+
 obs::RunRecord to_run_record(const ScheduleResult& result,
                              const std::string& label) {
   obs::RunRecord run;

@@ -170,6 +170,15 @@ class SliceMemory {
   int kv_category_ = 0;
 };
 
+/// Share of the tied vocabulary's parameters (and their states) on
+/// `device`, which the graph builder's model-state baseline and the
+/// planner's memory estimate both read: 1/p each with vocabulary
+/// parallelism, else half with the first stage (the embedding) and half
+/// with the last (the output head) — all of it on a device that holds both
+/// (the V-shaped layouts, any layout at p = 1). Device 0 holds the first
+/// stage, so no device's share exceeds its.
+double vocab_share(const PipelineSpec& spec, int device);
+
 /// Everything measured for one simulated iteration.
 struct ScheduleResult {
   std::string scheme;

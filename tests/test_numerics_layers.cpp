@@ -7,7 +7,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "src/numerics/exp.hpp"
 #include "src/numerics/norm_act.hpp"
@@ -244,7 +246,7 @@ TEST(RopeTest, PreservesNorm) {
   Rng rng(6);
   Tensor x = Tensor::randn(5, 8, rng, 1.0f);
   const float before = x.l2norm();
-  rope_apply(x, 17);
+  rope_apply(x, 8, 17);
   EXPECT_NEAR(x.l2norm(), before, 1e-4f);
 }
 
@@ -252,8 +254,8 @@ TEST(RopeTest, BackwardIsInverse) {
   Rng rng(7);
   Tensor x = Tensor::randn(5, 8, rng, 1.0f);
   const Tensor orig = x;
-  rope_apply(x, 123);
-  rope_apply_bwd(x, 123);
+  rope_apply(x, 8, 123);
+  rope_apply_bwd(x, 8, 123);
   EXPECT_LT(x.max_abs_diff(orig), 1e-5f);
 }
 
@@ -262,7 +264,7 @@ TEST(RopeTest, PositionZeroFirstPairIdentity) {
   Rng rng(8);
   Tensor x = Tensor::randn(1, 8, rng, 1.0f);
   const Tensor orig = x;
-  rope_apply(x, 0);
+  rope_apply(x, 8, 0);
   EXPECT_LT(x.max_abs_diff(orig), 1e-6f);
 }
 
@@ -274,8 +276,8 @@ TEST(RopeTest, RelativePositionProperty) {
   const Tensor k0 = Tensor::randn(1, 8, rng, 1.0f);
   auto rotated_dot = [&](std::int64_t qi, std::int64_t kj) {
     Tensor q = q0, k = k0;
-    rope_apply(q, qi);
-    rope_apply(k, kj);
+    rope_apply(q, 8, qi);
+    rope_apply(k, 8, kj);
     double sum = 0.0;
     for (std::int64_t c = 0; c < 8; ++c) {
       sum += static_cast<double>(q.at(0, c)) * k.at(0, c);
@@ -292,13 +294,13 @@ TEST(RopeTest, GradCheck) {
   const Tensor dout = Tensor::randn(2, 4, rng, 1.0f);
   // d/dx of <rope(x), dout> is rope_bwd(dout).
   Tensor grad = dout;
-  rope_apply_bwd(grad, 7);
+  rope_apply_bwd(grad, 4, 7);
   const float eps = 1e-3f;
   for (std::int64_t i = 0; i < x.size(); ++i) {
     const float orig = x.data()[i];
     auto value = [&]() {
       Tensor y = x;
-      rope_apply(y, 7);
+      rope_apply(y, 4, 7);
       return dot(y, dout);
     };
     x.data()[i] = orig + eps;
@@ -307,6 +309,39 @@ TEST(RopeTest, GradCheck) {
     const double lo = value();
     x.data()[i] = orig;
     EXPECT_NEAR((hi - lo) / (2.0 * eps), grad.data()[i], 2e-3);
+  }
+}
+
+// One pass over a tensor of k head_dim-wide bands rotates each band as the
+// band alone, a tensor of its own, would rotate: the same angles and the
+// same per-element arithmetic, bit for bit.
+TEST(RopeTest, EveryBandRotatesAsItsOwnTensor) {
+  struct Case {
+    std::int64_t head_dim, bands;
+  };
+  Rng rng(11);
+  for (const Case c : {Case{4, 8}, Case{16, 8}, Case{16, 4}}) {
+    for (const std::int64_t pos : {std::int64_t{0}, std::int64_t{896}}) {
+      SCOPED_TRACE("head_dim " + std::to_string(c.head_dim) + ", " +
+                   std::to_string(c.bands) + " bands, position " +
+                   std::to_string(pos));
+      const Tensor x = Tensor::randn(5, c.bands * c.head_dim, rng, 1.0f);
+      Tensor all = x;
+      rope_apply(all, c.head_dim, pos);
+      for (std::int64_t b = 0; b < c.bands; ++b) {
+        Tensor band = x.slice_cols(b * c.head_dim, (b + 1) * c.head_dim);
+        rope_apply(band, c.head_dim, pos);
+        const Tensor got =
+            all.slice_cols(b * c.head_dim, (b + 1) * c.head_dim);
+        EXPECT_EQ(std::memcmp(got.data(), band.data(),
+                              static_cast<std::size_t>(band.size()) *
+                                  sizeof(float)),
+                  0)
+            << "band " << b;
+      }
+      rope_apply_bwd(all, c.head_dim, pos);
+      EXPECT_LT(all.max_abs_diff(x), 1e-5f);
+    }
   }
 }
 

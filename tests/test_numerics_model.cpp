@@ -163,7 +163,7 @@ TEST(LayerTest, SlicedForwardMatchesMonolithic) {
                                          s * 8));
   }
   EXPECT_LT(Tensor::vcat(parts).max_abs_diff(full), 5e-6f);
-  EXPECT_EQ(sliced.cache_chunks(), 3);
+  EXPECT_EQ(sliced.live_slices(), 3);
 }
 
 bool same_bits(const Tensor& a, const Tensor& b) {
@@ -235,24 +235,23 @@ TEST(LayerTest, LifoBackwardMatchesMonolithic) {
   }
   EXPECT_LT(Tensor::vcat(dx_parts).max_abs_diff(dx_mono), 1e-5f);
   EXPECT_LT(g_mono.max_abs_diff(g_sliced), 1e-5f);
-  EXPECT_EQ(sliced.cache_chunks(), 0);
   EXPECT_EQ(sliced.live_slices(), 0);
 }
 
 TEST(LayerTest, SteadyStateChunkInvariant) {
-  // forward_slice adds exactly one chunk; backward_slice frees exactly one
-  // — the memory invariant of §4.1.2.
+  // forward_slice adds exactly one live slice, and with it one KV chunk;
+  // backward_slice frees exactly one — the memory invariant of §4.1.2.
   Rng rng(62);
   const BlockDims dims{16, 2, 2, 24};
   Layer layer(dims, LayerWeights::random(dims, rng));
   LayerGrads grads = LayerGrads::zeros(dims);
   for (int s = 0; s < 4; ++s) {
     (void)layer.forward_slice(Tensor::randn(4, 16, rng, 1.0f), s * 4);
-    EXPECT_EQ(layer.cache_chunks(), s + 1);
+    EXPECT_EQ(layer.live_slices(), s + 1);
   }
   for (int s = 3; s >= 0; --s) {
     (void)layer.backward_slice(Tensor::randn(4, 16, rng, 1.0f), grads);
-    EXPECT_EQ(layer.cache_chunks(), s);
+    EXPECT_EQ(layer.live_slices(), s);
   }
 }
 

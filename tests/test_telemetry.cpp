@@ -391,6 +391,7 @@ LiveSnapshot sample_snapshot() {
   s0.progress.live = 2;
   s0.progress.cap = 4;
   s0.progress.queue = 1;
+  s0.progress.last_mb = 3;
   s0.progress.committed = 1;
   s0.progress.microbatches = 4;
   s0.metrics.frames_sent = 12;
@@ -426,6 +427,7 @@ TEST(SnapshotJsonTest, RoundTripsThroughDumpAndParse) {
   EXPECT_EQ(back.merged_microbatches, 1);
   ASSERT_EQ(back.stages.size(), 2u);
   EXPECT_EQ(back.stages[0].pid, 4242);
+  EXPECT_EQ(back.stages[0].progress.last_mb, 3);
   EXPECT_EQ(back.stages[0].metrics.frames_sent, 12);
   EXPECT_EQ(back.stages[0].metrics.bytes_recv, 90112.0);
   EXPECT_EQ(back.stages[0].flight_events, 57);
@@ -457,6 +459,7 @@ TEST(SnapshotJsonTest, GoldenDocument) {
       "live": 2,
       "live_cap": 4,
       "queue": 1,
+      "last_mb": 3,
       "committed": 1,
       "committed_total": 4,
       "frames_out": 12,
@@ -482,6 +485,7 @@ TEST(SnapshotJsonTest, GoldenDocument) {
       "live": 2,
       "live_cap": 4,
       "queue": 1,
+      "last_mb": 3,
       "committed": 1,
       "committed_total": 4,
       "frames_out": 12,
@@ -664,16 +668,19 @@ TEST(RenderTopTest, FrameCarriesPhaseProgressAndStates) {
 }
 
 TEST(RenderTopTest, GoldenFrame) {
-  // The header line, then the one per-stage table: stage and state first
-  // (the columns the blocked-on table's readers parse), the stage's own
-  // progress and metrics after. The snapshot file carries no last
-  // microbatch, so that column reads "-" here.
-  EXPECT_EQ(render_top(sample_snapshot()), R"(slimpipe running  t=1.50s  attempt 2  merged 1/4 mb
+  // slimpipe_top's frame of the snapshot file: the header line, then the
+  // one per-stage table: stage and state first (the columns the blocked-on
+  // table's readers parse), the stage's own progress and metrics after, the
+  // last picked microbatch among them.
+  LiveSnapshot from_file;
+  ASSERT_TRUE(
+      snapshot_from_json(snapshot_to_json(sample_snapshot()), &from_file));
+  EXPECT_EQ(render_top(from_file), R"(slimpipe running  t=1.50s  attempt 2  merged 1/4 mb
 +-------+-----------------------------------------+------+--------+----------+-----+-----+------+-------+---------+--------+---------+---------+-----+-------+--------+
 | stage | state                                   | pid  | age ms | messages | fwd | bwd | live | queue | last mb | commit | out     | in      | crc | retry | arena  |
 +-------+-----------------------------------------+------+--------+----------+-----+-----+------+-------+---------+--------+---------+---------+-----+-------+--------+
-| 0     | running                                 | 4242 | 25     | 31       | 6/8 | 4/8 | 2/4  | 1     | -       | 1/4    | 96.0KiB | 88.0KiB | 0   | 2     | 1.0MiB |
-| 1     | killed by signal 9 (heartbeat deadline) | 4243 | 25     | 31       | 6/8 | 4/8 | 2/4  | 1     | -       | 1/4    | 96.0KiB | 88.0KiB | 0   | 2     | 1.0MiB |
+| 0     | running                                 | 4242 | 25     | 31       | 6/8 | 4/8 | 2/4  | 1     | 3       | 1/4    | 96.0KiB | 88.0KiB | 0   | 2     | 1.0MiB |
+| 1     | killed by signal 9 (heartbeat deadline) | 4243 | 25     | 31       | 6/8 | 4/8 | 2/4  | 1     | 3       | 1/4    | 96.0KiB | 88.0KiB | 0   | 2     | 1.0MiB |
 +-------+-----------------------------------------+------+--------+----------+-----+-----+------+-------+---------+--------+---------+---------+-----+-------+--------+
 )");
 }

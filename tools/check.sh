@@ -75,7 +75,7 @@
 #   undefined  faults, mem, ir, sched, dist, telemetry, elastic, numerics,
 #              obs, util
 #                                  (integer/shift UB in the same layers)
-#   thread     faults, threads, dist, telemetry, elastic
+#   thread     faults, threads, dist, telemetry, elastic, numerics
 #                                  (faults: the threaded runtime's own
 #                                   tests, test_runtime and test_fault, plus
 #                                   the stage machine and the stage driver
@@ -85,7 +85,11 @@
 #                                   pool-owning parent — exactly the
 #                                   fork/lock interaction TSan should watch;
 #                                   telemetry: the overhead gate runs both
-#                                   substrates)
+#                                   substrates; numerics: the Layer's
+#                                   per-KV-head passes, whose pool workers
+#                                   write shared dq columns and the cache's
+#                                   dK/dV columns, at pool width 4 in the
+#                                   bit-equality tests)
 #
 # After its label run the thread preset repeats the runtime's watchdog-hang
 # tests (RuntimeFaultTest.HangTriggersWatchdogWithBlockedTable and
@@ -238,7 +242,7 @@ if [[ "$FAST" -eq 0 ]]; then
     echo "== ${san} sanitizer build =="
     build_tree "build-${san}" -DSLIMPIPE_SANITIZE="${san}"
     if [[ "$san" == "thread" ]]; then
-      labels="faults|threads|dist|telemetry|elastic"
+      labels="faults|threads|dist|telemetry|elastic|numerics"
     else
       labels="faults|mem|ir|sched|dist|telemetry|elastic|numerics|obs|util"
     fi
